@@ -32,10 +32,11 @@
 //!
 //! # Incremental warm-start negotiation
 //!
-//! Rebuilding the fleet-wide benefit heap from scratch every window costs
-//! `O(total operators)` even when almost nothing moved — at 10⁵–10⁶ shards
-//! that alone dwarfs the window budget. The negotiator therefore persists
-//! its contended-round state across windows and repairs it instead:
+//! A window negotiates exactly once, through
+//! [`FleetNegotiator::negotiate_within_incremental`]. Rebuilding the
+//! fleet-wide benefit heap every window would cost `O(total operators)`
+//! even when almost nothing moved, so the negotiator persists its state
+//! across windows and repairs it instead:
 //!
 //! * each shard's [`drs_queueing::incremental::NetworkSojourn`] walk and its
 //!   position on the marginal-benefit heaps survive the window boundary;
@@ -43,25 +44,30 @@
 //!   changes bit-for-bit) stamp every cached entry, and stale entries are
 //!   discarded lazily on pop rather than eagerly rebuilt;
 //! * a window's negotiation then costs `O(changed shards + executors
-//!   moved)`: shards whose demand, floor and desired vector are unchanged
-//!   are never re-walked, and budget changes replay only the boundary of
-//!   the previous fixpoint (ascend on freed capacity, descend on lost
-//!   capacity);
-//! * the warm path ([`FleetNegotiator::negotiate_within_incremental`])
-//!   is *observationally identical* to the retained from-scratch
-//!   reference ([`FleetNegotiator::negotiate_within`]) — same grants,
-//!   same errors, bit for bit — property-tested across randomized demand
-//!   drift, shard churn and budget schedules;
+//!   moved)`: unchanged shards are never re-walked, and budget changes
+//!   replay only the boundary of the previous fixpoint (ascend on freed
+//!   capacity, descend on lost capacity);
+//! * the **gate-aware re-offer** is a sum check on that state, not a second
+//!   round. Shards whose decision gate refuses their grant are held at what
+//!   they run, and the rest are offered `B' = budget − Σ_held current`.
+//!   That offer is used only if it caps nobody, and cold arbitration caps
+//!   nobody **iff** `Σ_rest floored desire ≤ B'` — then every grant *is* the
+//!   shard's floored desire; otherwise it spends `B'` exactly (someone ends
+//!   short of their desire, i.e. capped) or fails for lack of budget, and
+//!   the negotiated grants stand with the held shrinks made urgent. Both
+//!   sides of the comparison are totals the negotiator already carries, so
+//!   the re-offer is exact, `O(held)` and allocation-free;
 //! * a fully settled window — no demand epoch moved, every grant equal to
 //!   the allocation in force — runs **allocation-free** end to end
 //!   through [`FleetDriver`]: backends fill reusable buffers via the
 //!   `*_into` hooks on [`CspBackend`], and a counting-allocator test
 //!   holds the zero.
 //!
-//! `repro fleet --scale {1k,10k,100k,1m}` benchmarks the warm path
-//! against the from-scratch reference at those fleet sizes; the `100k`
-//! point is exported as the `fleet_scale` section of `BENCH_PERF.json`
-//! and regression-gated by `repro perfdiff`.
+//! The stateless [`FleetNegotiator::negotiate_within`] is the same
+//! arbitration computed cold and is never on the driver's path: it is the
+//! oracle the warm path is property-tested against (same grants, same
+//! errors, bit for bit, across randomized demand drift, shard churn and
+//! budget schedules) and the baseline `repro fleet --scale` times.
 //!
 //! # Degraded control plane
 //!
@@ -467,15 +473,12 @@ enum NegotiationMode {
 /// The fleet budget negotiator: owns `Kmax` and arbitrates competing
 /// per-topology demands (see the [module docs](self)).
 ///
-/// Two entry points compute identical grants:
-///
-/// * [`FleetNegotiator::negotiate`] / [`negotiate_within`] — stateless,
-///   from scratch, `O(fleet)` per call; the oracle the proptests compare
-///   against.
-/// * [`FleetNegotiator::negotiate_within_incremental`] — warm-started from
-///   the previous window's state, `O(changed shards + executor moves)` per
-///   call and allocation-free when nothing changed; what [`FleetDriver`]
-///   runs every window.
+/// [`FleetNegotiator::negotiate_within_incremental`] is the negotiation
+/// [`FleetDriver`] runs: warm-started from the previous window's state,
+/// `O(changed shards + executor moves)` per call and allocation-free when
+/// nothing changed. The stateless [`FleetNegotiator::negotiate`] /
+/// [`negotiate_within`] compute the same grants from scratch in `O(fleet)`
+/// and serve only as its oracle (see the [module docs](self)).
 ///
 /// The warm state is a pure cache: any warm position converges to the same
 /// bit-identical grants a cold run computes, so checkpoint clones,
@@ -540,9 +543,8 @@ impl FleetNegotiator {
         self.negotiate_within(self.k_max, demands)
     }
 
-    /// Arbitrates `demands` within an explicitly reduced budget (used by
-    /// the driver when part of `Kmax` is reserved for shards that carry no
-    /// usable model yet).
+    /// Arbitrates `demands` within an explicit budget, statelessly and from
+    /// scratch — the oracle for the warm path, never run by the driver.
     ///
     /// When the desired totals fit the budget every shard is granted
     /// exactly its desired allocation — the fleet schedule *equals* the
@@ -570,17 +572,6 @@ impl FleetNegotiator {
         &self,
         budget: u32,
         demands: &[ShardDemand],
-    ) -> Result<Vec<ShardGrant>, FleetError> {
-        let refs: Vec<&ShardDemand> = demands.iter().collect();
-        Self::negotiate_scratch(budget, &refs)
-    }
-
-    /// The from-scratch arbitration over *borrowed* demands — the form the
-    /// gate-aware re-offer round uses, so excluding held shards costs a
-    /// reference each instead of a deep `ShardDemand` copy.
-    pub(crate) fn negotiate_scratch(
-        budget: u32,
-        demands: &[&ShardDemand],
     ) -> Result<Vec<ShardGrant>, FleetError> {
         for (i, d) in demands.iter().enumerate() {
             if d.desired.len() != d.network.len() {
@@ -691,6 +682,14 @@ impl FleetNegotiator {
     /// `Err` — callers must not actuate grants from a failed round.
     pub fn grants(&self) -> &[ShardGrant] {
         &self.grants
+    }
+
+    /// The gate-aware re-offer (see the [module docs](self)): with held
+    /// shards keeping `held_current` executors in force and their floored
+    /// desires `held_desired` withdrawn, do the other shards' floored desires
+    /// fit what is left of `budget`?
+    fn reoffer_fits(&self, budget: u32, held_desired: u64, held_current: u64) -> bool {
+        self.sum_desired - held_desired <= u64::from(budget).saturating_sub(held_current)
     }
 
     /// Incremental warm-start arbitration: computes exactly what
@@ -1543,21 +1542,18 @@ struct FleetScratch {
     /// Shards whose model was refitted this window.
     refit: Vec<usize>,
     capped: Vec<bool>,
+    /// The shard's decision gate holds its grant: it keeps what it runs.
     gated: Vec<bool>,
     /// Shrinks the gate-aware pass promoted to urgent (holding them would
     /// starve another shard): they bypass the actuation-time gate.
     urgent: Vec<bool>,
     rebalanced: Vec<bool>,
-    /// Round-1 grant withdrawn by the gate-aware pass: ignore the
-    /// negotiator's slot for this shard this window.
-    suppressed: Vec<bool>,
-    /// Index into `round2_grants` per shard, for shards the gate-aware
-    /// second round re-granted.
-    round2_idx: Vec<Option<usize>>,
-    round2_grants: Vec<ShardGrant>,
-    /// Whether this window's round-1 negotiation succeeded (the
-    /// negotiator's published grants are usable).
+    /// Whether this window's negotiation succeeded (the negotiator's
+    /// published grants are usable).
     negotiated_ok: bool,
+    /// The gate-aware re-offer was accepted: every ungated modeled shard
+    /// resolves to its floored desire, not its (possibly capped) grant.
+    reoffered: bool,
     /// The allocation a rebalance put in force this window.
     applied: Vec<Option<Vec<u32>>>,
     /// The allocation in force per shard, cached once per window (buffers
@@ -1571,8 +1567,6 @@ struct FleetScratch {
     actuation_order: Vec<usize>,
     /// Shards held back by the gate-aware pass.
     held: Vec<usize>,
-    /// Shard index per entry of the gate-aware re-offer round.
-    round_shards: Vec<usize>,
     /// This window's solved machine assignment per shard, as a slot into
     /// the warm placement state (`place`) — the placement itself stays
     /// cached there and is cloned only when a command actually carries it.
@@ -1606,12 +1600,8 @@ impl FleetScratch {
         self.urgent.resize(n, false);
         self.rebalanced.clear();
         self.rebalanced.resize(n, false);
-        self.suppressed.clear();
-        self.suppressed.resize(n, false);
-        self.round2_idx.clear();
-        self.round2_idx.resize(n, None);
-        self.round2_grants.clear();
         self.negotiated_ok = false;
+        self.reoffered = false;
         self.applied.resize_with(n, || None);
         for a in &mut self.applied {
             *a = None;
@@ -1621,7 +1611,6 @@ impl FleetScratch {
         self.target_totals.clear();
         self.actuation_order.clear();
         self.held.clear();
-        self.round_shards.clear();
         self.planned_slots.clear();
         self.planned_slots.resize(n, None);
         // `place`/`place_slots` persist across windows (the warm-start
@@ -1632,24 +1621,21 @@ impl FleetScratch {
         }
     }
 
-    /// The grant shard `i` should actuate this window, resolved across the
-    /// two negotiation rounds: `None` when negotiation failed, the shard
-    /// has no usable model, or the gate-aware pass withdrew the grant;
-    /// the round-2 re-offer where one stands; the negotiator's published
-    /// round-1 slot otherwise. Borrow-split from the driver so callers can
-    /// hold the negotiator and the scratch independently.
-    fn grant<'a>(&'a self, negotiator: &'a FleetNegotiator, i: usize) -> Option<&'a ShardGrant> {
-        if !self.negotiated_ok || self.suppressed[i] {
+    /// The allocation shard `i` should actuate this window: `None` when
+    /// negotiation failed, the shard has no usable model, or its gate holds
+    /// the grant; its floored desire where the re-offer was accepted; the
+    /// negotiator's published grant otherwise. Borrow-split from the driver
+    /// so callers can hold the negotiator and the scratch independently.
+    fn grant<'a>(&'a self, negotiator: &'a FleetNegotiator, i: usize) -> Option<&'a [u32]> {
+        if !self.negotiated_ok || self.gated[i] {
             return None;
         }
-        if let Some(r2) = self.round2_idx[i] {
-            return Some(&self.round2_grants[r2]);
-        }
-        self.demand_idx
-            .get(i)
-            .copied()
-            .flatten()
-            .map(|slot| &negotiator.grants()[slot])
+        let slot = self.demand_idx.get(i).copied().flatten()?;
+        Some(if self.reoffered {
+            &negotiator.slots[slot].desired_floored
+        } else {
+            &negotiator.grants[slot].allocation
+        })
     }
 }
 
@@ -2173,9 +2159,7 @@ impl<B: CspBackend> FleetDriver<B> {
                             scratch.capped[shard] = grant.capped;
                         }
                         // 4b. Gate-aware wobble pass: consult each shard's
-                        //     decision gate *now* and re-arbitrate around
-                        //     refusals, instead of discovering them at
-                        //     actuation time.
+                        //     decision gate *now*, not at actuation time.
                         self.gate_aware_pass(&mut scratch, budget, contended);
                     }
                     Err(e) => fleet_error = Some(e.to_string()),
@@ -2211,7 +2195,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 for i in 0..n {
                     let target = scratch
                         .grant(&self.negotiator, i)
-                        .map_or(scratch.current_totals[i], ShardGrant::total);
+                        .map_or(scratch.current_totals[i], executor_total);
                     scratch.target_totals.push(target);
                 }
                 let FleetScratch {
@@ -2230,7 +2214,7 @@ impl<B: CspBackend> FleetDriver<B> {
                     let Some(grant) = scratch.grant(&self.negotiator, i) else {
                         continue;
                     };
-                    if grant.allocation == scratch.current_allocs[i] {
+                    if grant == scratch.current_allocs[i] {
                         continue;
                     }
                 }
@@ -2285,8 +2269,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 let allocation = scratch
                     .grant(&self.negotiator, i)
                     .expect("resolved just above")
-                    .allocation
-                    .clone();
+                    .to_vec();
                 let placement = scratch.planned_slots[i]
                     .take()
                     .map(|slot| scratch.place.placement(slot).clone());
@@ -2442,7 +2425,7 @@ impl<B: CspBackend> FleetDriver<B> {
     fn gate_refuses(
         &self,
         i: usize,
-        grant: &ShardGrant,
+        grant: &[u32],
         current: &[u32],
         scratch: &FleetScratch,
     ) -> bool {
@@ -2455,11 +2438,9 @@ impl<B: CspBackend> FleetDriver<B> {
             &self.config.decision,
             &DecisionInputs {
                 current_estimate: network.expected_sojourn(current).unwrap_or(f64::INFINITY),
-                candidate_estimate: network
-                    .expected_sojourn(&grant.allocation)
-                    .unwrap_or(f64::INFINITY),
+                candidate_estimate: network.expected_sojourn(grant).unwrap_or(f64::INFINITY),
                 current_allocation: current.to_vec(),
-                candidate_allocation: grant.allocation.clone(),
+                candidate_allocation: grant.to_vec(),
                 pause_secs: self.config.pause_secs,
                 t_max: Some(self.shards[i].t_max_secs),
                 measured_sojourn: sample.mean_sojourn,
@@ -2473,90 +2454,50 @@ impl<B: CspBackend> FleetDriver<B> {
     /// arbitrate around the refusals *now*, instead of discovering them at
     /// actuation time and stranding the capacity for a window.
     ///
-    /// Refused shards are held at their current allocation and the rest
-    /// re-negotiate within the realized budget (what the held shards keep
-    /// in force comes off the top). Two outcomes:
+    /// Refused shards are held at their current allocation, which comes off
+    /// the top of the budget, and the rest are re-offered what is left — one
+    /// sum check ([`FleetNegotiator::reoffer_fits`]), not a second round:
     ///
-    /// * the re-negotiation is uncontended — the holds stand (`gated`),
-    ///   and every remaining grant fits the realized pool, so nothing is
-    ///   deferred at actuation;
-    /// * the re-negotiation is capped or infeasible — the "wobble" was
-    ///   load-bearing after all (holding it starves another shard), so the
-    ///   round-1 grants stand and the held shrinks are promoted to urgent:
-    ///   they bypass the actuation gate exactly like contended shrinks.
+    /// * their floored desires fit — the holds stand (`gated`), every other
+    ///   shard runs its floored desire uncapped, nothing defers at actuation;
+    /// * they do not — the "wobble" was load-bearing after all (holding it
+    ///   starves another shard), so the negotiated grants stand and the
+    ///   held shrinks are promoted to urgent: they bypass the actuation
+    ///   gate exactly like contended shrinks.
     fn gate_aware_pass(&self, scratch: &mut FleetScratch, budget: u32, contended: bool) {
+        let negotiator = &*self.negotiator;
+        let (mut held_desired, mut held_current) = (0u64, 0u64);
         for slot in 0..scratch.modeled.len() {
             let i = scratch.modeled[slot];
-            let grant = &self.negotiator.grants()[slot];
+            let grant = &negotiator.grants[slot];
             if grant.allocation == scratch.current_allocs[i] {
                 continue;
             }
             if contended && grant.total() < scratch.current_totals[i] {
                 continue; // contended shrinks actuate unconditionally
             }
-            if self.gate_refuses(i, grant, &scratch.current_allocs[i], scratch) {
+            if self.gate_refuses(i, &grant.allocation, &scratch.current_allocs[i], scratch) {
                 scratch.held.push(i);
+                held_desired += negotiator.slots[slot].desired_total;
+                held_current += scratch.current_totals[i];
             }
         }
         if scratch.held.is_empty() {
             return;
         }
-        if scratch.held.len() == scratch.modeled.len() {
-            for idx in 0..scratch.held.len() {
-                let i = scratch.held[idx];
+        if negotiator.reoffer_fits(budget, held_desired, held_current) {
+            scratch.reoffered = true;
+            for &i in &scratch.held {
                 scratch.gated[i] = true;
-                scratch.suppressed[i] = true;
             }
-            return;
-        }
-        let held_reserved: u64 = scratch
-            .held
-            .iter()
-            .map(|&i| scratch.current_totals[i])
-            .sum();
-        let budget2 =
-            u32::try_from(u64::from(budget).saturating_sub(held_reserved)).unwrap_or(u32::MAX);
-        // The re-offer round runs over *borrowed* demands through the
-        // stateless from-scratch path: a subset round must not disturb the
-        // warm per-slot state the incremental negotiator carries for the
-        // full fleet.
-        let result = {
-            let FleetScratch {
-                demands,
-                modeled,
-                held,
-                round_shards,
-                ..
-            } = &mut *scratch;
-            let mut round_refs: Vec<&ShardDemand> = Vec::with_capacity(modeled.len() - held.len());
-            for slot in 0..modeled.len() {
-                let i = modeled[slot];
-                if held.contains(&i) {
-                    continue;
-                }
-                round_shards.push(i);
-                round_refs.push(&demands[slot]);
-            }
-            FleetNegotiator::negotiate_scratch(budget2, &round_refs)
-        };
-        match result {
-            Ok(granted) if granted.iter().all(|g| !g.capped) => {
-                for idx in 0..scratch.held.len() {
-                    let i = scratch.held[idx];
-                    scratch.gated[i] = true;
-                    scratch.suppressed[i] = true;
-                }
-                scratch.round2_grants = granted;
-                for (r2, &i) in scratch.round_shards.iter().enumerate() {
-                    scratch.capped[i] = scratch.round2_grants[r2].capped;
-                    scratch.round2_idx[i] = Some(r2);
+            for &i in &scratch.modeled {
+                if !scratch.gated[i] {
+                    scratch.capped[i] = false;
                 }
             }
-            _ => {
-                for idx in 0..scratch.held.len() {
-                    let i = scratch.held[idx];
-                    scratch.urgent[i] = true;
-                }
+        } else {
+            for &i in &scratch.held {
+                scratch.urgent[i] = true;
             }
         }
     }
@@ -2603,10 +2544,9 @@ impl<B: CspBackend> FleetDriver<B> {
                     .unwrap_or_else(|| place.insert(&shard.name)),
             };
             place_slots[i] = Some(slot);
-            let target: &[u32] = match scratch.grant(&self.negotiator, i) {
-                Some(grant) => &grant.allocation,
-                None => &scratch.current_allocs[i],
-            };
+            let target = scratch
+                .grant(&self.negotiator, i)
+                .unwrap_or(&scratch.current_allocs[i]);
             let sample = &scratch.samples[i];
             if !info.request_matches(
                 place.request(slot),
@@ -2698,6 +2638,8 @@ fn shard_demand(
 mod tests {
     use super::*;
     use crate::driver::{AppliedRebalance, BackendError, CspBackend, OperatorSample, WindowSample};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// Fixed-rate mock shard; rate can be changed mid-run. Reports the
     /// M/M/k-consistent measured sojourn via [`mmk_measured_sojourn`] so
@@ -2878,6 +2820,52 @@ mod tests {
             negotiator.negotiate(&demands).unwrap_err(),
             FleetError::DemandLength { shard: 0, .. }
         ));
+    }
+
+    proptest! {
+        /// The re-offer's sum check is exactly the retained oracle: cold
+        /// arbitration of the non-held shards within the realized budget caps
+        /// nobody iff the check accepts, and then grants each its floored
+        /// desire (some desires start below the stability floor, and some
+        /// realized budgets fall below the floors — the oracle's error arm).
+        #[test]
+        fn reoffer_sum_check_matches_cold_arbitration(
+            // Per shard: (λ, μ, desired) per operator, held?, executors in force.
+            shards in vec(
+                (vec((1.0f64..60.0, 5.0f64..15.0, 1u32..12), 1..=2), 0u8..2, 0u64..30),
+                1..=6,
+            ),
+            extra in 0u32..40,
+        ) {
+            let demand = |ops: &[(f64, f64, u32)]| {
+                let rates: Vec<(f64, f64)> = ops.iter().map(|&(l, m, _)| (l, m)).collect();
+                ShardDemand {
+                    network: JacksonNetwork::from_rates(rates[0].0, &rates).unwrap(),
+                    desired: ops.iter().map(|op| op.2).collect(),
+                }
+            };
+            let demands: Vec<ShardDemand> = shards.iter().map(|s| demand(&s.0)).collect();
+            let floors = demands.iter().flat_map(|d| d.network.min_stable_allocation());
+            let budget = floors.sum::<u32>() + extra;
+            let mut warm = FleetNegotiator::new(budget);
+            warm.negotiate_within_incremental(budget, &demands).unwrap();
+
+            let (held, rest): (Vec<usize>, Vec<usize>) =
+                (0..shards.len()).partition(|&slot| shards[slot].1 == 1);
+            let held_desired = held.iter().map(|&slot| warm.slots[slot].desired_total).sum();
+            let held_current = held.iter().map(|&slot| shards[slot].2).sum();
+            let rest_demands: Vec<ShardDemand> = rest.iter().map(|&s| demands[s].clone()).collect();
+            let realized = u32::try_from(u64::from(budget).saturating_sub(held_current)).unwrap();
+            let cold = warm.negotiate_within(realized, &rest_demands);
+            let uncapped = matches!(&cold, Ok(grants) if grants.iter().all(|g| !g.capped));
+            let fits = warm.reoffer_fits(budget, held_desired, held_current);
+            prop_assert_eq!(fits, uncapped, "cold arbitration: {:?}", cold);
+            if uncapped {
+                for (grant, &slot) in cold.unwrap().iter().zip(&rest) {
+                    prop_assert_eq!(&grant.allocation, &warm.slots[slot].desired_floored);
+                }
+            }
+        }
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub mod decision;
 pub mod driver;
 pub mod fleet;
 pub mod measurer;
-pub mod migration;
 pub mod model;
 pub mod negotiator;
 pub mod placement;
@@ -86,7 +85,6 @@ pub use fleet::{
     ShardDemand, ShardGrant, ShardPlacementInfo, ShardPoint,
 };
 pub use measurer::{Measurer, RawSample, SampleBuilder, SmoothedEstimates, Smoothing};
-pub use migration::{plan_migration, MigrationPlan, TaskAssignment};
 pub use model::{ModelInputs, OperatorRates, PerformanceModel};
 pub use negotiator::{MachinePool, MachinePoolConfig, NegotiationPlan};
 // `placement::MachinePool` (capacity vectors) deliberately stays behind its

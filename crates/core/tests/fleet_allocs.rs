@@ -17,7 +17,7 @@
 //! expected to meet for large fleets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use drs_core::driver::{
     AppliedRebalance, BackendError, CspBackend, OperatorSample, RebalancePlan, WindowSample,
@@ -35,41 +35,44 @@ use drs_topology::ResourceProfile;
 /// "no memory").
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Failure diagnostics: while non-zero, each counted allocation prints a
-/// backtrace of its call site (and decrements the budget), so a regression
-/// names the allocating line instead of just a count.
-static TRAP: AtomicU64 = AtomicU64::new(0);
+// Counter and trap are per thread: libtest runs the tests of this binary on
+// parallel threads, and a process-wide counter would charge one test with
+// the other's warm-up allocations. `const`-initialised `Cell`s need no lazy
+// initialisation and no destructor, so touching them never allocates.
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Failure diagnostics: while non-zero, each counted allocation prints a
+    /// backtrace of its call site (and decrements the budget), so a
+    /// regression names the allocating line instead of just a count.
+    static TRAP: Cell<u64> = const { Cell::new(0) };
+}
 
-fn trace_if_trapped() {
-    let n = TRAP.load(Ordering::Relaxed);
-    if n > 0
-        && TRAP
-            .compare_exchange(n, 0, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-    {
+fn count_and_trace() {
+    ALLOCS.with(|a| a.set(a.get() + 1));
+    // The trap is disarmed while the backtrace is captured and printed:
+    // both allocate, and a nested print would re-lock the output sink this
+    // thread already holds.
+    let n = TRAP.replace(0);
+    if n > 0 {
         eprintln!(
             "ALLOC SITE:\n{}",
             std::backtrace::Backtrace::force_capture()
         );
-        TRAP.store(n - 1, Ordering::Relaxed);
+        TRAP.set(n - 1);
     }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        trace_if_trapped();
+        count_and_trace();
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        trace_if_trapped();
+        count_and_trace();
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        trace_if_trapped();
+        count_and_trace();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -205,11 +208,11 @@ fn assert_steady_windows_allocation_free(mut fleet: FleetDriver<SteadyShard>, la
     fleet.run_windows(120);
     let settled = fleet.completed_windows();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    TRAP.store(12, Ordering::Relaxed);
+    let before = ALLOCS.get();
+    TRAP.set(12);
     fleet.run_windows(10);
-    TRAP.store(0, Ordering::Relaxed);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    TRAP.set(0);
+    let after = ALLOCS.get();
 
     assert_eq!(fleet.completed_windows(), settled + 10);
     assert_eq!(

@@ -1,7 +1,6 @@
 //! Property-based tests for the DRS scheduler and measurer.
 
 use drs_core::measurer::{Measurer, RawSample, Smoothing};
-use drs_core::migration::{plan_migration, TaskAssignment};
 use drs_core::model::OperatorRates;
 use drs_core::scheduler::{
     assign_processors, assign_processors_exhaustive, assign_processors_reference,
@@ -187,49 +186,6 @@ proptest! {
         let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = values.iter().cloned().fold(0.0f64, f64::max);
         prop_assert!(est >= lo - 1e-9 && est <= hi + 1e-9, "{est} outside [{lo}, {hi}]");
-    }
-
-    #[test]
-    fn migration_plans_are_balanced_and_minimal(
-        tasks in 1usize..200,
-        from_execs in 1u32..32,
-        to_execs in 1u32..32,
-    ) {
-        prop_assume!(from_execs as usize <= tasks && to_execs as usize <= tasks);
-        let from = TaskAssignment::balanced(tasks, from_execs).unwrap();
-        let plan = plan_migration(&from, to_execs).unwrap();
-        // The target satisfies Storm's balance contract.
-        prop_assert!(plan.to.is_balanced());
-        // Moved set is exactly the disagreement set.
-        let disagreements: Vec<usize> = (0..tasks)
-            .filter(|&t| from.owner(t) != plan.to.owner(t))
-            .collect();
-        prop_assert_eq!(&plan.moved_tasks, &disagreements);
-        // Lower bound on movement: each surviving executor retains at most
-        // its new quota, so at least `tasks - Σ min(old_load, new_quota)`
-        // tasks must move in ANY balanced target.
-        let base = tasks / to_execs as usize;
-        let extra = tasks % to_execs as usize;
-        let retained_bound: usize = (0..from_execs.min(to_execs))
-            .map(|e| {
-                let old_load = from.tasks_of(e).len();
-                let quota = base + usize::from((e as usize) < extra);
-                old_load.min(quota)
-            })
-            .sum();
-        prop_assert_eq!(plan.moved(), tasks - retained_bound,
-            "plan must achieve the retention bound");
-    }
-
-    #[test]
-    fn identity_migration_is_free(
-        tasks in 1usize..200,
-        execs in 1u32..32,
-    ) {
-        prop_assume!(execs as usize <= tasks);
-        let a = TaskAssignment::balanced(tasks, execs).unwrap();
-        let plan = plan_migration(&a, execs).unwrap();
-        prop_assert_eq!(plan.moved(), 0);
     }
 
     #[test]
