@@ -1502,6 +1502,11 @@ struct ShardState<B> {
     placement_info: Option<ShardPlacementInfo>,
     /// The machine assignment currently in force on the backend.
     placement: Option<Placement>,
+    /// [`placement::FleetPlacementState::solve_id`] of the solve that
+    /// produced `placement` (0: none). While the shard's warm slot still
+    /// carries this id, the planned assignment *is* the one in force —
+    /// phase 5b's O(1) test, in place of comparing the two matrices.
+    placement_id: u64,
     /// Reused buffer for this shard's raw sample (fed to the measurer).
     raw: RawSample,
     /// [`Measurer::epoch`] at the last model refit; `u64::MAX` forces one.
@@ -1768,6 +1773,7 @@ impl<B: CspBackend> FleetDriver<B> {
             dead: false,
             placement_info: spec.placement,
             placement: None,
+            placement_id: 0,
             raw: RawSample {
                 external_rate: 0.0,
                 operators: Vec::new(),
@@ -2270,9 +2276,8 @@ impl<B: CspBackend> FleetDriver<B> {
                     .grant(&self.negotiator, i)
                     .expect("resolved just above")
                     .to_vec();
-                let placement = scratch.planned_slots[i]
-                    .take()
-                    .map(|slot| scratch.place.placement(slot).clone());
+                let planned = scratch.planned_slots[i].take();
+                let placement = planned.map(|slot| scratch.place.placement(slot).clone());
                 // Every command carries a fresh, strictly increasing
                 // epoch: a backend behind a delaying/duplicating channel
                 // rejects anything stale instead of double-applying it.
@@ -2293,9 +2298,10 @@ impl<B: CspBackend> FleetDriver<B> {
                         // The machine assignment rode the rebalance plan;
                         // it is in force only if the backend actually put
                         // the matching executor counts in force.
-                        if let Some(p) = plan.placement {
+                        if let (Some(p), Some(slot)) = (plan.placement, planned) {
                             if p.allocation_matches(&applied.allocation) {
                                 shard.placement = Some(p);
+                                shard.placement_id = scratch.place.solve_id(slot);
                             }
                         }
                         // A backend may adjust what it puts in force (and a
@@ -2329,7 +2335,11 @@ impl<B: CspBackend> FleetDriver<B> {
             //     not change this window can still need its machine
             //     assignment refreshed (fleet-wide traffic shifted the
             //     shared pool). Those assignments go through the dedicated
-            //     control-plane call instead of a full rebalance.
+            //     control-plane call instead of a full rebalance. A shard
+            //     whose warm slot was not re-solved since its assignment
+            //     went in force is skipped on the solve id alone; only a
+            //     re-solved one pays the matrix comparison (a re-solve
+            //     often reproduces the assignment, and then sends nothing).
             for i in 0..n {
                 if scratch.rebalanced[i] {
                     continue;
@@ -2337,9 +2347,14 @@ impl<B: CspBackend> FleetDriver<B> {
                 let Some(slot) = scratch.planned_slots[i].take() else {
                     continue;
                 };
-                let p = scratch.place.placement(slot);
+                let id = scratch.place.solve_id(slot);
                 let shard = &mut self.shards[i];
-                if shard.dead || shard.placement.as_ref() == Some(p) {
+                if shard.dead || shard.placement_id == id {
+                    continue;
+                }
+                let p = scratch.place.placement(slot);
+                if shard.placement.as_ref() == Some(p) {
+                    shard.placement_id = id;
                     continue;
                 }
                 // A deferred or refused grant leaves the assignment solved
@@ -2350,7 +2365,10 @@ impl<B: CspBackend> FleetDriver<B> {
                     continue;
                 }
                 match shard.backend.apply_placement(p) {
-                    Ok(()) => shard.placement = Some(p.clone()),
+                    Ok(()) => {
+                        shard.placement = Some(p.clone());
+                        shard.placement_id = id;
+                    }
                     Err(e) => {
                         if scratch.errors[i].is_none() {
                             scratch.errors[i] = Some(format!("placement: {e}"));
@@ -3424,11 +3442,9 @@ mod tests {
         );
     }
 
-    /// Regression: a settled placement-enabled fleet performs *zero*
-    /// per-shard solver calls per window — the warm state sees every
-    /// request unchanged and replans nothing.
-    #[test]
-    fn unchanged_fleet_performs_zero_placement_solver_calls() {
+    /// Two placement-enabled shards on a 2-machine pool, both already
+    /// running their demanded allocation, settled for six windows.
+    fn settled_placed_pair() -> FleetDriver<StaticShard> {
         let pool = PlacementPool::uniform(2, ResourceProfile::uniform(16.0)).unwrap();
         let info = ShardPlacementInfo {
             profiles: vec![ResourceProfile::uniform(2.0)],
@@ -3448,6 +3464,15 @@ mod tests {
         .unwrap();
         f.set_machine_pool(pool);
         f.run_windows(6);
+        f
+    }
+
+    /// Regression: a settled placement-enabled fleet performs *zero*
+    /// per-shard solver calls per window — the warm state sees every
+    /// request unchanged and replans nothing.
+    #[test]
+    fn unchanged_fleet_performs_zero_placement_solver_calls() {
+        let mut f = settled_placed_pair();
         let solver_calls = f.placement_solver_calls();
         let full_solves = f.placement_full_solves();
         assert!(full_solves >= 1, "the first window batch-solves");
@@ -3462,6 +3487,41 @@ mod tests {
         f.invalidate_placement_cache();
         f.run_windows(1);
         assert_eq!(f.placement_full_solves(), full_solves + 1);
+    }
+
+    /// Phase 5b decides on the solve id alone while a shard's warm slot
+    /// has not been re-solved: the in-force matrix is swapped for a
+    /// different one behind the driver's back, and no settled window
+    /// notices. A re-solve (new id) brings the comparison back, which
+    /// then finds the difference and re-sends the assignment.
+    #[test]
+    fn placement_only_moves_skip_unresolved_shards_on_the_solve_id() {
+        let mut f = settled_placed_pair();
+        let in_force_is_planned = |f: &FleetDriver<StaticShard>| {
+            (0..2).all(|i| {
+                let slot = f.scratch.place_slots[i].expect("placed");
+                let id = f.scratch.place.solve_id(slot);
+                id != 0 && f.shards[i].placement_id == id
+            })
+        };
+        assert!(in_force_is_planned(&f));
+
+        let solved = f.shards[0].placement.clone().expect("in force");
+        let decoy = Placement::from_counts(vec![vec![7, 7]]);
+        f.shards[0].placement = Some(decoy.clone());
+        let calls = f.backend(0).placement_calls;
+        f.run_windows(5);
+        assert_eq!(f.shard_placement(0), Some(&decoy), "5b compared matrices");
+        assert_eq!(f.backend(0).placement_calls, calls);
+        assert!(in_force_is_planned(&f));
+
+        f.invalidate_placement_cache();
+        f.run_windows(1);
+        assert_eq!(f.shard_placement(0), Some(&solved));
+        assert_eq!(f.backend(0).placement_calls, calls + 1);
+        // "b" was re-solved to the same matrix: compared, found equal,
+        // nothing sent, and its id caught up for the next window.
+        assert!(in_force_is_planned(&f));
     }
 
     /// The placement rate band: edge-rate wobble inside

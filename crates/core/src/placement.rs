@@ -25,19 +25,28 @@
 //!
 //! [`solve`] dispatches between two strategies:
 //!
-//! * **exhaustive oracle** — a pruned depth-first search over per-operator
-//!   machine compositions, exact, used when the enumeration size
-//!   `Π_i C(k_i+m−1, m−1)` is small (≤ [`EXACT_LIMIT`]). Ties are broken
-//!   lexicographically so the result is deterministic.
+//! * **exact branch-and-bound** — when the enumeration size
+//!   `Π_i C(k_i+m−1, m−1)` is at most [`EXACT_LIMIT`]. Operators are placed
+//!   in index order, each operator's per-machine counts enumerated in
+//!   *ascending lexicographic order* (machine 0 count 0, 1, …), so the
+//!   enumeration order is the tie-break order: the first optimum found is
+//!   the lexicographically smallest, and a later placement replaces it
+//!   only by being cheaper by more than `1e-9`. A partial placement's
+//!   lower bound is the cost of the edges whose endpoints are both fully
+//!   placed; its subtree is cut once that is within `1e-9` of the best
+//!   cost. Each edge's co-location term is carried as the integer dot
+//!   product `Σ_m c_from[m]·c_to[m]`, updated per placed executor
+//!   (`+c_other[m]`, or `+2c−1` on a self-loop), so a node costs O(E)
+//!   integer work: worst case `O(EXACT_LIMIT · E)`, no heap allocation.
 //! * **greedy by resource distance** — R-Storm style: operators in
 //!   descending order of adjacent traffic, each executor placed on the
 //!   feasible machine with the highest co-location affinity to
 //!   already-placed neighbours, ties broken by smallest resource distance
 //!   (best fit), then lowest machine index.
 //!
-//! The greedy heuristic equals the oracle on small instances (enforced by
-//! proptests in `tests/placement_properties.rs`) and stays within capacity
-//! always; on large instances only the oracle guarantee is dropped.
+//! The exact solver equals a clone-per-leaf exhaustive search and never
+//! loses to the greedy heuristic (proptests in
+//! `tests/placement_properties.rs`); both always stay within capacity.
 //!
 //! # Fleet sharing
 //!
@@ -96,8 +105,9 @@ use drs_topology::ResourceProfile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Above this estimated enumeration size, [`solve`] switches from the
-/// exhaustive oracle to the greedy heuristic.
+/// Above this estimated enumeration size `Π_i C(k_i+m−1, m−1)`, [`solve`]
+/// switches from the exact branch-and-bound (whose worst case visits every
+/// one of those placements) to the greedy heuristic.
 pub const EXACT_LIMIT: u64 = 50_000;
 
 /// Slack tolerance for floating-point capacity comparisons.
@@ -420,9 +430,9 @@ fn resource_distance(remaining: &ResourceProfile, demand: &ResourceProfile) -> f
 
 /// Places one topology into the pool, minimising cross-machine traffic.
 ///
-/// Dispatches to the exhaustive oracle when the instance is small (see
-/// [`EXACT_LIMIT`]) and to the greedy heuristic otherwise. Both respect
-/// per-machine capacity exactly; both are deterministic.
+/// Dispatches to the exact branch-and-bound when the instance is small
+/// (see [`EXACT_LIMIT`]) and to the greedy heuristic otherwise. Both
+/// respect per-machine capacity exactly; both are deterministic.
 ///
 /// # Errors
 ///
@@ -441,16 +451,66 @@ pub fn solve(pool: &MachinePool, request: &PlacementRequest) -> Result<Placement
 /// # Errors
 ///
 /// Same conditions as [`solve`]; `remaining.len() == 0` reports
-/// [`PlacementError::InvalidPool`].
+/// [`PlacementError::InvalidPool`]. On any `Err`, `remaining` is left
+/// exactly as it was passed, bit for bit — nothing stays charged for the
+/// executors a failed solve had already placed.
 pub fn solve_into(
     remaining: &mut [ResourceProfile],
     request: &PlacementRequest,
 ) -> Result<Placement, PlacementError> {
+    solve_fresh(remaining, request, EXACT_LIMIT)
+}
+
+/// [`solve_rows`] into a fresh [`Placement`] with throw-away scratch.
+fn solve_fresh(
+    remaining: &mut [ResourceProfile],
+    request: &PlacementRequest,
+    exact_limit: u64,
+) -> Result<Placement, PlacementError> {
+    let mut counts = Vec::new();
+    let mut scratch = SolveScratch::default();
+    solve_rows(remaining, request, &mut counts, &mut scratch, exact_limit)?;
+    Ok(Placement { counts })
+}
+
+/// Solver working memory, reused across solves so the warm fleet path
+/// allocates nothing per shard.
+#[derive(Debug, Clone, Default)]
+struct SolveScratch {
+    /// Exact: per edge, `Σ_m c_from[m]·c_to[m]` of the partial placement.
+    dots: Vec<u64>,
+    /// Exact: the machine of every executor placed so far, in placement
+    /// order, and the same for the best placement found.
+    path: Vec<usize>,
+    best_path: Vec<usize>,
+    /// Greedy: adjacent traffic per operator and the placement order.
+    traffic: Vec<f64>,
+    order: Vec<usize>,
+    /// Greedy: `(machine, capacity before the charge)` per placed
+    /// executor, replayed backwards to undo a failed solve exactly.
+    undo: Vec<(usize, ResourceProfile)>,
+}
+
+/// [`solve_into`] writing the assignment into caller-owned rows (resized
+/// in place) with caller-owned scratch; instances up to `exact_limit`
+/// placements are solved exactly. On `Err` the rows are garbage.
+fn solve_rows(
+    remaining: &mut [ResourceProfile],
+    request: &PlacementRequest,
+    counts: &mut Vec<Vec<u32>>,
+    scratch: &mut SolveScratch,
+    exact_limit: u64,
+) -> Result<(), PlacementError> {
     request.validate(remaining.len())?;
-    if enumeration_size(request, remaining.len()) <= EXACT_LIMIT {
-        oracle_into(remaining, request)
+    counts.resize_with(request.operators.len(), Vec::new);
+    for row in counts.iter_mut() {
+        row.clear();
+        row.resize(remaining.len(), 0);
+    }
+    if enumeration_size(request, remaining.len()) <= exact_limit {
+        oracle_into(remaining, request, counts, scratch)
     } else {
-        greedy_into(remaining, request)
+        greedy_into(remaining, request, counts, scratch)
     }
 }
 
@@ -484,31 +544,37 @@ fn compositions_count(k: u64, m: u64) -> u64 {
 
 /// Greedy solver: operators in descending adjacent-traffic order; each
 /// executor goes to the feasible machine with the best
-/// (affinity, −resource distance, −index) score.
+/// (affinity, −resource distance, −index) score. `counts` arrives zeroed.
 fn greedy_into(
     remaining: &mut [ResourceProfile],
     request: &PlacementRequest,
-) -> Result<Placement, PlacementError> {
-    let machines = remaining.len();
+    counts: &mut [Vec<u32>],
+    scratch: &mut SolveScratch,
+) -> Result<(), PlacementError> {
     let n = request.operators.len();
-    let mut counts = vec![vec![0u32; machines]; n];
+    let (traffic, order, undo) = (&mut scratch.traffic, &mut scratch.order, &mut scratch.undo);
 
     // Adjacent traffic per operator decides placement order: the heaviest
     // communicators choose machines first, so their neighbours can follow.
-    let mut traffic = vec![0.0f64; n];
+    traffic.clear();
+    traffic.resize(n, 0.0);
     for e in &request.edges {
         traffic[e.from] += e.rate;
         traffic[e.to] += e.rate;
     }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
+    order.clear();
+    order.extend(0..n);
+    // Unstable is deterministic here (every key ends in the unique index)
+    // and, unlike the stable sort, allocates no merge buffer.
+    order.sort_unstable_by(|&a, &b| {
         traffic[b]
             .partial_cmp(&traffic[a])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
 
-    for &op in &order {
+    undo.clear();
+    for &op in order.iter() {
         let load = &request.operators[op];
         for _ in 0..load.executors {
             let mut best: Option<(f64, f64, usize)> = None; // (affinity, dist, machine)
@@ -542,112 +608,142 @@ fn greedy_into(
                     best = Some((affinity, dist, m));
                 }
             }
-            let (_, _, m) = best.ok_or(PlacementError::Infeasible { op })?;
+            let Some((_, _, m)) = best else {
+                for &(m, before) in undo.iter().rev() {
+                    remaining[m] = before;
+                }
+                return Err(PlacementError::Infeasible { op });
+            };
             counts[op][m] += 1;
+            undo.push((m, remaining[m]));
             charge(&mut remaining[m], &load.profile);
         }
     }
-    Ok(Placement { counts })
+    Ok(())
 }
 
-/// Exhaustive oracle: pruned DFS over per-executor machine choices, exact
-/// on the objective, deterministic (lexicographically smallest optimum).
+/// Exact solver: branch-and-bound over the operators in index order, each
+/// operator's per-machine counts in ascending lexicographic order, so the
+/// first optimum found is the lexicographically smallest (see the module
+/// docs). `counts` arrives zeroed; `remaining` is charged for the winner
+/// and untouched on `Err`.
 fn oracle_into(
     remaining: &mut [ResourceProfile],
     request: &PlacementRequest,
-) -> Result<Placement, PlacementError> {
-    let machines = remaining.len();
-    let n = request.operators.len();
-    let mut counts = vec![vec![0u32; machines]; n];
-    let mut best: Option<(f64, Vec<Vec<u32>>)> = None;
-
-    // DFS over operators; within an operator, enumerate non-increasing-free
-    // compositions via per-executor choices m >= previous machine to avoid
-    // revisiting permutations of identical executors.
-    fn dfs(
-        op: usize,
-        exec: u32,
-        min_machine: usize,
-        request: &PlacementRequest,
-        remaining: &mut [ResourceProfile],
-        counts: &mut Vec<Vec<u32>>,
-        best: &mut Option<(f64, Vec<Vec<u32>>)>,
-    ) {
-        let n = request.operators.len();
-        if op == n {
-            let placement = Placement {
-                counts: counts.clone(),
-            };
-            let cost = placement.cross_rate(&request.edges);
-            let better = match best {
-                None => true,
-                Some((bc, bcounts)) => {
-                    cost < *bc - EPS || ((cost - *bc).abs() <= EPS && counts < bcounts)
-                }
-            };
-            if better {
-                *best = Some((cost, counts.clone()));
-            }
-            return;
-        }
-        let load = &request.operators[op];
-        if exec == load.executors {
-            // Prune: cost of edges fully placed so far already exceeds best.
-            if let Some((bc, _)) = best {
-                let placement = Placement {
-                    counts: counts.clone(),
-                };
-                let mut partial = 0.0;
-                for e in &request.edges {
-                    if e.from <= op && e.to <= op {
-                        partial += e.rate * placement.cross_probability(e.from, e.to);
-                    }
-                }
-                if partial > *bc + EPS {
-                    return;
-                }
-            }
-            dfs(op + 1, 0, 0, request, remaining, counts, best);
-            return;
-        }
-        for m in min_machine..remaining.len() {
-            if !fits(&remaining[m], &load.profile) {
-                continue;
-            }
-            charge(&mut remaining[m], &load.profile);
+    counts: &mut [Vec<u32>],
+    scratch: &mut SolveScratch,
+) -> Result<(), PlacementError> {
+    scratch.dots.clear();
+    scratch.dots.resize(request.edges.len(), 0);
+    scratch.path.clear();
+    let mut search = ExactSearch {
+        request,
+        remaining,
+        counts,
+        scratch,
+        best: None,
+    };
+    search.place(0, 0, 0, 0.0);
+    if search.best.is_none() {
+        // Report the first operator that cannot fit anywhere as the
+        // infeasible one (operator 0 if even it has no machine).
+        let op = request
+            .operators
+            .iter()
+            .position(|load| {
+                load.executors > 0 && !remaining.iter().any(|r| fits(r, &load.profile))
+            })
+            .unwrap_or(0);
+        return Err(PlacementError::Infeasible { op });
+    }
+    // Commit the winner (operator by operator, machines ascending) so
+    // fleet-shared solving stays consistent.
+    let mut machines = scratch.best_path.iter();
+    for (op, load) in request.operators.iter().enumerate() {
+        for &m in machines.by_ref().take(load.executors as usize) {
             counts[op][m] += 1;
-            dfs(op, exec + 1, m, request, remaining, counts, best);
-            counts[op][m] -= 1;
-            refund(&mut remaining[m], &load.profile);
+            charge(&mut remaining[m], &load.profile);
+        }
+    }
+    Ok(())
+}
+
+/// The state of one [`oracle_into`] search. `counts` and `remaining`
+/// reflect the partial placement `path` and are restored exactly on the
+/// way back up.
+struct ExactSearch<'a> {
+    request: &'a PlacementRequest,
+    remaining: &'a mut [ResourceProfile],
+    counts: &'a mut [Vec<u32>],
+    scratch: &'a mut SolveScratch,
+    /// Cost of `scratch.best_path`; `None` until a full placement is found.
+    best: Option<f64>,
+}
+
+impl ExactSearch<'_> {
+    /// Whether a subtree whose placed edges already cost `bound` can be
+    /// skipped: it cannot beat the best cost by more than `EPS`.
+    fn cut(&self, bound: f64) -> bool {
+        self.best.is_some_and(|best| bound >= best - EPS)
+    }
+
+    /// What placing one more `op`-executor on machine `m` adds to edge
+    /// `e`'s dot product (`counts[op][m]` already counts that executor).
+    fn dot_step(&self, e: &EdgeTraffic, op: usize, m: usize) -> u64 {
+        match (e.from == op, e.to == op) {
+            (true, true) => 2 * u64::from(self.counts[op][m]) - 1,
+            (true, false) => u64::from(self.counts[e.to][m]),
+            (false, true) => u64::from(self.counts[e.from][m]),
+            (false, false) => 0,
         }
     }
 
-    dfs(0, 0, 0, request, remaining, &mut counts, &mut best);
-    match best {
-        Some((_, counts)) => {
-            // Commit the winning placement's resource usage to `remaining`
-            // so fleet-shared solving stays consistent.
-            for (op, per_machine) in counts.iter().enumerate() {
-                let profile = request.operators[op].profile;
-                for (m, &c) in per_machine.iter().enumerate() {
-                    for _ in 0..c {
-                        charge(&mut remaining[m], &profile);
-                    }
+    /// Places executor `exec` of operator `op` on every feasible machine
+    /// from the last one down to `min_machine` (an operator's executors
+    /// take non-decreasing machines, which enumerates its per-machine
+    /// counts in ascending lexicographic order), then recurses. `bound`
+    /// is the cost of the edges among operators `< op`.
+    fn place(&mut self, op: usize, exec: u32, min_machine: usize, mut bound: f64) {
+        if self.cut(bound) {
+            return;
+        }
+        let request = self.request;
+        let Some(load) = request.operators.get(op) else {
+            self.best = Some(bound);
+            self.scratch.best_path.clone_from(&self.scratch.path);
+            return;
+        };
+        if exec == load.executors {
+            // Edges whose later endpoint is `op` are now fully placed.
+            let k = |i: usize| f64::from(request.operators[i].executors);
+            for (e, &dot) in request.edges.iter().zip(&self.scratch.dots) {
+                if e.from.max(e.to) == op && k(e.from) * k(e.to) > 0.0 {
+                    bound += e.rate * (1.0 - dot as f64 / (k(e.from) * k(e.to))).max(0.0);
                 }
             }
-            Ok(Placement { counts })
+            return self.place(op + 1, 0, 0, bound);
         }
-        None => {
-            // Report the first operator that cannot fit anywhere as the
-            // infeasible one (operator 0 if even it has no machine).
-            let op = request
-                .operators
-                .iter()
-                .position(|load| {
-                    load.executors > 0 && !remaining.iter().any(|r| fits(r, &load.profile))
-                })
-                .unwrap_or(0);
-            Err(PlacementError::Infeasible { op })
+        for m in (min_machine..self.remaining.len()).rev() {
+            if !fits(&self.remaining[m], &load.profile) {
+                continue;
+            }
+            let before = self.remaining[m];
+            charge(&mut self.remaining[m], &load.profile);
+            self.counts[op][m] += 1;
+            self.scratch.path.push(m);
+            for (i, e) in request.edges.iter().enumerate() {
+                self.scratch.dots[i] += self.dot_step(e, op, m);
+            }
+            self.place(op, exec + 1, m, bound);
+            for (i, e) in request.edges.iter().enumerate() {
+                self.scratch.dots[i] -= self.dot_step(e, op, m);
+            }
+            self.scratch.path.pop();
+            self.counts[op][m] -= 1;
+            self.remaining[m] = before;
+            if self.cut(bound) {
+                return;
+            }
         }
     }
 }
@@ -659,21 +755,18 @@ fn oracle_into(
 ///
 /// Same conditions as [`solve`].
 pub fn greedy(pool: &MachinePool, request: &PlacementRequest) -> Result<Placement, PlacementError> {
-    request.validate(pool.len())?;
-    let mut remaining = pool.capacities();
-    greedy_into(&mut remaining, request)
+    solve_fresh(&mut pool.capacities(), request, 0)
 }
 
-/// The exhaustive oracle on its own. Exponential — only call on small
+/// The exact branch-and-bound on its own, regardless of instance size.
+/// Worst case `O(Π_i C(k_i+m−1, m−1) · E)` — only call on small
 /// instances (guard with [`EXACT_LIMIT`]-sized problems).
 ///
 /// # Errors
 ///
 /// Same conditions as [`solve`].
 pub fn oracle(pool: &MachinePool, request: &PlacementRequest) -> Result<Placement, PlacementError> {
-    request.validate(pool.len())?;
-    let mut remaining = pool.capacities();
-    oracle_into(&mut remaining, request)
+    solve_fresh(&mut pool.capacities(), request, u64::MAX)
 }
 
 /// Round-robin baseline: executors cycled over machines, skipping machines
@@ -732,9 +825,19 @@ pub fn plan(
     let mut order: Vec<usize> = (0..shards.len()).collect();
     order.sort_by(|&a, &b| shards[a].0.cmp(&shards[b].0).then(a.cmp(&b)));
     let mut remaining = pool.capacities();
+    let mut scratch = SolveScratch::default();
     let mut out: Vec<Option<Placement>> = vec![None; shards.len()];
     for &i in &order {
-        out[i] = Some(solve_into(&mut remaining, &shards[i].1)?);
+        let (_, request) = &shards[i];
+        let mut counts = Vec::new();
+        solve_rows(
+            &mut remaining,
+            request,
+            &mut counts,
+            &mut scratch,
+            EXACT_LIMIT,
+        )?;
+        out[i] = Some(Placement { counts });
     }
     Ok(out
         .into_iter()
@@ -772,11 +875,15 @@ struct WarmEntry {
     dirty: bool,
     /// The cached placement inputs (buffers rewritten in place on change).
     request: PlacementRequest,
-    /// The solved assignment for `request`.
+    /// The solved assignment for `request` (rows re-solved in place).
     placement: Placement,
-    /// What `placement` charges each machine — recorded at solve time, so
-    /// the refund stays correct even after `request` is rewritten.
-    usage: Vec<ResourceProfile>,
+    /// Which solve produced `placement`: the state's `solver_calls` count
+    /// right after it, so no two solves ever share an id (0: never solved).
+    solve_id: u64,
+    /// What `placement` charges each machine it touches, as `(machine,
+    /// usage)` — recorded at solve time, so the refund stays correct even
+    /// after `request` is rewritten.
+    usage: Vec<(usize, ResourceProfile)>,
 }
 
 /// Warm-start fleet placement: the epoch-stamped, residual-capacity cache
@@ -811,6 +918,7 @@ pub struct FleetPlacementState {
     needs_full: bool,
     solver_calls: u64,
     full_solves: u64,
+    scratch: SolveScratch,
 }
 
 impl FleetPlacementState {
@@ -900,7 +1008,7 @@ impl FleetPlacementState {
                 e.dirty = true;
                 e.request.operators.clear();
                 e.request.edges.clear();
-                e.placement.counts.clear();
+                e.solve_id = 0;
                 e.usage.clear();
                 slot
             }
@@ -913,6 +1021,7 @@ impl FleetPlacementState {
                     dirty: true,
                     request: PlacementRequest::default(),
                     placement: Placement { counts: Vec::new() },
+                    solve_id: 0,
                     usage: Vec::new(),
                 });
                 self.entries.len() - 1
@@ -986,6 +1095,20 @@ impl FleetPlacementState {
         &self.entries[slot].placement
     }
 
+    /// Identifies the solve that produced the placement at `slot`: each
+    /// (re-)solve stamps its entry with an id never reused within this
+    /// state, so an owner that remembers the id it put in force knows in
+    /// O(1) that [`placement`](FleetPlacementState::placement) still is
+    /// that assignment. A new id says only that the shard was re-solved —
+    /// possibly to the same assignment. `0` before the first solve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub fn solve_id(&self, slot: usize) -> u64 {
+        self.entries[slot].solve_id
+    }
+
     /// Forces the next [`replan`](FleetPlacementState::replan) to run the
     /// batch re-solve regardless of drift (the from-scratch cross-check
     /// hook, also useful after external state surgery).
@@ -1054,10 +1177,9 @@ impl FleetPlacementState {
                 if e.seen == *stamp {
                     return true;
                 }
-                for (m, u) in e.usage.iter().enumerate() {
-                    refund(&mut remaining[m], u);
+                for (m, u) in e.usage.drain(..) {
+                    refund(&mut remaining[m], &u);
                 }
-                e.usage.clear();
                 e.live = false;
                 if e.dirty {
                     *dirty_count -= 1;
@@ -1092,10 +1214,9 @@ impl FleetPlacementState {
                 if !e.dirty {
                     continue;
                 }
-                for (m, u) in e.usage.iter().enumerate() {
-                    refund(&mut remaining[m], u);
+                for (m, u) in e.usage.drain(..) {
+                    refund(&mut remaining[m], &u);
                 }
-                e.usage.clear();
             }
         }
         for idx in 0..self.order.len() {
@@ -1103,15 +1224,8 @@ impl FleetPlacementState {
             if !self.entries[slot].dirty {
                 continue;
             }
-            match solve_into(&mut self.remaining, &self.entries[slot].request) {
-                Ok(p) => {
-                    self.solver_calls += 1;
-                    let machines = self.remaining.len();
-                    let e = &mut self.entries[slot];
-                    usage_into(&p, &e.request.operators, machines, &mut e.usage);
-                    e.placement = p;
-                    e.dirty = false;
-                }
+            match self.resolve(slot) {
+                Ok(()) => self.entries[slot].dirty = false,
                 Err(PlacementError::Infeasible { .. }) => {
                     // Sequential repair painted itself into a corner the
                     // batch solver might escape (capacity fragmented by
@@ -1140,13 +1254,7 @@ impl FleetPlacementState {
         self.remaining.clear();
         self.remaining.extend_from_slice(&self.capacities);
         for idx in 0..self.order.len() {
-            let slot = self.order[idx];
-            let p = solve_into(&mut self.remaining, &self.entries[slot].request)?;
-            self.solver_calls += 1;
-            let machines = self.remaining.len();
-            let e = &mut self.entries[slot];
-            usage_into(&p, &e.request.operators, machines, &mut e.usage);
-            e.placement = p;
+            self.resolve(self.order[idx])?;
         }
         for idx in 0..self.order.len() {
             let slot = self.order[idx];
@@ -1158,26 +1266,35 @@ impl FleetPlacementState {
         self.full_solves += 1;
         Ok(())
     }
-}
 
-/// `placement.usage(profiles)` into a reused buffer (the warm state's
-/// per-entry usage record).
-fn usage_into(
-    placement: &Placement,
-    operators: &[OperatorLoad],
-    machines: usize,
-    out: &mut Vec<ResourceProfile>,
-) {
-    out.clear();
-    out.resize(machines, ResourceProfile::uniform(0.0));
-    for (op, per_machine) in placement.counts.iter().enumerate() {
-        let p = operators[op].profile;
-        for (m, &c) in per_machine.iter().enumerate() {
-            let c = c as f64;
-            out[m].cpu += c * p.cpu;
-            out[m].mem += c * p.mem;
-            out[m].net += c * p.net;
+    /// Solves the shard at `slot` against the residual capacity into its
+    /// own placement rows, and stamps the entry with the solve's id and the
+    /// usage it now charges. Allocation-free once the entry's buffers fit
+    /// the shard. On `Err` the entry's placement is garbage (id 0).
+    fn resolve(&mut self, slot: usize) -> Result<(), PlacementError> {
+        let e = &mut self.entries[slot];
+        e.solve_id = 0;
+        e.usage.clear();
+        let (rows, scratch) = (&mut e.placement.counts, &mut self.scratch);
+        solve_rows(&mut self.remaining, &e.request, rows, scratch, EXACT_LIMIT)?;
+        self.solver_calls += 1;
+        e.solve_id = self.solver_calls;
+        // The sums [`Placement::usage`] forms, kept only for the machines
+        // the shard touches (elsewhere an exact 0.0, a no-op to refund).
+        for m in 0..self.remaining.len() {
+            let (mut used, mut touched) = (ResourceProfile::uniform(0.0), false);
+            for (row, load) in rows.iter().zip(&e.request.operators) {
+                let c = row[m] as f64;
+                touched |= row[m] > 0;
+                used.cpu += c * load.profile.cpu;
+                used.mem += c * load.profile.mem;
+                used.net += c * load.profile.net;
+            }
+            if touched {
+                e.usage.push((m, used));
+            }
         }
+        Ok(())
     }
 }
 
@@ -1273,6 +1390,33 @@ mod tests {
             solve(&pool, &request),
             Err(PlacementError::Infeasible { op: 0 })
         );
+    }
+
+    /// A failed solve leaves the shared capacities exactly as passed, on
+    /// both dispatch arms: the greedy one has by then charged a whole
+    /// operator, in amounts (0.3) whose add-back would not round-trip.
+    #[test]
+    fn failed_solve_leaves_remaining_untouched() {
+        let oversized = ResourceProfile::uniform(11.0);
+        for first in [24, 1] {
+            let mut request = uniform_request(&[first, 1]);
+            request.operators[0].profile = ResourceProfile::uniform(0.3);
+            request.operators[1].profile = oversized;
+            request.edges = chain_edges(&[5.0]);
+            assert_eq!(
+                enumeration_size(&request, 8) > EXACT_LIMIT,
+                first == 24,
+                "one instance per dispatch arm"
+            );
+            let mut remaining = vec![ResourceProfile::uniform(10.0); 8];
+            remaining[3] = ResourceProfile::uniform(0.7);
+            let before = remaining.clone();
+            assert_eq!(
+                solve_into(&mut remaining, &request),
+                Err(PlacementError::Infeasible { op: 1 })
+            );
+            assert_eq!(remaining, before, "{first} executors were left charged");
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! a million-entity fleet whose demand does not move pays no allocator
 //! traffic per window. With a machine pool installed the guarantee
 //! extends through the placement phase: the warm epoch-stamped placement
-//! state compares each shard's request in place and replans nothing.
+//! state compares each shard's request in place and replans nothing — and
+//! a window that does repair a shard re-solves it into the buffers it
+//! already owns, so `replan` itself stays allocation-free there too.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms the fleet past the smoothing fixpoint, then asserts the counter
@@ -25,7 +27,9 @@ use drs_core::driver::{
 use drs_core::fleet::{
     mmk_measured_sojourn, FleetDriver, FleetDriverConfig, FleetShardSpec, ShardPlacementInfo,
 };
-use drs_core::placement::MachinePool;
+use drs_core::placement::{
+    EdgeTraffic, FleetPlacementState, MachinePool, OperatorLoad, PlacementRequest, ReplanOutcome,
+};
 use drs_core::scheduler;
 use drs_queueing::jackson::JacksonNetwork;
 use drs_topology::ResourceProfile;
@@ -246,4 +250,92 @@ fn steady_placement_windows_allocate_nothing() {
     fleet.run_windows(20);
     assert!(fleet.placement_full_solves() >= 1);
     assert!((0..fleet.shard_count()).all(|i| fleet.shard_placement(i).is_some()));
+}
+
+/// One warm-state window: every shard presented, then `replan`. Returns
+/// the outcome and the heap allocations `replan` made.
+fn replan_counted(state: &mut FleetPlacementState, pool: &MachinePool) -> (ReplanOutcome, u64) {
+    state.begin_window();
+    state.sync_pool(pool);
+    for slot in 0..state.len() {
+        state.mark_seen(slot);
+    }
+    let before = ALLOCS.get();
+    TRAP.set(12);
+    let outcome = state.replan().expect("the pool holds every shard");
+    TRAP.set(0);
+    (outcome, ALLOCS.get() - before)
+}
+
+#[test]
+fn placement_repair_windows_allocate_nothing() {
+    let pool = MachinePool::uniform(4, ResourceProfile::uniform(64.0)).expect("valid pool");
+    let chain = |ks: [u32; 2]| PlacementRequest {
+        operators: ks
+            .iter()
+            .map(|&executors| OperatorLoad {
+                executors,
+                profile: ResourceProfile::uniform(0.5),
+            })
+            .collect(),
+        edges: vec![EdgeTraffic {
+            from: 0,
+            to: 1,
+            rate: 10.0,
+        }],
+    };
+    // "exact" is solved by the branch-and-bound (4² placements), "greedy"
+    // is far beyond `EXACT_LIMIT`; the others only have to stand still.
+    let fleet = [
+        ("exact", [1, 1]),
+        ("greedy", [12, 12]),
+        ("idle-a", [2, 3]),
+        ("idle-b", [1, 2]),
+        ("idle-c", [3, 1]),
+        ("idle-d", [2, 2]),
+    ];
+    let mut state = FleetPlacementState::new();
+    for (name, ks) in fleet {
+        let slot = state.insert(name);
+        *state.touch(slot) = chain(ks);
+    }
+    assert_eq!(
+        replan_counted(&mut state, &pool).0,
+        ReplanOutcome::FullSolve
+    );
+    let ids = |state: &FleetPlacementState| -> Vec<u64> {
+        (0..state.len()).map(|slot| state.solve_id(slot)).collect()
+    };
+
+    // One shard's edge rate leaves the band, window after window: only
+    // that shard is re-solved — into its own rows, with the state's
+    // scratch — and only its solve id moves.
+    for (window, name) in ["exact", "greedy", "exact"].into_iter().enumerate() {
+        let slot = state.slot_of(name).expect("inserted above");
+        let before = ids(&state);
+        let calls = state.solver_calls();
+        state.touch(slot).edges[0].rate *= 1.5;
+        let (outcome, allocs) = replan_counted(&mut state, &pool);
+        assert_eq!(outcome, ReplanOutcome::Repaired(1), "window {window}");
+        assert_eq!(allocs, 0, "window {window}: repairing {name} allocated");
+        assert_eq!(state.solver_calls(), calls + 1);
+        for (other, (&was, now)) in before.iter().zip(ids(&state)).enumerate() {
+            if other == slot {
+                assert_eq!(now, state.solver_calls(), "a fresh id for {name}");
+                assert!(before.iter().all(|&b| b < now));
+            } else {
+                assert_eq!(now, was, "slot {other} was not re-solved");
+            }
+        }
+        assert!(state.placement(slot).allocation_matches(&fleet[slot].1));
+    }
+
+    // No entry re-solved: no id moves, so an owner that remembers the ids
+    // it put in force has nothing to compare.
+    let before = ids(&state);
+    assert_eq!(
+        replan_counted(&mut state, &pool),
+        (ReplanOutcome::Unchanged, 0)
+    );
+    assert_eq!(ids(&state), before);
 }

@@ -1,20 +1,23 @@
 //! Property tests for the machine-placement solver — for random pools and
 //! topologies, every executor is placed exactly once, no machine's
 //! capacity vector is ever exceeded, the dispatcher is exact on
-//! oracle-sized instances (and the oracle never loses to the greedy
-//! heuristic), fleet planning is deterministic regardless of the order
+//! oracle-sized instances (the production branch-and-bound equals the
+//! clone-per-leaf exhaustive search kept here as the reference, and never
+//! loses to the greedy heuristic), fleet planning is deterministic
+//! regardless of the order
 //! shards are presented in, and the warm incremental path
 //! ([`placement::FleetPlacementState`]) stays capacity-safe under
 //! randomized drift/churn while matching [`placement::plan`] bit-for-bit
 //! at every full re-solve and every settled window.
 
 use drs_core::placement::{
-    self, EdgeTraffic, FleetPlacementState, MachinePool, OperatorLoad, Placement, PlacementRequest,
-    ReplanOutcome,
+    self, EdgeTraffic, FleetPlacementState, MachinePool, MachineSpec, OperatorLoad, Placement,
+    PlacementError, PlacementRequest, ReplanOutcome,
 };
 use drs_topology::ResourceProfile;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 const EPS: f64 = 1e-9;
 
@@ -38,6 +41,134 @@ fn request(ops: &[(u32, f64)], raw_edges: &[(usize, usize, f64)]) -> PlacementRe
         .collect();
     PlacementRequest { operators, edges }
 }
+
+fn fits(remaining: &ResourceProfile, demand: &ResourceProfile) -> bool {
+    remaining.cpu + EPS >= demand.cpu
+        && remaining.mem + EPS >= demand.mem
+        && remaining.net + EPS >= demand.net
+}
+
+fn charge(remaining: &mut ResourceProfile, demand: &ResourceProfile) {
+    remaining.cpu -= demand.cpu;
+    remaining.mem -= demand.mem;
+    remaining.net -= demand.net;
+}
+
+fn refund(remaining: &mut ResourceProfile, demand: &ResourceProfile) {
+    remaining.cpu += demand.cpu;
+    remaining.mem += demand.mem;
+    remaining.net += demand.net;
+}
+
+/// The exhaustive search the production exact solver replaced, kept as its
+/// reference: a depth-first walk over every per-executor machine choice
+/// that clones the whole assignment at each leaf, re-derives the objective
+/// from scratch there, and keeps the lexicographically smallest optimum.
+fn reference_oracle(
+    remaining: &mut [ResourceProfile],
+    request: &PlacementRequest,
+) -> Result<Placement, PlacementError> {
+    let machines = remaining.len();
+    let n = request.operators.len();
+    let mut counts = vec![vec![0u32; machines]; n];
+    let mut best: Option<(f64, Vec<Vec<u32>>)> = None;
+
+    // DFS over operators; within an operator, enumerate non-increasing-free
+    // compositions via per-executor choices m >= previous machine to avoid
+    // revisiting permutations of identical executors.
+    fn dfs(
+        op: usize,
+        exec: u32,
+        min_machine: usize,
+        request: &PlacementRequest,
+        remaining: &mut [ResourceProfile],
+        counts: &mut Vec<Vec<u32>>,
+        best: &mut Option<(f64, Vec<Vec<u32>>)>,
+    ) {
+        let n = request.operators.len();
+        if op == n {
+            let placement = Placement::from_counts(counts.clone());
+            let cost = placement.cross_rate(&request.edges);
+            let better = match best {
+                None => true,
+                Some((bc, bcounts)) => {
+                    cost < *bc - EPS || ((cost - *bc).abs() <= EPS && counts < bcounts)
+                }
+            };
+            if better {
+                *best = Some((cost, counts.clone()));
+            }
+            return;
+        }
+        let load = &request.operators[op];
+        if exec == load.executors {
+            // Prune: cost of edges fully placed so far already exceeds best.
+            if let Some((bc, _)) = best {
+                let placement = Placement::from_counts(counts.clone());
+                let mut partial = 0.0;
+                for e in &request.edges {
+                    if e.from <= op && e.to <= op {
+                        partial += e.rate * placement.cross_probability(e.from, e.to);
+                    }
+                }
+                if partial > *bc + EPS {
+                    return;
+                }
+            }
+            dfs(op + 1, 0, 0, request, remaining, counts, best);
+            return;
+        }
+        for m in min_machine..remaining.len() {
+            if !fits(&remaining[m], &load.profile) {
+                continue;
+            }
+            charge(&mut remaining[m], &load.profile);
+            counts[op][m] += 1;
+            dfs(op, exec + 1, m, request, remaining, counts, best);
+            counts[op][m] -= 1;
+            refund(&mut remaining[m], &load.profile);
+        }
+    }
+
+    dfs(0, 0, 0, request, remaining, &mut counts, &mut best);
+    match best {
+        Some((_, counts)) => {
+            // Commit the winning placement's resource usage to `remaining`
+            // so fleet-shared solving stays consistent.
+            for (op, per_machine) in counts.iter().enumerate() {
+                let profile = request.operators[op].profile;
+                for (m, &c) in per_machine.iter().enumerate() {
+                    for _ in 0..c {
+                        charge(&mut remaining[m], &profile);
+                    }
+                }
+            }
+            Ok(Placement::from_counts(counts))
+        }
+        None => {
+            // Report the first operator that cannot fit anywhere as the
+            // infeasible one (operator 0 if even it has no machine).
+            let op = request
+                .operators
+                .iter()
+                .position(|load| {
+                    load.executors > 0 && !remaining.iter().any(|r| fits(r, &load.profile))
+                })
+                .unwrap_or(0);
+            Err(PlacementError::Infeasible { op })
+        }
+    }
+}
+
+fn capacities(pool: &MachinePool) -> Vec<ResourceProfile> {
+    pool.machines().iter().map(|m| m.capacity).collect()
+}
+
+/// What the `exact_solver_cases` draw covered, so the wrapping test can
+/// insist that it exercised every kind of instance.
+static FEASIBLE: AtomicU32 = AtomicU32::new(0);
+static INFEASIBLE: AtomicU32 = AtomicU32::new(0);
+static NONZERO_COST: AtomicU32 = AtomicU32::new(0);
 
 /// Per-machine resource usage must fit the pool's capacity vectors.
 fn assert_within_capacity(
@@ -120,6 +251,137 @@ fn cached_fleet(
         .iter()
         .map(|(n, _)| (n.clone(), state.request(state.slot_of(n).unwrap()).clone()))
         .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The body of `exact_solver_matches_exhaustive_reference` (run from
+    /// there, so the coverage counters can be checked afterwards): small
+    /// instances over heterogeneous pools whose capacities and demands are
+    /// multiples of 0.25 — machines fill to the brim exactly — with
+    /// zero-executor operators, self-loops, and duplicate and reversed
+    /// edges. The production solver and the reference must agree on the
+    /// assignment, on the error (including the operator `Infeasible`
+    /// names), and on the residual capacity.
+    fn exact_solver_cases(
+        caps in vec((0u32..=10, 0u32..=10), 2..=4),
+        ops in vec((0u32..=3, 1u32..=4, 1u32..=4), 1..=3),
+        raw_edges in vec((0usize..3, 0usize..3, 0.1f64..10.0, 0u8..4), 1..=5),
+    ) {
+        let quarter = |q: u32| f64::from(q) * 0.25;
+        let pool = MachinePool::new(
+            caps.iter()
+                .enumerate()
+                .map(|(i, &(cpu, mem))| MachineSpec {
+                    name: format!("m{i}"),
+                    capacity: ResourceProfile { cpu: quarter(cpu), mem: quarter(mem), net: 2.0 },
+                })
+                .collect(),
+        )
+        .unwrap();
+        let n = ops.len();
+        let mut req = PlacementRequest {
+            operators: ops
+                .iter()
+                .map(|&(executors, cpu, mem)| OperatorLoad {
+                    executors,
+                    profile: ResourceProfile { cpu: quarter(cpu), mem: quarter(mem), net: 0.5 },
+                })
+                .collect(),
+            edges: Vec::new(),
+        };
+        for &(from, to, rate, kind) in &raw_edges {
+            let (from, to) = (from % n, to % n);
+            req.edges.push(EdgeTraffic { from, to, rate });
+            match kind {
+                0 => req.edges.push(EdgeTraffic { from, to, rate }),
+                1 => req.edges.push(EdgeTraffic { from: to, to: from, rate: rate * 0.5 }),
+                _ => {}
+            }
+        }
+
+        let mut want_left = capacities(&pool);
+        let want = reference_oracle(&mut want_left, &req);
+        let mut got_left = capacities(&pool);
+        let got = placement::solve_into(&mut got_left, &req);
+        prop_assert_eq!(&placement::oracle(&pool, &req), &got, "oracle() and solve_into() differ");
+        match (&want, &got) {
+            (Ok(w), Ok(g)) => {
+                prop_assert_eq!(w.counts(), g.counts(), "cost {}", w.cross_rate(&req.edges));
+                FEASIBLE.fetch_add(1, Ordering::Relaxed);
+                if w.cross_rate(&req.edges) > EPS {
+                    NONZERO_COST.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            (Err(w), Err(g)) => {
+                prop_assert_eq!(w, g);
+                prop_assert_eq!(&got_left, &capacities(&pool), "a failed solve charged the pool");
+                INFEASIBLE.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => prop_assert!(false, "feasibility differs: {want:?} vs {got:?}"),
+        }
+        for (w, g) in want_left.iter().zip(&got_left) {
+            prop_assert!(
+                (w.cpu - g.cpu).abs() <= EPS
+                    && (w.mem - g.mem).abs() <= EPS
+                    && (w.net - g.net).abs() <= EPS,
+                "residual capacity differs: {w:?} vs {g:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn exact_solver_matches_exhaustive_reference() {
+    exact_solver_cases();
+    let [feasible, infeasible, nonzero] =
+        [&FEASIBLE, &INFEASIBLE, &NONZERO_COST].map(|c| c.load(Ordering::Relaxed));
+    assert!(
+        feasible >= 200 && infeasible >= 100 && nonzero >= 100,
+        "draw too narrow: {feasible} feasible, {infeasible} infeasible, {nonzero} nonzero-cost"
+    );
+}
+
+/// Two optima of equal cost: the chain co-locates on either machine for
+/// free, and the solver must return the lexicographically smallest
+/// `counts` — all of operator 0 on the last machine that holds the chain.
+#[test]
+fn exact_solver_breaks_ties_towards_smallest_counts() {
+    let pool = MachinePool::uniform(3, ResourceProfile::uniform(2.0)).unwrap();
+    let req = request(&[(1, 1.0), (1, 1.0)], &[(0, 1, 5.0)]);
+    let solved = placement::solve(&pool, &req).unwrap();
+    assert_eq!(solved.counts(), [vec![0, 0, 1], vec![0, 0, 1]]);
+    assert_eq!(
+        solved,
+        reference_oracle(&mut capacities(&pool), &req).unwrap()
+    );
+    // With the last machine too small for the pair, the tie is between
+    // machines 0 and 1, and machine 1 gives the smaller counts.
+    let mut specs = pool.machines().to_vec();
+    specs[2].capacity = ResourceProfile::uniform(1.0);
+    let pool = MachinePool::new(specs).unwrap();
+    let solved = placement::solve(&pool, &req).unwrap();
+    assert_eq!(solved.counts(), [vec![0, 1, 0], vec![0, 1, 0]]);
+}
+
+/// The exact solver's worst case at the `EXACT_LIMIT` edge: a `(1,1)`
+/// chain on 64 machines (64² = 4096 placements) that each hold exactly
+/// one executor, so co-location is impossible everywhere, no placement
+/// beats the first and the bound never cuts. Still solved exactly.
+#[test]
+fn exact_solver_survives_a_pool_with_no_colocation() {
+    let pool = MachinePool::uniform(64, ResourceProfile::uniform(1.0)).unwrap();
+    let req = request(&[(1, 1.0), (1, 1.0)], &[(0, 1, 7.0)]);
+    let solved = placement::solve(&pool, &req).unwrap();
+    assert_eq!(solved, placement::oracle(&pool, &req).unwrap());
+    assert_eq!(
+        solved,
+        reference_oracle(&mut capacities(&pool), &req).unwrap()
+    );
+    assert_eq!(solved.counts()[0][63], 1);
+    assert_eq!(solved.counts()[1][62], 1);
+    assert!((solved.cross_rate(&req.edges) - 7.0).abs() < EPS);
 }
 
 proptest! {
