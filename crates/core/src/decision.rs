@@ -118,6 +118,21 @@ impl fmt::Display for Decision {
     }
 }
 
+/// [`DecisionInputs`] over borrowed allocations: what [`decide`] actually
+/// reads. The fleet driver consults the gate for thousands of shards per
+/// window straight from buffers it already holds, without cloning either
+/// allocation into an owned `DecisionInputs`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DecisionView<'a> {
+    pub(crate) current_allocation: &'a [u32],
+    pub(crate) current_estimate: f64,
+    pub(crate) candidate_allocation: &'a [u32],
+    pub(crate) candidate_estimate: f64,
+    pub(crate) pause_secs: f64,
+    pub(crate) t_max: Option<f64>,
+    pub(crate) measured_sojourn: Option<f64>,
+}
+
 /// Applies the policy to one round of inputs.
 ///
 /// Decision order:
@@ -133,6 +148,22 @@ impl fmt::Display for Decision {
 /// 5. otherwise require the relative improvement threshold *and* an
 ///    amortised benefit `(E_cur − E_new)·horizon` exceeding the pause cost.
 pub fn decide(policy: &DecisionPolicy, inputs: &DecisionInputs) -> Decision {
+    decide_view(
+        policy,
+        &DecisionView {
+            current_allocation: &inputs.current_allocation,
+            current_estimate: inputs.current_estimate,
+            candidate_allocation: &inputs.candidate_allocation,
+            candidate_estimate: inputs.candidate_estimate,
+            pause_secs: inputs.pause_secs,
+            t_max: inputs.t_max,
+            measured_sojourn: inputs.measured_sojourn,
+        },
+    )
+}
+
+/// [`decide`] on borrowed allocations.
+pub(crate) fn decide_view(policy: &DecisionPolicy, inputs: &DecisionView<'_>) -> Decision {
     if inputs.candidate_allocation == inputs.current_allocation {
         return Decision::Keep {
             reason: KeepReason::AlreadyOptimal,

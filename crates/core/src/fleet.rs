@@ -30,6 +30,41 @@
 //!   latency violates its target (never shrink a struggling shard), which
 //!   can also defer another shard's grow until the pool frees up.
 //!
+//! # The control window
+//!
+//! One [`FleetDriver::step`] is six phases, and the measurement overhead of
+//! the whole loop (the paper's third challenge) is what they cost together:
+//!
+//! 1. **One pass per shard**, in the caller's order: advance the backend a
+//!    window, feed the sample to the measurer, judge the liveness lease,
+//!    cache the running allocation, and — past warm-up, when the smoothed
+//!    estimates moved — refit the shard's demand *in place*: estimates into
+//!    one reused buffer ([`Measurer::write_estimates`]), rates into the
+//!    cached network ([`JacksonNetwork::set_rates`]), Program 6 into the
+//!    cached `desired` vector
+//!    ([`scheduler::min_processors_for_target_into`]). Shards share no
+//!    state, so the whole pass runs on one shard while its buffers are in
+//!    cache; a refit whose answer stands allocates nothing. The fitted
+//!    demand lives in exactly two places: the driver's packed demand list
+//!    (the slice the negotiator is handed) and the negotiator's own cache.
+//! 2. **Re-pack** the demand list — only on a window where some shard
+//!    gained or lost its model (the first negotiated one, deaths, revivals,
+//!    joins); demands move, none is cloned.
+//! 3. **Negotiate** once, warm-started (next section), then the
+//!    **gate-aware pass** over the grants.
+//! 4. **Plan placements** on the shared machine pool, when one is
+//!    installed: only shards whose placement inputs changed are re-solved.
+//! 5. **Actuate** the shards whose grant differs from what they run — no
+//!    others are visited — shrinks before grows, then send
+//!    **placement-only moves** to shards whose counts stood still.
+//! 6. **Record** the window into [`FleetDriver::last_window`].
+//!
+//! What is keyed by shard index across windows — the placement slot map,
+//! the names in the window record — is trusted while the *roster* (the set
+//! of shards, bumped by [`FleetDriver::add_shard`] /
+//! [`FleetDriver::remove_shard`]) stands still, and re-derived by name on
+//! the first window after it moved.
+//!
 //! # Incremental warm-start negotiation
 //!
 //! A window negotiates exactly once, through
@@ -188,10 +223,9 @@
 //! # }
 //! ```
 
-use crate::decision::{self, DecisionInputs, DecisionPolicy};
+use crate::decision::{self, DecisionPolicy, DecisionView};
 use crate::driver::{ActuationRetry, BackendError, CspBackend, RebalancePlan, WindowSample};
-use crate::measurer::{Measurer, RawSample, SampleBuilder, Smoothing};
-use crate::model::PerformanceModel;
+use crate::measurer::{Measurer, RawSample, SampleBuilder, SmoothedEstimates, Smoothing};
 use crate::placement::{
     self, EdgeTraffic, MachinePool as PlacementPool, OperatorLoad, Placement, PlacementRequest,
 };
@@ -219,9 +253,19 @@ pub struct ShardDemand {
     pub desired: Vec<u32>,
 }
 
+impl ShardDemand {
+    /// A demand with no operators yet, for a first [`refit_demand`] to
+    /// fill (allocation-free until then).
+    fn unfitted() -> Self {
+        ShardDemand {
+            network: JacksonNetwork::from_rates(1.0, &[]).expect("an empty network is valid"),
+            desired: Vec::new(),
+        }
+    }
+}
+
 // Manual impl so `clone_from` reuses both buffers: the incremental
-// negotiator refreshes its per-slot demand cache in place on every change,
-// and the driver refreshes its packed demand list the same way.
+// negotiator refreshes its per-slot demand cache in place on every change.
 impl Clone for ShardDemand {
     fn clone(&self) -> Self {
         ShardDemand {
@@ -589,8 +633,8 @@ impl FleetNegotiator {
             .map(|d| {
                 d.desired
                     .iter()
-                    .zip(d.network.min_stable_allocation())
-                    .map(|(&want, floor)| want.max(floor))
+                    .zip(d.network.operators())
+                    .map(|(&want, q)| want.max(q.min_stable_servers()))
                     .collect()
             })
             .collect();
@@ -1510,11 +1554,10 @@ struct ShardState<B> {
     /// Reused buffer for this shard's raw sample (fed to the measurer).
     raw: RawSample,
     /// [`Measurer::epoch`] at the last model refit; `u64::MAX` forces one.
-    /// While the epoch stands still the cached `demand`/`demand_error`
-    /// below are authoritative and the (allocating) refit is skipped.
+    /// While the epoch stands still the shard's packed demand
+    /// (`FleetScratch::demands`) and `demand_error` below are authoritative
+    /// and the refit is skipped.
     demand_epoch: u64,
-    /// The demand fitted at `demand_epoch` (`None`: no usable model).
-    demand: Option<ShardDemand>,
     /// The fit error at `demand_epoch`, replayed into the timeline each
     /// window while the broken estimates stand still.
     demand_error: Option<String>,
@@ -1523,29 +1566,33 @@ struct ShardState<B> {
 /// Per-window working buffers, reused across windows so the fleet loop
 /// allocates nothing per shard in steady state (the per-shard `Vec`s this
 /// replaces dominated the loop's allocation profile). Per-window buffers
-/// are cleared at the top of every [`FleetDriver::step_with_order`]; the
-/// packed demand buffer (`demands`/`demand_idx`/`modeled`) deliberately
-/// persists across windows, so unchanged shards hand the incremental
-/// negotiator bitwise-identical slots — its no-op fast path.
+/// are cleared at the top of every window; the packed demand buffer
+/// (`demands`/`demand_idx`) deliberately persists across windows, so
+/// unchanged shards hand the incremental negotiator bitwise-identical
+/// slots — its no-op fast path.
 #[derive(Debug, Clone, Default)]
 struct FleetScratch {
-    /// Permutation check for the caller-supplied advance order.
+    /// Permutation check for a caller-supplied advance order.
     seen: Vec<bool>,
     /// This window's measurement report per shard (buffers reused; every
     /// entry is overwritten by `advance_into` before it is read).
     samples: Vec<WindowSample>,
     /// Shard-level error per shard.
     errors: Vec<Option<String>>,
-    /// Index into `demands` per shard (`None`: no usable model).
-    /// Persists across windows together with `demands`/`modeled`.
+    /// Index into `demands` per shard (`None`: no usable model). Slots
+    /// ascend with the shard index. Persists across windows together with
+    /// `demands`; [`FleetDriver::remove_shard`] keeps both aligned.
     demand_idx: Vec<Option<usize>>,
-    /// Packed negotiation demands, mirroring each modeled shard's cached
-    /// fit (handed to the negotiator directly — no per-window clone).
+    /// Packed negotiation demands, one per modeled shard in shard index
+    /// order — the only copy of a shard's fitted demand outside the
+    /// negotiator's cache. A refit rewrites the shard's slot in place and
+    /// the list is handed to the negotiator directly.
     demands: Vec<ShardDemand>,
-    /// Shard index per `demands` entry.
-    modeled: Vec<usize>,
-    /// Shards whose model was refitted this window.
-    refit: Vec<usize>,
+    /// Shards that gained (`Some`, their first fit) or lost (`None`) their
+    /// model this window: `demands` is re-packed around them.
+    remodeled: Vec<(usize, Option<ShardDemand>)>,
+    /// The smoothed estimates of the shard being refitted.
+    estimates: SmoothedEstimates,
     capped: Vec<bool>,
     /// The shard's decision gate holds its grant: it keeps what it runs.
     gated: Vec<bool>,
@@ -1566,10 +1613,10 @@ struct FleetScratch {
     current_allocs: Vec<Vec<u32>>,
     /// Executors currently in force per shard.
     current_totals: Vec<u64>,
-    /// Executor total each shard is about to run (its grant where one
-    /// stands, its current total otherwise) — the actuation sort key.
-    target_totals: Vec<u64>,
+    /// The shards whose grant differs from what they run, shrinks first.
     actuation_order: Vec<usize>,
+    /// The growers among them, until they are appended to the order.
+    growers: Vec<usize>,
     /// Shards held back by the gate-aware pass.
     held: Vec<usize>,
     /// This window's solved machine assignment per shard, as a slot into
@@ -1580,23 +1627,26 @@ struct FleetScratch {
     /// requests, solved placements, residual pool capacity, per-shard
     /// placement epochs. See [`placement::FleetPlacementState`].
     place: placement::FleetPlacementState,
-    /// Shard index → warm-state slot, persisted across windows and
-    /// re-validated by name each window (churn shifts shard indices).
+    /// Shard index → warm-state slot, persisted across windows. Valid
+    /// while the roster stands still (`place_roster`); re-validated by
+    /// name after churn, which shifts shard indices.
     place_slots: Vec<Option<usize>>,
+    /// [`FleetDriver::roster`] as of the last validation of `place_slots`.
+    place_roster: u64,
 }
 
 impl FleetScratch {
     /// Clears the per-window buffers and sizes the per-shard ones for `n`
-    /// shards. The packed demand mirror survives untouched.
+    /// shards. The packed demands survive untouched.
     fn reset(&mut self, n: usize) {
-        self.seen.clear();
-        self.seen.resize(n, false);
         self.samples.resize_with(n, WindowSample::default);
         self.errors.resize_with(n, || None);
         for e in &mut self.errors {
             *e = None;
         }
-        self.refit.clear();
+        // A joined shard starts without a model; a removed one already
+        // took its entry with it.
+        self.demand_idx.resize(n, None);
         self.capped.clear();
         self.capped.resize(n, false);
         self.gated.clear();
@@ -1613,16 +1663,45 @@ impl FleetScratch {
         }
         self.current_allocs.resize_with(n, Vec::new);
         self.current_totals.clear();
-        self.target_totals.clear();
+        self.current_totals.resize(n, 0);
         self.actuation_order.clear();
         self.held.clear();
         self.planned_slots.clear();
         self.planned_slots.resize(n, None);
         // `place`/`place_slots` persist across windows (the warm-start
-        // placement cache); slots are re-validated by name when used.
+        // placement cache); see `place_roster`.
         if self.place_slots.len() != n {
             self.place_slots.clear();
             self.place_slots.resize(n, None);
+        }
+    }
+
+    /// Re-packs `demands` around the shards in `remodeled`, keeping it in
+    /// shard index order: a shard that lost its model gives its slot up, a
+    /// newly modeled one takes the slot its index calls for, and every
+    /// other demand moves (never clones) to its new slot. Runs only on
+    /// windows where the modeled set changed — the first negotiated one,
+    /// deaths, revivals, joins.
+    fn repack_demands(&mut self) {
+        self.remodeled.sort_unstable_by_key(|&(shard, _)| shard);
+        let mut changes = std::mem::take(&mut self.remodeled).into_iter().peekable();
+        let old = std::mem::take(&mut self.demands);
+        self.demands.reserve(old.len() + changes.len());
+        let mut old = old.into_iter();
+        for (i, slot) in self.demand_idx.iter_mut().enumerate() {
+            // Slots ascend with the shard index, so the next old entry is
+            // this shard's.
+            let kept = slot
+                .take()
+                .map(|_| old.next().expect("one packed demand per slot"));
+            let demand = match changes.next_if(|&(shard, _)| shard == i) {
+                Some((_, fresh)) => fresh,
+                None => kept,
+            };
+            if let Some(demand) = demand {
+                *slot = Some(self.demands.len());
+                self.demands.push(demand);
+            }
         }
     }
 
@@ -1670,6 +1749,14 @@ pub struct FleetDriver<B: CspBackend> {
     last_window: FleetWindow,
     /// Reused index-order buffer backing [`FleetDriver::step`].
     order_buf: Vec<usize>,
+    /// Roster generation: bumped whenever a shard joins or leaves, i.e.
+    /// whenever shard indices and names can part ways. What is keyed by
+    /// shard index across windows (the placement slot map, the names in
+    /// `last_window`) is trusted while this stands still and re-derived by
+    /// name when it moved.
+    roster: u64,
+    /// `roster` as of the names written into `last_window`.
+    recorded_roster: u64,
 }
 
 /// A snapshot of the full fleet control plane — negotiator, per-shard
@@ -1742,6 +1829,9 @@ impl<B: CspBackend> FleetDriver<B> {
                 error: None,
             },
             order_buf: Vec::new(),
+            // Ahead of both stamps: the first window derives everything.
+            roster: 1,
+            recorded_roster: 0,
         })
     }
 
@@ -1780,7 +1870,6 @@ impl<B: CspBackend> FleetDriver<B> {
                 mean_sojourn: None,
             },
             demand_epoch: u64::MAX,
-            demand: None,
             demand_error: None,
         })
     }
@@ -1799,6 +1888,7 @@ impl<B: CspBackend> FleetDriver<B> {
     pub fn add_shard(&mut self, spec: FleetShardSpec<B>) -> Result<usize, FleetDriverError> {
         let state = Self::shard_state(&self.config, spec)?;
         self.shards.push(state);
+        self.roster += 1;
         Ok(self.shards.len() - 1)
     }
 
@@ -1816,7 +1906,18 @@ impl<B: CspBackend> FleetDriver<B> {
             self.shards.len() > 1,
             "a fleet needs at least one shard; cannot remove the last one"
         );
-        self.shards.remove(i).backend
+        let state = self.shards.remove(i);
+        self.roster += 1;
+        // The shard's packed demand leaves with it; later slots close up.
+        if i < self.scratch.demand_idx.len() {
+            if let Some(slot) = self.scratch.demand_idx.remove(i) {
+                self.scratch.demands.remove(slot);
+                for later in self.scratch.demand_idx[i..].iter_mut().flatten() {
+                    *later -= 1;
+                }
+            }
+        }
+        state.backend
     }
 
     /// The fleet timeline recorded so far (empty when
@@ -1967,7 +2068,7 @@ impl<B: CspBackend> FleetDriver<B> {
         let mut order = std::mem::take(&mut self.order_buf);
         order.clear();
         order.extend(0..self.shards.len());
-        self.step_with_order(&order);
+        self.run_window(&order);
         self.order_buf = order;
         &self.last_window
     }
@@ -1982,173 +2083,130 @@ impl<B: CspBackend> FleetDriver<B> {
     /// Panics if `order` is not a permutation of `0..shard_count()`.
     pub fn step_with_order(&mut self, order: &[usize]) -> &FleetWindow {
         let n = self.shards.len();
+        assert_eq!(order.len(), n, "order must cover every shard exactly once");
+        let seen = &mut self.scratch.seen;
+        seen.clear();
+        seen.resize(n, false);
+        for &i in order {
+            assert!(
+                i < n && !seen[i],
+                "order must be a permutation of 0..{n}, got {order:?}"
+            );
+            seen[i] = true;
+        }
+        self.run_window(order)
+    }
+
+    /// One fleet window over `order`, a permutation of the shard indices:
+    /// the six phases of the [module docs](self#the-control-window).
+    fn run_window(&mut self, order: &[usize]) -> &FleetWindow {
+        let n = self.shards.len();
         // The scratch buffers live on the driver so the loop allocates
         // nothing per shard in steady state; taken out for the duration of
         // the step to keep the borrow checker happy, put back at the end.
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.reset(n);
-        assert_eq!(order.len(), n, "order must cover every shard exactly once");
-        for &i in order {
-            assert!(
-                i < n && !scratch.seen[i],
-                "order must be a permutation of 0..{n}, got {order:?}"
-            );
-            scratch.seen[i] = true;
-        }
 
-        // 1. Advance every shard one window, in the caller's order. The
-        //    sample buffers are reused window over window.
-        for &i in order {
-            self.shards[i]
-                .backend
-                .advance_into(self.config.window_secs, &mut scratch.samples[i]);
-        }
+        let window = self.completed_windows;
+        let negotiating = window >= self.config.warmup_windows;
+        let mut fleet_error = None;
+        let mut contended = false;
+        // Executors in force on live shards (a dead shard's are ghosts), and
+        // on the live ones without a usable model: those are reserved out
+        // of the budget before the modeled shards negotiate.
+        let (mut live_total, mut reserved) = (0u64, 0u64);
 
-        // 2. Feed the measurers (shard index order; each stream is
-        //    per-shard, so this is order-independent too). Stale evidence
-        //    enters the smoother discounted by `stale_decay^age`, and a
-        //    run of `lease_windows` fully-missed reports expires the
-        //    shard's liveness lease; the first usable report renews it.
-        for (shard, sample) in self.shards.iter_mut().zip(&scratch.samples) {
-            let ShardState {
-                samples,
-                measurer,
-                raw,
-                ..
-            } = shard;
-            if samples.build_into(sample, raw) {
-                let weight = samples.weight(self.config.stale_decay);
-                measurer.observe_weighted(raw, weight);
+        // 1. The per-shard pass. The sample, raw-sample, estimate and
+        //    demand buffers are all reused window over window.
+        for &i in order {
+            let shard = &mut self.shards[i];
+            let sample = &mut scratch.samples[i];
+            shard.backend.advance_into(self.config.window_secs, sample);
+            // Stale evidence enters the smoother discounted by
+            // `stale_decay^age`, and a run of `lease_windows` fully-missed
+            // reports expires the shard's liveness lease; the first usable
+            // report renews it.
+            if shard.samples.build_into(sample, &mut shard.raw) {
+                let weight = shard.samples.weight(self.config.stale_decay);
+                shard.measurer.observe_weighted(&shard.raw, weight);
             }
             shard.dead = self.config.lease_windows > 0
                 && shard.samples.missed_windows() >= self.config.lease_windows;
-        }
-
-        // 2b. Cache each shard's running allocation once for the window
-        //     (every later phase reads these instead of re-asking the
-        //     backend and re-allocating the answer).
-        for (i, shard) in self.shards.iter().enumerate() {
+            // The running allocation, cached once for the window (every
+            // later phase reads it instead of re-asking the backend).
             shard
                 .backend
                 .current_allocation_into(&mut scratch.current_allocs[i]);
-            scratch
-                .current_totals
-                .push(executor_total(&scratch.current_allocs[i]));
+            scratch.current_totals[i] = executor_total(&scratch.current_allocs[i]);
+            if !shard.dead {
+                live_total += scratch.current_totals[i];
+            }
+            if !negotiating {
+                continue;
+            }
+
+            // The shard's own single-topology demand. The refit runs only
+            // when the smoothed estimates actually moved
+            // (`Measurer::epoch`); a steady shard keeps its packed demand,
+            // which also hands the negotiator a bitwise-identical slot —
+            // its no-op fast path. A dead shard submits none: its (stale)
+            // model must not keep claiming budget for a machine that is
+            // gone.
+            let slot = scratch.demand_idx[i];
+            if shard.dead {
+                // Forget the fit so a revived shard refits at once. Its
+                // executors are ghosts: they reserve nothing either.
+                shard.demand_epoch = u64::MAX;
+                shard.demand_error = None;
+                if slot.is_some() {
+                    scratch.remodeled.push((i, None));
+                }
+                continue;
+            }
+            let mut modeled = slot.is_some();
+            let epoch = shard.measurer.epoch();
+            if epoch != shard.demand_epoch {
+                shard.demand_epoch = epoch;
+                let mut fresh = None;
+                let demand = match slot {
+                    Some(slot) => &mut scratch.demands[slot],
+                    None => fresh.insert(ShardDemand::unfitted()),
+                };
+                let fit = refit_demand(
+                    &shard.measurer,
+                    &mut scratch.estimates,
+                    shard.t_max_secs,
+                    self.config.k_max,
+                    demand,
+                );
+                modeled = matches!(fit, Ok(true));
+                shard.demand_error = fit.err();
+                if modeled != slot.is_some() {
+                    scratch.remodeled.push((i, fresh.filter(|_| modeled)));
+                }
+            }
+            if let Some(e) = &shard.demand_error {
+                scratch.errors[i] = Some(e.clone());
+            }
+            if !modeled {
+                reserved += scratch.current_totals[i];
+            }
         }
 
-        let window = self.completed_windows;
-        let mut fleet_error = None;
-        let mut contended = false;
-
-        if window >= self.config.warmup_windows {
-            // 3. Each shard's own single-topology demand. The (allocating)
-            //    model refit runs only when the shard's smoothed estimates
-            //    actually moved (`Measurer::epoch`); a steady shard reuses
-            //    its cached fit, which also hands the negotiator a
-            //    bitwise-identical demand — its no-op fast path. A dead
-            //    shard submits none: its (stale) model must not keep
-            //    claiming budget for a machine that is gone.
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                if shard.dead {
-                    // Forget the cache so a revived shard refits at once.
-                    shard.demand_epoch = u64::MAX;
-                    shard.demand = None;
-                    shard.demand_error = None;
-                    continue;
-                }
-                let epoch = shard.measurer.epoch();
-                if epoch != shard.demand_epoch {
-                    shard.demand_epoch = epoch;
-                    shard.demand_error = None;
-                    scratch.refit.push(i);
-                    shard.demand = match shard.measurer.estimates() {
-                        None => None,
-                        Some(est) => match PerformanceModel::new(&est.to_model_inputs()) {
-                            Ok(model) => {
-                                match shard_demand(&model, shard.t_max_secs, self.config.k_max) {
-                                    Ok(desired) => Some(ShardDemand {
-                                        network: model.network().clone(),
-                                        desired,
-                                    }),
-                                    Err(e) => {
-                                        shard.demand_error = Some(e.to_string());
-                                        None
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                shard.demand_error = Some(e.to_string());
-                                None
-                            }
-                        },
-                    };
-                }
-                if let Some(e) = &shard.demand_error {
-                    scratch.errors[i] = Some(e.clone());
-                }
+        if negotiating {
+            // 2. Keep the packed demands in shard index order.
+            if !scratch.remodeled.is_empty() {
+                scratch.repack_demands();
             }
 
-            // 3b. Mirror the per-shard caches into the persistent packed
-            //     demand buffer. When the modeled set is unchanged, only
-            //     the slots refitted this window are rewritten (in place);
-            //     churn in the modeled set repacks, reusing the buffers.
-            let mut stable = scratch.demand_idx.len() == n;
-            if stable {
-                let mut next = 0usize;
-                for i in 0..n {
-                    match (self.shards[i].demand.is_some(), scratch.demand_idx[i]) {
-                        (true, Some(slot)) if slot == next => next += 1,
-                        (false, None) => {}
-                        _ => {
-                            stable = false;
-                            break;
-                        }
-                    }
-                }
-                stable = stable && next == scratch.modeled.len();
-            }
-            if stable {
-                for idx in 0..scratch.refit.len() {
-                    let i = scratch.refit[idx];
-                    if let (Some(slot), Some(d)) =
-                        (scratch.demand_idx[i], self.shards[i].demand.as_ref())
-                    {
-                        scratch.demands[slot].clone_from(d);
-                    }
-                }
-            } else {
-                scratch.modeled.clear();
-                scratch.demand_idx.clear();
-                scratch.demand_idx.resize(n, None);
-                let mut slot = 0usize;
-                for i in 0..n {
-                    let Some(d) = self.shards[i].demand.as_ref() else {
-                        continue;
-                    };
-                    if slot < scratch.demands.len() {
-                        scratch.demands[slot].clone_from(d);
-                    } else {
-                        scratch.demands.push(d.clone());
-                    }
-                    scratch.demand_idx[i] = Some(slot);
-                    scratch.modeled.push(i);
-                    slot += 1;
-                }
-                scratch.demands.truncate(slot);
-            }
-
-            // 4. Central arbitration — warm-start incremental: per-window
+            // 3. Central arbitration — warm-start incremental: per-window
             //    cost is O(changed slots + executor moves), zero heap
             //    allocations when nothing changed. Shards without a usable
             //    model keep their current allocation; their executors are
             //    reserved out of the budget before the others negotiate.
             //    Dead shards reserve nothing — lease expiry is precisely
             //    the signal that their grants are reclaimed and re-offered.
-            if !scratch.modeled.is_empty() {
-                let reserved: u64 = (0..n)
-                    .filter(|&i| scratch.demand_idx[i].is_none() && !self.shards[i].dead)
-                    .map(|i| scratch.current_totals[i])
-                    .sum();
+            if !scratch.demands.is_empty() {
                 let budget = u32::try_from(u64::from(self.config.k_max).saturating_sub(reserved))
                     .expect("reserved budget is clamped below k_max, which fits in u32");
                 // `make_mut` only clones when a checkpoint still shares
@@ -2159,21 +2217,16 @@ impl<B: CspBackend> FleetDriver<B> {
                 {
                     Ok(()) => {
                         scratch.negotiated_ok = true;
-                        let grants = self.negotiator.grants();
-                        contended = grants.iter().any(|g| g.capped);
-                        for (grant, &shard) in grants.iter().zip(&scratch.modeled) {
-                            scratch.capped[shard] = grant.capped;
-                        }
-                        // 4b. Gate-aware wobble pass: consult each shard's
+                        // 3b. Gate-aware wobble pass: consult each shard's
                         //     decision gate *now*, not at actuation time.
-                        self.gate_aware_pass(&mut scratch, budget, contended);
+                        contended = self.gate_aware_pass(&mut scratch, budget);
                     }
                     Err(e) => fleet_error = Some(e.to_string()),
                 }
             }
 
-            // 4c. With a shared machine pool installed, solve the fleet's
-            //     machine assignment from the allocations about to be run.
+            // 4. With a shared machine pool installed, solve the fleet's
+            //    machine assignment from the allocations about to be run.
             self.plan_placements(&mut scratch, &mut fleet_error);
 
             // 5. Actuate: rebalance every shard whose grant differs from
@@ -2185,45 +2238,32 @@ impl<B: CspBackend> FleetDriver<B> {
             //
             // Dead shards' executors are ghosts (the machine is gone):
             // they neither occupy the pool nor block grows.
-            let mut fleet_total: u64 = scratch
-                .current_totals
-                .iter()
-                .zip(&self.shards)
-                .filter(|(_, s)| !s.dead)
-                .map(|(&t, _)| t)
-                .sum();
-            {
-                // Distinct from the caller's `order` (the measurement
-                // interleaving): actuation always shrinks first. The
-                // unstable sort is deterministic — every key ends in the
-                // unique shard index — and, unlike the stable sort, does
-                // not allocate its merge buffer.
-                for i in 0..n {
-                    let target = scratch
-                        .grant(&self.negotiator, i)
-                        .map_or(scratch.current_totals[i], executor_total);
-                    scratch.target_totals.push(target);
+            let mut fleet_total = live_total;
+            // Distinct from the caller's `order` (the measurement
+            // interleaving): actuation always shrinks first — the movers
+            // that do not grow in index order, then the growers in index
+            // order. Shards whose grant is what they run never enter.
+            for i in 0..n {
+                let Some(grant) = scratch.grant(&self.negotiator, i) else {
+                    continue;
+                };
+                if grant == scratch.current_allocs[i] {
+                    continue;
                 }
-                let FleetScratch {
-                    actuation_order,
-                    target_totals,
-                    current_totals,
-                    ..
-                } = &mut scratch;
-                actuation_order.extend(0..n);
-                actuation_order
-                    .sort_unstable_by_key(|&i| (target_totals[i] > current_totals[i], i));
+                if executor_total(grant) > scratch.current_totals[i] {
+                    scratch.growers.push(i);
+                } else {
+                    scratch.actuation_order.push(i);
+                }
             }
-            for slot in 0..n {
+            scratch.actuation_order.append(&mut scratch.growers);
+            for slot in 0..scratch.actuation_order.len() {
                 let i = scratch.actuation_order[slot];
-                {
-                    let Some(grant) = scratch.grant(&self.negotiator, i) else {
-                        continue;
-                    };
-                    if grant == scratch.current_allocs[i] {
-                        continue;
-                    }
-                }
+                let target_total = executor_total(
+                    scratch
+                        .grant(&self.negotiator, i)
+                        .expect("only shards with a grant are ordered"),
+                );
                 // Channel in backoff after an unacknowledged actuation:
                 // hold this window's command instead of spamming the
                 // (evidently degraded) control channel.
@@ -2240,8 +2280,8 @@ impl<B: CspBackend> FleetDriver<B> {
                 // round-trip the pass failed to predict. Contended and
                 // promoted shrinks bypass the gate — capped shards are
                 // starving and the freed capacity must actually flow.
-                let urgent_shrink = (contended || scratch.urgent[i])
-                    && scratch.target_totals[i] < scratch.current_totals[i];
+                let urgent_shrink =
+                    (contended || scratch.urgent[i]) && target_total < scratch.current_totals[i];
                 let refused = !urgent_shrink && {
                     let grant = scratch
                         .grant(&self.negotiator, i)
@@ -2253,8 +2293,8 @@ impl<B: CspBackend> FleetDriver<B> {
                     self.wasted_grants += 1;
                     continue;
                 }
-                if scratch.target_totals[i] > scratch.current_totals[i]
-                    && fleet_total - scratch.current_totals[i] + scratch.target_totals[i]
+                if target_total > scratch.current_totals[i]
+                    && fleet_total - scratch.current_totals[i] + target_total
                         > u64::from(self.config.k_max)
                 {
                     // An earlier shrink was refused and its executors are
@@ -2262,7 +2302,7 @@ impl<B: CspBackend> FleetDriver<B> {
                     // rather than over-commit the pool.
                     scratch.errors[i] = Some(format!(
                         "grow to {} deferred: a refused shrink left the fleet at {} of {} executors",
-                        scratch.target_totals[i],
+                        target_total,
                         fleet_total,
                         self.config.k_max
                     ));
@@ -2398,10 +2438,16 @@ impl<B: CspBackend> FleetDriver<B> {
             gated: false,
             error: None,
         });
+        // Names follow the roster: while nobody joined or left, every
+        // point already carries its shard's name.
+        let rename = self.recorded_roster != self.roster;
+        self.recorded_roster = self.roster;
         let mut total_granted = 0u64;
         for (i, shard) in self.shards.iter().enumerate() {
             let point = &mut self.last_window.shards[i];
-            point.name.clone_from(&shard.name);
+            if rename {
+                point.name.clone_from(&shard.name);
+            }
             point.dead = shard.dead;
             let sample = &scratch.samples[i];
             point.mean_sojourn_ms = sample.mean_sojourn.map(|s| s * 1e3);
@@ -2452,13 +2498,13 @@ impl<B: CspBackend> FleetDriver<B> {
         };
         let network = &scratch.demands[slot].network;
         let sample = &scratch.samples[i];
-        let verdict = decision::decide(
+        let verdict = decision::decide_view(
             &self.config.decision,
-            &DecisionInputs {
+            &DecisionView {
                 current_estimate: network.expected_sojourn(current).unwrap_or(f64::INFINITY),
                 candidate_estimate: network.expected_sojourn(grant).unwrap_or(f64::INFINITY),
-                current_allocation: current.to_vec(),
-                candidate_allocation: grant.to_vec(),
+                current_allocation: current,
+                candidate_allocation: grant,
                 pause_secs: self.config.pause_secs,
                 t_max: Some(self.shards[i].t_max_secs),
                 measured_sojourn: sample.mean_sojourn,
@@ -2467,10 +2513,12 @@ impl<B: CspBackend> FleetDriver<B> {
         !verdict.is_rebalance()
     }
 
-    /// The gate-aware wobble pass (phase 4b of the window): consult every
-    /// modeled shard's decision gate on its freshly negotiated grant and
-    /// arbitrate around the refusals *now*, instead of discovering them at
-    /// actuation time and stranding the capacity for a window.
+    /// The gate-aware wobble pass (phase 3b of the window): publish each
+    /// modeled shard's `capped` flag, consult its decision gate on its
+    /// freshly negotiated grant and arbitrate around the refusals *now*,
+    /// instead of discovering them at actuation time and stranding the
+    /// capacity for a window. Returns whether the budget is contended (some
+    /// grant is capped).
     ///
     /// Refused shards are held at their current allocation, which comes off
     /// the top of the budget, and the rest are re-offered what is left — one
@@ -2482,12 +2530,16 @@ impl<B: CspBackend> FleetDriver<B> {
     ///   starves another shard), so the negotiated grants stand and the
     ///   held shrinks are promoted to urgent: they bypass the actuation
     ///   gate exactly like contended shrinks.
-    fn gate_aware_pass(&self, scratch: &mut FleetScratch, budget: u32, contended: bool) {
+    fn gate_aware_pass(&self, scratch: &mut FleetScratch, budget: u32) -> bool {
         let negotiator = &*self.negotiator;
+        let contended = negotiator.grants.iter().any(|g| g.capped);
         let (mut held_desired, mut held_current) = (0u64, 0u64);
-        for slot in 0..scratch.modeled.len() {
-            let i = scratch.modeled[slot];
+        for i in 0..self.shards.len() {
+            let Some(slot) = scratch.demand_idx[i] else {
+                continue;
+            };
             let grant = &negotiator.grants[slot];
+            scratch.capped[i] = grant.capped;
             if grant.allocation == scratch.current_allocs[i] {
                 continue;
             }
@@ -2501,16 +2553,16 @@ impl<B: CspBackend> FleetDriver<B> {
             }
         }
         if scratch.held.is_empty() {
-            return;
+            return contended;
         }
         if negotiator.reoffer_fits(budget, held_desired, held_current) {
             scratch.reoffered = true;
             for &i in &scratch.held {
                 scratch.gated[i] = true;
             }
-            for &i in &scratch.modeled {
+            for (i, capped) in scratch.capped.iter_mut().enumerate() {
                 if !scratch.gated[i] {
-                    scratch.capped[i] = false;
+                    *capped = false;
                 }
             }
         } else {
@@ -2518,9 +2570,10 @@ impl<B: CspBackend> FleetDriver<B> {
                 scratch.urgent[i] = true;
             }
         }
+        contended
     }
 
-    /// Phase 4c: with a shared machine pool installed, refresh the warm
+    /// Phase 4: with a shared machine pool installed, refresh the warm
     /// placement state ([`placement::FleetPlacementState`]) from the
     /// allocation each live metadata-carrying shard is about to run (its
     /// grant where one stands, its current executors otherwise) and this
@@ -2544,19 +2597,24 @@ impl<B: CspBackend> FleetDriver<B> {
         let mut planned_slots = std::mem::take(&mut scratch.planned_slots);
         place.begin_window();
         place.sync_pool(pool);
+        // While the roster stood still a cached slot is its shard's; after
+        // churn (indices shifted) each one is re-validated by name.
+        let revalidate = scratch.place_roster != self.roster;
+        scratch.place_roster = self.roster;
         for (i, shard) in self.shards.iter().enumerate() {
             if shard.dead {
-                // Not marked seen: the sweep refunds its machine usage
-                // (its executors are ghosts until the lease renews).
+                // Not marked seen: the sweep refunds its machine usage and
+                // frees its slot (its executors are ghosts until the lease
+                // renews, and a revived shard is placed afresh).
+                place_slots[i] = None;
                 continue;
             }
             let Some(info) = &shard.placement_info else {
                 continue;
             };
-            // Cached slot, re-validated by name (churn shifts indices);
-            // lookup/insert only on mismatch.
+            // Lookup/insert only without a (still valid) cached slot.
             let slot = match place_slots[i] {
-                Some(s) if place.slot_name(s) == shard.name => s,
+                Some(s) if !revalidate || place.slot_name(s) == shard.name => s,
                 _ => place
                     .slot_of(&shard.name)
                     .unwrap_or_else(|| place.insert(&shard.name)),
@@ -2635,21 +2693,53 @@ pub fn mmk_measured_sojourn(rate: f64, mu: f64, servers: u32) -> f64 {
     }
 }
 
-/// One shard's single-topology schedule: its Program 6 answer for `t_max`,
-/// falling back to spending the whole budget (Algorithm 1) when the target
-/// cannot be met within it.
+/// One shard's single-topology schedule, written into `desired`: its
+/// Program 6 answer for `t_max`, falling back to spending the whole budget
+/// (Algorithm 1) when the target cannot be met within it.
 fn shard_demand(
-    model: &PerformanceModel,
+    network: &JacksonNetwork,
     t_max: f64,
     k_max: u32,
-) -> Result<Vec<u32>, ScheduleError> {
-    match scheduler::min_processors_for_target(model.network(), t_max, k_max) {
-        Ok(a) => Ok(a.into_vec()),
+    desired: &mut Vec<u32>,
+) -> Result<(), ScheduleError> {
+    match scheduler::min_processors_for_target_into(network, t_max, k_max, desired) {
+        Ok(_) => Ok(()),
         Err(ScheduleError::CapExceeded { .. } | ScheduleError::TargetUnreachable { .. }) => {
-            scheduler::assign_processors(model.network(), k_max).map(|a| a.into_vec())
+            let all = scheduler::assign_processors(network, k_max)?;
+            desired.clear();
+            desired.extend_from_slice(all.per_operator());
+            Ok(())
         }
         Err(e) => Err(e),
     }
+}
+
+/// Refits `demand` in place to the measurer's current smoothed estimates —
+/// the network to the estimated rates, `desired` to the shard's own
+/// schedule for them — through `estimates` and the buffers `demand`
+/// already owns. `Ok(false)` before the first observed window; on `Err`
+/// (the message for the timeline) `demand` is unusable until the next
+/// successful refit.
+fn refit_demand(
+    measurer: &Measurer,
+    estimates: &mut SmoothedEstimates,
+    t_max: f64,
+    k_max: u32,
+    demand: &mut ShardDemand,
+) -> Result<bool, String> {
+    if !measurer.write_estimates(estimates) {
+        return Ok(false);
+    }
+    let rates = estimates
+        .operators
+        .iter()
+        .map(|r| (r.arrival_rate, r.service_rate));
+    demand
+        .network
+        .set_rates(estimates.external_rate, rates)
+        .map_err(|e| e.to_string())?;
+    shard_demand(&demand.network, t_max, k_max, &mut demand.desired).map_err(|e| e.to_string())?;
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -3287,6 +3377,91 @@ mod tests {
         assert!(w.total_granted <= 20);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The roster stamp is only a shortcut: under joins, leaves (shard
+        /// indices shift), join-and-leave between two windows (they shift
+        /// while the count stands), deaths and revivals, a driver trusting
+        /// its stamps and advancing in a random order each window records
+        /// the same names, slots, placements, commands and timeline as one
+        /// that re-derives everything by name every window in index order.
+        #[test]
+        fn roster_stamp_equals_name_validation_under_churn(
+            script in vec((0u8..10, 0usize..64, 1.0f64..60.0, 0u64..u64::MAX), 6..24),
+        ) {
+            let info = ShardPlacementInfo {
+                profiles: vec![ResourceProfile::uniform(1.0)],
+                edges: vec![(0, 0, 1.0)],
+            };
+            let spec = |id: usize, rate: f64| {
+                FleetShardSpec::new(format!("s{id}"), 0.2, StaticShard::new(rate, 10.0, 3))
+                    .with_placement(info.clone())
+            };
+            let build = || {
+                let mut config = FleetDriverConfig::new(48);
+                config.warmup_windows = 1;
+                config.window_secs = 1.0;
+                let specs = (0..4).map(|id| spec(id, 12.0 + 9.0 * id as f64)).collect();
+                let mut f = FleetDriver::new(config, specs).unwrap();
+                f.set_machine_pool(
+                    PlacementPool::uniform(3, ResourceProfile::uniform(40.0)).unwrap(),
+                );
+                f
+            };
+            let (mut stamped, mut validating) = (build(), build());
+            for (next_id, &(action, pick, rate, seed)) in (4..).zip(&script) {
+                for f in [&mut stamped, &mut validating] {
+                    let n = f.shard_count();
+                    match action {
+                        0 => {
+                            f.add_shard(spec(next_id, rate)).unwrap();
+                        }
+                        1 if n > 1 => {
+                            f.remove_shard(pick % n);
+                        }
+                        2 => {
+                            f.add_shard(spec(next_id, rate)).unwrap();
+                            f.remove_shard(pick % n);
+                        }
+                        3 | 4 => f.backend_mut(pick % n).rate = rate,
+                        5 => {
+                            let shard = f.backend_mut(pick % n);
+                            shard.silent = !shard.silent;
+                        }
+                        _ => {}
+                    }
+                }
+
+                // Stale stamps: every name and slot is re-derived.
+                validating.roster += 1;
+                validating.step();
+                let n = stamped.shard_count();
+                let mut order: Vec<usize> = (0..n).collect();
+                let mut state = seed | 1;
+                for i in (1..n).rev() {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    order.swap(i, (state >> 33) as usize % (i + 1));
+                }
+                stamped.step_with_order(&order);
+
+                prop_assert_eq!(stamped.last_window(), validating.last_window());
+                prop_assert_eq!(&stamped.scratch.place_slots, &validating.scratch.place_slots);
+                prop_assert_eq!(&stamped.scratch.demand_idx, &validating.scratch.demand_idx);
+                for i in 0..n {
+                    prop_assert_eq!(&stamped.last_window().shards[i].name, &stamped.shards[i].name);
+                    prop_assert_eq!(stamped.shard_placement(i), validating.shard_placement(i));
+                    let (a, b) = (stamped.backend(i), validating.backend(i));
+                    prop_assert_eq!(&a.allocation, &b.allocation);
+                    prop_assert_eq!(&a.seen_epochs, &b.seen_epochs);
+                    prop_assert_eq!(a.placement_calls, b.placement_calls);
+                }
+            }
+            prop_assert_eq!(stamped.timeline(), validating.timeline());
+            prop_assert_eq!(stamped.placement_solver_calls(), validating.placement_solver_calls());
+        }
+    }
+
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn removing_the_last_shard_panics() {
@@ -3527,6 +3702,43 @@ mod tests {
     /// The placement rate band: edge-rate wobble inside
     /// [`FleetDriverConfig::placement_rate_band`] must not dirty a shard
     /// (no solver call), while a shift beyond the band must.
+    #[test]
+    fn revived_shard_is_placed_afresh() {
+        let mut f = settled_placed_pair();
+        let pool = f.machine_pool().unwrap().clone();
+        let placed_usage = |f: &FleetDriver<StaticShard>| -> f64 {
+            let full: f64 = pool.machines().iter().map(|m| m.capacity.cpu).sum();
+            full - f
+                .scratch
+                .place
+                .remaining()
+                .iter()
+                .map(|r| r.cpu)
+                .sum::<f64>()
+        };
+        let both = placed_usage(&f);
+
+        // "b" dies: the sweep refunds its machine usage and frees its slot.
+        f.backend_mut(1).silent = true;
+        f.run_windows(f.config().lease_windows + 1);
+        assert!(f.shard_dead(1));
+        assert_eq!(f.scratch.place.slot_of("b"), None);
+        assert_eq!(f.scratch.place_slots[1], None);
+        assert!(placed_usage(&f) < both);
+
+        // Revived, it must not be handed its tombstoned slot back: it is
+        // inserted, solved and charged to the pool again.
+        f.backend_mut(1).silent = false;
+        f.run_windows(3);
+        assert!(!f.shard_dead(1));
+        let slot = f.scratch.place.slot_of("b").expect("a live slot again");
+        assert_eq!(f.scratch.place_slots[1], Some(slot));
+        assert!(f
+            .shard_placement(1)
+            .is_some_and(|p| p.allocation_matches(&f.backend(1).allocation)));
+        assert!((placed_usage(&f) - both).abs() < 1e-9);
+    }
+
     #[test]
     fn placement_rate_band_absorbs_wobble_but_tracks_real_shifts() {
         let pool = PlacementPool::uniform(2, ResourceProfile::uniform(16.0)).unwrap();

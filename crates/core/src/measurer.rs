@@ -163,8 +163,9 @@ pub struct RawSample {
     pub mean_sojourn: Option<f64>,
 }
 
-/// Smoothed estimates ready for the optimiser.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Smoothed estimates ready for the optimiser. The default is an empty
+/// buffer for [`Measurer::write_estimates`] to fill.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SmoothedEstimates {
     /// Smoothed external rate `λ̂0`.
     pub external_rate: f64,
@@ -313,19 +314,32 @@ impl Measurer {
     /// Current smoothed estimates; `None` until the first window has been
     /// observed.
     pub fn estimates(&self) -> Option<SmoothedEstimates> {
-        let external_rate = self.external.value()?;
-        let mut operators = Vec::with_capacity(self.arrivals.len());
+        let mut out = SmoothedEstimates::default();
+        self.write_estimates(&mut out).then_some(out)
+    }
+
+    /// In-place [`estimates`](Self::estimates): writes the current smoothed
+    /// estimates into `out`, reusing its operator buffer, and returns
+    /// whether there were any. On `false` (no window observed yet) `out`'s
+    /// contents are unspecified.
+    pub fn write_estimates(&self, out: &mut SmoothedEstimates) -> bool {
+        let Some(external_rate) = self.external.value() else {
+            return false;
+        };
+        out.operators.clear();
+        out.operators.reserve_exact(self.arrivals.len());
         for (a, s) in self.arrivals.iter().zip(&self.services) {
-            operators.push(OperatorRates {
-                arrival_rate: a.value()?,
-                service_rate: s.value()?,
+            let (Some(arrival_rate), Some(service_rate)) = (a.value(), s.value()) else {
+                return false;
+            };
+            out.operators.push(OperatorRates {
+                arrival_rate,
+                service_rate,
             });
         }
-        Some(SmoothedEstimates {
-            external_rate,
-            operators,
-            mean_sojourn: self.sojourn.value(),
-        })
+        out.external_rate = external_rate;
+        out.mean_sojourn = self.sojourn.value();
+        true
     }
 }
 
@@ -698,6 +712,82 @@ mod tests {
             0.0
         )
         .is_none());
+    }
+
+    /// `estimates` as it stood before it became a wrapper over
+    /// `write_estimates`.
+    fn estimates_reference(m: &Measurer) -> Option<SmoothedEstimates> {
+        let external_rate = m.external.value()?;
+        let mut operators = Vec::with_capacity(m.arrivals.len());
+        for (a, s) in m.arrivals.iter().zip(&m.services) {
+            operators.push(OperatorRates {
+                arrival_rate: a.value()?,
+                service_rate: s.value()?,
+            });
+        }
+        Some(SmoothedEstimates {
+            external_rate,
+            operators,
+            mean_sojourn: m.sojourn.value(),
+        })
+    }
+
+    proptest::proptest! {
+        /// `write_estimates` into a reused buffer of any previous content ≡
+        /// the old `estimates`, bit for bit, under both smoothings, from
+        /// before the first window on.
+        #[test]
+        fn write_estimates_is_estimates_in_place(
+            n_ops in 0usize..4,
+            window_smoothing in proptest::option::of(1usize..5),
+            alpha in 0.0f64..0.99,
+            windows in proptest::collection::vec(
+                (0.1f64..100.0, proptest::option::of(0.01f64..2.0), 0.0f64..1.2),
+                0..12,
+            ),
+        ) {
+            let smoothing = match window_smoothing {
+                Some(size) => Smoothing::Window { size },
+                None => Smoothing::Alpha { alpha },
+            };
+            let mut m = Measurer::new(n_ops, smoothing).unwrap();
+            // Starts as somebody else's estimates, of another length.
+            let mut reused = SmoothedEstimates {
+                external_rate: -1.0,
+                operators: vec![OperatorRates { arrival_rate: 9.0, service_rate: 9.0 }; 5],
+                mean_sojourn: Some(9.0),
+            };
+            let bits = |e: &SmoothedEstimates| {
+                let ops: Vec<(u64, u64)> = e
+                    .operators
+                    .iter()
+                    .map(|r| (r.arrival_rate.to_bits(), r.service_rate.to_bits()))
+                    .collect();
+                (e.external_rate.to_bits(), ops, e.mean_sojourn.map(f64::to_bits))
+            };
+            for step in 0..=windows.len() {
+                let want = estimates_reference(&m);
+                proptest::prop_assert_eq!(m.estimates().as_ref().map(bits), want.as_ref().map(bits));
+                let wrote = m.write_estimates(&mut reused);
+                proptest::prop_assert_eq!(wrote, want.is_some());
+                if let Some(want) = &want {
+                    proptest::prop_assert_eq!(bits(&reused), bits(want));
+                }
+                if let Some(&(rate, sojourn, weight)) = windows.get(step) {
+                    let raw = RawSample {
+                        external_rate: rate,
+                        operators: (0..n_ops)
+                            .map(|i| OperatorRates {
+                                arrival_rate: rate * (i + 1) as f64,
+                                service_rate: rate / 3.0,
+                            })
+                            .collect(),
+                        mean_sojourn: sojourn,
+                    };
+                    m.observe_weighted(&raw, weight);
+                }
+            }
+        }
     }
 
     fn window(

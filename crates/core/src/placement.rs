@@ -486,6 +486,8 @@ struct SolveScratch {
     /// Greedy: adjacent traffic per operator and the placement order.
     traffic: Vec<f64>,
     order: Vec<usize>,
+    /// Greedy: the adjacent edges of the operator being placed.
+    adjacent: Vec<(usize, f64, f64)>,
     /// Greedy: `(machine, capacity before the charge)` per placed
     /// executor, replayed backwards to undo a failed solve exactly.
     undo: Vec<(usize, ResourceProfile)>,
@@ -552,7 +554,13 @@ fn greedy_into(
     scratch: &mut SolveScratch,
 ) -> Result<(), PlacementError> {
     let n = request.operators.len();
-    let (traffic, order, undo) = (&mut scratch.traffic, &mut scratch.order, &mut scratch.undo);
+    let SolveScratch {
+        traffic,
+        order,
+        adjacent,
+        undo,
+        ..
+    } = scratch;
 
     // Adjacent traffic per operator decides placement order: the heaviest
     // communicators choose machines first, so their neighbours can follow.
@@ -576,6 +584,21 @@ fn greedy_into(
     undo.clear();
     for &op in order.iter() {
         let load = &request.operators[op];
+        // The operator's adjacent edges, in edge order: `(neighbour, rate,
+        // neighbour's executor count)`. A self-loop lists the operator as
+        // its own neighbour, once.
+        adjacent.clear();
+        adjacent.extend(request.edges.iter().filter_map(|e| {
+            let other = if e.from == op {
+                e.to
+            } else if e.to == op {
+                e.from
+            } else {
+                return None;
+            };
+            let k_other = request.operators[other].executors.max(1) as f64;
+            Some((other, e.rate, k_other))
+        }));
         for _ in 0..load.executors {
             let mut best: Option<(f64, f64, usize)> = None; // (affinity, dist, machine)
             for (m, rem) in remaining.iter().enumerate() {
@@ -586,27 +609,27 @@ fn greedy_into(
                 // normalised by the neighbour's executor count so one
                 // co-located neighbour executor is worth rate/k.
                 let mut affinity = 0.0;
-                for e in &request.edges {
-                    let other = if e.from == op {
-                        e.to
-                    } else if e.to == op {
-                        e.from
-                    } else {
-                        continue;
-                    };
-                    let k_other = request.operators[other].executors.max(1) as f64;
-                    affinity += e.rate * counts[other][m] as f64 / k_other;
+                for &(other, rate, k_other) in adjacent.iter() {
+                    affinity += rate * counts[other][m] as f64 / k_other;
                 }
-                let dist = resource_distance(rem, &load.profile);
-                let better = match &best {
-                    None => true,
-                    Some((ba, bd, _)) => {
-                        affinity > ba + EPS || ((affinity - ba).abs() <= EPS && dist < bd - EPS)
+                // The resource distance only breaks affinity ties: a
+                // machine that loses on affinity never pays its square root.
+                let dist = match &best {
+                    None => resource_distance(rem, &load.profile),
+                    Some((ba, _, _)) if affinity > ba + EPS => {
+                        resource_distance(rem, &load.profile)
                     }
+                    Some((ba, bd, _)) if (affinity - ba).abs() <= EPS => {
+                        let dist = resource_distance(rem, &load.profile);
+                        if dist < bd - EPS {
+                            dist
+                        } else {
+                            continue;
+                        }
+                    }
+                    Some(_) => continue,
                 };
-                if better {
-                    best = Some((affinity, dist, m));
-                }
+                best = Some((affinity, dist, m));
             }
             let Some((_, _, m)) = best else {
                 for &(m, before) in undo.iter().rev() {
@@ -1279,20 +1302,20 @@ impl FleetPlacementState {
         solve_rows(&mut self.remaining, &e.request, rows, scratch, EXACT_LIMIT)?;
         self.solver_calls += 1;
         e.solve_id = self.solver_calls;
-        // The sums [`Placement::usage`] forms, kept only for the machines
-        // the shard touches (elsewhere an exact 0.0, a no-op to refund).
+        // The sums [`Placement::usage`] forms, for the machines the shard
+        // touches only (elsewhere an exact 0.0, a no-op to refund).
         for m in 0..self.remaining.len() {
-            let (mut used, mut touched) = (ResourceProfile::uniform(0.0), false);
+            if rows.iter().all(|row| row[m] == 0) {
+                continue;
+            }
+            let mut used = ResourceProfile::uniform(0.0);
             for (row, load) in rows.iter().zip(&e.request.operators) {
                 let c = row[m] as f64;
-                touched |= row[m] > 0;
                 used.cpu += c * load.profile.cpu;
                 used.mem += c * load.profile.mem;
                 used.net += c * load.profile.net;
             }
-            if touched {
-                e.usage.push((m, used));
-            }
+            e.usage.push((m, used));
         }
         Ok(())
     }

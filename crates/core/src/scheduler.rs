@@ -297,6 +297,31 @@ pub fn min_processors_for_target(
     t_max: f64,
     cap: u32,
 ) -> Result<Allocation, ScheduleError> {
+    let mut per_operator = Vec::new();
+    let expected_sojourn = min_processors_for_target_into(network, t_max, cap, &mut per_operator)?;
+    Ok(Allocation {
+        per_operator,
+        expected_sojourn,
+    })
+}
+
+/// In-place [`min_processors_for_target`]: writes the allocation into
+/// `allocation` (reusing its buffer, sized to the operator count exactly)
+/// and returns its model-predicted `E[T]`. An answer within the
+/// small-surplus cutover of the min-stable floor — the common case for a
+/// caller re-solving one shard per window — allocates nothing once the
+/// buffer fits.
+///
+/// # Errors
+///
+/// As for [`min_processors_for_target`]; on `Err` the contents of
+/// `allocation` are unspecified.
+pub fn min_processors_for_target_into(
+    network: &JacksonNetwork,
+    t_max: f64,
+    cap: u32,
+    allocation: &mut Vec<u32>,
+) -> Result<f64, ScheduleError> {
     let lower_bound = no_queueing_bound(network);
     if t_max < lower_bound {
         return Err(ScheduleError::TargetUnreachable {
@@ -304,7 +329,9 @@ pub fn min_processors_for_target(
             lower_bound,
         });
     }
-    let mut allocation = network.min_stable_allocation();
+    allocation.clear();
+    allocation.reserve_exact(network.len());
+    allocation.extend(network.operators().iter().map(|q| q.min_stable_servers()));
     let mut total: u64 = allocation.iter().map(|&k| u64::from(k)).sum();
     if total > u64::from(cap) {
         return Err(ScheduleError::InsufficientProcessors {
@@ -315,7 +342,7 @@ pub fn min_processors_for_target(
 
     // Small-surplus probe: the reference walk, capped at the cutover.
     let mut current = network
-        .expected_sojourn(&allocation)
+        .expected_sojourn(allocation)
         .expect("allocation length matches network");
     let mut probed = 0u64;
     while current > t_max {
@@ -325,34 +352,34 @@ pub fn min_processors_for_target(
         if probed == SMALL_SURPLUS_CUTOVER {
             break;
         }
-        let best = argmax_marginal_benefit(network, &allocation);
+        let best = argmax_marginal_benefit(network, allocation);
         allocation[best] += 1;
         total += 1;
         probed += 1;
         current = network
-            .expected_sojourn(&allocation)
+            .expected_sojourn(allocation)
             .expect("allocation length matches network");
     }
     if current <= t_max {
-        return Ok(Allocation {
-            per_operator: allocation,
-            expected_sojourn: current,
-        });
+        return Ok(current);
     }
 
     // Large surplus: switch to the benefit heap, continuing the identical
     // greedy path from where the probe stopped.
     let mut state =
-        NetworkSojourn::new(network, &allocation).expect("allocation length matches network");
+        NetworkSojourn::new(network, allocation).expect("allocation length matches network");
     // Relative width of the boundary band in which the cached aggregate is
     // not trusted on its own. Incremental Kahan summation is accurate to a
     // few ulps, so this is generous.
     const CONFIRM_BAND: f64 = 1e-9;
     let mut heap = benefit_heap(&state);
     let mut current = state.expected_sojourn();
-    let exact_sojourn = |state: &NetworkSojourn| {
+    // Exact O(n) re-aggregation of the walk's position, which it leaves in
+    // `allocation`.
+    let mut exact_sojourn = |state: &NetworkSojourn| {
+        state.write_allocation(allocation);
         network
-            .expected_sojourn(&state.allocation())
+            .expected_sojourn(allocation)
             .expect("allocation length matches network")
     };
     loop {
@@ -362,10 +389,7 @@ pub fn min_processors_for_target(
             // above target), fall through and grant another processor.
             let exact = exact_sojourn(&state);
             if exact <= t_max {
-                return Ok(Allocation {
-                    per_operator: state.allocation(),
-                    expected_sojourn: exact,
-                });
+                return Ok(exact);
             }
         }
         if total >= u64::from(cap) {
@@ -881,6 +905,156 @@ mod tests {
         assert!(
             below >= 5 && above >= 5,
             "sweep must exercise both sides of the cutover (below {below}, above {above})"
+        );
+    }
+
+    /// `min_processors_for_target` as it stood before it became a wrapper
+    /// over `min_processors_for_target_into`: a fresh allocation vector per
+    /// call and per exact re-aggregation.
+    fn min_processors_for_target_before(
+        network: &JacksonNetwork,
+        t_max: f64,
+        cap: u32,
+    ) -> Result<Allocation, ScheduleError> {
+        let lower_bound = no_queueing_bound(network);
+        if t_max < lower_bound {
+            return Err(ScheduleError::TargetUnreachable {
+                target: t_max,
+                lower_bound,
+            });
+        }
+        let mut allocation = network.min_stable_allocation();
+        let mut total: u64 = allocation.iter().map(|&k| u64::from(k)).sum();
+        if total > u64::from(cap) {
+            return Err(ScheduleError::InsufficientProcessors {
+                required: total,
+                available: cap,
+            });
+        }
+        let mut current = network.expected_sojourn(&allocation).unwrap();
+        let mut probed = 0u64;
+        while current > t_max {
+            if total >= u64::from(cap) {
+                return Err(ScheduleError::CapExceeded { cap, best: current });
+            }
+            if probed == SMALL_SURPLUS_CUTOVER {
+                break;
+            }
+            let best = argmax_marginal_benefit(network, &allocation);
+            allocation[best] += 1;
+            total += 1;
+            probed += 1;
+            current = network.expected_sojourn(&allocation).unwrap();
+        }
+        if current <= t_max {
+            return Ok(Allocation {
+                per_operator: allocation,
+                expected_sojourn: current,
+            });
+        }
+        let mut state = NetworkSojourn::new(network, &allocation).unwrap();
+        const CONFIRM_BAND: f64 = 1e-9;
+        let mut heap = benefit_heap(&state);
+        let mut current = state.expected_sojourn();
+        let exact_sojourn =
+            |state: &NetworkSojourn| network.expected_sojourn(&state.allocation()).unwrap();
+        loop {
+            if current <= t_max || current - t_max <= CONFIRM_BAND * current.abs() {
+                let exact = exact_sojourn(&state);
+                if exact <= t_max {
+                    return Ok(Allocation {
+                        per_operator: state.allocation(),
+                        expected_sojourn: exact,
+                    });
+                }
+            }
+            if total >= u64::from(cap) {
+                return Err(ScheduleError::CapExceeded {
+                    cap,
+                    best: exact_sojourn(&state),
+                });
+            }
+            grant_best(&mut state, &mut heap);
+            total += 1;
+            current = state.expected_sojourn();
+        }
+    }
+
+    /// What the cases of `min_target_into_cases` covered:
+    /// `[ok within the cutover, ok past it, unreachable, insufficient,
+    /// cap exceeded within the cutover, cap exceeded past it]`.
+    static COVERED: [std::sync::atomic::AtomicU32; 6] =
+        [const { std::sync::atomic::AtomicU32::new(0) }; 6];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// The body of `min_target_into_matches_the_function_it_replaced`.
+        fn min_target_into_cases(
+            lambda0 in 0.5f64..50.0,
+            ops in proptest::collection::vec((0.5f64..100.0, 0.2f64..8.0), 1..5),
+            // Slack over the no-queueing bound, log-uniform over 1e-9..10
+            // (below that: an unreachable target).
+            slack_exp in -10.0f64..1.0,
+            cap_kind in 0u8..4,
+            stale in proptest::collection::vec(0u32..9, 0..7),
+        ) {
+            use std::sync::atomic::Ordering::Relaxed;
+            let pairs: Vec<(f64, f64)> =
+                ops.iter().map(|&(lambda, load)| (lambda, lambda / load)).collect();
+            let net = JacksonNetwork::from_rates(lambda0, &pairs).unwrap();
+            let floor = net.min_total_servers();
+            let slack = if slack_exp < -9.0 { -0.1 } else { 10f64.powf(slack_exp) };
+            let t_max = no_queueing_bound(&net) * (1.0 + slack);
+            let cap = match cap_kind {
+                0 => floor.saturating_sub(1) as u32,
+                1 => (floor + 4) as u32,
+                2 => (floor + SMALL_SURPLUS_CUTOVER + 2) as u32,
+                _ => 100_000,
+            };
+            let want = min_processors_for_target_before(&net, t_max, cap);
+            // Into a buffer still holding another shard's answer.
+            let mut allocation = stale.clone();
+            let got = min_processors_for_target_into(&net, t_max, cap, &mut allocation);
+            let wrapped = min_processors_for_target(&net, t_max, cap);
+            match (&want, &got) {
+                (Ok(want), Ok(expected_sojourn)) => {
+                    proptest::prop_assert_eq!(want.per_operator(), allocation.as_slice());
+                    proptest::prop_assert_eq!(
+                        want.expected_sojourn().to_bits(),
+                        expected_sojourn.to_bits()
+                    );
+                    let past = want.total() - floor > SMALL_SURPLUS_CUTOVER;
+                    COVERED[usize::from(past)].fetch_add(1, Relaxed);
+                }
+                (Err(want), Err(got)) => {
+                    proptest::prop_assert_eq!(want, got);
+                    let kind = match want {
+                        ScheduleError::TargetUnreachable { .. } => 2,
+                        ScheduleError::InsufficientProcessors { .. } => 3,
+                        ScheduleError::CapExceeded { cap, .. } => {
+                            4 + usize::from(u64::from(*cap) - floor > SMALL_SURPLUS_CUTOVER)
+                        }
+                        ScheduleError::Model(_) => unreachable!("lengths always match"),
+                    };
+                    COVERED[kind].fetch_add(1, Relaxed);
+                }
+                _ => proptest::prop_assert!(false, "{want:?} vs {got:?}"),
+            }
+            proptest::prop_assert_eq!(want, wrapped);
+        }
+    }
+
+    #[test]
+    fn min_target_into_matches_the_function_it_replaced() {
+        min_target_into_cases();
+        let covered = COVERED
+            .each_ref()
+            .map(|c| c.load(std::sync::atomic::Ordering::Relaxed));
+        assert!(
+            covered.iter().all(|&c| c >= 20),
+            "draw too narrow: {covered:?} (ok ≤ cutover, ok > cutover, unreachable, \
+             insufficient, cap ≤ cutover, cap > cutover)"
         );
     }
 

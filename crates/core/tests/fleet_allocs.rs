@@ -9,7 +9,11 @@
 //! extends through the placement phase: the warm epoch-stamped placement
 //! state compares each shard's request in place and replans nothing — and
 //! a window that does repair a shard re-solves it into the buffers it
-//! already owns, so `replan` itself stays allocation-free there too.
+//! already owns, so `replan` itself stays allocation-free there too. A
+//! *drifting* fleet, finally, pays per shard it moves, not per shard it
+//! measures: a refit writes into buffers the shard already owns, so a
+//! window's allocations are bounded by the shards it rebalances or
+//! re-places.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms the fleet past the smoothing fixpoint, then asserts the counter
@@ -338,4 +342,185 @@ fn placement_repair_windows_allocate_nothing() {
         (ReplanOutcome::Unchanged, 0)
     );
     assert_eq!(ids(&state), before);
+}
+
+/// A two-operator chain whose "measurements" are its true rates and the
+/// M/M/k sojourn of what it runs; the rate can be re-drawn between windows.
+#[derive(Debug)]
+struct DriftShard {
+    base_rate: f64,
+    rate: f64,
+    mu: [f64; 2],
+    allocation: Vec<u32>,
+}
+
+impl CspBackend for DriftShard {
+    fn backend_name(&self) -> &'static str {
+        "drift"
+    }
+    fn operator_names(&self) -> Vec<String> {
+        vec!["first".to_owned(), "second".to_owned()]
+    }
+    fn current_allocation(&self) -> Vec<u32> {
+        self.allocation.clone()
+    }
+    fn current_allocation_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend_from_slice(&self.allocation);
+    }
+    fn advance(&mut self, window_secs: f64) -> WindowSample {
+        let mut out = WindowSample::default();
+        self.advance_into(window_secs, &mut out);
+        out
+    }
+    fn advance_into(&mut self, _window_secs: f64, out: &mut WindowSample) {
+        out.external_rate = Some(self.rate);
+        out.operators.clear();
+        let mut sojourn = 0.0;
+        for (&mu, &k) in self.mu.iter().zip(&self.allocation) {
+            out.operators.push(OperatorSample {
+                arrival_rate: Some(self.rate),
+                service_rate: Some(mu),
+            });
+            sojourn += mmk_measured_sojourn(self.rate, mu, k);
+        }
+        out.mean_sojourn = Some(sojourn);
+        out.std_sojourn = None;
+        out.completed = self.rate as u64;
+    }
+    fn apply(&mut self, plan: &RebalancePlan) -> Result<AppliedRebalance, BackendError> {
+        self.allocation.clone_from(&plan.allocation);
+        Ok(AppliedRebalance {
+            allocation: plan.allocation.clone(),
+            pause_secs: plan.pause_secs,
+        })
+    }
+}
+
+/// xorshift64*: uniform draws in `[0, 1)`, no allocation, no dependency.
+struct Draws(u64);
+
+impl Draws {
+    fn next(&mut self) -> f64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// A drifting window pays for what it moves, not for what it measures: with
+/// 5 % of 3 000 placed shards re-drawing their rate every window, nine in
+/// ten shards refit (α-smoothing keeps their estimates moving for dozens of
+/// windows), yet a refit whose grant stands allocates nothing, and a
+/// window's allocations are bounded by a small constant times the shards it
+/// rebalances or re-places.
+#[test]
+fn drifting_windows_allocate_only_for_the_shards_they_move() {
+    const SHARDS: usize = 3_000;
+    const T_MAX: f64 = 0.5;
+    /// Allocations a moved shard may cost: its grant and machine assignment
+    /// cloned into the command, the backend's acknowledgement, the
+    /// assignment put in force.
+    const PER_MOVED_SHARD: u64 = 8;
+
+    let mut draws = Draws(0x9e37_79b9_7f4a_7c15);
+    let mut specs = Vec::with_capacity(SHARDS);
+    let (mut demand, mut units) = (0u64, 0.0);
+    for i in 0..SHARDS {
+        let base_rate = 20.0 + 60.0 * draws.next();
+        let mu = [
+            base_rate / (0.5 + 2.5 * draws.next()),
+            base_rate / (0.5 + 2.5 * draws.next()),
+        ];
+        let rate = base_rate * (0.7 + 0.6 * draws.next());
+        let network =
+            JacksonNetwork::from_rates(rate, &[(rate, mu[0]), (rate, mu[1])]).expect("positive");
+        let allocation = scheduler::min_processors_for_target(&network, T_MAX, 512)
+            .expect("reachable target")
+            .into_vec();
+        let per_executor = [0.5 + draws.next(), 0.5 + draws.next()];
+        for (&k, u) in allocation.iter().zip(per_executor) {
+            demand += u64::from(k);
+            units += f64::from(k) * u;
+        }
+        let shard = DriftShard {
+            base_rate,
+            rate,
+            mu,
+            allocation,
+        };
+        specs.push(
+            FleetShardSpec::new(format!("shard-{i:04}"), T_MAX, shard).with_placement(
+                ShardPlacementInfo {
+                    profiles: per_executor.map(ResourceProfile::uniform).to_vec(),
+                    edges: vec![(0, 1, 1.0)],
+                },
+            ),
+        );
+    }
+    // An uncontended budget: every grant is the shard's own schedule.
+    let mut config = FleetDriverConfig::new(2 * demand as u32);
+    config.window_secs = 1.0;
+    config.warmup_windows = 2;
+    config.record_timeline = false;
+    let mut fleet = FleetDriver::new(config, specs).expect("fleet construction");
+    fleet.set_machine_pool(
+        MachinePool::uniform(16, ResourceProfile::uniform(units / 16.0 * 1.3)).expect("valid pool"),
+    );
+
+    // One window under `redraw`, which re-draws 5 % of the shards' rates.
+    // Returns the allocations the window made and the shards it moved.
+    let mut window = |fleet: &mut FleetDriver<DriftShard>,
+                      redraw: &dyn Fn(&DriftShard, f64) -> f64| {
+        for _ in 0..SHARDS / 20 {
+            let i = (draws.next() * SHARDS as f64) as usize;
+            let shard = fleet.backend_mut(i);
+            shard.rate = redraw(shard, draws.next());
+        }
+        let solved = fleet.placement_solver_calls();
+        let before = ALLOCS.get();
+        fleet.step();
+        let allocs = ALLOCS.get() - before;
+        let last = fleet.last_window();
+        assert!(last.error.is_none() && last.shards.iter().all(|s| s.error.is_none()));
+        let rebalanced = last.shards.iter().filter(|s| s.rebalanced).count() as u64;
+        (allocs, rebalanced + fleet.placement_solver_calls() - solved)
+    };
+
+    // Drift: a re-drawn shard lands anywhere in [0.7, 1.3) of its base.
+    let drift = |shard: &DriftShard, u: f64| shard.base_rate * (0.7 + 0.6 * u);
+    let mut moved_total = 0;
+    for w in 0..40 {
+        let (allocs, moved) = window(&mut fleet, &drift);
+        moved_total += moved;
+        if w >= 10 {
+            assert!(
+                allocs <= PER_MOVED_SHARD * moved,
+                "drifting window {w}: {allocs} allocations for {moved} shards rebalanced or re-placed"
+            );
+        }
+    }
+    assert!(
+        moved_total > 1_000,
+        "the drift moved only {moved_total} shards"
+    );
+
+    // Wobble: a re-drawn shard's rate moves by under 0.1 % — every smoothed
+    // estimate that was moving keeps moving and 5 % more start, so the fleet
+    // goes on refitting, but no schedule and no placement request changes.
+    let wobble = |shard: &DriftShard, u: f64| shard.rate * (1.0 + 1e-3 * (u - 0.5));
+    let mut quiet = 0;
+    for w in 0..20 {
+        let (allocs, moved) = window(&mut fleet, &wobble);
+        assert!(
+            allocs <= PER_MOVED_SHARD * moved,
+            "wobbling window {w}: {allocs} allocations for {moved} shards rebalanced or re-placed"
+        );
+        quiet += u32::from(moved == 0);
+    }
+    assert!(
+        quiet >= 8,
+        "only {quiet} of 20 wobbling windows moved no shard"
+    );
 }

@@ -3,7 +3,9 @@
 //! capacity vector is ever exceeded, the dispatcher is exact on
 //! oracle-sized instances (the production branch-and-bound equals the
 //! clone-per-leaf exhaustive search kept here as the reference, and never
-//! loses to the greedy heuristic), fleet planning is deterministic
+//! loses to the greedy heuristic), the greedy kernel equals the
+//! per-machine edge-scanning one it replaced (also kept here) bit for bit,
+//! fleet planning is deterministic
 //! regardless of the order
 //! shards are presented in, and the warm incremental path
 //! ([`placement::FleetPlacementState`]) stays capacity-safe under
@@ -158,6 +160,90 @@ fn reference_oracle(
             Err(PlacementError::Infeasible { op })
         }
     }
+}
+
+/// The greedy kernel the production one replaced, kept as its reference:
+/// for every executor and every machine it re-walks the whole edge list for
+/// the affinity and takes the resource distance's square root, whether or
+/// not the machine can still win.
+fn reference_greedy(
+    remaining: &mut [ResourceProfile],
+    request: &PlacementRequest,
+) -> Result<Placement, PlacementError> {
+    let n = request.operators.len();
+    let mut counts = vec![vec![0u32; remaining.len()]; n];
+    let mut traffic = vec![0.0; n];
+    for e in &request.edges {
+        traffic[e.from] += e.rate;
+        traffic[e.to] += e.rate;
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by(|&a, &b| {
+        traffic[b]
+            .partial_cmp(&traffic[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    let resource_distance = |rem: &ResourceProfile, demand: &ResourceProfile| {
+        let d = |r: f64, w: f64| (r - w) * (r - w);
+        (d(rem.cpu, demand.cpu) + d(rem.mem, demand.mem) + d(rem.net, demand.net)).sqrt()
+    };
+    let mut undo: Vec<(usize, ResourceProfile)> = Vec::new();
+    for &op in &order {
+        let load = &request.operators[op];
+        for _ in 0..load.executors {
+            let mut best: Option<(f64, f64, usize)> = None;
+            for (m, rem) in remaining.iter().enumerate() {
+                if !fits(rem, &load.profile) {
+                    continue;
+                }
+                let mut affinity = 0.0;
+                for e in &request.edges {
+                    let other = if e.from == op {
+                        e.to
+                    } else if e.to == op {
+                        e.from
+                    } else {
+                        continue;
+                    };
+                    let k_other = request.operators[other].executors.max(1) as f64;
+                    affinity += e.rate * counts[other][m] as f64 / k_other;
+                }
+                let dist = resource_distance(rem, &load.profile);
+                let better = match &best {
+                    None => true,
+                    Some((ba, bd, _)) => {
+                        affinity > ba + EPS || ((affinity - ba).abs() <= EPS && dist < bd - EPS)
+                    }
+                };
+                if better {
+                    best = Some((affinity, dist, m));
+                }
+            }
+            let Some((_, _, m)) = best else {
+                for &(m, before) in undo.iter().rev() {
+                    remaining[m] = before;
+                }
+                return Err(PlacementError::Infeasible { op });
+            };
+            counts[op][m] += 1;
+            undo.push((m, remaining[m]));
+            charge(&mut remaining[m], &load.profile);
+        }
+    }
+    Ok(Placement::from_counts(counts))
+}
+
+/// `Π_i C(k_i+m−1, m−1)`, the enumeration size [`placement::solve_into`]
+/// dispatches on (saturating; only its side of `EXACT_LIMIT` matters).
+fn enumeration_size(request: &PlacementRequest, machines: u64) -> u64 {
+    request.operators.iter().fold(1u64, |size, op| {
+        let k = u64::from(op.executors);
+        let comps = (0..(machines - 1).min(k)).fold(1u64, |acc, i| {
+            acc.saturating_mul(k + machines - 1 - i) / (i + 1)
+        });
+        size.saturating_mul(comps)
+    })
 }
 
 fn capacities(pool: &MachinePool) -> Vec<ResourceProfile> {
@@ -340,6 +426,114 @@ fn exact_solver_matches_exhaustive_reference() {
     assert!(
         feasible >= 200 && infeasible >= 100 && nonzero >= 100,
         "draw too narrow: {feasible} feasible, {infeasible} infeasible, {nonzero} nonzero-cost"
+    );
+}
+
+/// What the `greedy_kernel_cases` draw covered: `[feasible, infeasible
+/// after at least one charge (the undo path), an operator with more than 8
+/// adjacent edges, a self-loop, a zero-executor operator, an instance
+/// beyond EXACT_LIMIT (solve_into runs the greedy kernel)]`.
+static GREEDY_COVERED: [AtomicU32; 6] = [const { AtomicU32::new(0) }; 6];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The body of `greedy_kernel_matches_the_kernel_it_replaced`: pools
+    /// and demands in quarters (brim-full machines, affinity and distance
+    /// ties), zero-executor operators, self-loops, duplicate and reversed
+    /// edges, up to 14 of them over at most 4 operators. Same assignment,
+    /// same error, and — through `solve_into` on instances the dispatcher
+    /// hands to the greedy kernel — the same residual capacity to the bit,
+    /// untouched after a failure.
+    fn greedy_kernel_cases(
+        caps in vec((0u32..=24, 0u32..=24, 0u8..3), 3..=9),
+        ops in vec((0u32..=9, 1u32..=4, 1u32..=4), 1..=4),
+        raw_edges in vec((0usize..4, 0usize..4, 0.0f64..10.0, 0u8..5), 0..=10),
+    ) {
+        let quarter = |q: u32| f64::from(q) * 0.25;
+        // A sub-`EPS` jitter on some capacities, and (below) sub-`EPS`
+        // rates on some edges: near-ties the kernel must call ties.
+        let pool = MachinePool::new(
+            caps.iter()
+                .enumerate()
+                .map(|(i, &(cpu, mem, jitter))| MachineSpec {
+                    name: format!("m{i}"),
+                    capacity: ResourceProfile {
+                        cpu: quarter(cpu) + f64::from(jitter) * 4e-10,
+                        mem: quarter(mem),
+                        net: 4.0,
+                    },
+                })
+                .collect(),
+        )
+        .unwrap();
+        let n = ops.len();
+        let mut req = PlacementRequest {
+            operators: ops
+                .iter()
+                .map(|&(executors, cpu, mem)| OperatorLoad {
+                    executors,
+                    profile: ResourceProfile { cpu: quarter(cpu), mem: quarter(mem), net: 0.25 },
+                })
+                .collect(),
+            edges: Vec::new(),
+        };
+        for &(from, to, rate, kind) in &raw_edges {
+            let (from, to) = (from % n, to % n);
+            let rate = if kind == 4 { rate * 1e-10 } else { rate };
+            req.edges.push(EdgeTraffic { from, to, rate });
+            match kind {
+                0 => req.edges.push(EdgeTraffic { from, to, rate }),
+                1 => req.edges.push(EdgeTraffic { from: to, to: from, rate: rate * 0.5 }),
+                _ => {}
+            }
+        }
+
+        let full = capacities(&pool);
+        let mut want_left = full.clone();
+        let want = reference_greedy(&mut want_left, &req);
+        prop_assert_eq!(&placement::greedy(&pool, &req), &want);
+        let bits = |left: &[ResourceProfile]| -> Vec<[u64; 3]> {
+            left.iter().map(|r| [r.cpu, r.mem, r.net].map(f64::to_bits)).collect()
+        };
+        if want.is_err() {
+            prop_assert_eq!(bits(&want_left), bits(&full));
+        }
+        let greedy_sized = enumeration_size(&req, pool.len() as u64) > placement::EXACT_LIMIT;
+        if greedy_sized {
+            let mut got_left = full.clone();
+            prop_assert_eq!(&placement::solve_into(&mut got_left, &req), &want);
+            prop_assert_eq!(bits(&got_left), bits(&want_left));
+        }
+
+        let adjacent = |op: usize| req.edges.iter().filter(|e| e.from == op || e.to == op).count();
+        let undone = matches!(&want, Err(PlacementError::Infeasible { op })
+            if req.operators.iter().enumerate().any(|(i, o)| i != *op && o.executors > 0)
+                || req.operators[*op].executors > 1);
+        for (slot, hit) in [
+            want.is_ok(),
+            undone,
+            (0..n).any(|op| adjacent(op) > 8),
+            req.edges.iter().any(|e| e.from == e.to),
+            req.operators.iter().any(|o| o.executors == 0),
+            greedy_sized,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            GREEDY_COVERED[slot].fetch_add(u32::from(hit), Ordering::Relaxed);
+        }
+    }
+}
+
+#[test]
+fn greedy_kernel_matches_the_kernel_it_replaced() {
+    greedy_kernel_cases();
+    let covered = GREEDY_COVERED.each_ref().map(|c| c.load(Ordering::Relaxed));
+    assert!(
+        covered.iter().all(|&c| c >= 50),
+        "draw too narrow: {covered:?} (feasible, infeasible, >8 adjacent edges, self-loop, \
+         zero-executor operator, beyond EXACT_LIMIT)"
     );
 }
 

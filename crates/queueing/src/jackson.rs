@@ -153,19 +153,49 @@ impl JacksonNetwork {
     /// * [`JacksonError::InvalidExternalRate`] — `λ0` non-positive/non-finite.
     /// * [`JacksonError::InvalidQueue`] — some `(λ_i, µ_i)` pair is invalid.
     pub fn from_rates(external_rate: f64, operators: &[(f64, f64)]) -> Result<Self, JacksonError> {
+        let mut network = JacksonNetwork {
+            external_rate,
+            nodes: Vec::new(),
+        };
+        network.set_rates(external_rate, operators.iter().copied())?;
+        Ok(network)
+    }
+
+    /// In-place [`from_rates`](Self::from_rates): refits this network to
+    /// `λ0` and the `(λ_i, µ_i)` pairs, reusing the node buffer — a caller
+    /// that refits one cached network per measurement window pays no
+    /// allocation once the buffer fits. The buffer is sized to the operator
+    /// count exactly, never grown amortised.
+    ///
+    /// # Errors
+    ///
+    /// As for [`from_rates`](Self::from_rates), in the same precedence. On
+    /// an invalid `λ0` the network is untouched; on an invalid pair it is
+    /// left with no operators.
+    pub fn set_rates<I>(&mut self, external_rate: f64, operators: I) -> Result<(), JacksonError>
+    where
+        I: IntoIterator<Item = (f64, f64)>,
+        I::IntoIter: ExactSizeIterator,
+    {
         if !external_rate.is_finite() || external_rate <= 0.0 {
             return Err(JacksonError::InvalidExternalRate {
                 rate: external_rate,
             });
         }
-        let nodes = operators
-            .iter()
-            .map(|&(lambda, mu)| MmKQueue::new(lambda, mu))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(JacksonNetwork {
-            external_rate,
-            nodes,
-        })
+        let operators = operators.into_iter();
+        self.external_rate = external_rate;
+        self.nodes.clear();
+        self.nodes.reserve_exact(operators.len());
+        for (lambda, mu) in operators {
+            match MmKQueue::new(lambda, mu) {
+                Ok(node) => self.nodes.push(node),
+                Err(e) => {
+                    self.nodes.clear();
+                    return Err(e.into());
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Builds a network by solving `traffic` for the equilibrium arrival
@@ -286,9 +316,9 @@ impl JacksonNetwork {
 
     /// Total processors of the minimum feasible allocation.
     pub fn min_total_servers(&self) -> u64 {
-        self.min_stable_allocation()
+        self.nodes
             .iter()
-            .map(|&k| u64::from(k))
+            .map(|node| u64::from(node.min_stable_servers()))
             .sum()
     }
 

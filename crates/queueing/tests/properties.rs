@@ -4,7 +4,7 @@
 
 use drs_queueing::erlang::{erlang_b, erlang_c, MmKQueue};
 use drs_queueing::incremental::{ErlangStepper, NetworkSojourn};
-use drs_queueing::jackson::JacksonNetwork;
+use drs_queueing::jackson::{JacksonError, JacksonNetwork};
 use drs_queueing::linalg::Matrix;
 use drs_queueing::traffic::TrafficEquations;
 use proptest::prelude::*;
@@ -310,6 +310,44 @@ proptest! {
         let solved = a.solve(&b).unwrap();
         for (xs, xt) in solved.iter().zip(x.iter()) {
             prop_assert!((xs - xt).abs() < 1e-8, "{xs} != {xt}");
+        }
+    }
+
+    #[test]
+    fn set_rates_is_from_rates_in_place(
+        // Roughly one draw in four carries an invalid rate somewhere.
+        lambda0 in -2.0f64..50.0,
+        ops in prop::collection::vec((-0.5f64..100.0, -0.5f64..8.0), 0..6),
+        before in prop::collection::vec((0.5f64..100.0, 0.2f64..8.0), 0..8),
+    ) {
+        // `from_rates` as it stood before it became a wrapper: λ0 first,
+        // then the pairs in order, the first invalid one reported.
+        let want: Result<Vec<MmKQueue>, JacksonError> =
+            if !lambda0.is_finite() || lambda0 <= 0.0 {
+                Err(JacksonError::InvalidExternalRate { rate: lambda0 })
+            } else {
+                ops.iter()
+                    .map(|&(lambda, mu)| MmKQueue::new(lambda, mu).map_err(JacksonError::from))
+                    .collect()
+            };
+        let fresh = JacksonNetwork::from_rates(lambda0, &ops);
+        // Refit over a network of another length and other rates.
+        let mut reused = JacksonNetwork::from_rates(3.0, &before).unwrap();
+        let refit = reused.set_rates(lambda0, ops.iter().copied());
+        match want {
+            Ok(nodes) => {
+                let fresh = fresh.unwrap();
+                prop_assert_eq!(refit, Ok(()));
+                for net in [&fresh, &reused] {
+                    prop_assert_eq!(net.external_rate().to_bits(), lambda0.to_bits());
+                    prop_assert_eq!(net.operators(), nodes.as_slice());
+                }
+                prop_assert_eq!(&fresh, &reused);
+            }
+            Err(e) => {
+                prop_assert_eq!(fresh.unwrap_err(), e.clone());
+                prop_assert_eq!(refit, Err(e));
+            }
         }
     }
 }
