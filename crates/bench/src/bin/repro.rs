@@ -3,14 +3,13 @@
 //! Usage:
 //!
 //! ```text
-//! repro [fig6|fig7|fig8|fig9|fig10|table2|ablation|surge|perf|all] [--quick] [--seed N]
+//! repro [fig6|fig7|fig8|fig9|fig10|table2|ablation|surge|all] [--quick] [--seed N]
 //! repro drive [--backend sim|runtime|both] [--quick]
 //! repro fleet [--smoke] [--seed N] [--faults smoke|lossy|laggy|partition|churn|crash-storm]
 //! repro fleet --scale 1k|10k|100k|1m [--smoke] [--seed N]
 //! repro fleet --scale 1k|10k|100k --place [--smoke] [--seed N]
 //! repro place [--smoke] [--seed N]
 //! repro soak [--smoke] [--seed N]
-//! repro perfdiff <baseline.json> <current.json> [--tolerance 0.15]
 //! ```
 //!
 //! `--quick` shortens simulated durations (useful in CI); default runs use
@@ -18,8 +17,8 @@
 
 use drs_bench::sweep::{run_sweep, App};
 use drs_bench::{
-    ablation, drive, faults, fig10, fig8, fig9, fleet, fleet_scale, perf, perfdiff, place,
-    place_scale, soak, surge, table2,
+    ablation, drive, faults, fig10, fig8, fig9, fleet, fleet_scale, place, place_scale, soak,
+    surge, table2,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::env;
@@ -65,28 +64,23 @@ struct Options {
     smoke: bool,
     seed: u64,
     backend: String,
-    tolerance: f64,
     faults: Option<String>,
     scale: Option<String>,
     place: bool,
-    paths: Vec<String>,
 }
 
 fn main() -> ExitCode {
     fleet_scale::set_alloc_probe(alloc_count);
     place_scale::set_alloc_probe(alloc_count);
-    let mut target = String::from("all");
-    let mut target_set = false;
+    let mut target: Option<String> = None;
     let mut options = Options {
         quick: false,
         smoke: false,
         seed: 2015, // the paper's year, for determinism
         backend: String::from("both"),
-        tolerance: 0.15,
         faults: None,
         scale: None,
         place: false,
-        paths: Vec::new(),
     };
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -124,16 +118,9 @@ fn main() -> ExitCode {
                 };
                 options.scale = Some(v);
             }
-            "--tolerance" => {
-                let Some(v) = args.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--tolerance requires a fraction, e.g. 0.15");
-                    return ExitCode::FAILURE;
-                };
-                options.tolerance = v;
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [fig6|fig7|fig8|fig9|fig10|table2|ablation|surge|perf|all] [--quick] [--seed N]"
+                    "usage: repro [fig6|fig7|fig8|fig9|fig10|table2|ablation|surge|all] [--quick] [--seed N]"
                 );
                 println!("       repro drive [--backend sim|runtime|both] [--quick]");
                 println!(
@@ -143,19 +130,14 @@ fn main() -> ExitCode {
                 println!("       repro fleet --scale 1k|10k|100k --place [--smoke] [--seed N]");
                 println!("       repro place [--smoke] [--seed N]");
                 println!("       repro soak [--smoke] [--seed N]");
-                println!("       repro perfdiff <baseline.json> <current.json> [--tolerance 0.15]");
-                println!(
-                    "  perf also writes machine-readable BENCH_PERF.json to the current directory"
-                );
                 return ExitCode::SUCCESS;
             }
             other if !other.starts_with('-') => {
-                if target_set {
-                    options.paths.push(other.to_owned());
-                } else {
-                    target = other.to_owned();
-                    target_set = true;
+                if target.is_some() {
+                    eprintln!("unexpected argument {other}; try --help");
+                    return ExitCode::FAILURE;
                 }
+                target = Some(other.to_owned());
             }
             other => {
                 eprintln!("unknown flag {other}");
@@ -164,7 +146,7 @@ fn main() -> ExitCode {
         }
     }
 
-    match target.as_str() {
+    match target.as_deref().unwrap_or("all") {
         "fig6" => fig6_and_7(&options, true, false),
         "fig7" => fig6_and_7(&options, false, true),
         "fig8" => run_fig8(&options),
@@ -173,12 +155,10 @@ fn main() -> ExitCode {
         "table2" => run_table2(&options),
         "ablation" => run_ablation(&options),
         "surge" => run_surge(&options),
-        "perf" => run_perf(&options),
         "drive" => return run_drive(&options),
         "fleet" => return run_fleet(&options),
         "place" => run_place(&options),
         "soak" => run_soak(&options),
-        "perfdiff" => return run_perfdiff(&options),
         "all" => {
             fig6_and_7(&options, true, true);
             run_fig8(&options);
@@ -189,7 +169,6 @@ fn main() -> ExitCode {
             run_surge(&options);
             run_place(&options);
             run_soak(&options);
-            run_perf(&options);
         }
         other => {
             eprintln!("unknown target {other}; try --help");
@@ -287,47 +266,6 @@ fn run_fleet(options: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_perfdiff(options: &Options) -> ExitCode {
-    let [baseline_path, current_path] = options.paths.as_slice() else {
-        eprintln!("usage: repro perfdiff <baseline.json> <current.json> [--tolerance 0.15]");
-        return ExitCode::FAILURE;
-    };
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            None
-        }
-    };
-    let (Some(baseline), Some(current)) = (read(baseline_path), read(current_path)) else {
-        return ExitCode::FAILURE;
-    };
-    let deltas = match perfdiff::diff(&baseline, &current) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (rendered, offenders) = perfdiff::report(&deltas, options.tolerance);
-    print!("{rendered}");
-    if offenders.is_empty() {
-        println!(
-            "perfdiff: all {} metrics within {:.0}% of baseline",
-            deltas.len(),
-            options.tolerance * 100.0
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "perfdiff: {} metric(s) regressed more than {:.0}%",
-            offenders.len(),
-            options.tolerance * 100.0
-        );
-        ExitCode::FAILURE
-    }
-}
-
 fn fig6_and_7(options: &Options, fig6: bool, fig7: bool) {
     let secs = if options.quick { 120 } else { 600 };
     for app in [App::Vld, App::Fpd] {
@@ -404,17 +342,6 @@ fn run_soak(options: &Options) {
     };
     let run = soak::run_soak(&config);
     print!("{}", soak::render_soak(&config, &run));
-}
-
-fn run_perf(options: &Options) {
-    let iterations = if options.quick { 2_000 } else { 20_000 };
-    let report = perf::run_perf(iterations, options.seed);
-    print!("{}", perf::render_perf(&report));
-    let json = perf::perf_json(&report);
-    match std::fs::write("BENCH_PERF.json", &json) {
-        Ok(()) => println!("wrote BENCH_PERF.json"),
-        Err(e) => eprintln!("could not write BENCH_PERF.json: {e}"),
-    }
 }
 
 fn run_surge(options: &Options) {

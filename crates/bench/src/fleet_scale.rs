@@ -15,8 +15,9 @@
 //! Reported per arm: mean negotiate-µs per contended window, plus the heap
 //! allocations one zero-churn steady-state window performs (via the
 //! allocation probe the `repro` binary installs — the incremental arm must
-//! report **0**). The 100k/5%-churn point feeds the `fleet_scale` section
-//! of `BENCH_PERF.json`, gated by `repro perfdiff`.
+//! report **0**, asserted here). The negotiation cost to cite is
+//! `BENCHMARK.json`'s `core.fleet.negotiate_ms` on the `fleet_window`
+//! workload (`bash benchmark/run.sh --workload fleet_window`).
 
 use drs_core::fleet::{FleetNegotiator, ShardDemand};
 use drs_queueing::jackson::JacksonNetwork;
@@ -252,6 +253,9 @@ pub fn run_fleet_scale(config: &FleetScaleConfig) -> FleetScaleRun {
             .expect("feasible budget");
         p() - before
     });
+    if let Some(allocs) = inc_steady {
+        assert_eq!(allocs, 0, "a settled incremental window allocated");
+    }
     let granted: u64 = negotiator.grants().iter().map(|g| g.total()).sum();
     let incremental = ArmStats {
         negotiate_us: inc_secs * 1e6 / config.windows as f64,

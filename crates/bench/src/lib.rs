@@ -11,11 +11,6 @@
 //! * [`ablation`] — design-choice studies beyond the paper: greedy vs
 //!   exhaustive allocation, model robustness under service-law violations,
 //!   and the value of the rebalance cost/benefit gate;
-//! * [`perf`] — the perf trajectory: heap+incremental scheduling vs the
-//!   retained from-scratch reference, simulator throughput, and the
-//!   machine-readable `BENCH_PERF.json` export;
-//! * [`perfdiff`] — the CI regression gate comparing two `BENCH_PERF.json`
-//!   snapshots;
 //! * [`drive`] — the same `DrsDriver` config run against the simulator and
 //!   the live runtime, timelines side by side;
 //! * [`fleet`] — a four-topology VLD+FPD fleet sharing one contended
@@ -23,14 +18,13 @@
 //! * [`fleet_scale`] — synthetic shard fleets at 1k–1m shards
 //!   (`repro fleet --scale`): warm-start incremental negotiation vs the
 //!   from-scratch reference, negotiate-µs per contended window and
-//!   steady-state allocations per window, gated via the `fleet_scale`
-//!   section of `BENCH_PERF.json`;
+//!   steady-state allocations per window (asserted zero);
 //! * [`place_scale`] — the same treatment for machine placement
 //!   (`repro fleet --scale ... --place`): the warm epoch-band
 //!   [`drs_core::placement::FleetPlacementState`] vs a from-scratch
 //!   `placement::plan` per window under seeded drift, assignments
-//!   cross-checked, gated via the `placement_scale` section of
-//!   `BENCH_PERF.json`;
+//!   cross-checked, steady-state allocations and solver calls asserted
+//!   zero;
 //! * [`faults`] — the same fleet under a degraded control plane: named
 //!   scenarios (`lossy`, `laggy`, `partition`, `churn`, `crash-storm`)
 //!   behind `repro fleet --faults`, rendering injected faults next to
@@ -40,8 +34,7 @@
 //!   compared on cross-machine tuple fraction and end-to-end sojourn;
 //! * [`soak`] — saturation soak of the live runtime under continuous
 //!   rebalances: ingress→ack latency percentiles (p50/p95/p99), peak
-//!   bounded-queue depth and task suspensions, the smoke shape of which
-//!   is gated via the `BENCH_PERF.json` `soak` section;
+//!   bounded-queue depth and task suspensions;
 //! * [`surge`] — elasticity under a mid-run arrival-rate surge (the §I
 //!   motivation, beyond the paper's fixed-rate evaluation);
 //! * [`report`] — table rendering and rank-correlation helpers.
@@ -52,6 +45,10 @@
 //! cargo run -p drs-bench --release --bin repro -- all
 //! cargo run -p drs-bench --release --bin repro -- fig6 --quick
 //! ```
+//!
+//! Performance numbers are not this crate's job: the repo's one measuring
+//! contract is `BENCHMARK.json`, run with `bash benchmark/run.sh
+//! [--workload W]` from the standalone `benchmark/` package.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -64,8 +61,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod fleet;
 pub mod fleet_scale;
-pub mod perf;
-pub mod perfdiff;
 pub mod place;
 pub mod place_scale;
 pub mod report;

@@ -18,9 +18,11 @@
 //! Every tuple that crosses a machine boundary is charged the configured
 //! network delay, so the policies separate on two measurements: the
 //! cross-machine tuple fraction and the end-to-end sojourn. Both runs are
-//! deterministic (virtual clocks, seeded RNGs), and the solver's summary
-//! feeds the `placement` section of `BENCH_PERF.json` so `repro perfdiff`
-//! gates the cut across PRs.
+//! deterministic (virtual clocks, seeded RNGs), so the cut is pinned by
+//! this module's test on the smoke shape (≥ 30 % fewer crossings, no
+//! machine over capacity) rather than by a timing band; the solver's
+//! *cost* is `BENCHMARK.json`'s `core.placement.replan_ms` on the
+//! `fleet_window` workload (`bash benchmark/run.sh --workload fleet_window`).
 
 use crate::fleet::{FPD_T_MAX, VLD_T_MAX};
 use crate::report::render_table;
@@ -70,10 +72,7 @@ impl Default for PlaceBenchConfig {
 }
 
 impl PlaceBenchConfig {
-    /// The CI smoke variant: short windows, few of them. Also the shape
-    /// `repro perf` embeds in `BENCH_PERF.json` — deliberately independent
-    /// of `--quick`, so the committed baseline and the CI smoke run
-    /// measure the same deterministic scenario.
+    /// The CI smoke variant: short windows, few of them.
     pub fn smoke(seed: u64) -> Self {
         PlaceBenchConfig {
             windows: 6,

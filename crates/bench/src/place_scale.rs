@@ -16,9 +16,10 @@
 //! allocations (and solver calls — must both be **0**) one zero-drift
 //! steady-state window performs. Assignments are cross-checked at the
 //! end of the run: a forced batch re-solve of the warm state must match
-//! `plan` bit-for-bit over the same cached requests. The 100k/5%-churn
-//! point feeds the `placement_scale` section of `BENCH_PERF.json`,
-//! gated by `repro perfdiff`.
+//! `plan` bit-for-bit over the same cached requests. The placement cost
+//! to cite is `BENCHMARK.json`'s `core.placement.replan_ms` (with
+//! `core.placement.solver_calls` / `full_solves`) on the `fleet_window`
+//! workload (`bash benchmark/run.sh --workload fleet_window`).
 
 use drs_core::placement::{
     self, EdgeTraffic, FleetPlacementState, MachinePool, OperatorLoad, PlacementRequest,
@@ -309,6 +310,13 @@ pub fn run_place_scale(config: &PlaceScaleConfig) -> PlaceScaleRun {
         warm_window(&mut state, &pool, &slots, &requests, config.rate_band);
     }
     let steady_solver_calls = state.solver_calls() - calls_before;
+    assert_eq!(
+        steady_solver_calls, 0,
+        "a zero-drift window must not touch the solver"
+    );
+    if let Some(allocs) = steady_allocs {
+        assert_eq!(allocs, 0, "a zero-drift incremental window allocated");
+    }
     let solver_calls = state.solver_calls();
     let full_solves = state.full_solves();
     let incremental_us = inc_secs * 1e6 / config.windows as f64;

@@ -13,18 +13,17 @@
 //! the peak observed queue depth (which the hard channel bound caps at
 //! the configured capacity) and the number of task suspensions taken.
 //!
-//! `repro perf` embeds the smoke shape of this scenario as the `soak`
-//! section of `BENCH_PERF.json`, so `repro perfdiff` gates the latency
-//! percentiles and soak throughput direction-aware across PRs.
+//! The numbers to cite are `BENCHMARK.json`'s `runtime.ack_p50_ms` /
+//! `ack_p95_ms` / `ack_p99_ms`, `runtime.suspensions` and `work_per_s` on
+//! the `live_flood` workload (`bash benchmark/run.sh --workload
+//! live_flood`); this smoke asserts the drain, not a latency.
 
 use crate::report::render_table;
 use drs_apps::vld::live::{AggregateBolt, ExtractBolt, FrameSpout, MatchBolt};
 use drs_apps::VldProfile;
+use drs_runtime::operator::{Spout, SpoutEmission};
 use drs_runtime::RuntimeBuilder;
 use std::time::{Duration, Instant};
-
-/// Scenario name carried into `BENCH_PERF.json` (`soak[vld_churn]`).
-pub const SOAK_SCENARIO: &str = "vld_churn";
 
 /// Configuration of one soak run.
 #[derive(Debug, Clone)]
@@ -56,8 +55,6 @@ impl Default for SoakConfig {
 
 impl SoakConfig {
     /// The short CI variant: same shape and churn cadence, fewer frames.
-    /// This is also the shape `repro perf` embeds in `BENCH_PERF.json`,
-    /// so baseline and CI measure the same thing.
     pub fn smoke(seed: u64) -> Self {
         Self {
             seed,
@@ -112,6 +109,30 @@ const ALLOCATIONS: [[u32; 4]; 6] = [
     [1, 4, 4, 2],
 ];
 
+/// A spout adapter stripping inter-emission waits, so the pipeline runs
+/// throughput-bound rather than arrival-paced; overrides the batch hook so
+/// the engine ships full spout batches through one channel send per edge.
+struct Unthrottled<S>(S);
+
+impl<S: Spout> Spout for Unthrottled<S> {
+    fn next(&mut self) -> Option<SpoutEmission> {
+        self.0.next().map(|e| SpoutEmission {
+            wait: Duration::ZERO,
+            ..e
+        })
+    }
+
+    fn next_batch(&mut self, max: usize, out: &mut Vec<drs_runtime::Tuple>) -> Option<Duration> {
+        for _ in 0..max {
+            let Some(emission) = self.0.next() else {
+                return (!out.is_empty()).then_some(Duration::ZERO);
+            };
+            out.push(emission.tuple);
+        }
+        Some(Duration::ZERO)
+    }
+}
+
 /// Runs the soak: flood the VLD pipeline at saturation, rewrite the
 /// allocation every [`SoakConfig::rebalance_every`] until the stream
 /// drains, then read the latency histogram and the suspension/depth
@@ -130,7 +151,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakRun {
     let mut engine = RuntimeBuilder::new(topo)
         .spout(
             ids[0],
-            Box::new(crate::perf::Unthrottled(FrameSpout::new(
+            Box::new(Unthrottled(FrameSpout::new(
                 1.0e6,
                 seed,
                 Some(config.frames),

@@ -4,20 +4,22 @@
 //!
 //! * MPMC [`channel`]s — [`channel::unbounded`] and capacity-limited
 //!   [`channel::bounded`] — with cloneable senders *and* receivers, `send`
-//!   and `recv_timeout`. The capacity of a bounded channel is a **hard
-//!   invariant**: no send shape ever enqueues past it. Thread-owning
+//!   and the never-parking [`channel::Receiver::try_recv_batch`] (the
+//!   runtime's only drain, so there is no blocking receive). The capacity
+//!   of a bounded channel is a **hard invariant**: no send shape ever
+//!   enqueues past it. Thread-owning
 //!   producers use the parking sends ([`channel::Sender::send`],
 //!   [`channel::Sender::send_abortable`]); executor-pool tasks, which must
 //!   never park an OS thread, use the non-blocking
 //!   [`channel::Sender::try_send`] / [`channel::Sender::try_send_batch`]
 //!   and *suspend themselves* when the channel is full (the pool parks the
 //!   task state in a wait list and the consumer's drain wakes it). Backed
-//!   by `Mutex<VecDeque>` + `Condvar`s; the queue's ring buffer is reused
+//!   by `Mutex<VecDeque>` + a `Condvar`; the queue's ring buffer is reused
 //!   across messages, so a steady-state send performs no allocation.
-//!   Wakeups are counted: `send`/`recv` only touch a `Condvar` when the
-//!   other side is actually parked, keeping the uncontended hot path to
-//!   one mutex lock/unlock. Adequate for the executor fan-out sizes
-//!   exercised here (tens of threads), though still short of crossbeam's
+//!   Wakeups are counted: a drain only touches the `Condvar` when a
+//!   sender is actually parked, keeping the uncontended hot path to one
+//!   mutex lock/unlock. Adequate for the executor fan-out sizes exercised
+//!   here (tens of threads), though still short of crossbeam's
 //!   lock-free throughput.
 //! * work-stealing [`deque`]s — [`deque::Worker`], [`deque::Stealer`] and
 //!   the shared [`deque::Injector`], the API slice `drs-runtime`'s executor
@@ -33,21 +35,16 @@ pub mod channel {
     use std::fmt;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     struct Shared<T> {
         queue: Mutex<VecDeque<T>>,
-        /// Signalled when a message arrives (or every sender is gone).
-        ready: Condvar,
         /// Signalled when bounded-queue space frees up.
         space: Condvar,
         /// `usize::MAX` = unbounded.
         capacity: usize,
         senders: AtomicUsize,
         receivers: AtomicUsize,
-        /// Receivers parked in `ready.wait*` — senders skip the syscall
-        /// when nobody is listening.
-        waiting_receivers: AtomicUsize,
         /// Senders parked in `space.wait` (bounded channels only).
         waiting_senders: AtomicUsize,
     }
@@ -82,14 +79,10 @@ pub mod channel {
         }
     }
 
-    /// Error from [`Receiver::recv_timeout`].
+    /// Error from [`Receiver::try_recv_batch`]: all senders are gone and
+    /// the queue is drained.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// No message arrived within the timeout.
-        Timeout,
-        /// All senders are gone and the queue is drained.
-        Disconnected,
-    }
+    pub struct RecvError;
 
     /// The sending half; cloneable.
     pub struct Sender<T> {
@@ -104,12 +97,10 @@ pub mod channel {
     fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
             space: Condvar::new(),
             capacity,
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
-            waiting_receivers: AtomicUsize::new(0),
             waiting_senders: AtomicUsize::new(0),
         });
         (
@@ -162,41 +153,11 @@ pub mod channel {
             self.waiting_senders.fetch_sub(1, Ordering::AcqRel);
             guard
         }
-
-        /// Parks the receiver until `deadline` at the latest; returns
-        /// whether the park timed out.
-        fn park_for_ready<'a>(
-            &'a self,
-            queue: Guard<'a, T>,
-            deadline: Instant,
-        ) -> (Guard<'a, T>, bool) {
-            self.waiting_receivers.fetch_add(1, Ordering::AcqRel);
-            let wait = deadline.saturating_duration_since(Instant::now());
-            let (guard, res) = match self.ready.wait_timeout(queue, wait) {
-                Ok(pair) => pair,
-                Err(poisoned) => {
-                    let pair = poisoned.into_inner();
-                    (pair.0, pair.1)
-                }
-            };
-            self.waiting_receivers.fetch_sub(1, Ordering::AcqRel);
-            (guard, res.timed_out())
-        }
-
-        fn wake_receivers(&self, pushed: usize) {
-            if pushed > 0 && self.waiting_receivers.load(Ordering::Acquire) > 0 {
-                if pushed == 1 {
-                    self.ready.notify_one();
-                } else {
-                    self.ready.notify_all();
-                }
-            }
-        }
     }
 
     impl<T> Sender<T> {
-        /// Enqueues `value`, waking one waiting receiver. Blocks while a
-        /// bounded channel is full (unless every receiver is gone).
+        /// Enqueues `value`. Blocks while a bounded channel is full (unless
+        /// every receiver is gone).
         ///
         /// # Errors
         ///
@@ -240,8 +201,6 @@ pub mod channel {
                 return Err(TrySendError::Full(value));
             }
             queue.push_back(value);
-            drop(queue);
-            self.shared.wake_receivers(1);
             Ok(())
         }
 
@@ -275,8 +234,6 @@ pub mod channel {
                     None => break,
                 }
             }
-            drop(queue);
-            self.shared.wake_receivers(pushed);
             Ok(pushed)
         }
 
@@ -294,8 +251,6 @@ pub mod channel {
                 queue = self.shared.park_for_space(queue);
             }
             queue.push_back(value);
-            drop(queue);
-            self.shared.wake_receivers(1);
             Ok(())
         }
 
@@ -343,7 +298,6 @@ pub mod channel {
             if self.shared.receivers.load(Ordering::Acquire) == 0 {
                 return Err(SendError(iter.count()));
             }
-            let mut pushed = 0usize;
             let mut queue = lock(&self.shared);
             while let Some(value) = iter.next() {
                 while queue.len() >= self.shared.capacity {
@@ -352,20 +306,12 @@ pub mod channel {
                     {
                         drop(queue);
                         drop(value);
-                        self.shared.wake_receivers(pushed);
                         return Err(SendError(1 + iter.count()));
-                    }
-                    // Let receivers observe what is already enqueued.
-                    if pushed > 0 && self.shared.waiting_receivers.load(Ordering::Acquire) > 0 {
-                        self.shared.ready.notify_all();
                     }
                     queue = self.shared.park_for_space(queue);
                 }
                 queue.push_back(value);
-                pushed += 1;
             }
-            drop(queue);
-            self.shared.wake_receivers(pushed);
             Ok(())
         }
     }
@@ -386,26 +332,23 @@ pub mod channel {
         /// Dequeues up to `max` messages into `buf` under a single lock
         /// acquisition *without ever parking*: returns
         /// `Ok((taken, remaining))` — `(0, 0)` when the queue is
-        /// momentarily empty. The executor-pool twin of
-        /// [`Receiver::recv_batch_timeout`] — a pool task must yield its
-        /// worker instead of blocking on an idle channel, and the
-        /// `remaining` count (read from the lock already held) spares the
-        /// caller a second lock acquisition for its "more backlog?"
-        /// scheduling decision.
+        /// momentarily empty. A pool task must yield its worker instead of
+        /// blocking on an idle channel, and the `remaining` count (read
+        /// from the lock already held) spares the caller a second lock
+        /// acquisition for its "more backlog?" scheduling decision.
         ///
         /// # Errors
         ///
-        /// [`RecvTimeoutError::Disconnected`] when the queue is drained and
-        /// every sender is gone.
+        /// [`RecvError`] when the queue is drained and every sender is gone.
         pub fn try_recv_batch(
             &self,
             buf: &mut Vec<T>,
             max: usize,
-        ) -> Result<(usize, usize), RecvTimeoutError> {
+        ) -> Result<(usize, usize), RecvError> {
             let mut queue = lock(&self.shared);
             if queue.is_empty() {
                 if self.shared.senders.load(Ordering::Acquire) == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
+                    return Err(RecvError);
                 }
                 return Ok((0, 0));
             }
@@ -417,78 +360,6 @@ pub mod channel {
                 self.shared.space.notify_all();
             }
             Ok((n, remaining))
-        }
-
-        /// Dequeues a message, waiting up to `timeout` for one to arrive.
-        ///
-        /// # Errors
-        ///
-        /// * [`RecvTimeoutError::Timeout`] — nothing arrived in time.
-        /// * [`RecvTimeoutError::Disconnected`] — queue drained and every
-        ///   sender dropped.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut queue = lock(&self.shared);
-            loop {
-                if let Some(v) = queue.pop_front() {
-                    drop(queue);
-                    if self.shared.waiting_senders.load(Ordering::Acquire) > 0 {
-                        self.shared.space.notify_one();
-                    }
-                    return Ok(v);
-                }
-                if self.shared.senders.load(Ordering::Acquire) == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                if Instant::now() >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (guard, timed_out) = self.shared.park_for_ready(queue, deadline);
-                queue = guard;
-                if timed_out && queue.is_empty() {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-            }
-        }
-
-        /// Dequeues up to `max` messages into `buf` under a single lock
-        /// acquisition, waiting up to `timeout` for the first one — the
-        /// consumer-side batching twin of [`Sender::send_batch`]. Returns
-        /// the number of messages appended to `buf` (≥ 1 on success).
-        ///
-        /// # Errors
-        ///
-        /// As for [`Receiver::recv_timeout`].
-        pub fn recv_batch_timeout(
-            &self,
-            buf: &mut Vec<T>,
-            max: usize,
-            timeout: Duration,
-        ) -> Result<usize, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut queue = lock(&self.shared);
-            loop {
-                if !queue.is_empty() {
-                    let n = queue.len().min(max.max(1));
-                    buf.extend(queue.drain(..n));
-                    drop(queue);
-                    if self.shared.waiting_senders.load(Ordering::Acquire) > 0 {
-                        self.shared.space.notify_all();
-                    }
-                    return Ok(n);
-                }
-                if self.shared.senders.load(Ordering::Acquire) == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                if Instant::now() >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (guard, timed_out) = self.shared.park_for_ready(queue, deadline);
-                queue = guard;
-                if timed_out && queue.is_empty() {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-            }
         }
     }
 
@@ -512,11 +383,7 @@ pub mod channel {
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last sender: wake every blocked receiver so it can observe
-                // the disconnect.
-                self.shared.ready.notify_all();
-            }
+            self.shared.senders.fetch_sub(1, Ordering::AcqRel);
         }
     }
 
@@ -728,20 +595,34 @@ pub mod deque {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvTimeoutError};
+    use super::channel::{bounded, unbounded, Receiver, RecvError};
     use std::time::Duration;
+
+    /// Takes whatever is queued right now (up to `max`), never parking.
+    fn take<T>(rx: &Receiver<T>, max: usize) -> Vec<T> {
+        let mut buf = Vec::new();
+        let _ = rx.try_recv_batch(&mut buf, max);
+        buf
+    }
+
+    /// Drains the channel until every sender is gone, yielding the thread
+    /// while it is momentarily empty.
+    fn drain_until_disconnected<T>(rx: &Receiver<T>) -> Vec<T> {
+        let mut buf = Vec::new();
+        while rx.try_recv_batch(&mut buf, 16).is_ok() {
+            std::thread::yield_now();
+        }
+        buf
+    }
 
     #[test]
     fn send_recv_fifo() {
         let (tx, rx) = unbounded();
         tx.send(1).unwrap();
         tx.send(2).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(1));
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(2));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Timeout)
-        );
+        assert_eq!(take(&rx, 1), vec![1]);
+        assert_eq!(take(&rx, 1), vec![2]);
+        assert_eq!(rx.try_recv_batch(&mut Vec::new(), 1), Ok((0, 0)));
     }
 
     #[test]
@@ -749,11 +630,8 @@ mod tests {
         let (tx, rx) = unbounded();
         tx.send(7u32).unwrap();
         drop(tx);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(7));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Disconnected)
-        );
+        assert_eq!(take(&rx, 1), vec![7]);
+        assert_eq!(rx.try_recv_batch(&mut Vec::new(), 1), Err(RecvError));
     }
 
     #[test]
@@ -773,19 +651,13 @@ mod tests {
         let consumers: Vec<_> = (0..4)
             .map(|_| {
                 let rx = rx.clone();
-                std::thread::spawn(move || {
-                    let mut n = 0u32;
-                    while rx.recv_timeout(Duration::from_millis(200)).is_ok() {
-                        n += 1;
-                    }
-                    n
-                })
+                std::thread::spawn(move || drain_until_disconnected(&rx).len())
             })
             .collect();
         for p in producers {
             p.join().unwrap();
         }
-        let total: u32 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
+        let total: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(total, 1000);
     }
 
@@ -799,10 +671,9 @@ mod tests {
             tx
         });
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(rx.recv_timeout(Duration::from_millis(100)), Ok(1));
+        assert_eq!(take(&rx, 1), vec![1]);
         let _tx = t.join().unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(100)), Ok(2));
-        assert_eq!(rx.recv_timeout(Duration::from_millis(100)), Ok(3));
+        assert_eq!(take(&rx, 2), vec![2, 3]);
     }
 
     #[test]
@@ -829,10 +700,7 @@ mod tests {
             })
             .collect();
         drop(tx);
-        let mut n = 0u32;
-        while rx.recv_timeout(Duration::from_millis(200)).is_ok() {
-            n += 1;
-        }
+        let n = drain_until_disconnected(&rx).len();
         for p in producers {
             p.join().unwrap();
         }
@@ -858,9 +726,7 @@ mod tests {
         assert_eq!(tx.send_batch_abortable([3, 4], &abort), Err(SendError(2)));
         assert_eq!(rx.len(), 1, "the hard bound must hold");
         drop(tx);
-        let drained: Vec<u32> =
-            std::iter::from_fn(|| rx.recv_timeout(Duration::from_millis(50)).ok()).collect();
-        assert_eq!(drained, vec![1]);
+        assert_eq!(drain_until_disconnected(&rx), vec![1]);
     }
 
     #[test]
@@ -899,7 +765,7 @@ mod tests {
         tx.try_send(2).unwrap();
         assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
         assert_eq!(rx.len(), 2);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(1));
+        assert_eq!(take(&rx, 1), vec![1]);
         tx.try_send(3).unwrap();
         drop(rx);
         assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
@@ -913,7 +779,7 @@ mod tests {
         // Unsent items stay with the caller — nothing consumed and dropped.
         assert_eq!(items.clone().collect::<Vec<_>>(), vec![3, 4]);
         assert_eq!(rx.len(), 2);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(1));
+        assert_eq!(take(&rx, 1), vec![1]);
         assert_eq!(tx.try_send_batch(&mut items), Ok(1));
         assert_eq!(rx.len(), 2, "the hard bound must hold after a refill");
     }
@@ -933,10 +799,7 @@ mod tests {
         drop(tx);
         buf.clear();
         assert_eq!(rx.try_recv_batch(&mut buf, 4), Ok((2, 0)));
-        assert_eq!(
-            rx.try_recv_batch(&mut buf, 4),
-            Err(RecvTimeoutError::Disconnected)
-        );
+        assert_eq!(rx.try_recv_batch(&mut buf, 4), Err(RecvError));
     }
 
     #[test]

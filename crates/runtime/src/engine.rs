@@ -47,10 +47,11 @@
 //!   `Arc` outbox and one batched inbox across slices; each spout thread
 //!   keeps its batch buffers across calls.
 //!
-//! `repro perf` measures end-to-end `tuples_per_wall_sec` on the live VLD
-//! pipeline (including a `worker_pool` sweep with far more logical
-//! executors than workers) and the measured rebalance pause, recording
-//! both in `BENCH_PERF.json`; CI gates the numbers via `repro perfdiff`.
+//! `bash benchmark/run.sh --workload live_flood` measures end-to-end
+//! throughput on the live VLD pipeline (`work_per_s`,
+//! `runtime.tuples_per_s_w1`, `runtime.scaling_w1_w2`) and the rebalance
+//! pause (`runtime.rebalance_pause_us`), the `BENCHMARK.json` metrics that
+//! carry these numbers.
 
 use crate::executor::{AckRef, BoltMaker, DataPath, Envelope, OpSlot};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -1145,8 +1146,8 @@ mod tests {
         // bolt construction. The bound is generous — scheduler noise on a
         // loaded 1-CPU runner is real — but still far below the old
         // engine's thread join/spawn path, which paid at least one 5 ms
-        // recv-park quantum per joined executor generation. The precise
-        // old-vs-new comparison is measured by `repro perf`.
+        // recv-park quantum per joined executor generation. The pause
+        // itself is `runtime.rebalance_pause_us` in `BENCHMARK.json`.
         let mut engine = two_stage(
             2_000,
             Duration::from_micros(200),

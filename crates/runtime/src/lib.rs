@@ -34,9 +34,10 @@
 //!   and only *shrinking* operators quiesce (each excess in-flight task
 //!   retires at its next envelope boundary). The measured pause drops from
 //!   thread join/spawn latency (≥ one 5 ms park quantum per generation) to
-//!   envelope-boundary drain — `repro perf` records both sides in
-//!   `BENCH_PERF.json` (`rebalance[pool]` vs the `thread_join` reference)
-//!   and `repro perfdiff` gates them;
+//!   envelope-boundary drain — `BENCHMARK.json`'s
+//!   `runtime.rebalance_pause_us` / `rebalance_pause_max_us` on the
+//!   `live_step` and `live_flood` workloads (`bash benchmark/run.sh
+//!   --workload live_step`);
 //! * **spouts keep dedicated threads** (they pace real time between
 //!   emissions) and emit *batches* of root tuples per
 //!   [`Spout::next_batch`] call, shipped through one
@@ -65,10 +66,11 @@
 //! producers instead of growing without bound; pool workers bound their
 //! waits so a finite pool cannot deadlock on its own downstream channels),
 //! and each worker reuses its collector/outbox/inbox buffers across
-//! slices. See the [`engine`] module docs for the full inventory; `repro
-//! perf` tracks the resulting `tuples_per_wall_sec` on the live VLD
-//! pipeline — plus a `worker_pool` sweep with Σk_i far above the worker
-//! count — in `BENCH_PERF.json`, gated by `repro perfdiff`.
+//! slices. See the [`engine`] module docs for the full inventory; the
+//! resulting throughput on the live VLD pipeline is `BENCHMARK.json`'s
+//! `work_per_s` on the `live_flood` workload, with the one- and two-worker
+//! points as `runtime.tuples_per_s_w1` and `runtime.scaling_w1_w2`
+//! (`bash benchmark/run.sh --workload live_flood`).
 //!
 //! Groupings: the engine distributes tuples to executors through one shared
 //! queue per operator (shuffle semantics). Other Storm groupings affect

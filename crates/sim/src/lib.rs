@@ -29,9 +29,11 @@
 //!
 //! The same structures back the sharded multi-topology
 //! [`fleet::FleetCoordinator`], so fleet stepping inherits the O(1) event
-//! scheduling per shard. `repro perf` benchmarks the calendar queue against
-//! a binary-heap reference at 10⁴–10⁶ pending events and records the result
-//! in `BENCH_PERF.json`, which CI gates via `repro perfdiff`.
+//! scheduling per shard. The queue's cost per operation is
+//! `BENCHMARK.json`'s `sim.calendar_ns`, and the simulator's throughput
+//! `sim.tuples_per_s`, both on the `sim_paper` workload (`bash
+//! benchmark/run.sh --workload sim_paper`); `tests/calendar_properties.rs`
+//! checks the pop order against a `BinaryHeap`.
 //!
 //! # Degraded control plane
 //!

@@ -14,7 +14,9 @@
 //!
 //! See the repository `examples/` for runnable walkthroughs and
 //! `crates/bench` for the harness regenerating every figure and table of
-//! the paper.
+//! the paper. Performance numbers come from one place: the metrics
+//! `BENCHMARK.json` declares, measured by `bash benchmark/run.sh
+//! [--workload W]`.
 //!
 //! # Quick start: a closed loop in five lines
 //!
