@@ -20,8 +20,14 @@ use std::time::Duration;
 
 /// Encodes a window event as a tuple: `[flag, item…]`.
 pub fn event_tuple(enter: bool, itemset: &Itemset) -> Tuple {
-    let mut fields = Vec::with_capacity(1 + itemset.len());
-    fields.push(Value::Int(if enter { 1 } else { -1 }));
+    flagged_tuple(if enter { 1 } else { -1 }, itemset, Vec::new())
+}
+
+/// Builds `[flag, item…]` in `fields`, an empty buffer (a bolt passes
+/// [`Collector::fields`]).
+fn flagged_tuple(flag: i64, itemset: &Itemset, mut fields: Vec<Value>) -> Tuple {
+    fields.reserve(1 + itemset.len());
+    fields.push(Value::Int(flag));
     fields.extend(itemset.items().iter().map(|&i| Value::Int(i64::from(i))));
     Tuple::new(fields)
 }
@@ -105,8 +111,10 @@ impl Bolt for GeneratorBolt {
         } else {
             itemset
         };
+        let flag = if enter { 1 } else { -1 };
         for candidate in capped.non_empty_subsets() {
-            collector.emit(event_tuple(enter, &candidate));
+            let fields = collector.fields();
+            collector.emit(flagged_tuple(flag, &candidate, fields));
         }
     }
 }
@@ -152,9 +160,8 @@ impl Bolt for DetectorBolt {
                 StateChange::BecameMaximal(s) => (1i64, s),
                 StateChange::NoLongerMaximal(s) => (-1i64, s),
             };
-            let mut fields = vec![Value::Int(kind)];
-            fields.extend(set.items().iter().map(|&i| Value::Int(i64::from(i))));
-            collector.emit(Tuple::new(fields));
+            let fields = collector.fields();
+            collector.emit(flagged_tuple(kind, set, fields));
         }
     }
 }

@@ -178,7 +178,9 @@ impl Bolt for SpinBolt {
         }
         black_box(acc);
         if self.forward {
-            collector.emit(tuple.clone());
+            let mut fields = collector.fields();
+            fields.extend_from_slice(tuple.fields());
+            collector.emit(Tuple::new(fields));
         }
     }
 }

@@ -147,8 +147,10 @@ pub fn descriptor_distance(a: &Descriptor, b: &Descriptor) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-fn descriptor_tuple(frame_id: i64, d: &Descriptor) -> Tuple {
-    let mut fields = Vec::with_capacity(1 + BINS);
+/// Builds a descriptor tuple in `fields`, an empty buffer from
+/// [`Collector::fields`].
+fn descriptor_tuple(frame_id: i64, d: &Descriptor, mut fields: Vec<Value>) -> Tuple {
+    fields.reserve(1 + BINS);
     fields.push(Value::Int(frame_id));
     fields.extend(d.iter().map(|&v| Value::Float(f64::from(v))));
     Tuple::new(fields)
@@ -233,7 +235,8 @@ impl Bolt for ExtractBolt {
             return;
         };
         for d in extract_descriptors(frame, self.threshold) {
-            collector.emit(descriptor_tuple(frame_id, &d));
+            let fields = collector.fields();
+            collector.emit(descriptor_tuple(frame_id, &d, fields));
         }
     }
 }
@@ -282,7 +285,9 @@ impl Bolt for MatchBolt {
             .map(|l| descriptor_distance(&d, l))
             .fold(f32::INFINITY, f32::min);
         if best <= self.max_distance {
-            collector.emit(Tuple::new(vec![Value::Int(frame_id), Value::Int(1)]));
+            let mut fields = collector.fields();
+            fields.extend([Value::Int(frame_id), Value::Int(1)]);
+            collector.emit(Tuple::new(fields));
         }
     }
 }
@@ -314,10 +319,12 @@ impl Bolt for AggregateBolt {
         let count = self.counts.entry(frame_id).or_insert(0);
         *count += 1;
         if *count == self.min_matches {
-            collector.emit(Tuple::new(vec![
+            let mut fields = collector.fields();
+            fields.extend([
                 Value::Int(frame_id),
                 Value::Text("logo-detected".to_owned()),
-            ]));
+            ]);
+            collector.emit(Tuple::new(fields));
         }
     }
 }
@@ -388,7 +395,7 @@ mod tests {
     #[test]
     fn descriptor_tuple_round_trips() {
         let d: Descriptor = [0.5; BINS];
-        let t = descriptor_tuple(42, &d);
+        let t = descriptor_tuple(42, &d, Vec::new());
         let (id, back) = tuple_descriptor(&t).unwrap();
         assert_eq!(id, 42);
         assert_eq!(back, d);

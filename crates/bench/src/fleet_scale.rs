@@ -15,7 +15,8 @@
 //! Reported per arm: mean negotiate-µs per contended window, plus the heap
 //! allocations one zero-churn steady-state window performs (via the
 //! allocation probe the `repro` binary installs — the incremental arm must
-//! report **0**, asserted here). The negotiation cost to cite is
+//! report **0**, asserted here). The arms' grants are asserted identical at
+//! the deepest window both run. The negotiation cost to cite is
 //! `BENCHMARK.json`'s `core.fleet.negotiate_ms` on the `fleet_window`
 //! workload (`bash benchmark/run.sh --workload fleet_window`).
 
@@ -235,6 +236,10 @@ pub fn run_fleet_scale(config: &FleetScaleConfig) -> FleetScaleRun {
         .expect("feasible budget");
     let build_us = start.elapsed().as_secs_f64() * 1e6;
 
+    // The arms run different numbers of windows; their grants are compared
+    // at the deepest window both reach.
+    let parity_window = config.windows.min(config.scratch_windows);
+    let mut parity_grants = Vec::new();
     let mut inc_secs = 0.0;
     for w in 1..=config.windows {
         drift_window(config, w, &mut gens, &desired, &mut demands);
@@ -243,6 +248,9 @@ pub fn run_fleet_scale(config: &FleetScaleConfig) -> FleetScaleRun {
             .negotiate_within_incremental(budget, &demands)
             .expect("feasible budget");
         inc_secs += start.elapsed().as_secs_f64();
+        if w == parity_window {
+            parity_grants = negotiator.grants().to_vec();
+        }
     }
     // Zero-churn steady-state window: demand bits unchanged, so the warm
     // path must not allocate at all.
@@ -272,14 +280,21 @@ pub fn run_fleet_scale(config: &FleetScaleConfig) -> FleetScaleRun {
         .collect();
     let reference = FleetNegotiator::new(budget);
     let mut scratch_secs = 0.0;
-    let mut last_grants = Vec::new();
     for w in 1..=config.scratch_windows {
         drift_window(config, w, &mut gens, &desired, &mut demands);
         let start = Instant::now();
-        last_grants = reference
+        let grants = reference
             .negotiate_within(budget, &demands)
             .expect("feasible budget");
         scratch_secs += start.elapsed().as_secs_f64();
+        // Cross-arm parity: the warm result must be bit-identical to the
+        // from-scratch reference for the same demands.
+        if w == parity_window {
+            assert_eq!(
+                parity_grants, grants,
+                "incremental diverged from from-scratch negotiation at window {w}"
+            );
+        }
     }
     let scratch_steady = probe.map(|p| {
         let before = p();
@@ -294,16 +309,6 @@ pub fn run_fleet_scale(config: &FleetScaleConfig) -> FleetScaleRun {
         negotiate_us: scratch_secs * 1e6 / config.scratch_windows as f64,
         steady_allocs: scratch_steady,
     };
-
-    // Cross-arm parity at the deepest shared window: the warm result must
-    // be bit-identical to the from-scratch reference for the same demands.
-    if config.scratch_windows >= config.windows {
-        assert_eq!(
-            negotiator.grants(),
-            &last_grants[..],
-            "incremental diverged from from-scratch negotiation"
-        );
-    }
 
     FleetScaleRun {
         build_us,
@@ -357,25 +362,28 @@ mod tests {
 
     #[test]
     fn small_scale_run_is_contended_and_consistent() {
-        let config = FleetScaleConfig {
-            shards: 200,
-            ops_per_shard: 2,
-            churn_fraction: 0.1,
-            windows: 4,
-            scratch_windows: 4,
-            seed: 2015,
-        };
-        // scratch_windows == windows, so run_fleet_scale itself asserts
-        // grant-for-grant parity of the two arms at the final window.
-        let run = run_fleet_scale(&config);
-        assert_eq!(run.granted, u64::from(run.budget), "budget fully spent");
-        assert!(run.incremental.negotiate_us > 0.0);
-        assert!(run.scratch.negotiate_us > 0.0);
-        // No probe in lib tests.
-        assert_eq!(run.incremental.steady_allocs, None);
-        let rendered = render_fleet_scale(&config, &run);
-        assert!(rendered.contains("incremental"), "{rendered}");
-        assert!(rendered.contains("from-scratch"), "{rendered}");
+        // run_fleet_scale itself asserts grant-for-grant parity of the two
+        // arms at the deepest window both reach: the final one, and — the
+        // shape of every named scale — one the incremental arm runs past.
+        for scratch_windows in [4, 2] {
+            let config = FleetScaleConfig {
+                shards: 200,
+                ops_per_shard: 2,
+                churn_fraction: 0.1,
+                windows: 4,
+                scratch_windows,
+                seed: 2015,
+            };
+            let run = run_fleet_scale(&config);
+            assert_eq!(run.granted, u64::from(run.budget), "budget fully spent");
+            assert!(run.incremental.negotiate_us > 0.0);
+            assert!(run.scratch.negotiate_us > 0.0);
+            // No probe in lib tests.
+            assert_eq!(run.incremental.steady_allocs, None);
+            let rendered = render_fleet_scale(&config, &run);
+            assert!(rendered.contains("incremental"), "{rendered}");
+            assert!(rendered.contains("from-scratch"), "{rendered}");
+        }
     }
 
     #[test]

@@ -438,10 +438,6 @@ pub mod deque {
         Empty,
         /// One task was stolen.
         Success(T),
-        /// The attempt lost a race and may be retried. The mutex-backed
-        /// stand-in never produces this; it exists for API compatibility
-        /// with the lock-free original.
-        Retry,
     }
 
     impl<T> Steal<T> {
@@ -449,7 +445,7 @@ pub mod deque {
         pub fn success(self) -> Option<T> {
             match self {
                 Steal::Success(t) => Some(t),
-                Steal::Empty | Steal::Retry => None,
+                Steal::Empty => None,
             }
         }
 
@@ -495,16 +491,6 @@ pub mod deque {
             lock(&self.queue).pop_back()
         }
 
-        /// Whether the deque is currently empty (racy snapshot).
-        pub fn is_empty(&self) -> bool {
-            lock(&self.queue).is_empty()
-        }
-
-        /// Number of queued tasks (racy snapshot).
-        pub fn len(&self) -> usize {
-            lock(&self.queue).len()
-        }
-
         /// Creates a stealer handle onto this deque.
         pub fn stealer(&self) -> Stealer<T> {
             Stealer {
@@ -520,11 +506,6 @@ pub mod deque {
                 Some(t) => Steal::Success(t),
                 None => Steal::Empty,
             }
-        }
-
-        /// Whether the deque is currently empty (racy snapshot).
-        pub fn is_empty(&self) -> bool {
-            lock(&self.queue).is_empty()
         }
     }
 
@@ -560,11 +541,6 @@ pub mod deque {
         /// Whether the injector is currently empty (racy snapshot).
         pub fn is_empty(&self) -> bool {
             lock(&self.queue).is_empty()
-        }
-
-        /// Number of queued tasks (racy snapshot).
-        pub fn len(&self) -> usize {
-            lock(&self.queue).len()
         }
     }
 
@@ -810,19 +786,18 @@ mod tests {
         w.push(1);
         w.push(2);
         w.push(3);
-        assert_eq!(w.len(), 3);
         // Owner pops the newest…
         assert_eq!(w.pop(), Some(3));
         // …stealers take the oldest.
         assert_eq!(s.steal(), Steal::Success(1));
         assert_eq!(w.pop(), Some(2));
         assert_eq!(s.steal(), Steal::Empty);
-        assert!(w.is_empty() && s.is_empty());
+        assert_eq!(w.pop(), None);
 
         let inj: Injector<u32> = Injector::new();
         inj.push(10);
         inj.push(11);
-        assert_eq!(inj.len(), 2);
+        assert!(!inj.is_empty());
         assert_eq!(inj.steal().success(), Some(10));
         assert_eq!(inj.steal().success(), Some(11));
         assert!(inj.steal().is_empty());

@@ -91,6 +91,52 @@
 //! operator's currently placed machines instead of spawning a task, and
 //! the engine sweeps shrunk-to-zero slots right after every weight change,
 //! so no tuple is stranded behind a stale route.
+//!
+//! # Tuple storage
+//!
+//! A tuple is two heap blocks — its field buffer and the `Arc` that lets
+//! every downstream edge share it — and on a pool they are typically
+//! allocated by the worker that ran the emitting bolt and freed by the
+//! worker that ran the consuming one. Blocks crossing threads that way
+//! are the allocator's slow path; measured on the flooded VLD pipeline it
+//! was most of the per-tuple overhead, ahead of every channel, deque and
+//! injector lock together.
+//!
+//! So each worker recycles what it finishes with. At the end of
+//! `execute_one` the input envelope's tuple goes to
+//! `VecCollector::recycle` on the worker's own collector: if that was the
+//! last handle (`Arc::get_mut` succeeds — a tuple fanned out to two
+//! operators is recycled by whichever finishes second, and never while
+//! the other still reads it), the cleared field buffer and the now-empty
+//! `Arc` shell go into the collector's stash. The emissions of a bolt with
+//! no downstream edge give their buffers back the same way. A bolt that
+//! builds its tuples in [`Collector::fields`](crate::operator::Collector::fields)
+//! pops a stashed buffer, and the fan-out fills stashed shells before it
+//! calls `Arc::new`. Every worker both consumes and produces, so storage
+//! circulates with no lock and no second code path: a bolt that never
+//! calls `fields()` behaves as before, and a recycled buffer is always
+//! empty, indistinguishable from a fresh one but for its capacity (so a
+//! buffer grows at most once to the widest tuple built in it).
+//!
+//! Two constants bound a stash: at most `STASH_MAX` buffers and as many
+//! shells per worker, and no buffer wider than `STASH_FIELDS_MAX` values;
+//! anything beyond is dropped. Nothing is exchanged between workers, so
+//! the hop is allocation-free while each worker runs a mix of operators.
+//! Two workers that settle into a pipeline — one on an operator that emits
+//! many tuples per input, the other downstream of it — fall back towards
+//! the allocator for the difference, the first allocating and the second
+//! dropping its overflow, which is what every hop did before.
+//!
+//! The spout side is left alone. A spout thread only produces, so it has
+//! nothing to recycle: each root still costs it one `Arc::new` plus
+//! whatever the spout allocates for the tuple itself. And the worker that
+//! finishes a root frees it rather than stashing it (`spout_fed` marks the
+//! operators a spout feeds): a stash is long-lived, and blocks from the
+//! spout thread's arena parked in it kept that arena from shrinking —
+//! `live_paced` peaked up to 10 MB higher in three runs of ten — and
+//! every root would add one more buffer than the pipeline ever takes back
+//! out. So the cross-thread frees of a root remain, once per root rather
+//! than once per hop.
 
 use crate::executor::{DataPath, Envelope, OpSlot};
 use crate::operator::{Bolt, VecCollector};
@@ -154,9 +200,9 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(5);
 const IDLE_STRIKES: u32 = 8;
 
 /// Per-worker scratch buffers, reused across slices so the steady state
-/// allocates nothing: the emission collector, the `Arc`'d outbox, the
-/// batched inbox and the per-machine routing buckets all keep their
-/// capacity.
+/// allocates nothing: the emission collector (with its stash of recycled
+/// tuple storage, see the module docs), the `Arc`'d outbox, the batched
+/// inbox and the per-machine routing buckets all keep their capacity.
 struct WorkerScratch {
     collector: VecCollector,
     arc_buf: Vec<Arc<Tuple>>,
@@ -237,6 +283,9 @@ pub(crate) struct PoolShared {
     /// subset that landed on a different machine than their producer.
     pub(crate) routed_tuples: AtomicU64,
     pub(crate) cross_tuples: AtomicU64,
+    /// Per operator: whether a spout feeds it, so that its input tuples
+    /// were allocated on a spout thread (see "Tuple storage").
+    spout_fed: Vec<bool>,
     /// Per-slot wait lists of suspended senders, same indexing as `slots`.
     waiters: Vec<WaitList>,
     injectors: Vec<Injector<Task>>,
@@ -745,7 +794,9 @@ impl PoolShared {
     /// Processes one envelope: run the bolt, fan the emissions out (one
     /// `Arc` per emitted tuple; one batched hard-bounded send per
     /// downstream channel — per `(operator, machine)` group on a
-    /// partitioned pool), nudge the consumers, settle the ack. Returns the
+    /// partitioned pool), nudge the consumers, settle the ack, recycle the
+    /// input tuple's storage if this was its last holder (and a bolt
+    /// emitted it). Returns the
     /// undelivered sends when a downstream channel was full — the caller
     /// suspends with them. Ack accounting: the *full* fan-out is added to
     /// the tree before any send, and only envelopes that will provably
@@ -771,7 +822,7 @@ impl PoolShared {
         let targets = path.csr.targets_of(op);
         let mut blocked: Option<VecDeque<(u32, Envelope)>> = None;
         if !collector.is_empty() && !targets.is_empty() {
-            arc_buf.extend(collector.drain_tuples().map(Arc::new));
+            collector.share_into(arc_buf);
             path.acks
                 .add(&env.ack, (arc_buf.len() * targets.len()) as u64);
             for &t in targets {
@@ -869,9 +920,12 @@ impl PoolShared {
             }
             arc_buf.clear();
         } else {
-            collector.drain_tuples();
+            collector.discard();
         }
         path.acks.done(env.ack, &path.metrics, &path.open_trees);
+        if !self.spout_fed[op] {
+            collector.recycle(env.tuple);
+        }
         blocked
     }
 
@@ -1000,6 +1054,14 @@ impl WorkerPool {
         assert!(min_workers > 0, "a pool needs at least one worker");
         assert!(max_workers >= min_workers, "worker band must be ordered");
         let n_slots = slots.len();
+        let mut spout_fed = vec![false; n_slots / machines];
+        for source in 0..spout_fed.len() {
+            if !slots[source * machines].is_executable() {
+                for &t in path.csr.targets_of(source) {
+                    spout_fed[t as usize] = true;
+                }
+            }
+        }
         let shared = Arc::new_cyclic(|me| PoolShared {
             slots,
             receivers,
@@ -1008,6 +1070,7 @@ impl WorkerPool {
             routes,
             routed_tuples: AtomicU64::new(0),
             cross_tuples: AtomicU64::new(0),
+            spout_fed,
             waiters: (0..n_slots)
                 .map(|_| WaitList {
                     list: PlMutex::new(VecDeque::new()),

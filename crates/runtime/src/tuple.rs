@@ -138,6 +138,12 @@ impl Tuple {
     pub fn is_empty(&self) -> bool {
         self.fields.is_empty()
     }
+
+    /// Consumes the tuple, returning its field buffer, capacity included —
+    /// the inverse of [`Tuple::new`].
+    pub fn into_fields(self) -> Vec<Value> {
+        self.fields
+    }
 }
 
 impl FromIterator<Value> for Tuple {
@@ -184,5 +190,6 @@ mod tests {
 
         let collected: Tuple = vec![Value::Int(1), Value::Int(2)].into_iter().collect();
         assert_eq!(collected.len(), 2);
+        assert_eq!(collected.into_fields(), vec![Value::Int(1), Value::Int(2)]);
     }
 }
