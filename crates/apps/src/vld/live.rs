@@ -95,16 +95,18 @@ fn orientation_bin(gy: i32, gx: i32) -> usize {
     }
 }
 
-/// Extracts gradient-orientation descriptors from a frame: one descriptor
-/// per `CELL x CELL` cell whose total gradient magnitude passes `threshold`.
+/// Extracts gradient-orientation descriptors from a frame into
+/// `descriptors` (cleared first): one descriptor per `CELL x CELL` cell
+/// whose total gradient magnitude passes `threshold`. A caller that keeps
+/// `descriptors` across frames allocates nothing once it has grown.
 ///
 /// The inner loop works on integer gradients and the comparison-based
 /// [`orientation_bin`]; magnitudes stay exact (squared sums of `u8`
 /// gradients fit f32 losslessly), so the output is bit-identical to the
 /// original float/`atan2` kernel while running several times faster.
-pub fn extract_descriptors(frame: &[u8], threshold: f32) -> Vec<Descriptor> {
+pub fn extract_descriptors(frame: &[u8], threshold: f32, descriptors: &mut Vec<Descriptor>) {
     assert_eq!(frame.len(), FRAME_SIZE * FRAME_SIZE, "bad frame size");
-    let mut descriptors = Vec::new();
+    descriptors.clear();
     let cells = FRAME_SIZE / CELL;
     for cy in 0..cells {
         for cx in 0..cells {
@@ -139,7 +141,6 @@ pub fn extract_descriptors(frame: &[u8], threshold: f32) -> Vec<Descriptor> {
             }
         }
     }
-    descriptors
 }
 
 /// Squared L2 distance between two descriptors.
@@ -215,6 +216,9 @@ impl Spout for FrameSpout {
 pub struct ExtractBolt {
     /// Gradient-energy threshold for keeping a cell.
     pub threshold: f32,
+    /// The current frame's descriptors, kept across frames so extraction
+    /// allocates nothing in steady state.
+    descriptors: Vec<Descriptor>,
 }
 
 impl ExtractBolt {
@@ -222,7 +226,10 @@ impl ExtractBolt {
     /// background's gradient energy (~700 per cell), so only textured cells
     /// yield features.
     pub fn new() -> Self {
-        ExtractBolt { threshold: 1200.0 }
+        ExtractBolt {
+            threshold: 1200.0,
+            descriptors: Vec::new(),
+        }
     }
 }
 
@@ -234,9 +241,10 @@ impl Bolt for ExtractBolt {
         let Some(frame) = tuple.field(1).and_then(Value::as_bytes) else {
             return;
         };
-        for d in extract_descriptors(frame, self.threshold) {
+        extract_descriptors(frame, self.threshold, &mut self.descriptors);
+        for d in &self.descriptors {
             let fields = collector.fields();
-            collector.emit(descriptor_tuple(frame_id, &d, fields));
+            collector.emit(descriptor_tuple(frame_id, d, fields));
         }
     }
 }
@@ -365,12 +373,18 @@ mod tests {
     fn complexity_increases_feature_count() {
         let mut rng = StdRng::seed_from_u64(2);
         let threshold = ExtractBolt::new().threshold;
-        let calm: usize = (0..20)
-            .map(|_| extract_descriptors(&synth_frame(&mut rng, 0.0), threshold).len())
-            .sum();
-        let busy: usize = (0..20)
-            .map(|_| extract_descriptors(&synth_frame(&mut rng, 1.0), threshold).len())
-            .sum();
+        let mut descriptors = Vec::new();
+        let mut features = |complexity: f64| -> usize {
+            (0..20)
+                .map(|_| {
+                    let frame = synth_frame(&mut rng, complexity);
+                    extract_descriptors(&frame, threshold, &mut descriptors);
+                    descriptors.len()
+                })
+                .sum()
+        };
+        let calm = features(0.0);
+        let busy = features(1.0);
         assert!(busy > calm, "busy {busy} <= calm {calm}");
     }
 
@@ -378,10 +392,25 @@ mod tests {
     fn descriptors_are_normalized() {
         let mut rng = StdRng::seed_from_u64(3);
         let frame = synth_frame(&mut rng, 1.0);
-        for d in extract_descriptors(&frame, 100.0) {
+        let mut descriptors = Vec::new();
+        extract_descriptors(&frame, 100.0, &mut descriptors);
+        assert!(!descriptors.is_empty());
+        for d in &descriptors {
             let norm: f32 = d.iter().map(|v| v * v).sum::<f32>().sqrt();
             assert!((norm - 1.0).abs() < 1e-4, "norm {norm}");
         }
+    }
+
+    #[test]
+    fn a_reused_descriptor_vec_holds_only_the_last_frame() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let (busy, calm) = (synth_frame(&mut rng, 1.0), synth_frame(&mut rng, 0.3));
+        let mut reused = Vec::new();
+        extract_descriptors(&busy, 100.0, &mut reused);
+        extract_descriptors(&calm, 100.0, &mut reused);
+        let mut fresh = Vec::new();
+        extract_descriptors(&calm, 100.0, &mut fresh);
+        assert_eq!(reused, fresh);
     }
 
     #[test]

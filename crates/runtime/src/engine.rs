@@ -856,8 +856,12 @@ fn emit_roots(
                 path.senders[t as usize].send_batch_abortable(batch, stop)
             {
                 // Receivers gone or stop raised while full (engine tearing
-                // down): the unsent tail of this chunk maps 1:1 onto its
-                // last `unsent` roots.
+                // down): this edge carries none of the batch's remaining
+                // roots — the last `unsent` of this chunk *and* every root
+                // of the chunks after it, which the `break` below never
+                // sends. `ack_refs[end - unsent..]` cancels each of them
+                // once for this edge, which is what keeps the ledger
+                // balanced.
                 for ack in ack_refs[end - unsent..].iter() {
                     path.acks.cancel(ack, 1, &path.metrics, &path.open_trees);
                 }
@@ -1453,6 +1457,42 @@ mod tests {
         assert_eq!(snap.external_arrivals, 500);
         assert_eq!(snap.sojourn.count(), 500);
         assert_eq!(snap.operators[1].completions, 500);
+    }
+
+    #[test]
+    fn spout_stopped_mid_batch_cancels_every_unsent_root() {
+        // One 64-root batch into an 8-slot channel whose consumer takes
+        // ~2 ms a tuple: the spout parks on a full channel a few chunks in
+        // and sees the stop flag there. Its abort must cancel the rest of
+        // that chunk *and* the chunks it never reached, so shutdown drains
+        // quickly and every root tree completes, processed or cancelled.
+        let mut b = TopologyBuilder::new();
+        let src = b.spout("src");
+        let sink = b.bolt("sink");
+        b.edge(src, sink).unwrap();
+        let topo = b.build().unwrap();
+        let engine = RuntimeBuilder::new(topo)
+            .spout(src, Box::new(BatchSpout { remaining: 64 }))
+            .bolt(sink, || WorkBolt {
+                busy: Duration::from_millis(2),
+                fanout: 0,
+            })
+            .allocation(vec![1, 1])
+            .channel_capacity(8) // below the 64-root SPOUT_BATCH
+            .start()
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(10));
+        let stopping = Instant::now();
+        let snap = engine.shutdown(Duration::from_secs(3));
+        let took = stopping.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+        assert_eq!(snap.external_arrivals, 64);
+        assert_eq!(snap.sojourn.count(), snap.external_arrivals);
+        assert!(
+            snap.operators[1].completions < 64,
+            "the spout was never parked: all {} roots ran",
+            snap.operators[1].completions
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! `MeasurableSpout`/`MeasurableBolt` instrumentation the paper adds to
 //! Storm — so user code stays measurement-free.
 
+use crate::pool::{Depot, REFILL_BELOW};
 use crate::tuple::{Tuple, Value};
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,7 +57,8 @@ pub trait Collector {
 
     /// An empty field buffer to build the next emitted tuple in
     /// (`Tuple::new(fields)`). A pool worker's collector hands back the
-    /// storage of a tuple that worker has finished with, so a bolt that
+    /// storage of a tuple the pool has finished with — freed by this worker
+    /// or traded in from another through the pool's depot — so a bolt that
     /// builds here allocates nothing in steady state; the buffer is always
     /// empty, and any other collector returns a fresh `Vec`.
     fn fields(&mut self) -> Vec<Value> {
@@ -102,8 +104,9 @@ pub type BoltFactory = Box<dyn Fn() -> Box<dyn Bolt> + Send + Sync>;
 pub struct VecCollector {
     tuples: Vec<Tuple>,
     /// Cleared field buffers of tuples this collector's worker finished
-    /// with, handed out again by [`Collector::fields`]; at most
-    /// [`STASH_MAX`], each of capacity at most [`STASH_FIELDS_MAX`].
+    /// with (or took from the pool's depot), handed out again by
+    /// [`Collector::fields`]; at most [`STASH_MAX`], each of capacity at
+    /// most [`STASH_FIELDS_MAX`].
     spare_fields: Vec<Vec<Value>>,
     /// Uniquely owned `Arc` allocations of those tuples (holding an empty
     /// tuple), refilled by [`VecCollector::share_into`]; at most
@@ -116,7 +119,8 @@ pub struct VecCollector {
 /// it consumes and takes them in while it runs one that consumes more, a
 /// hundred or so per input slice either way; a stash several slices deep
 /// rides those swings out without touching the allocator, at a few hundred
-/// kilobytes per worker.
+/// kilobytes per worker. A persistent imbalance between workers is traded
+/// through the pool's depot in batches of half this.
 pub(crate) const STASH_MAX: usize = 1024;
 
 /// Largest field-buffer capacity (in values) worth keeping; a wider buffer
@@ -197,6 +201,38 @@ impl VecCollector {
         if fields.capacity() <= STASH_FIELDS_MAX && self.spare_fields.len() < STASH_MAX {
             self.spare_fields.push(fields);
         }
+    }
+
+    /// Moves the top half of every stash lane that has reached
+    /// [`STASH_MAX`] into the pool's depot, one batch per lane.
+    pub(crate) fn spill_half(&mut self, depot: &Depot) {
+        if self.spare_fields.len() >= STASH_MAX {
+            depot.fields.put(self.spare_fields.split_off(STASH_MAX / 2));
+        }
+        if self.spare_shells.len() >= STASH_MAX {
+            depot.shells.put(self.spare_shells.split_off(STASH_MAX / 2));
+        }
+    }
+
+    /// Takes one batch from the pool's depot into every stash lane that
+    /// has run below [`REFILL_BELOW`], if the depot holds one.
+    pub(crate) fn refill(&mut self, depot: &Depot) {
+        if self.spare_fields.len() < REFILL_BELOW {
+            if let Some(mut batch) = depot.fields.take() {
+                self.spare_fields.append(&mut batch);
+            }
+        }
+        if self.spare_shells.len() < REFILL_BELOW {
+            if let Some(mut batch) = depot.shells.take() {
+                self.spare_shells.append(&mut batch);
+            }
+        }
+    }
+
+    /// Stash lengths: (field buffers, `Arc` shells).
+    #[cfg(test)]
+    pub(crate) fn stash_len(&self) -> (usize, usize) {
+        (self.spare_fields.len(), self.spare_shells.len())
     }
 }
 

@@ -112,35 +112,52 @@
 //! no downstream edge give their buffers back the same way. A bolt that
 //! builds its tuples in [`Collector::fields`](crate::operator::Collector::fields)
 //! pops a stashed buffer, and the fan-out fills stashed shells before it
-//! calls `Arc::new`. Every worker both consumes and produces, so storage
-//! circulates with no lock and no second code path: a bolt that never
-//! calls `fields()` behaves as before, and a recycled buffer is always
-//! empty, indistinguishable from a fresh one but for its capacity (so a
-//! buffer grows at most once to the widest tuple built in it).
+//! calls `Arc::new`. Within a worker that runs producers and consumers
+//! alike, storage circulates with no lock and no second code path: a bolt
+//! that never calls `fields()` behaves as before, and a recycled buffer is
+//! always empty, indistinguishable from a fresh one but for its capacity
+//! (so a buffer grows at most once to the widest tuple built in it).
 //!
 //! Two constants bound a stash: at most `STASH_MAX` buffers and as many
-//! shells per worker, and no buffer wider than `STASH_FIELDS_MAX` values;
-//! anything beyond is dropped. Nothing is exchanged between workers, so
-//! the hop is allocation-free while each worker runs a mix of operators.
-//! Two workers that settle into a pipeline — one on an operator that emits
-//! many tuples per input, the other downstream of it — fall back towards
-//! the allocator for the difference, the first allocating and the second
-//! dropping its overflow, which is what every hop did before.
+//! shells per worker, and no buffer wider than `STASH_FIELDS_MAX` values.
+//! While each worker runs a mix of operators that is all it takes. But two
+//! workers can settle into a pipeline — one on an operator that emits many
+//! tuples per input (`extract`, `split`), the other downstream of it — and
+//! then the first only takes from its stash and the second only gives to
+//! its own: alone, the first would allocate what the second drops.
+//!
+//! So the workers trade surplus through one pool-wide [`Depot`], in
+//! batches. It has two lanes, field buffers and `Arc` shells, each a mutex
+//! over at most [`DEPOT_BATCHES`] batches of `STASH_MAX / 2` entries plus
+//! an atomic batch count. At the end of `execute_one`, after the recycle,
+//! a worker whose stash lane has reached `STASH_MAX` moves the top half of
+//! it into the depot (`VecCollector::spill_half`; dropped if the depot lane
+//! is full), and a worker whose lane has run below [`REFILL_BELOW`] —
+//! enough for one input's emissions — takes one batch back
+//! (`VecCollector::refill`). The common path reads a length and at most
+//! one atomic and takes no lock; a lock is taken once per ≈ 512 tuples
+//! moved, and the only block allocated and freed along the way is the
+//! batch's own `Vec`. A pool whose stashes never fill nor run dry never
+//! touches the depot. Memory stays bounded by constants: per lane, at most
+//! `workers × STASH_MAX + DEPOT_BATCHES × STASH_MAX / 2` entries.
 //!
 //! The spout side is left alone. A spout thread only produces, so it has
 //! nothing to recycle: each root still costs it one `Arc::new` plus
 //! whatever the spout allocates for the tuple itself. And the worker that
-//! finishes a root frees it rather than stashing it (`spout_fed` marks the
-//! operators a spout feeds): a stash is long-lived, and blocks from the
-//! spout thread's arena parked in it kept that arena from shrinking —
-//! `live_paced` peaked up to 10 MB higher in three runs of ten — and
-//! every root would add one more buffer than the pipeline ever takes back
-//! out. So the cross-thread frees of a root remain, once per root rather
-//! than once per hop.
+//! finishes a root frees it rather than stashing it — nor does the depot
+//! ever see one (`spout_fed` marks the operators a spout feeds): a stash
+//! is long-lived, and blocks from the spout thread's arena parked in it
+//! kept that arena from shrinking — `live_paced` peaked up to 10 MB higher
+//! in three runs of ten — and every root would add one more buffer than
+//! the pipeline ever takes back out. So the cross-thread frees of a root
+//! remain, once per root rather than once per hop. Two more things are
+//! out of scope here: batching the per-envelope channel sends of one slice
+//! (one lock per batch per edge), and moving the `compat/crossbeam`
+//! channel and deques into this crate.
 
 use crate::executor::{DataPath, Envelope, OpSlot};
 use crate::operator::{Bolt, VecCollector};
-use crate::tuple::Tuple;
+use crate::tuple::{Tuple, Value};
 use crossbeam::channel::{Receiver, SendError, TrySendError};
 use crossbeam::deque::{Injector, Stealer, Worker};
 use parking_lot::{Mutex as PlMutex, RwLock};
@@ -191,6 +208,15 @@ struct WaitList {
 /// acquisition); also the granularity at which weight changes are observed.
 pub(crate) const RECV_BATCH: usize = 128;
 
+/// Most half-stash batches one depot lane holds; a batch spilled into a
+/// full lane is dropped (see "Tuple storage" in the module docs).
+pub(crate) const DEPOT_BATCHES: usize = 4;
+
+/// A worker whose stash lane holds fewer entries than this takes a batch
+/// back from the depot: more than one input's emissions on every pipeline
+/// here, so a net producer refills before it has to allocate.
+pub(crate) const REFILL_BELOW: usize = RECV_BATCH / 2;
+
 /// Idle-worker park quantum: parked workers also wake on every nudge, so
 /// this only bounds the latency of rare lost wakeups.
 const PARK_TIMEOUT: Duration = Duration::from_millis(5);
@@ -219,6 +245,50 @@ impl WorkerScratch {
             inbox: Vec::new(),
             route_buckets: (0..machines).map(|_| Vec::new()).collect(),
         }
+    }
+}
+
+/// The pool-wide exchange of recycled tuple storage between workers' stashes
+/// (see "Tuple storage" in the module docs): one lane of cleared field
+/// buffers, one of empty `Arc` shells.
+#[derive(Default)]
+pub(crate) struct Depot {
+    pub(crate) fields: DepotLane<Vec<Value>>,
+    pub(crate) shells: DepotLane<Arc<Tuple>>,
+}
+
+/// At most [`DEPOT_BATCHES`] batches of one kind of storage. `count`
+/// mirrors the number of batches so that a worker with nothing to trade
+/// reads one atomic instead of taking the lock; the lock orders the
+/// batches themselves, so the mirror needs no ordering of its own.
+#[derive(Default)]
+pub(crate) struct DepotLane<T> {
+    batches: PlMutex<Vec<Vec<T>>>,
+    count: AtomicUsize,
+}
+
+impl<T> DepotLane<T> {
+    /// Stores `batch`, or drops it when the lane is full.
+    pub(crate) fn put(&self, batch: Vec<T>) {
+        if self.count.load(Ordering::Relaxed) >= DEPOT_BATCHES {
+            return;
+        }
+        let mut batches = self.batches.lock();
+        if batches.len() < DEPOT_BATCHES {
+            batches.push(batch);
+            self.count.store(batches.len(), Ordering::Relaxed);
+        }
+    }
+
+    /// Takes one batch, if the lane holds any.
+    pub(crate) fn take(&self) -> Option<Vec<T>> {
+        if self.count.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let mut batches = self.batches.lock();
+        let batch = batches.pop();
+        self.count.store(batches.len(), Ordering::Relaxed);
+        batch
     }
 }
 
@@ -286,6 +356,8 @@ pub(crate) struct PoolShared {
     /// Per operator: whether a spout feeds it, so that its input tuples
     /// were allocated on a spout thread (see "Tuple storage").
     spout_fed: Vec<bool>,
+    /// Where workers trade surplus tuple storage (see "Tuple storage").
+    depot: Depot,
     /// Per-slot wait lists of suspended senders, same indexing as `slots`.
     waiters: Vec<WaitList>,
     injectors: Vec<Injector<Task>>,
@@ -796,7 +868,8 @@ impl PoolShared {
     /// downstream channel — per `(operator, machine)` group on a
     /// partitioned pool), nudge the consumers, settle the ack, recycle the
     /// input tuple's storage if this was its last holder (and a bolt
-    /// emitted it). Returns the
+    /// emitted it), then trade a batch with the depot if the stash is full
+    /// or running dry. Returns the
     /// undelivered sends when a downstream channel was full — the caller
     /// suspends with them. Ack accounting: the *full* fan-out is added to
     /// the tree before any send, and only envelopes that will provably
@@ -926,6 +999,8 @@ impl PoolShared {
         if !self.spout_fed[op] {
             collector.recycle(env.tuple);
         }
+        collector.spill_half(&self.depot);
+        collector.refill(&self.depot);
         blocked
     }
 
@@ -1071,6 +1146,7 @@ impl WorkerPool {
             routed_tuples: AtomicU64::new(0),
             cross_tuples: AtomicU64::new(0),
             spout_fed,
+            depot: Depot::default(),
             waiters: (0..n_slots)
                 .map(|_| WaitList {
                     list: PlMutex::new(VecDeque::new()),
@@ -1169,5 +1245,106 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::operator::{Collector, STASH_MAX};
+
+    /// A collector whose stash holds `n` buffers and `n` shells, each from a
+    /// finished tuple that still carried three fields, one heap-owning.
+    fn stashed(n: usize) -> VecCollector {
+        let mut out = VecCollector::new();
+        for i in 0..n as i64 {
+            let stale = vec![Value::Int(i), Value::from("stale"), Value::Float(0.5)];
+            out.recycle(Arc::new(Tuple::new(stale)));
+        }
+        assert_eq!(out.stash_len(), (n, n));
+        out
+    }
+
+    fn batches(depot: &Depot) -> (usize, usize) {
+        (
+            depot.fields.count.load(Ordering::Relaxed),
+            depot.shells.count.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn a_full_stash_spills_exactly_half() {
+        let depot = Depot::default();
+        let mut below = stashed(STASH_MAX - 1);
+        below.spill_half(&depot);
+        assert_eq!(below.stash_len(), (STASH_MAX - 1, STASH_MAX - 1));
+        assert_eq!(batches(&depot), (0, 0), "only a full stash spills");
+
+        let mut full = stashed(STASH_MAX);
+        full.spill_half(&depot);
+        assert_eq!(full.stash_len(), (STASH_MAX / 2, STASH_MAX / 2));
+        assert_eq!(batches(&depot), (1, 1));
+        assert_eq!(depot.fields.take().map(|b| b.len()), Some(STASH_MAX / 2));
+        assert_eq!(depot.shells.take().map(|b| b.len()), Some(STASH_MAX / 2));
+    }
+
+    #[test]
+    fn a_refill_needs_a_stash_below_the_mark_and_a_batch() {
+        let depot = Depot::default();
+        let mut low = stashed(REFILL_BELOW - 1);
+        low.refill(&depot);
+        assert_eq!(low.stash_len(), (REFILL_BELOW - 1, REFILL_BELOW - 1));
+
+        stashed(STASH_MAX).spill_half(&depot);
+        let mut at_mark = stashed(REFILL_BELOW);
+        at_mark.refill(&depot);
+        assert_eq!(at_mark.stash_len(), (REFILL_BELOW, REFILL_BELOW));
+        assert_eq!(batches(&depot), (1, 1), "a stash at the mark takes nothing");
+
+        low.refill(&depot);
+        let refilled = REFILL_BELOW - 1 + STASH_MAX / 2;
+        assert_eq!(low.stash_len(), (refilled, refilled));
+        assert_eq!(batches(&depot), (0, 0));
+    }
+
+    #[test]
+    fn a_depot_lane_holds_at_most_depot_batches() {
+        let depot = Depot::default();
+        for _ in 0..DEPOT_BATCHES + 2 {
+            stashed(STASH_MAX).spill_half(&depot);
+            let (fields, shells) = batches(&depot);
+            assert!(fields <= DEPOT_BATCHES && shells <= DEPOT_BATCHES);
+        }
+        assert_eq!(batches(&depot), (DEPOT_BATCHES, DEPOT_BATCHES));
+        // The overflow batches were dropped, not queued behind the others.
+        for _ in 0..DEPOT_BATCHES {
+            assert!(depot.fields.take().is_some());
+            assert!(depot.shells.take().is_some());
+        }
+        assert!(depot.fields.take().is_none() && depot.shells.take().is_none());
+        assert_eq!(batches(&depot), (0, 0));
+    }
+
+    #[test]
+    fn every_buffer_handed_out_after_a_refill_is_empty() {
+        let depot = Depot::default();
+        stashed(STASH_MAX).spill_half(&depot);
+        let mut taker = VecCollector::new();
+        taker.refill(&depot);
+        assert_eq!(taker.stash_len(), (STASH_MAX / 2, STASH_MAX / 2));
+        for _ in 0..STASH_MAX / 2 {
+            let fields = taker.fields();
+            assert!(fields.is_empty());
+            assert!(fields.capacity() >= 3, "a traded buffer keeps its capacity");
+            taker.emit(Tuple::new(fields));
+        }
+        assert_eq!(taker.fields().capacity(), 0, "then fresh ones");
+        // The traded shells are uniquely held, so the fan-out can refill
+        // them (`share_into` would panic on a shared one).
+        let mut shared = Vec::new();
+        taker.share_into(&mut shared);
+        assert_eq!(shared.len(), STASH_MAX / 2);
+        assert!(shared.iter().all(|t| t.is_empty()));
+        assert_eq!(taker.stash_len(), (0, 0));
     }
 }
