@@ -34,9 +34,10 @@
 //!   pre-allocated ack segments managed by a free list — no per-root
 //!   allocation and no locked map in the ack path; completing a tuple is
 //!   one atomic decrement;
-//! * **channels are bounded rings**: envelopes travel through
-//!   capacity-limited MPMC channels whose ring buffers are reused across
-//!   messages. The capacity is a *hard* invariant (`len ≤ cap`, always):
+//! * **channels are bounded rings**: envelopes travel through the
+//!   runtime's own channels (`crate::channel`, one per slot, owned by the
+//!   pool), whose ring buffers are reused across messages. The capacity
+//!   is a *hard* invariant (`len ≤ cap`, always):
 //!   an executor task hitting a full downstream channel suspends itself
 //!   into the channel's wait list and is woken by the consumer's drain
 //!   (see `crate::pool`), so a finite worker set never parks an OS thread
@@ -58,7 +59,6 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::operator::{Bolt, Spout};
 use crate::pool::{PoolShared, WorkerPool};
 use crate::tuple::Tuple;
-use crossbeam::channel::{bounded, SendError};
 use drs_topology::{CsrOutEdges, OperatorId, OperatorKind, Topology};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -315,20 +315,11 @@ impl RuntimeBuilder {
             }
         }
 
-        // One channel per (operator, machine) slot; spout slots stay
-        // unused. With machines == 1 this is exactly one channel per
-        // operator, indexed by operator id.
+        // The pool builds one channel per (operator, machine) slot; spout
+        // slots stay unused. With machines == 1 this is exactly one
+        // channel per operator, indexed by operator id.
         let machines = self.machines;
-        let mut senders = Vec::with_capacity(n * machines);
-        let mut receivers = Vec::with_capacity(n * machines);
-        for _ in 0..n * machines {
-            let (tx, rx) = bounded::<Envelope>(self.channel_capacity);
-            senders.push(tx);
-            receivers.push(rx);
-        }
-
         let path = DataPath {
-            senders: Arc::new(senders),
             csr: Arc::new(CsrOutEdges::compile(&self.topology)),
             acks: Arc::new(crate::executor::AckTable::new()),
             metrics: Arc::new(MetricsRegistry::with_machines(n, machines)),
@@ -380,7 +371,6 @@ impl RuntimeBuilder {
         };
         let pool = WorkerPool::start(
             slots,
-            receivers,
             routes,
             path.clone(),
             machines,
@@ -532,9 +522,9 @@ impl RuntimeEngine {
     pub fn queue_depths(&self) -> Vec<usize> {
         self.pool
             .shared()
-            .receivers
+            .channels
             .iter()
-            .map(crossbeam::channel::Receiver::len)
+            .map(|channel| channel.len())
             .collect()
     }
 
@@ -659,7 +649,7 @@ impl RuntimeEngine {
                 match new.cmp(&old) {
                     std::cmp::Ordering::Greater => {
                         state.grow_to(new);
-                        if !shared.receivers[slot].is_empty() {
+                        if !shared.channels[slot].is_empty() {
                             shared.nudge(slot, None);
                         }
                     }
@@ -689,7 +679,7 @@ impl RuntimeEngine {
         if machines > 1 {
             for &slot in &shrinking {
                 if shared.slots[slot].weight.load(Ordering::Acquire) == 0
-                    && !shared.receivers[slot].is_empty()
+                    && !shared.channels[slot].is_empty()
                 {
                     shared.nudge(slot, None);
                 }
@@ -792,10 +782,9 @@ impl RuntimeEngine {
 /// slot each), but the batch travels through batched sends per downstream
 /// edge — one channel lock and at most one consumer wakeup per edge per
 /// chunk, instead of per root. Sends are stop-aware so shutdown cannot
-/// park the spout on a full channel forever; a send aborted mid-chunk (or
-/// with the receivers gone) errors with its unsent count, and the
-/// corresponding pending counts are reconciled so the trees still
-/// complete.
+/// park the spout on a full channel forever; a send aborted mid-chunk
+/// errors with its unsent count, and the corresponding pending counts are
+/// reconciled so the trees still complete.
 ///
 /// Chunks are capped at the channel capacity, with a consumer nudge after
 /// every chunk. This is a liveness requirement, not a tuning knob: a
@@ -852,16 +841,13 @@ fn emit_roots(
                     tuple: Arc::clone(tuple),
                     ack: ack.clone(),
                 });
-            if let Err(SendError(unsent)) =
-                path.senders[t as usize].send_batch_abortable(batch, stop)
-            {
-                // Receivers gone or stop raised while full (engine tearing
-                // down): this edge carries none of the batch's remaining
-                // roots — the last `unsent` of this chunk *and* every root
-                // of the chunks after it, which the `break` below never
-                // sends. `ack_refs[end - unsent..]` cancels each of them
-                // once for this edge, which is what keeps the ledger
-                // balanced.
+            if let Err(unsent) = shared.channels[t as usize].send_abortable(batch, stop) {
+                // Stop raised while full (engine tearing down): this edge
+                // carries none of the batch's remaining roots — the last
+                // `unsent` of this chunk *and* every root of the chunks
+                // after it, which the `break` below never sends.
+                // `ack_refs[end - unsent..]` cancels each of them once for
+                // this edge, which is what keeps the ledger balanced.
                 for ack in ack_refs[end - unsent..].iter() {
                     path.acks.cancel(ack, 1, &path.metrics, &path.open_trees);
                 }
@@ -901,9 +887,8 @@ fn emit_roots_routed(
                 tuple: Arc::clone(tuple),
                 ack: ack.clone(),
             };
-            if let Err(SendError(env)) = path.senders[slot].send_abortable(env, stop) {
-                path.acks
-                    .cancel(&env.ack, 1, &path.metrics, &path.open_trees);
+            if shared.channels[slot].send_abortable([env], stop).is_err() {
+                path.acks.cancel(ack, 1, &path.metrics, &path.open_trees);
             } else {
                 shared.nudge(slot, None);
             }

@@ -19,7 +19,6 @@
 use crate::metrics::MetricsRegistry;
 use crate::operator::Bolt;
 use crate::tuple::Tuple;
-use crossbeam::channel::Sender;
 use drs_topology::CsrOutEdges;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -130,9 +129,11 @@ impl AckTable {
         self.settle(&ack, 1, metrics, open_trees);
     }
 
-    /// Reconciles `n` envelopes that were counted into `pending` but never
-    /// enqueued (a send failed because every receiver was gone): without
-    /// this the tree would leak and `open_trees` would never drain.
+    /// Reconciles `n` envelopes that were counted into `pending` but will
+    /// never be executed: a spout send given up on the stop flag, or
+    /// envelopes still queued, parked or unprocessed when the pool shuts
+    /// down. Without this the tree would leak and `open_trees` would never
+    /// drain.
     pub(crate) fn cancel(
         &self,
         ack: &AckRef,
@@ -158,10 +159,10 @@ pub(crate) struct Envelope {
 /// executors.
 pub(crate) type BoltMaker = Arc<dyn Fn() -> Box<dyn Bolt> + Send + Sync>;
 
-/// Everything a spout thread or pool worker needs to emit and ack tuples.
+/// Everything a spout thread or pool worker needs to route and ack tuples;
+/// the channels themselves live in `crate::pool::PoolShared`.
 #[derive(Clone)]
 pub(crate) struct DataPath {
-    pub(crate) senders: Arc<Vec<Sender<Envelope>>>,
     pub(crate) csr: Arc<CsrOutEdges>,
     pub(crate) acks: Arc<AckTable>,
     pub(crate) metrics: Arc<MetricsRegistry>,

@@ -52,6 +52,8 @@
 //!   instances, the ack slab.
 //! * `pool` (private) — the work-stealing workers and the task scheduling
 //!   protocol.
+//! * `channel` (private) — the hard-bounded queue behind every operator
+//!   slot's input.
 //! * [`metrics`] — the shared lock-free metrics registry.
 //!
 //! # Allocation-free data path
@@ -61,11 +63,11 @@
 //! bump, not a deep clone), tuple-tree ack state lives in a recycled slab
 //! with a free list instead of per-root allocations, downstream targets
 //! come from the compiled CSR layout shared with the simulator
-//! ([`drs_topology::CsrOutEdges`]), envelopes flow through bounded MPMC
-//! channels whose ring buffers are reused (and which backpressure spout
-//! producers instead of growing without bound; pool workers bound their
-//! waits so a finite pool cannot deadlock on its own downstream channels),
-//! and each worker reuses its collector/outbox/inbox buffers across
+//! ([`drs_topology::CsrOutEdges`]), envelopes flow through hard-bounded
+//! channels whose ring buffers are reused (a full channel parks a spout
+//! thread, while a pool task that finds one full suspends itself and frees
+//! its worker, so a finite pool never blocks on its own downstream
+//! channels), and each worker reuses its collector/outbox/inbox buffers across
 //! slices. See the [`engine`] module docs for the full inventory; the
 //! resulting throughput on the live VLD pipeline is `BENCHMARK.json`'s
 //! `work_per_s` on the `live_flood` workload, with the one- and two-worker
@@ -81,6 +83,7 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
+mod channel;
 pub mod engine;
 mod executor;
 pub mod metrics;

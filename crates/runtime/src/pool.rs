@@ -1,7 +1,10 @@
 //! The work-stealing worker pool running every logical executor.
 //!
 //! OS threads ("workers") each own a local task deque and steal from a
-//! shared injector and from each other. A *task* is either a slot drain
+//! shared injector and from each other. Every task queue is a
+//! [`TaskQueue`]: the owner pushes and pops the back of its own (LIFO, for
+//! locality), while stealers and the injector hand out the front, so the
+//! oldest queued task migrates first. A *task* is either a slot drain
 //! ([`Task::Drain`]: check a pooled [`Bolt`] instance out of the slot's
 //! [`OpSlot`], pull one batch of envelopes from the slot's input channel,
 //! execute them) or the resumption of a suspended send
@@ -32,8 +35,9 @@
 //!
 //! Channel capacity is a **hard invariant** (`len ≤ cap`, always). Workers
 //! never park an OS thread on a full downstream channel, and they never
-//! enqueue past the capacity either. Instead, a task whose send comes back
-//! [`TrySendError::Full`] *suspends itself*: the undelivered envelopes
+//! enqueue past the capacity either. Instead, a task whose
+//! [`Channel::try_send`] finds the channel full *suspends itself*: the
+//! undelivered envelopes
 //! (plus any not-yet-processed inbox leftovers) move into a [`Suspended`]
 //! record parked in the blocked channel's wait list, and the worker goes
 //! on to run other tasks. The consumer side wakes it — every batch pull
@@ -56,7 +60,7 @@
 //! still deadlock under any lossless bounded scheme — see
 //! `loop_topology_completes_via_bounded_recursion` for the recursion-depth
 //! contract that keeps loops below capacity. Spout threads are not workers
-//! and keep hard blocking backpressure ([`Sender::send_abortable`]).
+//! and keep hard blocking backpressure ([`Channel::send_abortable`]).
 //!
 //! # Adaptive workers
 //!
@@ -150,16 +154,14 @@
 //! kept that arena from shrinking — `live_paced` peaked up to 10 MB higher
 //! in three runs of ten — and every root would add one more buffer than
 //! the pipeline ever takes back out. So the cross-thread frees of a root
-//! remain, once per root rather than once per hop. Two more things are
-//! out of scope here: batching the per-envelope channel sends of one slice
-//! (one lock per batch per edge), and moving the `compat/crossbeam`
-//! channel and deques into this crate.
+//! remain, once per root rather than once per hop. One more thing is out
+//! of scope here: batching the per-envelope channel sends of one slice
+//! (one lock per batch per edge).
 
-use crate::executor::{DataPath, Envelope, OpSlot};
+use crate::channel::Channel;
+use crate::executor::{AckRef, DataPath, Envelope, OpSlot};
 use crate::operator::{Bolt, VecCollector};
 use crate::tuple::{Tuple, Value};
-use crossbeam::channel::{Receiver, SendError, TrySendError};
-use crossbeam::deque::{Injector, Stealer, Worker};
 use parking_lot::{Mutex as PlMutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -192,8 +194,12 @@ pub(crate) struct Suspended {
     inbox: Vec<Envelope>,
 }
 
-/// One machine's registry of live workers' stealers, keyed by worker id.
-type StealerRegistry = RwLock<Vec<(u64, Stealer<Task>)>>;
+/// A worker's local deque or a machine's injector (see the module docs).
+type TaskQueue = PlMutex<VecDeque<Task>>;
+
+/// One machine's registry of live workers' local deques, keyed by worker
+/// id, for siblings to steal from.
+type StealerRegistry = RwLock<Vec<(u64, Arc<TaskQueue>)>>;
 
 /// One channel's wait list of suspended senders. `count` mirrors the list
 /// length but is published *before* the waiter's final full-check under
@@ -342,8 +348,10 @@ struct IdleGroup {
 pub(crate) struct PoolShared {
     /// Per-(operator, machine) executor state: `slot = op * machines + m`.
     pub(crate) slots: Vec<OpSlot>,
-    /// Per-slot input channels (receiver side), same indexing as `slots`.
-    pub(crate) receivers: Vec<Receiver<Envelope>>,
+    /// Per-slot input channels, same indexing as `slots`. Every producer
+    /// and consumer reaches them through this struct, so they outlive
+    /// every send and drain.
+    pub(crate) channels: Vec<Channel<Envelope>>,
     pub(crate) path: DataPath,
     /// Number of scheduling domains partitioning the pool.
     pub(crate) machines: usize,
@@ -360,7 +368,7 @@ pub(crate) struct PoolShared {
     depot: Depot,
     /// Per-slot wait lists of suspended senders, same indexing as `slots`.
     waiters: Vec<WaitList>,
-    injectors: Vec<Injector<Task>>,
+    injectors: Vec<TaskQueue>,
     /// Per-machine dynamic stealer registry: `(worker id, stealer)`.
     stealers: Vec<StealerRegistry>,
     /// Per-machine live worker counts.
@@ -407,7 +415,7 @@ impl PoolShared {
     /// their local deque for a cheap push (only valid when the slot lives
     /// on the caller's machine), spout threads and the control plane pass
     /// `None` (machine injector).
-    pub(crate) fn nudge(&self, slot: usize, local: Option<&Worker<Task>>) {
+    pub(crate) fn nudge(&self, slot: usize, local: Option<&TaskQueue>) {
         let state = &self.slots[slot];
         if !state.is_executable() {
             return;
@@ -431,10 +439,8 @@ impl PoolShared {
                 .compare_exchange(s, s + 1, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                match local {
-                    Some(deque) => deque.push(Task::Drain(slot as u32)),
-                    None => self.injectors[self.machine_of(slot)].push(Task::Drain(slot as u32)),
-                }
+                let queue = local.unwrap_or(&self.injectors[self.machine_of(slot)]);
+                queue.lock().push_back(Task::Drain(slot as u32));
                 self.wake_one(self.machine_of(slot));
                 return;
             }
@@ -446,9 +452,7 @@ impl PoolShared {
     /// per-slot peak. All steady-state channel drains go through here so
     /// no wait-listed task can miss its wakeup.
     fn pull_batch(&self, slot: usize, buf: &mut Vec<Envelope>, max: usize) -> (usize, usize) {
-        let (pulled, remaining) = self.receivers[slot]
-            .try_recv_batch(buf, max)
-            .unwrap_or((0, 0));
+        let (pulled, remaining) = self.channels[slot].try_recv_batch(buf, max);
         if pulled > 0 {
             self.path.metrics.record_queue_depth(
                 self.op_of(slot),
@@ -472,15 +476,15 @@ impl PoolShared {
         if let Some(sus) = sus {
             wait.count.fetch_sub(1, Ordering::AcqRel);
             let machine = self.machine_of(sus.slot);
-            self.injectors[machine].push(Task::Resume(sus));
+            self.injectors[machine].lock().push_back(Task::Resume(sus));
             self.wake_one(machine);
         }
     }
 
-    /// Atomically parks `sus` on `target`'s wait list — unless space (or a
-    /// disconnect) appeared meanwhile, in which case the front send is
-    /// completed under the lock and the task is handed back (`Some`).
-    /// Returns `None` when parked.
+    /// Atomically parks `sus` on `target`'s wait list — unless space
+    /// appeared meanwhile, in which case the front send is completed under
+    /// the lock and the task is handed back (`Some`). Returns `None` when
+    /// parked.
     fn park_on(&self, target: usize, mut sus: Box<Suspended>) -> Option<Box<Suspended>> {
         let wait = &self.waiters[target];
         let mut list = wait.list.lock();
@@ -494,22 +498,14 @@ impl PoolShared {
             .pop_front()
             .expect("parking task has a pending send");
         debug_assert_eq!(t as usize, target);
-        match self.path.senders[target].try_send(env) {
+        match self.channels[target].try_send(env) {
             Ok(()) => {
                 wait.count.fetch_sub(1, Ordering::AcqRel);
                 drop(list);
                 self.nudge(target, None);
                 Some(sus)
             }
-            Err(TrySendError::Disconnected(env)) => {
-                wait.count.fetch_sub(1, Ordering::AcqRel);
-                drop(list);
-                self.path
-                    .acks
-                    .cancel(&env.ack, 1, &self.path.metrics, &self.path.open_trees);
-                Some(sus)
-            }
-            Err(TrySendError::Full(env)) => {
+            Err(env) => {
                 sus.outgoing.push_front((t, env));
                 list.push_back(sus);
                 drop(list);
@@ -528,24 +524,16 @@ impl PoolShared {
     /// leftovers back to the slot's own channel — releasing the task's
     /// `scheduled` claim first, so the drain tasks that must free that
     /// channel can spawn — and finally retires the claim if still held.
-    fn advance(&self, mut sus: Box<Suspended>, machine: usize, local: Option<&Worker<Task>>) {
+    fn advance(&self, mut sus: Box<Suspended>, machine: usize, local: Option<&TaskQueue>) {
         loop {
             while let Some((target, env)) = sus.outgoing.pop_front() {
                 let t = target as usize;
-                match self.path.senders[t].try_send(env) {
+                match self.channels[t].try_send(env) {
                     Ok(()) => {
                         let same = self.machine_of(t) == machine;
                         self.nudge(t, local.filter(|_| same));
                     }
-                    Err(TrySendError::Disconnected(env)) => {
-                        self.path.acks.cancel(
-                            &env.ack,
-                            1,
-                            &self.path.metrics,
-                            &self.path.open_trees,
-                        );
-                    }
-                    Err(TrySendError::Full(env)) => {
+                    Err(env) => {
                         sus.outgoing.push_front((target, env));
                         match self.park_on(t, sus) {
                             None => return,
@@ -575,9 +563,9 @@ impl PoolShared {
 
     /// Decrements `slot`'s scheduled count and re-nudges if a producer
     /// raced the retirement (the lost-wakeup guard).
-    fn retire(&self, slot: usize, local: Option<&Worker<Task>>) {
+    fn retire(&self, slot: usize, local: Option<&TaskQueue>) {
         self.slots[slot].scheduled.fetch_sub(1, Ordering::AcqRel);
-        if !self.receivers[slot].is_empty() {
+        if !self.channels[slot].is_empty() {
             self.nudge(slot, local);
         }
     }
@@ -617,21 +605,13 @@ impl PoolShared {
                     sus.outgoing.push_back((target as u32, env));
                     continue;
                 }
-                match self.path.senders[target].try_send(env) {
+                match self.channels[target].try_send(env) {
                     Ok(()) => {
                         if target != slot {
                             self.nudge(target, None);
                         }
                     }
-                    Err(TrySendError::Disconnected(env)) => {
-                        self.path.acks.cancel(
-                            &env.ack,
-                            1,
-                            &self.path.metrics,
-                            &self.path.open_trees,
-                        );
-                    }
-                    Err(TrySendError::Full(env)) => {
+                    Err(env) => {
                         blocked = Some(Box::new(Suspended {
                             slot,
                             holds_claim: false,
@@ -665,8 +645,8 @@ impl PoolShared {
         }
     }
 
-    /// Spawns one worker thread on `machine`, registering its deque's
-    /// stealer; no-op at the cap or during shutdown.
+    /// Spawns one worker thread on `machine`, registering its deque for
+    /// siblings to steal from; no-op at the cap or during shutdown.
     fn spawn_worker(&self, machine: usize) {
         if self.shutdown.load(Ordering::Acquire) {
             return;
@@ -687,8 +667,10 @@ impl PoolShared {
             }
         }
         let id = self.next_worker.fetch_add(1, Ordering::Relaxed);
-        let local = Worker::new_lifo();
-        self.stealers[machine].write().push((id, local.stealer()));
+        let local = Arc::new(TaskQueue::default());
+        self.stealers[machine]
+            .write()
+            .push((id, Arc::clone(&local)));
         let handle = std::thread::Builder::new()
             .name(format!("drs-worker-{machine}-{id}"))
             .spawn(move || worker_loop(shared, local, machine, id))
@@ -700,7 +682,7 @@ impl PoolShared {
         let idle = &self.idle[machine];
         idle.waiting.fetch_add(1, Ordering::AcqRel);
         let guard = idle.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        if !self.shutdown.load(Ordering::Acquire) && self.injectors[machine].is_empty() {
+        if !self.shutdown.load(Ordering::Acquire) && self.injectors[machine].lock().is_empty() {
             let _ = idle
                 .cv
                 .wait_timeout(guard, PARK_TIMEOUT)
@@ -712,13 +694,7 @@ impl PoolShared {
     /// Executes one task. Drain tasks retire if the weight shrank,
     /// otherwise run one batch slice and decide between continuation,
     /// suspension and retirement; resume tasks continue a suspended send.
-    fn run_task(
-        &self,
-        task: Task,
-        machine: usize,
-        local: &Worker<Task>,
-        scratch: &mut WorkerScratch,
-    ) {
+    fn run_task(&self, task: Task, machine: usize, local: &TaskQueue, scratch: &mut WorkerScratch) {
         let slot = match task {
             Task::Resume(sus) => {
                 self.advance(sus, machine, Some(local));
@@ -740,7 +716,7 @@ impl PoolShared {
                 .is_ok()
             {
                 state.trim_idle();
-                if w == 0 && !self.receivers[slot].is_empty() {
+                if w == 0 && !self.channels[slot].is_empty() {
                     // The slot lost its last executor mid-backlog: hand the
                     // leftovers to the placed machines.
                     self.nudge(slot, None);
@@ -783,7 +759,9 @@ impl PoolShared {
                 // `remaining` is a pre-slice snapshot: if the backlog was
                 // drained by siblings meanwhile, the continuation task
                 // simply finds an empty channel and retires.
-                self.injectors[machine].push(Task::Drain(slot as u32));
+                self.injectors[machine]
+                    .lock()
+                    .push_back(Task::Drain(slot as u32));
             }
             SliceEnd::Ran { .. } => {
                 self.retire(slot, Some(local));
@@ -807,7 +785,7 @@ impl PoolShared {
         machine: usize,
         bolt: &mut dyn Bolt,
         scratch: &mut WorkerScratch,
-        local: &Worker<Task>,
+        local: &TaskQueue,
     ) -> SliceEnd {
         let state = &self.slots[slot];
         let mut drained = scratch.inbox.drain(..);
@@ -869,11 +847,11 @@ impl PoolShared {
     /// partitioned pool), nudge the consumers, settle the ack, recycle the
     /// input tuple's storage if this was its last holder (and a bolt
     /// emitted it), then trade a batch with the depot if the stash is full
-    /// or running dry. Returns the
-    /// undelivered sends when a downstream channel was full — the caller
-    /// suspends with them. Ack accounting: the *full* fan-out is added to
-    /// the tree before any send, and only envelopes that will provably
-    /// never be delivered (receivers gone) are cancelled.
+    /// or running dry. Returns the undelivered sends when a downstream
+    /// channel was full — the caller suspends with them. Ack accounting:
+    /// the *full* fan-out is added to the tree before any send, and every
+    /// undelivered envelope travels with the suspended task, so nothing is
+    /// cancelled here.
     #[allow(clippy::too_many_arguments)]
     fn execute_one(
         &self,
@@ -884,7 +862,7 @@ impl PoolShared {
         collector: &mut VecCollector,
         arc_buf: &mut Vec<Arc<Tuple>>,
         route_buckets: &mut [Vec<u32>],
-        local: &Worker<Task>,
+        local: &TaskQueue,
     ) -> Option<VecDeque<(u32, Envelope)>> {
         let path = &self.path;
         let op = self.op_of(slot);
@@ -902,93 +880,35 @@ impl PoolShared {
                 let t = t as usize;
                 path.metrics.record_arrivals(t, arc_buf.len() as u64);
                 if self.machines == 1 {
-                    let mut batch = arc_buf.iter().map(|tuple| Envelope {
-                        tuple: Arc::clone(tuple),
-                        ack: env.ack.clone(),
-                    });
-                    match path.senders[t].try_send_batch(&mut batch) {
-                        Ok(pushed) => {
-                            if pushed > 0 {
-                                self.nudge(t, Some(local));
-                            }
-                            if pushed < arc_buf.len() {
-                                let rest = blocked.get_or_insert_with(VecDeque::new);
-                                for tuple in &arc_buf[pushed..] {
-                                    rest.push_back((
-                                        t as u32,
-                                        Envelope {
-                                            tuple: Arc::clone(tuple),
-                                            ack: env.ack.clone(),
-                                        },
-                                    ));
-                                }
-                            }
-                        }
-                        Err(SendError(_)) => {
-                            // Receivers gone (engine tearing down); nothing
-                            // was consumed from the lazy batch.
-                            path.acks.cancel(
-                                &env.ack,
-                                arc_buf.len() as u64,
-                                &path.metrics,
-                                &path.open_trees,
-                            );
-                        }
+                    self.send_or_hold(t, arc_buf.iter(), &env.ack, Some(local), &mut blocked);
+                    continue;
+                }
+                // Walk the route per tuple (preserving the round-robin
+                // proportions), but send one batched push per target
+                // machine instead of one channel lock per tuple.
+                for (i, _) in arc_buf.iter().enumerate() {
+                    route_buckets[self.routes[t].next()].push(i as u32);
+                }
+                self.routed_tuples
+                    .fetch_add(arc_buf.len() as u64, Ordering::Relaxed);
+                for (m, bucket) in route_buckets.iter_mut().enumerate() {
+                    if bucket.is_empty() {
+                        continue;
                     }
-                } else {
-                    // Walk the route per tuple (preserving the round-robin
-                    // proportions), but send one batched push per target
-                    // machine instead of one channel lock per tuple.
-                    for (i, _) in arc_buf.iter().enumerate() {
-                        route_buckets[self.routes[t].next()].push(i as u32);
+                    if m != machine {
+                        self.cross_tuples
+                            .fetch_add(bucket.len() as u64, Ordering::Relaxed);
                     }
-                    self.routed_tuples
-                        .fetch_add(arc_buf.len() as u64, Ordering::Relaxed);
-                    for (m, bucket) in route_buckets.iter_mut().enumerate() {
-                        if bucket.is_empty() {
-                            continue;
-                        }
-                        if m != machine {
-                            self.cross_tuples
-                                .fetch_add(bucket.len() as u64, Ordering::Relaxed);
-                        }
-                        let target = t * self.machines + m;
-                        let mut batch = bucket.iter().map(|&i| Envelope {
-                            tuple: Arc::clone(&arc_buf[i as usize]),
-                            ack: env.ack.clone(),
-                        });
-                        match path.senders[target].try_send_batch(&mut batch) {
-                            Ok(pushed) => {
-                                if pushed > 0 {
-                                    // Local deques are machine-pinned: only
-                                    // pass ours when the tuples stayed on
-                                    // this machine.
-                                    self.nudge(target, (m == machine).then_some(local));
-                                }
-                                if pushed < bucket.len() {
-                                    let rest = blocked.get_or_insert_with(VecDeque::new);
-                                    for &i in &bucket[pushed..] {
-                                        rest.push_back((
-                                            target as u32,
-                                            Envelope {
-                                                tuple: Arc::clone(&arc_buf[i as usize]),
-                                                ack: env.ack.clone(),
-                                            },
-                                        ));
-                                    }
-                                }
-                            }
-                            Err(SendError(_)) => {
-                                path.acks.cancel(
-                                    &env.ack,
-                                    bucket.len() as u64,
-                                    &path.metrics,
-                                    &path.open_trees,
-                                );
-                            }
-                        }
-                        bucket.clear();
-                    }
+                    // Local deques are machine-pinned: only pass ours when
+                    // the tuples stay on this machine.
+                    self.send_or_hold(
+                        t * self.machines + m,
+                        bucket.iter().map(|&i| &arc_buf[i as usize]),
+                        &env.ack,
+                        (m == machine).then_some(local),
+                        &mut blocked,
+                    );
+                    bucket.clear();
                 }
             }
             arc_buf.clear();
@@ -1002,6 +922,33 @@ impl PoolShared {
         collector.spill_half(&self.depot);
         collector.refill(&self.depot);
         blocked
+    }
+
+    /// Sends `tuples` to `target`'s channel as one lazy batch and nudges
+    /// the consumer if any went through; what the full channel left behind
+    /// is appended, in order, to `blocked` for the task to suspend with.
+    fn send_or_hold<'a>(
+        &self,
+        target: usize,
+        tuples: impl Iterator<Item = &'a Arc<Tuple>>,
+        ack: &AckRef,
+        local: Option<&TaskQueue>,
+        blocked: &mut Option<VecDeque<(u32, Envelope)>>,
+    ) {
+        let mut batch = tuples
+            .map(|tuple| Envelope {
+                tuple: Arc::clone(tuple),
+                ack: ack.clone(),
+            })
+            .peekable();
+        if self.channels[target].try_send_batch(&mut batch) > 0 {
+            self.nudge(target, local);
+        }
+        if batch.peek().is_some() {
+            blocked
+                .get_or_insert_with(VecDeque::new)
+                .extend(batch.map(|env| (target as u32, env)));
+        }
     }
 
     /// Reconciles the envelopes of a task that will never run (teardown).
@@ -1035,30 +982,47 @@ enum SliceEnd {
     Suspended(Box<Suspended>),
 }
 
-fn worker_loop(shared: Arc<PoolShared>, local: Worker<Task>, machine: usize, id: u64) {
+/// The next task for worker `id`: the newest on its own deque, else the
+/// oldest on its machine's injector, else the oldest on the first sibling
+/// deque in `peers` that has one. Each pop is its own statement: a worker
+/// never holds its own deque's lock while taking a sibling's.
+fn next_task(
+    local: &TaskQueue,
+    injector: &TaskQueue,
+    peers: &StealerRegistry,
+    id: u64,
+) -> Option<Task> {
+    let popped = local.lock().pop_back();
+    popped.or_else(|| injector.lock().pop_front()).or_else(|| {
+        let peers = peers.read();
+        peers
+            .iter()
+            .filter(|(pid, _)| *pid != id)
+            .find_map(|(_, queue)| queue.lock().pop_front())
+    })
+}
+
+fn worker_loop(shared: Arc<PoolShared>, local: Arc<TaskQueue>, machine: usize, id: u64) {
     let mut scratch = WorkerScratch::new(shared.machines);
     let mut strikes = 0u32;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             // Reconcile queued resume tasks so the tuple-tree ledger
-            // balances (the deque dies with this thread).
-            while let Some(task) = local.pop() {
+            // balances (no worker runs this deque again).
+            let queued = std::mem::take(&mut *local.lock());
+            for task in queued {
                 shared.cancel_task(task);
             }
             break;
         }
-        let task = local
-            .pop()
-            .or_else(|| shared.injectors[machine].steal().success())
-            .or_else(|| {
-                // Steal only from this machine's siblings: executors are
-                // pinned to their machine's worker group.
-                let peers = shared.stealers[machine].read();
-                peers
-                    .iter()
-                    .filter(|(pid, _)| *pid != id)
-                    .find_map(|(_, s)| s.steal().success())
-            });
+        // Steal only from this machine's siblings: executors are pinned to
+        // their machine's worker group.
+        let task = next_task(
+            &local,
+            &shared.injectors[machine],
+            &shared.stealers[machine],
+            id,
+        );
         match task {
             Some(task) => {
                 strikes = 0;
@@ -1093,13 +1057,15 @@ fn worker_loop(shared: Arc<PoolShared>, local: Worker<Task>, machine: usize, id:
                 shared.stealers[machine]
                     .write()
                     .retain(|(pid, _)| *pid != id);
-                if shared.injectors[machine].is_empty() {
+                if shared.injectors[machine].lock().is_empty() {
                     return; // our deque is empty (we only exit starved)
                 }
                 // A task raced our retirement: hand the slot back and keep
                 // working.
                 shared.live[machine].fetch_add(1, Ordering::AcqRel);
-                shared.stealers[machine].write().push((id, local.stealer()));
+                shared.stealers[machine]
+                    .write()
+                    .push((id, Arc::clone(&local)));
                 strikes = 0;
             }
         }
@@ -1113,12 +1079,12 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Builds the shared state and launches `min_workers` worker threads
+    /// Builds the shared state (one channel per slot, each holding at most
+    /// `path.channel_capacity` envelopes) and launches `min_workers` worker threads
     /// for each of `machines` scheduling domains; nudges grow each domain
     /// up to `max_workers` on demand (`min == max` pins a fixed pool).
     pub(crate) fn start(
         slots: Vec<OpSlot>,
-        receivers: Vec<Receiver<Envelope>>,
         routes: Vec<Route>,
         path: DataPath,
         machines: usize,
@@ -1139,7 +1105,9 @@ impl WorkerPool {
         }
         let shared = Arc::new_cyclic(|me| PoolShared {
             slots,
-            receivers,
+            channels: (0..n_slots)
+                .map(|_| Channel::bounded(path.channel_capacity))
+                .collect(),
             path,
             machines,
             routes,
@@ -1153,7 +1121,7 @@ impl WorkerPool {
                     count: AtomicUsize::new(0),
                 })
                 .collect(),
-            injectors: (0..machines).map(|_| Injector::new()).collect(),
+            injectors: (0..machines).map(|_| TaskQueue::default()).collect(),
             stealers: (0..machines).map(|_| RwLock::new(Vec::new())).collect(),
             live: (0..machines).map(|_| AtomicUsize::new(0)).collect(),
             min_workers,
@@ -1219,16 +1187,14 @@ impl WorkerPool {
             }
         }
         for injector in &self.shared.injectors {
-            while let Some(task) = injector.steal().success() {
+            let queued = std::mem::take(&mut *injector.lock());
+            for task in queued {
                 self.shared.cancel_task(task);
             }
         }
         let mut buf = Vec::new();
-        for receiver in &self.shared.receivers {
-            while let Ok((pulled, _)) = receiver.try_recv_batch(&mut buf, RECV_BATCH) {
-                if pulled == 0 {
-                    break;
-                }
+        for channel in &self.shared.channels {
+            while channel.try_recv_batch(&mut buf, RECV_BATCH).0 > 0 {
                 for env in buf.drain(..) {
                     self.shared.path.acks.cancel(
                         &env.ack,
@@ -1270,6 +1236,67 @@ mod tests {
             depot.fields.count.load(Ordering::Relaxed),
             depot.shells.count.load(Ordering::Relaxed),
         )
+    }
+
+    fn queue_of(slots: impl IntoIterator<Item = u32>) -> Arc<TaskQueue> {
+        Arc::new(PlMutex::new(slots.into_iter().map(Task::Drain).collect()))
+    }
+
+    fn drain_slot(task: Option<Task>) -> Option<u32> {
+        match task? {
+            Task::Drain(slot) => Some(slot),
+            Task::Resume(_) => panic!("only drain tasks were queued"),
+        }
+    }
+
+    #[test]
+    fn own_newest_first_then_oldest_injected_then_oldest_stolen() {
+        let own = queue_of([1, 2, 3]);
+        let injector = queue_of([10, 11]);
+        let sibling = queue_of([20, 21]);
+        let peers: StealerRegistry =
+            RwLock::new(vec![(0, Arc::clone(&own)), (1, Arc::clone(&sibling))]);
+        let order: Vec<u32> =
+            std::iter::from_fn(|| drain_slot(next_task(&own, &injector, &peers, 0))).collect();
+        assert_eq!(order, [3, 2, 1, 10, 11, 20, 21]);
+
+        // Owner and thief meet in the middle of one deque: the owner takes
+        // the newest, the thief the oldest, and neither sees a task twice.
+        own.lock().extend([1, 2, 3].map(Task::Drain));
+        let queues = [&own, &sibling];
+        let take = |id: usize| drain_slot(next_task(queues[id], &injector, &peers, id as u64));
+        assert_eq!(take(1), Some(1));
+        assert_eq!(take(0), Some(3));
+        assert_eq!(take(1), Some(2));
+        assert_eq!((take(0), take(1)), (None, None));
+    }
+
+    #[test]
+    fn concurrent_thieves_and_owner_take_every_task_once() {
+        const TASKS: u32 = 1_000;
+        let own = queue_of(0..TASKS);
+        let injector = queue_of([]);
+        let peers: StealerRegistry = RwLock::new(vec![(0, Arc::clone(&own))]);
+        let mut taken: Vec<u32> = std::thread::scope(|s| {
+            let thieves: Vec<_> = (1..=4)
+                .map(|id| {
+                    let (injector, peers) = (&injector, &peers);
+                    s.spawn(move || {
+                        let empty = TaskQueue::default();
+                        std::iter::from_fn(|| drain_slot(next_task(&empty, injector, peers, id)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let mut all: Vec<u32> =
+                std::iter::from_fn(|| drain_slot(next_task(&own, &injector, &peers, 0))).collect();
+            for thief in thieves {
+                all.extend(thief.join().unwrap());
+            }
+            all
+        });
+        taken.sort_unstable();
+        assert_eq!(taken, (0..TASKS).collect::<Vec<_>>());
     }
 
     #[test]
