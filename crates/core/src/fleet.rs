@@ -33,31 +33,62 @@
 //! # The control window
 //!
 //! One [`FleetDriver::step`] is six phases, and the measurement overhead of
-//! the whole loop (the paper's third challenge) is what they cost together:
+//! the whole loop (the paper's third challenge) is what they cost together.
+//! Only the first walks every shard. It also builds the window's **change
+//! list**: the shards whose grant, placement or record can differ from the
+//! last window's. Every later phase walks that list in index order, or a
+//! subset of it; a shard off the list runs its grant, keeps its assignment
+//! and its record, so skipping it changes nothing (debug builds check this
+//! after every window). The list is the union of
+//!
+//! * the shards the pass saw move: running allocation, liveness, or
+//!   (placed shards) measured arrival rates, the inputs of their placement
+//!   request;
+//! * a standing refit error, replayed into the record every window;
+//! * every shard from the first re-packed one on (its demand slot moved);
+//! * the slots whose published grant or floored desire the negotiator
+//!   actually changed, and, after a successful negotiation, every slot
+//!   whose grant differs from its floored desire — the only shards the
+//!   gate-aware re-offer can resolve differently from their grant;
+//! * the placement slots `replan` re-solved;
+//! * the shards the last window left unsettled: a capped, gated, urgent,
+//!   rebalanced or errored record (which covers every shard ordered to
+//!   actuate, and so every grant or assignment not yet in force), a death
+//!   or revival, or any shard of a window whose negotiation failed.
+//!
+//! A roster change, the first negotiated window and a new machine pool —
+//! the windows where every shard's inputs change — list every shard.
+//! [`FleetDriver::phase_times`] clocks each phase ([`WINDOW_PHASES`]).
 //!
 //! 1. **One pass per shard**, in the caller's order: advance the backend a
 //!    window, feed the sample to the measurer, judge the liveness lease,
-//!    cache the running allocation, and — past warm-up, when the smoothed
-//!    estimates moved — refit the shard's demand *in place*: estimates into
-//!    one reused buffer ([`Measurer::write_estimates`]), rates into the
-//!    cached network ([`JacksonNetwork::set_rates`]), Program 6 into the
-//!    cached `desired` vector
-//!    ([`scheduler::min_processors_for_target_into`]). Shards share no
-//!    state, so the whole pass runs on one shard while its buffers are in
-//!    cache; a refit whose answer stands allocates nothing. The fitted
+//!    cache the running allocation, write the measured fields of the
+//!    shard's record, and — past warm-up, when the smoothed estimates moved
+//!    — refit the shard's demand *in place*: estimates into one reused
+//!    buffer ([`Measurer::write_estimates`]), rates into the cached network
+//!    ([`JacksonNetwork::set_rates`]), Program 6 into the cached `desired`
+//!    vector ([`scheduler::min_processors_for_target_into`]). Shards share
+//!    no state, so the whole pass runs on one shard while its buffers are
+//!    in cache; a refit whose answer stands allocates nothing. The fitted
 //!    demand lives in exactly two places: the driver's packed demand list
 //!    (the slice the negotiator is handed) and the negotiator's own cache.
 //! 2. **Re-pack** the demand list — only on a window where some shard
 //!    gained or lost its model (the first negotiated one, deaths, revivals,
-//!    joins); demands move, none is cloned.
-//! 3. **Negotiate** once, warm-started (next section), then the
-//!    **gate-aware pass** over the grants.
+//!    joins); demands move, none is cloned. Every shard whose demand slot
+//!    moved joins the change list.
+//! 3. **Negotiate** once, warm-started (next section): it walks the demand
+//!    slice, but reports only the slots whose published grant or floored
+//!    desire it changed. Then the **gate-aware pass** consults the gate of
+//!    the listed shards whose grant differs from what they run.
 //! 4. **Plan placements** on the shared machine pool, when one is
-//!    installed: only shards whose placement inputs changed are re-solved.
-//! 5. **Actuate** the shards whose grant differs from what they run — no
-//!    others are visited — shrinks before grows, then send
-//!    **placement-only moves** to shards whose counts stood still.
-//! 6. **Record** the window into [`FleetDriver::last_window`].
+//!    installed: the listed shards' requests are compared with their
+//!    inputs, and only the changed ones are re-solved, in sorted-name
+//!    order; the shards `replan` re-solved join the change list.
+//! 5. **Actuate** the listed shards whose grant differs from what they run,
+//!    shrinks before grows, then send **placement-only moves** to the listed
+//!    shards whose counts stood still.
+//! 6. **Record** the listed shards into [`FleetDriver::last_window`] in
+//!    place, and carry the ones left unsettled into the next window's list.
 //!
 //! What is keyed by shard index across windows — the placement slot map,
 //! the names in the window record — is trusted while the *roster* (the set
@@ -236,6 +267,7 @@ use drs_topology::ResourceProfile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Total executors in an allocation (`u64` so fleet-wide sums cannot
 /// overflow).
@@ -477,6 +509,9 @@ struct SlotState {
     /// Frontier entries of this slot were discarded while it sat at its
     /// demand cap; a revoke that drops it below the cap re-enters them.
     parked: bool,
+    /// The published grant differs from `desired_floored` (the slot is on
+    /// `FleetNegotiator::off_desire`).
+    off_desire: bool,
 }
 
 impl SlotState {
@@ -552,6 +587,16 @@ pub struct FleetNegotiator {
     /// `SlotState::grant_dirty`; survives an errored call so no rewrite is
     /// ever lost).
     touched: Vec<u32>,
+    /// Slots whose published grant or floored desire actually changed in
+    /// the last call (a slot may appear twice). Rewritten slots whose
+    /// values came out the same are not listed.
+    changed: Vec<u32>,
+    /// Slots whose published grant differs from their floored desire —
+    /// the only ones the gate-aware re-offer resolves differently from
+    /// their grant. Exact after a successful call.
+    off_desire: Vec<u32>,
+    /// Published grants with `capped` set.
+    capped_count: usize,
 }
 
 impl FleetNegotiator {
@@ -570,6 +615,9 @@ impl FleetNegotiator {
             stamp: 0,
             mode: NegotiationMode::Initial,
             touched: Vec::new(),
+            changed: Vec::new(),
+            off_desire: Vec::new(),
+            capped_count: 0,
         }
     }
 
@@ -736,6 +784,36 @@ impl FleetNegotiator {
         self.sum_desired - held_desired <= u64::from(budget).saturating_sub(held_current)
     }
 
+    /// Bookkeeping after slot `i`'s grant was published: `moved` says its
+    /// allocation changed, `was_capped` is its previous `capped` flag.
+    /// Lists a real change in `changed` and keeps the capped count and the
+    /// off-desire flag in step.
+    fn note_published(&mut self, i: usize, moved: bool, was_capped: bool) {
+        let grant = &self.grants[i];
+        if moved || grant.capped != was_capped {
+            self.changed.push(i as u32);
+        }
+        match (was_capped, grant.capped) {
+            (false, true) => self.capped_count += 1,
+            (true, false) => self.capped_count -= 1,
+            _ => {}
+        }
+        let slot = &mut self.slots[i];
+        let off = grant.allocation != slot.desired_floored;
+        if off && !slot.off_desire {
+            self.off_desire.push(i as u32);
+        }
+        slot.off_desire = off;
+    }
+
+    /// Drops the slots that came back to their floored desire from
+    /// `off_desire` (end of a successful call).
+    fn settle_off_desire(&mut self) {
+        let slots = &self.slots;
+        self.off_desire
+            .retain(|&i| slots.get(i as usize).is_some_and(|s| s.off_desire));
+    }
+
     /// Incremental warm-start arbitration: computes exactly what
     /// [`FleetNegotiator::negotiate_within`] would return for `budget` and
     /// `demands` — bit-identical allocations and `capped` flags, the
@@ -778,8 +856,15 @@ impl FleetNegotiator {
         demands: &[ShardDemand],
     ) -> Result<(), FleetError> {
         debug_assert!(u32::try_from(demands.len()).is_ok());
+        self.changed.clear();
         // Slots beyond the end of the demand slice retire (fleet shrank or
         // re-packed); their heap entries die by the slot-index bound check.
+        if self.slots.len() > demands.len() {
+            self.off_desire.retain(|&i| (i as usize) < demands.len());
+        }
+        if let Some(retired) = self.grants.get(demands.len()..) {
+            self.capped_count -= retired.iter().filter(|g| g.capped).count();
+        }
         while self.slots.len() > demands.len() {
             let slot = self.slots.pop().expect("len checked above");
             self.sum_floor -= slot.floor_total;
@@ -821,6 +906,7 @@ impl FleetNegotiator {
                     walk_stale: true,
                     grant_dirty: false,
                     parked: false,
+                    off_desire: false,
                 });
             } else {
                 let slot = &mut self.slots[i];
@@ -839,13 +925,16 @@ impl FleetNegotiator {
                     desired_floored,
                     ..
                 } = slot;
-                desired_floored.clear();
-                desired_floored.extend(
-                    d.desired
-                        .iter()
-                        .zip(floor.iter())
-                        .map(|(&want, &f)| want.max(f)),
-                );
+                let floored = d
+                    .desired
+                    .iter()
+                    .zip(floor.iter())
+                    .map(|(&want, &f)| want.max(f));
+                if !desired_floored.iter().copied().eq(floored.clone()) {
+                    desired_floored.clear();
+                    desired_floored.extend(floored);
+                    self.changed.push(i as u32);
+                }
             }
             slot.floor_total = executor_total(&slot.floor);
             slot.desired_total = executor_total(&slot.desired_floored);
@@ -875,26 +964,18 @@ impl FleetNegotiator {
                     if i >= self.slots.len() {
                         continue;
                     }
-                    let slot = &mut self.slots[i];
-                    self.grants[i].allocation.clone_from(&slot.desired_floored);
-                    self.grants[i].capped = false;
-                    slot.grant_dirty = false;
+                    self.publish_desire(i);
                 }
             } else {
                 // Transition (or first round): contended grants can differ
                 // from the floored desire on any capped slot — reconcile
                 // fleet-wide once.
-                for (i, slot) in self.slots.iter_mut().enumerate() {
-                    let grant = &mut self.grants[i];
-                    if slot.grant_dirty || grant.capped || grant.allocation != slot.desired_floored
-                    {
-                        grant.allocation.clone_from(&slot.desired_floored);
-                        grant.capped = false;
-                    }
-                    slot.grant_dirty = false;
+                for i in 0..self.slots.len() {
+                    self.publish_desire(i);
                 }
             }
             self.touched.clear();
+            self.settle_off_desire();
             self.mode = NegotiationMode::Uncontended;
             return Ok(());
         }
@@ -970,12 +1051,39 @@ impl FleetNegotiator {
             let slot = &mut self.slots[i];
             slot.grant_dirty = false;
             let walk = slot.walk.as_ref().expect("contended slots carry walks");
-            walk.write_allocation(&mut self.grants[i].allocation);
-            self.grants[i].capped = slot.floor_total + slot.taken_total < slot.desired_total;
+            let grant = &mut self.grants[i];
+            let moved = grant.allocation.len() != walk.len()
+                || grant
+                    .allocation
+                    .iter()
+                    .enumerate()
+                    .any(|(op, &k)| walk.servers(op) != k);
+            if moved {
+                walk.write_allocation(&mut grant.allocation);
+            }
+            let was_capped = grant.capped;
+            grant.capped = slot.floor_total + slot.taken_total < slot.desired_total;
+            self.note_published(i, moved, was_capped);
         }
         self.touched.clear();
+        self.settle_off_desire();
         self.maybe_compact();
         Ok(())
+    }
+
+    /// Publishes slot `i`'s floored desire as its uncapped grant (the
+    /// uncontended arm), rewriting only what differs.
+    fn publish_desire(&mut self, i: usize) {
+        let slot = &mut self.slots[i];
+        slot.grant_dirty = false;
+        let grant = &mut self.grants[i];
+        let moved = grant.allocation != slot.desired_floored;
+        if moved {
+            grant.allocation.clone_from(&slot.desired_floored);
+        }
+        let was_capped = grant.capped;
+        grant.capped = false;
+        self.note_published(i, moved, was_capped);
     }
 
     /// Rebuilds slot `i`'s walk at its stability floor under the cached
@@ -1526,6 +1634,58 @@ pub struct FleetWindow {
     pub error: Option<String>,
 }
 
+/// The phases of one [`FleetDriver`] control window, in the order they
+/// run: the names [`FleetDriver::phase_times`] reports their wall times
+/// under (see the [module docs](self#the-control-window)).
+pub const WINDOW_PHASES: [&str; 9] = [
+    "pass",
+    "negotiate",
+    "gate",
+    "present",
+    "replan",
+    "order",
+    "actuate",
+    "moves",
+    "record",
+];
+
+/// Index of each entry of [`WINDOW_PHASES`].
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    Pass,
+    Negotiate,
+    Gate,
+    Present,
+    Replan,
+    Order,
+    Actuate,
+    Moves,
+    Record,
+}
+
+/// Stamps a window's phases into a fixed array: one clock read per phase
+/// boundary, no allocation.
+struct PhaseClock {
+    times: [Duration; WINDOW_PHASES.len()],
+    last: Instant,
+}
+
+impl PhaseClock {
+    fn start() -> Self {
+        PhaseClock {
+            times: [Duration::ZERO; WINDOW_PHASES.len()],
+            last: Instant::now(),
+        }
+    }
+
+    /// Ends `phase`: charges it the time since the previous boundary.
+    fn lap(&mut self, phase: Phase) {
+        let now = Instant::now();
+        self.times[phase as usize] = now - self.last;
+        self.last = now;
+    }
+}
+
 /// Per-shard loop state owned by the driver.
 #[derive(Debug, Clone)]
 struct ShardState<B> {
@@ -1565,11 +1725,13 @@ struct ShardState<B> {
 
 /// Per-window working buffers, reused across windows so the fleet loop
 /// allocates nothing per shard in steady state (the per-shard `Vec`s this
-/// replaces dominated the loop's allocation profile). Per-window buffers
-/// are cleared at the top of every window; the packed demand buffer
-/// (`demands`/`demand_idx`) deliberately persists across windows, so
-/// unchanged shards hand the incremental negotiator bitwise-identical
-/// slots — its no-op fast path.
+/// replaces dominated the loop's allocation profile). A window resets the
+/// per-shard flags of the shards it visited on its way out, so the next
+/// one starts clean without sweeping the fleet; only a full window (see
+/// [`FleetDriver::run_window`]) re-sizes and clears everything. The packed
+/// demand buffer (`demands`/`demand_idx`) deliberately persists across
+/// windows, so unchanged shards hand the incremental negotiator
+/// bitwise-identical slots — its no-op fast path.
 #[derive(Debug, Clone, Default)]
 struct FleetScratch {
     /// Permutation check for a caller-supplied advance order.
@@ -1577,12 +1739,15 @@ struct FleetScratch {
     /// This window's measurement report per shard (buffers reused; every
     /// entry is overwritten by `advance_into` before it is read).
     samples: Vec<WindowSample>,
-    /// Shard-level error per shard.
+    /// Actuation or placement error per shard (a refit error stays on the
+    /// shard, `ShardState::demand_error`).
     errors: Vec<Option<String>>,
     /// Index into `demands` per shard (`None`: no usable model). Slots
     /// ascend with the shard index. Persists across windows together with
     /// `demands`; [`FleetDriver::remove_shard`] keeps both aligned.
     demand_idx: Vec<Option<usize>>,
+    /// `demand_idx` inverted: the shard of each packed demand slot.
+    demand_shard: Vec<usize>,
     /// Packed negotiation demands, one per modeled shard in shard index
     /// order — the only copy of a shard's fitted demand outside the
     /// negotiator's cache. A refit rewrites the shard's slot in place and
@@ -1609,19 +1774,32 @@ struct FleetScratch {
     /// The allocation a rebalance put in force this window.
     applied: Vec<Option<Vec<u32>>>,
     /// The allocation in force per shard, cached once per window (buffers
-    /// reused; overwritten via `current_allocation_into` before use).
+    /// reused) and kept across windows, so the pass can tell which shards'
+    /// allocations moved.
     current_allocs: Vec<Vec<u32>>,
+    /// The running allocation as just read, before it is compared with
+    /// `current_allocs`.
+    alloc_buf: Vec<u32>,
     /// Executors currently in force per shard.
     current_totals: Vec<u64>,
+    /// This window's change list: the shards every phase after the
+    /// per-shard pass visits, in index order from the negotiation on.
+    visit: Vec<usize>,
+    /// Membership of `visit`, per shard.
+    listed: Vec<bool>,
+    /// The shards the last window left unsettled: they open the next
+    /// window's change list.
+    carry: Vec<usize>,
     /// The shards whose grant differs from what they run, shrinks first.
     actuation_order: Vec<usize>,
     /// The growers among them, until they are appended to the order.
     growers: Vec<usize>,
     /// Shards held back by the gate-aware pass.
     held: Vec<usize>,
-    /// This window's solved machine assignment per shard, as a slot into
-    /// the warm placement state (`place`) — the placement itself stays
-    /// cached there and is cloned only when a command actually carries it.
+    /// This window's solved machine assignment per visited shard, as a
+    /// slot into the warm placement state (`place`) — the placement itself
+    /// stays cached there and is cloned only when a command actually
+    /// carries it.
     planned_slots: Vec<Option<usize>>,
     /// The warm-start placement cache (persists across windows): cached
     /// requests, solved placements, residual pool capacity, per-shard
@@ -1631,14 +1809,35 @@ struct FleetScratch {
     /// while the roster stands still (`place_roster`); re-validated by
     /// name after churn, which shifts shard indices.
     place_slots: Vec<Option<usize>>,
+    /// `place_slots` inverted: the shard each warm-state slot was last
+    /// presented for, to visit the shards `replan` re-solved.
+    place_owner: Vec<usize>,
     /// [`FleetDriver::roster`] as of the last validation of `place_slots`.
     place_roster: u64,
 }
 
 impl FleetScratch {
-    /// Clears the per-window buffers and sizes the per-shard ones for `n`
-    /// shards. The packed demands survive untouched.
-    fn reset(&mut self, n: usize) {
+    /// Starts a window over `n` shards. A full window re-sizes and clears
+    /// every per-shard buffer and lists every shard; any other finds the
+    /// flags already clean and starts its change list from the shards the
+    /// last window left unsettled. The packed demands survive untouched.
+    fn reset(&mut self, n: usize, full: bool) {
+        self.negotiated_ok = false;
+        self.reoffered = false;
+        self.actuation_order.clear();
+        self.held.clear();
+        self.visit.clear();
+        if !full {
+            for idx in 0..self.carry.len() {
+                self.list(self.carry[idx]);
+            }
+            self.carry.clear();
+            return;
+        }
+        self.carry.clear();
+        self.listed.clear();
+        self.listed.resize(n, true);
+        self.visit.extend(0..n);
         self.samples.resize_with(n, WindowSample::default);
         self.errors.resize_with(n, || None);
         for e in &mut self.errors {
@@ -1655,8 +1854,6 @@ impl FleetScratch {
         self.urgent.resize(n, false);
         self.rebalanced.clear();
         self.rebalanced.resize(n, false);
-        self.negotiated_ok = false;
-        self.reoffered = false;
         self.applied.resize_with(n, || None);
         for a in &mut self.applied {
             *a = None;
@@ -1664,8 +1861,6 @@ impl FleetScratch {
         self.current_allocs.resize_with(n, Vec::new);
         self.current_totals.clear();
         self.current_totals.resize(n, 0);
-        self.actuation_order.clear();
-        self.held.clear();
         self.planned_slots.clear();
         self.planned_slots.resize(n, None);
         // `place`/`place_slots` persist across windows (the warm-start
@@ -1674,6 +1869,22 @@ impl FleetScratch {
             self.place_slots.clear();
             self.place_slots.resize(n, None);
         }
+    }
+
+    /// Adds shard `i` to this window's change list (once).
+    fn list(&mut self, i: usize) {
+        if !self.listed[i] {
+            self.listed[i] = true;
+            self.visit.push(i);
+        }
+    }
+
+    /// Re-derives `demand_shard` from `demand_idx`.
+    fn index_demands(&mut self) {
+        self.demand_shard.clear();
+        let slots = self.demand_idx.iter().enumerate();
+        self.demand_shard
+            .extend(slots.filter_map(|(i, slot)| slot.map(|_| i)));
     }
 
     /// Re-packs `demands` around the shards in `remodeled`, keeping it in
@@ -1703,6 +1914,7 @@ impl FleetScratch {
                 self.demands.push(demand);
             }
         }
+        self.index_demands();
     }
 
     /// The allocation shard `i` should actuate this window: `None` when
@@ -1757,6 +1969,11 @@ pub struct FleetDriver<B: CspBackend> {
     roster: u64,
     /// `roster` as of the names written into `last_window`.
     recorded_roster: u64,
+    /// [`FleetDriver::set_machine_pool`] ran since the last placement
+    /// phase: the next one presents every shard.
+    pool_changed: bool,
+    /// Wall time of each phase of the last window ([`WINDOW_PHASES`]).
+    phase_times: [Duration; WINDOW_PHASES.len()],
 }
 
 /// A snapshot of the full fleet control plane — negotiator, per-shard
@@ -1832,6 +2049,8 @@ impl<B: CspBackend> FleetDriver<B> {
             // Ahead of both stamps: the first window derives everything.
             roster: 1,
             recorded_roster: 0,
+            pool_changed: false,
+            phase_times: [Duration::ZERO; WINDOW_PHASES.len()],
         })
     }
 
@@ -1916,6 +2135,7 @@ impl<B: CspBackend> FleetDriver<B> {
                     *later -= 1;
                 }
             }
+            self.scratch.index_demands();
         }
         state.backend
     }
@@ -1962,6 +2182,13 @@ impl<B: CspBackend> FleetDriver<B> {
         &self.negotiator
     }
 
+    /// Wall time of each phase of the last window, in the order of
+    /// [`WINDOW_PHASES`] (zero for the phases a warm-up window skips). The
+    /// driver clocks every window: one clock read per phase boundary.
+    pub fn phase_times(&self) -> &[Duration; WINDOW_PHASES.len()] {
+        &self.phase_times
+    }
+
     /// Installs a shared machine pool: from the next window on, the driver
     /// re-solves the fleet's machine assignment every round (over the live
     /// shards that declared [`ShardPlacementInfo`]) and threads it through
@@ -1971,6 +2198,7 @@ impl<B: CspBackend> FleetDriver<B> {
     /// [`CspBackend::apply_placement`].
     pub fn set_machine_pool(&mut self, pool: PlacementPool) {
         self.machine_pool = Some(pool);
+        self.pool_changed = true;
     }
 
     /// The shared machine pool, when one is installed.
@@ -2098,17 +2326,39 @@ impl<B: CspBackend> FleetDriver<B> {
     }
 
     /// One fleet window over `order`, a permutation of the shard indices:
-    /// the six phases of the [module docs](self#the-control-window).
+    /// the phases of the [module docs](self#the-control-window). Only the
+    /// per-shard pass walks every shard; every later phase walks the
+    /// window's change list (`FleetScratch::visit`), whose sources the
+    /// module docs list. A window is **full** — every shard listed, every
+    /// per-shard buffer re-sized — on a roster change, the first negotiated
+    /// window, or a new machine pool.
     fn run_window(&mut self, order: &[usize]) -> &FleetWindow {
         let n = self.shards.len();
+        let mut clock = PhaseClock::start();
         // The scratch buffers live on the driver so the loop allocates
         // nothing per shard in steady state; taken out for the duration of
         // the step to keep the borrow checker happy, put back at the end.
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.reset(n);
-
         let window = self.completed_windows;
         let negotiating = window >= self.config.warmup_windows;
+        let placing = negotiating && self.machine_pool.is_some();
+        let full = self.recorded_roster != self.roster
+            || (negotiating && window == self.config.warmup_windows)
+            || (placing && (self.pool_changed || scratch.place_roster != self.roster));
+        scratch.reset(n, full);
+        self.last_window.shards.resize_with(n, || ShardPoint {
+            name: String::new(),
+            dead: false,
+            mean_sojourn_ms: None,
+            completed: 0,
+            allocation: Vec::new(),
+            demand: None,
+            capped: false,
+            rebalanced: false,
+            gated: false,
+            error: None,
+        });
+
         let mut fleet_error = None;
         let mut contended = false;
         // Executors in force on live shards (a dead shard's are ghosts), and
@@ -2122,6 +2372,10 @@ impl<B: CspBackend> FleetDriver<B> {
             let shard = &mut self.shards[i];
             let sample = &mut scratch.samples[i];
             shard.backend.advance_into(self.config.window_secs, sample);
+            // A placed shard's request follows its measured arrival rates:
+            // unmoved since last window, it compares as it did then.
+            let rates_moved =
+                shard.placement_info.is_some() && !shard.samples.arrivals_unchanged(sample);
             // Stale evidence enters the smoother discounted by
             // `stale_decay^age`, and a run of `lease_windows` fully-missed
             // reports expires the shard's liveness lease; the first usable
@@ -2130,14 +2384,27 @@ impl<B: CspBackend> FleetDriver<B> {
                 let weight = shard.samples.weight(self.config.stale_decay);
                 shard.measurer.observe_weighted(&shard.raw, weight);
             }
+            let was_dead = shard.dead;
             shard.dead = self.config.lease_windows > 0
                 && shard.samples.missed_windows() >= self.config.lease_windows;
+            // The measured fields are the only ones of the record that
+            // move on a shard the window does not visit.
+            let point = &mut self.last_window.shards[i];
+            point.mean_sojourn_ms = sample.mean_sojourn.map(|s| s * 1e3);
+            point.completed = sample.completed;
             // The running allocation, cached once for the window (every
             // later phase reads it instead of re-asking the backend).
             shard
                 .backend
-                .current_allocation_into(&mut scratch.current_allocs[i]);
+                .current_allocation_into(&mut scratch.alloc_buf);
+            let resized = scratch.alloc_buf != scratch.current_allocs[i];
+            if resized {
+                scratch.current_allocs[i].clone_from(&scratch.alloc_buf);
+            }
             scratch.current_totals[i] = executor_total(&scratch.current_allocs[i]);
+            if resized || rates_moved || shard.dead != was_dead {
+                scratch.list(i);
+            }
             if !shard.dead {
                 live_total += scratch.current_totals[i];
             }
@@ -2181,22 +2448,32 @@ impl<B: CspBackend> FleetDriver<B> {
                 );
                 modeled = matches!(fit, Ok(true));
                 shard.demand_error = fit.err();
+                // A demand whose total moved reaches the change list through
+                // the negotiator: Program 6 never asks below the stability
+                // floor, so its floored desire moves with it.
                 if modeled != slot.is_some() {
                     scratch.remodeled.push((i, fresh.filter(|_| modeled)));
                 }
             }
-            if let Some(e) = &shard.demand_error {
-                scratch.errors[i] = Some(e.clone());
+            // The record replays a standing refit error every window.
+            if shard.demand_error.is_some() {
+                scratch.list(i);
             }
             if !modeled {
                 reserved += scratch.current_totals[i];
             }
         }
+        clock.lap(Phase::Pass);
 
         if negotiating {
-            // 2. Keep the packed demands in shard index order.
-            if !scratch.remodeled.is_empty() {
+            // 2. Keep the packed demands in shard index order. Every shard
+            //    from the first re-packed one on has a new slot, so its
+            //    negotiated state is re-derived: each is visited.
+            if let Some(first) = scratch.remodeled.iter().map(|&(i, _)| i).min() {
                 scratch.repack_demands();
+                for i in first..n {
+                    scratch.list(i);
+                }
             }
 
             // 3. Central arbitration — warm-start incremental: per-window
@@ -2206,28 +2483,48 @@ impl<B: CspBackend> FleetDriver<B> {
             //    reserved out of the budget before the others negotiate.
             //    Dead shards reserve nothing — lease expiry is precisely
             //    the signal that their grants are reclaimed and re-offered.
+            let budget = u32::try_from(u64::from(self.config.k_max).saturating_sub(reserved))
+                .expect("reserved budget is clamped below k_max, which fits in u32");
             if !scratch.demands.is_empty() {
-                let budget = u32::try_from(u64::from(self.config.k_max).saturating_sub(reserved))
-                    .expect("reserved budget is clamped below k_max, which fits in u32");
                 // `make_mut` only clones when a checkpoint still shares
                 // the warm state; a driver that never branched mutates in
                 // place with no per-window cost.
-                match Arc::make_mut(&mut self.negotiator)
-                    .negotiate_within_incremental(budget, &scratch.demands)
-                {
+                let negotiator = Arc::make_mut(&mut self.negotiator);
+                let outcome = negotiator.negotiate_within_incremental(budget, &scratch.demands);
+                // What the call changed is listed even when it failed: a
+                // desire it re-derived first is not reported again.
+                for &slot in &negotiator.changed {
+                    scratch.list(scratch.demand_shard[slot as usize]);
+                }
+                match outcome {
                     Ok(()) => {
                         scratch.negotiated_ok = true;
-                        // 3b. Gate-aware wobble pass: consult each shard's
-                        //     decision gate *now*, not at actuation time.
-                        contended = self.gate_aware_pass(&mut scratch, budget);
+                        for &slot in &negotiator.off_desire {
+                            scratch.list(scratch.demand_shard[slot as usize]);
+                        }
                     }
                     Err(e) => fleet_error = Some(e.to_string()),
                 }
             }
+            scratch.visit.sort_unstable();
+            clock.lap(Phase::Negotiate);
+
+            // 3b. Gate-aware wobble pass: consult each shard's decision
+            //     gate *now*, not at actuation time.
+            if scratch.negotiated_ok {
+                contended = self.gate_aware_pass(&mut scratch, budget);
+            }
+            clock.lap(Phase::Gate);
 
             // 4. With a shared machine pool installed, solve the fleet's
             //    machine assignment from the allocations about to be run.
-            self.plan_placements(&mut scratch, &mut fleet_error);
+            if placing {
+                self.present_placements(&mut scratch, full);
+                self.pool_changed = false;
+                clock.lap(Phase::Present);
+                Self::replan_placements(&mut scratch, &mut fleet_error);
+                clock.lap(Phase::Replan);
+            }
 
             // 5. Actuate: rebalance every shard whose grant differs from
             //    what it currently runs — shrinks before grows, and every
@@ -2243,7 +2540,8 @@ impl<B: CspBackend> FleetDriver<B> {
             // interleaving): actuation always shrinks first — the movers
             // that do not grow in index order, then the growers in index
             // order. Shards whose grant is what they run never enter.
-            for i in 0..n {
+            for idx in 0..scratch.visit.len() {
+                let i = scratch.visit[idx];
                 let Some(grant) = scratch.grant(&self.negotiator, i) else {
                     continue;
                 };
@@ -2257,6 +2555,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 }
             }
             scratch.actuation_order.append(&mut scratch.growers);
+            clock.lap(Phase::Order);
             for slot in 0..scratch.actuation_order.len() {
                 let i = scratch.actuation_order[slot];
                 let target_total = executor_total(
@@ -2370,6 +2669,7 @@ impl<B: CspBackend> FleetDriver<B> {
                     }
                 }
             }
+            clock.lap(Phase::Actuate);
 
             // 5b. Placement-only moves: a shard whose executor counts did
             //     not change this window can still need its machine
@@ -2380,7 +2680,8 @@ impl<B: CspBackend> FleetDriver<B> {
             //     went in force is skipped on the solve id alone; only a
             //     re-solved one pays the matrix comparison (a re-solve
             //     often reproduces the assignment, and then sends nothing).
-            for i in 0..n {
+            for idx in 0..scratch.visit.len() {
+                let i = scratch.visit[idx];
                 if scratch.rebalanced[i] {
                     continue;
                 }
@@ -2400,7 +2701,8 @@ impl<B: CspBackend> FleetDriver<B> {
                 // A deferred or refused grant leaves the assignment solved
                 // for an allocation the backend never adopted: drop it and
                 // re-solve next window. (Not rebalanced this window, so
-                // the cached allocation is still what the backend runs.)
+                // the cached allocation is still what the backend runs;
+                // the shard is gated or errored, so it stays unsettled.)
                 if !p.allocation_matches(&scratch.current_allocs[i]) {
                     continue;
                 }
@@ -2410,48 +2712,48 @@ impl<B: CspBackend> FleetDriver<B> {
                         shard.placement_id = id;
                     }
                     Err(e) => {
-                        if scratch.errors[i].is_none() {
+                        if scratch.errors[i].is_none() && shard.demand_error.is_none() {
                             scratch.errors[i] = Some(format!("placement: {e}"));
                         }
                     }
                 }
             }
+            clock.lap(Phase::Moves);
         }
 
-        // 6. Record the window in place: the applied allocation where a
-        //    rebalance fired this window, the cached live allocation
-        //    otherwise. `last_window` is updated field by field (steady
-        //    state allocates nothing); the timeline, when recorded, takes
-        //    a clone.
+        // 6. Record the visited shards in place: the applied allocation
+        //    where a rebalance fired this window, the cached live
+        //    allocation otherwise. `last_window` is updated field by field
+        //    (steady state allocates nothing); the timeline, when recorded,
+        //    takes a clone. Each visited shard's per-window flags are reset
+        //    here, and the ones it leaves unsettled open the next window.
         self.last_window.window = window;
         self.last_window.contended = contended;
         self.last_window.error = fleet_error;
-        self.last_window.shards.resize_with(n, || ShardPoint {
-            name: String::new(),
-            dead: false,
-            mean_sojourn_ms: None,
-            completed: 0,
-            allocation: Vec::new(),
-            demand: None,
-            capped: false,
-            rebalanced: false,
-            gated: false,
-            error: None,
-        });
         // Names follow the roster: while nobody joined or left, every
         // point already carries its shard's name.
         let rename = self.recorded_roster != self.roster;
         self.recorded_roster = self.roster;
-        let mut total_granted = 0u64;
-        for (i, shard) in self.shards.iter().enumerate() {
+        // Live executors only: dead shards' grants are reclaimed. Kept as
+        // a running sum, corrected for the shards whose record changes.
+        let mut total_granted = if full {
+            0
+        } else {
+            self.last_window.total_granted
+        };
+        let failed = negotiating && !scratch.negotiated_ok;
+        for idx in 0..scratch.visit.len() {
+            let i = scratch.visit[idx];
+            let shard = &self.shards[i];
             let point = &mut self.last_window.shards[i];
             if rename {
                 point.name.clone_from(&shard.name);
             }
+            if !full && !point.dead {
+                total_granted -= executor_total(&point.allocation);
+            }
+            let revived_or_died = point.dead != shard.dead;
             point.dead = shard.dead;
-            let sample = &scratch.samples[i];
-            point.mean_sojourn_ms = sample.mean_sojourn.map(|s| s * 1e3);
-            point.completed = sample.completed;
             match scratch.applied[i].take() {
                 Some(a) => point.allocation = a,
                 None => point.allocation.clone_from(&scratch.current_allocs[i]),
@@ -2465,14 +2767,43 @@ impl<B: CspBackend> FleetDriver<B> {
             point.capped = scratch.capped[i];
             point.rebalanced = scratch.rebalanced[i];
             point.gated = scratch.gated[i];
-            point.error = scratch.errors[i].take();
+            // A standing refit error is copied into the record's own buffer
+            // (allocation-free once it holds the message).
+            match scratch.errors[i].take() {
+                Some(e) => point.error = Some(e),
+                None => point.error.clone_from(&shard.demand_error),
+            }
             if !point.dead {
-                // Dead shards' grants are reclaimed — only live executors
-                // occupy the pool.
                 total_granted += executor_total(&point.allocation);
             }
+            // Every shard that was ordered to actuate ends rebalanced,
+            // gated or errored, so the flags also cover "its grant is not
+            // what it runs" and "its assignment is not in force".
+            let unsettled = failed
+                || revived_or_died
+                || point.capped
+                || point.rebalanced
+                || point.gated
+                || point.error.is_some()
+                || scratch.urgent[i];
+            if unsettled {
+                scratch.carry.push(i);
+            }
+            scratch.capped[i] = false;
+            scratch.gated[i] = false;
+            scratch.urgent[i] = false;
+            scratch.rebalanced[i] = false;
+            scratch.planned_slots[i] = None;
         }
         self.last_window.total_granted = total_granted;
+        #[cfg(debug_assertions)]
+        self.audit_skipped(&scratch, negotiating);
+        for idx in 0..scratch.visit.len() {
+            let i = scratch.visit[idx];
+            scratch.listed[i] = false;
+        }
+        clock.lap(Phase::Record);
+        self.phase_times = clock.times;
         self.completed_windows += 1;
         self.scratch = scratch;
         if self.config.record_timeline {
@@ -2480,6 +2811,78 @@ impl<B: CspBackend> FleetDriver<B> {
             self.timeline.last().expect("just pushed")
         } else {
             &self.last_window
+        }
+    }
+
+    /// Debug builds: checks after the window that every shard it did not
+    /// visit was skippable — it runs its grant, is not gated, capped,
+    /// urgent or errored, its placement request still matches its inputs
+    /// and its assignment is in force, and its record is what a visit
+    /// would have written. Allocation-free, so the zero-allocation pins
+    /// run through it.
+    #[cfg(debug_assertions)]
+    fn audit_skipped(&self, scratch: &FleetScratch, negotiating: bool) {
+        for (i, shard) in self.shards.iter().enumerate() {
+            if scratch.listed[i] {
+                continue;
+            }
+            let current = &scratch.current_allocs[i];
+            let grant = scratch.grant(&self.negotiator, i);
+            assert!(
+                grant.is_none_or(|g| g == current),
+                "window {}: skipped shard {i} runs {current:?}, granted {grant:?}",
+                self.last_window.window
+            );
+            assert!(
+                !(scratch.gated[i]
+                    || scratch.capped[i]
+                    || scratch.urgent[i]
+                    || scratch.rebalanced[i]),
+                "window {}: skipped shard {i} carries a flag",
+                self.last_window.window
+            );
+            assert!(scratch.errors[i].is_none() && shard.demand_error.is_none());
+            if let (true, Some(slot), Some(info)) = (
+                // A failed window (negotiation or placement) trusts no
+                // assignment.
+                negotiating && self.last_window.error.is_none(),
+                scratch.place_slots[i],
+                &shard.placement_info,
+            ) {
+                assert!(
+                    info.request_matches(
+                        scratch.place.request(slot),
+                        grant.unwrap_or(current),
+                        &scratch.samples[i],
+                        self.config.placement_rate_band,
+                    ),
+                    "window {}: skipped shard {i}'s placement request is stale",
+                    self.last_window.window
+                );
+                assert_eq!(
+                    shard.placement_id,
+                    scratch.place.solve_id(slot),
+                    "window {}: skipped shard {i}'s assignment is not in force",
+                    self.last_window.window
+                );
+            }
+            let point = &self.last_window.shards[i];
+            let sample = &scratch.samples[i];
+            let demand =
+                scratch.demand_idx[i].map(|slot| executor_total(&scratch.demands[slot].desired));
+            assert!(
+                point.name == shard.name
+                    && point.dead == shard.dead
+                    && point.mean_sojourn_ms.map(f64::to_bits)
+                        == sample.mean_sojourn.map(|s| (s * 1e3).to_bits())
+                    && point.completed == sample.completed
+                    && point.allocation == *current
+                    && point.demand == demand
+                    && !(point.capped || point.rebalanced || point.gated)
+                    && point.error.is_none(),
+                "window {}: skipped shard {i}'s record is stale: {point:?}",
+                self.last_window.window
+            );
         }
     }
 
@@ -2514,11 +2917,13 @@ impl<B: CspBackend> FleetDriver<B> {
     }
 
     /// The gate-aware wobble pass (phase 3b of the window): publish each
-    /// modeled shard's `capped` flag, consult its decision gate on its
-    /// freshly negotiated grant and arbitrate around the refusals *now*,
-    /// instead of discovering them at actuation time and stranding the
-    /// capacity for a window. Returns whether the budget is contended (some
-    /// grant is capped).
+    /// visited modeled shard's `capped` flag, consult its decision gate on
+    /// its freshly negotiated grant and arbitrate around the refusals
+    /// *now*, instead of discovering them at actuation time and stranding
+    /// the capacity for a window. Returns whether the budget is contended
+    /// (some grant is capped — a count the negotiator keeps). A shard the
+    /// window does not visit runs its grant and is uncapped, so it has
+    /// nothing to say here.
     ///
     /// Refused shards are held at their current allocation, which comes off
     /// the top of the budget, and the rest are re-offered what is left — one
@@ -2532,9 +2937,10 @@ impl<B: CspBackend> FleetDriver<B> {
     ///   gate exactly like contended shrinks.
     fn gate_aware_pass(&self, scratch: &mut FleetScratch, budget: u32) -> bool {
         let negotiator = &*self.negotiator;
-        let contended = negotiator.grants.iter().any(|g| g.capped);
+        let contended = negotiator.capped_count > 0;
         let (mut held_desired, mut held_current) = (0u64, 0u64);
-        for i in 0..self.shards.len() {
+        for idx in 0..scratch.visit.len() {
+            let i = scratch.visit[idx];
             let Some(slot) = scratch.demand_idx[i] else {
                 continue;
             };
@@ -2560,9 +2966,9 @@ impl<B: CspBackend> FleetDriver<B> {
             for &i in &scratch.held {
                 scratch.gated[i] = true;
             }
-            for (i, capped) in scratch.capped.iter_mut().enumerate() {
+            for &i in &scratch.visit {
                 if !scratch.gated[i] {
-                    *capped = false;
+                    scratch.capped[i] = false;
                 }
             }
         } else {
@@ -2573,20 +2979,18 @@ impl<B: CspBackend> FleetDriver<B> {
         contended
     }
 
-    /// Phase 4: with a shared machine pool installed, refresh the warm
-    /// placement state ([`placement::FleetPlacementState`]) from the
-    /// allocation each live metadata-carrying shard is about to run (its
+    /// Phase 4a: refresh the warm placement state
+    /// ([`placement::FleetPlacementState`]) for each visited live
+    /// metadata-carrying shard, from the allocation it is about to run (its
     /// grant where one stands, its current executors otherwise) and this
-    /// window's measured edge rates, then replan. Only shards whose
-    /// inputs actually changed — executor counts, resource profiles, or
-    /// edge rates beyond [`FleetDriverConfig::placement_rate_band`] — are
-    /// re-solved, against the pool's residual capacity; a settled window
-    /// performs zero solver calls and zero allocations. Solve order is
-    /// sorted-name on every path, so the assignment stays independent of
-    /// shard indices and advance order, and the drift-bounded batch
-    /// re-solve inside `replan` keeps sequential repair anchored to what
-    /// [`placement::plan`] would produce.
-    fn plan_placements(&self, scratch: &mut FleetScratch, fleet_error: &mut Option<String>) {
+    /// window's measured edge rates. Only shards whose inputs actually
+    /// changed — executor counts, resource profiles, or edge rates beyond
+    /// [`FleetDriverConfig::placement_rate_band`] — are touched. A full
+    /// window presents every shard in a presence round, whose sweep takes
+    /// out the shards that left; any other presents only the change list
+    /// and names a shard that died with
+    /// [`placement::FleetPlacementState::remove`].
+    fn present_placements(&self, scratch: &mut FleetScratch, full: bool) {
         let Some(pool) = &self.machine_pool else {
             return;
         };
@@ -2594,19 +2998,29 @@ impl<B: CspBackend> FleetDriver<B> {
         // grant/sample lookups below can keep borrowing it immutably.
         let mut place = std::mem::take(&mut scratch.place);
         let mut place_slots = std::mem::take(&mut scratch.place_slots);
+        let mut place_owner = std::mem::take(&mut scratch.place_owner);
         let mut planned_slots = std::mem::take(&mut scratch.planned_slots);
-        place.begin_window();
+        if full {
+            place.begin_window();
+        }
         place.sync_pool(pool);
         // While the roster stood still a cached slot is its shard's; after
         // churn (indices shifted) each one is re-validated by name.
         let revalidate = scratch.place_roster != self.roster;
         scratch.place_roster = self.roster;
-        for (i, shard) in self.shards.iter().enumerate() {
+        for &i in &scratch.visit {
+            let shard = &self.shards[i];
             if shard.dead {
-                // Not marked seen: the sweep refunds its machine usage and
-                // frees its slot (its executors are ghosts until the lease
-                // renews, and a revived shard is placed afresh).
-                place_slots[i] = None;
+                // Its usage is refunded and its slot freed (its executors
+                // are ghosts until the lease renews, and a revived shard is
+                // placed afresh): by the presence round's sweep on a full
+                // window — where an index may no longer name its slot —
+                // and by name otherwise.
+                if let Some(slot) = place_slots[i].take() {
+                    if !full {
+                        place.remove(slot);
+                    }
+                }
                 continue;
             }
             let Some(info) = &shard.placement_info else {
@@ -2620,6 +3034,10 @@ impl<B: CspBackend> FleetDriver<B> {
                     .unwrap_or_else(|| place.insert(&shard.name)),
             };
             place_slots[i] = Some(slot);
+            if place_owner.len() <= slot {
+                place_owner.resize(slot + 1, usize::MAX);
+            }
+            place_owner[slot] = i;
             let target = scratch
                 .grant(&self.negotiator, i)
                 .unwrap_or(&scratch.current_allocs[i]);
@@ -2632,22 +3050,52 @@ impl<B: CspBackend> FleetDriver<B> {
             ) {
                 info.request_into(place.touch(slot), target, sample);
             }
-            place.mark_seen(slot);
+            if full {
+                place.mark_seen(slot);
+            }
             planned_slots[i] = Some(slot);
-        }
-        if let Err(e) = place.replan() {
-            // No assignment is trusted this window; the warm state batch
-            // re-solves on the next one.
-            for s in planned_slots.iter_mut() {
-                *s = None;
-            }
-            if fleet_error.is_none() {
-                *fleet_error = Some(format!("placement: {e}"));
-            }
         }
         scratch.place = place;
         scratch.place_slots = place_slots;
+        scratch.place_owner = place_owner;
         scratch.planned_slots = planned_slots;
+    }
+
+    /// Phase 4b: replan the warm placement state. Only dirty shards are
+    /// re-solved, against the pool's residual capacity; a settled window
+    /// performs zero solver calls and zero allocations. Solve order is
+    /// sorted-name on every path, so the assignment stays independent of
+    /// shard indices and advance order, and the drift-bounded batch
+    /// re-solve inside `replan` keeps sequential repair anchored to what
+    /// [`placement::plan`] would produce. Every shard whose slot was
+    /// re-solved joins the change list: a new assignment may be due.
+    fn replan_placements(scratch: &mut FleetScratch, fleet_error: &mut Option<String>) {
+        match scratch.place.replan() {
+            Ok(_) => {
+                let mut joined = false;
+                for idx in 0..scratch.place.resolved().len() {
+                    let slot = scratch.place.resolved()[idx];
+                    let i = scratch.place_owner[slot];
+                    debug_assert_eq!(scratch.place_slots[i], Some(slot));
+                    scratch.planned_slots[i] = Some(slot);
+                    joined |= !scratch.listed[i];
+                    scratch.list(i);
+                }
+                if joined {
+                    scratch.visit.sort_unstable();
+                }
+            }
+            Err(e) => {
+                // No assignment is trusted this window; the warm state
+                // batch re-solves on the next one.
+                for &i in &scratch.visit {
+                    scratch.planned_slots[i] = None;
+                }
+                if fleet_error.is_none() {
+                    *fleet_error = Some(format!("placement: {e}"));
+                }
+            }
+        }
     }
 }
 
@@ -3781,5 +4229,203 @@ mod tests {
             f.placement_solver_calls() > settled,
             "an out-of-band rate shift must reach the solver"
         );
+    }
+
+    /// An allocation that changes behind the driver's back — no command
+    /// of its own moved it — is seen on the next window: the record shows
+    /// it and the shard is sent back to its grant.
+    #[test]
+    fn allocation_moved_behind_the_driver_is_seen() {
+        let mut f = fleet(
+            20,
+            vec![
+                ("a", 0.5, StaticShard::new(40.0, 10.0, 7)),
+                ("b", 0.5, StaticShard::new(20.0, 10.0, 5)),
+            ],
+        );
+        f.run_windows(8);
+        let settled = f.timeline().last().unwrap().shards[0].allocation.clone();
+        assert!(f
+            .timeline()
+            .last()
+            .unwrap()
+            .shards
+            .iter()
+            .all(|s| !s.rebalanced));
+        f.backend_mut(0).allocation = vec![settled[0] + 3];
+        let w = f.step();
+        assert_eq!(w.shards[0].allocation, settled, "moved back at once");
+        assert!(w.shards[0].rebalanced);
+        assert_eq!(f.backend(0).allocation, settled);
+    }
+
+    /// A shard that first reports after warm-up — the first negotiated
+    /// window found nothing to fit — and whose load no budget can fit gets
+    /// its fit error on record the window it appears, even with the
+    /// liveness lease off (no revival lists it).
+    #[test]
+    fn late_fit_error_reaches_the_record() {
+        let mut config = FleetDriverConfig::new(20);
+        config.warmup_windows = 1;
+        config.window_secs = 1.0;
+        config.lease_windows = 0;
+        let mut late = StaticShard::new(500.0, 10.0, 4);
+        late.silent = true;
+        let mut f = FleetDriver::new(
+            config,
+            vec![
+                FleetShardSpec::new("a", 0.5, StaticShard::new(40.0, 10.0, 7)),
+                FleetShardSpec::new("late", 0.5, late),
+            ],
+        )
+        .unwrap();
+        f.run_windows(4);
+        assert!(f.timeline().iter().all(|w| w.shards[1].error.is_none()));
+        f.backend_mut(1).silent = false;
+        let w = f.step();
+        assert!(w.shards[1].error.is_some(), "{w:?}");
+    }
+
+    /// Two-operator mock shard: both operators see the same arrival rate,
+    /// each serves at its own rate; applies can be made to fail.
+    #[derive(Debug, Clone)]
+    struct ChainShard {
+        rate: f64,
+        mu: [f64; 2],
+        allocation: Vec<u32>,
+        fail_applies: usize,
+        silent: bool,
+    }
+
+    impl CspBackend for ChainShard {
+        fn backend_name(&self) -> &'static str {
+            "chain"
+        }
+        fn operator_names(&self) -> Vec<String> {
+            vec!["first".to_owned(), "second".to_owned()]
+        }
+        fn current_allocation(&self) -> Vec<u32> {
+            self.allocation.clone()
+        }
+        fn advance(&mut self, _window_secs: f64) -> WindowSample {
+            let fresh = |x: f64| (!self.silent).then_some(x);
+            let mut sojourn = 0.0;
+            let operators = self
+                .mu
+                .iter()
+                .zip(&self.allocation)
+                .map(|(&mu, &k)| {
+                    sojourn += mmk_measured_sojourn(self.rate, mu, k);
+                    OperatorSample {
+                        arrival_rate: fresh(self.rate),
+                        service_rate: fresh(mu),
+                    }
+                })
+                .collect();
+            WindowSample {
+                external_rate: fresh(self.rate),
+                operators,
+                mean_sojourn: fresh(sojourn),
+                std_sojourn: None,
+                completed: if self.silent { 0 } else { 100 },
+            }
+        }
+        fn apply(&mut self, plan: &RebalancePlan) -> Result<AppliedRebalance, BackendError> {
+            if self.fail_applies > 0 {
+                self.fail_applies -= 1;
+                return Err(BackendError::RebalanceUnavailable("mid-pause".to_owned()));
+            }
+            self.allocation.clone_from(&plan.allocation);
+            Ok(AppliedRebalance {
+                allocation: plan.allocation.clone(),
+                pause_secs: plan.pause_secs,
+            })
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Visiting only the change list is exact: under rate shifts,
+        /// refused applies, deaths and revivals, on budgets from contended
+        /// to roomy (and below the floors, where negotiation fails), a
+        /// driver that walks the change list records the same windows,
+        /// grants, commands and placements as one forced to visit every
+        /// shard every window.
+        #[test]
+        fn change_list_equals_visiting_every_shard(
+            // Per shard: λ and the µ of each operator, from small sets so
+            // that neighbouring shards often hold equal grants.
+            shards in vec((0usize..3, 0usize..2, 0usize..2), 2..=6),
+            headroom in 0.6f64..1.3,
+            script in vec((0u8..6, 0usize..64, 5.0f64..60.0), 6..=30),
+        ) {
+            let shards: Vec<(f64, f64, f64)> = shards
+                .iter()
+                .map(|&(r, m0, m1)| ([12.0, 24.0, 36.0][r], [8.0, 14.0][m0], [8.0, 14.0][m1]))
+                .collect();
+            let info = ShardPlacementInfo {
+                profiles: vec![ResourceProfile::uniform(1.0), ResourceProfile::uniform(2.0)],
+                edges: vec![(0, 1, 1.0)],
+            };
+            let mut demand = 0.0;
+            let specs = |demand: &mut f64| -> Vec<FleetShardSpec<ChainShard>> {
+                shards
+                    .iter()
+                    .enumerate()
+                    .map(|(id, &(rate, mu0, mu1))| {
+                        let k = |mu: f64| (rate / mu).ceil() as u32 + 1;
+                        let allocation = vec![k(mu0), k(mu1)];
+                        *demand += f64::from(allocation[0] + allocation[1]);
+                        let shard = ChainShard {
+                            rate,
+                            mu: [mu0, mu1],
+                            allocation,
+                            fail_applies: 0,
+                            silent: false,
+                        };
+                        FleetShardSpec::new(format!("s{id}"), 0.3, shard)
+                            .with_placement(info.clone())
+                    })
+                    .collect()
+            };
+            let build = |specs: Vec<FleetShardSpec<ChainShard>>, k_max: u32| {
+                let mut config = FleetDriverConfig::new(k_max);
+                config.warmup_windows = 1;
+                config.window_secs = 1.0;
+                let mut f = FleetDriver::new(config, specs).unwrap();
+                f.set_machine_pool(
+                    PlacementPool::uniform(3, ResourceProfile::uniform(60.0)).unwrap(),
+                );
+                f
+            };
+            let first = specs(&mut demand);
+            let k_max = (demand * headroom) as u32;
+            let (mut sparse, mut every) = (build(first, k_max), build(specs(&mut 0.0), k_max));
+            for &(action, pick, rate) in &script {
+                for f in [&mut sparse, &mut every] {
+                    let shard = f.backend_mut(pick % shards.len());
+                    match action {
+                        0..=2 => shard.rate = rate,
+                        3 => shard.silent = !shard.silent,
+                        4 => shard.fail_applies = 1,
+                        _ => {}
+                    }
+                }
+                // A stale roster stamp makes every window a full one.
+                every.roster += 1;
+                every.step();
+                sparse.step();
+                prop_assert_eq!(sparse.last_window(), every.last_window());
+                prop_assert_eq!(sparse.negotiator().grants(), every.negotiator().grants());
+                for i in 0..shards.len() {
+                    prop_assert_eq!(sparse.shard_placement(i), every.shard_placement(i));
+                    prop_assert_eq!(&sparse.backend(i).allocation, &every.backend(i).allocation);
+                }
+            }
+            prop_assert_eq!(sparse.timeline(), every.timeline());
+            prop_assert_eq!(sparse.placement_solver_calls(), every.placement_solver_calls());
+            prop_assert_eq!(sparse.wasted_grants(), every.wasted_grants());
+        }
     }
 }

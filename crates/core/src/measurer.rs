@@ -490,6 +490,26 @@ impl SampleBuilder {
         true
     }
 
+    /// Whether `w` reports fresh rates for every operator with the same
+    /// arrival rates, bit for bit, as the sample the previous window
+    /// built, which itself reused no older rate: the operators' arrival
+    /// rates have not moved since the previous window. Call it before
+    /// [`build_into`](Self::build_into) consumes `w`; `false` whenever
+    /// that cannot be told (no history, a missed or starved window).
+    pub fn arrivals_unchanged(&self, w: &crate::driver::WindowSample) -> bool {
+        let Some(last) = &self.last_rates else {
+            return false;
+        };
+        self.missed == 0
+            && self.staleness == 0
+            && last.len() == w.operators.len()
+            && w.operators.iter().zip(last).all(|(op, last)| {
+                matches!((op.arrival_rate, op.service_rate),
+                    (Some(a), Some(s)) if a > 0.0 && s > 0.0
+                        && a.to_bits() == last.arrival_rate.to_bits())
+            })
+    }
+
     /// Age, in windows, of the oldest substituted rate in the most recent
     /// [`build`](Self::build) (0 when every operator reported fresh rates;
     /// after a run of fully-missed windows, the age of the surviving

@@ -69,23 +69,32 @@
 //! loads, or (rate-banded by the caller, to absorb measurement wobble) its
 //! edge traffic. The per-window protocol:
 //!
-//! 1. [`begin_window`](FleetPlacementState::begin_window), then
-//!    [`sync_pool`](FleetPlacementState::sync_pool) — a capacity change
-//!    invalidates everything;
-//! 2. per shard: look the slot up
+//! 1. [`sync_pool`](FleetPlacementState::sync_pool) — a capacity change
+//!    invalidates everything — after
+//!    [`begin_window`](FleetPlacementState::begin_window) when the owner
+//!    presents every shard this window (a *presence round*);
+//! 2. per presented shard: look the slot up
 //!    ([`slot_of`](FleetPlacementState::slot_of) /
 //!    [`insert`](FleetPlacementState::insert)), compare the cached
 //!    [`request`](FleetPlacementState::request) against this window's
 //!    inputs, rewrite it in place via
 //!    [`touch`](FleetPlacementState::touch) only on a real change, and
-//!    [`mark_seen`](FleetPlacementState::mark_seen);
-//! 3. [`replan`](FleetPlacementState::replan) — shards not seen this
-//!    window are swept out (their usage refunded to the residual), and
-//!    then only **dirty** shards are re-placed: each one's stale usage is
-//!    released delta-style and the shard re-solved via [`solve_into`]
-//!    against the residual capacity, in sorted-name order. No fresh pool
-//!    build, no untouched shard re-solved; an unchanged fleet performs
-//!    zero solver calls and zero heap allocations.
+//!    [`mark_seen`](FleetPlacementState::mark_seen) it in a presence round;
+//!    a shard that left is either not marked in a presence round or named
+//!    with [`remove`](FleetPlacementState::remove);
+//! 3. [`replan`](FleetPlacementState::replan) — shards that left are
+//!    swept out (their usage refunded to the residual), and then only
+//!    **dirty** shards are re-placed: each one's stale usage is released
+//!    delta-style and the shard re-solved via [`solve_into`] against the
+//!    residual capacity, in sorted-name order. No fresh pool build, no
+//!    untouched shard re-solved, and outside a presence round no walk of
+//!    the live set; an unchanged fleet performs zero solver calls and zero
+//!    heap allocations. [`resolved`](FleetPlacementState::resolved) lists
+//!    the slots it re-solved.
+//!
+//! The fleet driver presents every shard only on a full window and
+//! otherwise just the shards whose inputs may have changed, so a drifting
+//! window's placement phase costs what changed, not what exists.
 //!
 //! Sequential repair can stray from the batch greedy optimum (later
 //! shards re-solve against capacity fragmented by earlier history), so
@@ -895,6 +904,10 @@ struct WarmEntry {
     epoch: u64,
     /// Window stamp of the last [`FleetPlacementState::mark_seen`].
     seen: u64,
+    /// [`FleetPlacementState::remove`] was called: the next replan
+    /// refunds and tombstones the slot.
+    leaving: bool,
+    /// Queued for re-solving: the slot sits in `FleetPlacementState::dirty`.
     dirty: bool,
     /// The cached placement inputs (buffers rewritten in place on change).
     request: PlacementRequest,
@@ -915,14 +928,47 @@ struct WarmEntry {
 /// changed. See the [module docs](self) for the per-window protocol and
 /// the drift-bounded full re-solve that keeps sequential repair honest
 /// against the batch optimum.
+///
+/// **Removal.** A shard leaves in one of two ways, and both are refunded
+/// by the next [`replan`](FleetPlacementState::replan) in sorted-name
+/// order before any repair: it is not marked seen in a *presence round*
+/// (opened by [`begin_window`](FleetPlacementState::begin_window), which
+/// makes `replan` sweep every live slot once), or its owner names it with
+/// [`remove`](FleetPlacementState::remove). An owner that presents only
+/// the shards whose inputs changed skips `begin_window` and removes
+/// departures explicitly; presence then stands from window to window, and
+/// a window with no departure never walks the live set.
+///
+/// **Repair.** [`insert`](FleetPlacementState::insert) and
+/// [`touch`](FleetPlacementState::touch) queue a slot once on a dirty
+/// list. `replan` sorts that list into sorted-name order (by each slot's
+/// position in the live set, re-indexed only after the set changed),
+/// releases every queued slot's usage, then re-solves the queued slots in
+/// that order: its cost follows the dirty shards, not the fleet.
+/// [`resolved`](FleetPlacementState::resolved) then names the slots that
+/// were re-solved, so the owner can visit exactly those.
 #[derive(Debug, Clone, Default)]
 pub struct FleetPlacementState {
     entries: Vec<WarmEntry>,
     /// Live slots in sorted-name order — the solve order, identical to
     /// [`plan`]'s.
     order: Vec<usize>,
+    /// Each live slot's position in `order` (indexed by slot); stale while
+    /// `ranks_stale`.
+    rank: Vec<u32>,
+    /// `order` changed since `rank` was last derived.
+    ranks_stale: bool,
     /// Tombstoned slots available for reuse.
     free: Vec<usize>,
+    /// Slots queued for re-solving, each once (its entry's `dirty` flag).
+    dirty: Vec<usize>,
+    /// The slots the last `replan` re-solved, in sorted-name order.
+    resolved: Vec<usize>,
+    /// A presence round is open: `replan` sweeps out every live slot not
+    /// marked seen since [`FleetPlacementState::begin_window`].
+    sweeping: bool,
+    /// Slots named by [`FleetPlacementState::remove`] since the last replan.
+    leaving: usize,
     /// The pool's full capacities, snapshotted by
     /// [`FleetPlacementState::sync_pool`].
     capacities: Vec<ResourceProfile>,
@@ -934,7 +980,6 @@ pub struct FleetPlacementState {
     /// Window stamp (bumped by [`FleetPlacementState::begin_window`]).
     stamp: u64,
     seen_count: usize,
-    dirty_count: usize,
     /// Sticky full-solve request: set by pool changes, repair dead ends,
     /// solver errors, and [`FleetPlacementState::invalidate`]; cleared
     /// only by a completed batch solve.
@@ -950,13 +995,15 @@ impl FleetPlacementState {
         FleetPlacementState::default()
     }
 
-    /// Starts a window: bumps the stamp that
-    /// [`mark_seen`](FleetPlacementState::mark_seen) records, so
-    /// [`replan`](FleetPlacementState::replan) can sweep out shards that
-    /// were not presented this window.
+    /// Opens a presence round: bumps the stamp that
+    /// [`mark_seen`](FleetPlacementState::mark_seen) records, so the next
+    /// [`replan`](FleetPlacementState::replan) sweeps out every shard that
+    /// was not presented since. Without it presence stands, and shards
+    /// leave only through [`remove`](FleetPlacementState::remove).
     pub fn begin_window(&mut self) {
         self.stamp += 1;
         self.seen_count = 0;
+        self.sweeping = true;
     }
 
     /// Adopts `pool`'s capacities. A change (count or any capacity
@@ -1007,7 +1054,8 @@ impl FleetPlacementState {
         &self.entries[slot].name
     }
 
-    /// Inserts a shard named `name` (or returns its existing slot),
+    /// Inserts a shard named `name` (or returns its existing slot, which
+    /// cancels a pending [`remove`](FleetPlacementState::remove)),
     /// recycling a tombstoned slot when one is free. A new shard starts
     /// dirty with an empty request — the caller fills it via
     /// [`touch`](FleetPlacementState::touch). Slot indices of existing
@@ -1017,7 +1065,15 @@ impl FleetPlacementState {
             .order
             .binary_search_by(|&s| self.entries[s].name.as_str().cmp(name))
         {
-            Ok(pos) => return self.order[pos],
+            Ok(pos) => {
+                let slot = self.order[pos];
+                let e = &mut self.entries[slot];
+                if e.leaving {
+                    e.leaving = false;
+                    self.leaving -= 1;
+                }
+                return slot;
+            }
             Err(pos) => pos,
         };
         let slot = match self.free.pop() {
@@ -1028,6 +1084,7 @@ impl FleetPlacementState {
                 e.live = true;
                 e.epoch = 0;
                 e.seen = 0;
+                e.leaving = false;
                 e.dirty = true;
                 e.request.operators.clear();
                 e.request.edges.clear();
@@ -1041,6 +1098,7 @@ impl FleetPlacementState {
                     live: true,
                     epoch: 0,
                     seen: 0,
+                    leaving: false,
                     dirty: true,
                     request: PlacementRequest::default(),
                     placement: Placement { counts: Vec::new() },
@@ -1050,9 +1108,26 @@ impl FleetPlacementState {
                 self.entries.len() - 1
             }
         };
-        self.dirty_count += 1;
+        self.dirty.push(slot);
         self.order.insert(pos, slot);
+        self.ranks_stale = true;
         slot
+    }
+
+    /// Takes the shard at `slot` out of the fleet: the next
+    /// [`replan`](FleetPlacementState::replan) refunds its usage and
+    /// tombstones the slot, exactly as a presence round sweeps a shard
+    /// that was not marked seen. A no-op on a tombstoned slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub fn remove(&mut self, slot: usize) {
+        let e = &mut self.entries[slot];
+        if e.live && !e.leaving {
+            e.leaving = true;
+            self.leaving += 1;
+        }
     }
 
     /// Marks the shard at `slot` as presented this window, shielding it
@@ -1091,7 +1166,7 @@ impl FleetPlacementState {
         let e = &mut self.entries[slot];
         if !e.dirty {
             e.dirty = true;
-            self.dirty_count += 1;
+            self.dirty.push(slot);
         }
         e.epoch += 1;
         &mut e.request
@@ -1163,14 +1238,16 @@ impl FleetPlacementState {
         &self.remaining
     }
 
-    /// Ends the window: sweeps out shards not
-    /// [`mark_seen`](FleetPlacementState::mark_seen) since
-    /// [`begin_window`](FleetPlacementState::begin_window) (refunding
-    /// their usage), then re-places exactly the dirty shards against the
-    /// residual capacity — or the whole fleet, batch-style, when the pool
-    /// changed, drift reached 1.0, or a repair hit a dead end the batch
-    /// solver might escape. Sorted-name solve order on both paths keeps
-    /// the outcome independent of presentation order.
+    /// Ends the window: refunds and tombstones the shards that left — those
+    /// [`remove`](FleetPlacementState::remove)d, and, when a presence round
+    /// is open, those not [`mark_seen`](FleetPlacementState::mark_seen)
+    /// since [`begin_window`](FleetPlacementState::begin_window) — then
+    /// re-places exactly the dirty shards against the residual capacity —
+    /// or the whole fleet, batch-style, when the pool changed, drift
+    /// reached 1.0, or a repair hit a dead end the batch solver might
+    /// escape. Sorted-name solve order on both paths keeps the outcome
+    /// independent of presentation order; the slots it re-solved are then
+    /// listed by [`resolved`](FleetPlacementState::resolved).
     ///
     /// On [`ReplanOutcome::Unchanged`] the call performs no solver work
     /// and no heap allocation.
@@ -1182,41 +1259,47 @@ impl FleetPlacementState {
     /// moves this window); the state heals itself by batch re-solving on
     /// the next call.
     pub fn replan(&mut self) -> Result<ReplanOutcome, PlacementError> {
-        // Removal sweep: live entries not presented this window left the
-        // fleet — refund their usage, tombstone their slots.
+        // Removals: refund every leaving entry's usage and tombstone its
+        // slot, in sorted-name order. Only a window with a departure (or an
+        // open presence round missing a shard) walks the live set.
+        let sweep = std::mem::take(&mut self.sweeping) && self.seen_count < self.order.len();
         let mut removed = 0usize;
-        if self.seen_count < self.order.len() {
+        if sweep || self.leaving > 0 {
             let FleetPlacementState {
                 entries,
                 order,
                 free,
                 remaining,
-                dirty_count,
                 stamp,
                 ..
             } = self;
             order.retain(|&slot| {
                 let e = &mut entries[slot];
-                if e.seen == *stamp {
+                if !e.leaving && (!sweep || e.seen == *stamp) {
                     return true;
                 }
                 for (m, u) in e.usage.drain(..) {
                     refund(&mut remaining[m], &u);
                 }
                 e.live = false;
-                if e.dirty {
-                    *dirty_count -= 1;
-                    e.dirty = false;
-                }
+                e.leaving = false;
+                e.dirty = false;
                 free.push(slot);
                 removed += 1;
                 false
             });
+            self.leaving = 0;
+            self.ranks_stale = true;
         }
-        if removed == 0 && self.dirty_count == 0 && !self.needs_full {
+        self.resolved.clear();
+        {
+            let entries = &self.entries;
+            self.dirty.retain(|&slot| entries[slot].dirty);
+        }
+        if removed == 0 && self.dirty.is_empty() && !self.needs_full {
             return Ok(ReplanOutcome::Unchanged);
         }
-        self.drift += (self.dirty_count + removed) as f64 / self.order.len().max(1) as f64;
+        self.drift += (self.dirty.len() + removed) as f64 / self.order.len().max(1) as f64;
         if self.needs_full || self.drift >= 1.0 {
             self.full_solve()?;
             return Ok(ReplanOutcome::FullSolve);
@@ -1224,29 +1307,23 @@ impl FleetPlacementState {
         // Repair: release every dirty shard's stale usage first (so one
         // dirty shard's freed capacity is visible to another's re-solve),
         // then re-place them in sorted-name order against the residual.
-        let repaired = self.dirty_count;
+        self.sort_dirty();
+        let repaired = self.dirty.len();
         {
             let FleetPlacementState {
                 entries,
-                order,
+                dirty,
                 remaining,
                 ..
             } = self;
-            for &slot in order.iter() {
-                let e = &mut entries[slot];
-                if !e.dirty {
-                    continue;
-                }
-                for (m, u) in e.usage.drain(..) {
+            for &slot in dirty.iter() {
+                for (m, u) in entries[slot].usage.drain(..) {
                     refund(&mut remaining[m], &u);
                 }
             }
         }
-        for idx in 0..self.order.len() {
-            let slot = self.order[idx];
-            if !self.entries[slot].dirty {
-                continue;
-            }
+        for idx in 0..self.dirty.len() {
+            let slot = self.dirty[idx];
             match self.resolve(slot) {
                 Ok(()) => self.entries[slot].dirty = false,
                 Err(PlacementError::Infeasible { .. }) => {
@@ -1264,8 +1341,47 @@ impl FleetPlacementState {
                 }
             }
         }
-        self.dirty_count = 0;
+        std::mem::swap(&mut self.dirty, &mut self.resolved);
         Ok(ReplanOutcome::Repaired(repaired))
+    }
+
+    /// Puts the dirty list in sorted-name order — each slot's position in
+    /// the live set, re-derived only after that set changed — dropping
+    /// tombstoned slots and duplicates.
+    fn sort_dirty(&mut self) {
+        self.refresh_ranks();
+        let FleetPlacementState {
+            entries,
+            rank,
+            dirty,
+            ..
+        } = self;
+        dirty.retain(|&slot| {
+            let live = entries[slot].live;
+            entries[slot].dirty &= live;
+            live
+        });
+        dirty.sort_unstable_by_key(|&slot| rank[slot]);
+        dirty.dedup();
+    }
+
+    /// Re-derives every live slot's position in the live set, if it moved.
+    fn refresh_ranks(&mut self) {
+        if self.ranks_stale {
+            self.rank.resize(self.entries.len(), 0);
+            for (pos, &slot) in self.order.iter().enumerate() {
+                self.rank[slot] = pos as u32;
+            }
+            self.ranks_stale = false;
+        }
+    }
+
+    /// The slots the last [`replan`](FleetPlacementState::replan)
+    /// re-solved, in sorted-name order: the repaired dirty shards, every
+    /// live shard after a batch re-solve, none after
+    /// [`ReplanOutcome::Unchanged`]. Unspecified after an error.
+    pub fn resolved(&self) -> &[usize] {
+        &self.resolved
     }
 
     /// Batch re-solve: residual reset to the full capacities, every live
@@ -1279,11 +1395,15 @@ impl FleetPlacementState {
         for idx in 0..self.order.len() {
             self.resolve(self.order[idx])?;
         }
-        for idx in 0..self.order.len() {
-            let slot = self.order[idx];
+        for &slot in &self.dirty {
             self.entries[slot].dirty = false;
         }
-        self.dirty_count = 0;
+        self.dirty.clear();
+        self.resolved.clear();
+        self.resolved.extend_from_slice(&self.order);
+        // The live set a batch solve walked is the one the next repairs
+        // sort by: index it now, while allocating is expected.
+        self.refresh_ranks();
         self.drift = 0.0;
         self.needs_full = false;
         self.full_solves += 1;
@@ -1720,6 +1840,73 @@ mod tests {
         .unwrap();
         assert_eq!(state.slot_of("a").unwrap(), slot_a);
         assert_eq!(state.slot_name(state.slot_of("z").unwrap()), "z");
+    }
+
+    /// Outside a presence round nothing is swept; naming the leavers with
+    /// `remove` then refunds exactly what the round's sweep does, to the
+    /// bit, and `resolved` lists the re-solved slots in sorted-name order.
+    #[test]
+    fn warm_remove_equals_the_presence_sweep() {
+        let pool = MachinePool::uniform(3, ResourceProfile::uniform(40.0)).unwrap();
+        let request = |i: u32, rate: f64| {
+            let mut r = uniform_request(&[1 + i % 3, 1 + i % 2]);
+            r.edges = chain_edges(&[rate]);
+            r
+        };
+        // Presented out of name order; ten shards keep the drift of the
+        // second window below a batch re-solve.
+        let names = ["j", "c", "h", "a", "f", "b", "i", "e", "g", "d"];
+        let all: Vec<(&str, PlacementRequest)> = (0u32..)
+            .zip(names)
+            .map(|(i, n)| (n, request(i, 10.0 + f64::from(i))))
+            .collect();
+        let mut swept = FleetPlacementState::new();
+        warm_window(&mut swept, &pool, &all).unwrap();
+        let mut removed = swept.clone();
+
+        // No round, no change: every shard stays although none was seen.
+        removed.sync_pool(&pool);
+        assert_eq!(removed.replan().unwrap(), ReplanOutcome::Unchanged);
+        assert_eq!(removed.len(), 10);
+        assert!(removed.resolved().is_empty());
+
+        // "b" and "h" leave while "i" and "c" change.
+        let leaving = ["h", "b"];
+        let stay: Vec<(&str, PlacementRequest)> = all
+            .iter()
+            .filter(|(n, _)| !leaving.contains(n))
+            .map(|(n, r)| {
+                let mut r = r.clone();
+                if ["i", "c"].contains(n) {
+                    r.edges[0].rate *= 3.0;
+                }
+                (*n, r)
+            })
+            .collect();
+        warm_window(&mut swept, &pool, &stay).unwrap();
+        removed.sync_pool(&pool);
+        for name in leaving {
+            removed.remove(removed.slot_of(name).unwrap());
+        }
+        for name in ["i", "c"] {
+            let slot = removed.slot_of(name).unwrap();
+            removed.touch(slot).edges[0].rate *= 3.0;
+        }
+        assert_eq!(removed.replan().unwrap(), ReplanOutcome::Repaired(2));
+        let bits = |s: &FleetPlacementState| -> Vec<[u64; 3]> {
+            let r = s.remaining().iter();
+            r.map(|r| [r.cpu.to_bits(), r.mem.to_bits(), r.net.to_bits()])
+                .collect()
+        };
+        assert_eq!(bits(&removed), bits(&swept));
+        assert_eq!(removed.len(), 8);
+        assert_eq!(
+            warm_placements(&removed, &stay),
+            warm_placements(&swept, &stay)
+        );
+        let sorted: Vec<usize> = ["c", "i"].map(|n| removed.slot_of(n).unwrap()).to_vec();
+        assert_eq!(removed.resolved(), sorted);
+        assert_eq!(swept.resolved(), sorted);
     }
 
     #[test]

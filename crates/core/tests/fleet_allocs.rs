@@ -24,12 +24,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::time::Instant;
 
 use drs_core::driver::{
     AppliedRebalance, BackendError, CspBackend, OperatorSample, RebalancePlan, WindowSample,
 };
 use drs_core::fleet::{
     mmk_measured_sojourn, FleetDriver, FleetDriverConfig, FleetShardSpec, ShardPlacementInfo,
+    WINDOW_PHASES,
 };
 use drs_core::placement::{
     EdgeTraffic, FleetPlacementState, MachinePool, OperatorLoad, PlacementRequest, ReplanOutcome,
@@ -254,6 +256,46 @@ fn steady_placement_windows_allocate_nothing() {
     fleet.run_windows(20);
     assert!(fleet.placement_full_solves() >= 1);
     assert!((0..fleet.shard_count()).all(|i| fleet.shard_placement(i).is_some()));
+}
+
+/// A shard whose model can never be fitted — λ/µ = 50 needs 51 executors
+/// for stability, more than `Kmax = 40` — keeps its fit error on the record
+/// every window while its estimates stand still. Replaying that standing
+/// error must not allocate either.
+#[test]
+fn standing_fit_error_windows_allocate_nothing() {
+    let mut config = FleetDriverConfig::new(40);
+    config.warmup_windows = 2;
+    config.window_secs = 1.0;
+    config.record_timeline = false;
+    let shard = |name: &str, rate: f64, k: u32| {
+        FleetShardSpec::new(name, 0.2, SteadyShard::new(rate, 10.0, k))
+    };
+    let mut fleet = FleetDriver::new(
+        config,
+        vec![
+            shard("a", 40.0, desired_k(40.0, 10.0, 0.2)),
+            shard("overloaded", 500.0, 4),
+            shard("b", 25.0, desired_k(25.0, 10.0, 0.2)),
+        ],
+    )
+    .expect("fleet construction");
+    fleet.run_windows(120);
+    let error = fleet.last_window().shards[1].error.clone();
+    assert!(error.is_some(), "the overloaded shard's fit must fail");
+
+    let before = ALLOCS.get();
+    TRAP.set(12);
+    fleet.run_windows(10);
+    TRAP.set(0);
+    let after = ALLOCS.get();
+    assert_eq!(
+        after - before,
+        0,
+        "{} heap allocations across 10 settled windows with a standing fit error",
+        after - before
+    );
+    assert_eq!(fleet.last_window().shards[1].error, error);
 }
 
 /// One warm-state window: every shard presented, then `replan`. Returns
@@ -523,4 +565,102 @@ fn drifting_windows_allocate_only_for_the_shards_they_move() {
         quiet >= 8,
         "only {quiet} of 20 wobbling windows moved no shard"
     );
+}
+
+/// Where a large drifting window's time goes: the 50 000-shard, 64-machine
+/// placed fleet of the `fleet_window` benchmark workload (5 % of the shards
+/// re-draw their rate every window, the budget 1 % above the fleet's
+/// demand), timed by the driver's own phase clocks. Prints each phase's
+/// median over 300 windows, and the window's median and mean.
+///
+/// `cargo test --release -p drs-core --test fleet_allocs -- --ignored --nocapture`
+#[test]
+#[ignore = "a timing report, not a check"]
+fn fleet_window_phase_times() {
+    const SHARDS: usize = 50_000;
+    const MACHINES: usize = 64;
+    const T_MAX: f64 = 0.5;
+    const SETTLE: usize = 11;
+    const WINDOWS: usize = 300;
+
+    let mut draws = Draws(0x2545_f491_4f6c_dd1d);
+    let mut specs = Vec::with_capacity(SHARDS);
+    let (mut demand, mut units) = (0u64, 0.0);
+    for i in 0..SHARDS {
+        let base_rate = 20.0 + 60.0 * draws.next();
+        let mu = [
+            base_rate / (0.5 + 2.5 * draws.next()),
+            base_rate / (0.5 + 2.5 * draws.next()),
+        ];
+        let rate = base_rate * (0.7 + 0.6 * draws.next());
+        let network =
+            JacksonNetwork::from_rates(rate, &[(rate, mu[0]), (rate, mu[1])]).expect("positive");
+        let allocation = scheduler::min_processors_for_target(&network, T_MAX, 512)
+            .expect("reachable target")
+            .into_vec();
+        let per_executor = [0.5 + draws.next(), 0.5 + draws.next()];
+        for (&k, u) in allocation.iter().zip(per_executor) {
+            demand += u64::from(k);
+            units += f64::from(k) * u;
+        }
+        let shard = DriftShard {
+            base_rate,
+            rate,
+            mu,
+            allocation,
+        };
+        specs.push(
+            FleetShardSpec::new(format!("shard-{i:05}"), T_MAX, shard).with_placement(
+                ShardPlacementInfo {
+                    profiles: per_executor.map(ResourceProfile::uniform).to_vec(),
+                    edges: vec![(0, 1, 1.0)],
+                },
+            ),
+        );
+    }
+    let mut config = FleetDriverConfig::new((demand as f64 * 1.01) as u32);
+    config.window_secs = 1.0;
+    config.warmup_windows = 2;
+    config.record_timeline = false;
+    let mut fleet = FleetDriver::new(config, specs).expect("fleet construction");
+    fleet.set_machine_pool(
+        MachinePool::uniform(
+            MACHINES,
+            ResourceProfile::uniform(units / MACHINES as f64 * 1.3),
+        )
+        .expect("valid pool"),
+    );
+
+    let mut phases: Vec<Vec<f64>> = vec![Vec::new(); WINDOW_PHASES.len()];
+    let mut windows = Vec::with_capacity(WINDOWS);
+    for w in 0..SETTLE + WINDOWS {
+        for _ in 0..SHARDS / 20 {
+            let i = (draws.next() * SHARDS as f64) as usize;
+            let shard = fleet.backend_mut(i);
+            shard.rate = shard.base_rate * (0.7 + 0.6 * draws.next());
+        }
+        let started = Instant::now();
+        fleet.step();
+        let took = started.elapsed().as_secs_f64() * 1e3;
+        if w >= SETTLE {
+            windows.push(took);
+            for (times, t) in phases.iter_mut().zip(fleet.phase_times()) {
+                times.push(t.as_secs_f64() * 1e3);
+            }
+        }
+    }
+    let summary = |v: &mut Vec<f64>| {
+        let mean = v.iter().sum::<f64>() / v.len() as f64;
+        v.sort_by(f64::total_cmp);
+        (v[v.len() / 2], mean)
+    };
+    println!("{SHARDS} shards, {MACHINES} machines, {WINDOWS} windows: ms per window");
+    println!("  {:<10} {:>7} {:>7}", "phase", "median", "mean");
+    for (name, times) in WINDOW_PHASES.iter().zip(&mut phases) {
+        let (median, mean) = summary(times);
+        println!("  {name:<10} {median:>7.3} {mean:>7.3}");
+    }
+    let (median, mean) = summary(&mut windows);
+    println!("  {:<10} {median:>7.3} {mean:>7.3}", "window");
+    println!("  {:.2} M shard-windows/s", SHARDS as f64 / mean / 1e3);
 }
