@@ -25,28 +25,37 @@ use std::env;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// System-allocator wrapper counting every allocation and reallocation, so
-/// the fleet-scale bench can report steady-state allocations per window
-/// (the `drs-bench` library is `forbid(unsafe_code)`, so the allocator
-/// lives here and is handed to the library as a probe).
+/// System-allocator wrapper counting every allocation and reallocation and
+/// the bytes live on the heap, so the scale benches can report
+/// steady-state allocations per window and what a fleet holds (the
+/// `drs-bench` library is `forbid(unsafe_code)`, so the allocator lives
+/// here and is handed to the library as probes).
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Requested bytes allocated minus bytes freed, process-wide.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // Wrapping arithmetic: a shrink adds the two's complement.
+        let delta = (new_size as u64).wrapping_sub(layout.size() as u64);
+        LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -56,6 +65,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+fn live_bytes() -> u64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
 }
 
 #[derive(Debug, Clone)]
@@ -72,6 +85,7 @@ struct Options {
 fn main() -> ExitCode {
     fleet_scale::set_alloc_probe(alloc_count);
     place_scale::set_alloc_probe(alloc_count);
+    place_scale::set_live_bytes_probe(live_bytes);
     let mut target: Option<String> = None;
     let mut options = Options {
         quick: false,

@@ -24,7 +24,7 @@
 //!   [`drs_core::placement::FleetPlacementState`] vs a from-scratch
 //!   `placement::plan` per window under seeded drift, assignments
 //!   cross-checked, steady-state allocations and solver calls asserted
-//!   zero;
+//!   zero, and the warm state's live heap per shard;
 //! * [`faults`] — the same fleet under a degraded control plane: named
 //!   scenarios (`lossy`, `laggy`, `partition`, `churn`, `crash-storm`)
 //!   behind `repro fleet --faults`, rendering injected faults next to

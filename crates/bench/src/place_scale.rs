@@ -14,7 +14,8 @@
 //!
 //! Reported per arm: mean place-µs per drifting window, plus the heap
 //! allocations (and solver calls — must both be **0**) one zero-drift
-//! steady-state window performs. Assignments are cross-checked at the
+//! steady-state window performs; the incremental arm also reports the live
+//! heap bytes its warm state holds per shard. Assignments are cross-checked at the
 //! end of the run: a forced batch re-solve of the warm state must match
 //! `plan` bit-for-bit over the same cached requests. The placement cost
 //! to cite is `BENCHMARK.json`'s `core.placement.replan_ms` (with
@@ -36,6 +37,15 @@ static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
 /// Registers the allocation probe. Later registrations are ignored.
 pub fn set_alloc_probe(probe: fn() -> u64) {
     let _ = ALLOC_PROBE.set(probe);
+}
+
+/// Reports the bytes live on the heap (allocated minus freed). Installed
+/// by the `repro` binary, like [`ALLOC_PROBE`].
+static LIVE_BYTES_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
+
+/// Registers the live-bytes probe. Later registrations are ignored.
+pub fn set_live_bytes_probe(probe: fn() -> u64) {
+    let _ = LIVE_BYTES_PROBE.set(probe);
 }
 
 /// Configuration of one placement-scale run.
@@ -98,6 +108,10 @@ pub struct PlaceScaleRun {
     /// incremental arm; `None` when no probe is installed (library
     /// tests). Must be 0 under the `repro` binary.
     pub steady_allocs: Option<u64>,
+    /// Live heap bytes per shard the incremental arm's warm state holds
+    /// after the steady-state window (cached requests, placements, usage
+    /// lists, names, indexes); `None` when no probe is installed.
+    pub heap_per_shard: Option<f64>,
     /// Solver calls the zero-drift steady-state window performed (must
     /// be 0 — the warm state sees every request unchanged).
     pub steady_solver_calls: u64,
@@ -264,6 +278,7 @@ fn shard_name(i: usize) -> String {
 /// state's assignments against the from-scratch reference.
 pub fn run_place_scale(config: &PlaceScaleConfig) -> PlaceScaleRun {
     let probe = ALLOC_PROBE.get().copied();
+    let live_probe = LIVE_BYTES_PROBE.get().copied();
     let (gens, pool) = build_fleet(config);
     let mut drifts: Vec<Drift> = vec![(1.0, 0); config.shards];
     let mut requests: Vec<PlacementRequest> = gens
@@ -276,6 +291,7 @@ pub fn run_place_scale(config: &PlaceScaleConfig) -> PlaceScaleRun {
         .collect();
 
     // Incremental arm: one warm state across every window.
+    let live_before = live_probe.map(|p| p());
     let mut state = FleetPlacementState::new();
     let start = Instant::now();
     let slots: Vec<usize> = (0..config.shards)
@@ -310,6 +326,9 @@ pub fn run_place_scale(config: &PlaceScaleConfig) -> PlaceScaleRun {
         warm_window(&mut state, &pool, &slots, &requests, config.rate_band);
     }
     let steady_solver_calls = state.solver_calls() - calls_before;
+    let heap_per_shard = live_probe
+        .zip(live_before)
+        .map(|(p, before)| p().wrapping_sub(before) as i64 as f64 / config.shards as f64);
     assert_eq!(
         steady_solver_calls, 0,
         "a zero-drift window must not touch the solver"
@@ -376,6 +395,7 @@ pub fn run_place_scale(config: &PlaceScaleConfig) -> PlaceScaleRun {
         incremental_us,
         scratch_us,
         steady_allocs,
+        heap_per_shard,
         steady_solver_calls,
         solver_calls,
         full_solves,
@@ -391,10 +411,13 @@ pub fn render_place_scale(config: &PlaceScaleConfig, run: &PlaceScaleRun) -> Str
             run.steady_allocs
                 .map_or_else(|| "n/a".to_owned(), |n| n.to_string()),
             run.steady_solver_calls.to_string(),
+            run.heap_per_shard
+                .map_or_else(|| "n/a".to_owned(), |b| format!("{b:.0}")),
         ],
         vec![
             "from-scratch".to_owned(),
             format!("{:.1}", run.scratch_us),
+            "-".to_owned(),
             "-".to_owned(),
             "-".to_owned(),
         ],
@@ -406,7 +429,13 @@ pub fn render_place_scale(config: &PlaceScaleConfig, run: &PlaceScaleRun) -> Str
             config.machines,
             config.churn_fraction * 100.0,
         ),
-        &["arm", "place (µs/window)", "steady allocs", "steady solves"],
+        &[
+            "arm",
+            "place (µs/window)",
+            "steady allocs",
+            "steady solves",
+            "heap (B/shard)",
+        ],
         &rows,
     );
     out.push_str(&format!(
@@ -449,8 +478,9 @@ mod tests {
             run.solver_calls > 0,
             "drifting windows must repair some shards"
         );
-        // No probe in lib tests.
+        // No probes in lib tests.
         assert_eq!(run.steady_allocs, None);
+        assert_eq!(run.heap_per_shard, None);
         let rendered = render_place_scale(&config, &run);
         assert!(rendered.contains("incremental"), "{rendered}");
         assert!(rendered.contains("from-scratch"), "{rendered}");

@@ -175,7 +175,7 @@ pub struct RebalancePlan {
     /// may ignore it.
     pub epoch: u64,
     /// Machine assignment for the target allocation, when a placement
-    /// layer is active: `placement.counts()[i][m]` executors of model
+    /// layer is active: `placement.count(i, m)` executors of model
     /// operator `i` go to machine `m`. `None` leaves executor-to-machine
     /// mapping to the backend (the pre-placement behaviour). Backends
     /// without a machine concept ignore it.

@@ -1709,7 +1709,7 @@ struct ShardState<B> {
     /// [`placement::FleetPlacementState::solve_id`] of the solve that
     /// produced `placement` (0: none). While the shard's warm slot still
     /// carries this id, the planned assignment *is* the one in force —
-    /// phase 5b's O(1) test, in place of comparing the two matrices.
+    /// phase 5b's O(1) test, in place of comparing the two assignments.
     placement_id: u64,
     /// Reused buffer for this shard's raw sample (fed to the measurer).
     raw: RawSample,
@@ -2678,7 +2678,7 @@ impl<B: CspBackend> FleetDriver<B> {
             //     control-plane call instead of a full rebalance. A shard
             //     whose warm slot was not re-solved since its assignment
             //     went in force is skipped on the solve id alone; only a
-            //     re-solved one pays the matrix comparison (a re-solve
+            //     re-solved one pays the cell comparison (a re-solve
             //     often reproduces the assignment, and then sends nothing).
             for idx in 0..scratch.visit.len() {
                 let i = scratch.visit[idx];
@@ -4113,7 +4113,7 @@ mod tests {
     }
 
     /// Phase 5b decides on the solve id alone while a shard's warm slot
-    /// has not been re-solved: the in-force matrix is swapped for a
+    /// has not been re-solved: the in-force assignment is swapped for a
     /// different one behind the driver's back, and no settled window
     /// notices. A re-solve (new id) brings the comparison back, which
     /// then finds the difference and re-sends the assignment.
@@ -4134,7 +4134,11 @@ mod tests {
         f.shards[0].placement = Some(decoy.clone());
         let calls = f.backend(0).placement_calls;
         f.run_windows(5);
-        assert_eq!(f.shard_placement(0), Some(&decoy), "5b compared matrices");
+        assert_eq!(
+            f.shard_placement(0),
+            Some(&decoy),
+            "5b compared assignments"
+        );
         assert_eq!(f.backend(0).placement_calls, calls);
         assert!(in_force_is_planned(&f));
 
@@ -4142,7 +4146,7 @@ mod tests {
         f.run_windows(1);
         assert_eq!(f.shard_placement(0), Some(&solved));
         assert_eq!(f.backend(0).placement_calls, calls + 1);
-        // "b" was re-solved to the same matrix: compared, found equal,
+        // "b" was re-solved to the same assignment: compared, found equal,
         // nothing sent, and its id caught up for the next window.
         assert!(in_force_is_planned(&f));
     }

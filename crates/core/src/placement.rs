@@ -48,6 +48,27 @@
 //! loses to the greedy heuristic (proptests in
 //! `tests/placement_properties.rs`); both always stay within capacity.
 //!
+//! # Representation
+//!
+//! A [`Placement`] is sparse: one buffer of `(op, machine, count)` cells,
+//! sorted by `(op, machine)` and holding the non-zero counts only. An
+//! operator's executors occupy at most as many machines as it has
+//! executors, so a placement's size follows its executors, not the pool:
+//! a fleet shard running six executors on a 10 000-machine pool holds at
+//! most six cells, where a dense `counts[op][machine]` matrix would hold
+//! 20 000 counts.
+//!
+//! The solvers still search on dense per-machine rows — both read and
+//! write `counts[op][m]` for every machine they consider — but those rows
+//! are scratch, reused from solve to solve. A finished solve compresses
+//! its rows into the placement's cell buffer, which is sized to the
+//! request's executor total (capped at `operators × machines`): that
+//! bounds the number of cells, so a re-solve that keeps the executor
+//! counts reuses the buffer without allocating. Skipping the zero cells
+//! is exact: every sum over machines ([`Placement::usage`],
+//! [`Placement::cross_probability`]) adds the same non-zero terms in the
+//! same machine order, and a dropped term was a `+0.0`.
+//!
 //! # Fleet sharing
 //!
 //! [`plan`] places *several* topologies (fleet shards) into one shared
@@ -266,74 +287,177 @@ impl PlacementRequest {
     }
 }
 
-/// A machine assignment: `counts[op][machine]` executors of `op` run on
-/// `machine`. Produced by [`solve`]/[`plan`]/[`round_robin`]; carried by
+/// One non-zero entry of a [`Placement`]: `count` executors of operator
+/// `op` run on `machine`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct Cell {
+    op: u32,
+    machine: u32,
+    count: u32,
+}
+
+/// A machine assignment: how many executors of each operator run on each
+/// machine. Produced by [`solve`]/[`plan`]/[`round_robin`]; carried by
 /// `RebalancePlan` through the control plane.
+///
+/// Stored as cells (see the [module docs](self#representation)): the
+/// non-zero `(op, machine, count)` entries sorted by `(op, machine)`,
+/// plus the operator and machine counts. Its memory is O(executors)
+/// whatever the pool's width. The cells are canonical, so `==` holds
+/// exactly when two placements have the same dimensions and the same
+/// count on every machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Placement {
-    counts: Vec<Vec<u32>>,
+    cells: Vec<Cell>,
+    operators: u32,
+    machines: u32,
 }
 
 impl Placement {
-    /// Builds a placement from raw per-operator, per-machine counts.
-    /// Intended for tests and backends reconstructing state; solver output
-    /// is always capacity-checked.
-    pub fn from_counts(counts: Vec<Vec<u32>>) -> Self {
-        Placement { counts }
+    /// A placement of no operators on no machines.
+    const fn empty() -> Self {
+        Placement {
+            cells: Vec::new(),
+            operators: 0,
+            machines: 0,
+        }
     }
 
-    /// `counts()[op][machine]` = executors of `op` on `machine`.
-    pub fn counts(&self) -> &[Vec<u32>] {
-        &self.counts
+    /// Builds a placement from dense counts: `counts[op][machine]`
+    /// executors of `op` run on `machine`. Only the non-zero counts are
+    /// kept. Intended for tests and backends reconstructing state; solver
+    /// output is always capacity-checked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows are ragged (a row spans a different number of
+    /// machines than row 0).
+    pub fn from_counts(counts: Vec<Vec<u32>>) -> Self {
+        let machines = counts.first().map_or(0, Vec::len);
+        for (op, row) in counts.iter().enumerate() {
+            assert!(
+                row.len() == machines,
+                "Placement::from_counts: ragged rows (row {op} spans {} machines, row 0 spans \
+                 {machines})",
+                row.len()
+            );
+        }
+        let nonzero = counts.iter().flatten().filter(|&&c| c > 0).count();
+        let mut placement = Placement::empty();
+        placement.compress(&counts, machines, nonzero);
+        placement
+    }
+
+    /// Rewrites this placement from dense rows `rows[op][machine]`, each
+    /// `machines` long, reusing the cell buffer. `capacity` must bound
+    /// the number of non-zero counts: the buffer grows to it once and
+    /// then never allocates again for rows that fit.
+    fn compress(&mut self, rows: &[Vec<u32>], machines: usize, capacity: usize) {
+        let dim = |n: usize| u32::try_from(n).expect("placement dimension fits u32");
+        self.operators = dim(rows.len());
+        self.machines = dim(machines);
+        self.cells.clear();
+        self.cells.reserve_exact(capacity);
+        for (op, row) in (0..).zip(rows) {
+            for (machine, &count) in (0..).zip(row) {
+                if count > 0 {
+                    self.cells.push(Cell { op, machine, count });
+                }
+            }
+        }
+    }
+
+    /// The cells of one operator, ascending by machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is out of range.
+    fn row(&self, op: usize) -> &[Cell] {
+        assert!(
+            op < self.operators(),
+            "operator {op} out of range for a placement of {} operators",
+            self.operators
+        );
+        let op = op as u32;
+        let start = self.cells.partition_point(|c| c.op < op);
+        let len = self.cells[start..].partition_point(|c| c.op == op);
+        &self.cells[start..start + len]
+    }
+
+    /// Executors of `op` on `machine`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` or `machine` is out of range.
+    pub fn count(&self, op: usize, machine: usize) -> u32 {
+        assert!(
+            machine < self.machines(),
+            "machine {machine} out of range for a placement on {} machines",
+            self.machines
+        );
+        let row = self.row(op);
+        row.binary_search_by_key(&(machine as u32), |c| c.machine)
+            .map_or(0, |at| row[at].count)
+    }
+
+    /// The machines running executors of `op`, ascending, as `(machine,
+    /// count)` pairs; machines without one are skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is out of range.
+    pub fn counts_of(&self, op: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.row(op).iter().map(|c| (c.machine as usize, c.count))
     }
 
     /// Number of operators covered.
     pub fn operators(&self) -> usize {
-        self.counts.len()
+        self.operators as usize
     }
 
     /// Number of machines covered (0 for an empty placement).
     pub fn machines(&self) -> usize {
-        self.counts.first().map_or(0, Vec::len)
+        self.machines as usize
     }
 
     /// Total executors of one operator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is out of range.
     pub fn executors_of(&self, op: usize) -> u32 {
-        self.counts[op].iter().sum()
+        self.row(op).iter().map(|c| c.count).sum()
     }
 
     /// Per-operator totals, i.e. the allocation vector this placement
     /// realises.
     pub fn allocation(&self) -> Vec<u32> {
-        (0..self.counts.len())
-            .map(|i| self.executors_of(i))
-            .collect()
+        let mut totals = vec![0; self.operators()];
+        for c in &self.cells {
+            totals[c.op as usize] += c.count;
+        }
+        totals
     }
 
     /// Whether this placement realises exactly `allocation` — the
     /// allocation-free form of `placement.allocation() == allocation`,
     /// for comparisons on the steady-state fleet path.
     pub fn allocation_matches(&self, allocation: &[u32]) -> bool {
-        self.counts.len() == allocation.len()
-            && self
-                .counts
-                .iter()
+        self.operators() == allocation.len()
+            && (0..)
                 .zip(allocation)
-                .all(|(row, &k)| row.iter().sum::<u32>() == k)
+                .all(|(op, &k)| self.executors_of(op) == k)
     }
 
     /// Resource usage per machine given the operators' demand profiles.
     pub fn usage(&self, profiles: &[ResourceProfile]) -> Vec<ResourceProfile> {
-        let machines = self.machines();
-        let mut usage = vec![ResourceProfile::uniform(0.0); machines];
-        for (op, per_machine) in self.counts.iter().enumerate() {
-            let p = profiles[op];
-            for (m, &c) in per_machine.iter().enumerate() {
-                let c = c as f64;
-                usage[m].cpu += c * p.cpu;
-                usage[m].mem += c * p.mem;
-                usage[m].net += c * p.net;
-            }
+        let mut usage = vec![ResourceProfile::uniform(0.0); self.machines()];
+        for c in &self.cells {
+            accumulate(
+                &mut usage[c.machine as usize],
+                c.count,
+                &profiles[c.op as usize],
+            );
         }
         usage
     }
@@ -342,15 +466,25 @@ impl Placement {
     /// shuffle grouping: `1 − Σ_m (c_from[m]/k_from)·(c_to[m]/k_to)`.
     ///
     /// Edges touching an operator with zero executors contribute 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` or `to` is out of range.
     pub fn cross_probability(&self, from: usize, to: usize) -> f64 {
         let kf = self.executors_of(from) as f64;
         let kt = self.executors_of(to) as f64;
         if kf == 0.0 || kt == 0.0 {
             return 0.0;
         }
+        // A merge of the two rows: the machines both operators use,
+        // ascending, which is where every non-zero term of the sum lies.
         let mut colocated = 0.0;
-        for m in 0..self.machines() {
-            colocated += (self.counts[from][m] as f64 / kf) * (self.counts[to][m] as f64 / kt);
+        let mut to_cells = self.row(to).iter().peekable();
+        for f in self.row(from) {
+            while to_cells.next_if(|t| t.machine < f.machine).is_some() {}
+            if let Some(t) = to_cells.next_if(|t| t.machine == f.machine) {
+                colocated += (f.count as f64 / kf) * (t.count as f64 / kt);
+            }
         }
         (1.0 - colocated).max(0.0)
     }
@@ -429,6 +563,14 @@ fn refund(remaining: &mut ResourceProfile, demand: &ResourceProfile) {
     remaining.net += demand.net;
 }
 
+/// Adds what `count` executors of demand `profile` use to `used`.
+fn accumulate(used: &mut ResourceProfile, count: u32, profile: &ResourceProfile) {
+    let c = f64::from(count);
+    used.cpu += c * profile.cpu;
+    used.mem += c * profile.mem;
+    used.net += c * profile.net;
+}
+
 /// R-Storm's resource distance: Euclidean distance between what the
 /// executor demands and what the machine still has. Smaller = tighter fit.
 fn resource_distance(remaining: &ResourceProfile, demand: &ResourceProfile) -> f64 {
@@ -476,16 +618,32 @@ fn solve_fresh(
     request: &PlacementRequest,
     exact_limit: u64,
 ) -> Result<Placement, PlacementError> {
-    let mut counts = Vec::new();
+    let mut placement = Placement::empty();
     let mut scratch = SolveScratch::default();
-    solve_rows(remaining, request, &mut counts, &mut scratch, exact_limit)?;
-    Ok(Placement { counts })
+    solve_rows(
+        remaining,
+        request,
+        &mut placement,
+        &mut scratch,
+        exact_limit,
+    )?;
+    Ok(placement)
 }
 
 /// Solver working memory, reused across solves so the warm fleet path
 /// allocates nothing per shard.
 #[derive(Debug, Clone, Default)]
 struct SolveScratch {
+    /// The dense assignment under construction, `rows[op][machine]`: the
+    /// solvers search on it, and a finished solve compresses it into the
+    /// caller's [`Placement`].
+    rows: Vec<Vec<u32>>,
+    kernel: KernelScratch,
+}
+
+/// The solvers' search state besides the dense rows.
+#[derive(Debug, Clone, Default)]
+struct KernelScratch {
     /// Exact: per edge, `Σ_m c_from[m]·c_to[m]` of the partial placement.
     dots: Vec<u64>,
     /// Exact: the machine of every executor placed so far, in placement
@@ -502,27 +660,34 @@ struct SolveScratch {
     undo: Vec<(usize, ResourceProfile)>,
 }
 
-/// [`solve_into`] writing the assignment into caller-owned rows (resized
-/// in place) with caller-owned scratch; instances up to `exact_limit`
-/// placements are solved exactly. On `Err` the rows are garbage.
+/// [`solve_into`] writing the assignment into a caller-owned placement
+/// (its cell buffer reused) with caller-owned scratch; instances up to
+/// `exact_limit` placements are solved exactly. On `Err` `out` is left
+/// as it was.
 fn solve_rows(
     remaining: &mut [ResourceProfile],
     request: &PlacementRequest,
-    counts: &mut Vec<Vec<u32>>,
+    out: &mut Placement,
     scratch: &mut SolveScratch,
     exact_limit: u64,
 ) -> Result<(), PlacementError> {
     request.validate(remaining.len())?;
-    counts.resize_with(request.operators.len(), Vec::new);
-    for row in counts.iter_mut() {
+    let (operators, machines) = (request.operators.len(), remaining.len());
+    let SolveScratch { rows, kernel } = scratch;
+    rows.resize_with(operators, Vec::new);
+    for row in rows.iter_mut() {
         row.clear();
-        row.resize(remaining.len(), 0);
+        row.resize(machines, 0);
     }
-    if enumeration_size(request, remaining.len()) <= exact_limit {
-        oracle_into(remaining, request, counts, scratch)
+    if enumeration_size(request, machines) <= exact_limit {
+        oracle_into(remaining, request, rows, kernel)?;
     } else {
-        greedy_into(remaining, request, counts, scratch)
+        greedy_into(remaining, request, rows, kernel)?;
     }
+    // Each executor fills at most one cell.
+    let executors: usize = request.operators.iter().map(|o| o.executors as usize).sum();
+    out.compress(rows, machines, executors.min(operators * machines));
+    Ok(())
 }
 
 /// Estimated exhaustive-search size: `Π_i C(k_i+m−1, m−1)`, saturating.
@@ -560,10 +725,10 @@ fn greedy_into(
     remaining: &mut [ResourceProfile],
     request: &PlacementRequest,
     counts: &mut [Vec<u32>],
-    scratch: &mut SolveScratch,
+    scratch: &mut KernelScratch,
 ) -> Result<(), PlacementError> {
     let n = request.operators.len();
-    let SolveScratch {
+    let KernelScratch {
         traffic,
         order,
         adjacent,
@@ -663,7 +828,7 @@ fn oracle_into(
     remaining: &mut [ResourceProfile],
     request: &PlacementRequest,
     counts: &mut [Vec<u32>],
-    scratch: &mut SolveScratch,
+    scratch: &mut KernelScratch,
 ) -> Result<(), PlacementError> {
     scratch.dots.clear();
     scratch.dots.resize(request.edges.len(), 0);
@@ -707,7 +872,7 @@ struct ExactSearch<'a> {
     request: &'a PlacementRequest,
     remaining: &'a mut [ResourceProfile],
     counts: &'a mut [Vec<u32>],
-    scratch: &'a mut SolveScratch,
+    scratch: &'a mut KernelScratch,
     /// Cost of `scratch.best_path`; `None` until a full placement is found.
     best: Option<f64>,
 }
@@ -835,7 +1000,7 @@ pub fn round_robin(
             }
         }
     }
-    Ok(Placement { counts })
+    Ok(Placement::from_counts(counts))
 }
 
 /// Places several shards into one shared pool.
@@ -861,15 +1026,15 @@ pub fn plan(
     let mut out: Vec<Option<Placement>> = vec![None; shards.len()];
     for &i in &order {
         let (_, request) = &shards[i];
-        let mut counts = Vec::new();
+        let mut placement = Placement::empty();
         solve_rows(
             &mut remaining,
             request,
-            &mut counts,
+            &mut placement,
             &mut scratch,
             EXACT_LIMIT,
         )?;
-        out[i] = Some(Placement { counts });
+        out[i] = Some(placement);
     }
     Ok(out
         .into_iter()
@@ -911,7 +1076,7 @@ struct WarmEntry {
     dirty: bool,
     /// The cached placement inputs (buffers rewritten in place on change).
     request: PlacementRequest,
-    /// The solved assignment for `request` (rows re-solved in place).
+    /// The solved assignment for `request` (cells re-solved in place).
     placement: Placement,
     /// Which solve produced `placement`: the state's `solver_calls` count
     /// right after it, so no two solves ever share an id (0: never solved).
@@ -1101,7 +1266,7 @@ impl FleetPlacementState {
                     leaving: false,
                     dirty: true,
                     request: PlacementRequest::default(),
-                    placement: Placement { counts: Vec::new() },
+                    placement: Placement::empty(),
                     solve_id: 0,
                     usage: Vec::new(),
                 });
@@ -1411,31 +1576,37 @@ impl FleetPlacementState {
     }
 
     /// Solves the shard at `slot` against the residual capacity into its
-    /// own placement rows, and stamps the entry with the solve's id and the
-    /// usage it now charges. Allocation-free once the entry's buffers fit
-    /// the shard. On `Err` the entry's placement is garbage (id 0).
+    /// own placement cells, and stamps the entry with the solve's id and
+    /// the usage it now charges. Allocation-free once the entry's buffers
+    /// fit the shard. On `Err` the entry's placement is stale (id 0).
     fn resolve(&mut self, slot: usize) -> Result<(), PlacementError> {
         let e = &mut self.entries[slot];
         e.solve_id = 0;
         e.usage.clear();
-        let (rows, scratch) = (&mut e.placement.counts, &mut self.scratch);
-        solve_rows(&mut self.remaining, &e.request, rows, scratch, EXACT_LIMIT)?;
+        solve_rows(
+            &mut self.remaining,
+            &e.request,
+            &mut e.placement,
+            &mut self.scratch,
+            EXACT_LIMIT,
+        )?;
         self.solver_calls += 1;
         e.solve_id = self.solver_calls;
         // The sums [`Placement::usage`] forms, for the machines the shard
-        // touches only (elsewhere an exact 0.0, a no-op to refund).
-        for m in 0..self.remaining.len() {
-            if rows.iter().all(|row| row[m] == 0) {
-                continue;
-            }
-            let mut used = ResourceProfile::uniform(0.0);
-            for (row, load) in rows.iter().zip(&e.request.operators) {
-                let c = row[m] as f64;
-                used.cpu += c * load.profile.cpu;
-                used.mem += c * load.profile.mem;
-                used.net += c * load.profile.net;
-            }
-            e.usage.push((m, used));
+        // touches only (elsewhere an exact 0.0, a no-op to refund). The
+        // cells come operator by operator, so each machine adds its terms
+        // in operator order, as `usage` does.
+        for c in &e.placement.cells {
+            let m = c.machine as usize;
+            let at = match e.usage.binary_search_by_key(&m, |&(m, _)| m) {
+                Ok(at) => at,
+                Err(at) => {
+                    e.usage.insert(at, (m, ResourceProfile::uniform(0.0)));
+                    at
+                }
+            };
+            let profile = &e.request.operators[c.op as usize].profile;
+            accumulate(&mut e.usage[at].1, c.count, profile);
         }
         Ok(())
     }
@@ -1501,8 +1672,7 @@ mod tests {
         assert_eq!(p.allocation(), vec![2, 2, 2]);
         assert!(
             p.cross_fraction(&request.edges) < 1e-9,
-            "chain that fits one machine should be fully co-located: {:?}",
-            p.counts()
+            "chain that fits one machine should be fully co-located: {p:?}"
         );
     }
 
@@ -1642,7 +1812,7 @@ mod tests {
         };
         let p = solve(&pool, &request).unwrap();
         // Both cpu-heavy executors must land on "big" (index 0).
-        assert_eq!(p.counts()[0][0], 2);
+        assert_eq!(p.count(0, 0), 2);
         let profiles: Vec<_> = request.operators.iter().map(|o| o.profile).collect();
         let usage = p.usage(&profiles);
         assert!(usage[1].cpu <= 2.0 + 1e-9);
@@ -1676,8 +1846,7 @@ mod tests {
         .unwrap();
         let request = uniform_request(&[4]);
         let p = round_robin(&pool, &request).unwrap();
-        assert_eq!(p.counts()[0][0], 1);
-        assert_eq!(p.counts()[0][1], 3);
+        assert_eq!(p.counts_of(0).collect::<Vec<_>>(), [(0, 1), (1, 3)]);
     }
 
     #[test]
@@ -2013,6 +2182,43 @@ mod tests {
         assert!(!p.allocation_matches(&[3]));
         assert!(!p.allocation_matches(&[3, 3, 0]));
         assert_eq!(p.allocation(), vec![3, 3]);
+        let empty = Placement::from_counts(Vec::new());
+        assert_eq!((empty.operators(), empty.machines()), (0, 0));
+        assert!(empty.allocation_matches(&[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged rows (row 1 spans 2 machines, row 0 spans 1)")]
+    fn from_counts_rejects_a_longer_later_row() {
+        Placement::from_counts(vec![vec![1], vec![1, 1]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged rows (row 1 spans 1 machines, row 0 spans 2)")]
+    fn from_counts_rejects_a_shorter_later_row() {
+        Placement::from_counts(vec![vec![1, 1], vec![1]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "machine 2 out of range")]
+    fn count_rejects_a_machine_past_the_pool() {
+        Placement::from_counts(vec![vec![1, 1]]).count(0, 2);
+    }
+
+    /// The cell buffer holds the executor total from the first solve, so
+    /// a re-solve spreading the same executors wider reuses it.
+    #[test]
+    fn cell_buffer_holds_the_executor_total() {
+        let mut p = Placement::empty();
+        p.compress(&[vec![3, 0, 0], vec![3, 0, 0]], 3, 6);
+        assert!(p.cells.capacity() >= 6, "{}", p.cells.capacity());
+        let buffer = (p.cells.as_ptr(), p.cells.capacity());
+        p.compress(&[vec![1, 1, 1], vec![1, 1, 1]], 3, 6);
+        assert_eq!((p.cells.as_ptr(), p.cells.capacity()), buffer);
+        assert_eq!(
+            p,
+            Placement::from_counts(vec![vec![1, 1, 1], vec![1, 1, 1]])
+        );
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms the fleet past the smoothing fixpoint, then asserts the counter
-//! does not advance across further windows. Backends override
+//! does not advance across further windows. The allocator also keeps the
+//! live heap bytes, so a test can pin what a fleet *holds*: placement
+//! memory follows the executors a shard runs, not the width of the pool
+//! they run on. Backends override
 //! `advance_into` / `current_allocation_into` so the measurement side is
 //! allocation-free too — exactly the contract production backends are
 //! expected to meet for large fleets.
@@ -42,15 +45,19 @@ use drs_topology::ResourceProfile;
 
 /// System allocator wrapper that counts every allocation and reallocation
 /// (frees are uncounted: the claim under test is "no new memory", not
-/// "no memory").
+/// "no memory"), and separately tracks the bytes live on the heap.
 struct CountingAlloc;
 
-// Counter and trap are per thread: libtest runs the tests of this binary on
+// Counters and trap are per thread: libtest runs the tests of this binary on
 // parallel threads, and a process-wide counter would charge one test with
 // the other's warm-up allocations. `const`-initialised `Cell`s need no lazy
 // initialisation and no destructor, so touching them never allocates.
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Requested bytes allocated minus bytes freed by this thread (a block
+    /// freed by another thread than its allocator skews both; the fleet
+    /// tests run on one thread).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
     /// Failure diagnostics: while non-zero, each counted allocation prints a
     /// backtrace of its call site (and decrements the budget), so a
     /// regression names the allocating line instead of just a count.
@@ -72,20 +79,28 @@ fn count_and_trace() {
     }
 }
 
+fn track_live(delta: i64) {
+    LIVE.with(|live| live.set(live.get() + delta));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_and_trace();
+        track_live(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_and_trace();
+        track_live(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_and_trace();
+        track_live(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track_live(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -564,6 +579,105 @@ fn drifting_windows_allocate_only_for_the_shards_they_move() {
     assert!(
         quiet >= 8,
         "only {quiet} of 20 wobbling windows moved no shard"
+    );
+}
+
+/// The shards of the drifting placed fleet above, drawn from `draws`: their
+/// specs, their Program 6 executor demand, and the resource units that
+/// demand uses.
+fn drift_specs(draws: &mut Draws, shards: usize) -> (Vec<FleetShardSpec<DriftShard>>, u64, f64) {
+    const T_MAX: f64 = 0.5;
+    let mut specs = Vec::with_capacity(shards);
+    let (mut demand, mut units) = (0u64, 0.0);
+    for i in 0..shards {
+        let base_rate = 20.0 + 60.0 * draws.next();
+        let mu = [
+            base_rate / (0.5 + 2.5 * draws.next()),
+            base_rate / (0.5 + 2.5 * draws.next()),
+        ];
+        let rate = base_rate * (0.7 + 0.6 * draws.next());
+        let network =
+            JacksonNetwork::from_rates(rate, &[(rate, mu[0]), (rate, mu[1])]).expect("positive");
+        let allocation = scheduler::min_processors_for_target(&network, T_MAX, 512)
+            .expect("reachable target")
+            .into_vec();
+        let per_executor = [0.5 + draws.next(), 0.5 + draws.next()];
+        for (&k, u) in allocation.iter().zip(per_executor) {
+            demand += u64::from(k);
+            units += f64::from(k) * u;
+        }
+        let shard = DriftShard {
+            base_rate,
+            rate,
+            mu,
+            allocation,
+        };
+        specs.push(
+            FleetShardSpec::new(format!("shard-{i:04}"), T_MAX, shard).with_placement(
+                ShardPlacementInfo {
+                    profiles: per_executor.map(ResourceProfile::uniform).to_vec(),
+                    edges: vec![(0, 1, 1.0)],
+                },
+            ),
+        );
+    }
+    (specs, demand, units)
+}
+
+/// Placement memory follows the executors, not the pool: the 3 000-shard
+/// drifting placed fleet, settled on a 4-machine pool and on a 4 096-machine
+/// one, holds the same live heap per shard to within 64 B. (Dense
+/// `counts[op][machine]` rows, two operators in each of a shard's two
+/// copies, would differ by 2 × 2 × 4 092 × 4 B ≈ 64 KB.) A shard's heap is
+/// the slope between 300 and 3 000 shards on the same pool, which cancels
+/// what the pool costs once (its capacities and residuals, the solvers'
+/// dense scratch rows). And a placement in force is one buffer: cloning it
+/// into an actuation command is one allocation.
+#[test]
+fn placement_memory_follows_the_executors_not_the_pool() {
+    const SHARDS: usize = 3_000;
+    const FEW: usize = 300;
+    const SEED: u64 = 0x2545_f491_4f6c_dd1d;
+
+    let (_, _, units) = drift_specs(&mut Draws(SEED), SHARDS);
+    // The live heap a fleet of the first `shards` shards holds once settled
+    // on `machines` machines (sized for all 3 000 shards).
+    let settled_heap = |shards: usize, machines: usize| -> i64 {
+        let before = LIVE.get();
+        let (specs, demand, _) = drift_specs(&mut Draws(SEED), shards);
+        let mut config = FleetDriverConfig::new(2 * demand as u32);
+        config.window_secs = 1.0;
+        config.warmup_windows = 2;
+        config.record_timeline = false;
+        let mut fleet = FleetDriver::new(config, specs).expect("fleet construction");
+        let capacity = units / machines as f64 * 1.3;
+        fleet.set_machine_pool(
+            MachinePool::uniform(machines, ResourceProfile::uniform(capacity)).expect("valid pool"),
+        );
+        fleet.run_windows(8);
+        let last = fleet.last_window();
+        assert!(last.error.is_none() && last.shards.iter().all(|s| s.error.is_none()));
+        let heap = LIVE.get() - before;
+
+        let allocs = ALLOCS.get();
+        for i in 0..shards {
+            std::hint::black_box(fleet.shard_placement(i).expect("placed").clone());
+        }
+        assert_eq!(
+            ALLOCS.get() - allocs,
+            shards as u64,
+            "{machines} machines: one allocation per placement cloned"
+        );
+        heap
+    };
+    let per_shard = |machines: usize| {
+        (settled_heap(SHARDS, machines) - settled_heap(FEW, machines)) as f64
+            / (SHARDS - FEW) as f64
+    };
+    let (narrow, wide) = (per_shard(4), per_shard(4096));
+    assert!(
+        (wide - narrow).abs() < 64.0,
+        "live heap per shard: {narrow:.0} B on 4 machines, {wide:.0} B on 4 096"
     );
 }
 

@@ -241,9 +241,15 @@ fn digest(seed: u64, budget: Budget) -> u64 {
         for i in 0..fleet.shard_count() {
             match fleet.shard_placement(i) {
                 Some(p) => {
-                    d.word(1 + p.counts().len() as u64);
-                    for row in p.counts() {
-                        d.counts(row);
+                    // The dense `counts[op][machine]` rows, hashed as such.
+                    d.word(1 + p.operators() as u64);
+                    let mut row = vec![0; p.machines()];
+                    for op in 0..p.operators() {
+                        row.fill(0);
+                        for (m, k) in p.counts_of(op) {
+                            row[m] = k;
+                        }
+                        d.counts(&row);
                     }
                 }
                 None => d.word(0),

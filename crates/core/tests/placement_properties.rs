@@ -5,6 +5,7 @@
 //! clone-per-leaf exhaustive search kept here as the reference, and never
 //! loses to the greedy heuristic), the greedy kernel equals the
 //! per-machine edge-scanning one it replaced (also kept here) bit for bit,
+//! the sparse [`Placement`] reads exactly as the dense matrix it stores,
 //! fleet planning is deterministic
 //! regardless of the order
 //! shards are presented in, and the warm incremental path
@@ -394,7 +395,7 @@ proptest! {
         prop_assert_eq!(&placement::oracle(&pool, &req), &got, "oracle() and solve_into() differ");
         match (&want, &got) {
             (Ok(w), Ok(g)) => {
-                prop_assert_eq!(w.counts(), g.counts(), "cost {}", w.cross_rate(&req.edges));
+                prop_assert_eq!(w, g, "cost {}", w.cross_rate(&req.edges));
                 FEASIBLE.fetch_add(1, Ordering::Relaxed);
                 if w.cross_rate(&req.edges) > EPS {
                     NONZERO_COST.fetch_add(1, Ordering::Relaxed);
@@ -545,7 +546,10 @@ fn exact_solver_breaks_ties_towards_smallest_counts() {
     let pool = MachinePool::uniform(3, ResourceProfile::uniform(2.0)).unwrap();
     let req = request(&[(1, 1.0), (1, 1.0)], &[(0, 1, 5.0)]);
     let solved = placement::solve(&pool, &req).unwrap();
-    assert_eq!(solved.counts(), [vec![0, 0, 1], vec![0, 0, 1]]);
+    assert_eq!(
+        solved,
+        Placement::from_counts(vec![vec![0, 0, 1], vec![0, 0, 1]])
+    );
     assert_eq!(
         solved,
         reference_oracle(&mut capacities(&pool), &req).unwrap()
@@ -556,7 +560,10 @@ fn exact_solver_breaks_ties_towards_smallest_counts() {
     specs[2].capacity = ResourceProfile::uniform(1.0);
     let pool = MachinePool::new(specs).unwrap();
     let solved = placement::solve(&pool, &req).unwrap();
-    assert_eq!(solved.counts(), [vec![0, 1, 0], vec![0, 1, 0]]);
+    assert_eq!(
+        solved,
+        Placement::from_counts(vec![vec![0, 1, 0], vec![0, 1, 0]])
+    );
 }
 
 /// The exact solver's worst case at the `EXACT_LIMIT` edge: a `(1,1)`
@@ -573,9 +580,185 @@ fn exact_solver_survives_a_pool_with_no_colocation() {
         solved,
         reference_oracle(&mut capacities(&pool), &req).unwrap()
     );
-    assert_eq!(solved.counts()[0][63], 1);
-    assert_eq!(solved.counts()[1][62], 1);
+    assert_eq!(solved.count(0, 63), 1);
+    assert_eq!(solved.count(1, 62), 1);
     assert!((solved.cross_rate(&req.edges) - 7.0).abs() < EPS);
+}
+
+/// One drawn row of a dense placement matrix over `machines` machines:
+/// kind 0 is a zero row (a zero-executor operator), kind 1 scatters the
+/// drawn `(machine, count)` cells, kind 2 fills every machine from a
+/// xorshift stream seeded with `seed` (mostly non-zero, counts up to 3).
+fn dense_row(machines: usize, kind: u8, seed: u64, cells: &[(usize, u32)]) -> Vec<u32> {
+    let mut row = vec![0u32; machines];
+    match kind {
+        0 => {}
+        1 => {
+            for &(m, c) in cells {
+                row[m % machines] += c;
+            }
+        }
+        _ => {
+            let mut state = seed | 1;
+            for count in &mut row {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                *count = (state % 4) as u32;
+            }
+        }
+    }
+    row
+}
+
+/// `1 − Σ_m (c_from[m]/k_from)·(c_to[m]/k_to)` over every machine, zero
+/// terms included: the dense formula the sparse one must match bit for bit.
+fn dense_cross_probability(dense: &[Vec<u32>], from: usize, to: usize) -> f64 {
+    let kf = dense[from].iter().sum::<u32>() as f64;
+    let kt = dense[to].iter().sum::<u32>() as f64;
+    if kf == 0.0 || kt == 0.0 {
+        return 0.0;
+    }
+    let mut colocated = 0.0;
+    for (&cf, &ct) in dense[from].iter().zip(&dense[to]) {
+        colocated += (cf as f64 / kf) * (ct as f64 / kt);
+    }
+    (1.0 - colocated).max(0.0)
+}
+
+/// What the `sparse_placement_cases` draw covered: `[a zero row, a machine
+/// with no executor of any operator, two equal matrices, two different
+/// ones of the same shape, more than 100 machines]`.
+static SPARSE_COVERED: [AtomicU32; 5] = [const { AtomicU32::new(0) }; 5];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The body of `sparse_placement_equals_its_dense_matrix`: dense
+    /// matrices of 1–5 operators on 1–300 machines — zero rows, scattered
+    /// cells and fully dense rows — read through the sparse placement,
+    /// against the dense reference computed here. Every accessor returns
+    /// the same value (floats to the bit), `==` agrees with matrix
+    /// equality, and the dense rows come back out exactly.
+    fn sparse_placement_cases(
+        machines in 1usize..=300,
+        rows in vec((0u8..3, 0u64..u64::MAX, vec((0usize..300, 1u32..=5), 0..=8)), 1..=5),
+        profiles in vec((0u32..=9, 0u32..=9, 0u32..=9), 5),
+        raw_edges in vec((0usize..5, 0usize..5, 0.0f64..10.0), 0..=6),
+        tweak in (0usize..5, 0usize..300, 0u32..4),
+    ) {
+        let dense: Vec<Vec<u32>> = rows
+            .iter()
+            .map(|(kind, seed, cells)| dense_row(machines, *kind, *seed, cells))
+            .collect();
+        let n = dense.len();
+        let placement = Placement::from_counts(dense.clone());
+        prop_assert_eq!((placement.operators(), placement.machines()), (n, machines));
+
+        // Counts, totals, and the round trip back to dense rows.
+        let totals: Vec<u32> = dense.iter().map(|row| row.iter().sum()).collect();
+        let mut round_trip = vec![vec![0u32; machines]; n];
+        for (op, row) in dense.iter().enumerate() {
+            for (m, &c) in row.iter().enumerate() {
+                prop_assert_eq!(placement.count(op, m), c);
+            }
+            let cells: Vec<(usize, u32)> = placement.counts_of(op).collect();
+            prop_assert!(cells.windows(2).all(|w| w[0].0 < w[1].0), "machines ascend");
+            for (m, c) in cells {
+                prop_assert!(c > 0, "a zero cell was kept");
+                round_trip[op][m] = c;
+            }
+            prop_assert_eq!(placement.executors_of(op), totals[op]);
+        }
+        prop_assert_eq!(&round_trip, &dense);
+        prop_assert_eq!(placement.allocation(), totals.clone());
+        prop_assert!(placement.allocation_matches(&totals));
+        let mut off_by_one = totals.clone();
+        off_by_one[tweak.0 % n] += 1;
+        prop_assert!(!placement.allocation_matches(&off_by_one));
+        prop_assert!(!placement.allocation_matches(&totals[..n - 1]));
+
+        // Usage, with profiles whose products round.
+        let profiles: Vec<ResourceProfile> = profiles[..n]
+            .iter()
+            .map(|&(cpu, mem, net)| {
+                let units = |u: u32| f64::from(u) * 0.1 + 0.013;
+                ResourceProfile { cpu: units(cpu), mem: units(mem), net: units(net) }
+            })
+            .collect();
+        let mut want_usage = vec![ResourceProfile::uniform(0.0); machines];
+        for (row, p) in dense.iter().zip(&profiles) {
+            for (used, &c) in want_usage.iter_mut().zip(row) {
+                let c = c as f64;
+                used.cpu += c * p.cpu;
+                used.mem += c * p.mem;
+                used.net += c * p.net;
+            }
+        }
+        let bits = |usage: &[ResourceProfile]| -> Vec<[u64; 3]> {
+            usage.iter().map(|u| [u.cpu, u.mem, u.net].map(f64::to_bits)).collect()
+        };
+        prop_assert_eq!(bits(&placement.usage(&profiles)), bits(&want_usage));
+
+        // Crossing probabilities on every ordered pair, self-loops included,
+        // and the rate-weighted sums over the drawn edges.
+        for from in 0..n {
+            for to in 0..n {
+                prop_assert_eq!(
+                    placement.cross_probability(from, to).to_bits(),
+                    dense_cross_probability(&dense, from, to).to_bits(),
+                    "edge {} -> {}", from, to
+                );
+            }
+        }
+        let edges: Vec<EdgeTraffic> = raw_edges
+            .iter()
+            .map(|&(from, to, rate)| EdgeTraffic { from: from % n, to: to % n, rate })
+            .collect();
+        let want_rate: f64 = edges
+            .iter()
+            .map(|e| e.rate * dense_cross_probability(&dense, e.from, e.to))
+            .sum();
+        prop_assert_eq!(placement.cross_rate(&edges).to_bits(), want_rate.to_bits());
+        let total_rate: f64 = edges.iter().map(|e| e.rate).sum();
+        let want_fraction = if total_rate <= 0.0 { 0.0 } else { want_rate / total_rate };
+        prop_assert_eq!(placement.cross_fraction(&edges).to_bits(), want_fraction.to_bits());
+
+        // Equality: a matrix with one count raised by `tweak.2` (equal when
+        // it is 0) or cleared (3), and one with an extra, empty machine.
+        let mut other = dense.clone();
+        let (op, m) = (tweak.0 % n, tweak.1 % machines);
+        other[op][m] = if tweak.2 == 3 { 0 } else { other[op][m] + tweak.2 };
+        prop_assert_eq!(placement == Placement::from_counts(other.clone()), other == dense);
+        let mut wider = dense.clone();
+        for row in &mut wider {
+            row.push(0);
+        }
+        prop_assert!(placement != Placement::from_counts(wider));
+
+        for (slot, hit) in [
+            totals.contains(&0),
+            (0..machines).any(|m| dense.iter().all(|row| row[m] == 0)),
+            other == dense,
+            other != dense,
+            machines > 100,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            SPARSE_COVERED[slot].fetch_add(u32::from(hit), Ordering::Relaxed);
+        }
+    }
+}
+
+#[test]
+fn sparse_placement_equals_its_dense_matrix() {
+    sparse_placement_cases();
+    let covered = SPARSE_COVERED.each_ref().map(|c| c.load(Ordering::Relaxed));
+    assert!(
+        covered.iter().all(|&c| c >= 50),
+        "draw too narrow: {covered:?} (zero row, empty machine, equal, different, > 100 machines)"
+    );
 }
 
 proptest! {
@@ -629,7 +812,7 @@ proptest! {
         match (&oracle, &solved) {
             (Ok(o), Ok(s)) => {
                 prop_assert_eq!(
-                    o.counts(), s.counts(),
+                    o, s,
                     "solve() must dispatch to the oracle on small instances"
                 );
                 if let Ok(g) = placement::greedy(&pool, &req) {
@@ -682,7 +865,7 @@ proptest! {
                 for (i, (name, req)) in named.iter().enumerate() {
                     let j = permuted.iter().position(|(n, _)| n == name).unwrap();
                     prop_assert_eq!(
-                        a[i].counts(), b[j].counts(),
+                        &a[i], &b[j],
                         "shard {} placed differently depending on order", name
                     );
                     let want: Vec<u32> =

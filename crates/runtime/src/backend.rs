@@ -117,7 +117,9 @@ impl CspBackend for RuntimeEngine {
                 }
             }
             for (model, &i) in bolts.iter().enumerate() {
-                counts[i] = placement.counts()[model].clone();
+                for (m, c) in placement.counts_of(model) {
+                    counts[i][m] = c;
+                }
             }
             counts
         };

@@ -134,7 +134,7 @@ impl CspBackend for Simulator {
                         if k == 0 {
                             0.0
                         } else {
-                            1.0 - placement.counts()[to][0] as f64 / k as f64
+                            1.0 - placement.count(to, 0) as f64 / k as f64
                         }
                     }
                 }

@@ -425,7 +425,7 @@ mod tests {
             .shard_placement(0)
             .expect("placement must be in force");
         assert_eq!(placement.allocation(), vec![4]);
-        assert_eq!(placement.counts()[0], vec![2, 2]);
+        assert_eq!(placement.counts_of(0).collect::<Vec<_>>(), [(0, 2), (1, 2)]);
         assert_eq!(fleet.shard(0).edge_cross_probabilities(), &[0.5]);
         let last = fleet.timeline().last().unwrap();
         assert!(last.shards[0].error.is_none(), "no errors: {last:?}");
