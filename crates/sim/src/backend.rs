@@ -53,19 +53,22 @@ impl CspBackend for Simulator {
 
     fn advance_into(&mut self, window_secs: f64, out: &mut WindowSample) {
         self.run_for(SimDuration::from_secs_f64(window_secs));
-        let w = self.take_window();
-        out.operators.clear();
-        out.operators.extend(self.topology().bolts().map(|op| {
-            let i = op.id().index();
-            OperatorSample {
-                arrival_rate: w.operator_arrival_rate(i),
-                service_rate: w.operator_service_rate(i),
-            }
-        }));
-        out.external_rate = w.external_rate();
-        out.mean_sojourn = w.mean_sojourn();
-        out.std_sojourn = w.sojourn.std_dev();
-        out.completed = w.sojourn.count();
+        // The window is closed in place, so a settled simulator-backed
+        // shard allocates nothing here once `out` has bolt capacity.
+        self.close_window_with(|sim, w| {
+            out.operators.clear();
+            out.operators.extend(sim.topology().bolts().map(|op| {
+                let i = op.id().index();
+                OperatorSample {
+                    arrival_rate: w.operator_arrival_rate(i),
+                    service_rate: w.operator_service_rate(i),
+                }
+            }));
+            out.external_rate = w.external_rate();
+            out.mean_sojourn = w.mean_sojourn();
+            out.std_sojourn = w.sojourn.std_dev();
+            out.completed = w.sojourn.count();
+        });
     }
 
     fn apply(&mut self, plan: &RebalancePlan) -> Result<AppliedRebalance, BackendError> {

@@ -38,9 +38,9 @@
 //! i.e. each event is re-scanned once per earlier stratum, up to O(S)
 //! times. Correctness is unaffected (the regression test in
 //! `crates/sim/tests/calendar_properties.rs` pins pop order through
-//! exactly this shape), only the constant grows. A true multi-rung ladder
-//! would bound the re-spill work to O(1) touches per event per *rung*
-//! (O(log horizon) total) and is the named follow-up in the ROADMAP.
+//! exactly this shape), only the constant grows. A multi-rung ladder would
+//! bound the re-spill work to O(1) touches per event per *rung*
+//! (O(log horizon) total); no simulator workload has needed it.
 //!
 //! # Determinism
 //!
@@ -49,7 +49,11 @@
 //! order. That total order is exactly the one the previous
 //! `BinaryHeap<Scheduled>` implementation produced, so simulator timelines
 //! are bit-identical across the swap — same-timestamp events still fire in
-//! FIFO scheduling order. Property tests
+//! FIFO scheduling order. [`CalendarQueue::push_with_seq`] and
+//! [`CalendarQueue::peek_key`] let a caller draw the sequence numbers from
+//! a counter it shares with other event stores and merge on the same key,
+//! which is how the simulator's [`crate::event::EventQueue`] keeps its
+//! fixed-delay lanes in the same total order. Property tests
 //! (`crates/sim/tests/calendar_properties.rs`) assert pop-order equivalence
 //! against a binary-heap reference over random schedules, including tie
 //! storms and far-future spills.
@@ -93,11 +97,14 @@ struct Entry<E> {
 /// See the [module docs](self) for the design and the determinism contract.
 #[derive(Debug, Clone)]
 pub struct CalendarQueue<E> {
-    /// The near-horizon band. Only `buckets[cursor]` is kept sorted
-    /// (descending `(time, seq)`, so the minimum pops from the back);
-    /// later buckets are unsorted append-only until the cursor reaches
-    /// them.
+    /// The near-horizon band: the first `n_buckets` buckets. Only
+    /// `buckets[cursor]` is kept sorted (descending `(time, seq)`, so the
+    /// minimum pops from the back); later buckets are unsorted append-only
+    /// until the cursor reaches them. Buckets past `n_buckets` are empty
+    /// spares kept with their capacity, so a band that shrinks and grows
+    /// again reuses its storage instead of reallocating it.
     buckets: Vec<Vec<Entry<E>>>,
+    n_buckets: usize,
     cursor: usize,
     cursor_sorted: bool,
     epoch_start: u64,
@@ -128,6 +135,7 @@ impl<E> CalendarQueue<E> {
     pub fn new() -> Self {
         CalendarQueue {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            n_buckets: MIN_BUCKETS,
             cursor: 0,
             cursor_sorted: true,
             epoch_start: 0,
@@ -156,6 +164,16 @@ impl<E> CalendarQueue<E> {
     pub fn push(&mut self, time: u64, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.push_with_seq(time, seq, event);
+    }
+
+    /// Schedules `event` at `time` under a caller-assigned sequence number,
+    /// for a caller that orders this queue's events against events it keeps
+    /// elsewhere ([`crate::event::EventQueue`]'s lanes). Ties at one
+    /// instant pop in ascending `seq`; the caller keeps sequence numbers
+    /// unique and does not mix this with [`push`](Self::push), whose
+    /// counter is the queue's own. O(1) amortized.
+    pub fn push_with_seq(&mut self, time: u64, seq: u64, event: E) {
         let entry = Entry { time, seq, event };
         if self.is_empty() {
             // Re-anchor the (empty) band at the new event so the common
@@ -170,7 +188,7 @@ impl<E> CalendarQueue<E> {
             return;
         }
         self.insert_in_band(entry);
-        if self.band_len > REBUILD_FACTOR * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
+        if self.band_len > REBUILD_FACTOR * self.n_buckets && self.n_buckets < MAX_BUCKETS {
             // The band over-filled mid-epoch: spill everything and re-seed
             // with a bucket count/width matched to the new population.
             self.spill_band_to_overflow();
@@ -181,10 +199,17 @@ impl<E> CalendarQueue<E> {
     /// The timestamp of the earliest pending event. Amortized O(1); may
     /// advance internal cursors (never changes the pop order).
     pub fn peek_time(&mut self) -> Option<u64> {
+        self.peek_key().map(|(time, _)| time)
+    }
+
+    /// The `(time, seq)` key of the earliest pending event — the key it
+    /// pops under. Amortized O(1); may advance internal cursors (never
+    /// changes the pop order).
+    pub fn peek_key(&mut self) -> Option<(u64, u64)> {
         if !self.position_at_min() {
             return None;
         }
-        self.buckets[self.cursor].last().map(|e| e.time)
+        self.buckets[self.cursor].last().map(|e| (e.time, e.seq))
     }
 
     /// Removes and returns the earliest `(time, event)`; ties pop in
@@ -232,7 +257,7 @@ impl<E> CalendarQueue<E> {
     }
 
     fn band_span(&self) -> u64 {
-        self.width.saturating_mul(self.buckets.len() as u64)
+        self.width.saturating_mul(self.n_buckets as u64)
     }
 
     /// Inserts an in-horizon entry into its bucket. Entries whose window has
@@ -242,7 +267,7 @@ impl<E> CalendarQueue<E> {
     /// poppable first.
     fn insert_in_band(&mut self, entry: Entry<E>) {
         let idx = ((entry.time.saturating_sub(self.epoch_start)) / self.width) as usize;
-        let idx = idx.clamp(self.cursor, self.buckets.len() - 1);
+        let idx = idx.clamp(self.cursor, self.n_buckets - 1);
         let bucket = &mut self.buckets[idx];
         if idx == self.cursor && self.cursor_sorted {
             // Keep the live bucket sorted: binary-search the descending
@@ -257,7 +282,7 @@ impl<E> CalendarQueue<E> {
     }
 
     fn spill_band_to_overflow(&mut self) {
-        for bucket in &mut self.buckets {
+        for bucket in &mut self.buckets[..self.n_buckets] {
             self.overflow.append(bucket);
         }
         self.band_len = 0;
@@ -273,9 +298,10 @@ impl<E> CalendarQueue<E> {
         let m = self.overflow.len();
         debug_assert!(m > 0);
         let n = m.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if self.buckets.len() != n {
+        if self.buckets.len() < n {
             self.buckets.resize_with(n, Vec::new);
         }
+        self.n_buckets = n;
 
         // Width from observed interarrival: the mean gap of the nearest
         // `q ≤ 2n` pending events, so the spilled stratum averages ~2 events
@@ -315,7 +341,7 @@ impl<E> CalendarQueue<E> {
             if self.overflow[i].time < self.epoch_end || self.overflow[i].time == self.epoch_start {
                 let entry = self.overflow.swap_remove(i);
                 let idx = ((entry.time - self.epoch_start) / self.width) as usize;
-                let idx = idx.min(self.buckets.len() - 1);
+                let idx = idx.min(self.n_buckets - 1);
                 self.buckets[idx].push(entry);
                 self.band_len += 1;
             } else {

@@ -15,17 +15,29 @@
 //! wall-clock second, so the whole step loop is allocation-free and O(1)
 //! amortized:
 //!
-//! * **event scheduling** runs on a [`calendar::CalendarQueue`] (calendar /
+//! * **event scheduling** ([`event::EventQueue`]) splits pending events
+//!   between two stores. A tuple crossing a fixed-delay edge locally — the
+//!   builder's default edge, and about half of a fan-out topology's events
+//!   — is appended to a FIFO *lane* for its delay: arrivals at `now + d`
+//!   come in time order, so a lane needs no priority queue. Everything
+//!   else (service completions, external arrivals, random or crossed
+//!   delays, pause ends) goes on a [`calendar::CalendarQueue`] (calendar /
 //!   ladder queue hybrid): O(1) amortized insert and pop with a lazy
 //!   overflow ladder for far-future events and width/size heuristics keyed
-//!   off the observed event interarrival — replacing the previous binary
-//!   heap's O(log m) comparator cost while popping in the *identical*
-//!   deterministic `(time, FIFO-sequence)` order;
+//!   off the observed event interarrival. One sequence counter numbers
+//!   both stores' events and a pop takes the least `(time, sequence)` key
+//!   among the calendar head and the lane heads, so the order is the
+//!   *identical* deterministic `(time, FIFO-sequence)` order one binary
+//!   heap over every event would give;
 //! * **tuple emission** walks a compiled CSR out-edge layout
 //!   ([`drs_topology::CsrOutEdges`], shared with the threaded runtime) by
 //!   value — no adjacency clone per processed tuple;
 //! * **tuple-tree acking** lives in a slab with a free list and recycled
-//!   dense `u32` slot ids — no per-root allocation or hashing.
+//!   dense `u32` slot ids — no per-root allocation or hashing;
+//! * **measurement windows** close in place on the
+//!   `CspBackend::advance_into` path: the per-operator counters are reset
+//!   where they live (`tests/window_allocs.rs` pins zero allocations per
+//!   settled window).
 //!
 //! The same structures back the sharded multi-topology
 //! [`fleet::FleetCoordinator`], so fleet stepping inherits the O(1) event
@@ -33,7 +45,8 @@
 //! `BENCHMARK.json`'s `sim.calendar_ns`, and the simulator's throughput
 //! `sim.tuples_per_s`, both on the `sim_paper` workload (`bash
 //! benchmark/run.sh --workload sim_paper`); `tests/calendar_properties.rs`
-//! checks the pop order against a `BinaryHeap`.
+//! checks the pop order of the calendar, and of the calendar with lanes,
+//! against a `BinaryHeap`.
 //!
 //! # Degraded control plane
 //!

@@ -249,6 +249,29 @@ impl SimulationBuilder {
             })
             .collect();
 
+        // One event-queue lane per distinct fixed delay: a local tuple over
+        // such an edge arrives at `now + d`, so each lane fills in time
+        // order (see `crate::event`).
+        let mut lanes = 0;
+        let mut edge_lanes: Vec<Option<FixedHop>> = Vec::with_capacity(edge_behaviors.len());
+        for behavior in &edge_behaviors {
+            let hop = match behavior.delay {
+                Distribution::Deterministic { value } => {
+                    let delay = SimDuration::from_secs_f64(value);
+                    let lane = match edge_lanes.iter().flatten().find(|hop| hop.delay == delay) {
+                        Some(hop) => hop.lane,
+                        None => {
+                            lanes += 1;
+                            lanes - 1
+                        }
+                    };
+                    Some(FixedHop { lane, delay })
+                }
+                _ => None,
+            };
+            edge_lanes.push(hop);
+        }
+
         let n_edges = edge_behaviors.len();
         let allocation = self.allocation.unwrap_or_else(|| vec![1; n]);
         validate_allocation(&self.topology, &allocation)?;
@@ -269,10 +292,11 @@ impl SimulationBuilder {
             topology: self.topology,
             behaviors,
             edge_behaviors,
+            edge_lanes,
             csr,
             allocation,
             now: SimTime::ZERO,
-            events: EventQueue::new(),
+            events: EventQueue::with_lanes(lanes),
             rng: StdRng::seed_from_u64(self.seed),
             trees: Vec::new(),
             free_trees: Vec::new(),
@@ -334,6 +358,13 @@ struct TreeState {
     pending: u32,
 }
 
+/// A fixed-delay edge's event-queue lane and its delay.
+#[derive(Debug, Clone, Copy)]
+struct FixedHop {
+    lane: usize,
+    delay: SimDuration,
+}
+
 /// The discrete-event stream-processing simulator. See the module docs for
 /// the execution model and [`SimulationBuilder`] for construction.
 #[derive(Debug, Clone)]
@@ -341,6 +372,8 @@ pub struct Simulator {
     topology: Topology,
     behaviors: Vec<OperatorBehavior>,
     edge_behaviors: Vec<EdgeBehavior>,
+    /// Per edge id: the lane its local tuples take when its delay is fixed.
+    edge_lanes: Vec<Option<FixedHop>>,
     /// Compiled CSR adjacency shared with the runtime's layout
     /// ([`drs_topology::CsrOutEdges`]): flat out-edge arrays walked by
     /// value on the emit path.
@@ -433,11 +466,7 @@ impl Simulator {
     /// Runs the simulation until `deadline`, then sets the clock to exactly
     /// `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.events.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (time, event) = self.events.pop().expect("peeked event exists");
+        while let Some((time, event)) = self.events.pop_due(deadline) {
             self.now = time;
             self.handle(event);
         }
@@ -456,6 +485,19 @@ impl Simulator {
     /// This is the simulator-side analogue of the DRS measurer's periodic
     /// metric pull (paper App. B).
     pub fn take_window(&mut self) -> MeasurementWindow {
+        self.close_window_with(|_, window| window.clone())
+    }
+
+    /// Closes the current measurement window like [`take_window`], but
+    /// lends it (with the simulator) to `read` instead of returning it: the
+    /// per-operator counters are reset where they live, so closing a window
+    /// allocates nothing (the `CspBackend::advance_into` path).
+    ///
+    /// [`take_window`]: Simulator::take_window
+    pub(crate) fn close_window_with<R>(
+        &mut self,
+        read: impl FnOnce(&Simulator, &MeasurementWindow) -> R,
+    ) -> R {
         let mut operators = std::mem::take(&mut self.window_ops);
         for (w, op) in operators.iter_mut().zip(&self.ops) {
             w.queue_len_end = op.queue.len();
@@ -467,11 +509,13 @@ impl Simulator {
             external_arrivals: self.window_external,
             sojourn: self.window_sojourn,
         };
+        let out = read(self, &window);
+        self.window_ops = window.operators;
+        self.window_ops.fill(OperatorWindow::default());
         self.window_start = self.now;
-        self.window_ops = vec![OperatorWindow::default(); self.topology.len()];
         self.window_external = 0;
         self.window_sojourn = RunningStats::new();
-        window
+        out
     }
 
     /// Applies a new allocation after a pause of `pause` (the re-balancing
@@ -700,22 +744,36 @@ impl Simulator {
             let target = self.csr.targets_of(op)[slot] as usize;
             let n = self.edge_behaviors[edge_idx].count.sample(&mut self.rng);
             let cross_prob = self.edge_cross_prob[edge_idx];
+            let fixed = self.edge_lanes[edge_idx];
             for _ in 0..n {
-                let mut delay = SimDuration::from_secs_f64(
-                    self.edge_behaviors[edge_idx].delay.sample(&mut self.rng),
-                );
+                // A fixed delay draws nothing from the RNG, so taking the
+                // precomputed one keeps the random stream.
+                let mut delay = match fixed {
+                    Some(hop) => hop.delay,
+                    None => SimDuration::from_secs_f64(
+                        self.edge_behaviors[edge_idx].delay.sample(&mut self.rng),
+                    ),
+                };
                 // With a placement installed, the tuple may land on an
                 // executor of `target` that lives on another machine; it
                 // then pays the cross-machine network delay. Edges with
                 // probability zero draw nothing, so runs without a
                 // placement keep their exact event stream per seed.
                 self.edge_tuples += 1;
-                if cross_prob > 0.0 && self.rng.gen_bool(cross_prob) {
+                let crossed = cross_prob > 0.0 && self.rng.gen_bool(cross_prob);
+                if crossed {
                     self.cross_tuples += 1;
                     delay += self.cross_delay;
                 }
-                self.events
-                    .schedule(self.now + delay, Event::TupleArrival { op: target, tree });
+                match fixed {
+                    Some(hop) if !crossed => {
+                        self.events
+                            .schedule_lane(hop.lane, self.now + delay, target, tree);
+                    }
+                    _ => self
+                        .events
+                        .schedule(self.now + delay, Event::TupleArrival { op: target, tree }),
+                }
             }
             emitted += n;
         }

@@ -2,9 +2,13 @@
 //! order must be *identical* to a binary-heap reference ordered by
 //! `(time, insertion sequence)` — the order the simulator's old
 //! `BinaryHeap<Scheduled>` produced — across random schedules, including
-//! same-timestamp FIFO ties and far-future overflow spills.
+//! same-timestamp FIFO ties and far-future overflow spills. The same holds
+//! for the simulator's `EventQueue`, which splits events between the
+//! calendar and its fixed-delay lanes.
 
 use drs_sim::calendar::CalendarQueue;
+use drs_sim::event::{Event, EventQueue};
+use drs_sim::time::SimTime;
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -216,4 +220,156 @@ fn far_future_heavy_schedule_pins_pop_order_through_repeated_reseeds() {
         "drained {popped} events, expected at least {}",
         STRATA * PER_STRATUM
     );
+}
+
+/// The reference for `EventQueue`: one binary heap over every event, keyed
+/// by `(time, scheduling sequence)`.
+#[derive(Default)]
+struct EventReference {
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
+    events: Vec<Event>,
+}
+
+impl EventReference {
+    fn push(&mut self, time: u64, event: Event) {
+        self.heap.push(Reverse((time, self.events.len() as u64)));
+        self.events.push(event);
+    }
+
+    fn pop_due(&mut self, deadline: u64) -> Option<(u64, Event)> {
+        let &Reverse((time, seq)) = self.heap.peek()?;
+        if time > deadline {
+            return None;
+        }
+        self.heap.pop();
+        Some((time, self.events[seq as usize].clone()))
+    }
+}
+
+/// One scripted `EventQueue` operation.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    /// `count` calendar events at `clock + offset`, 17 ns apart.
+    Calendar(u64, u8),
+    /// One calendar event far beyond any band horizon (overflow ladder).
+    Far(u64),
+    /// `count` arrivals on lane `lane % lanes`, each at `clock + delay`.
+    Lane(usize, u8),
+    /// A tie storm at the instant lane `lane % lanes` receives: `count`
+    /// events rotating over that lane, every other lane with the same
+    /// delay, and the calendar.
+    Storm(usize, u8),
+    /// Pops up to `count` events due by `clock + horizon`; once none is
+    /// due, the clock moves to the deadline, as in `Simulator::run_until`.
+    PopDue(u64, u8),
+}
+
+fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
+    (0u8..6, 0u64..u64::MAX, 1u8..8).prop_map(|(kind, raw, count)| match kind {
+        0 => QueueOp::Calendar(raw % (1 << 22), count),
+        1 => QueueOp::Far(raw % (1 << 44)),
+        2 => QueueOp::Lane(raw as usize, count),
+        3 => QueueOp::Storm(raw as usize, count),
+        _ => QueueOp::PopDue(raw % (1 << 22), count),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn event_queue_pops_in_binary_heap_order_across_lanes(
+        // 1–4 lanes; equal delays make ties across lanes.
+        delays in prop::collection::vec((0usize..4).prop_map(|k| [0, 300, 40_000, 1 << 21][k]), 1..5),
+        ops in prop::collection::vec(queue_op_strategy(), 1..160),
+    ) {
+        let mut queue = EventQueue::with_lanes(delays.len());
+        let mut reference = EventReference::default();
+        let mut clock = 0u64;
+        let mut id = 0usize;
+        let mut next_id = move || {
+            id += 1;
+            id
+        };
+        for op in ops {
+            match op {
+                QueueOp::Calendar(offset, count) => {
+                    for i in 0..u64::from(count) {
+                        let t = clock + offset + i * 17;
+                        let event = Event::ExternalArrival { spout: next_id() };
+                        queue.schedule(SimTime::from_nanos(t), event.clone());
+                        reference.push(t, event);
+                    }
+                }
+                QueueOp::Far(offset) => {
+                    let t = clock + (1 << 34) + offset;
+                    let event = Event::ExternalArrival { spout: next_id() };
+                    queue.schedule(SimTime::from_nanos(t), event.clone());
+                    reference.push(t, event);
+                }
+                QueueOp::Lane(lane, count) => {
+                    let lane = lane % delays.len();
+                    let t = clock + delays[lane];
+                    for _ in 0..count {
+                        let op = next_id();
+                        queue.schedule_lane(lane, SimTime::from_nanos(t), op, lane as u32);
+                        reference.push(t, Event::TupleArrival { op, tree: lane as u32 });
+                    }
+                }
+                QueueOp::Storm(lane, count) => {
+                    let lane = lane % delays.len();
+                    let t = clock + delays[lane];
+                    let mut targets: Vec<Option<usize>> = (0..delays.len())
+                        .filter(|&j| delays[j] == delays[lane])
+                        .map(Some)
+                        .collect();
+                    targets.push(None);
+                    for i in 0..usize::from(count) {
+                        let op = next_id();
+                        match targets[i % targets.len()] {
+                            Some(j) => {
+                                queue.schedule_lane(j, SimTime::from_nanos(t), op, j as u32);
+                                reference.push(t, Event::TupleArrival { op, tree: j as u32 });
+                            }
+                            None => {
+                                let event = Event::ExternalArrival { spout: op };
+                                queue.schedule(SimTime::from_nanos(t), event.clone());
+                                reference.push(t, event);
+                            }
+                        }
+                    }
+                }
+                QueueOp::PopDue(horizon, count) => {
+                    let deadline = clock + horizon;
+                    for _ in 0..count {
+                        let expected = reference.pop_due(deadline);
+                        let got = queue
+                            .pop_due(SimTime::from_nanos(deadline))
+                            .map(|(t, e)| (t.as_nanos(), e));
+                        prop_assert_eq!(&got, &expected);
+                        match got {
+                            Some((t, _)) => clock = t,
+                            None => {
+                                // Nothing else is due: the clock jumps to
+                                // the deadline.
+                                clock = deadline;
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(queue.len(), reference.heap.len());
+        }
+        // Drain both: far-future spills and the lanes' tails must agree too.
+        loop {
+            let expected = reference.pop_due(u64::MAX);
+            let got = queue.pop().map(|(t, e)| (t.as_nanos(), e));
+            prop_assert_eq!(&got, &expected);
+            if got.is_none() {
+                break;
+            }
+        }
+        prop_assert!(queue.is_empty());
+    }
 }
