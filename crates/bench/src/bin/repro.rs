@@ -83,9 +83,10 @@ struct Options {
 }
 
 fn main() -> ExitCode {
-    fleet_scale::set_alloc_probe(alloc_count);
-    place_scale::set_alloc_probe(alloc_count);
-    place_scale::set_live_bytes_probe(live_bytes);
+    drs_bench::set_heap_probes(drs_bench::HeapProbes {
+        allocs: alloc_count,
+        live_bytes,
+    });
     let mut target: Option<String> = None;
     let mut options = Options {
         quick: false,

@@ -15,16 +15,17 @@
 //!   the live runtime, timelines side by side;
 //! * [`fleet`] — a four-topology VLD+FPD fleet sharing one contended
 //!   processor budget through the sharded fleet simulator;
-//! * [`fleet_scale`] — synthetic shard fleets at 1k–1m shards
-//!   (`repro fleet --scale`): warm-start incremental negotiation vs the
-//!   from-scratch reference, negotiate-µs per contended window and
-//!   steady-state allocations per window (asserted zero);
+//! * [`fleet_scale`] — `drs_sim::synthetic` fleets at 1k–1m shards
+//!   (`repro fleet --scale`): warm-start incremental negotiation under
+//!   seeded drift, negotiate-µs per contended window, steady-state
+//!   allocations per window asserted zero, final grants cross-checked
+//!   against one from-scratch negotiation;
 //! * [`place_scale`] — the same treatment for machine placement
 //!   (`repro fleet --scale ... --place`): the warm epoch-band
-//!   [`drs_core::placement::FleetPlacementState`] vs a from-scratch
-//!   `placement::plan` per window under seeded drift, assignments
-//!   cross-checked, steady-state allocations and solver calls asserted
-//!   zero, and the warm state's live heap per shard;
+//!   [`drs_core::placement::FleetPlacementState`] under seeded drift,
+//!   steady-state allocations and solver calls asserted zero, the warm
+//!   state's live heap per shard, and a final cross-check against one
+//!   from-scratch `placement::plan`;
 //! * [`faults`] — the same fleet under a degraded control plane: named
 //!   scenarios (`lossy`, `laggy`, `partition`, `churn`, `crash-storm`)
 //!   behind `repro fleet --faults`, rendering injected faults next to
@@ -69,3 +70,30 @@ pub mod surge;
 pub mod sweep;
 pub mod table2;
 mod timing;
+
+use std::sync::OnceLock;
+
+/// The process's heap counters, for the scale smokes' allocation and
+/// footprint assertions. The `repro` binary's `#[global_allocator]`
+/// provides them; this library is `forbid(unsafe_code)` and cannot host
+/// the allocator.
+#[derive(Debug, Clone, Copy)]
+pub struct HeapProbes {
+    /// Allocations and reallocations performed so far.
+    pub allocs: fn() -> u64,
+    /// Bytes live on the heap (allocated minus freed, wrapping).
+    pub live_bytes: fn() -> u64,
+}
+
+static HEAP_PROBES: OnceLock<HeapProbes> = OnceLock::new();
+
+/// Registers the heap probes. Later registrations are ignored.
+pub fn set_heap_probes(probes: HeapProbes) {
+    let _ = HEAP_PROBES.set(probes);
+}
+
+/// The registered heap probes; `None` without the `repro` binary's
+/// allocator (library tests).
+fn heap_probes() -> Option<HeapProbes> {
+    HEAP_PROBES.get().copied()
+}

@@ -1,52 +1,31 @@
-//! `repro fleet --scale --place`: the warm-start placement benchmark.
+//! `repro fleet --scale --place`: the warm-start placement smoke.
 //!
-//! Synthetic shard fleets at 1k/10k/100k shards share one machine pool;
-//! every window a configurable fraction of shards drifts (edge rates
-//! re-scale, and some shards gain or lose an executor). Two arms place
-//! the identical drift sequence:
+//! A synthetic fleet ([`drs_sim::synthetic`]) of 1k/10k/100k two-operator
+//! shards shares one machine pool sized at 130 % of the resource units its
+//! executors start on. Every window the generator's drift re-draws 5 % of
+//! the shards' rates, and a re-drawn shard's request follows: its chain
+//! edge carries the new rate and its operators run their Program 6
+//! schedule for it. One warm [`FleetPlacementState`] is carried across the
+//! windows with the fleet driver's epoch band: only shards whose request
+//! changed beyond the band are re-solved against the pool's residual
+//! capacity, with the drift-bounded batch re-solve as the anchor.
 //!
-//! * **incremental** — one warm [`FleetPlacementState`] carried across
-//!   windows via the epoch-band protocol: only shards whose request
-//!   actually changed are re-solved against the pool's residual
-//!   capacity, with the drift-bounded batch re-solve as the anchor;
-//! * **from-scratch** — a fresh [`placement::plan`] per window, the
-//!   O(fleet) reference the warm path must beat.
-//!
-//! Reported per arm: mean place-µs per drifting window, plus the heap
-//! allocations (and solver calls — must both be **0**) one zero-drift
-//! steady-state window performs; the incremental arm also reports the live
-//! heap bytes its warm state holds per shard. Assignments are cross-checked at the
-//! end of the run: a forced batch re-solve of the warm state must match
-//! `plan` bit-for-bit over the same cached requests. The placement cost
-//! to cite is `BENCHMARK.json`'s `core.placement.replan_ms` (with
+//! The run asserts that a zero-drift steady-state window performs no heap
+//! allocation and no solver call, reports the live heap bytes the warm
+//! state holds per shard, and at the end cross-checks a forced batch
+//! re-solve of the warm state against one from-scratch [`placement::plan`]
+//! over the same cached requests, bit for bit. The placement cost to cite
+//! is `BENCHMARK.json`'s `core.placement.replan_ms` (with
 //! `core.placement.solver_calls` / `full_solves`) on the `fleet_window`
 //! workload (`bash benchmark/run.sh --workload fleet_window`).
 
+use drs_core::fleet::FleetDriverConfig;
 use drs_core::placement::{
     self, EdgeTraffic, FleetPlacementState, MachinePool, OperatorLoad, PlacementRequest,
 };
+use drs_sim::synthetic::{Draws, SyntheticFleet, SyntheticShard};
 use drs_topology::ResourceProfile;
-use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Counts heap allocations performed by the process so far. Installed by
-/// the `repro` binary (whose `#[global_allocator]` counts); the library
-/// itself is `forbid(unsafe_code)` and cannot host the allocator.
-static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
-
-/// Registers the allocation probe. Later registrations are ignored.
-pub fn set_alloc_probe(probe: fn() -> u64) {
-    let _ = ALLOC_PROBE.set(probe);
-}
-
-/// Reports the bytes live on the heap (allocated minus freed). Installed
-/// by the `repro` binary, like [`ALLOC_PROBE`].
-static LIVE_BYTES_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
-
-/// Registers the live-bytes probe. Later registrations are ignored.
-pub fn set_live_bytes_probe(probe: fn() -> u64) {
-    let _ = LIVE_BYTES_PROBE.set(probe);
-}
 
 /// Configuration of one placement-scale run.
 #[derive(Debug, Clone)]
@@ -55,17 +34,9 @@ pub struct PlaceScaleConfig {
     pub shards: usize,
     /// Machines in the shared pool.
     pub machines: usize,
-    /// Fraction of shards whose request drifts each window.
-    pub churn_fraction: f64,
-    /// Relative dead-band on edge rates (mirrors
-    /// `FleetDriverConfig::placement_rate_band`).
-    pub rate_band: f64,
-    /// Drifting windows driven through the incremental arm.
+    /// Drifting windows placed.
     pub windows: u64,
-    /// Drifting windows driven through the from-scratch arm (smaller at
-    /// the largest scales — the reference arm is the slow one).
-    pub scratch_windows: u64,
-    /// RNG seed; both arms replay the identical drift sequence from it.
+    /// Seed of the generator's stream.
     pub seed: u64,
 }
 
@@ -80,14 +51,10 @@ impl PlaceScaleConfig {
             "100k" => (100_000, 64),
             _ => return None,
         };
-        let (windows, scratch_windows) = if smoke { (3, 2) } else { (10, 3) };
         Some(PlaceScaleConfig {
             shards,
             machines,
-            churn_fraction: 0.05,
-            rate_band: 0.05,
-            windows,
-            scratch_windows,
+            windows: if smoke { 3 } else { 10 },
             seed,
         })
     }
@@ -96,151 +63,50 @@ impl PlaceScaleConfig {
 /// The outcome of one placement-scale run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlaceScaleRun {
-    /// Microseconds the initial full build (window 0) took — identical
-    /// work in both arms, reported once.
+    /// Microseconds the initial full build (window 0) took.
     pub build_us: f64,
-    /// Mean microseconds per drifting window, warm incremental arm
-    /// (epoch-band comparison + residual-capacity repair).
-    pub incremental_us: f64,
-    /// Mean microseconds per drifting window, from-scratch `plan` arm.
-    pub scratch_us: f64,
-    /// Heap allocations across one zero-drift steady-state window of the
-    /// incremental arm; `None` when no probe is installed (library
-    /// tests). Must be 0 under the `repro` binary.
+    /// Mean microseconds per drifting window (epoch-band comparison +
+    /// residual-capacity repair).
+    pub place_us: f64,
+    /// Heap allocations across one zero-drift steady-state window; `None`
+    /// when no heap probes are installed (library tests). Must be 0 under
+    /// the `repro` binary.
     pub steady_allocs: Option<u64>,
-    /// Live heap bytes per shard the incremental arm's warm state holds
-    /// after the steady-state window (cached requests, placements, usage
-    /// lists, names, indexes); `None` when no probe is installed.
+    /// Live heap bytes per shard the warm state holds after the
+    /// steady-state window (cached requests, placements, usage lists,
+    /// names, indexes); `None` when no heap probes are installed.
     pub heap_per_shard: Option<f64>,
     /// Solver calls the zero-drift steady-state window performed (must
     /// be 0 — the warm state sees every request unchanged).
     pub steady_solver_calls: u64,
-    /// Per-shard solver calls across the whole incremental run.
+    /// Per-shard solver calls across the whole run.
     pub solver_calls: u64,
-    /// Batch re-solves across the whole incremental run (the first
-    /// window, plus drift-triggered anchors).
+    /// Batch re-solves across the whole run (the first window, plus
+    /// drift-triggered anchors).
     pub full_solves: u64,
 }
 
-impl PlaceScaleRun {
-    /// `scratch / incremental` — how many times faster the warm path is
-    /// per drifting window.
-    pub fn speedup(&self) -> f64 {
-        self.scratch_us / self.incremental_us
-    }
-}
-
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        XorShift(seed | 1)
-    }
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-    /// Uniform in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next() % (1 << 24)) as f64 / (1 << 24) as f64
-    }
-}
-
-/// One shard's generator: fixed per-operator base demand; the drifting
-/// parts (edge-rate factor, executor delta) are stored outside and
-/// re-derived per drift draw, so both arms replay bit-identical request
-/// sequences.
-struct ShardGen {
-    /// Per-operator (base executors, per-executor resource units).
-    ops: Vec<(u32, f64)>,
-    /// Base tuple rate on the chain edge `0 → 1`.
-    base_rate: f64,
-}
-
-/// A shard's current drift: edge-rate factor and executor delta on
-/// operator 0.
-type Drift = (f64, u32);
-
-fn write_request(gen: &ShardGen, drift: Drift, out: &mut PlacementRequest) {
-    let (rate_factor, k_delta) = drift;
+/// Writes a shard's request: its operators running their schedule for
+/// the shard's rate, the chain edge carrying that rate.
+fn write_request(shard: &SyntheticShard, profiles: &[ResourceProfile], out: &mut PlacementRequest) {
     out.operators.clear();
     out.operators.extend(
-        gen.ops
-            .iter()
-            .enumerate()
-            .map(|(i, &(k, units))| OperatorLoad {
-                executors: k + if i == 0 { k_delta } else { 0 },
-                profile: ResourceProfile::uniform(units),
-            }),
+        shard
+            .schedule()
+            .into_iter()
+            .zip(profiles)
+            .map(|(executors, &profile)| OperatorLoad { executors, profile }),
     );
     out.edges.clear();
     out.edges.push(EdgeTraffic {
         from: 0,
         to: 1,
-        rate: gen.base_rate * rate_factor,
+        rate: shard.rate,
     });
 }
 
-/// Builds the synthetic fleet: 2 operators per shard with 3–6 executors
-/// each (large enough that the solver always dispatches to the greedy
-/// heuristic, never the exponential oracle), per-executor demand in
-/// [0.5, 1.5) units, and a homogeneous pool sized at 130% of total base
-/// demand — tight enough that placement is non-trivial, loose enough
-/// that executor churn stays feasible.
-fn build_fleet(config: &PlaceScaleConfig) -> (Vec<ShardGen>, MachinePool) {
-    let mut rng = XorShift::new(config.seed);
-    let mut gens = Vec::with_capacity(config.shards);
-    let mut total_units = 0.0;
-    for _ in 0..config.shards {
-        let ops: Vec<(u32, f64)> = (0..2)
-            .map(|_| {
-                let k = 3 + (rng.next() % 4) as u32;
-                let units = 0.5 + rng.unit();
-                total_units += f64::from(k) * units;
-                (k, units)
-            })
-            .collect();
-        let base_rate = 5.0 + rng.unit() * 45.0;
-        gens.push(ShardGen { ops, base_rate });
-    }
-    let cap = total_units / config.machines as f64 * 1.3;
-    let pool =
-        MachinePool::uniform(config.machines, ResourceProfile::uniform(cap)).expect("valid pool");
-    (gens, pool)
-}
-
-/// Applies window `w`'s drift and rewrites the touched requests in
-/// place. The schedule depends only on `(seed, w)`, so both arms replay
-/// it identically.
-fn drift_window(
-    config: &PlaceScaleConfig,
-    w: u64,
-    gens: &[ShardGen],
-    drifts: &mut [Drift],
-    requests: &mut [PlacementRequest],
-) {
-    let mut rng = XorShift::new(config.seed ^ (w.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
-    let churn = ((config.shards as f64) * config.churn_fraction).round() as usize;
-    for _ in 0..churn {
-        let i = (rng.next() % config.shards as u64) as usize;
-        // Edge-rate drift wide enough to land outside the band almost
-        // always; every 4th draw also moves an executor (0–1 extra on
-        // operator 0), exercising the usage-refund path.
-        let rate_factor = 0.6 + rng.unit() * 0.8;
-        let k_delta = if rng.next().is_multiple_of(4) {
-            (rng.next() % 2) as u32
-        } else {
-            drifts[i].1
-        };
-        drifts[i] = (rate_factor, k_delta);
-        write_request(&gens[i], drifts[i], &mut requests[i]);
-    }
-}
-
 /// The fleet-layer epoch band: executors/profiles and edge endpoints
-/// exact, edge rates within `rate_band` relative to the cached rate.
+/// exact, edge rates within `band` relative to the cached rate.
 fn band_matches(cached: &PlacementRequest, measured: &PlacementRequest, band: f64) -> bool {
     cached.operators == measured.operators
         && cached.edges.len() == measured.edges.len()
@@ -269,43 +135,50 @@ fn warm_window(
     state.replan().expect("feasible pool");
 }
 
-fn shard_name(i: usize) -> String {
-    // Zero-padded so sorted-name order equals index order.
-    format!("s{i:07}")
-}
-
-/// Runs both arms over the same drift sequence and cross-checks the warm
-/// state's assignments against the from-scratch reference.
+/// Drives the warm placement state over the drifting fleet, asserts the
+/// steady-state window allocation- and solver-free, and cross-checks the
+/// warm state's assignments against the from-scratch planner.
 pub fn run_place_scale(config: &PlaceScaleConfig) -> PlaceScaleRun {
-    let probe = ALLOC_PROBE.get().copied();
-    let live_probe = LIVE_BYTES_PROBE.get().copied();
-    let (gens, pool) = build_fleet(config);
-    let mut drifts: Vec<Drift> = vec![(1.0, 0); config.shards];
-    let mut requests: Vec<PlacementRequest> = gens
-        .iter()
-        .map(|g| {
-            let mut r = PlacementRequest::default();
-            write_request(g, (1.0, 0), &mut r);
-            r
-        })
-        .collect();
+    let band = FleetDriverConfig::new(0).placement_rate_band;
+    let mut generator = SyntheticFleet::new(config.shards, 2, Draws::seeded(config.seed));
+    let mut shards = Vec::with_capacity(config.shards);
+    let mut profiles = Vec::with_capacity(config.shards);
+    let mut names = Vec::with_capacity(config.shards);
+    let mut requests = Vec::with_capacity(config.shards);
+    for spec in generator.by_ref() {
+        let info = spec.placement.expect("generated shards are placed");
+        let mut request = PlacementRequest::default();
+        write_request(&spec.backend, &info.profiles, &mut request);
+        requests.push(request);
+        profiles.push(info.profiles);
+        names.push(spec.name);
+        shards.push(spec.backend);
+    }
+    let capacity = generator.units / config.machines as f64 * 1.3;
+    let pool = MachinePool::uniform(config.machines, ResourceProfile::uniform(capacity))
+        .expect("valid pool");
 
-    // Incremental arm: one warm state across every window.
-    let live_before = live_probe.map(|p| p());
+    // The heap counted from here on is the warm state's alone: the
+    // harness's slot list is allocated before.
+    let mut slots = Vec::with_capacity(config.shards);
+    let probes = crate::heap_probes();
+    let live_before = probes.map(|p| (p.live_bytes)());
     let mut state = FleetPlacementState::new();
     let start = Instant::now();
-    let slots: Vec<usize> = (0..config.shards)
-        .map(|i| state.insert(&shard_name(i)))
-        .collect();
-    warm_window(&mut state, &pool, &slots, &requests, config.rate_band);
+    slots.extend(names.iter().map(|name| state.insert(name)));
+    warm_window(&mut state, &pool, &slots, &requests, band);
     let build_us = start.elapsed().as_secs_f64() * 1e6;
 
-    let mut inc_secs = 0.0;
-    for w in 1..=config.windows {
-        drift_window(config, w, &gens, &mut drifts, &mut requests);
+    let mut draws = generator.draws;
+    let mut secs = 0.0;
+    for _ in 0..config.windows {
+        draws.redraw(config.shards, |i, u| {
+            shards[i].drift(u);
+            write_request(&shards[i], &profiles[i], &mut requests[i]);
+        });
         let start = Instant::now();
-        warm_window(&mut state, &pool, &slots, &requests, config.rate_band);
-        inc_secs += start.elapsed().as_secs_f64();
+        warm_window(&mut state, &pool, &slots, &requests, band);
+        secs += start.elapsed().as_secs_f64();
         // Capacity safety after every repair window.
         for r in state.remaining() {
             assert!(
@@ -314,21 +187,17 @@ pub fn run_place_scale(config: &PlaceScaleConfig) -> PlaceScaleRun {
             );
         }
     }
-    // Zero-drift steady-state window: request bits unchanged, so the
-    // warm path must neither allocate nor call the solver.
+
+    // Zero-drift steady-state window: request bits unchanged, so the warm
+    // path must neither allocate nor call the solver.
     let calls_before = state.solver_calls();
-    let steady_allocs = probe.map(|p| {
-        let before = p();
-        warm_window(&mut state, &pool, &slots, &requests, config.rate_band);
-        p() - before
-    });
-    if steady_allocs.is_none() {
-        warm_window(&mut state, &pool, &slots, &requests, config.rate_band);
-    }
-    let steady_solver_calls = state.solver_calls() - calls_before;
-    let heap_per_shard = live_probe
+    let allocs_before = probes.map(|p| (p.allocs)());
+    warm_window(&mut state, &pool, &slots, &requests, band);
+    let steady_allocs = probes.zip(allocs_before).map(|(p, b)| (p.allocs)() - b);
+    let heap_per_shard = probes
         .zip(live_before)
-        .map(|(p, before)| p().wrapping_sub(before) as i64 as f64 / config.shards as f64);
+        .map(|(p, b)| (p.live_bytes)().wrapping_sub(b) as i64 as f64 / config.shards as f64);
+    let steady_solver_calls = state.solver_calls() - calls_before;
     assert_eq!(
         steady_solver_calls, 0,
         "a zero-drift window must not touch the solver"
@@ -338,42 +207,14 @@ pub fn run_place_scale(config: &PlaceScaleConfig) -> PlaceScaleRun {
     }
     let solver_calls = state.solver_calls();
     let full_solves = state.full_solves();
-    let incremental_us = inc_secs * 1e6 / config.windows as f64;
-
-    // From-scratch arm: identical drift replay, fresh `plan` per window
-    // (fewer windows — this is the slow arm). Requests are copied into
-    // the named buffer outside the timer.
-    let mut drifts: Vec<Drift> = vec![(1.0, 0); config.shards];
-    let mut requests: Vec<PlacementRequest> = gens
-        .iter()
-        .map(|g| {
-            let mut r = PlacementRequest::default();
-            write_request(g, (1.0, 0), &mut r);
-            r
-        })
-        .collect();
-    let mut named: Vec<(String, PlacementRequest)> = requests
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (shard_name(i), r.clone()))
-        .collect();
-    let mut scratch_secs = 0.0;
-    for w in 1..=config.scratch_windows {
-        drift_window(config, w, &gens, &mut drifts, &mut requests);
-        for (slot, r) in named.iter_mut().zip(&requests) {
-            slot.1.clone_from(r);
-        }
-        let start = Instant::now();
-        std::hint::black_box(placement::plan(&pool, &named).expect("feasible pool"));
-        scratch_secs += start.elapsed().as_secs_f64();
-    }
-    let scratch_us = scratch_secs * 1e6 / config.scratch_windows as f64;
 
     // Cross-check: a forced batch re-solve of the warm state must equal
     // `plan` bit-for-bit over the same cached requests.
-    for (slot, n) in slots.iter().zip(named.iter_mut()) {
-        n.1.clone_from(state.request(*slot));
-    }
+    let named: Vec<(String, PlacementRequest)> = names
+        .into_iter()
+        .zip(&slots)
+        .map(|(name, &slot)| (name, state.request(slot).clone()))
+        .collect();
     state.begin_window();
     state.sync_pool(&pool);
     for &slot in &slots {
@@ -392,8 +233,7 @@ pub fn run_place_scale(config: &PlaceScaleConfig) -> PlaceScaleRun {
 
     PlaceScaleRun {
         build_us,
-        incremental_us,
-        scratch_us,
+        place_us: secs * 1e6 / config.windows as f64,
         steady_allocs,
         heap_per_shard,
         steady_solver_calls,
@@ -402,35 +242,22 @@ pub fn run_place_scale(config: &PlaceScaleConfig) -> PlaceScaleRun {
     }
 }
 
-/// Renders one run as a table plus the headline ratio.
+/// Renders one run as a table.
 pub fn render_place_scale(config: &PlaceScaleConfig, run: &PlaceScaleRun) -> String {
-    let rows = vec![
-        vec![
-            "incremental".to_owned(),
-            format!("{:.1}", run.incremental_us),
-            run.steady_allocs
-                .map_or_else(|| "n/a".to_owned(), |n| n.to_string()),
-            run.steady_solver_calls.to_string(),
-            run.heap_per_shard
-                .map_or_else(|| "n/a".to_owned(), |b| format!("{b:.0}")),
-        ],
-        vec![
-            "from-scratch".to_owned(),
-            format!("{:.1}", run.scratch_us),
-            "-".to_owned(),
-            "-".to_owned(),
-            "-".to_owned(),
-        ],
-    ];
+    let rows = vec![vec![
+        format!("{:.1}", run.place_us),
+        run.steady_allocs
+            .map_or_else(|| "n/a".to_owned(), |n| n.to_string()),
+        run.steady_solver_calls.to_string(),
+        run.heap_per_shard
+            .map_or_else(|| "n/a".to_owned(), |b| format!("{b:.0}")),
+    ]];
     let mut out = crate::report::render_table(
         &format!(
-            "Fleet placement at {} shards on {} machines, {:.0}% churn/window",
-            config.shards,
-            config.machines,
-            config.churn_fraction * 100.0,
+            "Fleet placement at {} shards on {} machines, 5% drift/window",
+            config.shards, config.machines,
         ),
         &[
-            "arm",
             "place (µs/window)",
             "steady allocs",
             "steady solves",
@@ -440,11 +267,8 @@ pub fn render_place_scale(config: &PlaceScaleConfig, run: &PlaceScaleRun) -> Str
     );
     out.push_str(&format!(
         "initial build: {:.1} µs; {} solver calls, {} batch re-solves; \
-         incremental speedup per drifting window: {:.1}x\n",
-        run.build_us,
-        run.solver_calls,
-        run.full_solves,
-        run.speedup(),
+         a forced batch re-solve equals plan()\n",
+        run.build_us, run.solver_calls, run.full_solves,
     ));
     out
 }
@@ -456,19 +280,15 @@ mod tests {
     #[test]
     fn small_scale_run_is_consistent() {
         let config = PlaceScaleConfig {
-            shards: 200,
+            shards: 400,
             machines: 8,
-            churn_fraction: 0.1,
-            rate_band: 0.05,
             windows: 4,
-            scratch_windows: 4,
             seed: 2015,
         };
         // run_place_scale itself cross-checks the warm state against the
         // from-scratch reference bit-for-bit at the forced final solve.
         let run = run_place_scale(&config);
-        assert!(run.incremental_us > 0.0);
-        assert!(run.scratch_us > 0.0);
+        assert!(run.place_us > 0.0);
         assert_eq!(
             run.steady_solver_calls, 0,
             "a zero-drift window must not touch the solver"
@@ -482,8 +302,7 @@ mod tests {
         assert_eq!(run.steady_allocs, None);
         assert_eq!(run.heap_per_shard, None);
         let rendered = render_place_scale(&config, &run);
-        assert!(rendered.contains("incremental"), "{rendered}");
-        assert!(rendered.contains("from-scratch"), "{rendered}");
+        assert!(rendered.contains("heap (B/shard)"), "{rendered}");
     }
 
     #[test]
@@ -491,7 +310,6 @@ mod tests {
         for (name, shards) in [("1k", 1_000), ("10k", 10_000), ("100k", 100_000)] {
             let c = PlaceScaleConfig::named(name, true, 1).unwrap();
             assert_eq!(c.shards, shards);
-            assert!(c.scratch_windows <= c.windows);
         }
         assert!(PlaceScaleConfig::named("1m", true, 1).is_none());
     }

@@ -3197,15 +3197,17 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
-    /// Fixed-rate mock shard; rate can be changed mid-run. Reports the
-    /// M/M/k-consistent measured sojourn via [`mmk_measured_sojourn`] so
-    /// the decision gate sees the same world a live engine would. Can be
-    /// silenced (crash: reports stop) and can time out applies (lost
-    /// command/ack); records every epoch it is commanded with.
+    /// Fixed-rate mock shard: a chain whose operators all see the shard's
+    /// arrival rate, each serving at its own `mu`; the rate can be changed
+    /// mid-run. Reports the M/M/k-consistent measured sojourn via
+    /// [`mmk_measured_sojourn`] so the decision gate sees the same world a
+    /// live engine would. Can be silenced (crash: reports stop), can refuse
+    /// applies (mid-pause) or time them out (lost command/ack); records
+    /// every epoch and placement it is commanded with.
     #[derive(Debug, Clone)]
     struct StaticShard {
         rate: f64,
-        mu: f64,
+        mu: Vec<f64>,
         allocation: Vec<u32>,
         fail_applies: usize,
         timeout_applies: usize,
@@ -3215,11 +3217,16 @@ mod tests {
     }
 
     impl StaticShard {
+        /// One operator serving at `mu`, running `k` executors.
         fn new(rate: f64, mu: f64, k: u32) -> Self {
+            Self::chain(rate, vec![mu], vec![k])
+        }
+
+        fn chain(rate: f64, mu: Vec<f64>, allocation: Vec<u32>) -> Self {
             StaticShard {
                 rate,
                 mu,
-                allocation: vec![k],
+                allocation,
                 fail_applies: 0,
                 timeout_applies: 0,
                 silent: false,
@@ -3234,34 +3241,32 @@ mod tests {
             "static"
         }
         fn operator_names(&self) -> Vec<String> {
-            vec!["work".to_owned()]
+            (0..self.mu.len()).map(|op| format!("op{op}")).collect()
         }
         fn current_allocation(&self) -> Vec<u32> {
             self.allocation.clone()
         }
         fn advance(&mut self, _window_secs: f64) -> WindowSample {
-            if self.silent {
-                return WindowSample {
-                    external_rate: None,
-                    operators: vec![OperatorSample {
-                        arrival_rate: None,
-                        service_rate: None,
-                    }],
-                    mean_sojourn: None,
-                    std_sojourn: None,
-                    completed: 0,
-                };
-            }
-            let measured = mmk_measured_sojourn(self.rate, self.mu, self.allocation[0]);
+            let fresh = |x: f64| (!self.silent).then_some(x);
+            let mut sojourn = 0.0;
+            let operators = self
+                .mu
+                .iter()
+                .zip(&self.allocation)
+                .map(|(&mu, &k)| {
+                    sojourn += mmk_measured_sojourn(self.rate, mu, k);
+                    OperatorSample {
+                        arrival_rate: fresh(self.rate),
+                        service_rate: fresh(mu),
+                    }
+                })
+                .collect();
             WindowSample {
-                external_rate: Some(self.rate),
-                operators: vec![OperatorSample {
-                    arrival_rate: Some(self.rate),
-                    service_rate: Some(self.mu),
-                }],
-                mean_sojourn: Some(measured),
+                external_rate: fresh(self.rate),
+                operators,
+                mean_sojourn: fresh(sojourn),
                 std_sojourn: None,
-                completed: 100,
+                completed: if self.silent { 0 } else { 100 },
             }
         }
         fn apply(&mut self, plan: &RebalancePlan) -> Result<AppliedRebalance, BackendError> {
@@ -3276,7 +3281,7 @@ mod tests {
                     "pause in progress".to_owned(),
                 ));
             }
-            self.allocation = plan.allocation.clone();
+            self.allocation.clone_from(&plan.allocation);
             Ok(AppliedRebalance {
                 allocation: plan.allocation.clone(),
                 pause_secs: plan.pause_secs,
@@ -4290,63 +4295,6 @@ mod tests {
         assert!(w.shards[1].error.is_some(), "{w:?}");
     }
 
-    /// Two-operator mock shard: both operators see the same arrival rate,
-    /// each serves at its own rate; applies can be made to fail.
-    #[derive(Debug, Clone)]
-    struct ChainShard {
-        rate: f64,
-        mu: [f64; 2],
-        allocation: Vec<u32>,
-        fail_applies: usize,
-        silent: bool,
-    }
-
-    impl CspBackend for ChainShard {
-        fn backend_name(&self) -> &'static str {
-            "chain"
-        }
-        fn operator_names(&self) -> Vec<String> {
-            vec!["first".to_owned(), "second".to_owned()]
-        }
-        fn current_allocation(&self) -> Vec<u32> {
-            self.allocation.clone()
-        }
-        fn advance(&mut self, _window_secs: f64) -> WindowSample {
-            let fresh = |x: f64| (!self.silent).then_some(x);
-            let mut sojourn = 0.0;
-            let operators = self
-                .mu
-                .iter()
-                .zip(&self.allocation)
-                .map(|(&mu, &k)| {
-                    sojourn += mmk_measured_sojourn(self.rate, mu, k);
-                    OperatorSample {
-                        arrival_rate: fresh(self.rate),
-                        service_rate: fresh(mu),
-                    }
-                })
-                .collect();
-            WindowSample {
-                external_rate: fresh(self.rate),
-                operators,
-                mean_sojourn: fresh(sojourn),
-                std_sojourn: None,
-                completed: if self.silent { 0 } else { 100 },
-            }
-        }
-        fn apply(&mut self, plan: &RebalancePlan) -> Result<AppliedRebalance, BackendError> {
-            if self.fail_applies > 0 {
-                self.fail_applies -= 1;
-                return Err(BackendError::RebalanceUnavailable("mid-pause".to_owned()));
-            }
-            self.allocation.clone_from(&plan.allocation);
-            Ok(AppliedRebalance {
-                allocation: plan.allocation.clone(),
-                pause_secs: plan.pause_secs,
-            })
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -4373,7 +4321,7 @@ mod tests {
                 edges: vec![(0, 1, 1.0)],
             };
             let mut demand = 0.0;
-            let specs = |demand: &mut f64| -> Vec<FleetShardSpec<ChainShard>> {
+            let specs = |demand: &mut f64| -> Vec<FleetShardSpec<StaticShard>> {
                 shards
                     .iter()
                     .enumerate()
@@ -4381,19 +4329,13 @@ mod tests {
                         let k = |mu: f64| (rate / mu).ceil() as u32 + 1;
                         let allocation = vec![k(mu0), k(mu1)];
                         *demand += f64::from(allocation[0] + allocation[1]);
-                        let shard = ChainShard {
-                            rate,
-                            mu: [mu0, mu1],
-                            allocation,
-                            fail_applies: 0,
-                            silent: false,
-                        };
+                        let shard = StaticShard::chain(rate, vec![mu0, mu1], allocation);
                         FleetShardSpec::new(format!("s{id}"), 0.3, shard)
                             .with_placement(info.clone())
                     })
                     .collect()
             };
-            let build = |specs: Vec<FleetShardSpec<ChainShard>>, k_max: u32| {
+            let build = |specs: Vec<FleetShardSpec<StaticShard>>, k_max: u32| {
                 let mut config = FleetDriverConfig::new(k_max);
                 config.warmup_windows = 1;
                 config.window_secs = 1.0;

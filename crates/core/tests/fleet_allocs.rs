@@ -29,18 +29,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Instant;
 
-use drs_core::driver::{
-    AppliedRebalance, BackendError, CspBackend, OperatorSample, RebalancePlan, WindowSample,
-};
 use drs_core::fleet::{
-    mmk_measured_sojourn, FleetDriver, FleetDriverConfig, FleetShardSpec, ShardPlacementInfo,
-    WINDOW_PHASES,
+    FleetDriver, FleetDriverConfig, FleetShardSpec, ShardPlacementInfo, WINDOW_PHASES,
 };
 use drs_core::placement::{
     EdgeTraffic, FleetPlacementState, MachinePool, OperatorLoad, PlacementRequest, ReplanOutcome,
 };
 use drs_core::scheduler;
 use drs_queueing::jackson::JacksonNetwork;
+use drs_sim::synthetic::{Draws, SyntheticFleet, SyntheticShard};
 use drs_topology::ResourceProfile;
 
 /// System allocator wrapper that counts every allocation and reallocation
@@ -108,64 +105,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A shard under perfectly constant load, with allocation-free overrides
-/// of the measurement hooks.
-#[derive(Debug)]
-struct SteadyShard {
-    rate: f64,
-    mu: f64,
-    allocation: Vec<u32>,
-}
-
-impl SteadyShard {
-    fn new(rate: f64, mu: f64, k: u32) -> Self {
-        SteadyShard {
-            rate,
-            mu,
-            allocation: vec![k],
-        }
-    }
-}
-
-impl CspBackend for SteadyShard {
-    fn backend_name(&self) -> &'static str {
-        "steady"
-    }
-    fn operator_names(&self) -> Vec<String> {
-        vec!["work".to_owned()]
-    }
-    fn current_allocation(&self) -> Vec<u32> {
-        self.allocation.clone()
-    }
-    fn current_allocation_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(&self.allocation);
-    }
-    fn advance(&mut self, window_secs: f64) -> WindowSample {
-        let mut out = WindowSample::default();
-        self.advance_into(window_secs, &mut out);
-        out
-    }
-    fn advance_into(&mut self, _window_secs: f64, out: &mut WindowSample) {
-        out.external_rate = Some(self.rate);
-        out.operators.clear();
-        out.operators.push(OperatorSample {
-            arrival_rate: Some(self.rate),
-            service_rate: Some(self.mu),
-        });
-        out.mean_sojourn = Some(mmk_measured_sojourn(self.rate, self.mu, self.allocation[0]));
-        out.std_sojourn = None;
-        out.completed = 100;
-    }
-    fn apply(&mut self, plan: &RebalancePlan) -> Result<AppliedRebalance, BackendError> {
-        self.allocation = plan.allocation.clone();
-        Ok(AppliedRebalance {
-            allocation: plan.allocation.clone(),
-            pause_secs: plan.pause_secs,
-        })
-    }
-}
-
 /// The shard's own Program 6 schedule for its target — started there, a
 /// constant-load shard has no wobble for the decision gate to chew on, so
 /// the settled fleet reaches the true zero-churn state (grant == running
@@ -180,7 +119,7 @@ fn desired_k(rate: f64, mu: f64, t_max: f64) -> u32 {
 fn steady_fleet_with(
     k_max: u32,
     placement: Option<ShardPlacementInfo>,
-) -> FleetDriver<SteadyShard> {
+) -> FleetDriver<SyntheticShard> {
     let mut config = FleetDriverConfig::new(k_max);
     config.warmup_windows = 2;
     config.window_secs = 1.0;
@@ -190,7 +129,7 @@ fn steady_fleet_with(
         let spec = FleetShardSpec::new(
             name,
             0.2,
-            SteadyShard::new(rate, 10.0, desired_k(rate, 10.0, 0.2)),
+            SyntheticShard::new(rate, vec![10.0], vec![desired_k(rate, 10.0, 0.2)]),
         );
         match &placement {
             Some(info) => spec.with_placement(info.clone()),
@@ -204,7 +143,7 @@ fn steady_fleet_with(
     .expect("fleet construction")
 }
 
-fn steady_fleet(k_max: u32) -> FleetDriver<SteadyShard> {
+fn steady_fleet(k_max: u32) -> FleetDriver<SyntheticShard> {
     steady_fleet_with(k_max, None)
 }
 
@@ -212,7 +151,7 @@ fn steady_fleet(k_max: u32) -> FleetDriver<SteadyShard> {
 /// placement metadata installed: the placement phase (warm epoch-stamped
 /// state, request comparison, replan) runs every window and must stay
 /// allocation-free once nothing changes.
-fn steady_placed_fleet(k_max: u32) -> FleetDriver<SteadyShard> {
+fn steady_placed_fleet(k_max: u32) -> FleetDriver<SyntheticShard> {
     // A self-loop edge keeps the measured-rate comparison in play; the
     // rate is constant, so it always lands inside the band.
     let info = ShardPlacementInfo {
@@ -226,7 +165,7 @@ fn steady_placed_fleet(k_max: u32) -> FleetDriver<SteadyShard> {
     fleet
 }
 
-fn assert_steady_windows_allocation_free(mut fleet: FleetDriver<SteadyShard>, label: &str) {
+fn assert_steady_windows_allocation_free(mut fleet: FleetDriver<SyntheticShard>, label: &str) {
     // Warm past the α-smoothing bitwise fixpoint (α = 0.5 converges in
     // well under 100 constant-input windows) so the demand epoch stops
     // advancing and grants go quiescent.
@@ -284,7 +223,7 @@ fn standing_fit_error_windows_allocate_nothing() {
     config.window_secs = 1.0;
     config.record_timeline = false;
     let shard = |name: &str, rate: f64, k: u32| {
-        FleetShardSpec::new(name, 0.2, SteadyShard::new(rate, 10.0, k))
+        FleetShardSpec::new(name, 0.2, SyntheticShard::new(rate, vec![10.0], vec![k]))
     };
     let mut fleet = FleetDriver::new(
         config,
@@ -401,71 +340,6 @@ fn placement_repair_windows_allocate_nothing() {
     assert_eq!(ids(&state), before);
 }
 
-/// A two-operator chain whose "measurements" are its true rates and the
-/// M/M/k sojourn of what it runs; the rate can be re-drawn between windows.
-#[derive(Debug)]
-struct DriftShard {
-    base_rate: f64,
-    rate: f64,
-    mu: [f64; 2],
-    allocation: Vec<u32>,
-}
-
-impl CspBackend for DriftShard {
-    fn backend_name(&self) -> &'static str {
-        "drift"
-    }
-    fn operator_names(&self) -> Vec<String> {
-        vec!["first".to_owned(), "second".to_owned()]
-    }
-    fn current_allocation(&self) -> Vec<u32> {
-        self.allocation.clone()
-    }
-    fn current_allocation_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(&self.allocation);
-    }
-    fn advance(&mut self, window_secs: f64) -> WindowSample {
-        let mut out = WindowSample::default();
-        self.advance_into(window_secs, &mut out);
-        out
-    }
-    fn advance_into(&mut self, _window_secs: f64, out: &mut WindowSample) {
-        out.external_rate = Some(self.rate);
-        out.operators.clear();
-        let mut sojourn = 0.0;
-        for (&mu, &k) in self.mu.iter().zip(&self.allocation) {
-            out.operators.push(OperatorSample {
-                arrival_rate: Some(self.rate),
-                service_rate: Some(mu),
-            });
-            sojourn += mmk_measured_sojourn(self.rate, mu, k);
-        }
-        out.mean_sojourn = Some(sojourn);
-        out.std_sojourn = None;
-        out.completed = self.rate as u64;
-    }
-    fn apply(&mut self, plan: &RebalancePlan) -> Result<AppliedRebalance, BackendError> {
-        self.allocation.clone_from(&plan.allocation);
-        Ok(AppliedRebalance {
-            allocation: plan.allocation.clone(),
-            pause_secs: plan.pause_secs,
-        })
-    }
-}
-
-/// xorshift64*: uniform draws in `[0, 1)`, no allocation, no dependency.
-struct Draws(u64);
-
-impl Draws {
-    fn next(&mut self) -> f64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// A drifting window pays for what it moves, not for what it measures: with
 /// 5 % of 3 000 placed shards re-drawing their rate every window, nine in
 /// ten shards refit (α-smoothing keeps their estimates moving for dozens of
@@ -475,66 +349,30 @@ impl Draws {
 #[test]
 fn drifting_windows_allocate_only_for_the_shards_they_move() {
     const SHARDS: usize = 3_000;
-    const T_MAX: f64 = 0.5;
     /// Allocations a moved shard may cost: its grant and machine assignment
     /// cloned into the command, the backend's acknowledgement, the
     /// assignment put in force.
     const PER_MOVED_SHARD: u64 = 8;
 
-    let mut draws = Draws(0x9e37_79b9_7f4a_7c15);
-    let mut specs = Vec::with_capacity(SHARDS);
-    let (mut demand, mut units) = (0u64, 0.0);
-    for i in 0..SHARDS {
-        let base_rate = 20.0 + 60.0 * draws.next();
-        let mu = [
-            base_rate / (0.5 + 2.5 * draws.next()),
-            base_rate / (0.5 + 2.5 * draws.next()),
-        ];
-        let rate = base_rate * (0.7 + 0.6 * draws.next());
-        let network =
-            JacksonNetwork::from_rates(rate, &[(rate, mu[0]), (rate, mu[1])]).expect("positive");
-        let allocation = scheduler::min_processors_for_target(&network, T_MAX, 512)
-            .expect("reachable target")
-            .into_vec();
-        let per_executor = [0.5 + draws.next(), 0.5 + draws.next()];
-        for (&k, u) in allocation.iter().zip(per_executor) {
-            demand += u64::from(k);
-            units += f64::from(k) * u;
-        }
-        let shard = DriftShard {
-            base_rate,
-            rate,
-            mu,
-            allocation,
-        };
-        specs.push(
-            FleetShardSpec::new(format!("shard-{i:04}"), T_MAX, shard).with_placement(
-                ShardPlacementInfo {
-                    profiles: per_executor.map(ResourceProfile::uniform).to_vec(),
-                    edges: vec![(0, 1, 1.0)],
-                },
-            ),
-        );
-    }
+    let mut generator = SyntheticFleet::new(SHARDS, 2, Draws(0x9e37_79b9_7f4a_7c15));
+    let specs: Vec<_> = generator.by_ref().collect();
     // An uncontended budget: every grant is the shard's own schedule.
-    let mut config = FleetDriverConfig::new(2 * demand as u32);
+    let mut config = FleetDriverConfig::new(2 * generator.demand as u32);
     config.window_secs = 1.0;
     config.warmup_windows = 2;
     config.record_timeline = false;
     let mut fleet = FleetDriver::new(config, specs).expect("fleet construction");
+    let capacity = generator.units / 16.0 * 1.3;
     fleet.set_machine_pool(
-        MachinePool::uniform(16, ResourceProfile::uniform(units / 16.0 * 1.3)).expect("valid pool"),
+        MachinePool::uniform(16, ResourceProfile::uniform(capacity)).expect("valid pool"),
     );
 
     // One window under `redraw`, which re-draws 5 % of the shards' rates.
     // Returns the allocations the window made and the shards it moved.
-    let mut window = |fleet: &mut FleetDriver<DriftShard>,
-                      redraw: &dyn Fn(&DriftShard, f64) -> f64| {
-        for _ in 0..SHARDS / 20 {
-            let i = (draws.next() * SHARDS as f64) as usize;
-            let shard = fleet.backend_mut(i);
-            shard.rate = redraw(shard, draws.next());
-        }
+    let mut draws = generator.draws;
+    let mut window = |fleet: &mut FleetDriver<SyntheticShard>,
+                      redraw: &dyn Fn(&mut SyntheticShard, f64)| {
+        draws.redraw(SHARDS, |i, u| redraw(fleet.backend_mut(i), u));
         let solved = fleet.placement_solver_calls();
         let before = ALLOCS.get();
         fleet.step();
@@ -546,7 +384,7 @@ fn drifting_windows_allocate_only_for_the_shards_they_move() {
     };
 
     // Drift: a re-drawn shard lands anywhere in [0.7, 1.3) of its base.
-    let drift = |shard: &DriftShard, u: f64| shard.base_rate * (0.7 + 0.6 * u);
+    let drift = |shard: &mut SyntheticShard, u: f64| shard.drift(u);
     let mut moved_total = 0;
     for w in 0..40 {
         let (allocs, moved) = window(&mut fleet, &drift);
@@ -566,7 +404,7 @@ fn drifting_windows_allocate_only_for_the_shards_they_move() {
     // Wobble: a re-drawn shard's rate moves by under 0.1 % — every smoothed
     // estimate that was moving keeps moving and 5 % more start, so the fleet
     // goes on refitting, but no schedule and no placement request changes.
-    let wobble = |shard: &DriftShard, u: f64| shard.rate * (1.0 + 1e-3 * (u - 0.5));
+    let wobble = |shard: &mut SyntheticShard, u: f64| shard.rate *= 1.0 + 1e-3 * (u - 0.5);
     let mut quiet = 0;
     for w in 0..20 {
         let (allocs, moved) = window(&mut fleet, &wobble);
@@ -582,48 +420,6 @@ fn drifting_windows_allocate_only_for_the_shards_they_move() {
     );
 }
 
-/// The shards of the drifting placed fleet above, drawn from `draws`: their
-/// specs, their Program 6 executor demand, and the resource units that
-/// demand uses.
-fn drift_specs(draws: &mut Draws, shards: usize) -> (Vec<FleetShardSpec<DriftShard>>, u64, f64) {
-    const T_MAX: f64 = 0.5;
-    let mut specs = Vec::with_capacity(shards);
-    let (mut demand, mut units) = (0u64, 0.0);
-    for i in 0..shards {
-        let base_rate = 20.0 + 60.0 * draws.next();
-        let mu = [
-            base_rate / (0.5 + 2.5 * draws.next()),
-            base_rate / (0.5 + 2.5 * draws.next()),
-        ];
-        let rate = base_rate * (0.7 + 0.6 * draws.next());
-        let network =
-            JacksonNetwork::from_rates(rate, &[(rate, mu[0]), (rate, mu[1])]).expect("positive");
-        let allocation = scheduler::min_processors_for_target(&network, T_MAX, 512)
-            .expect("reachable target")
-            .into_vec();
-        let per_executor = [0.5 + draws.next(), 0.5 + draws.next()];
-        for (&k, u) in allocation.iter().zip(per_executor) {
-            demand += u64::from(k);
-            units += f64::from(k) * u;
-        }
-        let shard = DriftShard {
-            base_rate,
-            rate,
-            mu,
-            allocation,
-        };
-        specs.push(
-            FleetShardSpec::new(format!("shard-{i:04}"), T_MAX, shard).with_placement(
-                ShardPlacementInfo {
-                    profiles: per_executor.map(ResourceProfile::uniform).to_vec(),
-                    edges: vec![(0, 1, 1.0)],
-                },
-            ),
-        );
-    }
-    (specs, demand, units)
-}
-
 /// Placement memory follows the executors, not the pool: the 3 000-shard
 /// drifting placed fleet, settled on a 4-machine pool and on a 4 096-machine
 /// one, holds the same live heap per shard to within 64 B. (Dense
@@ -637,20 +433,22 @@ fn drift_specs(draws: &mut Draws, shards: usize) -> (Vec<FleetShardSpec<DriftSha
 fn placement_memory_follows_the_executors_not_the_pool() {
     const SHARDS: usize = 3_000;
     const FEW: usize = 300;
-    const SEED: u64 = 0x2545_f491_4f6c_dd1d;
-
-    let (_, _, units) = drift_specs(&mut Draws(SEED), SHARDS);
+    // The drifting placed fleet above, on another stream.
+    let generate = || SyntheticFleet::new(SHARDS, 2, Draws(0x2545_f491_4f6c_dd1d));
+    let mut all = generate();
+    all.by_ref().for_each(drop);
     // The live heap a fleet of the first `shards` shards holds once settled
     // on `machines` machines (sized for all 3 000 shards).
     let settled_heap = |shards: usize, machines: usize| -> i64 {
         let before = LIVE.get();
-        let (specs, demand, _) = drift_specs(&mut Draws(SEED), shards);
-        let mut config = FleetDriverConfig::new(2 * demand as u32);
+        let mut generator = generate();
+        let specs: Vec<_> = generator.by_ref().take(shards).collect();
+        let mut config = FleetDriverConfig::new(2 * generator.demand as u32);
         config.window_secs = 1.0;
         config.warmup_windows = 2;
         config.record_timeline = false;
         let mut fleet = FleetDriver::new(config, specs).expect("fleet construction");
-        let capacity = units / machines as f64 * 1.3;
+        let capacity = all.units / machines as f64 * 1.3;
         fleet.set_machine_pool(
             MachinePool::uniform(machines, ResourceProfile::uniform(capacity)).expect("valid pool"),
         );
@@ -693,46 +491,12 @@ fn placement_memory_follows_the_executors_not_the_pool() {
 fn fleet_window_phase_times() {
     const SHARDS: usize = 50_000;
     const MACHINES: usize = 64;
-    const T_MAX: f64 = 0.5;
     const SETTLE: usize = 11;
     const WINDOWS: usize = 300;
 
-    let mut draws = Draws(0x2545_f491_4f6c_dd1d);
-    let mut specs = Vec::with_capacity(SHARDS);
-    let (mut demand, mut units) = (0u64, 0.0);
-    for i in 0..SHARDS {
-        let base_rate = 20.0 + 60.0 * draws.next();
-        let mu = [
-            base_rate / (0.5 + 2.5 * draws.next()),
-            base_rate / (0.5 + 2.5 * draws.next()),
-        ];
-        let rate = base_rate * (0.7 + 0.6 * draws.next());
-        let network =
-            JacksonNetwork::from_rates(rate, &[(rate, mu[0]), (rate, mu[1])]).expect("positive");
-        let allocation = scheduler::min_processors_for_target(&network, T_MAX, 512)
-            .expect("reachable target")
-            .into_vec();
-        let per_executor = [0.5 + draws.next(), 0.5 + draws.next()];
-        for (&k, u) in allocation.iter().zip(per_executor) {
-            demand += u64::from(k);
-            units += f64::from(k) * u;
-        }
-        let shard = DriftShard {
-            base_rate,
-            rate,
-            mu,
-            allocation,
-        };
-        specs.push(
-            FleetShardSpec::new(format!("shard-{i:05}"), T_MAX, shard).with_placement(
-                ShardPlacementInfo {
-                    profiles: per_executor.map(ResourceProfile::uniform).to_vec(),
-                    edges: vec![(0, 1, 1.0)],
-                },
-            ),
-        );
-    }
-    let mut config = FleetDriverConfig::new((demand as f64 * 1.01) as u32);
+    let mut generator = SyntheticFleet::new(SHARDS, 2, Draws(0x2545_f491_4f6c_dd1d));
+    let specs: Vec<_> = generator.by_ref().collect();
+    let mut config = FleetDriverConfig::new((generator.demand as f64 * 1.01) as u32);
     config.window_secs = 1.0;
     config.warmup_windows = 2;
     config.record_timeline = false;
@@ -740,7 +504,7 @@ fn fleet_window_phase_times() {
     fleet.set_machine_pool(
         MachinePool::uniform(
             MACHINES,
-            ResourceProfile::uniform(units / MACHINES as f64 * 1.3),
+            ResourceProfile::uniform(generator.units / MACHINES as f64 * 1.3),
         )
         .expect("valid pool"),
     );
@@ -748,11 +512,9 @@ fn fleet_window_phase_times() {
     let mut phases: Vec<Vec<f64>> = vec![Vec::new(); WINDOW_PHASES.len()];
     let mut windows = Vec::with_capacity(WINDOWS);
     for w in 0..SETTLE + WINDOWS {
-        for _ in 0..SHARDS / 20 {
-            let i = (draws.next() * SHARDS as f64) as usize;
-            let shard = fleet.backend_mut(i);
-            shard.rate = shard.base_rate * (0.7 + 0.6 * draws.next());
-        }
+        generator
+            .draws
+            .redraw(SHARDS, |i, u| fleet.backend_mut(i).drift(u));
         let started = Instant::now();
         fleet.step();
         let took = started.elapsed().as_secs_f64() * 1e3;

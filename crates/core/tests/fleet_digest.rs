@@ -15,87 +15,13 @@
 //! untouched. A change that alters behaviour on purpose updates them and
 //! says why.
 
-use drs_core::driver::{
-    AppliedRebalance, BackendError, CspBackend, OperatorSample, RebalancePlan, WindowSample,
-};
-use drs_core::fleet::{
-    mmk_measured_sojourn, FleetDriver, FleetDriverConfig, FleetShardSpec, ShardPlacementInfo,
-};
+use drs_core::fleet::{FleetDriver, FleetDriverConfig};
 use drs_core::placement::MachinePool;
-use drs_core::scheduler;
-use drs_queueing::jackson::JacksonNetwork;
+use drs_sim::synthetic::{Draws, SyntheticFleet};
 use drs_topology::ResourceProfile;
 
 const SHARDS: usize = 3_000;
 const WINDOWS: u64 = 150;
-const T_MAX: f64 = 0.5;
-
-/// A two-operator chain whose "measurements" are its true rates and the
-/// M/M/k sojourn of what it runs; the rate can be re-drawn between windows.
-#[derive(Debug)]
-struct DriftShard {
-    base_rate: f64,
-    rate: f64,
-    mu: [f64; 2],
-    allocation: Vec<u32>,
-}
-
-impl CspBackend for DriftShard {
-    fn backend_name(&self) -> &'static str {
-        "drift"
-    }
-    fn operator_names(&self) -> Vec<String> {
-        vec!["first".to_owned(), "second".to_owned()]
-    }
-    fn current_allocation(&self) -> Vec<u32> {
-        self.allocation.clone()
-    }
-    fn advance(&mut self, _window_secs: f64) -> WindowSample {
-        let mut sojourn = 0.0;
-        let operators = self
-            .mu
-            .iter()
-            .zip(&self.allocation)
-            .map(|(&mu, &k)| {
-                sojourn += mmk_measured_sojourn(self.rate, mu, k);
-                OperatorSample {
-                    arrival_rate: Some(self.rate),
-                    service_rate: Some(mu),
-                }
-            })
-            .collect();
-        WindowSample {
-            external_rate: Some(self.rate),
-            operators,
-            mean_sojourn: Some(sojourn),
-            std_sojourn: None,
-            completed: self.rate as u64,
-        }
-    }
-    fn apply(&mut self, plan: &RebalancePlan) -> Result<AppliedRebalance, BackendError> {
-        self.allocation.clone_from(&plan.allocation);
-        Ok(AppliedRebalance {
-            allocation: plan.allocation.clone(),
-            pause_secs: plan.pause_secs,
-        })
-    }
-}
-
-/// xorshift64*: uniform draws in `[0, 1)`.
-struct Draws(u64);
-
-impl Draws {
-    fn new(seed: u64) -> Self {
-        Draws(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-    }
-
-    fn next(&mut self) -> f64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 /// FNV-1a over 64-bit words.
 struct Digest(u64);
@@ -154,45 +80,14 @@ enum Budget {
     Edge,
 }
 
-/// The drifting placed fleet of `fleet_allocs.rs`, driven for
-/// [`WINDOWS`] windows with 5 % of the shards re-drawing their rate every
-/// window; returns the digest of every window's output.
+/// The drifting placed fleet of `fleet_allocs.rs` (two operators per
+/// shard), driven for [`WINDOWS`] windows with 5 % of the shards
+/// re-drawing their rate every window; returns the digest of every
+/// window's output.
 fn digest(seed: u64, budget: Budget) -> u64 {
-    let mut draws = Draws::new(seed);
-    let mut specs = Vec::with_capacity(SHARDS);
-    let (mut demand, mut units) = (0u64, 0.0);
-    for i in 0..SHARDS {
-        let base_rate = 20.0 + 60.0 * draws.next();
-        let mu = [
-            base_rate / (0.5 + 2.5 * draws.next()),
-            base_rate / (0.5 + 2.5 * draws.next()),
-        ];
-        let rate = base_rate * (0.7 + 0.6 * draws.next());
-        let network =
-            JacksonNetwork::from_rates(rate, &[(rate, mu[0]), (rate, mu[1])]).expect("positive");
-        let allocation = scheduler::min_processors_for_target(&network, T_MAX, 512)
-            .expect("reachable target")
-            .into_vec();
-        let per_executor = [0.5 + draws.next(), 0.5 + draws.next()];
-        for (&k, u) in allocation.iter().zip(per_executor) {
-            demand += u64::from(k);
-            units += f64::from(k) * u;
-        }
-        let shard = DriftShard {
-            base_rate,
-            rate,
-            mu,
-            allocation,
-        };
-        specs.push(
-            FleetShardSpec::new(format!("shard-{i:04}"), T_MAX, shard).with_placement(
-                ShardPlacementInfo {
-                    profiles: per_executor.map(ResourceProfile::uniform).to_vec(),
-                    edges: vec![(0, 1, 1.0)],
-                },
-            ),
-        );
-    }
+    let mut generator = SyntheticFleet::new(SHARDS, 2, Draws::seeded(seed));
+    let specs: Vec<_> = generator.by_ref().collect();
+    let (demand, units) = (generator.demand, generator.units);
     let k_max = match budget {
         Budget::Uncontended => 2 * demand as u32,
         Budget::Tight => (demand as f64 * 1.01) as u32,
@@ -209,11 +104,9 @@ fn digest(seed: u64, budget: Budget) -> u64 {
 
     let mut d = Digest(0xcbf2_9ce4_8422_2325);
     for _ in 0..WINDOWS {
-        for _ in 0..SHARDS / 20 {
-            let i = (draws.next() * SHARDS as f64) as usize;
-            let shard = fleet.backend_mut(i);
-            shard.rate = shard.base_rate * (0.7 + 0.6 * draws.next());
-        }
+        generator
+            .draws
+            .redraw(SHARDS, |i, u| fleet.backend_mut(i).drift(u));
         let w = fleet.step();
         d.word(w.window);
         d.flag(w.contended);

@@ -6,14 +6,12 @@
 //! gate: measurement noise that wobbles the grants must not re-balance the
 //! fleet every window.
 
-use drs_core::driver::{
-    AppliedRebalance, BackendError, CspBackend, OperatorSample, RebalancePlan, WindowSample,
-};
 use drs_core::fleet::{
     FleetDriver, FleetDriverConfig, FleetNegotiator, FleetShardSpec, ShardDemand,
 };
 use drs_core::scheduler::{self, ScheduleError};
 use drs_queueing::jackson::JacksonNetwork;
+use drs_sim::synthetic::SyntheticShard;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -167,73 +165,15 @@ proptest! {
     }
 }
 
-/// A shard whose measured arrival rate wobbles a few percent around its
-/// nominal value (deterministic xorshift jitter), reporting the
-/// M/M/k-consistent sojourn for whatever it currently runs — the classic
-/// "healthy but noisy" fleet member whose grant drifts ±1 executor from
-/// window to window.
-#[derive(Debug)]
-struct NoisyShard {
-    nominal_rate: f64,
-    mu: f64,
-    allocation: Vec<u32>,
-    rng: u64,
-}
-
-impl NoisyShard {
-    fn new(nominal_rate: f64, mu: f64, k: u32, seed: u64) -> Self {
-        NoisyShard {
-            nominal_rate,
-            mu,
-            allocation: vec![k],
-            rng: seed | 1,
-        }
-    }
-
-    fn jitter(&mut self) -> f64 {
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        // ±15% multiplicative noise — enough for the smoothed rate to
-        // keep crossing Program 6 demand boundaries.
-        1.0 + ((self.rng % 1_000) as f64 / 1_000.0 - 0.5) * 0.3
-    }
-}
-
-impl CspBackend for NoisyShard {
-    fn backend_name(&self) -> &'static str {
-        "noisy"
-    }
-    fn operator_names(&self) -> Vec<String> {
-        vec!["work".to_owned()]
-    }
-    fn current_allocation(&self) -> Vec<u32> {
-        self.allocation.clone()
-    }
-    fn advance(&mut self, _window_secs: f64) -> WindowSample {
-        let rate = self.nominal_rate * self.jitter();
-        WindowSample {
-            external_rate: Some(rate),
-            operators: vec![OperatorSample {
-                arrival_rate: Some(rate),
-                service_rate: Some(self.mu),
-            }],
-            mean_sojourn: Some(drs_core::fleet::mmk_measured_sojourn(
-                rate,
-                self.mu,
-                self.allocation[0],
-            )),
-            std_sojourn: None,
-            completed: 100,
-        }
-    }
-    fn apply(&mut self, plan: &RebalancePlan) -> Result<AppliedRebalance, BackendError> {
-        self.allocation = plan.allocation.clone();
-        Ok(AppliedRebalance {
-            allocation: plan.allocation.clone(),
-            pause_secs: plan.pause_secs,
-        })
-    }
+/// Deterministic xorshift jitter: ±15 % multiplicative noise on a shard's
+/// measured arrival rate — enough for the smoothed rate to keep crossing
+/// Program 6 demand boundaries, so the grants of these "healthy but noisy"
+/// fleet members drift ±1 executor from window to window.
+fn jitter(rng: &mut u64) -> f64 {
+    *rng ^= *rng << 13;
+    *rng ^= *rng >> 7;
+    *rng ^= *rng << 17;
+    1.0 + ((*rng % 1_000) as f64 / 1_000.0 - 0.5) * 0.3
 }
 
 #[test]
@@ -248,16 +188,26 @@ fn decision_gate_damps_noise_driven_rebalance_churn() {
     let mut config = FleetDriverConfig::new(40);
     config.warmup_windows = 1;
     config.window_secs = 1.0;
-    let mut fleet = FleetDriver::new(
-        config,
-        vec![
-            FleetShardSpec::new("a", 0.2, NoisyShard::new(40.0, 10.0, 6, 11)),
-            FleetShardSpec::new("b", 0.2, NoisyShard::new(25.0, 10.0, 4, 23)),
-            FleetShardSpec::new("c", 0.2, NoisyShard::new(55.0, 10.0, 8, 47)),
-        ],
-    )
-    .unwrap();
-    fleet.run_windows(WINDOWS);
+    // (name, nominal rate, executors, jitter state)
+    let mut shards = [
+        ("a", 40.0, 6, 11u64),
+        ("b", 25.0, 4, 23),
+        ("c", 55.0, 8, 47),
+    ];
+    let specs = shards
+        .iter()
+        .map(|&(name, rate, k, _)| {
+            FleetShardSpec::new(name, 0.2, SyntheticShard::new(rate, vec![10.0], vec![k]))
+        })
+        .collect();
+    let mut fleet = FleetDriver::new(config, specs).unwrap();
+    for _ in 0..WINDOWS {
+        // Every shard measures its nominal rate under fresh noise.
+        for (i, (_, rate, _, rng)) in shards.iter_mut().enumerate() {
+            fleet.backend_mut(i).rate = *rate * jitter(rng);
+        }
+        fleet.step();
+    }
     let timeline = fleet.timeline();
     assert_eq!(timeline.len() as u64, WINDOWS);
 

@@ -68,6 +68,14 @@
 //! [`faults::FaultEvent`] next to the control decisions it provoked;
 //! `repro fleet --faults <scenario>` renders both.
 //!
+//! # Synthetic fleets
+//!
+//! Fleet-scale tests and smokes need thousands of shards whose measurements
+//! are the model's own numbers, not a simulator per shard: the
+//! [`synthetic`] module holds one seeded generator of analytic M/M/k chain
+//! shards and the rate drift that moves them, shared by the fleet window's
+//! digests and allocation pins and the `repro fleet --scale` smokes.
+//!
 //! See [`SimulationBuilder`] for the entry point and the `drs-apps` crate for
 //! fully calibrated workloads (video logo detection, frequent pattern
 //! detection, synthetic chains).
@@ -115,6 +123,7 @@ pub mod faults;
 pub mod fleet;
 pub mod metrics;
 pub mod simulator;
+pub mod synthetic;
 pub mod time;
 pub mod workload;
 

@@ -3,7 +3,8 @@
 //! size, `CspBackend::advance_into` — run a window of events, close the
 //! measurement window, fill the caller's sample — performs **zero** heap
 //! allocations. A simulator-backed fleet pays no allocator traffic per
-//! shard per window.
+//! shard per window, and neither does one of `drs_sim::synthetic`'s
+//! analytic shards.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms the simulator up, then asserts the counter does not advance across
@@ -19,6 +20,7 @@ use std::cell::Cell;
 
 use drs_core::driver::{CspBackend, WindowSample};
 use drs_queueing::distribution::Distribution;
+use drs_sim::synthetic::{Draws, SyntheticFleet};
 use drs_sim::time::SimDuration;
 use drs_sim::workload::{CountDistribution, EdgeBehavior, OperatorBehavior};
 use drs_sim::{SimulationBuilder, Simulator};
@@ -181,6 +183,34 @@ fn settled_simulator_window_allocates_nothing() {
         allocated, 0,
         "{allocated} allocations over 40 settled windows"
     );
+}
+
+/// The synthetic fleet's shards measure into the caller's buffers: once
+/// those hold a window, further windows (and allocation reads) allocate
+/// nothing, at one and at two operators.
+#[test]
+fn synthetic_shard_window_allocates_nothing() {
+    for operators in [1, 2] {
+        let mut generator = SyntheticFleet::new(50, operators, Draws::seeded(7));
+        let mut shards: Vec<_> = generator.by_ref().map(|spec| spec.backend).collect();
+        let (mut sample, mut allocation) = (WindowSample::default(), Vec::new());
+        for shard in &mut shards {
+            shard.advance_into(1.0, &mut sample);
+            shard.current_allocation_into(&mut allocation);
+        }
+        let before = allocs();
+        for window in 0..10 {
+            generator
+                .draws
+                .redraw(shards.len(), |i, u| shards[i].drift(u));
+            for shard in &mut shards {
+                shard.advance_into(1.0, &mut sample);
+                shard.current_allocation_into(&mut allocation);
+                assert_eq!(sample.operators.len(), operators, "window {window}");
+            }
+        }
+        assert_eq!(allocs() - before, 0, "{operators} operators");
+    }
 }
 
 #[test]
