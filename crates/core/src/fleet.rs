@@ -69,9 +69,7 @@
 //!    ([`JacksonNetwork::set_rates`]), Program 6 into the cached `desired`
 //!    vector ([`scheduler::min_processors_for_target_into`]). Shards share
 //!    no state, so the whole pass runs on one shard while its buffers are
-//!    in cache; a refit whose answer stands allocates nothing. The fitted
-//!    demand lives in exactly two places: the driver's packed demand list
-//!    (the slice the negotiator is handed) and the negotiator's own cache.
+//!    in cache; a refit whose answer stands allocates nothing.
 //! 2. **Re-pack** the demand list — only on a window where some shard
 //!    gained or lost its model (the first negotiated one, deaths, revivals,
 //!    joins); demands move, none is cloned. Every shard whose demand slot
@@ -95,6 +93,21 @@
 //! of shards, bumped by [`FleetDriver::add_shard`] /
 //! [`FleetDriver::remove_shard`]) stands still, and re-derived by name on
 //! the first window after it moved.
+//!
+//! # Where a shard's state lives
+//!
+//! What lasts as long as the shard — backend, sample builder, measurer,
+//! epochs, lease, the placement in force — is one entry of the driver's
+//! shard list. What a window rewrites in place is one entry per shard in
+//! each of the window buffers: the report, the running allocation, the
+//! flags, and `u32` slots into the packed demands and the placement state.
+//! What only the shard being measured needs — its raw sample, its smoothed
+//! estimates — is one buffer the pass reuses for every shard. A fitted
+//! demand has two copies: the packed demand list, which the pass refits in
+//! place and the negotiator is handed, and the negotiator's per-slot cache,
+//! which it diffs the list against bit for bit. That slot keeps the floor
+//! and the floored desire in one buffer, and builds its walk (boxed) only
+//! once the budget is contended.
 //!
 //! # Incremental warm-start negotiation
 //!
@@ -133,7 +146,7 @@
 //! arbitration computed cold and is never on the driver's path: it is the
 //! oracle the warm path is property-tested against (same grants, same
 //! errors, bit for bit, across randomized demand drift, shard churn and
-//! budget schedules) and the baseline `repro fleet --scale` times.
+//! budget schedules).
 //!
 //! # Degraded control plane
 //!
@@ -273,6 +286,12 @@ use std::time::{Duration, Instant};
 /// overflow).
 fn executor_total(allocation: &[u32]) -> u64 {
     allocation.iter().map(|&k| u64::from(k)).sum()
+}
+
+/// A slot index as the per-shard slot maps store it: an `Option<u32>` is
+/// half an `Option<usize>`.
+fn slot_u32(slot: usize) -> u32 {
+    u32::try_from(slot).expect("fewer than 2^32 slots")
 }
 
 /// One topology's resource demand, as submitted to the negotiator.
@@ -479,16 +498,17 @@ struct SlotState {
     /// The demand the warm state was built from (bitwise cache key — see
     /// `demand_bits_equal`).
     demand: ShardDemand,
-    /// Per-op minimum stable allocation (cached).
-    floor: Vec<u32>,
-    /// `demand.desired` raised to the floor — what an uncontended window
-    /// grants verbatim.
-    desired_floored: Vec<u32>,
+    /// Per op, the minimum stable allocation; then per op, `demand.desired`
+    /// raised to it. One buffer, read through [`SlotState::floor`] and
+    /// [`SlotState::desired_floored`].
+    floored: Vec<u32>,
     floor_total: u64,
     desired_total: u64,
     /// The shard's reversible sojourn walk, parked at its current grant
-    /// position. `None` until the slot first negotiates contended.
-    walk: Option<NetworkSojourn>,
+    /// position. `None` until the slot first negotiates contended; boxed,
+    /// because a fleet that is never contended never builds one, and a
+    /// rebuild reuses the box.
+    walk: Option<Box<NetworkSojourn>>,
     /// Per-op stack of the *effective* (prefix-min clamped) δ of every
     /// step taken above the floor; the top is the op's weakest taken step.
     taken: Vec<Vec<f64>>,
@@ -515,6 +535,17 @@ struct SlotState {
 }
 
 impl SlotState {
+    /// Per-op minimum stable allocation (cached).
+    fn floor(&self) -> &[u32] {
+        &self.floored[..self.floored.len() / 2]
+    }
+
+    /// `demand.desired` raised to the floor — what an uncontended window
+    /// grants verbatim.
+    fn desired_floored(&self) -> &[u32] {
+        &self.floored[self.floored.len() / 2..]
+    }
+
     /// Demand cap: steps above the floor this shard may take.
     fn cap(&self) -> u64 {
         self.desired_total - self.floor_total
@@ -799,7 +830,7 @@ impl FleetNegotiator {
             _ => {}
         }
         let slot = &mut self.slots[i];
-        let off = grant.allocation != slot.desired_floored;
+        let off = grant.allocation != slot.desired_floored();
         if off && !slot.off_desire {
             self.off_desire.push(i as u32);
         }
@@ -894,8 +925,7 @@ impl FleetNegotiator {
             if i == self.slots.len() {
                 self.slots.push(SlotState {
                     demand: d.clone(),
-                    floor: Vec::new(),
-                    desired_floored: Vec::new(),
+                    floored: Vec::new(),
                     floor_total: 0,
                     desired_total: 0,
                     walk: None,
@@ -916,28 +946,21 @@ impl FleetNegotiator {
                 slot.demand.clone_from(d);
             }
             let slot = &mut self.slots[i];
-            slot.floor.clear();
-            slot.floor
-                .extend(d.network.operators().iter().map(|q| q.min_stable_servers()));
-            {
-                let SlotState {
-                    floor,
-                    desired_floored,
-                    ..
-                } = slot;
-                let floored = d
-                    .desired
-                    .iter()
-                    .zip(floor.iter())
-                    .map(|(&want, &f)| want.max(f));
-                if !desired_floored.iter().copied().eq(floored.clone()) {
-                    desired_floored.clear();
-                    desired_floored.extend(floored);
-                    self.changed.push(i as u32);
-                }
+            let ops = d.network.len();
+            let mut moved = slot.floored.len() != 2 * ops;
+            slot.floored.resize(2 * ops, 0);
+            let (floor, desired_floored) = slot.floored.split_at_mut(ops);
+            for (op, (q, &want)) in d.network.operators().iter().zip(&d.desired).enumerate() {
+                floor[op] = q.min_stable_servers();
+                let floored = want.max(floor[op]);
+                moved |= desired_floored[op] != floored;
+                desired_floored[op] = floored;
             }
-            slot.floor_total = executor_total(&slot.floor);
-            slot.desired_total = executor_total(&slot.desired_floored);
+            if moved {
+                self.changed.push(i as u32);
+            }
+            slot.floor_total = executor_total(slot.floor());
+            slot.desired_total = executor_total(slot.desired_floored());
             slot.walk_stale = true;
             self.sum_floor += slot.floor_total;
             self.sum_desired += slot.desired_total;
@@ -1077,9 +1100,10 @@ impl FleetNegotiator {
         let slot = &mut self.slots[i];
         slot.grant_dirty = false;
         let grant = &mut self.grants[i];
-        let moved = grant.allocation != slot.desired_floored;
+        let moved = grant.allocation != slot.desired_floored();
         if moved {
-            grant.allocation.clone_from(&slot.desired_floored);
+            grant.allocation.clear();
+            grant.allocation.extend_from_slice(slot.desired_floored());
         }
         let was_capped = grant.capped;
         grant.capped = false;
@@ -1104,10 +1128,12 @@ impl FleetNegotiator {
             slot.op_seq.clear();
             slot.op_seq.resize(ops, 0);
             slot.generation = generation;
-            slot.walk = Some(
-                NetworkSojourn::reversible(&slot.demand.network, &slot.floor)
-                    .expect("floor allocation length matches the network"),
-            );
+            let walk = NetworkSojourn::reversible(&slot.demand.network, slot.floor())
+                .expect("floor allocation length matches the network");
+            match &mut slot.walk {
+                Some(boxed) => **boxed = walk,
+                None => slot.walk = Some(Box::new(walk)),
+            }
             slot.walk_stale = false;
             let cap = slot.cap();
             slot.parked = cap == 0;
@@ -1711,8 +1737,6 @@ struct ShardState<B> {
     /// carries this id, the planned assignment *is* the one in force —
     /// phase 5b's O(1) test, in place of comparing the two assignments.
     placement_id: u64,
-    /// Reused buffer for this shard's raw sample (fed to the measurer).
-    raw: RawSample,
     /// [`Measurer::epoch`] at the last model refit; `u64::MAX` forces one.
     /// While the epoch stands still the shard's packed demand
     /// (`FleetScratch::demands`) and `demand_error` below are authoritative
@@ -1739,13 +1763,16 @@ struct FleetScratch {
     /// This window's measurement report per shard (buffers reused; every
     /// entry is overwritten by `advance_into` before it is read).
     samples: Vec<WindowSample>,
+    /// The raw sample of the shard being measured, built from its report
+    /// and fed to its measurer at once.
+    raw: RawSample,
     /// Actuation or placement error per shard (a refit error stays on the
     /// shard, `ShardState::demand_error`).
     errors: Vec<Option<String>>,
     /// Index into `demands` per shard (`None`: no usable model). Slots
     /// ascend with the shard index. Persists across windows together with
     /// `demands`; [`FleetDriver::remove_shard`] keeps both aligned.
-    demand_idx: Vec<Option<usize>>,
+    demand_idx: Vec<Option<u32>>,
     /// `demand_idx` inverted: the shard of each packed demand slot.
     demand_shard: Vec<usize>,
     /// Packed negotiation demands, one per modeled shard in shard index
@@ -1771,17 +1798,13 @@ struct FleetScratch {
     /// The gate-aware re-offer was accepted: every ungated modeled shard
     /// resolves to its floored desire, not its (possibly capped) grant.
     reoffered: bool,
-    /// The allocation a rebalance put in force this window.
-    applied: Vec<Option<Vec<u32>>>,
     /// The allocation in force per shard, cached once per window (buffers
-    /// reused) and kept across windows, so the pass can tell which shards'
-    /// allocations moved.
+    /// reused), replaced by what a rebalance put in force, and kept across
+    /// windows, so the pass can tell which shards' allocations moved.
     current_allocs: Vec<Vec<u32>>,
     /// The running allocation as just read, before it is compared with
     /// `current_allocs`.
     alloc_buf: Vec<u32>,
-    /// Executors currently in force per shard.
-    current_totals: Vec<u64>,
     /// This window's change list: the shards every phase after the
     /// per-shard pass visits, in index order from the negotiation on.
     visit: Vec<usize>,
@@ -1800,7 +1823,7 @@ struct FleetScratch {
     /// slot into the warm placement state (`place`) — the placement itself
     /// stays cached there and is cloned only when a command actually
     /// carries it.
-    planned_slots: Vec<Option<usize>>,
+    planned_slots: Vec<Option<u32>>,
     /// The warm-start placement cache (persists across windows): cached
     /// requests, solved placements, residual pool capacity, per-shard
     /// placement epochs. See [`placement::FleetPlacementState`].
@@ -1808,7 +1831,7 @@ struct FleetScratch {
     /// Shard index → warm-state slot, persisted across windows. Valid
     /// while the roster stands still (`place_roster`); re-validated by
     /// name after churn, which shifts shard indices.
-    place_slots: Vec<Option<usize>>,
+    place_slots: Vec<Option<u32>>,
     /// `place_slots` inverted: the shard each warm-state slot was last
     /// presented for, to visit the shards `replan` re-solved.
     place_owner: Vec<usize>,
@@ -1839,10 +1862,8 @@ impl FleetScratch {
         self.listed.resize(n, true);
         self.visit.extend(0..n);
         self.samples.resize_with(n, WindowSample::default);
+        self.errors.clear();
         self.errors.resize_with(n, || None);
-        for e in &mut self.errors {
-            *e = None;
-        }
         // A joined shard starts without a model; a removed one already
         // took its entry with it.
         self.demand_idx.resize(n, None);
@@ -1854,13 +1875,7 @@ impl FleetScratch {
         self.urgent.resize(n, false);
         self.rebalanced.clear();
         self.rebalanced.resize(n, false);
-        self.applied.resize_with(n, || None);
-        for a in &mut self.applied {
-            *a = None;
-        }
         self.current_allocs.resize_with(n, Vec::new);
-        self.current_totals.clear();
-        self.current_totals.resize(n, 0);
         self.planned_slots.clear();
         self.planned_slots.resize(n, None);
         // `place`/`place_slots` persist across windows (the warm-start
@@ -1910,7 +1925,7 @@ impl FleetScratch {
                 None => kept,
             };
             if let Some(demand) = demand {
-                *slot = Some(self.demands.len());
+                *slot = Some(slot_u32(self.demands.len()));
                 self.demands.push(demand);
             }
         }
@@ -1926,9 +1941,9 @@ impl FleetScratch {
         if !self.negotiated_ok || self.gated[i] {
             return None;
         }
-        let slot = self.demand_idx.get(i).copied().flatten()?;
+        let slot = self.demand_idx.get(i).copied().flatten()? as usize;
         Some(if self.reoffered {
-            &negotiator.slots[slot].desired_floored
+            negotiator.slots[slot].desired_floored()
         } else {
             &negotiator.grants[slot].allocation
         })
@@ -2083,11 +2098,6 @@ impl<B: CspBackend> FleetDriver<B> {
             placement_info: spec.placement,
             placement: None,
             placement_id: 0,
-            raw: RawSample {
-                external_rate: 0.0,
-                operators: Vec::new(),
-                mean_sojourn: None,
-            },
             demand_epoch: u64::MAX,
             demand_error: None,
         })
@@ -2130,7 +2140,7 @@ impl<B: CspBackend> FleetDriver<B> {
         // The shard's packed demand leaves with it; later slots close up.
         if i < self.scratch.demand_idx.len() {
             if let Some(slot) = self.scratch.demand_idx.remove(i) {
-                self.scratch.demands.remove(slot);
+                self.scratch.demands.remove(slot as usize);
                 for later in self.scratch.demand_idx[i..].iter_mut().flatten() {
                     *later -= 1;
                 }
@@ -2380,9 +2390,9 @@ impl<B: CspBackend> FleetDriver<B> {
             // `stale_decay^age`, and a run of `lease_windows` fully-missed
             // reports expires the shard's liveness lease; the first usable
             // report renews it.
-            if shard.samples.build_into(sample, &mut shard.raw) {
+            if shard.samples.build_into(sample, &mut scratch.raw) {
                 let weight = shard.samples.weight(self.config.stale_decay);
-                shard.measurer.observe_weighted(&shard.raw, weight);
+                shard.measurer.observe_weighted(&scratch.raw, weight);
             }
             let was_dead = shard.dead;
             shard.dead = self.config.lease_windows > 0
@@ -2401,12 +2411,12 @@ impl<B: CspBackend> FleetDriver<B> {
             if resized {
                 scratch.current_allocs[i].clone_from(&scratch.alloc_buf);
             }
-            scratch.current_totals[i] = executor_total(&scratch.current_allocs[i]);
+            let current_total = executor_total(&scratch.current_allocs[i]);
             if resized || rates_moved || shard.dead != was_dead {
                 scratch.list(i);
             }
             if !shard.dead {
-                live_total += scratch.current_totals[i];
+                live_total += current_total;
             }
             if !negotiating {
                 continue;
@@ -2436,7 +2446,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 shard.demand_epoch = epoch;
                 let mut fresh = None;
                 let demand = match slot {
-                    Some(slot) => &mut scratch.demands[slot],
+                    Some(slot) => &mut scratch.demands[slot as usize],
                     None => fresh.insert(ShardDemand::unfitted()),
                 };
                 let fit = refit_demand(
@@ -2460,7 +2470,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 scratch.list(i);
             }
             if !modeled {
-                reserved += scratch.current_totals[i];
+                reserved += current_total;
             }
         }
         clock.lap(Phase::Pass);
@@ -2548,7 +2558,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 if grant == scratch.current_allocs[i] {
                     continue;
                 }
-                if executor_total(grant) > scratch.current_totals[i] {
+                if executor_total(grant) > executor_total(&scratch.current_allocs[i]) {
                     scratch.growers.push(i);
                 } else {
                     scratch.actuation_order.push(i);
@@ -2563,6 +2573,7 @@ impl<B: CspBackend> FleetDriver<B> {
                         .grant(&self.negotiator, i)
                         .expect("only shards with a grant are ordered"),
                 );
+                let current_total = executor_total(&scratch.current_allocs[i]);
                 // Channel in backoff after an unacknowledged actuation:
                 // hold this window's command instead of spamming the
                 // (evidently degraded) control channel.
@@ -2580,7 +2591,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 // promoted shrinks bypass the gate — capped shards are
                 // starving and the freed capacity must actually flow.
                 let urgent_shrink =
-                    (contended || scratch.urgent[i]) && target_total < scratch.current_totals[i];
+                    (contended || scratch.urgent[i]) && target_total < current_total;
                 let refused = !urgent_shrink && {
                     let grant = scratch
                         .grant(&self.negotiator, i)
@@ -2592,9 +2603,8 @@ impl<B: CspBackend> FleetDriver<B> {
                     self.wasted_grants += 1;
                     continue;
                 }
-                if target_total > scratch.current_totals[i]
-                    && fleet_total - scratch.current_totals[i] + target_total
-                        > u64::from(self.config.k_max)
+                if target_total > current_total
+                    && fleet_total - current_total + target_total > u64::from(self.config.k_max)
                 {
                     // An earlier shrink was refused and its executors are
                     // still in force: defer this grow to a later window
@@ -2616,7 +2626,7 @@ impl<B: CspBackend> FleetDriver<B> {
                     .expect("resolved just above")
                     .to_vec();
                 let planned = scratch.planned_slots[i].take();
-                let placement = planned.map(|slot| scratch.place.placement(slot).clone());
+                let placement = planned.map(|slot| scratch.place.placement(slot as usize).clone());
                 // Every command carries a fresh, strictly increasing
                 // epoch: a backend behind a delaying/duplicating channel
                 // rejects anything stale instead of double-applying it.
@@ -2633,14 +2643,14 @@ impl<B: CspBackend> FleetDriver<B> {
                         shard.retry.on_ack();
                         scratch.rebalanced[i] = true;
                         let applied_total = executor_total(&applied.allocation);
-                        fleet_total = fleet_total - scratch.current_totals[i] + applied_total;
+                        fleet_total = fleet_total - current_total + applied_total;
                         // The machine assignment rode the rebalance plan;
                         // it is in force only if the backend actually put
                         // the matching executor counts in force.
                         if let (Some(p), Some(slot)) = (plan.placement, planned) {
                             if p.allocation_matches(&applied.allocation) {
                                 shard.placement = Some(p);
-                                shard.placement_id = scratch.place.solve_id(slot);
+                                shard.placement_id = scratch.place.solve_id(slot as usize);
                             }
                         }
                         // A backend may adjust what it puts in force (and a
@@ -2650,7 +2660,7 @@ impl<B: CspBackend> FleetDriver<B> {
                         // otherwise a contended window would pair this
                         // round's demand/capped flags with last round's
                         // allocations.
-                        scratch.applied[i] = Some(applied.allocation);
+                        scratch.current_allocs[i] = applied.allocation;
                     }
                     Err(e) => {
                         // A timeout means the command or its ack vanished:
@@ -2685,7 +2695,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 if scratch.rebalanced[i] {
                     continue;
                 }
-                let Some(slot) = scratch.planned_slots[i].take() else {
+                let Some(slot) = scratch.planned_slots[i].take().map(|s| s as usize) else {
                     continue;
                 };
                 let id = scratch.place.solve_id(slot);
@@ -2721,9 +2731,9 @@ impl<B: CspBackend> FleetDriver<B> {
             clock.lap(Phase::Moves);
         }
 
-        // 6. Record the visited shards in place: the applied allocation
-        //    where a rebalance fired this window, the cached live
-        //    allocation otherwise. `last_window` is updated field by field
+        // 6. Record the visited shards in place: the allocation in force,
+        //    the one a rebalance applied where one fired this window.
+        //    `last_window` is updated field by field
         //    (steady state allocates nothing); the timeline, when recorded,
         //    takes a clone. Each visited shard's per-window flags are reset
         //    here, and the ones it leaves unsettled open the next window.
@@ -2754,16 +2764,9 @@ impl<B: CspBackend> FleetDriver<B> {
             }
             let revived_or_died = point.dead != shard.dead;
             point.dead = shard.dead;
-            match scratch.applied[i].take() {
-                Some(a) => point.allocation = a,
-                None => point.allocation.clone_from(&scratch.current_allocs[i]),
-            }
-            point.demand = scratch
-                .demand_idx
-                .get(i)
-                .copied()
-                .flatten()
-                .map(|slot| executor_total(&scratch.demands[slot].desired));
+            point.allocation.clone_from(&scratch.current_allocs[i]);
+            point.demand = scratch.demand_idx[i]
+                .map(|slot| executor_total(&scratch.demands[slot as usize].desired));
             point.capped = scratch.capped[i];
             point.rebalanced = scratch.rebalanced[i];
             point.gated = scratch.gated[i];
@@ -2846,7 +2849,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 // A failed window (negotiation or placement) trusts no
                 // assignment.
                 negotiating && self.last_window.error.is_none(),
-                scratch.place_slots[i],
+                scratch.place_slots[i].map(|s| s as usize),
                 &shard.placement_info,
             ) {
                 assert!(
@@ -2868,8 +2871,8 @@ impl<B: CspBackend> FleetDriver<B> {
             }
             let point = &self.last_window.shards[i];
             let sample = &scratch.samples[i];
-            let demand =
-                scratch.demand_idx[i].map(|slot| executor_total(&scratch.demands[slot].desired));
+            let demand = scratch.demand_idx[i]
+                .map(|slot| executor_total(&scratch.demands[slot as usize].desired));
             assert!(
                 point.name == shard.name
                     && point.dead == shard.dead
@@ -2899,7 +2902,7 @@ impl<B: CspBackend> FleetDriver<B> {
         let Some(slot) = scratch.demand_idx[i] else {
             return false;
         };
-        let network = &scratch.demands[slot].network;
+        let network = &scratch.demands[slot as usize].network;
         let sample = &scratch.samples[i];
         let verdict = decision::decide_view(
             &self.config.decision,
@@ -2944,18 +2947,19 @@ impl<B: CspBackend> FleetDriver<B> {
             let Some(slot) = scratch.demand_idx[i] else {
                 continue;
             };
-            let grant = &negotiator.grants[slot];
+            let grant = &negotiator.grants[slot as usize];
             scratch.capped[i] = grant.capped;
             if grant.allocation == scratch.current_allocs[i] {
                 continue;
             }
-            if contended && grant.total() < scratch.current_totals[i] {
+            let current_total = executor_total(&scratch.current_allocs[i]);
+            if contended && grant.total() < current_total {
                 continue; // contended shrinks actuate unconditionally
             }
             if self.gate_refuses(i, &grant.allocation, &scratch.current_allocs[i], scratch) {
                 scratch.held.push(i);
-                held_desired += negotiator.slots[slot].desired_total;
-                held_current += scratch.current_totals[i];
+                held_desired += negotiator.slots[slot as usize].desired_total;
+                held_current += current_total;
             }
         }
         if scratch.held.is_empty() {
@@ -3018,7 +3022,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 // and by name otherwise.
                 if let Some(slot) = place_slots[i].take() {
                     if !full {
-                        place.remove(slot);
+                        place.remove(slot as usize);
                     }
                 }
                 continue;
@@ -3027,13 +3031,13 @@ impl<B: CspBackend> FleetDriver<B> {
                 continue;
             };
             // Lookup/insert only without a (still valid) cached slot.
-            let slot = match place_slots[i] {
+            let slot = match place_slots[i].map(|s| s as usize) {
                 Some(s) if !revalidate || place.slot_name(s) == shard.name => s,
                 _ => place
                     .slot_of(&shard.name)
                     .unwrap_or_else(|| place.insert(&shard.name)),
             };
-            place_slots[i] = Some(slot);
+            place_slots[i] = Some(slot_u32(slot));
             if place_owner.len() <= slot {
                 place_owner.resize(slot + 1, usize::MAX);
             }
@@ -3053,7 +3057,7 @@ impl<B: CspBackend> FleetDriver<B> {
             if full {
                 place.mark_seen(slot);
             }
-            planned_slots[i] = Some(slot);
+            planned_slots[i] = Some(slot_u32(slot));
         }
         scratch.place = place;
         scratch.place_slots = place_slots;
@@ -3076,8 +3080,8 @@ impl<B: CspBackend> FleetDriver<B> {
                 for idx in 0..scratch.place.resolved().len() {
                     let slot = scratch.place.resolved()[idx];
                     let i = scratch.place_owner[slot];
-                    debug_assert_eq!(scratch.place_slots[i], Some(slot));
-                    scratch.planned_slots[i] = Some(slot);
+                    debug_assert_eq!(scratch.place_slots[i], Some(slot_u32(slot)));
+                    scratch.planned_slots[i] = Some(slot_u32(slot));
                     joined |= !scratch.listed[i];
                     scratch.list(i);
                 }
@@ -3423,7 +3427,7 @@ mod tests {
             prop_assert_eq!(fits, uncapped, "cold arbitration: {:?}", cold);
             if uncapped {
                 for (grant, &slot) in cold.unwrap().iter().zip(&rest) {
-                    prop_assert_eq!(&grant.allocation, &warm.slots[slot].desired_floored);
+                    prop_assert_eq!(&grant.allocation, warm.slots[slot].desired_floored());
                 }
             }
         }
@@ -4128,7 +4132,7 @@ mod tests {
         let in_force_is_planned = |f: &FleetDriver<StaticShard>| {
             (0..2).all(|i| {
                 let slot = f.scratch.place_slots[i].expect("placed");
-                let id = f.scratch.place.solve_id(slot);
+                let id = f.scratch.place.solve_id(slot as usize);
                 id != 0 && f.shards[i].placement_id == id
             })
         };
@@ -4189,7 +4193,7 @@ mod tests {
         f.run_windows(3);
         assert!(!f.shard_dead(1));
         let slot = f.scratch.place.slot_of("b").expect("a live slot again");
-        assert_eq!(f.scratch.place_slots[1], Some(slot));
+        assert_eq!(f.scratch.place_slots[1], Some(slot_u32(slot)));
         assert!(f
             .shard_placement(1)
             .is_some_and(|p| p.allocation_matches(&f.backend(1).allocation)));

@@ -11,10 +11,16 @@
 //!    and outliers, with either of the paper's two options:
 //!    * α-weighted averaging: `D(n) = α·D(n−1) + (1−α)·d(n)`;
 //!    * window-based averaging: `D(n) = (1/w)·Σ_{j=n−w+1..n} d(j)`.
+//!
+//! A [`Measurer`] holds its smoothing once and one stream per metric: the
+//! external rate, the sojourn time, and each operator's arrival and service
+//! streams side by side in one buffer. An α-stream is only its smoothed
+//! value; a window-stream is one buffer of its last `(value, weight)` pairs,
+//! oldest first. Either takes 24 bytes, so an α-smoothed measurer of any
+//! number of operators is one heap block.
 
 use crate::model::{ModelInputs, OperatorRates};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Smoothing strategy for measurement streams (paper App. B).
@@ -54,50 +60,35 @@ impl Smoothing {
     ///
     /// Rejects `alpha` outside `[0, 1)` and `size == 0`.
     pub fn validate(&self) -> Result<(), InvalidSmoothing> {
-        match *self {
-            Smoothing::Alpha { alpha } => {
-                if !(0.0..1.0).contains(&alpha) {
-                    return Err(InvalidSmoothing {
-                        reason: format!("alpha must be in [0,1), got {alpha}"),
-                    });
-                }
+        let reason = match *self {
+            Smoothing::Alpha { alpha } if !(0.0..1.0).contains(&alpha) => {
+                format!("alpha must be in [0,1), got {alpha}")
             }
-            Smoothing::Window { size } => {
-                if size == 0 {
-                    return Err(InvalidSmoothing {
-                        reason: "window size must be >= 1".to_owned(),
-                    });
-                }
-            }
-        }
-        Ok(())
+            Smoothing::Window { size: 0 } => "window size must be >= 1".to_owned(),
+            _ => return Ok(()),
+        };
+        Err(InvalidSmoothing { reason })
     }
 }
 
-/// One raw metric stream being smoothed. Observations carry a weight in
-/// `(0, 1]`: weight 1 is the classic update, lower weights shrink an
-/// observation's influence (used for age-decayed stale fallbacks).
+/// One raw metric stream being smoothed under its measurer's [`Smoothing`].
+/// Observations carry a weight in `(0, 1]`: weight 1 is the classic update,
+/// lower weights shrink an observation's influence (used for age-decayed
+/// stale fallbacks).
 #[derive(Debug, Clone)]
 enum Stream {
-    Alpha {
-        alpha: f64,
-        state: Option<f64>,
-    },
-    Window {
-        size: usize,
-        /// `(value, weight)` pairs; the estimate is the weighted mean.
-        values: VecDeque<(f64, f64)>,
-    },
+    /// The α-smoothed value; `None` before the first observation.
+    Alpha(Option<f64>),
+    /// The last `size` `(value, weight)` pairs, oldest first; the estimate
+    /// is their weighted mean.
+    Window(Vec<(f64, f64)>),
 }
 
 impl Stream {
     fn new(smoothing: Smoothing) -> Self {
         match smoothing {
-            Smoothing::Alpha { alpha } => Stream::Alpha { alpha, state: None },
-            Smoothing::Window { size } => Stream::Window {
-                size,
-                values: VecDeque::with_capacity(size),
-            },
+            Smoothing::Alpha { .. } => Stream::Alpha(None),
+            Smoothing::Window { size } => Stream::Window(Vec::with_capacity(size)),
         }
     }
 
@@ -107,16 +98,16 @@ impl Stream {
     /// dozen windows, and from then on reports `false`, which is what lets
     /// [`Measurer::epoch`] stand still in steady state. Window streams
     /// always report `true` (their contents shift every observation).
-    fn observe(&mut self, x: f64, weight: f64) -> bool {
-        match self {
-            Stream::Alpha { alpha, state } => {
+    fn observe(&mut self, smoothing: Smoothing, x: f64, weight: f64) -> bool {
+        match (self, smoothing) {
+            (Stream::Alpha(state), Smoothing::Alpha { alpha }) => {
                 // The fading factor scales with the weight: at weight 1
                 // this is exactly `α·prev + (1−α)·x`; at weight → 0 the
                 // previous state survives untouched.
                 let next = match *state {
                     None => x,
                     Some(prev) => {
-                        let gain = (1.0 - *alpha) * weight;
+                        let gain = (1.0 - alpha) * weight;
                         (1.0 - gain) * prev + gain * x
                     }
                 };
@@ -124,23 +115,22 @@ impl Stream {
                 *state = Some(next);
                 changed
             }
-            Stream::Window { size, values } => {
-                if values.len() == *size {
-                    values.pop_front();
+            (Stream::Window(values), Smoothing::Window { size }) => {
+                if values.len() == size {
+                    values.remove(0);
                 }
-                values.push_back((x, weight));
+                values.push((x, weight));
                 true
             }
+            _ => unreachable!("a stream is built for its measurer's smoothing"),
         }
     }
 
     fn value(&self) -> Option<f64> {
         match self {
-            Stream::Alpha { state, .. } => *state,
-            Stream::Window { values, .. } => {
-                if values.is_empty() {
-                    return None;
-                }
+            Stream::Alpha(state) => *state,
+            Stream::Window(values) => {
+                // An empty window sums to zero weight.
                 let total: f64 = values.iter().map(|&(_, w)| w).sum();
                 if total <= 0.0 {
                     return None;
@@ -151,8 +141,9 @@ impl Stream {
     }
 }
 
-/// A raw (unsmoothed) observation for one measurement window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A raw (unsmoothed) observation for one measurement window. The default
+/// is an empty buffer for [`SampleBuilder::build_into`] to fill.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RawSample {
     /// Measured external arrival rate `λ̂0` (tuples/second).
     pub external_rate: f64,
@@ -210,9 +201,10 @@ impl SmoothedEstimates {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Measurer {
+    smoothing: Smoothing,
     external: Stream,
-    arrivals: Vec<Stream>,
-    services: Vec<Stream>,
+    /// Per operator, its arrival and service streams side by side.
+    operators: Vec<[Stream; 2]>,
     sojourn: Stream,
     windows_seen: u64,
     epoch: u64,
@@ -227,9 +219,11 @@ impl Measurer {
     pub fn new(n_operators: usize, smoothing: Smoothing) -> Result<Self, InvalidSmoothing> {
         smoothing.validate()?;
         Ok(Measurer {
+            smoothing,
             external: Stream::new(smoothing),
-            arrivals: (0..n_operators).map(|_| Stream::new(smoothing)).collect(),
-            services: (0..n_operators).map(|_| Stream::new(smoothing)).collect(),
+            operators: (0..n_operators)
+                .map(|_| [Stream::new(smoothing), Stream::new(smoothing)])
+                .collect(),
             sojourn: Stream::new(smoothing),
             windows_seen: 0,
             epoch: 0,
@@ -238,12 +232,12 @@ impl Measurer {
 
     /// Number of operators this measurer tracks.
     pub fn len(&self) -> usize {
-        self.arrivals.len()
+        self.operators.len()
     }
 
     /// Whether the measurer tracks no operators.
     pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
+        self.operators.is_empty()
     }
 
     /// Number of windows observed so far.
@@ -289,7 +283,7 @@ impl Measurer {
     pub fn observe_weighted(&mut self, raw: &RawSample, weight: f64) {
         assert_eq!(
             raw.operators.len(),
-            self.arrivals.len(),
+            self.operators.len(),
             "raw sample operator count mismatch"
         );
         let weight = if weight.is_finite() {
@@ -298,13 +292,14 @@ impl Measurer {
             1.0
         };
         self.windows_seen += 1;
-        let mut changed = self.external.observe(raw.external_rate, weight);
-        for (i, rates) in raw.operators.iter().enumerate() {
-            changed |= self.arrivals[i].observe(rates.arrival_rate, weight);
-            changed |= self.services[i].observe(rates.service_rate, weight);
+        let smoothing = self.smoothing;
+        let mut changed = self.external.observe(smoothing, raw.external_rate, weight);
+        for ([arrival, service], rates) in self.operators.iter_mut().zip(&raw.operators) {
+            changed |= arrival.observe(smoothing, rates.arrival_rate, weight);
+            changed |= service.observe(smoothing, rates.service_rate, weight);
         }
         if let Some(s) = raw.mean_sojourn {
-            changed |= self.sojourn.observe(s, weight);
+            changed |= self.sojourn.observe(smoothing, s, weight);
         }
         if changed {
             self.epoch += 1;
@@ -327,8 +322,8 @@ impl Measurer {
             return false;
         };
         out.operators.clear();
-        out.operators.reserve_exact(self.arrivals.len());
-        for (a, s) in self.arrivals.iter().zip(&self.services) {
+        out.operators.reserve_exact(self.operators.len());
+        for [a, s] in &self.operators {
             let (Some(arrival_rate), Some(service_rate)) = (a.value(), s.value()) else {
                 return false;
             };
@@ -393,9 +388,12 @@ impl Measurer {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SampleBuilder {
-    last_rates: Option<Vec<OperatorRates>>,
-    /// Windows since operator `i` last produced fresh rates.
-    ages: Vec<u64>,
+    /// Per operator: its last known rates, and the windows since it last
+    /// produced fresh ones.
+    history: Vec<(OperatorRates, u64)>,
+    /// Operators in the last built sample, whose rates lead `history`
+    /// (`None` until a sample is built).
+    known: Option<usize>,
     /// Age of the oldest substituted rate in the last built sample.
     staleness: u64,
     /// Consecutive windows with no usable report (`build` returned `None`).
@@ -413,27 +411,23 @@ impl SampleBuilder {
     /// rates; returns `None` when no usable rates exist yet (nothing has
     /// ever arrived, or a starved operator has no history).
     pub fn build(&mut self, w: &crate::driver::WindowSample) -> Option<RawSample> {
-        let mut out = RawSample {
-            external_rate: 0.0,
-            operators: Vec::new(),
-            mean_sojourn: None,
-        };
-        if self.build_into(w, &mut out) {
-            Some(out)
-        } else {
-            None
-        }
+        let mut out = RawSample::default();
+        self.build_into(w, &mut out).then_some(out)
     }
 
     /// In-place [`build`](Self::build): writes the sample into `out`
     /// (reusing its buffers — a caller feeding one persistent `RawSample`
-    /// per shard pays no allocation in steady state) and returns whether a
-    /// usable sample was produced. On `false`, `out`'s contents are
-    /// unspecified; the staleness/missed-window bookkeeping advances
-    /// exactly as with `build`.
+    /// pays no allocation in steady state) and returns whether a usable
+    /// sample was produced. On `false`, `out`'s contents are unspecified;
+    /// the staleness/missed-window bookkeeping advances exactly as with
+    /// `build`.
     pub fn build_into(&mut self, w: &crate::driver::WindowSample, out: &mut RawSample) -> bool {
-        if self.ages.len() < w.operators.len() {
-            self.ages.resize(w.operators.len(), 0);
+        if self.history.len() < w.operators.len() {
+            let unknown = OperatorRates {
+                arrival_rate: 0.0,
+                service_rate: 0.0,
+            };
+            self.history.resize(w.operators.len(), (unknown, 0));
         }
         if self.build_inner(w, out) {
             self.missed = 0;
@@ -441,10 +435,10 @@ impl SampleBuilder {
         } else {
             // The whole window is missing evidence: everything ages.
             self.missed += 1;
-            for age in &mut self.ages {
+            for (_, age) in &mut self.history {
                 *age += 1;
             }
-            self.staleness = self.ages.iter().copied().max().unwrap_or(0);
+            self.staleness = self.history.iter().map(|&(_, age)| age).max().unwrap_or(0);
             false
         }
     }
@@ -457,34 +451,32 @@ impl SampleBuilder {
             return false;
         }
         out.operators.clear();
-        let mut ages = std::mem::take(&mut self.ages);
         let mut staleness = 0u64;
         for (slot, op) in w.operators.iter().enumerate() {
             match (op.arrival_rate, op.service_rate) {
                 (Some(a), Some(s)) if a > 0.0 && s > 0.0 => {
-                    ages[slot] = 0;
+                    self.history[slot].1 = 0;
                     out.operators.push(OperatorRates {
                         arrival_rate: a,
                         service_rate: s,
                     });
                 }
                 _ => {
-                    let Some(last) = self.last_rates.as_ref().and_then(|l| l.get(slot)) else {
-                        self.ages = ages;
+                    if self.known.is_none_or(|known| slot >= known) {
                         return false;
-                    };
-                    ages[slot] += 1;
-                    staleness = staleness.max(ages[slot]);
+                    }
+                    let (last, age) = &mut self.history[slot];
+                    *age += 1;
+                    staleness = staleness.max(*age);
                     out.operators.push(*last);
                 }
             }
         }
-        self.ages = ages;
-        self.staleness = staleness;
-        match &mut self.last_rates {
-            Some(last) => last.clone_from(&out.operators),
-            None => self.last_rates = Some(out.operators.clone()),
+        for ((last, _), &rates) in self.history.iter_mut().zip(&out.operators) {
+            *last = rates;
         }
+        self.known = Some(out.operators.len());
+        self.staleness = staleness;
         out.external_rate = external_rate;
         out.mean_sojourn = w.mean_sojourn;
         true
@@ -497,17 +489,17 @@ impl SampleBuilder {
     /// [`build_into`](Self::build_into) consumes `w`; `false` whenever
     /// that cannot be told (no history, a missed or starved window).
     pub fn arrivals_unchanged(&self, w: &crate::driver::WindowSample) -> bool {
-        let Some(last) = &self.last_rates else {
-            return false;
-        };
         self.missed == 0
             && self.staleness == 0
-            && last.len() == w.operators.len()
-            && w.operators.iter().zip(last).all(|(op, last)| {
-                matches!((op.arrival_rate, op.service_rate),
+            && self.known == Some(w.operators.len())
+            && w.operators
+                .iter()
+                .zip(&self.history)
+                .all(|(op, (last, _))| {
+                    matches!((op.arrival_rate, op.service_rate),
                     (Some(a), Some(s)) if a > 0.0 && s > 0.0
                         && a.to_bits() == last.arrival_rate.to_bits())
-            })
+                })
     }
 
     /// Age, in windows, of the oldest substituted rate in the most recent
@@ -738,8 +730,8 @@ mod tests {
     /// `write_estimates`.
     fn estimates_reference(m: &Measurer) -> Option<SmoothedEstimates> {
         let external_rate = m.external.value()?;
-        let mut operators = Vec::with_capacity(m.arrivals.len());
-        for (a, s) in m.arrivals.iter().zip(&m.services) {
+        let mut operators = Vec::with_capacity(m.operators.len());
+        for [a, s] in &m.operators {
             operators.push(OperatorRates {
                 arrival_rate: a.value()?,
                 service_rate: s.value()?,
@@ -886,9 +878,12 @@ mod tests {
         assert_eq!(b.staleness(), 2);
         assert!((b.weight(0.5) - 0.25).abs() < 1e-12);
 
-        // Fresh evidence resets the age.
+        // Fresh evidence resets the age, so the next fallback is one
+        // window old again.
         assert!(b.build(&fresh).is_some());
         assert_eq!(b.staleness(), 0);
+        assert!(b.build(&starved).is_some());
+        assert_eq!(b.staleness(), 1);
     }
 
     #[test]

@@ -55,6 +55,8 @@ thread_local! {
     /// freed by another thread than its allocator skews both; the fleet
     /// tests run on one thread).
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// Blocks allocated minus blocks freed by this thread, alike.
+    static LIVE_BLOCKS: Cell<i64> = const { Cell::new(0) };
     /// Failure diagnostics: while non-zero, each counted allocation prints a
     /// backtrace of its call site (and decrements the budget), so a
     /// regression names the allocating line instead of just a count.
@@ -76,30 +78,36 @@ fn count_and_trace() {
     }
 }
 
-fn track_live(delta: i64) {
-    LIVE.with(|live| live.set(live.get() + delta));
+fn track_live(bytes: i64, blocks: i64) {
+    LIVE.with(|live| live.set(live.get() + bytes));
+    LIVE_BLOCKS.with(|live| live.set(live.get() + blocks));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_and_trace();
-        track_live(layout.size() as i64);
+        track_live(layout.size() as i64, 1);
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_and_trace();
-        track_live(layout.size() as i64);
+        track_live(layout.size() as i64, 1);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_and_trace();
-        track_live(new_size as i64 - layout.size() as i64);
+        track_live(new_size as i64 - layout.size() as i64, 0);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        track_live(-(layout.size() as i64));
+        track_live(-(layout.size() as i64), -1);
         unsafe { System.dealloc(ptr, layout) }
     }
+}
+
+/// The live heap, as `(bytes, blocks)`.
+fn live_heap() -> (i64, i64) {
+    (LIVE.get(), LIVE_BLOCKS.get())
 }
 
 #[global_allocator]
@@ -420,6 +428,36 @@ fn drifting_windows_allocate_only_for_the_shards_they_move() {
     );
 }
 
+/// The drifting placed fleet above, on another stream: the first `shards`
+/// of its 3 000 shards, settled on `machines` machines sized for all 3 000.
+/// Returns the fleet and the live heap `(bytes, blocks)` it holds, counted
+/// from before its specs were drawn.
+fn settled_drifting_fleet(
+    shards: usize,
+    machines: usize,
+) -> (FleetDriver<SyntheticShard>, (i64, i64)) {
+    let generate = || SyntheticFleet::new(3_000, 2, Draws(0x2545_f491_4f6c_dd1d));
+    let mut all = generate();
+    all.by_ref().for_each(drop);
+    let before = live_heap();
+    let mut generator = generate();
+    let specs: Vec<_> = generator.by_ref().take(shards).collect();
+    let mut config = FleetDriverConfig::new(2 * generator.demand as u32);
+    config.window_secs = 1.0;
+    config.warmup_windows = 2;
+    config.record_timeline = false;
+    let mut fleet = FleetDriver::new(config, specs).expect("fleet construction");
+    let capacity = all.units / machines as f64 * 1.3;
+    fleet.set_machine_pool(
+        MachinePool::uniform(machines, ResourceProfile::uniform(capacity)).expect("valid pool"),
+    );
+    fleet.run_windows(8);
+    let last = fleet.last_window();
+    assert!(last.error.is_none() && last.shards.iter().all(|s| s.error.is_none()));
+    let after = live_heap();
+    (fleet, (after.0 - before.0, after.1 - before.1))
+}
+
 /// Placement memory follows the executors, not the pool: the 3 000-shard
 /// drifting placed fleet, settled on a 4-machine pool and on a 4 096-machine
 /// one, holds the same live heap per shard to within 64 B. (Dense
@@ -433,30 +471,8 @@ fn drifting_windows_allocate_only_for_the_shards_they_move() {
 fn placement_memory_follows_the_executors_not_the_pool() {
     const SHARDS: usize = 3_000;
     const FEW: usize = 300;
-    // The drifting placed fleet above, on another stream.
-    let generate = || SyntheticFleet::new(SHARDS, 2, Draws(0x2545_f491_4f6c_dd1d));
-    let mut all = generate();
-    all.by_ref().for_each(drop);
-    // The live heap a fleet of the first `shards` shards holds once settled
-    // on `machines` machines (sized for all 3 000 shards).
     let settled_heap = |shards: usize, machines: usize| -> i64 {
-        let before = LIVE.get();
-        let mut generator = generate();
-        let specs: Vec<_> = generator.by_ref().take(shards).collect();
-        let mut config = FleetDriverConfig::new(2 * generator.demand as u32);
-        config.window_secs = 1.0;
-        config.warmup_windows = 2;
-        config.record_timeline = false;
-        let mut fleet = FleetDriver::new(config, specs).expect("fleet construction");
-        let capacity = all.units / machines as f64 * 1.3;
-        fleet.set_machine_pool(
-            MachinePool::uniform(machines, ResourceProfile::uniform(capacity)).expect("valid pool"),
-        );
-        fleet.run_windows(8);
-        let last = fleet.last_window();
-        assert!(last.error.is_none() && last.shards.iter().all(|s| s.error.is_none()));
-        let heap = LIVE.get() - before;
-
+        let (fleet, (heap, _)) = settled_drifting_fleet(shards, machines);
         let allocs = ALLOCS.get();
         for i in 0..shards {
             std::hint::black_box(fleet.shard_placement(i).expect("placed").clone());
@@ -479,23 +495,48 @@ fn placement_memory_follows_the_executors_not_the_pool() {
     );
 }
 
-/// Where a large drifting window's time goes: the 50 000-shard, 64-machine
-/// placed fleet of the `fleet_window` benchmark workload (5 % of the shards
-/// re-draw their rate every window, the budget 1 % above the fleet's
-/// demand), timed by the driver's own phase clocks. Prints each phase's
-/// median over 300 windows, and the window's median and mean.
-///
-/// `cargo test --release -p drs-core --test fleet_allocs -- --ignored --nocapture`
+/// What a settled shard holds, all told — its spec, its loop state, its
+/// slots in the negotiator and the placement state, its record — in live
+/// bytes and live heap blocks: the slope between 300 and 3 000 shards of
+/// the drifting placed fleet, on 4 machines. Pinned within 3 %, so a
+/// field that comes back inline or a buffer that splits in two shows.
 #[test]
-#[ignore = "a timing report, not a check"]
-fn fleet_window_phase_times() {
-    const SHARDS: usize = 50_000;
-    const MACHINES: usize = 64;
-    const SETTLE: usize = 11;
-    const WINDOWS: usize = 300;
+fn a_settled_shard_holds_few_small_blocks() {
+    const BYTES_PER_SHARD: f64 = 2_338.0;
+    const BLOCKS_PER_SHARD: f64 = 23.0;
+    let (few, many) = (
+        settled_drifting_fleet(300, 4).1,
+        settled_drifting_fleet(3_000, 4).1,
+    );
+    let bytes = (many.0 - few.0) as f64 / 2_700.0;
+    let blocks = (many.1 - few.1) as f64 / 2_700.0;
+    println!("a settled shard holds {bytes:.1} B in {blocks:.2} blocks");
+    assert!(
+        (bytes / BYTES_PER_SHARD - 1.0).abs() <= 0.03,
+        "{bytes:.1} B per shard, pinned at {BYTES_PER_SHARD} B"
+    );
+    assert!(
+        (blocks / BLOCKS_PER_SHARD - 1.0).abs() <= 0.03,
+        "{blocks:.2} blocks per shard, pinned at {BLOCKS_PER_SHARD}"
+    );
+}
 
-    let mut generator = SyntheticFleet::new(SHARDS, 2, Draws(0x2545_f491_4f6c_dd1d));
-    let specs: Vec<_> = generator.by_ref().collect();
+/// The `fleet_window` benchmark workload's fleet: 50 000 two-operator
+/// shards on 64 machines, the budget 1 % above the fleet's demand, the pool
+/// 30 % above its resource units. Returns the generator, whose draws then
+/// drive the drift (5 % of the shards re-draw their rate every window),
+/// and the specs.
+fn window_specs() -> (SyntheticFleet, Vec<FleetShardSpec<SyntheticShard>>) {
+    let mut generator = SyntheticFleet::new(50_000, 2, Draws(0x2545_f491_4f6c_dd1d));
+    let specs = generator.by_ref().collect();
+    (generator, specs)
+}
+
+fn window_fleet(
+    generator: &SyntheticFleet,
+    specs: Vec<FleetShardSpec<SyntheticShard>>,
+) -> FleetDriver<SyntheticShard> {
+    const MACHINES: usize = 64;
     let mut config = FleetDriverConfig::new((generator.demand as f64 * 1.01) as u32);
     config.window_secs = 1.0;
     config.warmup_windows = 2;
@@ -508,13 +549,36 @@ fn fleet_window_phase_times() {
         )
         .expect("valid pool"),
     );
+    fleet
+}
 
+/// Re-draws the rates of 5 % of the `fleet_window` fleet's shards.
+fn drift(fleet: &mut FleetDriver<SyntheticShard>, generator: &mut SyntheticFleet) {
+    let shards = fleet.shard_count();
+    generator
+        .draws
+        .redraw(shards, |i, u| fleet.backend_mut(i).drift(u));
+}
+
+/// Where a large drifting window's time goes: the `fleet_window` fleet,
+/// timed by the driver's own phase clocks. Prints each phase's median over
+/// 300 windows, the window's median and mean, and how many windows capped
+/// some shard (the budget bound).
+///
+/// `cargo test --release -p drs-core --test fleet_allocs -- --ignored --nocapture`
+#[test]
+#[ignore = "a timing report, not a check"]
+fn fleet_window_phase_times() {
+    const SETTLE: usize = 11;
+    const WINDOWS: usize = 300;
+
+    let (mut generator, specs) = window_specs();
+    let mut fleet = window_fleet(&generator, specs);
     let mut phases: Vec<Vec<f64>> = vec![Vec::new(); WINDOW_PHASES.len()];
     let mut windows = Vec::with_capacity(WINDOWS);
+    let mut capped = 0;
     for w in 0..SETTLE + WINDOWS {
-        generator
-            .draws
-            .redraw(SHARDS, |i, u| fleet.backend_mut(i).drift(u));
+        drift(&mut fleet, &mut generator);
         let started = Instant::now();
         fleet.step();
         let took = started.elapsed().as_secs_f64() * 1e3;
@@ -523,6 +587,7 @@ fn fleet_window_phase_times() {
             for (times, t) in phases.iter_mut().zip(fleet.phase_times()) {
                 times.push(t.as_secs_f64() * 1e3);
             }
+            capped += usize::from(fleet.last_window().shards.iter().any(|s| s.capped));
         }
     }
     let summary = |v: &mut Vec<f64>| {
@@ -530,7 +595,8 @@ fn fleet_window_phase_times() {
         v.sort_by(f64::total_cmp);
         (v[v.len() / 2], mean)
     };
-    println!("{SHARDS} shards, {MACHINES} machines, {WINDOWS} windows: ms per window");
+    let shards = fleet.shard_count();
+    println!("{shards} shards, 64 machines, {WINDOWS} windows: ms per window");
     println!("  {:<10} {:>7} {:>7}", "phase", "median", "mean");
     for (name, times) in WINDOW_PHASES.iter().zip(&mut phases) {
         let (median, mean) = summary(times);
@@ -538,5 +604,60 @@ fn fleet_window_phase_times() {
     }
     let (median, mean) = summary(&mut windows);
     println!("  {:<10} {median:>7.3} {mean:>7.3}", "window");
-    println!("  {:.2} M shard-windows/s", SHARDS as f64 / mean / 1e3);
+    println!("  {:.2} M shard-windows/s", shards as f64 / mean / 1e3);
+    println!("  {capped} of {WINDOWS} windows with any capped shard");
+}
+
+/// What the `fleet_window` fleet holds per shard, stage by stage: the live
+/// heap each stage adds, in requested bytes and blocks per shard — drawing
+/// the specs, building the driver, the warm-up windows, the first
+/// negotiated and placed window, and 48 drifting windows after it.
+///
+/// `cargo test --release -p drs-core --test fleet_allocs -- --ignored --nocapture`
+#[test]
+#[ignore = "a memory report, not a check"]
+fn fleet_window_heap_by_stage() {
+    let start = live_heap();
+    let mut last = start;
+    let mut stages = Vec::new();
+    let mut stage = |name: &'static str| {
+        let now = live_heap();
+        stages.push((name, now.0 - last.0, now.1 - last.1));
+        last = now;
+    };
+    let (mut generator, specs) = window_specs();
+    stage("specs");
+    let mut fleet = window_fleet(&generator, specs);
+    stage("driver");
+    let warmup = fleet.config().warmup_windows;
+    for _ in 0..warmup {
+        drift(&mut fleet, &mut generator);
+        fleet.step();
+    }
+    stage("warm-up");
+    drift(&mut fleet, &mut generator);
+    fleet.step();
+    stage("first negotiated window");
+    for _ in 0..48 {
+        drift(&mut fleet, &mut generator);
+        fleet.step();
+    }
+    stage("48 drifting windows");
+    let shards = fleet.shard_count() as f64;
+    println!("{shards} shards, 64 machines: live heap added per shard");
+    println!("  {:<24} {:>8} {:>8}", "stage", "B/shard", "blocks");
+    for (name, bytes, blocks) in stages {
+        println!(
+            "  {name:<24} {:>8.1} {:>8.2}",
+            bytes as f64 / shards,
+            blocks as f64 / shards
+        );
+    }
+    let (bytes, blocks) = (last.0 - start.0, last.1 - start.1);
+    println!(
+        "  {:<24} {:>8.1} {:>8.2}",
+        "total",
+        bytes as f64 / shards,
+        blocks as f64 / shards
+    );
 }
