@@ -9,7 +9,6 @@
 //! repro fleet --scale 1k|10k|100k|1m [--smoke] [--seed N]
 //! repro fleet --scale 1k|10k|100k --place [--smoke] [--seed N]
 //! repro place [--smoke] [--seed N]
-//! repro soak [--smoke] [--seed N]
 //! ```
 //!
 //! `--quick` shortens simulated durations (useful in CI); default runs use
@@ -17,8 +16,8 @@
 
 use drs_bench::sweep::{run_sweep, App};
 use drs_bench::{
-    ablation, drive, faults, fig10, fig8, fig9, fleet, fleet_scale, place, place_scale, soak,
-    surge, table2,
+    ablation, drive, faults, fig10, fig8, fig9, fleet, fleet_scale, place, place_scale, surge,
+    table2,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::env;
@@ -144,7 +143,6 @@ fn main() -> ExitCode {
                 println!("       repro fleet --scale 1k|10k|100k|1m [--smoke] [--seed N]");
                 println!("       repro fleet --scale 1k|10k|100k --place [--smoke] [--seed N]");
                 println!("       repro place [--smoke] [--seed N]");
-                println!("       repro soak [--smoke] [--seed N]");
                 return ExitCode::SUCCESS;
             }
             other if !other.starts_with('-') => {
@@ -173,7 +171,6 @@ fn main() -> ExitCode {
         "drive" => return run_drive(&options),
         "fleet" => return run_fleet(&options),
         "place" => run_place(&options),
-        "soak" => run_soak(&options),
         "all" => {
             fig6_and_7(&options, true, true);
             run_fig8(&options);
@@ -183,7 +180,6 @@ fn main() -> ExitCode {
             run_ablation(&options);
             run_surge(&options);
             run_place(&options);
-            run_soak(&options);
         }
         other => {
             eprintln!("unknown target {other}; try --help");
@@ -344,19 +340,6 @@ fn run_place(options: &Options) {
     };
     let run = place::run_place(&config);
     print!("{}", place::render_place(&config, &run));
-}
-
-fn run_soak(options: &Options) {
-    let config = if options.smoke || options.quick {
-        soak::SoakConfig::smoke(options.seed)
-    } else {
-        soak::SoakConfig {
-            seed: options.seed,
-            ..Default::default()
-        }
-    };
-    let run = soak::run_soak(&config);
-    print!("{}", soak::render_soak(&config, &run));
 }
 
 fn run_surge(options: &Options) {

@@ -33,9 +33,6 @@
 //! * [`place`] — machine-granular placement on the same fleet sharing an
 //!   8-machine pool: the resource-aware solver vs a round-robin deal,
 //!   compared on cross-machine tuple fraction and end-to-end sojourn;
-//! * [`soak`] — saturation soak of the live runtime under continuous
-//!   rebalances: ingress→ack latency percentiles (p50/p95/p99), peak
-//!   bounded-queue depth and task suspensions;
 //! * [`surge`] — elasticity under a mid-run arrival-rate surge (the §I
 //!   motivation, beyond the paper's fixed-rate evaluation);
 //! * [`report`] — table rendering and rank-correlation helpers.
@@ -49,7 +46,9 @@
 //!
 //! Performance numbers are not this crate's job: the repo's one measuring
 //! contract is `BENCHMARK.json`, run with `bash benchmark/run.sh
-//! [--workload W]` from the standalone `benchmark/` package.
+//! [--workload W]` from the standalone `benchmark/` package. The live
+//! runtime's latency under churn, for one, is `live_flood`'s
+//! `runtime.ack_p50_ms` / `ack_p95_ms` / `ack_p99_ms`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -65,7 +64,6 @@ pub mod fleet_scale;
 pub mod place;
 pub mod place_scale;
 pub mod report;
-pub mod soak;
 pub mod surge;
 pub mod sweep;
 pub mod table2;

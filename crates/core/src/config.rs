@@ -1,16 +1,15 @@
 //! DRS configuration (paper App. B-C: the configuration reader).
 //!
-//! [`DrsConfig`] gathers every tunable the paper exposes: the optimisation
-//! goal (Program 4 vs Program 6), measurement sampling and smoothing
-//! parameters, the rebalance decision policy and the warm-up horizon.
+//! [`DrsConfig`] gathers the tunables the control loop reads: the optimisation
+//! goal (Program 4 vs Program 6), measurement smoothing, the rebalance
+//! decision policy and the warm-up horizon.
 
 use crate::decision::DecisionPolicy;
 use crate::measurer::{InvalidSmoothing, Smoothing};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which optimisation problem DRS solves each round (paper §III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimizationGoal {
     /// Program 4: minimise expected sojourn given at most `k_max`
     /// processors.
@@ -49,35 +48,13 @@ impl fmt::Display for OptimizationGoal {
     }
 }
 
-/// Measurement sampling parameters (paper App. B-A: bi-layer sampling).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SamplingConfig {
-    /// Each executor records the metric of one tuple every `sample_every`
-    /// local inputs (`Nm`).
-    pub sample_every: u32,
-    /// The central measurement operator pulls updates every
-    /// `pull_interval_secs` seconds (`Tm`).
-    pub pull_interval_secs: f64,
-}
-
-impl Default for SamplingConfig {
-    fn default() -> Self {
-        SamplingConfig {
-            sample_every: 20,
-            pull_interval_secs: 60.0,
-        }
-    }
-}
-
 /// Full DRS configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DrsConfig {
     /// The optimisation goal.
     pub goal: OptimizationGoal,
     /// Metric smoothing strategy.
     pub smoothing: Smoothing,
-    /// Sampling parameters.
-    pub sampling: SamplingConfig,
     /// Rebalance cost/benefit policy.
     pub policy: DecisionPolicy,
     /// Number of initial measurement windows to observe before acting
@@ -97,7 +74,6 @@ impl DrsConfig {
         DrsConfig {
             goal: OptimizationGoal::MinLatency { k_max },
             smoothing: Smoothing::Alpha { alpha: 0.5 },
-            sampling: SamplingConfig::default(),
             policy: DecisionPolicy::default(),
             warmup_windows: 2,
             cooldown_windows: 1,
@@ -110,7 +86,6 @@ impl DrsConfig {
         DrsConfig {
             goal: OptimizationGoal::MinResources { t_max_secs },
             smoothing: Smoothing::Alpha { alpha: 0.5 },
-            sampling: SamplingConfig::default(),
             policy: DecisionPolicy::default(),
             warmup_windows: 2,
             cooldown_windows: 1,
@@ -121,8 +96,7 @@ impl DrsConfig {
     ///
     /// # Errors
     ///
-    /// Rejects invalid smoothing parameters, non-positive `Tmax`,
-    /// non-positive pull interval, or zero `sample_every`.
+    /// Rejects invalid smoothing parameters or a non-positive `Tmax`.
     pub fn validate(&self) -> Result<(), InvalidConfig> {
         self.smoothing
             .validate()
@@ -133,16 +107,6 @@ impl DrsConfig {
                     "Tmax must be finite and positive, got {t_max_secs}"
                 )));
             }
-        }
-        if self.sampling.sample_every == 0 {
-            return Err(InvalidConfig::Other("sample_every must be >= 1".to_owned()));
-        }
-        if !self.sampling.pull_interval_secs.is_finite() || self.sampling.pull_interval_secs <= 0.0
-        {
-            return Err(InvalidConfig::Other(format!(
-                "pull interval must be positive, got {}",
-                self.sampling.pull_interval_secs
-            )));
         }
         Ok(())
     }
@@ -200,12 +164,6 @@ mod tests {
         assert!(c.validate().is_err());
         c = DrsConfig::min_latency(22);
         c.smoothing = Smoothing::Alpha { alpha: 2.0 };
-        assert!(c.validate().is_err());
-        c = DrsConfig::min_latency(22);
-        c.sampling.sample_every = 0;
-        assert!(c.validate().is_err());
-        c = DrsConfig::min_latency(22);
-        c.sampling.pull_interval_secs = 0.0;
         assert!(c.validate().is_err());
     }
 

@@ -32,11 +32,10 @@ use crate::measurer::{Measurer, RawSample, SmoothedEstimates};
 use crate::model::PerformanceModel;
 use crate::negotiator::{MachinePool, NegotiationPlan};
 use crate::scheduler::{self, Allocation, ScheduleError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What the CSP layer should do after a measurement window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ControlAction {
     /// No change.
     None,
@@ -61,7 +60,7 @@ impl ControlAction {
 }
 
 /// One record of the controller's reasoning for a window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogEntry {
     /// Window sequence number (1-based).
     pub window: u64,

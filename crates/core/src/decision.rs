@@ -6,11 +6,10 @@
 //! candidate allocation outweighs the disruption. This module encodes that
 //! cost/benefit policy.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Policy parameters for the rebalance gate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionPolicy {
     /// Minimum *relative* improvement of expected sojourn
     /// `(E_cur − E_new)/E_cur` required before a rebalance is worthwhile
@@ -39,7 +38,7 @@ impl Default for DecisionPolicy {
 }
 
 /// Everything the gate needs to decide one round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionInputs {
     /// The allocation currently running.
     pub current_allocation: Vec<u32>,
@@ -61,7 +60,7 @@ pub struct DecisionInputs {
 }
 
 /// The gate's verdict.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Decision {
     /// Keep the current allocation.
     Keep {
@@ -83,7 +82,7 @@ impl Decision {
 }
 
 /// Reasons for keeping the current allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeepReason {
     /// Candidate is identical to the current allocation.
     AlreadyOptimal,
@@ -96,7 +95,7 @@ pub enum KeepReason {
 }
 
 /// Reasons for re-balancing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebalanceReason {
     /// The measured sojourn violates `Tmax` and the candidate helps.
     TargetViolated,

@@ -7,7 +7,11 @@
 //! [`WindowSample`], and (b) apply a [`RebalancePlan`]. The generic
 //! [`DrsDriver`] owns the full closed loop on top of it — measure → smooth
 //! → model → schedule → decide → actuate — plus timeline recording and the
-//! last-known-rates fallback (see [`SampleBuilder`]).
+//! last-known-rates fallback (see [`SampleBuilder`]). It schedules
+//! executor counts only: machine placement belongs to the fleet, whose
+//! [`crate::fleet::FleetDriver`] plans it warm over one shared
+//! [`crate::placement::MachinePool`] and ships it in
+//! [`RebalancePlan::placement`]. A `DrsDriver` plan carries `None`.
 //!
 //! The workspace ships two backends:
 //!
@@ -121,11 +125,7 @@
 
 use crate::controller::{ControlAction, DrsController};
 use crate::measurer::SampleBuilder;
-use crate::placement::{
-    self, EdgeTraffic, MachinePool as PlacementPool, OperatorLoad, Placement, PlacementRequest,
-};
-use drs_topology::ResourceProfile;
-use serde::{Deserialize, Serialize};
+use crate::placement::Placement;
 use std::fmt;
 
 /// Raw measurements of one operator for one window, in model order.
@@ -133,7 +133,7 @@ use std::fmt;
 /// Rates are `None` when the window carries no evidence (no arrivals, no
 /// busy time): the driver falls back to the last known rates rather than
 /// feeding zeros to the model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatorSample {
     /// Measured arrival rate `λ̂_i` (tuples/second), if observed.
     pub arrival_rate: Option<f64>,
@@ -142,7 +142,7 @@ pub struct OperatorSample {
 }
 
 /// Everything a backend measured during one window.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowSample {
     /// Measured external arrival rate `λ̂0`, if the window saw time pass.
     pub external_rate: Option<f64>,
@@ -158,7 +158,7 @@ pub struct WindowSample {
 }
 
 /// A rebalance the driver asks a backend to actuate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RebalancePlan {
     /// Target executors per model operator.
     pub allocation: Vec<u32>,
@@ -174,17 +174,18 @@ pub struct RebalancePlan {
     /// back to a stale target. Backends on a reliable in-process channel
     /// may ignore it.
     pub epoch: u64,
-    /// Machine assignment for the target allocation, when a placement
-    /// layer is active: `placement.count(i, m)` executors of model
-    /// operator `i` go to machine `m`. `None` leaves executor-to-machine
-    /// mapping to the backend (the pre-placement behaviour). Backends
-    /// without a machine concept ignore it.
-    #[serde(default)]
+    /// Machine assignment for the target allocation, set by the fleet
+    /// driver when it has a machine pool
+    /// ([`crate::fleet::FleetDriver::set_machine_pool`]):
+    /// `placement.count(i, m)` executors of model operator `i` go to
+    /// machine `m`. `None` (always, from [`DrsDriver`]) leaves the
+    /// executor-to-machine mapping to the backend. Backends without a
+    /// machine concept ignore it.
     pub placement: Option<Placement>,
 }
 
 /// What a backend actually did for a [`RebalancePlan`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppliedRebalance {
     /// The allocation now in force (model order).
     pub allocation: Vec<u32>,
@@ -235,7 +236,7 @@ impl fmt::Display for BackendError {
 /// [`RebalancePlan::epoch`] for idempotence when the original command was
 /// merely delayed. Any *acknowledged* outcome — success or an explicit
 /// refusal — proves the channel is alive and resets the backoff.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActuationRetry {
     backoff: u64,
     next_attempt: u64,
@@ -353,54 +354,8 @@ pub trait CspBackend {
     }
 }
 
-/// Everything a driver needs to compute machine placements alongside its
-/// rebalances: the machines, the per-operator demand vectors, and the
-/// topology's model-order edges.
-///
-/// When installed via [`DrsDriver::set_placement_spec`], every rebalance
-/// plan carries a [`Placement`] solved against the pool, with edge weights
-/// taken from the window's measured arrival rates (`rate(u→v) = λ̂_u ·
-/// gain(u→v)`), so hot edges get co-located first.
-#[derive(Debug, Clone)]
-pub struct PlacementSpec {
-    /// The machines to place executors onto.
-    pub pool: PlacementPool,
-    /// Per-executor resource demand of each model operator (model order).
-    pub profiles: Vec<ResourceProfile>,
-    /// Model-operator edges as `(from, to, gain)`; the measured arrival
-    /// rate at `from` scales `gain` into a tuple rate each window.
-    pub edges: Vec<(usize, usize, f64)>,
-}
-
-impl PlacementSpec {
-    /// Builds the solver request for `allocation`, weighting edges with
-    /// the measured per-operator arrival rates (1.0 each when a rate is
-    /// unknown, preserving relative gains).
-    pub fn request(&self, allocation: &[u32], arrival_rates: &[f64]) -> PlacementRequest {
-        PlacementRequest {
-            operators: allocation
-                .iter()
-                .zip(&self.profiles)
-                .map(|(&k, &profile)| OperatorLoad {
-                    executors: k,
-                    profile,
-                })
-                .collect(),
-            edges: self
-                .edges
-                .iter()
-                .map(|&(from, to, gain)| EdgeTraffic {
-                    from,
-                    to,
-                    rate: gain * arrival_rates.get(from).copied().unwrap_or(1.0),
-                })
-                .collect(),
-        }
-    }
-}
-
 /// One measurement window of a closed-loop run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimelinePoint {
     /// Window index (0-based; one per `window_secs`, the paper uses
     /// minutes).
@@ -489,8 +444,6 @@ pub struct DrsDriver<B: CspBackend> {
     /// Epoch stamped on the next issued command (strictly increasing).
     epoch: u64,
     retry: ActuationRetry,
-    placement_spec: Option<PlacementSpec>,
-    current_placement: Option<Placement>,
 }
 
 impl<B: CspBackend> DrsDriver<B> {
@@ -532,27 +485,7 @@ impl<B: CspBackend> DrsDriver<B> {
             timeline: Vec::new(),
             epoch: 0,
             retry: ActuationRetry::default(),
-            placement_spec: None,
-            current_placement: None,
         })
-    }
-
-    /// Installs a placement layer: every subsequent rebalance plan carries
-    /// a machine assignment solved against `spec`'s pool, and the driver
-    /// tracks the placement in force (see [`DrsDriver::placement`]).
-    pub fn set_placement_spec(&mut self, spec: PlacementSpec) {
-        self.placement_spec = Some(spec);
-    }
-
-    /// The machine placement currently in force, when a placement layer is
-    /// installed and at least one placed rebalance has been applied.
-    pub fn placement(&self) -> Option<&Placement> {
-        self.current_placement.as_ref()
-    }
-
-    /// Caps the retry holdoff after an actuation timeout at `cap` windows.
-    pub fn set_retry_backoff_cap(&mut self, cap: u64) {
-        self.retry = ActuationRetry::new(cap);
     }
 
     /// The retry schedule's state (for inspection in tests and reports).
@@ -639,31 +572,17 @@ impl<B: CspBackend> DrsDriver<B> {
                         self.drs.rebalance_rejected(machine_plan.as_ref(), actual);
                     } else {
                         self.epoch += 1;
-                        // With a placement layer installed, solve the
-                        // machine assignment for the target allocation
-                        // using this window's measured rates as the edge
-                        // weights. An infeasible pool must not block the
-                        // count rebalance: the plan ships without a
-                        // placement and the backend keeps its mapping.
-                        let placed = self.placement_spec.as_ref().and_then(|spec| {
-                            let rates: Vec<f64> =
-                                raw.operators.iter().map(|o| o.arrival_rate).collect();
-                            placement::solve(&spec.pool, &spec.request(&allocation, &rates)).ok()
-                        });
                         let plan = RebalancePlan {
                             allocation,
                             pause_secs: pause,
                             epoch: self.epoch,
-                            placement: placed,
+                            placement: None,
                         };
                         match self.backend.apply(&plan) {
                             Ok(applied) => {
                                 rebalanced = true;
                                 pause_secs = Some(applied.pause_secs);
                                 self.retry.on_ack();
-                                if plan.placement.is_some() {
-                                    self.current_placement = plan.placement.clone();
-                                }
                                 // A backend may legitimately adjust what it
                                 // puts in force (e.g. a capacity clamp);
                                 // keep the controller on what actually
@@ -1060,32 +979,6 @@ mod tests {
             .is_some_and(|e| e.contains("deferred"))));
         assert!(d.timeline().iter().any(|p| p.rebalanced));
         assert!(d.actuation_retry().ready(d.timeline().len() as u64));
-    }
-
-    #[test]
-    fn placement_spec_attaches_machine_assignment_to_plans() {
-        let mut d = driver(Scripted::new(vec![overloaded_sample()], vec![2]));
-        d.set_placement_spec(PlacementSpec {
-            pool: PlacementPool::uniform(2, ResourceProfile::uniform(16.0)).unwrap(),
-            profiles: vec![ResourceProfile::default()],
-            edges: Vec::new(),
-        });
-        assert!(d.placement().is_none());
-        d.run_windows(5);
-        let placed = d
-            .backend()
-            .applied
-            .iter()
-            .find(|p| p.placement.is_some())
-            .expect("rebalance plans must carry a placement once a spec is set");
-        let placement = placed.placement.as_ref().unwrap();
-        // The placement realises exactly the plan's allocation.
-        assert_eq!(placement.allocation(), placed.allocation);
-        // The driver tracks the placement in force.
-        assert_eq!(
-            d.placement().unwrap().allocation(),
-            d.backend().current_allocation()
-        );
     }
 
     #[test]

@@ -192,8 +192,8 @@
 //! virtual clocks — so long scenario sweeps can branch from a common
 //! prefix and replay deterministically.
 //!
-//! The `drs-sim` crate pairs this driver with a sharded multi-topology
-//! simulator (`drs_sim::fleet::FleetCoordinator`); `repro fleet` in
+//! The `drs-sim` crate's `Simulator` is a shard backend as it stands
+//! (`FleetDriver<Simulator>`, one virtual clock per shard); `repro fleet` in
 //! `crates/bench` runs a four-topology mixed VLD+FPD fleet under a
 //! contended budget, and `repro fleet --faults <scenario>` runs the same
 //! fleet through the fault injector.
@@ -277,7 +277,6 @@ use crate::scheduler::{self, Candidate, ScheduleError};
 use drs_queueing::incremental::NetworkSojourn;
 use drs_queueing::jackson::JacksonNetwork;
 use drs_topology::ResourceProfile;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -353,7 +352,7 @@ fn demand_bits_equal(a: &ShardDemand, b: &ShardDemand) -> bool {
 }
 
 /// What the negotiator granted one shard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardGrant {
     /// Executors per model operator the shard may run.
     pub allocation: Vec<u32>,
@@ -493,7 +492,7 @@ fn outranks(f: &WarmEntry, a: &WarmEntry) -> bool {
 
 /// Per-shard warm state carried across windows by the incremental
 /// negotiator (see [`FleetNegotiator::negotiate_within_incremental`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SlotState {
     /// The demand the warm state was built from (bitwise cache key — see
     /// `demand_bits_equal`).
@@ -570,7 +569,7 @@ impl SlotState {
 /// Mode memory for [`FleetNegotiator::negotiate_within_incremental`]:
 /// transitions between uncontended and contended windows are the only
 /// points where grants must be reconciled fleet-wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NegotiationMode {
     /// No successful incremental negotiation yet.
     Initial,
@@ -595,7 +594,7 @@ enum NegotiationMode {
 /// mid-sequence errors and restores are all safe.
 ///
 /// [`negotiate_within`]: FleetNegotiator::negotiate_within
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetNegotiator {
     k_max: u32,
     /// Warm per-shard state, indexed like the demand slice.
@@ -1334,7 +1333,7 @@ impl FleetNegotiator {
 }
 
 /// Configuration of a [`FleetDriver`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetDriverConfig {
     /// The global processor budget shared by every shard.
     pub k_max: u32,
@@ -1594,7 +1593,7 @@ impl fmt::Display for FleetDriverError {
 impl std::error::Error for FleetDriverError {}
 
 /// One shard's slice of a [`FleetWindow`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardPoint {
     /// The shard's name. Recorded per window because churn
     /// ([`FleetDriver::add_shard`] / [`FleetDriver::remove_shard`]) can
@@ -1641,7 +1640,7 @@ impl ShardPoint {
 
 /// One fleet measurement window: every shard advanced once, one central
 /// negotiation round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetWindow {
     /// Window index (0-based).
     pub window: u64,
@@ -2000,18 +1999,12 @@ pub struct FleetDriver<B: CspBackend> {
 /// scenario sweeps branch from a common prefix instead of replaying it.
 /// Continuing from a restore is bit-identical to never having stopped —
 /// the checkpoint round-trip tests lock this in.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetCheckpoint<B: CspBackend> {
     driver: FleetDriver<B>,
 }
 
 impl<B: CspBackend> FleetCheckpoint<B> {
-    /// Consumes the checkpoint, yielding a driver positioned exactly
-    /// where [`FleetDriver::checkpoint`] was called.
-    pub fn into_driver(self) -> FleetDriver<B> {
-        self.driver
-    }
-
     /// The fleet window index the checkpoint was taken at (number of
     /// completed windows).
     pub fn window(&self) -> u64 {
@@ -3777,7 +3770,7 @@ mod tests {
         );
         let mut branch_a = FleetDriver::from_checkpoint(&ckpt);
         assert!(Arc::ptr_eq(&prefix.negotiator, &branch_a.negotiator));
-        let mut branch_b = ckpt.into_driver();
+        let mut branch_b = FleetDriver::from_checkpoint(&ckpt);
         // The original keeps running past the checkpoint too: its lazy
         // clone at the negotiate site must not leak into the branches.
         prefix.run_windows(7);

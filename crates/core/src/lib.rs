@@ -23,8 +23,8 @@
 //!    [`placement`] module turns the count schedule into a machine
 //!    assignment: a [`placement::MachinePool`] of capacity vectors, operator
 //!    [`drs_topology::ResourceProfile`]s, and a solver minimising
-//!    cross-machine traffic (R-Storm style) that rides along in every
-//!    [`driver::RebalancePlan`].
+//!    cross-machine traffic (R-Storm style) whose result the
+//!    [`fleet::FleetDriver`] ships in its [`driver::RebalancePlan`]s.
 //!
 //! The [`controller::DrsController`] wires these together behind a single
 //! `on_window` call; the measurement side (two-level sampling and smoothing,
@@ -73,12 +73,12 @@ pub mod negotiator;
 pub mod placement;
 pub mod scheduler;
 
-pub use config::{DrsConfig, OptimizationGoal, SamplingConfig};
+pub use config::{DrsConfig, OptimizationGoal};
 pub use controller::{ControlAction, DrsController, LogEntry};
 pub use decision::{Decision, DecisionPolicy};
 pub use driver::{
     ActuationRetry, AppliedRebalance, BackendError, CspBackend, DriverError, DrsDriver,
-    OperatorSample, PlacementSpec, RebalancePlan, TimelinePoint, WindowSample,
+    OperatorSample, RebalancePlan, TimelinePoint, WindowSample,
 };
 pub use fleet::{
     FleetCheckpoint, FleetDriver, FleetDriverConfig, FleetNegotiator, FleetShardSpec, FleetWindow,

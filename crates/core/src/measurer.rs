@@ -20,11 +20,10 @@
 //! number of operators is one heap block.
 
 use crate::model::{ModelInputs, OperatorRates};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Smoothing strategy for measurement streams (paper App. B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Smoothing {
     /// Exponential smoothing `D(n) = α·D(n−1) + (1−α)·d(n)`; `α ∈ [0, 1)`
     /// controls how fast old measurements fade.
@@ -143,7 +142,7 @@ impl Stream {
 
 /// A raw (unsmoothed) observation for one measurement window. The default
 /// is an empty buffer for [`SampleBuilder::build_into`] to fill.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RawSample {
     /// Measured external arrival rate `λ̂0` (tuples/second).
     pub external_rate: f64,
@@ -156,7 +155,7 @@ pub struct RawSample {
 
 /// Smoothed estimates ready for the optimiser. The default is an empty
 /// buffer for [`Measurer::write_estimates`] to fill.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SmoothedEstimates {
     /// Smoothed external rate `λ̂0`.
     pub external_rate: f64,
@@ -530,7 +529,7 @@ impl SampleBuilder {
 }
 
 /// Raw metrics reported by a single executor (instance) of an operator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceSample {
     /// Tuples that arrived at this instance during the window.
     pub arrivals: u64,

@@ -12,10 +12,9 @@
 //! `fig7`/`fig8` benches).
 
 use drs_queueing::jackson::{JacksonError, JacksonNetwork, OperatorSojourn};
-use serde::{Deserialize, Serialize};
 
 /// Measured rates of one operator, as produced by the measurer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatorRates {
     /// Mean aggregate arrival rate `λ̂_i` (tuples/second).
     pub arrival_rate: f64,
@@ -24,7 +23,7 @@ pub struct OperatorRates {
 }
 
 /// The model inputs for one scheduling round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelInputs {
     /// External arrival rate `λ̂0` into the whole application.
     pub external_rate: f64,
@@ -51,7 +50,7 @@ pub struct ModelInputs {
 /// assert!(t.is_finite());
 /// # Ok::<(), drs_core::model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerformanceModel {
     network: JacksonNetwork,
 }

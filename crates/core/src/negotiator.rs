@@ -9,11 +9,10 @@
 //! topology: launching machines is expensive (JVM re-use does not help —
 //! ExpA measured a ~4.8 s spike) while stopping machines is cheap (~1.1 s).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Static description of the machine pool economics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachinePoolConfig {
     /// Executors hosted per machine (the paper uses 5).
     pub executors_per_machine: u32,
@@ -84,7 +83,7 @@ impl fmt::Display for NegotiatorError {
 impl std::error::Error for NegotiatorError {}
 
 /// A provisioning step computed by [`MachinePool::plan`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NegotiationPlan {
     /// Machines to launch (0 when shrinking or steady).
     pub add_machines: u32,
@@ -125,7 +124,7 @@ impl NegotiationPlan {
 /// assert_eq!(pool.active_machines(), 5);
 /// # Ok::<(), drs_core::negotiator::NegotiatorError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachinePool {
     config: MachinePoolConfig,
     active: u32,

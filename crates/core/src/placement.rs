@@ -132,7 +132,6 @@
 //! bench compares against: same executor counts, machines cycled.
 
 use drs_topology::ResourceProfile;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Above this estimated enumeration size `Π_i C(k_i+m−1, m−1)`, [`solve`]
@@ -144,7 +143,7 @@ pub const EXACT_LIMIT: u64 = 50_000;
 const EPS: f64 = 1e-9;
 
 /// One machine: a name and a capacity vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
     /// Human-readable machine name (unique within a pool by convention).
     pub name: String,
@@ -158,7 +157,7 @@ pub struct MachineSpec {
 /// The pool itself is immutable during solving; remaining capacity is
 /// tracked per [`solve`]/[`plan`] call so concurrent planners cannot
 /// interfere.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachinePool {
     machines: Vec<MachineSpec>,
 }
@@ -225,7 +224,7 @@ impl MachinePool {
 
 /// One operator's placement inputs: how many executors it runs and what
 /// each executor demands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorLoad {
     /// Executor count `k_i` (model order — the caller decides which
     /// operators participate; spouts may be included with `k = 1`).
@@ -236,7 +235,7 @@ pub struct OperatorLoad {
 
 /// Measured traffic on one operator edge, used as the cross-machine cost
 /// weight.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeTraffic {
     /// Source operator index (into [`PlacementRequest::operators`]).
     pub from: usize,
@@ -249,7 +248,7 @@ pub struct EdgeTraffic {
 
 /// Everything the solver needs for one topology: operator loads plus
 /// rate-weighted edges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlacementRequest {
     /// Operator loads, indexed by the operator indices used in `edges`.
     pub operators: Vec<OperatorLoad>,
@@ -289,7 +288,7 @@ impl PlacementRequest {
 
 /// One non-zero entry of a [`Placement`]: `count` executors of operator
 /// `op` run on `machine`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cell {
     op: u32,
     machine: u32,
@@ -306,7 +305,7 @@ struct Cell {
 /// whatever the pool's width. The cells are canonical, so `==` holds
 /// exactly when two placements have the same dimensions and the same
 /// count on every machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     cells: Vec<Cell>,
     operators: u32,

@@ -13,6 +13,10 @@
 //!   Solved by [`min_processors_for_target`] with the same greedy ascent,
 //!   stopping as soon as the target is met.
 //!
+//! Heterogeneous processors (paper §III-A) need no solver of their own: a
+//! class `s` times as fast serves at `s·µ_i`, so the caller scales `µ_i`
+//! when it builds the network, and each `E[T_i]` stays convex.
+//!
 //! # Incremental complexity
 //!
 //! The paper argues (Table II) that the scheduling computation must stay
@@ -36,7 +40,6 @@
 
 use drs_queueing::incremental::NetworkSojourn;
 use drs_queueing::jackson::{JacksonError, JacksonNetwork};
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -112,7 +115,7 @@ impl From<JacksonError> for ScheduleError {
 
 /// The result of a scheduling run: an allocation plus its model-predicted
 /// expected sojourn time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     per_operator: Vec<u32>,
     expected_sojourn: f64,
@@ -539,67 +542,6 @@ pub fn assign_processors_exhaustive(network: &JacksonNetwork, k_max: u32) -> Opt
     best
 }
 
-/// Algorithm 1 on a *heterogeneous* cluster (paper §III-A: "the proposed
-/// models and algorithms can also support settings with heterogeneous
-/// processors").
-///
-/// `speeds[i]` is the relative speed of the processor class serving
-/// operator `i` (1.0 = the reference class whose rate the measured `µ_i`
-/// describes). Faster classes multiply the effective per-processor service
-/// rate; the greedy optimality argument is unchanged because each
-/// `E[T_i](k_i)` stays convex under a fixed rate scaling.
-///
-/// # Errors
-///
-/// * [`ScheduleError::Model`] — `speeds` has the wrong length or contains a
-///   non-positive factor.
-/// * [`ScheduleError::InsufficientProcessors`] — as for
-///   [`assign_processors`].
-pub fn assign_processors_heterogeneous(
-    network: &JacksonNetwork,
-    speeds: &[f64],
-    k_max: u32,
-) -> Result<Allocation, ScheduleError> {
-    let scaled = scale_service_rates(network, speeds)?;
-    assign_processors(&scaled, k_max)
-}
-
-/// Program 6 on a heterogeneous cluster; see
-/// [`assign_processors_heterogeneous`].
-///
-/// # Errors
-///
-/// As for [`min_processors_for_target`], plus invalid `speeds`.
-pub fn min_processors_for_target_heterogeneous(
-    network: &JacksonNetwork,
-    speeds: &[f64],
-    t_max: f64,
-    cap: u32,
-) -> Result<Allocation, ScheduleError> {
-    let scaled = scale_service_rates(network, speeds)?;
-    min_processors_for_target(&scaled, t_max, cap)
-}
-
-/// Builds the speed-adjusted network `µ'_i = µ_i · speeds[i]`.
-fn scale_service_rates(
-    network: &JacksonNetwork,
-    speeds: &[f64],
-) -> Result<JacksonNetwork, ScheduleError> {
-    if speeds.len() != network.len() {
-        return Err(ScheduleError::Model(JacksonError::AllocationLength {
-            expected: network.len(),
-            actual: speeds.len(),
-        }));
-    }
-    let pairs: Vec<(f64, f64)> = network
-        .operators()
-        .iter()
-        .zip(speeds)
-        .map(|(op, &s)| (op.arrival_rate(), op.service_rate() * s))
-        .collect();
-    JacksonNetwork::from_rates(network.external_rate(), &pairs).map_err(ScheduleError::Model)
-}
-
 /// The zero-queueing lower bound on `E[T]`: with unlimited processors every
 /// tuple only pays its service time, so `E[T] → Σ λ_i·(1/µ_i) / λ0`.
 pub fn no_queueing_bound(network: &JacksonNetwork) -> f64 {
@@ -797,53 +739,6 @@ mod tests {
         let alloc = assign_processors(&net, 22).unwrap();
         let v = alloc.clone().into_vec();
         assert_eq!(v.as_slice(), alloc.per_operator());
-    }
-
-    #[test]
-    fn heterogeneous_unit_speeds_match_homogeneous() {
-        let net = vld_like();
-        let homo = assign_processors(&net, 22).unwrap();
-        let hetero = assign_processors_heterogeneous(&net, &[1.0, 1.0, 1.0], 22).unwrap();
-        assert_eq!(homo, hetero);
-    }
-
-    #[test]
-    fn faster_processors_attract_less_allocation() {
-        let net = vld_like();
-        let base = assign_processors(&net, 22).unwrap();
-        // Operator 0's class runs 2x faster: its offered load halves, so it
-        // needs strictly fewer processors; the surplus flows elsewhere.
-        let hetero = assign_processors_heterogeneous(&net, &[2.0, 1.0, 1.0], 22).unwrap();
-        assert!(
-            hetero.per_operator()[0] < base.per_operator()[0],
-            "faster class should need fewer processors: {hetero} vs {base}"
-        );
-        assert_eq!(hetero.total(), 22);
-    }
-
-    #[test]
-    fn slower_processors_raise_the_minimum_target_cost() {
-        let net = vld_like();
-        // Target reachable under both speed profiles (the no-queueing bound
-        // doubles from ≈1.44 s to ≈2.88 s when speeds halve).
-        let fast =
-            min_processors_for_target_heterogeneous(&net, &[1.0, 1.0, 1.0], 4.0, 500).unwrap();
-        let slow =
-            min_processors_for_target_heterogeneous(&net, &[0.5, 0.5, 0.5], 4.0, 500).unwrap();
-        assert!(
-            slow.total() > fast.total(),
-            "halving speeds must cost more processors: {} vs {}",
-            slow.total(),
-            fast.total()
-        );
-    }
-
-    #[test]
-    fn heterogeneous_rejects_bad_speeds() {
-        let net = vld_like();
-        assert!(assign_processors_heterogeneous(&net, &[1.0, 1.0], 22).is_err());
-        assert!(assign_processors_heterogeneous(&net, &[1.0, 0.0, 1.0], 22).is_err());
-        assert!(assign_processors_heterogeneous(&net, &[1.0, -1.0, 1.0], 22).is_err());
     }
 
     #[test]
@@ -1079,22 +974,5 @@ mod tests {
             min_processors_for_target(&net, bound * 1.0001, 40),
             Err(ScheduleError::CapExceeded { .. })
         ));
-    }
-
-    #[test]
-    fn heterogeneous_greedy_matches_exhaustive_on_scaled_network() {
-        let net = vld_like();
-        let speeds = [1.5, 0.8, 2.0];
-        let greedy = assign_processors_heterogeneous(&net, &speeds, 24).unwrap();
-        // Exhaustive on the manually scaled network must agree.
-        let pairs: Vec<(f64, f64)> = net
-            .operators()
-            .iter()
-            .zip(speeds)
-            .map(|(op, s)| (op.arrival_rate(), op.service_rate() * s))
-            .collect();
-        let scaled = JacksonNetwork::from_rates(net.external_rate(), &pairs).unwrap();
-        let brute = assign_processors_exhaustive(&scaled, 24).unwrap();
-        assert!((greedy.expected_sojourn() - brute.expected_sojourn()).abs() < 1e-12);
     }
 }

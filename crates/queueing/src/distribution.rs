@@ -9,7 +9,6 @@
 //! [`rand::Rng`] so simulations stay deterministic under a fixed seed.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 use std::fmt;
 
@@ -54,7 +53,7 @@ impl std::error::Error for InvalidDistribution {}
 /// assert!((service.mean() - 0.25).abs() < 1e-12);
 /// # Ok::<(), drs_queueing::distribution::InvalidDistribution>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Distribution {
     /// Every sample equals `value`. Coefficient of variation 0; the strongest
     /// violation of the exponential assumption.

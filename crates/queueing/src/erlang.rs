@@ -23,7 +23,6 @@
 //! (Theorem 1 of the paper). [`MmKQueue::marginal_benefit`] exposes the
 //! marginal decrease used by Algorithm 1.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error produced when constructing an invalid [`MmKQueue`].
@@ -116,7 +115,7 @@ pub fn erlang_c(servers: u32, offered_load: f64) -> f64 {
 /// assert!(t4.is_finite() && t5 < t4); // more processors, less latency
 /// # Ok::<(), drs_queueing::erlang::InvalidQueue>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MmKQueue {
     arrival_rate: f64,
     service_rate: f64,

@@ -19,7 +19,6 @@
 
 use crate::erlang::{InvalidQueue, MmKQueue};
 use crate::traffic::{TrafficEquations, TrafficError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error from building or evaluating a Jackson network.
@@ -86,7 +85,7 @@ impl From<TrafficError> for JacksonError {
 
 /// Per-operator contribution to the network sojourn time, returned by
 /// [`JacksonNetwork::sojourn_breakdown`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatorSojourn {
     /// Operator index.
     pub index: usize,
@@ -121,7 +120,7 @@ pub struct OperatorSojourn {
 /// assert!(net.expected_sojourn(&[6, 10])?.is_infinite());
 /// # Ok::<(), drs_queueing::jackson::JacksonError>(())
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct JacksonNetwork {
     external_rate: f64,
     nodes: Vec<MmKQueue>,

@@ -21,7 +21,6 @@
 //! tracking their second moments is a one-line extension.
 
 use crate::erlang::{InvalidQueue, MmKQueue};
-use serde::{Deserialize, Serialize};
 
 /// A `G/G/k` operator model: rates plus burstiness moments.
 ///
@@ -38,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(corrected > erlang);
 /// # Ok::<(), drs_queueing::erlang::InvalidQueue>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GgKQueue {
     erlang: MmKQueue,
     arrival_cv2: f64,

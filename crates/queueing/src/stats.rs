@@ -4,8 +4,6 @@
 //! sojourn-time observations with the same accumulator, so it lives here in
 //! the shared substrate crate.
 
-use serde::{Deserialize, Serialize};
-
 /// Online mean/variance accumulator (Welford's algorithm), with min/max
 /// tracking and a numerically stable parallel [`RunningStats::merge`].
 ///
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), Some(5.0));
 /// assert_eq!(s.std_dev(), Some(2.0));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,

@@ -20,7 +20,6 @@
 //! that condition and then solves the system directly.
 
 use crate::linalg::{LinalgError, Matrix};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error from building or solving traffic equations.
@@ -99,7 +98,7 @@ impl From<LinalgError> for TrafficError {
 /// assert!((rates[1] - 390.0).abs() < 1e-9);
 /// # Ok::<(), drs_queueing::traffic::TrafficError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficEquations {
     n: usize,
     external: Vec<f64>,

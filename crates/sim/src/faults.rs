@@ -37,8 +37,8 @@
 //! whole struct tree is `Clone`, so a checkpointed fleet snapshots its
 //! in-flight messages and RNG state too).
 //!
-//! The coordinator-facing wrapper lives in
-//! [`crate::fleet::FaultyFleetCoordinator`]; named scenario matrices
+//! A fault-injected fleet is a `drs_core::fleet::FleetDriver` over
+//! [`FaultyShard`]`<`[`crate::Simulator`]`>` backends; named scenario matrices
 //! (`lossy`, `laggy`, `partition`, `churn`, `crash-storm`) are exposed by
 //! `repro fleet --faults` in `crates/bench`.
 

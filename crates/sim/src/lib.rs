@@ -39,9 +39,9 @@
 //!   where they live (`tests/window_allocs.rs` pins zero allocations per
 //!   settled window).
 //!
-//! The same structures back the sharded multi-topology
-//! [`fleet::FleetCoordinator`], so fleet stepping inherits the O(1) event
-//! scheduling per shard. The queue's cost per operation is
+//! The same structures back every simulator shard of a
+//! `drs_core::fleet::FleetDriver<Simulator>`, so fleet stepping inherits
+//! the O(1) event scheduling per shard. The queue's cost per operation is
 //! `BENCHMARK.json`'s `sim.calendar_ns`, and the simulator's throughput
 //! `sim.tuples_per_s`, both on the `sim_paper` workload (`bash
 //! benchmark/run.sh --workload sim_paper`); `tests/calendar_properties.rs`
@@ -56,8 +56,8 @@
 //! jitter (quantized to measurement windows, delivered through the same
 //! calendar queue and therefore naturally reordered), duplication, ack
 //! loss, scheduled partitions with heal times, and machine-failure
-//! crashes. [`fleet::FaultyFleetCoordinator`] routes every measurement
-//! report and actuation command through those channels, while
+//! crashes. A `FleetDriver<FaultyShard<Simulator>>` routes every
+//! measurement report and actuation command through those channels, while
 //! `drs_core::fleet` supplies the hardening that makes the loop converge
 //! anyway: actuation epochs (stale/duplicate commands rejected),
 //! capped-backoff retry on unacknowledged actuations, age-weighted stale
@@ -120,7 +120,6 @@ pub mod backend;
 pub mod calendar;
 pub mod event;
 pub mod faults;
-pub mod fleet;
 pub mod metrics;
 pub mod simulator;
 pub mod synthetic;
@@ -130,7 +129,6 @@ pub mod workload;
 pub use faults::{
     ControlChannel, FaultEvent, FaultKind, FaultyShard, LinkFaults, Partition, WindowJitter,
 };
-pub use fleet::{FaultyFleetCoordinator, FleetCoordinator};
 pub use metrics::{MeasurementWindow, OperatorWindow, RunningStats};
 pub use simulator::{SimError, SimulationBuilder, Simulator};
 pub use time::{SimDuration, SimTime};

@@ -3,12 +3,11 @@
 //! complete-sojourn-time statistics of fully processed external tuples.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 pub use drs_queueing::stats::RunningStats;
 
 /// Per-operator counters accumulated during one measurement window.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OperatorWindow {
     /// Tuples that entered the operator's input queue.
     pub arrivals: u64,
@@ -45,7 +44,7 @@ impl OperatorWindow {
 
 /// A complete measurement window: the interval, per-operator counters, and
 /// global sojourn statistics — everything the DRS measurer consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasurementWindow {
     /// Window start time.
     pub start: SimTime,

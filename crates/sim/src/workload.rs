@@ -10,12 +10,11 @@
 
 use drs_queueing::distribution::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Integer-valued distribution for the number of tuples emitted on an edge
 /// per processed tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CountDistribution {
     /// Always emit exactly `count` tuples.
     Fixed {
@@ -160,7 +159,7 @@ fn sample_poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u32 {
 }
 
 /// Behaviour of one operator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OperatorBehavior {
     /// A spout: external tuples arrive with i.i.d. inter-arrival times.
     Spout {
@@ -194,7 +193,7 @@ impl OperatorBehavior {
 
 /// Behaviour of one edge: how many tuples it carries per processed tuple and
 /// how long each takes to cross the network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeBehavior {
     /// Emission-count law (mean should match the topology gain for the model
     /// to be calibrated — though DRS measures actual rates either way).

@@ -3,9 +3,8 @@
 //! are advanced in different orders within every window — the guarantee
 //! that shard virtual clocks (and RNGs) are fully isolated from each other.
 
-use drs_core::fleet::{FleetDriverConfig, FleetShardSpec};
+use drs_core::fleet::{FleetDriver, FleetDriverConfig, FleetShardSpec};
 use drs_queueing::distribution::Distribution;
-use drs_sim::fleet::FleetCoordinator;
 use drs_sim::workload::OperatorBehavior;
 use drs_sim::{SimulationBuilder, Simulator};
 use drs_topology::TopologyBuilder;
@@ -36,11 +35,11 @@ fn chain_sim(lambda: f64, mu: f64, k: u32, seed: u64) -> Simulator {
 
 /// The same three-shard fleet every time: mixed loads under a contended
 /// budget, so arbitration (not just measurement) is exercised.
-fn fleet() -> FleetCoordinator {
+fn fleet() -> FleetDriver<Simulator> {
     let mut config = FleetDriverConfig::new(13);
     config.window_secs = 20.0;
     config.warmup_windows = 1;
-    FleetCoordinator::new(
+    FleetDriver::new(
         config,
         vec![
             FleetShardSpec::new("hot", 0.12, chain_sim(45.0, 10.0, 5, 101)),
@@ -75,16 +74,16 @@ fn interleaving_order_does_not_change_any_shard_timeline() {
 
     // The shard clocks themselves ended in identical states.
     for i in 0..a.shard_count() {
-        assert_eq!(a.shard(i).now(), b.shard(i).now());
+        assert_eq!(a.backend(i).now(), b.backend(i).now());
         assert_eq!(
-            a.shard(i).total_external_arrivals(),
-            b.shard(i).total_external_arrivals()
+            a.backend(i).total_external_arrivals(),
+            b.backend(i).total_external_arrivals()
         );
         assert_eq!(
-            a.shard(i).total_sojourn_stats().mean(),
-            b.shard(i).total_sojourn_stats().mean()
+            a.backend(i).total_sojourn_stats().mean(),
+            b.backend(i).total_sojourn_stats().mean()
         );
-        assert_eq!(a.shard(i).allocation(), b.shard(i).allocation());
+        assert_eq!(a.backend(i).allocation(), b.backend(i).allocation());
     }
 }
 

@@ -18,9 +18,8 @@
 //!   executors, never shrinks a live shard below its stable floor, and
 //!   replays bit-identically from the same seed.
 
-use drs_core::fleet::{FleetDriverConfig, FleetShardSpec, FleetWindow, ShardPoint};
+use drs_core::fleet::{FleetDriver, FleetDriverConfig, FleetShardSpec, FleetWindow, ShardPoint};
 use drs_queueing::distribution::Distribution;
-use drs_sim::fleet::FaultyFleetCoordinator;
 use drs_sim::workload::OperatorBehavior;
 use drs_sim::{
     ControlChannel, FaultKind, FaultyShard, LinkFaults, SimulationBuilder, Simulator, WindowJitter,
@@ -55,11 +54,11 @@ fn chain_sim(lambda: f64, mu: f64, k: u32, seed: u64) -> Simulator {
 /// The reference two-shard contended fleet: both shards want more than
 /// the budget of 9 holds, so arbitration (not just measurement) is
 /// always in the loop.
-fn fleet(faults: LinkFaults) -> FaultyFleetCoordinator {
+fn fleet(faults: LinkFaults) -> FleetDriver<FaultyShard<Simulator>> {
     let mut config = FleetDriverConfig::new(9);
     config.window_secs = 30.0;
     config.warmup_windows = 1;
-    FaultyFleetCoordinator::new(
+    FleetDriver::new(
         config,
         vec![
             FleetShardSpec::new(
@@ -124,7 +123,7 @@ fn faulty_fleet_converges_to_the_fault_free_allocation() {
 
     // The faults really happened — this was not a silently clean channel.
     let injected: usize = (0..faulty.shard_count())
-        .map(|i| faulty.fault_log(i).len())
+        .map(|i| faulty.backend(i).fault_log().len())
         .sum();
     assert!(
         injected > 10,
@@ -144,10 +143,10 @@ fn faulty_fleet_converges_to_the_fault_free_allocation() {
 fn crashed_shard_budget_is_reoffered_within_the_lease() {
     let mut fleet = fleet(LinkFaults::none());
     fleet.run_windows(8);
-    let crash_window = fleet.shard(1).channel().window();
+    let crash_window = fleet.backend(1).channel().window();
     let hot_before = fleet.timeline().last().unwrap().shards[0].granted();
-    fleet.shard_mut(1).crash_now();
-    let lease = fleet.driver().config().lease_windows;
+    fleet.backend_mut(1).crash_now();
+    let lease = fleet.config().lease_windows;
     fleet.run_windows(lease + 3);
 
     let last = fleet.timeline().last().unwrap();
@@ -176,7 +175,8 @@ fn crashed_shard_budget_is_reoffered_within_the_lease() {
          {crash_window}; first dead at {first_dead}"
     );
     assert!(fleet
-        .fault_log(1)
+        .backend(1)
+        .fault_log()
         .iter()
         .any(|e| e.kind == FaultKind::Crashed));
 }
@@ -201,7 +201,7 @@ fn checkpoint_restore_continue_matches_uninterrupted_run() {
     // Poison the original: the restored branch must not alias any of its
     // state.
     prefix.run_windows(4);
-    let mut restored = FaultyFleetCoordinator::from_checkpoint(&checkpoint);
+    let mut restored = FleetDriver::from_checkpoint(&checkpoint);
     restored.run_windows(9);
 
     assert_eq!(
@@ -211,17 +211,17 @@ fn checkpoint_restore_continue_matches_uninterrupted_run() {
     );
     for i in 0..straight.shard_count() {
         assert_eq!(
-            straight.fault_log(i),
-            restored.fault_log(i),
+            straight.backend(i).fault_log(),
+            restored.backend(i).fault_log(),
             "restore must continue bit-identically (shard {i} fault log)"
         );
         assert_eq!(
-            straight.shard(i).ground_truth_allocation(),
-            restored.shard(i).ground_truth_allocation(),
+            straight.backend(i).ground_truth_allocation(),
+            restored.backend(i).ground_truth_allocation(),
         );
         assert_eq!(
-            straight.shard(i).inner().now(),
-            restored.shard(i).inner().now(),
+            straight.backend(i).inner().now(),
+            restored.backend(i).inner().now(),
             "shard {i} virtual clock diverged after restore"
         );
     }
@@ -275,7 +275,7 @@ proptest! {
             let mut config = FleetDriverConfig::new(9);
             config.window_secs = 30.0;
             config.warmup_windows = 1;
-            let mut fleet = FaultyFleetCoordinator::new(
+            let mut fleet = FleetDriver::new(
                 config,
                 vec![
                     FleetShardSpec::new(
@@ -298,13 +298,13 @@ proptest! {
             )
             .unwrap();
             if let Some(w) = crash {
-                fleet.shard_mut(1).crash_at(w);
+                fleet.backend_mut(1).crash_at(w);
             }
             fleet.run_windows(12);
             (
                 fleet.timeline().to_vec(),
                 (0..fleet.shard_count())
-                    .map(|i| fleet.fault_log(i).to_vec())
+                    .map(|i| fleet.backend(i).fault_log().to_vec())
                     .collect::<Vec<_>>(),
             )
         };
@@ -361,7 +361,7 @@ proptest! {
             let mut config = FleetDriverConfig::new(9);
             config.window_secs = 20.0;
             config.warmup_windows = 1;
-            FaultyFleetCoordinator::new(
+            FleetDriver::new(
                 config,
                 vec![
                     FleetShardSpec::new(
@@ -392,15 +392,15 @@ proptest! {
         head.run_windows(prefix);
         let checkpoint = head.checkpoint();
         drop(head);
-        let mut branch = FaultyFleetCoordinator::from_checkpoint(&checkpoint);
+        let mut branch = FleetDriver::from_checkpoint(&checkpoint);
         branch.run_windows(TOTAL - prefix);
 
         prop_assert_eq!(straight.timeline(), branch.timeline());
         for i in 0..straight.shard_count() {
-            prop_assert_eq!(straight.fault_log(i), branch.fault_log(i));
+            prop_assert_eq!(straight.backend(i).fault_log(), branch.backend(i).fault_log());
             prop_assert_eq!(
-                straight.shard(i).ground_truth_allocation(),
-                branch.shard(i).ground_truth_allocation()
+                straight.backend(i).ground_truth_allocation(),
+                branch.backend(i).ground_truth_allocation()
             );
         }
     }

@@ -1,6 +1,5 @@
 //! Identifier and specification types for operators and edges.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Opaque identifier of an operator inside one [`crate::Topology`].
@@ -8,7 +7,7 @@ use std::fmt;
 /// Ids are dense indices assigned in insertion order by the
 /// [`crate::TopologyBuilder`]; they index directly into allocation vectors
 /// `k = (k_1, …, k_N)` used by the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OperatorId(pub(crate) usize);
 
 impl OperatorId {
@@ -25,7 +24,7 @@ impl fmt::Display for OperatorId {
 }
 
 /// The role of an operator, following Storm's vocabulary (paper App. C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatorKind {
     /// A data source connected to external streams; spouts receive no
     /// internal edges.
@@ -49,7 +48,7 @@ impl fmt::Display for OperatorKind {
 /// The DRS model assumes load balancing within an operator (§III-A), which
 /// all of these groupings provide for the *rates*; the distinction matters to
 /// the runtime/simulator when reproducing queue behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Grouping {
     /// Round-robin / random executor choice; best load balance.
     #[default]
@@ -83,7 +82,7 @@ impl fmt::Display for Grouping {
 /// unit of each, which reduces placement to a pure slot-count problem.
 ///
 /// [machine capacities]: https://dl.acm.org/doi/10.14778/2831360.2831367
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceProfile {
     /// CPU demand per executor (abstract units).
     pub cpu: f64,
@@ -132,12 +131,11 @@ impl fmt::Display for ResourceProfile {
 }
 
 /// Static description of one operator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorSpec {
     pub(crate) id: OperatorId,
     pub(crate) name: String,
     pub(crate) kind: OperatorKind,
-    #[serde(default)]
     pub(crate) profile: ResourceProfile,
 }
 
@@ -169,7 +167,7 @@ impl OperatorSpec {
 }
 
 /// Static description of a directed edge between two operators.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeSpec {
     pub(crate) from: OperatorId,
     pub(crate) to: OperatorId,

@@ -2,7 +2,6 @@
 
 use crate::spec::{EdgeSpec, OperatorId, OperatorKind, OperatorSpec};
 use drs_queueing::traffic::{TrafficEquations, TrafficError};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A validated operator network: operators plus directed, weighted edges.
@@ -22,11 +21,10 @@ use std::collections::HashMap;
 /// let a = topo.operator_by_name("A").unwrap();
 /// assert_eq!(topo.downstream(a.id()).count(), 2); // splits to B and C
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     operators: Vec<OperatorSpec>,
     edges: Vec<EdgeSpec>,
-    #[serde(skip)]
     by_name: HashMap<String, usize>,
 }
 

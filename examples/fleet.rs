@@ -1,10 +1,10 @@
 //! Fleet mode: four topologies, one processor budget.
 //!
 //! Two VLD and two FPD pipelines run as independent simulator shards (each
-//! on its own virtual clock) under a single `FleetCoordinator` owning a
+//! on its own virtual clock) under a single `FleetDriver` owning a
 //! global budget `Kmax` smaller than the sum of the shards' single-topology
 //! demands. Each window every shard computes its own Program 6 schedule;
-//! the coordinator arbitrates contention with the paper's
+//! the driver arbitrates contention with the paper's
 //! max-marginal-benefit rule applied *across* topologies and hands each
 //! shard a capped plan. Mid-run one VLD shard's frame rate collapses and
 //! the freed executors flow to the shards that were starved.
@@ -14,9 +14,8 @@
 //! ```
 
 use drs::apps::{FpdProfile, VldProfile};
-use drs::core::fleet::{FleetDriverConfig, FleetShardSpec};
+use drs::core::fleet::{FleetDriver, FleetDriverConfig, FleetShardSpec};
 use drs::queueing::distribution::Distribution;
-use drs::sim::fleet::FleetCoordinator;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const K_MAX: u32 = 80;
@@ -25,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut config = FleetDriverConfig::new(K_MAX);
     config.window_secs = 30.0;
-    let mut fleet = FleetCoordinator::new(
+    let mut fleet = FleetDriver::new(
         config,
         vec![
             FleetShardSpec::new("vld-a", 1.7, vld.build_simulation([8, 8, 1], 7)),
@@ -44,13 +43,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if window == 7 {
             // vld-b's stream dries up: 13 -> 4 frames/s.
             let spout = fleet
-                .shard(1)
+                .backend(1)
                 .topology()
                 .operator_by_name("video-spout")
                 .expect("vld topology")
                 .id();
             fleet
-                .shard_mut(1)
+                .backend_mut(1)
                 .set_spout_interarrival(spout, Distribution::exponential(4.0)?)?;
             println!("-- vld-b load collapses --");
         }
