@@ -101,7 +101,7 @@ fn orientation_bin(gy: i32, gx: i32) -> usize {
 /// `descriptors` across frames allocates nothing once it has grown.
 ///
 /// The inner loop works on integer gradients and the comparison-based
-/// [`orientation_bin`]; magnitudes stay exact (squared sums of `u8`
+/// `orientation_bin`; magnitudes stay exact (squared sums of `u8`
 /// gradients fit f32 losslessly), so the output is bit-identical to the
 /// original float/`atan2` kernel while running several times faster.
 pub fn extract_descriptors(frame: &[u8], threshold: f32, descriptors: &mut Vec<Descriptor>) {

@@ -27,7 +27,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Size specification for [`vec`]: a fixed size or a range of sizes.
+    /// Size specification for [`vec()`]: a fixed size or a range of sizes.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -232,7 +232,7 @@ impl fmt::Display for BackendError {
 /// back — the actuation may or may not be in force. Retrying every window
 /// would spam a partitioned backend, so after a timeout the driver holds
 /// off for a geometrically growing number of windows (1, 2, 4, … capped at
-/// `cap`) before issuing the next command, and relies on
+/// 8) before issuing the next command, and relies on
 /// [`RebalancePlan::epoch`] for idempotence when the original command was
 /// merely delayed. Any *acknowledged* outcome — success or an explicit
 /// refusal — proves the channel is alive and resets the backoff.
@@ -240,19 +240,12 @@ impl fmt::Display for BackendError {
 pub struct ActuationRetry {
     backoff: u64,
     next_attempt: u64,
-    cap: u64,
 }
 
-impl ActuationRetry {
-    /// Creates a schedule whose holdoff never exceeds `cap` windows.
-    pub fn new(cap: u64) -> Self {
-        ActuationRetry {
-            backoff: 1,
-            next_attempt: 0,
-            cap: cap.max(1),
-        }
-    }
+/// The cap, in windows, on [`ActuationRetry`]'s holdoff.
+const RETRY_BACKOFF_CAP: u64 = 8;
 
+impl ActuationRetry {
     /// Whether an actuation may be attempted during window `window`.
     pub fn ready(&self, window: u64) -> bool {
         window >= self.next_attempt
@@ -267,7 +260,7 @@ impl ActuationRetry {
     /// is pushed `backoff` windows out and the backoff doubles (capped).
     pub fn on_timeout(&mut self, window: u64) {
         self.next_attempt = window + self.backoff;
-        self.backoff = (self.backoff * 2).min(self.cap);
+        self.backoff = (self.backoff * 2).min(RETRY_BACKOFF_CAP);
     }
 
     /// Records an acknowledged outcome (success *or* explicit refusal):
@@ -279,9 +272,12 @@ impl ActuationRetry {
 }
 
 impl Default for ActuationRetry {
-    /// The default cap: at most 8 windows between attempts.
+    /// A fresh schedule: at most 8 windows between attempts.
     fn default() -> Self {
-        ActuationRetry::new(8)
+        ActuationRetry {
+            backoff: 1,
+            next_attempt: 0,
+        }
     }
 }
 
@@ -339,9 +335,9 @@ pub trait CspBackend {
     /// machines while `k` stays put.
     ///
     /// The default accepts and ignores the placement, so backends without
-    /// a machine concept need no changes. Backends that honor machine
-    /// assignments (the simulator, the per-machine-pool runtime) override
-    /// this.
+    /// a machine concept (the live runtime, which is one host) need no
+    /// changes. The simulator, which charges a delay on every
+    /// cross-machine hop, overrides this.
     ///
     /// # Errors
     ///

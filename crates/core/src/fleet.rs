@@ -158,8 +158,8 @@
 //!
 //! * **Retried** — an actuation whose acknowledgement never arrives
 //!   ([`crate::driver::BackendError::Timeout`]) is retried with capped
-//!   exponential backoff ([`crate::driver::ActuationRetry`], cap
-//!   [`FleetDriverConfig::retry_backoff_cap`]); windows inside the
+//!   exponential backoff ([`crate::driver::ActuationRetry`], capped at
+//!   8 windows); windows inside the
 //!   backoff record an `actuation deferred` error instead of spamming
 //!   the channel. Any acknowledgement — success *or* refusal — proves
 //!   the channel alive and resets the backoff.
@@ -1364,11 +1364,6 @@ pub struct FleetDriverConfig {
     /// report renews the lease. `0` disables the check (no shard is ever
     /// presumed dead).
     pub lease_windows: u64,
-    /// Cap, in windows, on the exponential backoff applied between retries
-    /// of an unacknowledged actuation (see
-    /// [`crate::driver::ActuationRetry`]). The backoff doubles on every
-    /// consecutive timeout — 1, 2, 4, … — up to this cap.
-    pub retry_backoff_cap: u64,
     /// Per-window decay applied to the credibility of stale measurement
     /// evidence: a sample whose oldest substituted rate is `a` windows old
     /// enters the smoother with weight `stale_decay^a` (see
@@ -1398,8 +1393,8 @@ impl FleetDriverConfig {
     /// default decision gate hardened for fleet noise
     /// (`min_executor_savings` = 2, so a one-executor scale-down — the
     /// classic noise wobble — never pays for a pause on its own), a
-    /// 3-window liveness lease, an 8-window retry-backoff cap, 0.5
-    /// per-window stale-evidence decay, and a 5% placement rate band.
+    /// 3-window liveness lease, 0.5 per-window stale-evidence decay, and
+    /// a 5% placement rate band.
     pub fn new(k_max: u32) -> Self {
         FleetDriverConfig {
             k_max,
@@ -1412,7 +1407,6 @@ impl FleetDriverConfig {
                 ..DecisionPolicy::default()
             },
             lease_windows: 3,
-            retry_backoff_cap: 8,
             stale_decay: 0.5,
             record_timeline: true,
             placement_rate_band: 0.05,
@@ -2086,7 +2080,7 @@ impl<B: CspBackend> FleetDriver<B> {
             samples: SampleBuilder::new(),
             measurer,
             epoch: 0,
-            retry: ActuationRetry::new(config.retry_backoff_cap),
+            retry: ActuationRetry::default(),
             dead: false,
             placement_info: spec.placement,
             placement: None,

@@ -269,7 +269,7 @@ const SMALL_SURPLUS_CUTOVER: u64 = 16;
 /// from unbounded growth when `t_max` sits barely above the theoretical
 /// minimum.
 ///
-/// The first [`SMALL_SURPLUS_CUTOVER`] grants run the from-scratch
+/// The first `SMALL_SURPLUS_CUTOVER` (16) grants run the from-scratch
 /// reference walk directly: when the surplus over the min-stable floor is
 /// that small, building the benefit heap and the incremental steppers
 /// costs more than the walk itself. Past the cutover the search switches

@@ -8,13 +8,15 @@
 //! [`crate::MetricsSnapshot`]; `apply` performs a real stop-the-executors
 //! rebalance (queues preserved) and reports the *measured* pause, not the
 //! controller's estimate.
+//!
+//! The engine is one host, so it has no machine concept: `apply` ignores
+//! a plan's placement, and `apply_placement` is the trait's default
+//! (accept and ignore), as for any backend without machines.
 
 use crate::engine::{RuntimeEngine, RuntimeError};
 use drs_core::driver::{
     AppliedRebalance, BackendError, CspBackend, OperatorSample, RebalancePlan, WindowSample,
 };
-use drs_core::placement::Placement;
-use drs_topology::OperatorKind;
 use std::time::Duration;
 
 impl CspBackend for RuntimeEngine {
@@ -75,57 +77,14 @@ impl CspBackend for RuntimeEngine {
             RuntimeError::AllocationLength { .. } | RuntimeError::ZeroAllocation { .. } => {
                 BackendError::InvalidAllocation(e.to_string())
             }
-            RuntimeError::MissingSpout { .. }
-            | RuntimeError::MissingBolt { .. }
-            | RuntimeError::PlacementMismatch { .. } => BackendError::Other(e.to_string()),
+            RuntimeError::MissingSpout { .. } | RuntimeError::MissingBolt { .. } => {
+                BackendError::Other(e.to_string())
+            }
         })?;
-        if let Some(placement) = &plan.placement {
-            self.apply_placement(placement)?;
-        }
         Ok(AppliedRebalance {
             allocation: plan.allocation.clone(),
             pause_secs: pause.as_secs_f64(),
         })
-    }
-
-    fn apply_placement(&mut self, placement: &Placement) -> Result<(), BackendError> {
-        // The placement indexes *model operators* (bolts in id order);
-        // expand it to a full-topology machine-count table, spouts pinned
-        // to machine 0.
-        let machines = self.machines();
-        if placement.machines() != machines {
-            return Err(BackendError::Other(format!(
-                "placement spans {} machines, engine has {machines}",
-                placement.machines()
-            )));
-        }
-        let counts = {
-            let topology = self.topology();
-            let allocation = self.allocation();
-            let bolts: Vec<usize> = topology.bolts().map(|op| op.id().index()).collect();
-            if placement.operators() != bolts.len() {
-                return Err(BackendError::InvalidAllocation(format!(
-                    "placement covers {} operators, topology has {} bolts",
-                    placement.operators(),
-                    bolts.len()
-                )));
-            }
-            let mut counts = vec![vec![0u32; machines]; topology.len()];
-            for op in topology.operators() {
-                if op.kind() == OperatorKind::Spout {
-                    counts[op.id().index()][0] = allocation[op.id().index()];
-                }
-            }
-            for (model, &i) in bolts.iter().enumerate() {
-                for (m, c) in placement.counts_of(model) {
-                    counts[i][m] = c;
-                }
-            }
-            counts
-        };
-        self.set_placement(counts)
-            .map(|_| ())
-            .map_err(|e| BackendError::Other(e.to_string()))
     }
 }
 
@@ -135,6 +94,7 @@ mod tests {
     use crate::engine::RuntimeBuilder;
     use crate::operator::{Bolt, Collector, Spout, SpoutEmission};
     use crate::tuple::Tuple;
+    use drs_core::placement::Placement;
     use drs_topology::TopologyBuilder;
 
     struct Ticker {
@@ -213,6 +173,34 @@ mod tests {
         assert_eq!(applied.allocation, vec![4]);
         assert!(applied.pause_secs < 5.0);
         assert_eq!(e.allocation(), &[1, 4]);
+        e.shutdown(Duration::from_secs(1));
+    }
+
+    #[test]
+    fn apply_accepts_any_placement_and_installs_the_allocation() {
+        let mut e = engine(1);
+        // One machine, then three: neither is refused.
+        for width in [1, 3] {
+            let mut row = vec![0; width];
+            row[width - 1] = 3;
+            let applied = e
+                .apply(&RebalancePlan {
+                    allocation: vec![3],
+                    pause_secs: 0.0,
+                    epoch: 0,
+                    placement: Some(Placement::from_counts(vec![row])),
+                })
+                .unwrap();
+            assert_eq!(applied.allocation, vec![3]);
+            assert_eq!(e.allocation(), &[1, 3]);
+            e.apply(&RebalancePlan {
+                allocation: vec![1],
+                pause_secs: 0.0,
+                epoch: 0,
+                placement: None,
+            })
+            .unwrap();
+        }
         e.shutdown(Duration::from_secs(1));
     }
 

@@ -1,6 +1,6 @@
-//! The bounded channel every operator slot's input queue is made of.
+//! The bounded channel every operator's input queue is made of.
 //!
-//! One [`Channel`] per `(operator, machine)` slot, owned by the worker pool
+//! One [`Channel`] per operator, owned by the worker pool
 //! (`crate::pool::PoolShared::channels`). Every producer — a pool worker
 //! or a spout thread — and every consumer reaches it through the same
 //! `Arc<PoolShared>`, so a channel always outlives its users and has no

@@ -35,8 +35,8 @@
 //!   allocation and no locked map in the ack path; completing a tuple is
 //!   one atomic decrement;
 //! * **channels are bounded rings**: envelopes travel through the
-//!   runtime's own channels (`crate::channel`, one per slot, owned by the
-//!   pool), whose ring buffers are reused across messages. The capacity
+//!   runtime's own channels (`crate::channel`, one per operator, owned by
+//!   the pool), whose ring buffers are reused across messages. The capacity
 //!   is a *hard* invariant (`len ≤ cap`, always):
 //!   an executor task hitting a full downstream channel suspends itself
 //!   into the channel's wait list and is woken by the consumer's drain
@@ -91,12 +91,6 @@ pub enum RuntimeError {
         /// Operator name.
         operator: String,
     },
-    /// A machine placement did not match the engine's shape (machine count
-    /// or per-operator executor sums).
-    PlacementMismatch {
-        /// What was wrong.
-        problem: String,
-    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -113,9 +107,6 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::ZeroAllocation { operator } => {
                 write!(f, "bolt {operator} allocated zero executors")
-            }
-            RuntimeError::PlacementMismatch { problem } => {
-                write!(f, "placement mismatch: {problem}")
             }
         }
     }
@@ -172,7 +163,6 @@ pub struct RuntimeBuilder {
     allocation: Option<Vec<u32>>,
     channel_capacity: usize,
     workers: Option<usize>,
-    machines: usize,
 }
 
 impl RuntimeBuilder {
@@ -199,7 +189,6 @@ impl RuntimeBuilder {
             allocation: None,
             channel_capacity: Self::DEFAULT_CHANNEL_CAPACITY,
             workers: None,
-            machines: 1,
         }
     }
 
@@ -230,12 +219,11 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Pins the number of pool worker threads *per machine* to exactly
-    /// `workers`. By default the pool is **adaptive** instead: each
-    /// machine starts one worker and grows on demand — a task wakeup that
-    /// finds every live worker busy spawns another — up to the host's
-    /// available parallelism floored at [`Self::DEFAULT_WORKER_CAP`] (see
-    /// there for why the floor exists), divided evenly over the machines;
+    /// Pins the number of pool worker threads to exactly `workers`. By
+    /// default the pool is **adaptive** instead: it starts one worker and
+    /// grows on demand — a task wakeup that finds every live worker busy
+    /// spawns another — up to the host's available parallelism floored at
+    /// [`Self::DEFAULT_WORKER_CAP`] (see there for why the floor exists);
     /// persistently idle workers retire back down to one. Executor weights
     /// may exceed the worker count freely — that is the point of the pool.
     ///
@@ -246,22 +234,6 @@ impl RuntimeBuilder {
     pub fn workers(mut self, workers: usize) -> Self {
         assert!(workers > 0, "worker count must be positive");
         self.workers = Some(workers);
-        self
-    }
-
-    /// Partitions the pool into `machines` scheduling domains modelling a
-    /// cluster of hosts: every operator gets one executor slot per machine,
-    /// workers are pinned to their machine, and cross-machine tuple traffic
-    /// is counted at the boundary (see `crate::pool`). Spouts are pinned to
-    /// machine 0. Defaults to 1 (classic single-host pool).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `machines` is zero.
-    #[must_use]
-    pub fn machines(mut self, machines: usize) -> Self {
-        assert!(machines > 0, "machine count must be positive");
-        self.machines = machines;
         self
     }
 
@@ -315,45 +287,20 @@ impl RuntimeBuilder {
             }
         }
 
-        // The pool builds one channel per (operator, machine) slot; spout
-        // slots stay unused. With machines == 1 this is exactly one
-        // channel per operator, indexed by operator id.
-        let machines = self.machines;
+        // The pool builds one channel per operator; spout channels stay
+        // unused.
         let path = DataPath {
             csr: Arc::new(CsrOutEdges::compile(&self.topology)),
             acks: Arc::new(crate::executor::AckTable::new()),
-            metrics: Arc::new(MetricsRegistry::with_machines(n, machines)),
+            metrics: Arc::new(MetricsRegistry::new(n)),
             open_trees: Arc::new(std::sync::atomic::AtomicU64::new(0)),
             channel_capacity: self.channel_capacity,
         };
-
-        // Initial machine distribution: every operator's executors dealt
-        // evenly over the machines (spouts pinned to machine 0).
-        let machine_counts: Vec<Vec<u32>> = self
-            .topology
-            .operators()
-            .iter()
-            .map(|op| {
-                let i = op.id().index();
-                match op.kind() {
-                    OperatorKind::Spout => spout_row(allocation[i], machines),
-                    OperatorKind::Bolt => deal_evenly(allocation[i], machines),
-                }
-            })
-            .collect();
-
-        let slots: Vec<OpSlot> = (0..n)
-            .flat_map(|i| {
-                let maker = self.bolts[i].clone();
-                let counts = &machine_counts[i];
-                (0..machines)
-                    .map(|m| OpSlot::new(maker.clone(), counts[m]))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let routes = machine_counts
-            .iter()
-            .map(|row| crate::pool::Route::new(row))
+        let slots: Vec<OpSlot> = self
+            .bolts
+            .into_iter()
+            .zip(&allocation)
+            .map(|(maker, &k)| OpSlot::new(maker, k))
             .collect();
 
         // Fixed pool when `.workers(n)` was set (min == max == n);
@@ -364,48 +311,23 @@ impl RuntimeBuilder {
                 let cap = std::thread::available_parallelism()
                     .map(usize::from)
                     .unwrap_or(1)
-                    .max(Self::DEFAULT_WORKER_CAP)
-                    .div_ceil(machines);
+                    .max(Self::DEFAULT_WORKER_CAP);
                 (1, cap)
             }
         };
-        let pool = WorkerPool::start(
-            slots,
-            routes,
-            path.clone(),
-            machines,
-            min_workers,
-            max_workers,
-        );
+        let pool = WorkerPool::start(slots, path.clone(), min_workers, max_workers);
 
         let mut engine = RuntimeEngine {
             topology: self.topology,
             path,
             pool,
             allocation,
-            machines,
-            machine_counts,
             spout_stop: Arc::new(AtomicBool::new(false)),
             spout_threads: Vec::new(),
         };
         engine.spawn_spouts(self.spouts);
         Ok(engine)
     }
-}
-
-/// Deals `k` executors evenly over `machines`: `k / machines` each, the
-/// first `k % machines` machines taking one extra.
-fn deal_evenly(k: u32, machines: usize) -> Vec<u32> {
-    let base = k / machines as u32;
-    let extra = (k % machines as u32) as usize;
-    (0..machines).map(|m| base + u32::from(m < extra)).collect()
-}
-
-/// Spouts are pinned to machine 0 (their threads are not pool workers).
-fn spout_row(k: u32, machines: usize) -> Vec<u32> {
-    let mut row = vec![0; machines];
-    row[0] = k;
-    row
 }
 
 fn validate_allocation(topology: &Topology, allocation: &[u32]) -> Result<(), RuntimeError> {
@@ -432,8 +354,6 @@ pub struct RuntimeEngine {
     pub(crate) path: DataPath,
     pool: WorkerPool,
     allocation: Vec<u32>,
-    machines: usize,
-    machine_counts: Vec<Vec<u32>>,
     spout_stop: Arc<AtomicBool>,
     spout_threads: Vec<JoinHandle<()>>,
 }
@@ -443,7 +363,6 @@ impl fmt::Debug for RuntimeEngine {
         f.debug_struct("RuntimeEngine")
             .field("topology", &self.topology.names())
             .field("allocation", &self.allocation)
-            .field("machines", &self.machines)
             .field("workers", &self.pool.workers())
             .field("open_trees", &self.path.open_trees.load(Ordering::Relaxed))
             .finish_non_exhaustive()
@@ -497,9 +416,10 @@ impl RuntimeEngine {
         self.path.metrics.take_snapshot()
     }
 
-    /// Cumulative task-suspension counts per `(operator, machine)`:
-    /// `suspensions()[op][m]` is how many times an executor task parked on
-    /// that slot's full input channel. Never reset by
+    /// Cumulative task-suspension counts, one row per operator and one
+    /// entry per input channel (always one): `suspensions()[op][0]` is how
+    /// many times an executor task parked on that operator's full input
+    /// channel. Never reset by
     /// [`RuntimeEngine::metrics_snapshot`]. Suspensions are the healthy
     /// backpressure signal replacing the old soft-overrun counter —
     /// capacity is a hard invariant now, so queues saturate and senders
@@ -508,7 +428,8 @@ impl RuntimeEngine {
         self.path.metrics.suspensions()
     }
 
-    /// Peak observed input-queue depth per `(operator, machine)`. Sampled
+    /// Peak observed input-queue depth, one row per operator and one entry
+    /// per input channel (always one). Sampled
     /// on every batch pull and on every suspension, so a saturated channel
     /// reports its full capacity. Bounded by
     /// [`RuntimeEngine::channel_capacity`] — the hard invariant.
@@ -516,8 +437,8 @@ impl RuntimeEngine {
         self.path.metrics.peak_queue_depths()
     }
 
-    /// Live input-queue depth per `(operator, machine)` slot, indexed
-    /// `op * machines + m`. Every entry is ≤
+    /// Live input-queue depth per operator, indexed by operator id. Every
+    /// entry is ≤
     /// [`RuntimeEngine::channel_capacity`] at any instant.
     pub fn queue_depths(&self) -> Vec<usize> {
         self.pool
@@ -552,175 +473,47 @@ impl RuntimeEngine {
     ///   — bad target allocation.
     pub fn rebalance(&mut self, allocation: Vec<u32>) -> Result<Duration, RuntimeError> {
         validate_allocation(&self.topology, &allocation)?;
-        // Re-deal each operator's new executor count evenly over the
-        // machines; a placement-aware assignment arrives separately via
-        // [`RuntimeEngine::set_placement`].
-        let counts: Vec<Vec<u32>> = self
-            .topology
-            .operators()
-            .iter()
-            .map(|op| {
-                let i = op.id().index();
-                match op.kind() {
-                    OperatorKind::Spout => spout_row(allocation[i], self.machines),
-                    OperatorKind::Bolt => deal_evenly(allocation[i], self.machines),
-                }
-            })
-            .collect();
-        let pause = self.apply_weights(counts);
+        let pause = self.apply_weights(&allocation);
         self.allocation = allocation;
         Ok(pause)
     }
 
-    /// Installs a machine placement: `counts[op][m]` executors of operator
-    /// `op` on machine `m`. Bolt rows must sum to the operator's current
-    /// allocation (a placement moves executors, it does not resize the
-    /// allocation — pair with [`RuntimeEngine::rebalance`] for that); spout
-    /// rows are ignored (spouts stay pinned to machine 0). Returns the
-    /// measured pause (the shrink quiesce on slots losing executors).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::PlacementMismatch`] — wrong shape or row sums.
-    pub fn set_placement(&mut self, counts: Vec<Vec<u32>>) -> Result<Duration, RuntimeError> {
-        if counts.len() != self.topology.len() {
-            return Err(RuntimeError::PlacementMismatch {
-                problem: format!(
-                    "placement covers {} operators, topology has {}",
-                    counts.len(),
-                    self.topology.len()
-                ),
-            });
-        }
-        let mut normalized = counts;
-        for op in self.topology.operators() {
-            let i = op.id().index();
-            if normalized[i].len() != self.machines {
-                return Err(RuntimeError::PlacementMismatch {
-                    problem: format!(
-                        "operator {} row spans {} machines, engine has {}",
-                        op.name(),
-                        normalized[i].len(),
-                        self.machines
-                    ),
-                });
-            }
-            match op.kind() {
-                OperatorKind::Spout => {
-                    // Spouts are not placed; keep them on machine 0.
-                    normalized[i] = spout_row(self.allocation[i], self.machines);
-                }
-                OperatorKind::Bolt => {
-                    let sum: u32 = normalized[i].iter().sum();
-                    if sum != self.allocation[i] {
-                        return Err(RuntimeError::PlacementMismatch {
-                            problem: format!(
-                                "operator {} places {sum} executors, allocation is {}",
-                                op.name(),
-                                self.allocation[i]
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(self.apply_weights(normalized))
-    }
-
-    /// Rewrites every slot weight to `counts` and swaps the route tables,
-    /// in an order that never strands a tuple: grows first (instances exist
-    /// before traffic arrives), then the route swap (new tuples follow the
-    /// new machine assignment), then shrink quiesce, and finally an orphan
-    /// sweep forwarding any backlog left on slots that lost their last
-    /// executor. Returns the measured pause.
-    fn apply_weights(&mut self, counts: Vec<Vec<u32>>) -> Duration {
+    /// Rewrites every bolt's weight to `allocation`: grows raise the weight
+    /// (instances are built first) and nudge any backlog, shrinks lower it
+    /// and are quiesced. Returns the measured pause.
+    fn apply_weights(&self, allocation: &[u32]) -> Duration {
         let start = Instant::now();
         let shared = self.pool.shared();
-        let machines = self.machines;
         let mut shrinking = Vec::new();
-        for (op, row) in counts.iter().enumerate() {
-            for (m, &new) in row.iter().enumerate() {
-                let slot = op * machines + m;
-                let state = &shared.slots[slot];
-                if !state.is_executable() {
-                    continue;
-                }
-                let old = state.weight.load(Ordering::Acquire);
-                match new.cmp(&old) {
-                    std::cmp::Ordering::Greater => {
-                        state.grow_to(new);
-                        if !shared.channels[slot].is_empty() {
-                            shared.nudge(slot, None);
-                        }
+        for (op, &new) in allocation.iter().enumerate() {
+            let state = &shared.slots[op];
+            if !state.is_executable() {
+                continue;
+            }
+            let old = state.weight.load(Ordering::Acquire);
+            match new.cmp(&old) {
+                std::cmp::Ordering::Greater => {
+                    state.grow_to(new);
+                    if !shared.channels[op].is_empty() {
+                        shared.nudge(op, None);
                     }
-                    std::cmp::Ordering::Less => shrinking.push(slot),
-                    std::cmp::Ordering::Equal => {}
                 }
+                std::cmp::Ordering::Less => {
+                    state.shrink_to(new);
+                    shrinking.push(op);
+                }
+                std::cmp::Ordering::Equal => {}
             }
         }
-        for (op, row) in counts.iter().enumerate() {
-            shared.routes[op].set(row);
-        }
-        for &slot in &shrinking {
-            let (op, m) = (slot / machines, slot % machines);
-            shared.slots[slot].shrink_to(counts[op][m]);
-        }
-        // Quiesce only the shrinking slots: the pause ends when no slot
+        // Quiesce only the shrinking operators: the pause ends when none
         // runs more executor tasks than its new weight.
-        for &slot in &shrinking {
-            let state = &shared.slots[slot];
+        for &op in &shrinking {
+            let state = &shared.slots[op];
             while state.scheduled.load(Ordering::Acquire) > state.weight.load(Ordering::Acquire) {
                 std::thread::sleep(Duration::from_micros(50));
             }
         }
-        // Orphan sweep: a slot shrunk to zero may still hold envelopes
-        // enqueued before the route swap; nudging a weight-0 slot forwards
-        // its backlog to the operator's placed machines.
-        if machines > 1 {
-            for &slot in &shrinking {
-                if shared.slots[slot].weight.load(Ordering::Acquire) == 0
-                    && !shared.channels[slot].is_empty()
-                {
-                    shared.nudge(slot, None);
-                }
-            }
-        }
-        self.machine_counts = counts;
         start.elapsed()
-    }
-
-    /// Number of scheduling domains ("machines") partitioning the pool.
-    pub fn machines(&self) -> usize {
-        self.machines
-    }
-
-    /// The installed machine distribution: `machine_counts()[op][m]` is the
-    /// number of operator `op` executors on machine `m`.
-    pub fn machine_counts(&self) -> &[Vec<u32>] {
-        &self.machine_counts
-    }
-
-    /// Cumulative tuples routed over edges while partitioned
-    /// (`machines() > 1`; always 0 on a single-machine pool).
-    pub fn routed_tuples(&self) -> u64 {
-        self.pool.shared().routed_tuples.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative tuples that landed on a different machine than their
-    /// producer (spouts count as machine 0).
-    pub fn cross_machine_tuples(&self) -> u64 {
-        self.pool.shared().cross_tuples.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of routed tuples that crossed a machine boundary; 0.0 when
-    /// nothing has been routed (including the single-machine pool).
-    pub fn cross_machine_fraction(&self) -> f64 {
-        let routed = self.routed_tuples();
-        if routed == 0 {
-            0.0
-        } else {
-            self.cross_machine_tuples() as f64 / routed as f64
-        }
     }
 
     /// Stops the spouts, waits up to `drain` for in-flight tuple trees to
@@ -824,10 +617,6 @@ fn emit_roots(
         arcs.push(Arc::new(tuple));
         ack_refs.push(path.acks.acquire(targets.len() as u64));
     }
-    if shared.machines > 1 {
-        emit_roots_routed(targets, arcs, ack_refs, path, shared, stop);
-        return;
-    }
     let chunk = path.channel_capacity.max(1);
     for &t in targets {
         path.metrics.record_arrivals(t as usize, arcs.len() as u64);
@@ -855,43 +644,6 @@ fn emit_roots(
             }
             shared.nudge(t as usize, None);
             start = end;
-        }
-    }
-}
-
-/// The partitioned-pool spout emit path: one routed, stop-aware send per
-/// root per downstream edge, with a consumer nudge after every envelope.
-/// Per-envelope nudging keeps the liveness argument of the chunked path: a
-/// send can only park on a non-empty channel, and whoever filled it has
-/// already nudged that slot, so a live consumer exists to drain it. Spouts
-/// count as machine 0 for the boundary statistics.
-fn emit_roots_routed(
-    targets: &[u32],
-    arcs: &[Arc<Tuple>],
-    ack_refs: &[AckRef],
-    path: &DataPath,
-    shared: &PoolShared,
-    stop: &AtomicBool,
-) {
-    for &t in targets {
-        let t = t as usize;
-        path.metrics.record_arrivals(t, arcs.len() as u64);
-        for (tuple, ack) in arcs.iter().zip(ack_refs.iter()) {
-            let m = shared.routes[t].next();
-            let slot = t * shared.machines + m;
-            shared.routed_tuples.fetch_add(1, Ordering::Relaxed);
-            if m != 0 {
-                shared.cross_tuples.fetch_add(1, Ordering::Relaxed);
-            }
-            let env = Envelope {
-                tuple: Arc::clone(tuple),
-                ack: ack.clone(),
-            };
-            if shared.channels[slot].send_abortable([env], stop).is_err() {
-                path.acks.cancel(ack, 1, &path.metrics, &path.open_trees);
-            } else {
-                shared.nudge(slot, None);
-            }
         }
     }
 }
@@ -1478,151 +1230,6 @@ mod tests {
             "the spout was never parked: all {} roots ran",
             snap.operators[1].completions
         );
-    }
-
-    #[test]
-    fn partitioned_pool_is_lossless_across_rebalance_and_placement_flips() {
-        // Three machines, a steady burst, and the control plane churning
-        // both the allocation and the machine placement mid-flight: every
-        // root tree must still complete exactly once per stage.
-        let mut engine = {
-            let mut b = TopologyBuilder::new();
-            let src = b.spout("src");
-            let work = b.bolt("work");
-            let sink = b.bolt("sink");
-            b.edge(src, work).unwrap();
-            b.edge(work, sink).unwrap();
-            let topo = b.build().unwrap();
-            RuntimeBuilder::new(topo)
-                .spout(
-                    src,
-                    Box::new(BurstSpout {
-                        remaining: 600,
-                        gap: Duration::from_micros(50),
-                    }),
-                )
-                .bolt(work, || WorkBolt {
-                    busy: Duration::from_micros(100),
-                    fanout: 1,
-                })
-                .bolt(sink, || WorkBolt {
-                    busy: Duration::ZERO,
-                    fanout: 0,
-                })
-                .allocation(vec![1, 3, 2])
-                .machines(3)
-                .workers(2)
-                .start()
-                .unwrap()
-        };
-        assert_eq!(engine.machines(), 3);
-        assert_eq!(engine.workers(), 6); // 2 per machine
-        std::thread::sleep(Duration::from_millis(5));
-        // Pack everything onto machine 0, then spread it back out, then
-        // resize while placed.
-        engine
-            .set_placement(vec![vec![1, 0, 0], vec![3, 0, 0], vec![2, 0, 0]])
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        engine
-            .set_placement(vec![vec![1, 0, 0], vec![0, 2, 1], vec![0, 0, 2]])
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        engine.rebalance(vec![1, 4, 2]).unwrap();
-        assert!(engine.wait_until_drained(Duration::from_secs(30)));
-        let routed = engine.routed_tuples();
-        let cross = engine.cross_machine_tuples();
-        assert!(routed >= 1_200, "routed {routed} of 1200 edge tuples");
-        assert!(cross <= routed);
-        let snap = engine.shutdown(Duration::from_secs(1));
-        assert_eq!(snap.external_arrivals, 600);
-        assert_eq!(snap.sojourn.count(), 600);
-        assert_eq!(snap.operators[1].completions, 600);
-        assert_eq!(snap.operators[2].completions, 600);
-    }
-
-    #[test]
-    fn packed_placement_cuts_cross_machine_traffic() {
-        let run = |packed: bool| {
-            let mut b = TopologyBuilder::new();
-            let src = b.spout("src");
-            let work = b.bolt("work");
-            let sink = b.bolt("sink");
-            b.edge(src, work).unwrap();
-            b.edge(work, sink).unwrap();
-            let topo = b.build().unwrap();
-            let mut engine = RuntimeBuilder::new(topo)
-                .spout(
-                    src,
-                    Box::new(BurstSpout {
-                        remaining: 500,
-                        gap: Duration::from_micros(200),
-                    }),
-                )
-                .bolt(work, || WorkBolt {
-                    busy: Duration::ZERO,
-                    fanout: 1,
-                })
-                .bolt(sink, || WorkBolt {
-                    busy: Duration::ZERO,
-                    fanout: 0,
-                })
-                .allocation(vec![1, 2, 2])
-                .machines(2)
-                .workers(2)
-                .start()
-                .unwrap();
-            if packed {
-                // Everything co-located with the spout on machine 0: only
-                // the few tuples emitted before this call may cross.
-                engine
-                    .set_placement(vec![vec![1, 0], vec![2, 0], vec![2, 0]])
-                    .unwrap();
-            }
-            assert!(engine.wait_until_drained(Duration::from_secs(20)));
-            let fraction = engine.cross_machine_fraction();
-            let _ = engine.shutdown(Duration::from_secs(1));
-            fraction
-        };
-        let split = run(false); // even deal: every op half on each machine
-        let packed = run(true);
-        // The spout edge alone crosses ~50% under an even split; the
-        // work→sink edge depends on how the round-robin cursors align, so
-        // only the spout edge's share is asserted.
-        assert!(split > 0.2, "even split crossed only {split}");
-        assert!(packed < 0.1, "packed placement still crossed {packed}");
-        assert!(packed < split);
-    }
-
-    #[test]
-    fn bad_placements_rejected() {
-        let mut engine = two_stage(
-            10,
-            Duration::from_micros(100),
-            Duration::ZERO,
-            1,
-            vec![1, 2, 1],
-        );
-        // Single-machine pool: rows must span exactly one machine.
-        let err = engine
-            .set_placement(vec![vec![1, 0], vec![2, 0], vec![1, 0]])
-            .unwrap_err();
-        assert!(matches!(err, RuntimeError::PlacementMismatch { .. }));
-        // Wrong operator count.
-        let err = engine.set_placement(vec![vec![1], vec![2]]).unwrap_err();
-        assert!(matches!(err, RuntimeError::PlacementMismatch { .. }));
-        // Row sum disagrees with the allocation.
-        let err = engine
-            .set_placement(vec![vec![1], vec![3], vec![1]])
-            .unwrap_err();
-        assert!(matches!(err, RuntimeError::PlacementMismatch { .. }));
-        // A matching placement is fine and a no-op on one machine.
-        engine
-            .set_placement(vec![vec![1], vec![2], vec![1]])
-            .unwrap();
-        assert_eq!(engine.machine_counts()[1], vec![2]);
-        assert!(engine.wait_until_drained(Duration::from_secs(10)));
-        let _ = engine.shutdown(Duration::ZERO);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! The execution layer decouples the paper's control variable `k_i` (the
 //! executor count of operator `i`) from OS threads:
 //!
-//! * a fixed pool of **workers** (configurable via
-//!   `RuntimeBuilder::workers`, default: available parallelism with a
-//!   small oversubscription floor for blocking bolts) runs every bolt
+//! * a pool of **workers** (pinned with `RuntimeBuilder::workers`; by
+//!   default adaptive, capped at the available parallelism with a small
+//!   oversubscription floor for blocking bolts) runs every bolt
 //!   execution. Workers own local task deques and steal from a shared
 //!   injector and from each other;
 //! * a **logical executor** is a scheduling slot of one operator, backed
@@ -52,8 +52,8 @@
 //!   instances, the ack slab.
 //! * `pool` (private) — the work-stealing workers and the task scheduling
 //!   protocol.
-//! * `channel` (private) — the hard-bounded queue behind every operator
-//!   slot's input.
+//! * `channel` (private) — the hard-bounded queue behind every operator's
+//!   input.
 //! * [`metrics`] — the shared lock-free metrics registry.
 //!
 //! # Allocation-free data path
@@ -73,6 +73,12 @@
 //! `work_per_s` on the `live_flood` workload, with the one- and two-worker
 //! points as `runtime.tuples_per_s_w1` and `runtime.scaling_w1_w2`
 //! (`bash benchmark/run.sh --workload live_flood`).
+//!
+//! The engine is one host: the pool is a single scheduling domain, and an
+//! operator's executors share its one input channel. Where executors run
+//! across machines is the placement layer's concern (`drs_core::placement`),
+//! honoured by the simulator; the runtime's [`backend`] accepts a plan's
+//! placement and ignores it.
 //!
 //! Groupings: the engine distributes tuples to executors through one shared
 //! queue per operator (shuffle semantics). Other Storm groupings affect

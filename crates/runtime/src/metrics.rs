@@ -20,14 +20,12 @@ pub(crate) struct OperatorCounters {
     pub busy_nanos: AtomicU64,
 }
 
-/// Per-`(operator, machine)` channel counters: one entry per executor slot
-/// (`index = op * machines + machine`), so placement debugging sees *which
-/// machine's* queue is hot rather than one collapsed per-operator number.
+/// Per-operator input-channel counters.
 #[derive(Debug, Default)]
-struct SlotCounters {
-    /// Executor tasks that suspended on this slot's full input channel.
+struct QueueCounters {
+    /// Executor tasks that suspended on the operator's full input channel.
     suspensions: AtomicU64,
-    /// Highest queue depth observed on this slot's input channel.
+    /// Highest queue depth observed on the operator's input channel.
     peak_depth: AtomicU64,
 }
 
@@ -149,9 +147,8 @@ impl LatencyHistogram {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     operators: Vec<OperatorCounters>,
-    /// One entry per `(operator, machine)` slot.
-    slots: Vec<SlotCounters>,
-    machines: usize,
+    /// One entry per operator, same indexing as `operators`.
+    queues: Vec<QueueCounters>,
     external: AtomicU64,
     sojourn: Mutex<RunningStats>,
     latency: LatencyHistogram,
@@ -169,24 +166,13 @@ struct Baseline {
 }
 
 impl MetricsRegistry {
-    /// Creates a registry for `n_operators` operators on a single machine.
+    /// Creates a registry for `n_operators` operators.
     pub fn new(n_operators: usize) -> Self {
-        Self::with_machines(n_operators, 1)
-    }
-
-    /// Creates a registry for `n_operators` operators partitioned over
-    /// `machines` scheduling domains — suspension and queue-depth counters
-    /// get one entry per `(operator, machine)` slot.
-    pub fn with_machines(n_operators: usize, machines: usize) -> Self {
-        let machines = machines.max(1);
         MetricsRegistry {
             operators: (0..n_operators)
                 .map(|_| OperatorCounters::default())
                 .collect(),
-            slots: (0..n_operators * machines)
-                .map(|_| SlotCounters::default())
-                .collect(),
-            machines,
+            queues: (0..n_operators).map(|_| QueueCounters::default()).collect(),
             external: AtomicU64::new(0),
             sojourn: Mutex::new(RunningStats::new()),
             latency: LatencyHistogram::new(),
@@ -235,41 +221,37 @@ impl MetricsRegistry {
         self.latency.record((secs * 1e9) as u64);
     }
 
-    /// Records one executor-task suspension on the full input channel of
-    /// operator `op`'s slot on `machine`.
-    pub(crate) fn record_suspension(&self, op: usize, machine: usize) {
-        self.slots[op * self.machines + machine]
-            .suspensions
-            .fetch_add(1, Ordering::Relaxed);
+    /// Records one executor-task suspension on operator `op`'s full input
+    /// channel.
+    pub(crate) fn record_suspension(&self, op: usize) {
+        self.queues[op].suspensions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds an observed queue depth of operator `op`'s input channel on
-    /// `machine` into the per-slot running maximum.
-    pub(crate) fn record_queue_depth(&self, op: usize, machine: usize, depth: u64) {
-        self.slots[op * self.machines + machine]
+    /// Folds an observed depth of operator `op`'s input channel into its
+    /// running maximum.
+    pub(crate) fn record_queue_depth(&self, op: usize, depth: u64) {
+        self.queues[op]
             .peak_depth
             .fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Cumulative suspension counts, indexed `[operator][machine]` — a
-    /// suspension is an executor task parking itself on a full downstream
-    /// channel (backpressure working as designed; sustained growth on one
-    /// slot flags a hot machine).
+    /// Cumulative suspension counts, one row per operator and one entry
+    /// per input channel (always one) — a suspension is an executor task
+    /// parking itself on a full downstream channel (backpressure working
+    /// as designed; sustained growth flags a hot operator).
     pub fn suspensions(&self) -> Vec<Vec<u64>> {
-        self.per_slot(|s| s.suspensions.load(Ordering::Relaxed))
+        self.per_queue(|q| q.suspensions.load(Ordering::Relaxed))
     }
 
-    /// Peak observed input-queue depths, indexed `[operator][machine]`.
-    /// Never exceeds the configured channel capacity — the bound is hard.
+    /// Peak observed input-queue depths, one row per operator and one
+    /// entry per input channel (always one). Never exceeds the configured
+    /// channel capacity — the bound is hard.
     pub fn peak_queue_depths(&self) -> Vec<Vec<u64>> {
-        self.per_slot(|s| s.peak_depth.load(Ordering::Relaxed))
+        self.per_queue(|q| q.peak_depth.load(Ordering::Relaxed))
     }
 
-    fn per_slot(&self, read: impl Fn(&SlotCounters) -> u64) -> Vec<Vec<u64>> {
-        self.slots
-            .chunks(self.machines)
-            .map(|row| row.iter().map(&read).collect())
-            .collect()
+    fn per_queue(&self, read: impl Fn(&QueueCounters) -> u64) -> Vec<Vec<u64>> {
+        self.queues.iter().map(|q| vec![read(q)]).collect()
     }
 
     /// The end-to-end (root emission → tree fully acked) latency at
@@ -331,6 +313,10 @@ mod tests {
         m.record_completion(0, 1_000_000); // 1 ms
         m.record_externals(1);
         m.record_sojourn(0.25);
+        m.record_suspension(1);
+        m.record_suspension(1);
+        m.record_queue_depth(1, 7);
+        m.record_queue_depth(1, 4); // lower sample must not regress the peak
 
         let snap = m.take_snapshot();
         assert_eq!(snap.operators[0].arrivals, 2);
@@ -345,6 +331,9 @@ mod tests {
         assert_eq!(snap2.operators[0].arrivals, 0);
         assert_eq!(snap2.external_arrivals, 0);
         assert_eq!(snap2.sojourn.count(), 0);
+        // Queue counters are cumulative: snapshots never reset them.
+        assert_eq!(m.suspensions(), vec![vec![0], vec![2]]);
+        assert_eq!(m.peak_queue_depths(), vec![vec![0], vec![7]]);
     }
 
     #[test]
@@ -363,18 +352,6 @@ mod tests {
             busy_secs: 0.0,
         };
         assert_eq!(idle.service_rate(), None);
-    }
-
-    #[test]
-    fn slot_counters_are_keyed_by_operator_and_machine() {
-        let m = MetricsRegistry::with_machines(2, 3);
-        m.record_suspension(1, 2);
-        m.record_suspension(1, 2);
-        m.record_suspension(0, 1);
-        m.record_queue_depth(1, 0, 7);
-        m.record_queue_depth(1, 0, 4); // lower sample must not regress the peak
-        assert_eq!(m.suspensions(), vec![vec![0, 1, 0], vec![0, 0, 2]]);
-        assert_eq!(m.peak_queue_depths(), vec![vec![0, 0, 0], vec![7, 0, 0]]);
     }
 
     #[test]

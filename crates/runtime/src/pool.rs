@@ -23,7 +23,7 @@
 //! channel after decrementing `scheduled` and re-nudges if a producer raced
 //! it — the standard lost-wakeup guard.
 //!
-//! Continuations go through the machine's injector rather than the local
+//! Continuations go through the pool's injector rather than the local
 //! deque: a LIFO self-push would let one hot operator monopolise its
 //! worker while sibling tasks starve in the same deque; routing the
 //! continuation through the FIFO injector interleaves operators even on a
@@ -42,7 +42,7 @@
 //! record parked in the blocked channel's wait list, and the worker goes
 //! on to run other tasks. The consumer side wakes it — every batch pull
 //! that takes at least one envelope out of a channel pops one waiter and
-//! re-injects it as a [`Task::Resume`] on the suspended slot's machine.
+//! re-injects it as a [`Task::Resume`].
 //! Parking is race-free: the would-be waiter retries its send *under the
 //! wait-list lock*, and the consumer acquires the same lock to pop, so a
 //! drain can never slip between the failed send and the park (the channel
@@ -64,37 +64,12 @@
 //!
 //! # Adaptive workers
 //!
-//! The worker count per machine floats between a configured minimum and
-//! maximum. A nudge that finds no parked worker spawns one (runnable tasks
-//! outnumber the live workers) until the cap; a worker that pulls nothing
-//! for [`IDLE_STRIKES`] consecutive park quanta deregisters its deque and
+//! The worker count floats between a configured minimum and maximum. A
+//! nudge that finds no parked worker spawns one (runnable tasks outnumber
+//! the live workers) until the cap; a worker that pulls nothing for
+//! [`IDLE_STRIKES`] consecutive park quanta deregisters its deque and
 //! exits (down to the minimum). `RuntimeBuilder::workers(n)` pins
 //! `min == max == n`, restoring a fixed-size pool.
-//!
-//! # Machine partitioning
-//!
-//! The pool can be split into `machines` scheduling domains modelling a
-//! cluster of hosts (see `crate::engine::RuntimeBuilder::machines`). Every
-//! operator then owns one executor slot *per machine* (`slot = op ×
-//! machines + m`) with its own input channel and weight — the per-machine
-//! executor count of the installed placement. Workers are pinned to one
-//! machine: they steal only from their machine's injector and siblings, so
-//! an executor never migrates across the simulated machine boundary.
-//! Producers route each tuple through the target operator's [`Route`]
-//! table (round-robin over the placed executors, the runtime twin of
-//! shuffle grouping), then send one *batched* channel push per
-//! `(operator, machine)` group; a tuple landing on a different machine
-//! than its producer is counted at the boundary
-//! ([`PoolShared::cross_tuples`]). With `machines == 1` every slot index
-//! degenerates to the operator id and the batched single-channel fast path
-//! is used unchanged.
-//!
-//! Losslessness across placement changes: a slot whose executors all moved
-//! away (weight 0) may still hold envelopes enqueued before the route
-//! tables were swapped. Nudging such a slot forwards its backlog to the
-//! operator's currently placed machines instead of spawning a task, and
-//! the engine sweeps shrunk-to-zero slots right after every weight change,
-//! so no tuple is stranded behind a stale route.
 //!
 //! # Tuple storage
 //!
@@ -171,8 +146,8 @@ use std::time::{Duration, Instant};
 
 /// A schedulable unit.
 pub(crate) enum Task {
-    /// Drain the `(operator, machine)` slot's input channel
-    /// (`slot = op * machines + m`).
+    /// Drain the operator's input channel (the slot index is the
+    /// operator id).
     Drain(u32),
     /// Finish a suspended task's pending sends (and requeue its inbox).
     Resume(Box<Suspended>),
@@ -183,7 +158,7 @@ pub(crate) enum Task {
 /// Lives in the blocked channel's wait list until the consumer's drain
 /// re-injects it as [`Task::Resume`].
 pub(crate) struct Suspended {
-    /// The slot the task was draining (also the machine it resumes on).
+    /// The slot the task was draining.
     slot: usize,
     /// Whether this record still holds one `scheduled` claim on `slot`.
     holds_claim: bool,
@@ -194,11 +169,11 @@ pub(crate) struct Suspended {
     inbox: Vec<Envelope>,
 }
 
-/// A worker's local deque or a machine's injector (see the module docs).
+/// A worker's local deque or the pool's injector (see the module docs).
 type TaskQueue = PlMutex<VecDeque<Task>>;
 
-/// One machine's registry of live workers' local deques, keyed by worker
-/// id, for siblings to steal from.
+/// The registry of live workers' local deques, keyed by worker id, for
+/// siblings to steal from.
 type StealerRegistry = RwLock<Vec<(u64, Arc<TaskQueue>)>>;
 
 /// One channel's wait list of suspended senders. `count` mirrors the list
@@ -227,31 +202,19 @@ pub(crate) const REFILL_BELOW: usize = RECV_BATCH / 2;
 /// this only bounds the latency of rare lost wakeups.
 const PARK_TIMEOUT: Duration = Duration::from_millis(5);
 
-/// Consecutive empty park quanta after which a worker above the per-machine
-/// minimum retires (~40 ms of observed idleness).
+/// Consecutive empty park quanta after which a worker above the minimum
+/// retires (~40 ms of observed idleness).
 const IDLE_STRIKES: u32 = 8;
 
 /// Per-worker scratch buffers, reused across slices so the steady state
 /// allocates nothing: the emission collector (with its stash of recycled
-/// tuple storage, see the module docs), the `Arc`'d outbox, the batched
-/// inbox and the per-machine routing buckets all keep their capacity.
+/// tuple storage, see the module docs), the `Arc`'d outbox and the batched
+/// inbox all keep their capacity.
+#[derive(Default)]
 struct WorkerScratch {
     collector: VecCollector,
     arc_buf: Vec<Arc<Tuple>>,
     inbox: Vec<Envelope>,
-    /// Routed-path grouping: indices into `arc_buf` per target machine.
-    route_buckets: Vec<Vec<u32>>,
-}
-
-impl WorkerScratch {
-    fn new(machines: usize) -> Self {
-        WorkerScratch {
-            collector: VecCollector::new(),
-            arc_buf: Vec::new(),
-            inbox: Vec::new(),
-            route_buckets: (0..machines).map(|_| Vec::new()).collect(),
-        }
-    }
 }
 
 /// The pool-wide exchange of recycled tuple storage between workers' stashes
@@ -298,46 +261,7 @@ impl<T> DepotLane<T> {
     }
 }
 
-/// Per-operator routing table over the machine partition: one entry per
-/// placed executor (the machine id, repeated `counts[m]` times), walked by
-/// an atomic cursor so successive tuples spread over machines in proportion
-/// to the placement — shuffle grouping projected onto a machine assignment.
-pub(crate) struct Route {
-    expanded: RwLock<Vec<u32>>,
-    cursor: AtomicUsize,
-}
-
-impl Route {
-    pub(crate) fn new(counts: &[u32]) -> Self {
-        let route = Route {
-            expanded: RwLock::new(Vec::new()),
-            cursor: AtomicUsize::new(0),
-        };
-        route.set(counts);
-        route
-    }
-
-    /// Installs a new machine distribution (executor counts per machine).
-    /// An all-zero row (spouts, unplaced operators) routes to machine 0.
-    pub(crate) fn set(&self, counts: &[u32]) {
-        let mut expanded = Vec::new();
-        for (m, &c) in counts.iter().enumerate() {
-            expanded.extend(std::iter::repeat_n(m as u32, c as usize));
-        }
-        if expanded.is_empty() {
-            expanded.push(0);
-        }
-        *self.expanded.write() = expanded;
-    }
-
-    /// Picks the machine receiving the next tuple for this operator.
-    pub(crate) fn next(&self) -> usize {
-        let table = self.expanded.read();
-        table[self.cursor.fetch_add(1, Ordering::Relaxed) % table.len()] as usize
-    }
-}
-
-/// One machine's scheduling domain: idle-worker parking state.
+/// Idle-worker parking state.
 struct IdleGroup {
     lock: Mutex<()>,
     cv: Condvar,
@@ -346,21 +270,13 @@ struct IdleGroup {
 
 /// Pool state shared by workers, spout threads and the engine.
 pub(crate) struct PoolShared {
-    /// Per-(operator, machine) executor state: `slot = op * machines + m`.
+    /// Per-operator executor state, indexed by operator id.
     pub(crate) slots: Vec<OpSlot>,
-    /// Per-slot input channels, same indexing as `slots`. Every producer
-    /// and consumer reaches them through this struct, so they outlive
-    /// every send and drain.
+    /// Per-operator input channels, same indexing as `slots`. Every
+    /// producer and consumer reaches them through this struct, so they
+    /// outlive every send and drain.
     pub(crate) channels: Vec<Channel<Envelope>>,
     pub(crate) path: DataPath,
-    /// Number of scheduling domains partitioning the pool.
-    pub(crate) machines: usize,
-    /// Per-operator machine routing tables (indexed by operator id).
-    pub(crate) routes: Vec<Route>,
-    /// Tuples routed over edges while partitioned (`machines > 1`), and the
-    /// subset that landed on a different machine than their producer.
-    pub(crate) routed_tuples: AtomicU64,
-    pub(crate) cross_tuples: AtomicU64,
     /// Per operator: whether a spout feeds it, so that its input tuples
     /// were allocated on a spout thread (see "Tuple storage").
     spout_fed: Vec<bool>,
@@ -368,64 +284,39 @@ pub(crate) struct PoolShared {
     depot: Depot,
     /// Per-slot wait lists of suspended senders, same indexing as `slots`.
     waiters: Vec<WaitList>,
-    injectors: Vec<TaskQueue>,
-    /// Per-machine dynamic stealer registry: `(worker id, stealer)`.
-    stealers: Vec<StealerRegistry>,
-    /// Per-machine live worker counts.
-    live: Vec<AtomicUsize>,
-    /// Worker-count band per machine (`min == max` pins a fixed pool).
+    injector: TaskQueue,
+    /// Dynamic stealer registry: `(worker id, stealer)`.
+    stealers: StealerRegistry,
+    /// Live worker count.
+    live: AtomicUsize,
+    /// Worker-count band (`min == max` pins a fixed pool).
     min_workers: usize,
     max_workers: usize,
     next_worker: AtomicU64,
     handles: PlMutex<Vec<JoinHandle<()>>>,
     /// Back-reference for spawning workers from `&self` (nudge paths).
     me: Weak<PoolShared>,
-    idle: Vec<IdleGroup>,
+    idle: IdleGroup,
     shutdown: AtomicBool,
 }
 
 impl std::fmt::Debug for PoolShared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolShared")
-            .field("machines", &self.machines)
-            .field(
-                "workers",
-                &self
-                    .live
-                    .iter()
-                    .map(|l| l.load(Ordering::Relaxed))
-                    .sum::<usize>(),
-            )
+            .field("workers", &self.live.load(Ordering::Relaxed))
             .field("slots", &self.slots)
             .finish_non_exhaustive()
     }
 }
 
 impl PoolShared {
-    fn machine_of(&self, slot: usize) -> usize {
-        slot % self.machines
-    }
-
-    fn op_of(&self, slot: usize) -> usize {
-        slot / self.machines
-    }
-
     /// Spawns one executor task for `slot` if its weight allows another;
     /// no-op otherwise. Safe to call from any thread — pool workers pass
-    /// their local deque for a cheap push (only valid when the slot lives
-    /// on the caller's machine), spout threads and the control plane pass
-    /// `None` (machine injector).
+    /// their local deque for a cheap push, spout threads and the control
+    /// plane pass `None` (the injector).
     pub(crate) fn nudge(&self, slot: usize, local: Option<&TaskQueue>) {
         let state = &self.slots[slot];
         if !state.is_executable() {
-            return;
-        }
-        if self.machines > 1 && state.weight.load(Ordering::Acquire) == 0 {
-            // An executor-less slot can still hold envelopes (a placement
-            // moved its executors away, or a producer raced the route
-            // swap): forward them to the operator's placed machines
-            // instead of stranding them.
-            self.forward_orphans(slot);
             return;
         }
         loop {
@@ -439,9 +330,9 @@ impl PoolShared {
                 .compare_exchange(s, s + 1, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                let queue = local.unwrap_or(&self.injectors[self.machine_of(slot)]);
+                let queue = local.unwrap_or(&self.injector);
                 queue.lock().push_back(Task::Drain(slot as u32));
-                self.wake_one(self.machine_of(slot));
+                self.wake_one();
                 return;
             }
         }
@@ -449,24 +340,21 @@ impl PoolShared {
 
     /// Pulls a batch from `slot`'s channel, waking one suspended sender
     /// when space was freed and folding the observed depth into the
-    /// per-slot peak. All steady-state channel drains go through here so
+    /// operator's peak. All steady-state channel drains go through here so
     /// no wait-listed task can miss its wakeup.
     fn pull_batch(&self, slot: usize, buf: &mut Vec<Envelope>, max: usize) -> (usize, usize) {
         let (pulled, remaining) = self.channels[slot].try_recv_batch(buf, max);
         if pulled > 0 {
-            self.path.metrics.record_queue_depth(
-                self.op_of(slot),
-                self.machine_of(slot),
-                (pulled + remaining) as u64,
-            );
+            self.path
+                .metrics
+                .record_queue_depth(slot, (pulled + remaining) as u64);
             self.wake_waiter(slot);
         }
         (pulled, remaining)
     }
 
     /// Pops one suspended sender off `slot`'s wait list (if any) and
-    /// re-injects it on its own machine. Called after every pull that
-    /// freed channel space.
+    /// re-injects it. Called after every pull that freed channel space.
     fn wake_waiter(&self, slot: usize) {
         let wait = &self.waiters[slot];
         if wait.count.load(Ordering::Acquire) == 0 {
@@ -475,9 +363,8 @@ impl PoolShared {
         let sus = { wait.list.lock().pop_front() };
         if let Some(sus) = sus {
             wait.count.fetch_sub(1, Ordering::AcqRel);
-            let machine = self.machine_of(sus.slot);
-            self.injectors[machine].lock().push_back(Task::Resume(sus));
-            self.wake_one(machine);
+            self.injector.lock().push_back(Task::Resume(sus));
+            self.wake_one();
         }
     }
 
@@ -509,11 +396,10 @@ impl PoolShared {
                 sus.outgoing.push_front((t, env));
                 list.push_back(sus);
                 drop(list);
-                let (op, m) = (self.op_of(target), self.machine_of(target));
-                self.path.metrics.record_suspension(op, m);
+                self.path.metrics.record_suspension(target);
                 self.path
                     .metrics
-                    .record_queue_depth(op, m, self.path.channel_capacity as u64);
+                    .record_queue_depth(target, self.path.channel_capacity as u64);
                 None
             }
         }
@@ -524,15 +410,12 @@ impl PoolShared {
     /// leftovers back to the slot's own channel — releasing the task's
     /// `scheduled` claim first, so the drain tasks that must free that
     /// channel can spawn — and finally retires the claim if still held.
-    fn advance(&self, mut sus: Box<Suspended>, machine: usize, local: Option<&TaskQueue>) {
+    fn advance(&self, mut sus: Box<Suspended>, local: Option<&TaskQueue>) {
         loop {
             while let Some((target, env)) = sus.outgoing.pop_front() {
                 let t = target as usize;
                 match self.channels[t].try_send(env) {
-                    Ok(()) => {
-                        let same = self.machine_of(t) == machine;
-                        self.nudge(t, local.filter(|_| same));
-                    }
+                    Ok(()) => self.nudge(t, local),
                     Err(env) => {
                         sus.outgoing.push_front((target, env));
                         match self.park_on(t, sus) {
@@ -570,69 +453,8 @@ impl PoolShared {
         }
     }
 
-    /// Drains a weight-0 slot's backlog, re-routing every envelope through
-    /// the operator's current route table. Cold path: runs only around
-    /// placement changes, so it allocates its own buffer.
-    fn forward_orphans(&self, slot: usize) {
-        let op = self.op_of(slot);
-        let mut buf = Vec::new();
-        loop {
-            let (pulled, _remaining) = self.pull_batch(slot, &mut buf, RECV_BATCH);
-            if pulled == 0 {
-                return;
-            }
-            let mut stale = false;
-            let mut blocked: Option<Box<Suspended>> = None;
-            for env in buf.drain(..) {
-                let target = if stale {
-                    slot
-                } else {
-                    let m = self.routes[op].next();
-                    let t = op * self.machines + m;
-                    if t == slot {
-                        // The route table still points here (it has not
-                        // been swapped yet): requeue everything and stop —
-                        // the post-swap sweep will retry.
-                        stale = true;
-                        slot
-                    } else {
-                        t
-                    }
-                };
-                if let Some(sus) = blocked.as_mut() {
-                    // Already blocked once: queue the rest behind the same
-                    // suspended record rather than scrambling the order.
-                    sus.outgoing.push_back((target as u32, env));
-                    continue;
-                }
-                match self.channels[target].try_send(env) {
-                    Ok(()) => {
-                        if target != slot {
-                            self.nudge(target, None);
-                        }
-                    }
-                    Err(env) => {
-                        blocked = Some(Box::new(Suspended {
-                            slot,
-                            holds_claim: false,
-                            outgoing: VecDeque::from([(target as u32, env)]),
-                            inbox: Vec::new(),
-                        }));
-                    }
-                }
-            }
-            if let Some(sus) = blocked {
-                self.advance(sus, self.machine_of(slot), None);
-                return;
-            }
-            if stale {
-                return;
-            }
-        }
-    }
-
-    fn wake_one(&self, machine: usize) {
-        let idle = &self.idle[machine];
+    fn wake_one(&self) {
+        let idle = &self.idle;
         if idle.waiting.load(Ordering::Acquire) > 0 {
             let _guard = idle.lock.lock().unwrap_or_else(PoisonError::into_inner);
             idle.cv.notify_one();
@@ -640,14 +462,14 @@ impl PoolShared {
         }
         // No worker is parked: every live one is busy, so runnable tasks
         // outnumber them — grow the pool (up to the cap).
-        if self.live[machine].load(Ordering::Acquire) < self.max_workers {
-            self.spawn_worker(machine);
+        if self.live.load(Ordering::Acquire) < self.max_workers {
+            self.spawn_worker();
         }
     }
 
-    /// Spawns one worker thread on `machine`, registering its deque for
-    /// siblings to steal from; no-op at the cap or during shutdown.
-    fn spawn_worker(&self, machine: usize) {
+    /// Spawns one worker thread, registering its deque for siblings to
+    /// steal from; no-op at the cap or during shutdown.
+    fn spawn_worker(&self) {
         if self.shutdown.load(Ordering::Acquire) {
             return;
         }
@@ -655,11 +477,12 @@ impl PoolShared {
             return;
         };
         loop {
-            let n = self.live[machine].load(Ordering::Acquire);
+            let n = self.live.load(Ordering::Acquire);
             if n >= self.max_workers {
                 return;
             }
-            if self.live[machine]
+            if self
+                .live
                 .compare_exchange(n, n + 1, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
@@ -668,21 +491,19 @@ impl PoolShared {
         }
         let id = self.next_worker.fetch_add(1, Ordering::Relaxed);
         let local = Arc::new(TaskQueue::default());
-        self.stealers[machine]
-            .write()
-            .push((id, Arc::clone(&local)));
+        self.stealers.write().push((id, Arc::clone(&local)));
         let handle = std::thread::Builder::new()
-            .name(format!("drs-worker-{machine}-{id}"))
-            .spawn(move || worker_loop(shared, local, machine, id))
+            .name(format!("drs-worker-{id}"))
+            .spawn(move || worker_loop(shared, local, id))
             .expect("spawn pool worker");
         self.handles.lock().push(handle);
     }
 
-    fn park(&self, machine: usize) {
-        let idle = &self.idle[machine];
+    fn park(&self) {
+        let idle = &self.idle;
         idle.waiting.fetch_add(1, Ordering::AcqRel);
         let guard = idle.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        if !self.shutdown.load(Ordering::Acquire) && self.injectors[machine].lock().is_empty() {
+        if !self.shutdown.load(Ordering::Acquire) && self.injector.lock().is_empty() {
             let _ = idle
                 .cv
                 .wait_timeout(guard, PARK_TIMEOUT)
@@ -694,10 +515,10 @@ impl PoolShared {
     /// Executes one task. Drain tasks retire if the weight shrank,
     /// otherwise run one batch slice and decide between continuation,
     /// suspension and retirement; resume tasks continue a suspended send.
-    fn run_task(&self, task: Task, machine: usize, local: &TaskQueue, scratch: &mut WorkerScratch) {
+    fn run_task(&self, task: Task, local: &TaskQueue, scratch: &mut WorkerScratch) {
         let slot = match task {
             Task::Resume(sus) => {
-                self.advance(sus, machine, Some(local));
+                self.advance(sus, Some(local));
                 return;
             }
             Task::Drain(slot) => slot as usize,
@@ -716,11 +537,6 @@ impl PoolShared {
                 .is_ok()
             {
                 state.trim_idle();
-                if w == 0 && !self.channels[slot].is_empty() {
-                    // The slot lost its last executor mid-backlog: hand the
-                    // leftovers to the placed machines.
-                    self.nudge(slot, None);
-                }
                 return;
             }
         }
@@ -738,7 +554,7 @@ impl PoolShared {
             // extra channel-lock acquisition for this decision.
             self.nudge(slot, Some(local));
         }
-        let end = self.run_slice(slot, machine, bolt.as_mut(), scratch, local);
+        let end = self.run_slice(slot, bolt.as_mut(), scratch, local);
         state.checkin(bolt);
         match end {
             SliceEnd::Suspended(sus) => {
@@ -746,7 +562,7 @@ impl PoolShared {
                 // shrink interrupted it with leftovers to requeue. The
                 // suspended record keeps the `scheduled` claim; `advance`
                 // either parks it or completes it (releasing the claim).
-                self.advance(sus, machine, Some(local));
+                self.advance(sus, Some(local));
             }
             SliceEnd::Ran { interrupted: false }
                 if pulled > 0
@@ -759,9 +575,7 @@ impl PoolShared {
                 // `remaining` is a pre-slice snapshot: if the backlog was
                 // drained by siblings meanwhile, the continuation task
                 // simply finds an empty channel and retires.
-                self.injectors[machine]
-                    .lock()
-                    .push_back(Task::Drain(slot as u32));
+                self.injector.lock().push_back(Task::Drain(slot as u32));
             }
             SliceEnd::Ran { .. } => {
                 self.retire(slot, Some(local));
@@ -782,7 +596,6 @@ impl PoolShared {
     fn run_slice(
         &self,
         slot: usize,
-        machine: usize,
         bolt: &mut dyn Bolt,
         scratch: &mut WorkerScratch,
         local: &TaskQueue,
@@ -793,12 +606,10 @@ impl PoolShared {
         while let Some(env) = drained.next() {
             if let Some(outgoing) = self.execute_one(
                 slot,
-                machine,
                 env,
                 bolt,
                 &mut scratch.collector,
                 &mut scratch.arc_buf,
-                &mut scratch.route_buckets,
                 local,
             ) {
                 return SliceEnd::Suspended(Box::new(Suspended {
@@ -843,8 +654,7 @@ impl PoolShared {
 
     /// Processes one envelope: run the bolt, fan the emissions out (one
     /// `Arc` per emitted tuple; one batched hard-bounded send per
-    /// downstream channel — per `(operator, machine)` group on a
-    /// partitioned pool), nudge the consumers, settle the ack, recycle the
+    /// downstream channel), nudge the consumers, settle the ack, recycle the
     /// input tuple's storage if this was its last holder (and a bolt
     /// emitted it), then trade a batch with the depot if the stash is full
     /// or running dry. Returns the undelivered sends when a downstream
@@ -852,20 +662,16 @@ impl PoolShared {
     /// the *full* fan-out is added to the tree before any send, and every
     /// undelivered envelope travels with the suspended task, so nothing is
     /// cancelled here.
-    #[allow(clippy::too_many_arguments)]
     fn execute_one(
         &self,
-        slot: usize,
-        machine: usize,
+        op: usize,
         env: Envelope,
         bolt: &mut dyn Bolt,
         collector: &mut VecCollector,
         arc_buf: &mut Vec<Arc<Tuple>>,
-        route_buckets: &mut [Vec<u32>],
         local: &TaskQueue,
     ) -> Option<VecDeque<(u32, Envelope)>> {
         let path = &self.path;
-        let op = self.op_of(slot);
         let started = Instant::now();
         bolt.execute(&env.tuple, collector);
         let busy = started.elapsed();
@@ -879,37 +685,7 @@ impl PoolShared {
             for &t in targets {
                 let t = t as usize;
                 path.metrics.record_arrivals(t, arc_buf.len() as u64);
-                if self.machines == 1 {
-                    self.send_or_hold(t, arc_buf.iter(), &env.ack, Some(local), &mut blocked);
-                    continue;
-                }
-                // Walk the route per tuple (preserving the round-robin
-                // proportions), but send one batched push per target
-                // machine instead of one channel lock per tuple.
-                for (i, _) in arc_buf.iter().enumerate() {
-                    route_buckets[self.routes[t].next()].push(i as u32);
-                }
-                self.routed_tuples
-                    .fetch_add(arc_buf.len() as u64, Ordering::Relaxed);
-                for (m, bucket) in route_buckets.iter_mut().enumerate() {
-                    if bucket.is_empty() {
-                        continue;
-                    }
-                    if m != machine {
-                        self.cross_tuples
-                            .fetch_add(bucket.len() as u64, Ordering::Relaxed);
-                    }
-                    // Local deques are machine-pinned: only pass ours when
-                    // the tuples stay on this machine.
-                    self.send_or_hold(
-                        t * self.machines + m,
-                        bucket.iter().map(|&i| &arc_buf[i as usize]),
-                        &env.ack,
-                        (m == machine).then_some(local),
-                        &mut blocked,
-                    );
-                    bucket.clear();
-                }
+                self.send_or_hold(t, arc_buf, &env.ack, local, &mut blocked);
             }
             arc_buf.clear();
         } else {
@@ -927,22 +703,23 @@ impl PoolShared {
     /// Sends `tuples` to `target`'s channel as one lazy batch and nudges
     /// the consumer if any went through; what the full channel left behind
     /// is appended, in order, to `blocked` for the task to suspend with.
-    fn send_or_hold<'a>(
+    fn send_or_hold(
         &self,
         target: usize,
-        tuples: impl Iterator<Item = &'a Arc<Tuple>>,
+        tuples: &[Arc<Tuple>],
         ack: &AckRef,
-        local: Option<&TaskQueue>,
+        local: &TaskQueue,
         blocked: &mut Option<VecDeque<(u32, Envelope)>>,
     ) {
         let mut batch = tuples
+            .iter()
             .map(|tuple| Envelope {
                 tuple: Arc::clone(tuple),
                 ack: ack.clone(),
             })
             .peekable();
         if self.channels[target].try_send_batch(&mut batch) > 0 {
-            self.nudge(target, local);
+            self.nudge(target, Some(local));
         }
         if batch.peek().is_some() {
             blocked
@@ -983,7 +760,7 @@ enum SliceEnd {
 }
 
 /// The next task for worker `id`: the newest on its own deque, else the
-/// oldest on its machine's injector, else the oldest on the first sibling
+/// oldest on the injector, else the oldest on the first sibling
 /// deque in `peers` that has one. Each pop is its own statement: a worker
 /// never holds its own deque's lock while taking a sibling's.
 fn next_task(
@@ -1002,8 +779,8 @@ fn next_task(
     })
 }
 
-fn worker_loop(shared: Arc<PoolShared>, local: Arc<TaskQueue>, machine: usize, id: u64) {
-    let mut scratch = WorkerScratch::new(shared.machines);
+fn worker_loop(shared: Arc<PoolShared>, local: Arc<TaskQueue>, id: u64) {
+    let mut scratch = WorkerScratch::default();
     let mut strikes = 0u32;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
@@ -1015,34 +792,26 @@ fn worker_loop(shared: Arc<PoolShared>, local: Arc<TaskQueue>, machine: usize, i
             }
             break;
         }
-        // Steal only from this machine's siblings: executors are pinned to
-        // their machine's worker group.
-        let task = next_task(
-            &local,
-            &shared.injectors[machine],
-            &shared.stealers[machine],
-            id,
-        );
-        match task {
+        match next_task(&local, &shared.injector, &shared.stealers, id) {
             Some(task) => {
                 strikes = 0;
-                shared.run_task(task, machine, &local, &mut scratch);
+                shared.run_task(task, &local, &mut scratch);
             }
             None => {
-                shared.park(machine);
+                shared.park();
                 strikes += 1;
                 if strikes < IDLE_STRIKES {
                     continue;
                 }
-                // Persistently idle: retire down to the per-machine
-                // minimum.
+                // Persistently idle: retire down to the minimum.
                 let mut retired = false;
                 loop {
-                    let n = shared.live[machine].load(Ordering::Acquire);
+                    let n = shared.live.load(Ordering::Acquire);
                     if n <= shared.min_workers {
                         break;
                     }
-                    if shared.live[machine]
+                    if shared
+                        .live
                         .compare_exchange(n, n - 1, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
@@ -1054,18 +823,14 @@ fn worker_loop(shared: Arc<PoolShared>, local: Arc<TaskQueue>, machine: usize, i
                     strikes = 0;
                     continue;
                 }
-                shared.stealers[machine]
-                    .write()
-                    .retain(|(pid, _)| *pid != id);
-                if shared.injectors[machine].lock().is_empty() {
+                shared.stealers.write().retain(|(pid, _)| *pid != id);
+                if shared.injector.lock().is_empty() {
                     return; // our deque is empty (we only exit starved)
                 }
                 // A task raced our retirement: hand the slot back and keep
                 // working.
-                shared.live[machine].fetch_add(1, Ordering::AcqRel);
-                shared.stealers[machine]
-                    .write()
-                    .push((id, Arc::clone(&local)));
+                shared.live.fetch_add(1, Ordering::AcqRel);
+                shared.stealers.write().push((id, Arc::clone(&local)));
                 strikes = 0;
             }
         }
@@ -1079,25 +844,22 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Builds the shared state (one channel per slot, each holding at most
-    /// `path.channel_capacity` envelopes) and launches `min_workers` worker threads
-    /// for each of `machines` scheduling domains; nudges grow each domain
-    /// up to `max_workers` on demand (`min == max` pins a fixed pool).
+    /// Builds the shared state (one channel per operator, each holding at
+    /// most `path.channel_capacity` envelopes) and launches `min_workers`
+    /// worker threads; nudges grow the pool up to `max_workers` on demand
+    /// (`min == max` pins a fixed pool).
     pub(crate) fn start(
         slots: Vec<OpSlot>,
-        routes: Vec<Route>,
         path: DataPath,
-        machines: usize,
         min_workers: usize,
         max_workers: usize,
     ) -> Self {
-        assert!(machines > 0, "a pool needs at least one machine");
         assert!(min_workers > 0, "a pool needs at least one worker");
         assert!(max_workers >= min_workers, "worker band must be ordered");
         let n_slots = slots.len();
-        let mut spout_fed = vec![false; n_slots / machines];
-        for source in 0..spout_fed.len() {
-            if !slots[source * machines].is_executable() {
+        let mut spout_fed = vec![false; n_slots];
+        for (source, slot) in slots.iter().enumerate() {
+            if !slot.is_executable() {
                 for &t in path.csr.targets_of(source) {
                     spout_fed[t as usize] = true;
                 }
@@ -1109,10 +871,6 @@ impl WorkerPool {
                 .map(|_| Channel::bounded(path.channel_capacity))
                 .collect(),
             path,
-            machines,
-            routes,
-            routed_tuples: AtomicU64::new(0),
-            cross_tuples: AtomicU64::new(0),
             spout_fed,
             depot: Depot::default(),
             waiters: (0..n_slots)
@@ -1121,27 +879,23 @@ impl WorkerPool {
                     count: AtomicUsize::new(0),
                 })
                 .collect(),
-            injectors: (0..machines).map(|_| TaskQueue::default()).collect(),
-            stealers: (0..machines).map(|_| RwLock::new(Vec::new())).collect(),
-            live: (0..machines).map(|_| AtomicUsize::new(0)).collect(),
+            injector: TaskQueue::default(),
+            stealers: RwLock::new(Vec::new()),
+            live: AtomicUsize::new(0),
             min_workers,
             max_workers,
             next_worker: AtomicU64::new(0),
             handles: PlMutex::new(Vec::new()),
             me: me.clone(),
-            idle: (0..machines)
-                .map(|_| IdleGroup {
-                    lock: Mutex::new(()),
-                    cv: Condvar::new(),
-                    waiting: AtomicUsize::new(0),
-                })
-                .collect(),
+            idle: IdleGroup {
+                lock: Mutex::new(()),
+                cv: Condvar::new(),
+                waiting: AtomicUsize::new(0),
+            },
             shutdown: AtomicBool::new(false),
         });
-        for machine in 0..machines {
-            for _ in 0..min_workers {
-                shared.spawn_worker(machine);
-            }
+        for _ in 0..min_workers {
+            shared.spawn_worker();
         }
         WorkerPool { shared }
     }
@@ -1151,13 +905,9 @@ impl WorkerPool {
         &self.shared
     }
 
-    /// Current number of live worker threads across all machines.
+    /// Current number of live worker threads.
     pub(crate) fn workers(&self) -> usize {
-        self.shared
-            .live
-            .iter()
-            .map(|l| l.load(Ordering::Acquire))
-            .sum()
+        self.shared.live.load(Ordering::Acquire)
     }
 
     /// Stops and joins every worker, then reconciles every envelope still
@@ -1167,7 +917,8 @@ impl WorkerPool {
     pub(crate) fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         loop {
-            for idle in &self.shared.idle {
+            {
+                let idle = &self.shared.idle;
                 let _guard = idle.lock.lock().unwrap_or_else(PoisonError::into_inner);
                 idle.cv.notify_all();
             }
@@ -1186,11 +937,9 @@ impl WorkerPool {
                 self.shared.cancel_suspended(*sus);
             }
         }
-        for injector in &self.shared.injectors {
-            let queued = std::mem::take(&mut *injector.lock());
-            for task in queued {
-                self.shared.cancel_task(task);
-            }
+        let queued = std::mem::take(&mut *self.shared.injector.lock());
+        for task in queued {
+            self.shared.cancel_task(task);
         }
         let mut buf = Vec::new();
         for channel in &self.shared.channels {

@@ -1,9 +1,9 @@
 //! The hard-bound contract of the suspension-backpressure pool: no input
 //! channel ever holds more envelopes than its capacity — at any sample
-//! point, under any topology, fan-out, capacity or machine partition —
-//! and no tuple is ever lost (the ack ledger balances exactly), including
-//! across a shutdown that lands mid-batch while executor tasks sit
-//! suspended on full channels holding ack state.
+//! point, under any topology, fan-out or capacity — and no tuple is ever
+//! lost (the ack ledger balances exactly), including across a shutdown
+//! that lands mid-batch while executor tasks sit suspended on full
+//! channels holding ack state.
 
 use drs_runtime::operator::{Bolt, Collector, Spout, SpoutEmission};
 use drs_runtime::tuple::Tuple;
@@ -114,8 +114,8 @@ fn shutdown_mid_batch_balances_the_ack_ledger_exactly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Under random chain topologies, fan-outs, capacities, allocations
-    /// and machine partitions: every channel's observed `len()` stays at
+    /// Under random chain topologies, fan-outs, capacities and
+    /// allocations: every channel's observed `len()` stays at
     /// or below the capacity at every sample point, the cumulative peaks
     /// agree, and the ack ledger balances (no tuple lost or duplicated).
     #[test]
@@ -124,7 +124,6 @@ proptest! {
         fanout in 0u64..3,
         capacity in 2usize..24,
         roots in 50u64..200,
-        machines in 1usize..3,
         busy_us in prop::collection::vec(0u64..120, 3),
         allocs in prop::collection::vec(1u32..4, 3),
     ) {
@@ -143,8 +142,7 @@ proptest! {
                     .chain(allocs.iter().copied().take(n_bolts))
                     .collect(),
             )
-            .channel_capacity(capacity)
-            .machines(machines);
+            .channel_capacity(capacity);
         for (i, &id) in bolts.iter().enumerate() {
             let busy = Duration::from_micros(busy_us[i]);
             // Every stage fans out except the last (a sink), keeping the
@@ -157,10 +155,10 @@ proptest! {
         let cap = engine.channel_capacity();
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
-            for (slot, depth) in engine.queue_depths().into_iter().enumerate() {
+            for (op, depth) in engine.queue_depths().into_iter().enumerate() {
                 prop_assert!(
                     depth <= cap,
-                    "slot {slot} holds {depth} envelopes, capacity {cap}"
+                    "operator {op} holds {depth} envelopes, capacity {cap}"
                 );
             }
             if engine.spouts_finished() && engine.open_trees() == 0 {
@@ -170,10 +168,10 @@ proptest! {
             std::thread::sleep(Duration::from_micros(500));
         }
         for (op, row) in engine.peak_queue_depths().into_iter().enumerate() {
-            for (m, peak) in row.into_iter().enumerate() {
+            for peak in row {
                 prop_assert!(
                     peak <= cap as u64,
-                    "operator {op} machine {m} peaked at {peak} > capacity {cap}"
+                    "operator {op} peaked at {peak} > capacity {cap}"
                 );
             }
         }

@@ -153,99 +153,6 @@ fn rebalancing_every_few_ms_loses_nothing() {
 }
 
 #[test]
-fn placement_churn_on_a_partitioned_pool_loses_nothing() {
-    // The machine-placement twin of the rebalance stress: a four-machine
-    // pool with the control plane alternating allocation rewrites and
-    // placement moves (executors hopping between machines) every few ms
-    // while the spout floods. Orphan forwarding must hand every envelope
-    // stranded on a de-placed slot to the operator's new machines — the
-    // ack ledger balances exactly at the end.
-    const ROOTS: u64 = 6_000;
-    const FANOUT: u64 = 2;
-    const MACHINES: usize = 4;
-
-    let mut b = TopologyBuilder::new();
-    let src = b.spout("src");
-    let work = b.bolt("work");
-    let sink = b.bolt("sink");
-    b.edge(src, work).unwrap();
-    b.edge(work, sink).unwrap();
-    let topo = b.build().unwrap();
-    let mut engine = RuntimeBuilder::new(topo)
-        .spout(src, Box::new(FloodSpout { remaining: ROOTS }))
-        .bolt(work, || JitterBolt {
-            busy: Duration::from_micros(100),
-            fanout: FANOUT as usize,
-        })
-        .bolt(sink, || JitterBolt {
-            busy: Duration::from_micros(20),
-            fanout: 0,
-        })
-        .allocation(vec![1, 4, 2])
-        .machines(MACHINES)
-        .workers(2)
-        .start()
-        .unwrap();
-
-    // Placement moves keep the allocation [1, 4, 2] but shuffle which
-    // machines host the executors — including full evacuations of the
-    // machines the previous step used.
-    let placements: [[[u32; MACHINES]; 3]; 4] = [
-        [[1, 0, 0, 0], [4, 0, 0, 0], [2, 0, 0, 0]],
-        [[1, 0, 0, 0], [0, 0, 2, 2], [0, 2, 0, 0]],
-        [[1, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1]],
-        [[1, 0, 0, 0], [0, 4, 0, 0], [2, 0, 0, 0]],
-    ];
-    let mut steps = 0usize;
-    let stress_until = Instant::now() + Duration::from_millis(600);
-    while Instant::now() < stress_until && !(engine.spouts_finished() && engine.open_trees() == 0) {
-        if steps % 3 == 2 {
-            // Every third step resizes too (the even re-deal then moves
-            // executors yet again).
-            let k = [4u32, 6, 3][(steps / 3) % 3];
-            engine.rebalance(vec![1, k, 2]).expect("valid allocation");
-            engine.rebalance(vec![1, 4, 2]).expect("valid allocation");
-        } else {
-            let p = placements[steps % placements.len()];
-            let pause = engine
-                .set_placement(p.iter().map(|row| row.to_vec()).collect())
-                .expect("valid placement");
-            assert!(
-                pause < Duration::from_millis(250),
-                "placement move paused {pause:?}"
-            );
-        }
-        steps += 1;
-        std::thread::sleep(Duration::from_millis(3));
-    }
-    assert!(
-        steps >= 10,
-        "the stress loop must actually churn placements under load, got {steps}"
-    );
-
-    assert!(
-        engine.wait_until_drained(Duration::from_secs(60)),
-        "placement-churned engine failed to drain: {} trees open",
-        engine.open_trees()
-    );
-    assert_eq!(engine.open_trees(), 0);
-    let routed = engine.routed_tuples();
-    let cross = engine.cross_machine_tuples();
-    assert!(cross <= routed, "cross {cross} exceeds routed {routed}");
-    let snap = engine.shutdown(Duration::from_secs(2));
-    assert_eq!(snap.external_arrivals, ROOTS, "spout roots lost");
-    assert_eq!(
-        snap.sojourn.count(),
-        ROOTS,
-        "tuple trees lost or duplicated"
-    );
-    assert_eq!(snap.operators[1].arrivals, ROOTS);
-    assert_eq!(snap.operators[1].completions, ROOTS);
-    assert_eq!(snap.operators[2].arrivals, ROOTS * FANOUT);
-    assert_eq!(snap.operators[2].completions, ROOTS * FANOUT);
-}
-
-#[test]
 fn windowed_metrics_stay_monotone_across_rebalances() {
     // Windowed snapshots across live rebalances: per-window deltas must
     // never go negative (the cumulative counters behind them are

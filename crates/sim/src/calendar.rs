@@ -21,7 +21,7 @@
 //!   bucket width is set from the measured mean gap of the nearest pending
 //!   events (falling back to an EMA of recent pop gaps when the sample
 //!   degenerates to ties), so the band stays ~2 events per bucket across
-//!   workload drift. A band that over-fills mid-epoch (> [`REBUILD_FACTOR`]×
+//!   workload drift. A band that over-fills mid-epoch (> `REBUILD_FACTOR` ×
 //!   the bucket count) is lazily rebuilt through the same path.
 //!
 //! # Re-spill cost bound

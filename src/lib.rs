@@ -118,7 +118,7 @@
 //! Program 6 decides *how many* executors each operator gets; the
 //! [`core::placement`] layer decides *where they run*. A
 //! [`core::placement::MachinePool`] describes per-machine capacity as a
-//! cpu/mem/net [`core::placement::ResourceProfile`]; the R-Storm-style
+//! cpu/mem/net [`topology::ResourceProfile`]; the R-Storm-style
 //! greedy solver packs executors so heavily-trafficked edges stay on one
 //! machine without any machine exceeding capacity. Shuffle grouping sends
 //! each tuple to a uniformly random downstream executor, so the expected
@@ -155,7 +155,8 @@
 //! `FleetDriver::set_machine_pool` and each shard's `RebalancePlan` carries
 //! a `Placement` that backends actuate through `CspBackend::apply_placement`
 //! — the simulator charges a configurable network delay on cross-machine
-//! hops, and the live runtime pins executors to per-machine worker pools.
+//! hops, while the live runtime is one host and accepts the placement
+//! without acting on it.
 //! `repro place` benchmarks the solver against a round-robin deal on the
 //! contended 8-machine fleet:
 //!
