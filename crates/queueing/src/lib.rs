@@ -21,14 +21,13 @@
 //!   1024 surplus processors (see `crates/bench`).
 //! * [`traffic`] — generalised traffic equations `λ = λ_ext + Gᵀλ` with
 //!   amplification gains, supporting splits, joins and feedback loops
-//!   (paper Fig. 2), plus loop-gain stability analysis.
+//!   (paper Fig. 2), solved on the edge list, plus loop-gain stability.
 //! * [`distribution`] — service-time and inter-arrival laws (exponential,
 //!   uniform, Erlang, log-normal, hyperexponential…) used by the simulator
 //!   and by the model-robustness experiments.
 //! * [`mgk`] — Allen–Cunneen `M/G/k`/`G/G/k` burstiness corrections and the
 //!   Kingman bound: the paper's §VI "more sophisticated queueing theory"
 //!   future work, implemented.
-//! * [`linalg`] — the small dense solver backing the traffic equations.
 //! * [`stats`] — streaming mean/variance accumulators shared by the
 //!   measurement paths.
 //!
@@ -61,7 +60,6 @@ pub mod distribution;
 pub mod erlang;
 pub mod incremental;
 pub mod jackson;
-pub mod linalg;
 pub mod mgk;
 pub mod stats;
 pub mod traffic;

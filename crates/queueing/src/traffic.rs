@@ -16,11 +16,15 @@
 //! ```
 //!
 //! which has a unique non-negative solution whenever the spectral radius of
-//! `G` is below one (loop gain < 1). [`TrafficEquations::solve`] validates
-//! that condition and then solves the system directly.
+//! `G` is below one (loop gain < 1), found on the edge list by power iteration
+//! on `I + G` ([`TrafficEquations::loop_gain`]). [`TrafficEquations::solve`]
+//! then sweeps Gauss–Seidel in topological order until no rate moves: once,
+//! plus a check, for an acyclic network.
 
-use crate::linalg::{LinalgError, Matrix};
 use std::fmt;
+
+/// Sweeps (and power-iteration steps) after which the traffic solve gives up.
+pub const MAX_SWEEPS: usize = 1 << 20;
 
 /// Error from building or solving traffic equations.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,8 +47,12 @@ pub enum TrafficError {
         /// The estimated spectral radius.
         spectral_radius: f64,
     },
-    /// The linear system could not be solved.
-    Linalg(LinalgError),
+    /// The Gauss–Seidel sweeps still moved a rate after [`MAX_SWEEPS`]
+    /// (a loop gain just below one converges that slowly).
+    NotConverged {
+        /// The number of sweeps run.
+        sweeps: usize,
+    },
 }
 
 impl fmt::Display for TrafficError {
@@ -60,25 +68,12 @@ impl fmt::Display for TrafficError {
                 f,
                 "unstable loop gain: spectral radius {spectral_radius:.4} >= 1"
             ),
-            TrafficError::Linalg(e) => write!(f, "traffic solve failed: {e}"),
+            TrafficError::NotConverged { sweeps } => write!(f, "no fixed point in {sweeps} sweeps"),
         }
     }
 }
 
-impl std::error::Error for TrafficError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TrafficError::Linalg(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<LinalgError> for TrafficError {
-    fn from(e: LinalgError) -> Self {
-        TrafficError::Linalg(e)
-    }
-}
+impl std::error::Error for TrafficError {}
 
 /// The traffic-equation system for an `n`-operator network.
 ///
@@ -100,11 +95,10 @@ impl From<LinalgError> for TrafficError {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficEquations {
-    n: usize,
     external: Vec<f64>,
-    /// Row-major gains: `gains[i * n + j]` = tuples emitted to `j` per tuple
-    /// processed at `i`.
-    gains: Vec<f64>,
+    /// The positive gains as `(to, from, gain)`, sorted by `(to, from)`:
+    /// each operator's inflow is one run of the list.
+    edges: Vec<(usize, usize, f64)>,
 }
 
 impl TrafficEquations {
@@ -112,20 +106,19 @@ impl TrafficEquations {
     /// internal edges).
     pub fn new(n: usize) -> Self {
         TrafficEquations {
-            n,
             external: vec![0.0; n],
-            gains: vec![0.0; n * n],
+            edges: Vec::new(),
         }
     }
 
     /// Number of operators.
     pub fn len(&self) -> usize {
-        self.n
+        self.external.len()
     }
 
     /// Whether the network has no operators.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.external.is_empty()
     }
 
     /// Sets the external (from outside the network) arrival rate into
@@ -161,7 +154,13 @@ impl TrafficEquations {
                 what: format!("gain {from}->{to} must be >= 0, got {gain}"),
             });
         }
-        self.gains[from * self.n + to] = gain;
+        let at = self.edges.binary_search_by_key(&(to, from), |e| (e.0, e.1));
+        match (at, gain > 0.0) {
+            (Ok(k), true) => self.edges[k].2 = gain,
+            (Ok(k), false) => drop(self.edges.remove(k)),
+            (Err(k), true) => self.edges.insert(k, (to, from, gain)),
+            (Err(_), false) => {}
+        }
         Ok(())
     }
 
@@ -180,8 +179,9 @@ impl TrafficEquations {
     ///
     /// Panics if either index is out of range.
     pub fn gain(&self, from: usize, to: usize) -> f64 {
-        assert!(from < self.n && to < self.n, "index out of bounds");
-        self.gains[from * self.n + to]
+        assert!(from < self.len() && to < self.len(), "index out of bounds");
+        let at = self.edges.binary_search_by_key(&(to, from), |e| (e.0, e.1));
+        at.map_or(0.0, |k| self.edges[k].2)
     }
 
     /// Total external arrival rate `λ0` into the whole network.
@@ -189,18 +189,13 @@ impl TrafficEquations {
         self.external.iter().sum()
     }
 
-    /// Estimates the spectral radius of the gain matrix (the *loop gain*).
-    ///
-    /// Values below 1 guarantee the traffic equations have a unique bounded
-    /// solution; a fast-path returns the infinity norm when it is already
-    /// below 1 (sufficient condition) and otherwise runs power iteration.
+    /// The spectral radius of the gain matrix (the *loop gain*); below 1 the
+    /// traffic equations have a unique bounded solution. Exactly `0.0` for
+    /// an acyclic network, else the upper Collatz–Wielandt bound (minus
+    /// one) once within `1e-12` of the lower, or after [`MAX_SWEEPS`] steps.
     pub fn loop_gain(&self) -> f64 {
-        let g = self.gain_matrix();
-        let bound = g.norm_inf();
-        if bound < 1.0 {
-            return g.spectral_radius(200).min(bound);
-        }
-        g.spectral_radius(500)
+        let (starts, blocks) = self.components();
+        self.loop_gain_below(&starts, &blocks, 0.0)
     }
 
     /// Solves the traffic equations, returning the equilibrium total arrival
@@ -210,48 +205,119 @@ impl TrafficEquations {
     ///
     /// * [`TrafficError::UnstableLoopGain`] — the gain matrix has spectral
     ///   radius `>= 1` (e.g. a feedback loop that amplifies its own traffic).
-    /// * [`TrafficError::Linalg`] — the linear solve failed (should not occur
-    ///   once the loop gain check passes, but surfaced for robustness).
+    /// * [`TrafficError::NotConverged`] — [`MAX_SWEEPS`] Gauss–Seidel sweeps
+    ///   still moved a rate (a loop gain within a hair of one is that slow).
     pub fn solve(&self) -> Result<Vec<f64>, TrafficError> {
-        if self.n == 0 {
-            return Ok(Vec::new());
-        }
-        let radius = self.loop_gain();
-        if radius >= 1.0 - 1e-9 {
+        let (starts, blocks) = self.components();
+        let stable_below = 1.0 - 1e-9;
+        let radius = self.loop_gain_below(&starts, &blocks, stable_below);
+        if radius >= stable_below {
             return Err(TrafficError::UnstableLoopGain {
                 spectral_radius: radius,
             });
         }
-        // (I - G^T) λ = λ_ext
-        let gt = self.gain_matrix().transpose();
-        let system = Matrix::identity(self.n).sub(&gt)?;
-        let mut rates = system.solve(&self.external)?;
-        // Numerical noise can produce tiny negative values for zero-traffic
-        // operators; clamp them.
-        for r in &mut rates {
-            if *r < 0.0 && *r > -1e-9 {
-                *r = 0.0;
+        let mut rates = vec![0.0; self.len()];
+        for _ in 0..MAX_SWEEPS {
+            let mut moved = false;
+            for &i in blocks.iter().flatten() {
+                let inflow: f64 = self.edges[starts[i]..starts[i + 1]]
+                    .iter()
+                    .filter(|&&(_, from, _)| from != i)
+                    .map(|&(_, from, gain)| gain * rates[from])
+                    .sum();
+                let rate = (self.external[i] + inflow) / (1.0 - self.gain(i, i));
+                moved |= rate != rates[i];
+                rates[i] = rate;
+            }
+            if !moved {
+                return Ok(rates);
             }
         }
-        Ok(rates)
+        Err(TrafficError::NotConverged { sweeps: MAX_SWEEPS })
     }
 
-    /// Returns the gain matrix `G` as a dense [`Matrix`].
-    pub fn gain_matrix(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.n, self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                m.set(i, j, self.gains[i * self.n + j]);
+    /// Power iteration on `I + G` over one strongly connected component at a
+    /// time (primitive on its own; the upstream ones are zeroed), stopped on
+    /// its Collatz–Wielandt bounds `min/maxᵢ ((I + Gᵀ)x)ᵢ / xᵢ` around `1 + ρ`
+    /// once the upper is below `1 + enough` or within `1e-12` of the lower.
+    fn loop_gain_below(&self, starts: &[usize], blocks: &[Vec<usize>], enough: f64) -> f64 {
+        let (mut x, mut y) = (vec![1.0; self.len()], vec![0.0; self.len()]);
+        let mut radius = 0.0;
+        for block in blocks {
+            let mut bound = f64::INFINITY;
+            for _ in 0..MAX_SWEEPS {
+                let (mut lo, mut hi) = (f64::INFINITY, 0.0);
+                for &i in block {
+                    let inflow: f64 = self.edges[starts[i]..starts[i + 1]]
+                        .iter()
+                        .map(|&(_, from, gain)| gain * x[from])
+                        .sum();
+                    y[i] = x[i] + inflow;
+                    (lo, hi) = (f64::min(lo, y[i] / x[i]), f64::max(hi, y[i] / x[i]));
+                }
+                block.iter().for_each(|&i| x[i] = y[i] / hi);
+                bound = hi - 1.0;
+                if bound < enough || hi - lo <= 1e-12 * hi {
+                    break;
+                }
+            }
+            radius = f64::max(radius, bound);
+            block.iter().for_each(|&i| x[i] = 0.0);
+        }
+        radius
+    }
+
+    /// Each operator's inflow, `edges[starts[i]..starts[i + 1]]`, and the
+    /// strongly connected components of the gain graph in topological
+    /// order: Tarjan's algorithm walking the inflow, so upstream components
+    /// complete first.
+    fn components(&self) -> (Vec<usize>, Vec<Vec<usize>>) {
+        const UNSEEN: usize = usize::MAX;
+        const DONE: usize = usize::MAX - 1; // lowers no link
+        let n = self.len();
+        let starts: Vec<usize> = (0..=n)
+            .map(|i| self.edges.partition_point(|e| e.0 < i))
+            .collect();
+        let (mut index, mut low, mut seen) = (vec![UNSEEN; n], vec![0; n], 0);
+        let (mut stack, mut calls, mut blocks) = (Vec::new(), Vec::new(), Vec::new());
+        for root in 0..n {
+            if index[root] == UNSEEN {
+                calls.push((root, starts[root]));
+            }
+            while let Some((v, cursor)) = calls.pop() {
+                if index[v] == UNSEEN {
+                    (index[v], low[v], seen) = (seen, seen, seen + 1);
+                    stack.push(v);
+                }
+                if cursor < starts[v + 1] {
+                    let from = self.edges[cursor].1;
+                    calls.push((v, cursor + 1));
+                    if index[from] == UNSEEN {
+                        calls.push((from, starts[from]));
+                    } else {
+                        low[v] = low[v].min(index[from]);
+                    }
+                } else if low[v] < index[v] {
+                    // Not its component's root, so it has a caller.
+                    let (caller, _) = calls[calls.len() - 1];
+                    low[caller] = low[caller].min(low[v]);
+                } else {
+                    // The walk pushed them going upstream; reversed, a
+                    // sweep follows the flow.
+                    let at = stack.partition_point(|&w| index[w] < index[v]);
+                    stack[at..].iter().for_each(|&w| index[w] = DONE);
+                    blocks.push(stack.drain(at..).rev().collect());
+                }
             }
         }
-        m
+        (starts, blocks)
     }
 
     fn check_index(&self, i: usize) -> Result<(), TrafficError> {
-        if i >= self.n {
+        if i >= self.len() {
             Err(TrafficError::IndexOutOfRange {
                 index: i,
-                len: self.n,
+                len: self.len(),
             })
         } else {
             Ok(())
@@ -353,6 +419,15 @@ mod tests {
             eqs2.solve(),
             Err(TrafficError::UnstableLoopGain { .. })
         ));
+
+        // A 2-cycle of unit gains: eigenvalues ±1.
+        eqs2.set_gain(0, 1, 1.0).unwrap();
+        eqs2.set_gain(1, 0, 1.0).unwrap();
+        assert_close(eqs2.loop_gain(), 1.0, 1e-9);
+        assert!(matches!(
+            eqs2.solve(),
+            Err(TrafficError::UnstableLoopGain { .. })
+        ));
     }
 
     #[test]
@@ -364,6 +439,7 @@ mod tests {
         assert_eq!(eqs.loop_gain(), 0.0);
         let rates = eqs.solve().unwrap();
         assert_close(rates[1], 390.0, 1e-9);
+        assert_eq!(TrafficEquations::new(3).loop_gain(), 0.0);
     }
 
     #[test]
@@ -373,6 +449,11 @@ mod tests {
         eqs.set_gain(1, 0, 0.25).unwrap();
         // Spectral radius of [[0,1],[0.25,0]] is 0.5.
         assert_close(eqs.loop_gain(), 0.5, 1e-6);
+
+        let mut self_loops = TrafficEquations::new(2);
+        self_loops.set_gain(0, 0, 0.5).unwrap();
+        self_loops.set_gain(1, 1, 0.25).unwrap();
+        assert_close(self_loops.loop_gain(), 0.5, 1e-9);
     }
 
     #[test]
@@ -425,5 +506,21 @@ mod tests {
         assert_close(rates[0], 62.5, 1e-9);
         assert_close(rates[4], 62.5, 1e-9);
         assert_close(rates[1], 31.25, 1e-9);
+    }
+
+    #[test]
+    fn long_ring_with_weak_back_edge_solves() {
+        // Gains 1.3 and a back edge closing a loop of 0.2: the power
+        // iterates' upper bound stalls for most of a lap before it falls.
+        let mut eqs = TrafficEquations::new(20);
+        eqs.set_external_rate(0, 100.0).unwrap();
+        for i in 0..19 {
+            eqs.set_gain(i, i + 1, 1.3).unwrap();
+        }
+        eqs.set_gain(19, 0, 0.2 / 1.3f64.powi(19)).unwrap();
+        assert_close(eqs.loop_gain(), 0.922680834591, 1e-9);
+        let rates = eqs.solve().unwrap();
+        assert_close(rates[0], 125.0, 1e-9);
+        assert_close(rates[19] / (125.0 * 1.3f64.powi(19)), 1.0, 1e-12);
     }
 }

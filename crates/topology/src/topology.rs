@@ -171,8 +171,10 @@ impl Topology {
         Ok(eqs)
     }
 
-    /// The loop gain of the topology's gain matrix (spectral radius); values
-    /// `>= 1` make the traffic equations divergent.
+    /// The loop gain of the topology's gain matrix (spectral radius), found
+    /// by power iteration on the edge list: exactly `0.0` for a DAG; values
+    /// `>= 1` make the traffic equations divergent. See
+    /// [`TrafficEquations::loop_gain`].
     pub fn loop_gain(&self) -> f64 {
         // External rates are irrelevant to the gain matrix.
         let eqs = self.traffic_equations(&[]).expect("no rates: cannot fail");
