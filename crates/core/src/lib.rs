@@ -81,8 +81,8 @@ pub use driver::{
     OperatorSample, RebalancePlan, TimelinePoint, WindowSample,
 };
 pub use fleet::{
-    FleetCheckpoint, FleetDriver, FleetDriverConfig, FleetNegotiator, FleetShardSpec, FleetWindow,
-    ShardDemand, ShardGrant, ShardPlacementInfo, ShardPoint,
+    FleetDriver, FleetDriverConfig, FleetNegotiator, FleetShardSpec, FleetWindow, ShardDemand,
+    ShardGrant, ShardPlacementInfo, ShardPoint,
 };
 pub use measurer::{Measurer, RawSample, SampleBuilder, SmoothedEstimates, Smoothing};
 pub use model::{ModelInputs, OperatorRates, PerformanceModel};

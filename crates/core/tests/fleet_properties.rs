@@ -7,7 +7,7 @@
 //! fleet every window.
 
 use drs_core::fleet::{
-    FleetDriver, FleetDriverConfig, FleetNegotiator, FleetShardSpec, ShardDemand,
+    FleetDriver, FleetDriverConfig, FleetError, FleetNegotiator, FleetShardSpec, ShardDemand,
 };
 use drs_core::scheduler::{self, ScheduleError};
 use drs_queueing::jackson::JacksonNetwork;
@@ -97,7 +97,7 @@ proptest! {
             .collect();
         let negotiator = FleetNegotiator::new(k_max);
 
-        match negotiator.negotiate(&demands) {
+        match negotiator.negotiate_within(negotiator.k_max(), &demands) {
             Err(e) => {
                 // The only legitimate failure: even stability does not fit.
                 prop_assert!(
@@ -370,6 +370,41 @@ proptest! {
             // Zero-churn repeat: the pure steady-state path (no demand
             // diff at all) must reproduce the same grants.
             check(&mut warm, budget, &demands, window)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// One shard is Algorithm 1: a lone demand that asks for at least the
+    /// budget (Algorithm 1's own answer at twice the budget) is granted
+    /// exactly `scheduler::assign_processors`' allocation, bit for bit, on
+    /// any budget from the stability floor to 40 above it; below the floor
+    /// both refuse.
+    #[test]
+    fn one_shard_negotiation_is_algorithm_1(
+        loads in vec((0.25f64..4.0, 0.3f64..5.5), 1..=6),
+        external in 2.0f64..60.0,
+        above_floor in -3i64..=40,
+    ) {
+        let network = &shard_networks(&[loads], &[external])[0];
+        let floor: u32 = network.min_stable_allocation().iter().sum();
+        let k = u32::try_from((i64::from(floor) + above_floor).max(0)).unwrap();
+        let desired = scheduler::assign_processors(network, 2 * k)
+            .map(|a| a.into_vec())
+            .unwrap_or_else(|_| network.min_stable_allocation());
+        let demand = ShardDemand { network: network.clone(), desired };
+        let fleet = FleetNegotiator::new(k).negotiate_within(k, &[demand]);
+        match (fleet, scheduler::assign_processors(network, k)) {
+            (Ok(grants), Ok(allocation)) => {
+                prop_assert_eq!(&grants[0].allocation, allocation.per_operator());
+            }
+            (
+                Err(FleetError::InsufficientBudget { .. }),
+                Err(ScheduleError::InsufficientProcessors { .. }),
+            ) => prop_assert!(floor > k),
+            (fleet, single) => prop_assert!(false, "fleet {:?}, Algorithm 1 {:?}", fleet, single),
         }
     }
 }

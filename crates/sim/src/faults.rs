@@ -34,8 +34,9 @@
 //!
 //! All randomness comes from one xoshiro256++ stream per channel, seeded
 //! explicitly: the same seed and scenario replay bit-identically (the
-//! whole struct tree is `Clone`, so a checkpointed fleet snapshots its
-//! in-flight messages and RNG state too).
+//! whole struct tree is `Clone`, and a `FleetDriver<B: Clone>` is its own
+//! checkpoint, so a clone of the fleet holds its in-flight messages and
+//! RNG state too).
 //!
 //! A fault-injected fleet is a `drs_core::fleet::FleetDriver` over
 //! [`FaultyShard`]`<`[`crate::Simulator`]`>` backends; named scenario matrices

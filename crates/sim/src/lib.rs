@@ -61,10 +61,10 @@
 //! `drs_core::fleet` supplies the hardening that makes the loop converge
 //! anyway: actuation epochs (stale/duplicate commands rejected),
 //! capped-backoff retry on unacknowledged actuations, age-weighted stale
-//! evidence, lease-style dead-shard budget reclaim, and
-//! checkpoint/restore of the full fleet (virtual clocks, in-flight
-//! messages and RNG state included) so scenario sweeps branch from a
-//! common prefix. Every injected fault is recorded as a
+//! evidence and lease-style dead-shard budget reclaim. A
+//! `FleetDriver<B: Clone>` is its own checkpoint: a clone holds the full
+//! fleet (virtual clocks, in-flight messages and RNG state included), so
+//! scenario sweeps branch from a common prefix. Every injected fault is recorded as a
 //! [`faults::FaultEvent`] next to the control decisions it provoked;
 //! `repro fleet --faults <scenario>` renders both.
 //!

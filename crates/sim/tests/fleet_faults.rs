@@ -197,11 +197,11 @@ fn checkpoint_restore_continue_matches_uninterrupted_run() {
     // Prefix, checkpoint, restore, continue.
     let mut prefix = fleet(degraded);
     prefix.run_windows(5);
-    let checkpoint = prefix.checkpoint();
+    let checkpoint = prefix.clone();
     // Poison the original: the restored branch must not alias any of its
     // state.
     prefix.run_windows(4);
-    let mut restored = FleetDriver::from_checkpoint(&checkpoint);
+    let mut restored = checkpoint.clone();
     restored.run_windows(9);
 
     assert_eq!(
@@ -390,9 +390,9 @@ proptest! {
 
         let mut head = build();
         head.run_windows(prefix);
-        let checkpoint = head.checkpoint();
+        let checkpoint = head.clone();
         drop(head);
-        let mut branch = FleetDriver::from_checkpoint(&checkpoint);
+        let mut branch = checkpoint.clone();
         branch.run_windows(TOTAL - prefix);
 
         prop_assert_eq!(straight.timeline(), branch.timeline());
