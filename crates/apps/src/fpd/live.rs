@@ -6,9 +6,10 @@
 //! expands events into candidate itemsets; the detector owns the window
 //! state and emits state-change notifications. The runtime distributes an
 //! operator's input through one shared queue, so the detector is typically
-//! run single-executor in live demos; the partitioned multi-executor
-//! behaviour (fields grouping + loop broadcast) is modelled by the
-//! simulation profile, which is what the paper's experiments measure.
+//! run single-executor in live demos: its window state is not partitioned
+//! among executors. Neither the runtime nor the simulator partitions by key
+//! or broadcasts the loop; the simulation profile ([`super::FpdProfile`])
+//! carries the notifications as the gain of the detector's self-edge.
 
 use super::mfp::{Itemset, MinerConfig, SlidingWindowMiner, StateChange};
 use super::zipf::TransactionGenerator;
@@ -19,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 /// Encodes a window event as a tuple: `[flag, item…]`.
-pub fn event_tuple(enter: bool, itemset: &Itemset) -> Tuple {
+pub(crate) fn event_tuple(enter: bool, itemset: &Itemset) -> Tuple {
     flagged_tuple(if enter { 1 } else { -1 }, itemset, Vec::new())
 }
 
@@ -33,7 +34,7 @@ fn flagged_tuple(flag: i64, itemset: &Itemset, mut fields: Vec<Value>) -> Tuple 
 }
 
 /// Decodes a window event tuple. Returns `(enter, itemset)`.
-pub fn decode_event(tuple: &Tuple) -> Option<(bool, Itemset)> {
+pub(crate) fn decode_event(tuple: &Tuple) -> Option<(bool, Itemset)> {
     let flag = tuple.field(0)?.as_int()?;
     let items: Option<Vec<u32>> = tuple.fields()[1..]
         .iter()
@@ -140,7 +141,8 @@ impl DetectorBolt {
     }
 
     /// Read access to the miner (for inspection in examples/tests).
-    pub fn miner(&self) -> &SlidingWindowMiner {
+    #[cfg(test)]
+    pub(crate) fn miner(&self) -> &SlidingWindowMiner {
         &self.miner
     }
 }

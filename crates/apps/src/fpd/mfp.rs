@@ -22,7 +22,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// An item identifier (e.g. an interned word of a tweet).
-pub type Item = u32;
+pub(crate) type Item = u32;
 
 /// A canonical itemset: sorted, deduplicated items.
 ///
@@ -54,12 +54,12 @@ impl Itemset {
     }
 
     /// Number of items.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.items.len()
     }
 
     /// Whether the itemset is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
 
@@ -82,7 +82,7 @@ impl Itemset {
     /// All non-empty subsets of this itemset. The count is `2^n − 1`;
     /// callers must keep transactions short (see
     /// [`MinerConfig::max_transaction_items`]).
-    pub fn non_empty_subsets(&self) -> Vec<Itemset> {
+    pub(crate) fn non_empty_subsets(&self) -> Vec<Itemset> {
         let n = self.items.len();
         let mut out = Vec::with_capacity((1usize << n) - 1);
         for mask in 1u32..(1u32 << n) {
@@ -96,7 +96,7 @@ impl Itemset {
     }
 
     /// The immediate subsets (each obtained by removing exactly one item).
-    pub fn immediate_subsets(&self) -> Vec<Itemset> {
+    pub(crate) fn immediate_subsets(&self) -> Vec<Itemset> {
         (0..self.items.len())
             .map(|skip| {
                 let items = self
@@ -130,7 +130,7 @@ pub enum StateChange {
 
 impl StateChange {
     /// The itemset whose state changed.
-    pub fn itemset(&self) -> &Itemset {
+    pub(crate) fn itemset(&self) -> &Itemset {
         match self {
             StateChange::BecameMaximal(s) | StateChange::NoLongerMaximal(s) => s,
         }
@@ -217,11 +217,6 @@ impl SlidingWindowMiner {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &MinerConfig {
-        &self.config
-    }
-
     /// Transactions currently in the window.
     pub fn window_len(&self) -> usize {
         self.window.len()
@@ -243,7 +238,8 @@ impl SlidingWindowMiner {
     }
 
     /// Whether the itemset is currently frequent.
-    pub fn is_frequent(&self, itemset: &Itemset) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_frequent(&self, itemset: &Itemset) -> bool {
         self.frequent.contains(itemset)
     }
 

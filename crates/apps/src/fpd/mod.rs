@@ -89,7 +89,6 @@ impl FpdProfile {
             detector,
             drs_topology::EdgeOptions {
                 gain: self.candidates_per_event,
-                grouping: drs_topology::Grouping::Fields,
                 ..Default::default()
             },
         )
@@ -99,7 +98,6 @@ impl FpdProfile {
             detector,
             drs_topology::EdgeOptions {
                 gain: self.notify_probability,
-                grouping: drs_topology::Grouping::All,
                 ..Default::default()
             },
         )
@@ -247,11 +245,19 @@ mod tests {
 
     #[test]
     fn topology_matches_fig5() {
-        let t = FpdProfile::paper().topology();
+        let p = FpdProfile::paper();
+        let t = p.topology();
         assert_eq!(t.len(), 5);
         assert_eq!(t.spouts().count(), 2);
         assert!(!t.is_acyclic()); // the detector loop
-        assert!(t.loop_gain() < 1.0);
+        let detector = t.operator_by_name("detector").unwrap().id();
+        assert!(t
+            .edges()
+            .iter()
+            .any(|e| e.from() == detector && e.to() == detector));
+        // Inputs: the generator and the detector's own loop.
+        assert_eq!(t.edges().iter().filter(|e| e.to() == detector).count(), 2);
+        assert!((t.loop_gain() - p.notify_probability).abs() < 1e-9);
     }
 
     #[test]

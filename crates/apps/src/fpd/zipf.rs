@@ -53,11 +53,6 @@ impl ZipfSampler {
         ZipfSampler { cumulative }
     }
 
-    /// Number of items in the universe.
-    pub fn universe(&self) -> u32 {
-        self.cumulative.len() as u32
-    }
-
     /// Draws one item; item `0` is the most popular.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Item {
         let total = *self.cumulative.last().expect("non-empty universe");
@@ -113,7 +108,6 @@ mod tests {
     #[test]
     fn samples_stay_in_universe() {
         let z = ZipfSampler::new(50, 1.1);
-        assert_eq!(z.universe(), 50);
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..10_000 {
             assert!(z.sample(&mut rng) < 50);

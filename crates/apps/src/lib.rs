@@ -23,6 +23,7 @@
 //! the determinism and convergence guarantees it used to anchor.)
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod fpd;

@@ -47,7 +47,7 @@ impl SyntheticChain {
     }
 
     /// The chain topology `source → bolt0 → bolt1 → bolt2`.
-    pub fn topology(&self) -> Topology {
+    pub(crate) fn topology(&self) -> Topology {
         let mut b = TopologyBuilder::new();
         let source = b.spout("source");
         let mut prev = source;
@@ -60,7 +60,7 @@ impl SyntheticChain {
     }
 
     /// The bolt ids in chain order.
-    pub fn bolt_ids(&self, topology: &Topology) -> [OperatorId; 3] {
+    pub(crate) fn bolt_ids(&self, topology: &Topology) -> [OperatorId; 3] {
         [0, 1, 2].map(|i| {
             topology
                 .operator_by_name(&format!("bolt{i}"))
@@ -70,7 +70,7 @@ impl SyntheticChain {
     }
 
     /// Per-bolt mean service time (seconds).
-    pub fn per_bolt_cpu_secs(&self) -> f64 {
+    pub(crate) fn per_bolt_cpu_secs(&self) -> f64 {
         self.total_cpu_secs / 3.0
     }
 

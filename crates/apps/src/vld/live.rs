@@ -17,14 +17,14 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 /// Side length of the square synthetic frames (pixels).
-pub const FRAME_SIZE: usize = 32;
+pub(crate) const FRAME_SIZE: usize = 32;
 /// Cell size of the feature grid; each busy cell yields one descriptor.
-pub const CELL: usize = 8;
+pub(crate) const CELL: usize = 8;
 /// Number of orientation bins per descriptor.
-pub const BINS: usize = 8;
+pub(crate) const BINS: usize = 8;
 
 /// A descriptor: an orientation histogram over one cell.
-pub type Descriptor = [f32; BINS];
+pub(crate) type Descriptor = [f32; BINS];
 
 /// Generates a synthetic grayscale frame whose high-frequency content scales
 /// with scene complexity in `[0, 1]`.
@@ -104,7 +104,7 @@ fn orientation_bin(gy: i32, gx: i32) -> usize {
 /// `orientation_bin`; magnitudes stay exact (squared sums of `u8`
 /// gradients fit f32 losslessly), so the output is bit-identical to the
 /// original float/`atan2` kernel while running several times faster.
-pub fn extract_descriptors(frame: &[u8], threshold: f32, descriptors: &mut Vec<Descriptor>) {
+pub(crate) fn extract_descriptors(frame: &[u8], threshold: f32, descriptors: &mut Vec<Descriptor>) {
     assert_eq!(frame.len(), FRAME_SIZE * FRAME_SIZE, "bad frame size");
     descriptors.clear();
     let cells = FRAME_SIZE / CELL;
@@ -144,7 +144,7 @@ pub fn extract_descriptors(frame: &[u8], threshold: f32, descriptors: &mut Vec<D
 }
 
 /// Squared L2 distance between two descriptors.
-pub fn descriptor_distance(a: &Descriptor, b: &Descriptor) -> f32 {
+pub(crate) fn descriptor_distance(a: &Descriptor, b: &Descriptor) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 

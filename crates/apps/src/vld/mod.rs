@@ -111,7 +111,6 @@ impl VldProfile {
             aggregator,
             drs_topology::EdgeOptions {
                 gain: self.match_selectivity,
-                grouping: drs_topology::Grouping::Fields,
                 ..Default::default()
             },
         )
@@ -246,6 +245,14 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert!(t.is_acyclic());
         assert_eq!(t.spouts().count(), 1);
+        let sift = t.operator_by_name("sift-extractor").unwrap().id();
+        let matcher = t.operator_by_name("feature-matcher").unwrap().id();
+        let edge = t
+            .edges()
+            .iter()
+            .find(|e| e.from() == sift && e.to() == matcher)
+            .expect("sift -> matcher edge");
+        assert_eq!(edge.gain(), p.features_per_frame);
     }
 
     #[test]

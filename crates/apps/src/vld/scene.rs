@@ -57,23 +57,12 @@ impl SceneProcess {
         }
     }
 
-    /// The current complexity in `[0, 1]`.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
     /// Advances one frame and returns the new complexity.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         let noise: f64 = rng.gen::<f64>() * 2.0 - 1.0;
         self.current += self.reversion * (self.mean - self.current) + self.volatility * noise;
         self.current = self.current.clamp(0.0, 1.0);
         self.current
-    }
-
-    /// Maps complexity to a feature count in `[lo, hi]`.
-    pub fn feature_count(&self, lo: u32, hi: u32) -> u32 {
-        let span = f64::from(hi.saturating_sub(lo));
-        lo + (self.current * span).round() as u32
     }
 }
 
@@ -110,18 +99,7 @@ mod tests {
         for _ in 0..50 {
             p.step(&mut rng);
         }
-        assert!((p.current() - 0.8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn feature_count_maps_range() {
-        let mut p = SceneProcess::new(0.0, 0.5, 0.0);
-        p.current = 0.0;
-        assert_eq!(p.feature_count(10, 50), 10);
-        p.current = 1.0;
-        assert_eq!(p.feature_count(10, 50), 50);
-        p.current = 0.5;
-        assert_eq!(p.feature_count(10, 50), 30);
+        assert!((p.current - 0.8).abs() < 1e-6);
     }
 
     #[test]

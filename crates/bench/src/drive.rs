@@ -95,7 +95,7 @@ fn controller() -> DrsController {
 }
 
 /// Runs the drive workload on the simulator.
-pub fn run_sim(config: DriveConfig) -> DriveRun {
+pub(crate) fn run_sim(config: DriveConfig) -> DriveRun {
     let (topo, src, work, sink) = topology();
     let sim = SimulationBuilder::new(topo)
         .behavior(
@@ -176,7 +176,7 @@ impl Bolt for WorkBolt {
 
 /// Runs the drive workload on the live threaded runtime. Wall-clock time:
 /// `windows × window_secs` seconds.
-pub fn run_runtime(config: DriveConfig) -> DriveRun {
+pub(crate) fn run_runtime(config: DriveConfig) -> DriveRun {
     let (topo, src, work, sink) = topology();
     let engine = RuntimeBuilder::new(topo)
         .spout(

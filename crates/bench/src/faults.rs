@@ -41,7 +41,7 @@ pub enum FaultScenario {
 
 impl FaultScenario {
     /// Every scenario, in display order.
-    pub const ALL: [FaultScenario; 6] = [
+    pub(crate) const ALL: [FaultScenario; 6] = [
         FaultScenario::Smoke,
         FaultScenario::Lossy,
         FaultScenario::Laggy,
@@ -56,7 +56,7 @@ impl FaultScenario {
     }
 
     /// The CLI name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FaultScenario::Smoke => "smoke",
             FaultScenario::Lossy => "lossy",
@@ -68,7 +68,7 @@ impl FaultScenario {
     }
 
     /// One-line description for the rendered header.
-    pub fn describe(self) -> &'static str {
+    pub(crate) fn describe(self) -> &'static str {
         match self {
             FaultScenario::Smoke => "20% loss both directions (CI smoke)",
             FaultScenario::Lossy => "25% report+command loss, 10% ack loss, duplicates",
@@ -132,7 +132,7 @@ fn wrap(sim: Simulator, seed: u64, scenario: FaultScenario) -> FaultyShard<Simul
 }
 
 /// Builds the four-topology fleet behind fault-injected channels.
-pub fn build_faulty_fleet(
+pub(crate) fn build_faulty_fleet(
     config: &FleetBenchConfig,
     scenario: FaultScenario,
 ) -> FleetDriver<FaultyShard<Simulator>> {

@@ -22,17 +22,17 @@ use drs_core::driver::DrsDriver;
 use drs_core::negotiator::{MachinePool, MachinePoolConfig};
 
 /// Number of measurement windows (paper: 27 minutes).
-pub const WINDOWS: u64 = 27;
+pub(crate) const WINDOWS: u64 = 27;
 /// Window at which re-balancing is enabled (paper: minute 14).
-pub const ENABLE_AT: u64 = 13;
+pub(crate) const ENABLE_AT: u64 = 13;
 /// ExpA's latency target (seconds) — tight: only ~22 executors meet it
 /// (the paper's 500 ms, scaled to this calibration's latency regime).
-pub const T_MAX_A: f64 = 1.4;
+pub(crate) const T_MAX_A: f64 = 1.4;
 /// ExpB's latency target (seconds) — loose: ~18 executors on 4 machines
 /// suffice, robustly between the 18-executor regime (E ≈ 2 s) and the
 /// near-critical 17-executor regime (E ≈ 8–50 s, hypersensitive) so the
 /// controller settles (the paper's 1000 ms, scaled).
-pub const T_MAX_B: f64 = 5.0;
+pub(crate) const T_MAX_B: f64 = 5.0;
 
 /// Which Fig. 10 experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,7 @@ pub enum Experiment {
 
 impl Experiment {
     /// The experiment's latency target in seconds.
-    pub fn t_max(self) -> f64 {
+    pub(crate) fn t_max(self) -> f64 {
         match self {
             Experiment::ExpA => T_MAX_A,
             Experiment::ExpB => T_MAX_B,
@@ -53,7 +53,7 @@ impl Experiment {
     }
 
     /// Initial bolt allocation and machine count.
-    pub fn initial(self) -> ([u32; 3], u32) {
+    pub(crate) fn initial(self) -> ([u32; 3], u32) {
         match self {
             Experiment::ExpA => ([8, 8, 1], 4),   // Kmax = 17
             Experiment::ExpB => ([10, 11, 1], 5), // Kmax = 22
@@ -143,7 +143,8 @@ fn machines_after_window(controller: &DrsController, window: usize, current: u32
 
 impl Fig10Run {
     /// Final total bolt executors.
-    pub fn final_executors(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn final_executors(&self) -> u32 {
         self.points
             .last()
             .expect("non-empty run")
@@ -153,7 +154,8 @@ impl Fig10Run {
     }
 
     /// Final machine count.
-    pub fn final_machines(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn final_machines(&self) -> u32 {
         self.points.last().expect("non-empty run").machines
     }
 

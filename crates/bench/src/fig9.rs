@@ -16,10 +16,10 @@ use drs_core::negotiator::{MachinePool, MachinePoolConfig};
 use drs_sim::Simulator;
 
 /// Number of measurement windows in a Fig. 9 run (paper: 27 minutes).
-pub const WINDOWS: u64 = 27;
+pub(crate) const WINDOWS: u64 = 27;
 /// Window at which re-balancing is enabled (paper: start of the 14th
 /// minute).
-pub const ENABLE_AT: u64 = 13;
+pub(crate) const ENABLE_AT: u64 = 13;
 
 /// One run's timeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,7 +35,7 @@ pub struct Fig9Run {
 }
 
 /// The paper's initial allocations for each application.
-pub fn initial_allocations(app: App) -> [[u32; 3]; 3] {
+pub(crate) fn initial_allocations(app: App) -> [[u32; 3]; 3] {
     match app {
         App::Vld => [[8, 12, 2], [11, 9, 2], [10, 11, 1]],
         App::Fpd => [[8, 12, 2], [7, 13, 2], [6, 13, 3]],
@@ -55,7 +55,7 @@ fn build_driver(app: App, initial: [u32; 3], seed: u64, window_secs: u64) -> Drs
 }
 
 /// Runs one Fig. 9 timeline.
-pub fn run_one(app: App, initial: [u32; 3], seed: u64, window_secs: u64) -> Fig9Run {
+pub(crate) fn run_one(app: App, initial: [u32; 3], seed: u64, window_secs: u64) -> Fig9Run {
     let mut driver = build_driver(app, initial, seed, window_secs);
     driver.run_windows(ENABLE_AT);
     driver.controller_mut().set_active(true);

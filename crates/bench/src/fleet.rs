@@ -74,7 +74,7 @@ pub struct FleetRun {
 }
 
 /// Builds the four-topology fleet.
-pub fn build_fleet(config: &FleetBenchConfig) -> FleetDriver<Simulator> {
+pub(crate) fn build_fleet(config: &FleetBenchConfig) -> FleetDriver<Simulator> {
     let vld = VldProfile::paper();
     let fpd = FpdProfile::paper();
     let mut driver_config = FleetDriverConfig::new(config.k_max);

@@ -51,6 +51,7 @@
 //! `runtime.ack_p50_ms` / `ack_p95_ms` / `ack_p99_ms`.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod ablation;

@@ -101,7 +101,7 @@ pub struct PlacePolicyRun {
 
 impl PlacePolicyRun {
     /// Fleet-wide fraction of edge tuples that crossed machines.
-    pub fn cross_fraction(&self) -> f64 {
+    pub(crate) fn cross_fraction(&self) -> f64 {
         if self.edge_tuples == 0 {
             0.0
         } else {
@@ -128,7 +128,7 @@ pub struct PlaceRun {
 
 impl PlaceRun {
     /// Relative cut of the cross-machine fraction: `1 − solver/baseline`.
-    pub fn cross_cut(&self) -> f64 {
+    pub(crate) fn cross_cut(&self) -> f64 {
         let baseline = self.round_robin.cross_fraction();
         if baseline <= 0.0 {
             0.0

@@ -3,7 +3,7 @@
 
 /// Renders an ASCII table: `header` defines the column titles, `rows` the
 /// cells. Column widths adapt to content.
-pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -44,7 +44,7 @@ pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Strin
 ///
 /// Returns `None` for fewer than two points or mismatched lengths. Ties get
 /// the average of their tied ranks.
-pub fn spearman(a: &[f64], b: &[f64]) -> Option<f64> {
+pub(crate) fn spearman(a: &[f64], b: &[f64]) -> Option<f64> {
     if a.len() != b.len() || a.len() < 2 {
         return None;
     }
@@ -87,12 +87,12 @@ fn ranks(xs: &[f64]) -> Vec<f64> {
 }
 
 /// Formats a float in fixed notation with the given precision.
-pub fn fmt(v: f64, precision: usize) -> String {
+pub(crate) fn fmt(v: f64, precision: usize) -> String {
     format!("{v:.precision$}")
 }
 
 /// Formats an allocation as the paper's `(x1:x2:x3)` notation.
-pub fn fmt_allocation(alloc: &[u32]) -> String {
+pub(crate) fn fmt_allocation(alloc: &[u32]) -> String {
     let inner: Vec<String> = alloc.iter().map(u32::to_string).collect();
     format!("({})", inner.join(":"))
 }

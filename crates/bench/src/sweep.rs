@@ -22,7 +22,7 @@ pub enum App {
 impl App {
     /// The paper's Fig. 6 allocations for this application, in the paper's
     /// x-axis order.
-    pub fn fig6_allocations(self) -> [[u32; 3]; 6] {
+    pub(crate) fn fig6_allocations(self) -> [[u32; 3]; 6] {
         match self {
             App::Vld => [
                 [8, 12, 2],
@@ -40,15 +40,6 @@ impl App {
                 [7, 13, 2],
                 [8, 12, 2],
             ],
-        }
-    }
-
-    /// The allocation the paper's passive DRS recommends (starred in
-    /// Fig. 6).
-    pub fn paper_recommendation(self) -> [u32; 3] {
-        match self {
-            App::Vld => [10, 11, 1],
-            App::Fpd => [6, 13, 3],
         }
     }
 
@@ -199,7 +190,7 @@ pub fn run_sweep(app: App, measure_secs: u64, seed: u64) -> Sweep {
 
 impl Sweep {
     /// The row with the lowest measured mean sojourn.
-    pub fn best_measured(&self) -> &SweepRow {
+    pub(crate) fn best_measured(&self) -> &SweepRow {
         self.rows
             .iter()
             .min_by(|a, b| {

@@ -14,7 +14,7 @@ use drs_core::scheduler::{assign_processors, assign_processors_reference};
 use drs_queueing::jackson::JacksonNetwork;
 
 /// The paper's Kmax sweep.
-pub const K_MAX_SWEEP: [u32; 5] = [12, 24, 48, 96, 192];
+pub(crate) const K_MAX_SWEEP: [u32; 5] = [12, 24, 48, 96, 192];
 
 /// One Kmax column of the table.
 #[derive(Debug, Clone, PartialEq)]

@@ -27,7 +27,7 @@ pub enum OptimizationGoal {
 
 impl OptimizationGoal {
     /// The latency target, when the goal has one.
-    pub fn t_max(&self) -> Option<f64> {
+    pub(crate) fn t_max(&self) -> Option<f64> {
         match *self {
             OptimizationGoal::MinLatency { .. } => None,
             OptimizationGoal::MinResources { t_max_secs } => Some(t_max_secs),
@@ -97,7 +97,7 @@ impl DrsConfig {
     /// # Errors
     ///
     /// Rejects invalid smoothing parameters or a non-positive `Tmax`.
-    pub fn validate(&self) -> Result<(), InvalidConfig> {
+    pub(crate) fn validate(&self) -> Result<(), InvalidConfig> {
         self.smoothing
             .validate()
             .map_err(InvalidConfig::Smoothing)?;
@@ -112,7 +112,7 @@ impl DrsConfig {
     }
 }
 
-/// Error from [`DrsConfig::validate`].
+/// Why a [`DrsConfig`] is invalid.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InvalidConfig {
     /// The smoothing parameters are invalid.

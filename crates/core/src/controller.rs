@@ -187,24 +187,14 @@ impl DrsController {
         self.active = active;
     }
 
-    /// Whether re-balancing is enabled.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// The allocation the controller believes is currently running.
-    pub fn current_allocation(&self) -> &[u32] {
+    pub(crate) fn current_allocation(&self) -> &[u32] {
         &self.current_allocation
     }
 
     /// The machine pool state.
     pub fn pool(&self) -> &MachinePool {
         &self.pool
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &DrsConfig {
-        &self.config
     }
 
     /// The full decision log.
@@ -231,7 +221,7 @@ impl DrsController {
     /// machines were never actually used), resynchronises the allocation
     /// view to what the backend really runs, and lifts the post-rebalance
     /// cooldown so the next window may retry.
-    pub fn rebalance_rejected(
+    pub(crate) fn rebalance_rejected(
         &mut self,
         plan: Option<&NegotiationPlan>,
         actual_allocation: Vec<u32>,
@@ -431,7 +421,6 @@ mod tests {
         let mut drs =
             DrsController::new(DrsConfig::min_latency(22), vec![8, 12, 2], pool(5)).unwrap();
         drs.set_active(false);
-        assert!(!drs.is_active());
         let actions = feed(&mut drs, 6, 0.9);
         assert!(actions.iter().all(|a| !a.is_rebalance()));
         assert_eq!(drs.current_allocation(), &[8, 12, 2]);

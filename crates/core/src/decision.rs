@@ -76,7 +76,7 @@ pub enum Decision {
 
 impl Decision {
     /// Whether the decision is to rebalance.
-    pub fn is_rebalance(&self) -> bool {
+    pub(crate) fn is_rebalance(&self) -> bool {
         matches!(self, Decision::Rebalance { .. })
     }
 }

@@ -247,25 +247,25 @@ const RETRY_BACKOFF_CAP: u64 = 8;
 
 impl ActuationRetry {
     /// Whether an actuation may be attempted during window `window`.
-    pub fn ready(&self, window: u64) -> bool {
+    pub(crate) fn ready(&self, window: u64) -> bool {
         window >= self.next_attempt
     }
 
     /// Windows remaining before the next attempt is allowed.
-    pub fn holdoff(&self, window: u64) -> u64 {
+    pub(crate) fn holdoff(&self, window: u64) -> u64 {
         self.next_attempt.saturating_sub(window)
     }
 
     /// Records an unacknowledged attempt during `window`: the next attempt
     /// is pushed `backoff` windows out and the backoff doubles (capped).
-    pub fn on_timeout(&mut self, window: u64) {
+    pub(crate) fn on_timeout(&mut self, window: u64) {
         self.next_attempt = window + self.backoff;
         self.backoff = (self.backoff * 2).min(RETRY_BACKOFF_CAP);
     }
 
     /// Records an acknowledged outcome (success *or* explicit refusal):
     /// the channel is alive, so the backoff resets.
-    pub fn on_ack(&mut self) {
+    pub(crate) fn on_ack(&mut self) {
         self.backoff = 1;
         self.next_attempt = 0;
     }
@@ -485,18 +485,14 @@ impl<B: CspBackend> DrsDriver<B> {
     }
 
     /// The retry schedule's state (for inspection in tests and reports).
-    pub fn actuation_retry(&self) -> &ActuationRetry {
+    #[cfg(test)]
+    pub(crate) fn actuation_retry(&self) -> &ActuationRetry {
         &self.retry
     }
 
     /// The timeline recorded so far.
     pub fn timeline(&self) -> &[TimelinePoint] {
         &self.timeline
-    }
-
-    /// The measurement window length (seconds).
-    pub fn window_secs(&self) -> f64 {
-        self.window_secs
     }
 
     /// The controller (for inspecting its log or recommendations).

@@ -6,7 +6,7 @@ use super::shard::{self, ShardRow, ShardState};
 use super::{executor_total, slot_u32, FleetDriverConfig, FleetDriverError, FleetShardSpec};
 use super::{FleetWindow, ShardPoint, WINDOW_PHASES};
 use crate::decision::{self, DecisionView};
-use crate::driver::{ActuationRetry, BackendError, CspBackend, RebalancePlan};
+use crate::driver::{BackendError, CspBackend, RebalancePlan};
 use crate::placement::{MachinePool as PlacementPool, Placement};
 use std::sync::Arc;
 use std::time::Duration;
@@ -169,7 +169,8 @@ impl<B: CspBackend> FleetDriver<B> {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn shard_dead(&self, i: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn shard_dead(&self, i: usize) -> bool {
         self.shards[i].dead
     }
 
@@ -179,7 +180,8 @@ impl<B: CspBackend> FleetDriver<B> {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn actuation_retry(&self, i: usize) -> &ActuationRetry {
+    #[cfg(test)]
+    pub(crate) fn actuation_retry(&self, i: usize) -> &crate::driver::ActuationRetry {
         &self.shards[i].retry
     }
 
@@ -208,7 +210,8 @@ impl<B: CspBackend> FleetDriver<B> {
     }
 
     /// The shared machine pool, when one is installed.
-    pub fn machine_pool(&self) -> Option<&PlacementPool> {
+    #[cfg(test)]
+    pub(crate) fn machine_pool(&self) -> Option<&PlacementPool> {
         self.machine_pool.as_ref()
     }
 
@@ -234,13 +237,6 @@ impl<B: CspBackend> FleetDriver<B> {
     /// anchor solves, and explicit invalidations.
     pub fn placement_full_solves(&self) -> u64 {
         self.scratch.place.full_solves()
-    }
-
-    /// Forces the next placement-enabled window to batch re-solve every
-    /// shard from scratch (see
-    /// [`crate::placement::FleetPlacementState::invalidate`]).
-    pub fn invalidate_placement_cache(&mut self) {
-        self.scratch.place.invalidate();
     }
 
     /// Grant/refuse round-trips wasted at *actuation* time: a negotiated

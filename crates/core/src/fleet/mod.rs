@@ -68,11 +68,11 @@
 //!    cache the running allocation, write the measured fields of the
 //!    shard's record, and — past warm-up, when the smoothed estimates moved
 //!    — refit the shard's demand *in place*: estimates into one reused
-//!    buffer ([`crate::measurer::Measurer::write_estimates`]), rates into
+//!    buffer (`crate::measurer::Measurer::write_estimates`), rates into
 //!    the cached network
 //!    ([`drs_queueing::jackson::JacksonNetwork::set_rates`]), Program 6
 //!    into the cached `desired` vector
-//!    ([`crate::scheduler::min_processors_for_target_into`]). The pass
+//!    (`crate::scheduler::min_processors_for_target_into`). The pass
 //!    reads and writes only its own shard's state and row of the window
 //!    buffers, so it runs on one shard while its buffers are in cache; a
 //!    refit whose answer stands allocates nothing.

@@ -775,7 +775,7 @@ fn unchanged_fleet_performs_zero_placement_solver_calls() {
     );
     assert_eq!(f.placement_full_solves(), full_solves);
     // An explicit invalidation forces exactly one batch re-solve.
-    f.invalidate_placement_cache();
+    f.scratch.place.invalidate();
     f.run_windows(1);
     assert_eq!(f.placement_full_solves(), full_solves + 1);
 }
@@ -810,7 +810,7 @@ fn placement_only_moves_skip_unresolved_shards_on_the_solve_id() {
     assert_eq!(f.backend(0).placement_calls, calls);
     assert!(in_force_is_planned(&f));
 
-    f.invalidate_placement_cache();
+    f.scratch.place.invalidate();
     f.run_windows(1);
     assert_eq!(f.shard_placement(0), Some(&solved));
     assert_eq!(f.backend(0).placement_calls, calls + 1);

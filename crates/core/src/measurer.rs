@@ -58,7 +58,7 @@ impl Smoothing {
     /// # Errors
     ///
     /// Rejects `alpha` outside `[0, 1)` and `size == 0`.
-    pub fn validate(&self) -> Result<(), InvalidSmoothing> {
+    pub(crate) fn validate(&self) -> Result<(), InvalidSmoothing> {
         let reason = match *self {
             Smoothing::Alpha { alpha } if !(0.0..1.0).contains(&alpha) => {
                 format!("alpha must be in [0,1), got {alpha}")
@@ -154,7 +154,7 @@ pub struct RawSample {
 }
 
 /// Smoothed estimates ready for the optimiser. The default is an empty
-/// buffer for [`Measurer::write_estimates`] to fill.
+/// buffer for `Measurer::write_estimates` to fill.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SmoothedEstimates {
     /// Smoothed external rate `λ̂0`.
@@ -214,7 +214,7 @@ impl Measurer {
     ///
     /// # Errors
     ///
-    /// Rejects invalid smoothing parameters (see [`Smoothing::validate`]).
+    /// Rejects invalid smoothing parameters (see `Smoothing::validate`).
     pub fn new(n_operators: usize, smoothing: Smoothing) -> Result<Self, InvalidSmoothing> {
         smoothing.validate()?;
         Ok(Measurer {
@@ -229,18 +229,8 @@ impl Measurer {
         })
     }
 
-    /// Number of operators this measurer tracks.
-    pub fn len(&self) -> usize {
-        self.operators.len()
-    }
-
-    /// Whether the measurer tracks no operators.
-    pub fn is_empty(&self) -> bool {
-        self.operators.is_empty()
-    }
-
     /// Number of windows observed so far.
-    pub fn windows_seen(&self) -> u64 {
+    pub(crate) fn windows_seen(&self) -> u64 {
         self.windows_seen
     }
 
@@ -316,7 +306,7 @@ impl Measurer {
     /// estimates into `out`, reusing its operator buffer, and returns
     /// whether there were any. On `false` (no window observed yet) `out`'s
     /// contents are unspecified.
-    pub fn write_estimates(&self, out: &mut SmoothedEstimates) -> bool {
+    pub(crate) fn write_estimates(&self, out: &mut SmoothedEstimates) -> bool {
         let Some(external_rate) = self.external.value() else {
             return false;
         };
@@ -351,7 +341,7 @@ impl Measurer {
 ///   reported fresh rates) — feed it to
 ///   [`Measurer::observe_weighted`] as `decay^staleness`, or use
 ///   [`weight`](Self::weight) directly;
-/// * [`missed_windows`](Self::missed_windows) counts the *consecutive*
+/// * `missed_windows` counts the *consecutive*
 ///   windows for which no usable report existed at all (`build` returned
 ///   `None`) — the liveness signal behind the fleet's lease-style dead
 ///   shard detection.
@@ -487,7 +477,7 @@ impl SampleBuilder {
     /// rates have not moved since the previous window. Call it before
     /// [`build_into`](Self::build_into) consumes `w`; `false` whenever
     /// that cannot be told (no history, a missed or starved window).
-    pub fn arrivals_unchanged(&self, w: &crate::driver::WindowSample) -> bool {
+    pub(crate) fn arrivals_unchanged(&self, w: &crate::driver::WindowSample) -> bool {
         self.missed == 0
             && self.staleness == 0
             && self.known == Some(w.operators.len())
@@ -511,7 +501,7 @@ impl SampleBuilder {
 
     /// Consecutive windows for which [`build`](Self::build) found no usable
     /// report at all. Resets to 0 the moment a window yields a sample.
-    pub fn missed_windows(&self) -> u64 {
+    pub(crate) fn missed_windows(&self) -> u64 {
         self.missed
     }
 
@@ -608,8 +598,6 @@ mod tests {
     fn no_estimates_before_first_window() {
         let m = Measurer::new(2, Smoothing::Alpha { alpha: 0.5 }).unwrap();
         assert!(m.estimates().is_none());
-        assert_eq!(m.len(), 2);
-        assert!(!m.is_empty());
     }
 
     #[test]

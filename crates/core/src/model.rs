@@ -11,7 +11,7 @@
 //! all the optimiser needs (shown in paper Figs. 7–8 and reproduced by the
 //! `fig7`/`fig8` benches).
 
-use drs_queueing::jackson::{JacksonError, JacksonNetwork, OperatorSojourn};
+use drs_queueing::jackson::{JacksonError, JacksonNetwork};
 
 /// Measured rates of one operator, as produced by the measurer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,16 +48,12 @@ pub struct ModelInputs {
 /// })?;
 /// let t = model.expected_sojourn(&[10, 11, 1])?;
 /// assert!(t.is_finite());
-/// # Ok::<(), drs_core::model::ModelError>(())
+/// # Ok::<(), drs_queueing::jackson::JacksonError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerformanceModel {
     network: JacksonNetwork,
 }
-
-/// Error raised when the model inputs are invalid; see
-/// [`drs_queueing::jackson::JacksonError`] for the cases.
-pub type ModelError = JacksonError;
 
 impl PerformanceModel {
     /// Builds the model from measured inputs.
@@ -66,7 +62,7 @@ impl PerformanceModel {
     ///
     /// Rejects non-positive `external_rate`, negative arrival rates or
     /// non-positive service rates.
-    pub fn new(inputs: &ModelInputs) -> Result<Self, ModelError> {
+    pub fn new(inputs: &ModelInputs) -> Result<Self, JacksonError> {
         let pairs: Vec<(f64, f64)> = inputs
             .operators
             .iter()
@@ -82,16 +78,6 @@ impl PerformanceModel {
         &self.network
     }
 
-    /// Number of modelled operators.
-    pub fn len(&self) -> usize {
-        self.network.len()
-    }
-
-    /// Whether the model has no operators.
-    pub fn is_empty(&self) -> bool {
-        self.network.is_empty()
-    }
-
     /// Expected total sojourn time (seconds) under `allocation` (Eq. 3).
     /// Infinite if any operator would be unstable.
     ///
@@ -99,36 +85,8 @@ impl PerformanceModel {
     ///
     /// Returns an error when `allocation.len()` differs from the number of
     /// operators.
-    pub fn expected_sojourn(&self, allocation: &[u32]) -> Result<f64, ModelError> {
+    pub fn expected_sojourn(&self, allocation: &[u32]) -> Result<f64, JacksonError> {
         self.network.expected_sojourn(allocation)
-    }
-
-    /// Per-operator contributions to the expected sojourn time.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `allocation.len()` differs from the number of
-    /// operators.
-    pub fn sojourn_breakdown(
-        &self,
-        allocation: &[u32],
-    ) -> Result<Vec<OperatorSojourn>, ModelError> {
-        self.network.sojourn_breakdown(allocation)
-    }
-
-    /// The minimum allocation keeping every operator stable.
-    pub fn min_stable_allocation(&self) -> Vec<u32> {
-        self.network.min_stable_allocation()
-    }
-
-    /// Whether `allocation` keeps every operator stable.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `allocation.len()` differs from the number of
-    /// operators.
-    pub fn is_stable(&self, allocation: &[u32]) -> Result<bool, ModelError> {
-        self.network.is_stable(allocation)
     }
 }
 
@@ -169,17 +127,6 @@ mod tests {
         // Operator 0 needs ceil(13/1.6)=9 executors; 8 is unstable.
         let t = model.expected_sojourn(&[8, 13, 1]).unwrap();
         assert!(t.is_infinite());
-        assert!(!model.is_stable(&[8, 13, 1]).unwrap());
-    }
-
-    #[test]
-    fn breakdown_identifies_bottleneck() {
-        let model = PerformanceModel::new(&vld_inputs()).unwrap();
-        let breakdown = model.sojourn_breakdown(&[10, 11, 1]).unwrap();
-        assert_eq!(breakdown.len(), 3);
-        // The SIFT stage (slowest per-tuple service) dominates.
-        let weights: Vec<f64> = breakdown.iter().map(|b| b.weighted).collect();
-        assert!(weights[0] > weights[2]);
     }
 
     #[test]
@@ -191,14 +138,5 @@ mod tests {
         let mut bad = vld_inputs();
         bad.operators[1].service_rate = 0.0;
         assert!(PerformanceModel::new(&bad).is_err());
-    }
-
-    #[test]
-    fn exposes_min_allocation_and_len() {
-        let model = PerformanceModel::new(&vld_inputs()).unwrap();
-        assert_eq!(model.len(), 3);
-        assert!(!model.is_empty());
-        let min = model.min_stable_allocation();
-        assert!(model.is_stable(&min).unwrap());
     }
 }

@@ -97,13 +97,6 @@ pub struct NegotiationPlan {
     pub pause_secs: f64,
 }
 
-impl NegotiationPlan {
-    /// Whether the plan changes the machine set.
-    pub fn changes_machines(&self) -> bool {
-        self.add_machines > 0 || self.remove_machines > 0
-    }
-}
-
 /// The machine pool: tracks active machines and plans provisioning.
 ///
 /// # Examples
@@ -189,13 +182,13 @@ impl MachinePool {
     }
 
     /// Largest executor count the pool could ever provide.
-    pub fn max_executor_capacity(&self) -> u32 {
+    pub(crate) fn max_executor_capacity(&self) -> u32 {
         self.config.max_machines * self.config.executors_per_machine
     }
 
     /// Fewest machines that can host `executors` executors, clamped to
     /// `min_machines`.
-    pub fn machines_for(&self, executors: u32) -> u32 {
+    pub(crate) fn machines_for(&self, executors: u32) -> u32 {
         let per = self.config.executors_per_machine;
         executors.div_ceil(per).max(self.config.min_machines)
     }
@@ -206,7 +199,7 @@ impl MachinePool {
     /// # Errors
     ///
     /// * [`NegotiatorError::CapacityExceeded`] — `executors` above
-    ///   [`MachinePool::max_executor_capacity`].
+    ///   `MachinePool::max_executor_capacity`.
     pub fn plan(&self, executors: u32) -> Result<NegotiationPlan, NegotiatorError> {
         if executors > self.max_executor_capacity() {
             return Err(NegotiatorError::CapacityExceeded {
@@ -244,7 +237,7 @@ impl MachinePool {
     /// Reverts a previously applied plan, restoring the pre-plan machine
     /// count — used when the CSP layer rejects the rebalance the plan was
     /// provisioned for, so the pool does not track phantom machines.
-    pub fn revert(&mut self, plan: &NegotiationPlan) {
+    pub(crate) fn revert(&mut self, plan: &NegotiationPlan) {
         self.active = plan.target_machines + plan.remove_machines - plan.add_machines;
     }
 }
@@ -277,7 +270,6 @@ mod tests {
         assert_eq!(plan.remove_machines, 0);
         assert_eq!(plan.target_executors, 25);
         assert!((plan.pause_secs - 4.8).abs() < 1e-12);
-        assert!(plan.changes_machines());
     }
 
     #[test]
@@ -294,7 +286,7 @@ mod tests {
     fn steady_plan_costs_least() {
         let p = pool(5);
         let plan = p.plan(22).unwrap();
-        assert!(!plan.changes_machines());
+        assert_eq!((plan.add_machines, plan.remove_machines), (0, 0));
         assert!((plan.pause_secs - 0.5).abs() < 1e-12);
     }
 

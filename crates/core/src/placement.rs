@@ -102,7 +102,7 @@
 //!    [`touch`](FleetPlacementState::touch) only on a real change, and
 //!    [`mark_seen`](FleetPlacementState::mark_seen) it in a presence round;
 //!    a shard that left is either not marked in a presence round or named
-//!    with [`remove`](FleetPlacementState::remove);
+//!    with `remove`;
 //! 3. [`replan`](FleetPlacementState::replan) — shards that left are
 //!    swept out (their usage refunded to the residual), and then only
 //!    **dirty** shards are re-placed: each one's stale usage is released
@@ -110,7 +110,7 @@
 //!    residual capacity, in sorted-name order. No fresh pool build, no
 //!    untouched shard re-solved, and outside a presence round no walk of
 //!    the live set; an unchanged fleet performs zero solver calls and zero
-//!    heap allocations. [`resolved`](FleetPlacementState::resolved) lists
+//!    heap allocations. `resolved` lists
 //!    the slots it re-solved.
 //!
 //! The fleet driver presents every shard only on a full window and
@@ -1098,7 +1098,7 @@ struct WarmEntry {
 /// order before any repair: it is not marked seen in a *presence round*
 /// (opened by [`begin_window`](FleetPlacementState::begin_window), which
 /// makes `replan` sweep every live slot once), or its owner names it with
-/// [`remove`](FleetPlacementState::remove). An owner that presents only
+/// `remove`. An owner that presents only
 /// the shards whose inputs changed skips `begin_window` and removes
 /// departures explicitly; presence then stands from window to window, and
 /// a window with no departure never walks the live set.
@@ -1109,7 +1109,7 @@ struct WarmEntry {
 /// position in the live set, re-indexed only after the set changed),
 /// releases every queued slot's usage, then re-solves the queued slots in
 /// that order: its cost follows the dirty shards, not the fleet.
-/// [`resolved`](FleetPlacementState::resolved) then names the slots that
+/// `resolved` then names the slots that
 /// were re-solved, so the owner can visit exactly those.
 #[derive(Debug, Clone, Default)]
 pub struct FleetPlacementState {
@@ -1163,7 +1163,7 @@ impl FleetPlacementState {
     /// [`mark_seen`](FleetPlacementState::mark_seen) records, so the next
     /// [`replan`](FleetPlacementState::replan) sweeps out every shard that
     /// was not presented since. Without it presence stands, and shards
-    /// leave only through [`remove`](FleetPlacementState::remove).
+    /// leave only through `remove`.
     pub fn begin_window(&mut self) {
         self.stamp += 1;
         self.seen_count = 0;
@@ -1214,12 +1214,12 @@ impl FleetPlacementState {
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
-    pub fn slot_name(&self, slot: usize) -> &str {
+    pub(crate) fn slot_name(&self, slot: usize) -> &str {
         &self.entries[slot].name
     }
 
     /// Inserts a shard named `name` (or returns its existing slot, which
-    /// cancels a pending [`remove`](FleetPlacementState::remove)),
+    /// cancels a pending `remove`),
     /// recycling a tombstoned slot when one is free. A new shard starts
     /// dirty with an empty request — the caller fills it via
     /// [`touch`](FleetPlacementState::touch). Slot indices of existing
@@ -1286,7 +1286,7 @@ impl FleetPlacementState {
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
-    pub fn remove(&mut self, slot: usize) {
+    pub(crate) fn remove(&mut self, slot: usize) {
         let e = &mut self.entries[slot];
         if e.live && !e.leaving {
             e.leaving = true;
@@ -1403,7 +1403,7 @@ impl FleetPlacementState {
     }
 
     /// Ends the window: refunds and tombstones the shards that left — those
-    /// [`remove`](FleetPlacementState::remove)d, and, when a presence round
+    /// `remove`d, and, when a presence round
     /// is open, those not [`mark_seen`](FleetPlacementState::mark_seen)
     /// since [`begin_window`](FleetPlacementState::begin_window) — then
     /// re-places exactly the dirty shards against the residual capacity —
@@ -1411,7 +1411,7 @@ impl FleetPlacementState {
     /// reached 1.0, or a repair hit a dead end the batch solver might
     /// escape. Sorted-name solve order on both paths keeps the outcome
     /// independent of presentation order; the slots it re-solved are then
-    /// listed by [`resolved`](FleetPlacementState::resolved).
+    /// listed by `resolved`.
     ///
     /// On [`ReplanOutcome::Unchanged`] the call performs no solver work
     /// and no heap allocation.
@@ -1544,7 +1544,7 @@ impl FleetPlacementState {
     /// re-solved, in sorted-name order: the repaired dirty shards, every
     /// live shard after a batch re-solve, none after
     /// [`ReplanOutcome::Unchanged`]. Unspecified after an error.
-    pub fn resolved(&self) -> &[usize] {
+    pub(crate) fn resolved(&self) -> &[usize] {
         &self.resolved
     }
 

@@ -319,7 +319,7 @@ pub fn min_processors_for_target(
 ///
 /// As for [`min_processors_for_target`]; on `Err` the contents of
 /// `allocation` are unspecified.
-pub fn min_processors_for_target_into(
+pub(crate) fn min_processors_for_target_into(
     network: &JacksonNetwork,
     t_max: f64,
     cap: u32,

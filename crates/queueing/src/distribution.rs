@@ -171,7 +171,7 @@ impl Distribution {
     /// # Errors
     ///
     /// Rejects non-positive or non-finite `sigma`, or non-finite `mu`.
-    pub fn log_normal(mu: f64, sigma: f64) -> Result<Self, InvalidDistribution> {
+    pub(crate) fn log_normal(mu: f64, sigma: f64) -> Result<Self, InvalidDistribution> {
         if !mu.is_finite() || !sigma.is_finite() || sigma <= 0.0 {
             return Err(InvalidDistribution::new(format!(
                 "log-normal requires finite mu and positive sigma, got mu={mu}, sigma={sigma}"
@@ -263,7 +263,7 @@ impl Distribution {
     }
 
     /// The distribution variance.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         match *self {
             Distribution::Deterministic { .. } => 0.0,
             Distribution::Exponential { rate } => 1.0 / (rate * rate),
@@ -308,79 +308,6 @@ fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = 1.0 - rng.gen::<f64>(); // in (0, 1]
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()
-}
-
-/// A homogeneous arrival process: i.i.d. inter-arrival times from a
-/// [`Distribution`].
-///
-/// With an exponential inter-arrival law this is a Poisson process, the
-/// arrival model assumed by the DRS performance model.
-///
-/// # Examples
-///
-/// ```
-/// use drs_queueing::distribution::{ArrivalProcess, Distribution};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut arrivals = ArrivalProcess::poisson(320.0)?; // 320 tweets/second
-/// let mut rng = StdRng::seed_from_u64(1);
-/// let t1 = arrivals.next_arrival(&mut rng);
-/// let t2 = arrivals.next_arrival(&mut rng);
-/// assert!(t2 > t1);
-/// # Ok::<(), drs_queueing::distribution::InvalidDistribution>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ArrivalProcess {
-    interarrival: Distribution,
-    clock: f64,
-}
-
-impl ArrivalProcess {
-    /// Creates an arrival process with the given inter-arrival distribution,
-    /// starting at time zero.
-    pub fn new(interarrival: Distribution) -> Self {
-        ArrivalProcess {
-            interarrival,
-            clock: 0.0,
-        }
-    }
-
-    /// Creates a Poisson arrival process with the given mean rate.
-    ///
-    /// # Errors
-    ///
-    /// Rejects non-positive `rate` (see [`Distribution::exponential`]).
-    pub fn poisson(rate: f64) -> Result<Self, InvalidDistribution> {
-        Ok(Self::new(Distribution::exponential(rate)?))
-    }
-
-    /// Advances the process and returns the absolute time of the next arrival.
-    pub fn next_arrival<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        self.clock += self.interarrival.sample(rng);
-        self.clock
-    }
-
-    /// The current internal clock (time of the most recent arrival).
-    pub fn clock(&self) -> f64 {
-        self.clock
-    }
-
-    /// Mean arrival rate (reciprocal of the mean inter-arrival time).
-    ///
-    /// Returns `f64::INFINITY` if the mean inter-arrival time is zero.
-    pub fn rate(&self) -> f64 {
-        let m = self.interarrival.mean();
-        if m == 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / m
-        }
-    }
-
-    /// The inter-arrival distribution.
-    pub fn interarrival(&self) -> &Distribution {
-        &self.interarrival
-    }
 }
 
 #[cfg(test)]
@@ -485,32 +412,5 @@ mod tests {
                 assert!(x.is_finite() && x >= 0.0, "{d:?} produced {x}");
             }
         }
-    }
-
-    #[test]
-    fn poisson_process_is_monotone_and_rate_correct() {
-        let mut p = ArrivalProcess::poisson(320.0).unwrap();
-        assert!((p.rate() - 320.0).abs() < 1e-9);
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut prev = 0.0;
-        let mut count = 0;
-        while p.clock() < 10.0 {
-            let t = p.next_arrival(&mut rng);
-            assert!(t >= prev);
-            prev = t;
-            count += 1;
-        }
-        // ~3200 arrivals expected in 10 seconds.
-        assert!((2900..3500).contains(&count), "count {count}");
-    }
-
-    #[test]
-    fn arrival_process_exposes_interarrival_law() {
-        let p = ArrivalProcess::new(Distribution::deterministic(0.5).unwrap());
-        assert_eq!(
-            p.interarrival(),
-            &Distribution::Deterministic { value: 0.5 }
-        );
-        assert!((p.rate() - 2.0).abs() < 1e-12);
     }
 }

@@ -175,7 +175,7 @@ impl MmKQueue {
 
     /// Whether the queue is stable with `servers` processors, i.e.
     /// `k > λ/µ` strictly (Eq. 1's finiteness condition).
-    pub fn is_stable(&self, servers: u32) -> bool {
+    pub(crate) fn is_stable(&self, servers: u32) -> bool {
         f64::from(servers) > self.offered_load()
     }
 
@@ -199,13 +199,13 @@ impl MmKQueue {
 
     /// Steady-state probability that an arriving tuple finds all processors
     /// busy and must queue (Erlang C). Returns `1.0` when unstable.
-    pub fn prob_wait(&self, servers: u32) -> f64 {
+    pub(crate) fn prob_wait(&self, servers: u32) -> f64 {
         erlang_c(servers, self.offered_load())
     }
 
     /// Steady-state probability that the operator is completely empty (the
     /// normalisation constant `p0` of Eq. 2). Returns `0.0` when unstable.
-    pub fn prob_empty(&self, servers: u32) -> f64 {
+    pub(crate) fn prob_empty(&self, servers: u32) -> f64 {
         let a = self.offered_load();
         let k = f64::from(servers);
         if a >= k {
@@ -233,7 +233,7 @@ impl MmKQueue {
     /// queue, excluding service) with `servers` processors.
     ///
     /// Returns `f64::INFINITY` when the queue is unstable.
-    pub fn expected_wait(&self, servers: u32) -> f64 {
+    pub(crate) fn expected_wait(&self, servers: u32) -> f64 {
         if !self.is_stable(servers) {
             return f64::INFINITY;
         }

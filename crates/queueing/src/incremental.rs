@@ -100,13 +100,8 @@ impl ErlangStepper {
         Self::build(queue, servers, true)
     }
 
-    /// Whether this stepper was built with [`ErlangStepper::reversible`].
-    pub fn is_reversible(&self) -> bool {
-        self.history.is_some()
-    }
-
     /// The underlying queue model.
-    pub fn queue(&self) -> &MmKQueue {
+    pub(crate) fn queue(&self) -> &MmKQueue {
         &self.queue
     }
 
@@ -581,7 +576,6 @@ mod tests {
     fn forward_only_stepper_rejects_step_down() {
         let q = MmKQueue::new(1.0, 2.0).unwrap();
         let mut s = ErlangStepper::new(q, 3);
-        assert!(!s.is_reversible());
         s.step_down();
     }
 

@@ -18,7 +18,6 @@
 //! aggregates node delays in an open network.
 
 use crate::erlang::{InvalidQueue, MmKQueue};
-use crate::traffic::{TrafficEquations, TrafficError};
 use std::fmt;
 
 /// Error from building or evaluating a Jackson network.
@@ -31,8 +30,6 @@ pub enum JacksonError {
         /// The rejected rate.
         rate: f64,
     },
-    /// Traffic equations could not be solved for the network.
-    Traffic(TrafficError),
     /// An allocation vector had the wrong length.
     AllocationLength {
         /// Expected number of operators.
@@ -52,7 +49,6 @@ impl fmt::Display for JacksonError {
                     "external arrival rate must be finite and > 0, got {rate}"
                 )
             }
-            JacksonError::Traffic(e) => write!(f, "{e}"),
             JacksonError::AllocationLength { expected, actual } => write!(
                 f,
                 "allocation vector length {actual} does not match {expected} operators"
@@ -65,7 +61,6 @@ impl std::error::Error for JacksonError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             JacksonError::InvalidQueue(e) => Some(e),
-            JacksonError::Traffic(e) => Some(e),
             _ => None,
         }
     }
@@ -74,12 +69,6 @@ impl std::error::Error for JacksonError {
 impl From<InvalidQueue> for JacksonError {
     fn from(e: InvalidQueue) -> Self {
         JacksonError::InvalidQueue(e)
-    }
-}
-
-impl From<TrafficError> for JacksonError {
-    fn from(e: TrafficError) -> Self {
-        JacksonError::Traffic(e)
     }
 }
 
@@ -101,11 +90,9 @@ pub struct OperatorSojourn {
 
 /// An open Jackson network of `M/M/k` operators.
 ///
-/// Construct it either directly from measured rates
-/// ([`JacksonNetwork::from_rates`], the form DRS uses at runtime, since the
-/// measurer observes every `λ̂_i` directly) or from a gain topology
-/// ([`JacksonNetwork::from_traffic`], which solves the traffic equations
-/// first).
+/// Constructed from measured rates ([`JacksonNetwork::from_rates`]): the
+/// measurer observes every `λ̂_i` directly. For a gain topology, solve the
+/// traffic equations first and pass the rates they give.
 ///
 /// # Examples
 ///
@@ -197,34 +184,6 @@ impl JacksonNetwork {
         Ok(())
     }
 
-    /// Builds a network by solving `traffic` for the equilibrium arrival
-    /// rates, pairing them with the given per-operator service rates.
-    ///
-    /// # Errors
-    ///
-    /// * [`JacksonError::Traffic`] — unstable loop gain or singular system.
-    /// * [`JacksonError::AllocationLength`] — `service_rates.len()` does not
-    ///   match the number of operators in `traffic`.
-    /// * [`JacksonError::InvalidExternalRate`] — total external rate is zero.
-    /// * [`JacksonError::InvalidQueue`] — a service rate is invalid.
-    pub fn from_traffic(
-        traffic: &TrafficEquations,
-        service_rates: &[f64],
-    ) -> Result<Self, JacksonError> {
-        if service_rates.len() != traffic.len() {
-            return Err(JacksonError::AllocationLength {
-                expected: traffic.len(),
-                actual: service_rates.len(),
-            });
-        }
-        let rates = traffic.solve()?;
-        let pairs: Vec<(f64, f64)> = rates
-            .into_iter()
-            .zip(service_rates.iter().copied())
-            .collect();
-        Self::from_rates(traffic.total_external_rate(), &pairs)
-    }
-
     /// Number of operators.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -243,15 +202,6 @@ impl JacksonNetwork {
     /// The per-operator `M/M/k` models.
     pub fn operators(&self) -> &[MmKQueue] {
         &self.nodes
-    }
-
-    /// The operator at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    pub fn operator(&self, index: usize) -> &MmKQueue {
-        &self.nodes[index]
     }
 
     /// Expected total sojourn time `E[T](k)` under allocation `k` (Eq. 3).
@@ -350,6 +300,7 @@ impl JacksonNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::TrafficEquations;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} !~ {b} (tol {tol})");
@@ -430,26 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn from_traffic_builds_equivalent_network() {
-        let mut eqs = TrafficEquations::new(2);
-        eqs.set_external_rate(0, 13.0).unwrap();
-        eqs.set_gain(0, 1, 30.0).unwrap();
-        let net = JacksonNetwork::from_traffic(&eqs, &[2.0, 45.0]).unwrap();
-        assert_close(net.operator(0).arrival_rate(), 13.0, 1e-9);
-        assert_close(net.operator(1).arrival_rate(), 390.0, 1e-9);
-        assert_close(net.external_rate(), 13.0, 1e-12);
-    }
-
-    #[test]
-    fn from_traffic_rejects_mismatched_service_rates() {
-        let eqs = TrafficEquations::new(2);
-        assert!(matches!(
-            JacksonNetwork::from_traffic(&eqs, &[1.0]),
-            Err(JacksonError::AllocationLength { .. })
-        ));
-    }
-
-    #[test]
     fn invalid_external_rate_rejected() {
         assert!(matches!(
             JacksonNetwork::from_rates(0.0, &[(1.0, 1.0)]),
@@ -490,13 +421,15 @@ mod tests {
         eqs.set_external_rate(0, 7.0).unwrap();
         eqs.set_gain(0, 1, 1.0).unwrap();
         eqs.set_gain(1, 0, 0.3).unwrap();
-        let net = JacksonNetwork::from_traffic(&eqs, &[5.0, 5.0]).unwrap();
-        assert_close(net.operator(0).arrival_rate(), 10.0, 1e-9);
+        let rates = eqs.solve().unwrap();
+        let net = JacksonNetwork::from_rates(7.0, &[(rates[0], 5.0), (rates[1], 5.0)]).unwrap();
+        assert_close(net.operators()[0].arrival_rate(), 10.0, 1e-9);
         // Visit ratio 10/7 > 1: network sojourn exceeds the tandem sum of a
         // loop-free network with the same per-visit delays at rate 7.
         let t = net.expected_sojourn(&[4, 4]).unwrap();
         assert!(t.is_finite());
-        let per_visit = net.operator(0).expected_sojourn(4) + net.operator(1).expected_sojourn(4);
+        let per_visit =
+            net.operators()[0].expected_sojourn(4) + net.operators()[1].expected_sojourn(4);
         assert!(t > per_visit, "{t} should exceed {per_visit}");
     }
 }

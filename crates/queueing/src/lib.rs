@@ -25,9 +25,9 @@
 //! * [`distribution`] — service-time and inter-arrival laws (exponential,
 //!   uniform, Erlang, log-normal, hyperexponential…) used by the simulator
 //!   and by the model-robustness experiments.
-//! * [`mgk`] — Allen–Cunneen `M/G/k`/`G/G/k` burstiness corrections and the
-//!   Kingman bound: the paper's §VI "more sophisticated queueing theory"
-//!   future work, implemented.
+//! * [`mgk`] — the Allen–Cunneen `M/G/k`/`G/G/k` burstiness correction:
+//!   the paper's §VI "more sophisticated queueing theory" future work,
+//!   implemented.
 //! * [`stats`] — streaming mean/variance accumulators shared by the
 //!   measurement paths.
 //!
@@ -54,6 +54,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod distribution;
@@ -64,7 +65,7 @@ pub mod mgk;
 pub mod stats;
 pub mod traffic;
 
-pub use distribution::{ArrivalProcess, Distribution};
+pub use distribution::Distribution;
 pub use erlang::{erlang_b, erlang_c, MmKQueue};
 pub use incremental::{ErlangStepper, NetworkSojourn};
 pub use jackson::{JacksonNetwork, OperatorSojourn};

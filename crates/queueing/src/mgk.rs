@@ -4,18 +4,15 @@
 //!
 //! The DRS model assumes exponential inter-arrival and service times. Real
 //! operators violate both: video frames arrive uniformly, SIFT cost is
-//! heavy-tailed. Two classical corrections sharpen the Erlang estimate
+//! heavy-tailed. A classical correction sharpens the Erlang estimate
 //! using only two extra measured moments (the squared coefficients of
-//! variation `ca²` of inter-arrival and `cs²` of service times):
+//! variation `ca²` of inter-arrival and `cs²` of service times): the
+//! **Allen–Cunneen** approximation (`M/G/k`, extended to `G/G/k`)
+//! `Wq ≈ Wq(M/M/k) · (ca² + cs²)/2` — exact for `M/M/k`
+//! (`ca² = cs² = 1`), exact in heavy traffic, and the standard engineering
+//! approximation elsewhere.
 //!
-//! * **Allen–Cunneen** (`M/G/k`, extended to `G/G/k`):
-//!   `Wq ≈ Wq(M/M/k) · (ca² + cs²)/2` — exact for `M/M/k`
-//!   (`ca² = cs² = 1`), exact in heavy traffic, and the standard engineering
-//!   approximation elsewhere.
-//! * **Kingman** (`G/G/1` heavy-traffic bound), provided for reference and
-//!   cross-checking on single-server operators.
-//!
-//! Both reduce to the Erlang result when fed exponential moments, so DRS
+//! It reduces to the Erlang result when fed exponential moments, so DRS
 //! can switch models without recalibration: the measurer already observes
 //! per-tuple service times (for `µ̂`) and inter-arrival gaps (for `λ̂`);
 //! tracking their second moments is a one-line extension.
@@ -27,12 +24,13 @@ use crate::erlang::{InvalidQueue, MmKQueue};
 /// # Examples
 ///
 /// ```
+/// use drs_queueing::erlang::MmKQueue;
 /// use drs_queueing::mgk::GgKQueue;
 ///
 /// // Uniform arrivals (ca² = 1/3), heavy-tailed service (cs² = 2).
 /// let q = GgKQueue::new(13.0, 1.78, 1.0 / 3.0, 2.0)?;
 /// let corrected = q.expected_sojourn(10);
-/// let erlang = q.erlang().expected_sojourn(10);
+/// let erlang = MmKQueue::new(13.0, 1.78)?.expected_sojourn(10);
 /// // (1/3 + 2)/2 > 1: the corrected model predicts more queueing.
 /// assert!(corrected > erlang);
 /// # Ok::<(), drs_queueing::erlang::InvalidQueue>(())
@@ -73,35 +71,14 @@ impl GgKQueue {
         })
     }
 
-    /// The exponential special case (`ca² = cs² = 1`): identical to
-    /// [`MmKQueue`].
-    pub fn exponential(arrival_rate: f64, service_rate: f64) -> Result<Self, InvalidQueue> {
-        Self::new(arrival_rate, service_rate, 1.0, 1.0)
-    }
-
-    /// The underlying Erlang model (mean rates only).
-    pub fn erlang(&self) -> &MmKQueue {
-        &self.erlang
-    }
-
-    /// Squared coefficient of variation of inter-arrival times.
-    pub fn arrival_cv2(&self) -> f64 {
-        self.arrival_cv2
-    }
-
-    /// Squared coefficient of variation of service times.
-    pub fn service_cv2(&self) -> f64 {
-        self.service_cv2
-    }
-
     /// The Allen–Cunneen burstiness correction factor `(ca² + cs²)/2`.
-    pub fn correction(&self) -> f64 {
+    pub(crate) fn correction(&self) -> f64 {
         (self.arrival_cv2 + self.service_cv2) / 2.0
     }
 
     /// Expected queueing delay under the Allen–Cunneen approximation:
     /// `Wq(M/M/k) · (ca² + cs²)/2`. Infinite when unstable.
-    pub fn expected_wait(&self, servers: u32) -> f64 {
+    pub(crate) fn expected_wait(&self, servers: u32) -> f64 {
         let base = self.erlang.expected_wait(servers);
         if base.is_infinite() {
             f64::INFINITY
@@ -120,18 +97,6 @@ impl GgKQueue {
             w + 1.0 / self.erlang.service_rate()
         }
     }
-
-    /// Kingman's heavy-traffic `G/G/1` waiting-time approximation
-    /// `(ρ/(1−ρ)) · ((ca² + cs²)/2) · E[S]`, for single-server operators.
-    ///
-    /// Returns `f64::INFINITY` when `ρ >= 1`.
-    pub fn kingman_wait_single(&self) -> f64 {
-        let rho = self.erlang.offered_load();
-        if rho >= 1.0 {
-            return f64::INFINITY;
-        }
-        (rho / (1.0 - rho)) * self.correction() / self.erlang.service_rate()
-    }
 }
 
 #[cfg(test)]
@@ -140,10 +105,11 @@ mod tests {
 
     #[test]
     fn exponential_case_matches_erlang_exactly() {
-        let q = GgKQueue::exponential(10.0, 3.0).unwrap();
+        let q = GgKQueue::new(10.0, 3.0, 1.0, 1.0).unwrap();
+        let erlang = MmKQueue::new(10.0, 3.0).unwrap();
         for k in 4..12 {
             assert!(
-                (q.expected_sojourn(k) - q.erlang().expected_sojourn(k)).abs() < 1e-15,
+                (q.expected_sojourn(k) - erlang.expected_sojourn(k)).abs() < 1e-15,
                 "k = {k}"
             );
         }
@@ -152,7 +118,7 @@ mod tests {
 
     #[test]
     fn smoother_traffic_waits_less_burstier_waits_more() {
-        let erlang = GgKQueue::exponential(40.0, 10.0).unwrap();
+        let erlang = GgKQueue::new(40.0, 10.0, 1.0, 1.0).unwrap();
         let smooth = GgKQueue::new(40.0, 10.0, 1.0 / 3.0, 0.0).unwrap(); // uniform arrivals, deterministic service
         let bursty = GgKQueue::new(40.0, 10.0, 1.0, 4.0).unwrap(); // hyperexponential service
         let k = 5;
@@ -176,20 +142,6 @@ mod tests {
         let k = 4;
         // (1+3)/2 = 2x the (1+1)/2 = 1x wait.
         assert!((a.expected_wait(k) - 2.0 * b.expected_wait(k)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kingman_matches_mm1_for_exponential() {
-        // For M/M/1 Kingman is exact: Wq = rho/(1-rho) * E[S].
-        let q = GgKQueue::exponential(3.0, 10.0).unwrap();
-        let exact = q.erlang().expected_wait(1);
-        assert!((q.kingman_wait_single() - exact).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kingman_unstable_is_infinite() {
-        let q = GgKQueue::exponential(10.0, 3.0).unwrap();
-        assert!(q.kingman_wait_single().is_infinite());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::fmt;
 
 /// Sweeps (and power-iteration steps) after which the traffic solve gives up.
-pub const MAX_SWEEPS: usize = 1 << 20;
+pub(crate) const MAX_SWEEPS: usize = 1 << 20;
 
 /// Error from building or solving traffic equations.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +47,7 @@ pub enum TrafficError {
         /// The estimated spectral radius.
         spectral_radius: f64,
     },
-    /// The Gauss–Seidel sweeps still moved a rate after [`MAX_SWEEPS`]
+    /// The Gauss–Seidel sweeps still moved a rate after `MAX_SWEEPS`
     /// (a loop gain just below one converges that slowly).
     NotConverged {
         /// The number of sweeps run.
@@ -112,13 +112,8 @@ impl TrafficEquations {
     }
 
     /// Number of operators.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.external.len()
-    }
-
-    /// Whether the network has no operators.
-    pub fn is_empty(&self) -> bool {
-        self.external.is_empty()
     }
 
     /// Sets the external (from outside the network) arrival rate into
@@ -164,15 +159,6 @@ impl TrafficEquations {
         Ok(())
     }
 
-    /// The external arrival rate into operator `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn external_rate(&self, i: usize) -> f64 {
-        self.external[i]
-    }
-
     /// The gain on edge `from → to` (zero when no edge was set).
     ///
     /// # Panics
@@ -184,15 +170,10 @@ impl TrafficEquations {
         at.map_or(0.0, |k| self.edges[k].2)
     }
 
-    /// Total external arrival rate `λ0` into the whole network.
-    pub fn total_external_rate(&self) -> f64 {
-        self.external.iter().sum()
-    }
-
     /// The spectral radius of the gain matrix (the *loop gain*); below 1 the
     /// traffic equations have a unique bounded solution. Exactly `0.0` for
     /// an acyclic network, else the upper Collatz–Wielandt bound (minus
-    /// one) once within `1e-12` of the lower, or after [`MAX_SWEEPS`] steps.
+    /// one) once within `1e-12` of the lower, or after `MAX_SWEEPS` steps.
     pub fn loop_gain(&self) -> f64 {
         let (starts, blocks) = self.components();
         self.loop_gain_below(&starts, &blocks, 0.0)
@@ -205,7 +186,7 @@ impl TrafficEquations {
     ///
     /// * [`TrafficError::UnstableLoopGain`] — the gain matrix has spectral
     ///   radius `>= 1` (e.g. a feedback loop that amplifies its own traffic).
-    /// * [`TrafficError::NotConverged`] — [`MAX_SWEEPS`] Gauss–Seidel sweeps
+    /// * [`TrafficError::NotConverged`] — `MAX_SWEEPS` Gauss–Seidel sweeps
     ///   still moved a rate (a loop gain within a hair of one is that slow).
     pub fn solve(&self) -> Result<Vec<f64>, TrafficError> {
         let (starts, blocks) = self.components();
@@ -336,7 +317,7 @@ mod tests {
     #[test]
     fn empty_network_solves_trivially() {
         let eqs = TrafficEquations::new(0);
-        assert!(eqs.is_empty());
+        assert_eq!(eqs.len(), 0);
         assert_eq!(eqs.solve().unwrap(), Vec::<f64>::new());
     }
 
@@ -482,10 +463,8 @@ mod tests {
         let mut eqs = TrafficEquations::new(3);
         eqs.set_external_rate(1, 4.0).unwrap();
         eqs.set_gain(1, 2, 0.7).unwrap();
-        assert_eq!(eqs.external_rate(1), 4.0);
         assert_eq!(eqs.gain(1, 2), 0.7);
         assert_eq!(eqs.gain(2, 1), 0.0);
-        assert_close(eqs.total_external_rate(), 4.0, 1e-12);
         assert_eq!(eqs.len(), 3);
     }
 

@@ -167,7 +167,7 @@ pub struct RuntimeBuilder {
 
 impl RuntimeBuilder {
     /// Default per-operator channel capacity (envelopes).
-    pub const DEFAULT_CHANNEL_CAPACITY: usize = 64 * 1024;
+    pub(crate) const DEFAULT_CHANNEL_CAPACITY: usize = 64 * 1024;
 
     /// Floor on the default worker *cap*. Bolts are allowed to block
     /// (sleep-paced service is how the integration tests model real work),
@@ -177,7 +177,7 @@ impl RuntimeBuilder {
     /// hosts while still decoupling `k_i` from the thread count. The
     /// adaptive pool only grows to the cap while runnable tasks outnumber
     /// its live workers.
-    pub const DEFAULT_WORKER_CAP: usize = 8;
+    pub(crate) const DEFAULT_WORKER_CAP: usize = 8;
 
     /// Starts a builder for the given topology.
     pub fn new(topology: Topology) -> Self {
@@ -223,7 +223,7 @@ impl RuntimeBuilder {
     /// default the pool is **adaptive** instead: it starts one worker and
     /// grows on demand — a task wakeup that finds every live worker busy
     /// spawns another — up to the host's available parallelism floored at
-    /// [`Self::DEFAULT_WORKER_CAP`] (see there for why the floor exists);
+    /// `Self::DEFAULT_WORKER_CAP` (see there for why the floor exists);
     /// persistently idle workers retire back down to one. Executor weights
     /// may exceed the worker count freely — that is the point of the pool.
     ///

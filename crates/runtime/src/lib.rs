@@ -81,11 +81,11 @@
 //! placement and ignores it.
 //!
 //! Groupings: the engine distributes tuples to executors through one shared
-//! queue per operator (shuffle semantics). Other Storm groupings affect
-//! executor-level placement, not operator-level rates, which is what DRS
-//! models; they are treated as shuffle here.
+//! queue per operator (shuffle semantics), the grouping every consumer of a
+//! `drs_topology::Topology` assumes.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod backend;

@@ -167,7 +167,7 @@ struct Baseline {
 
 impl MetricsRegistry {
     /// Creates a registry for `n_operators` operators.
-    pub fn new(n_operators: usize) -> Self {
+    pub(crate) fn new(n_operators: usize) -> Self {
         MetricsRegistry {
             operators: (0..n_operators)
                 .map(|_| OperatorCounters::default())
@@ -184,16 +184,6 @@ impl MetricsRegistry {
                 external: 0,
             }),
         }
-    }
-
-    /// Number of operators tracked.
-    pub fn len(&self) -> usize {
-        self.operators.len()
-    }
-
-    /// Whether the registry tracks no operators.
-    pub fn is_empty(&self) -> bool {
-        self.operators.is_empty()
     }
 
     /// Records `n` arrivals in one atomic add (the fan-out batch path).
@@ -239,14 +229,14 @@ impl MetricsRegistry {
     /// per input channel (always one) — a suspension is an executor task
     /// parking itself on a full downstream channel (backpressure working
     /// as designed; sustained growth flags a hot operator).
-    pub fn suspensions(&self) -> Vec<Vec<u64>> {
+    pub(crate) fn suspensions(&self) -> Vec<Vec<u64>> {
         self.per_queue(|q| q.suspensions.load(Ordering::Relaxed))
     }
 
     /// Peak observed input-queue depths, one row per operator and one
     /// entry per input channel (always one). Never exceeds the configured
     /// channel capacity — the bound is hard.
-    pub fn peak_queue_depths(&self) -> Vec<Vec<u64>> {
+    pub(crate) fn peak_queue_depths(&self) -> Vec<Vec<u64>> {
         self.per_queue(|q| q.peak_depth.load(Ordering::Relaxed))
     }
 
@@ -257,13 +247,13 @@ impl MetricsRegistry {
     /// The end-to-end (root emission → tree fully acked) latency at
     /// quantile `q`, in seconds, over every tuple tree completed since the
     /// registry was created. `None` until the first tree completes.
-    pub fn sojourn_quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn sojourn_quantile(&self, q: f64) -> Option<f64> {
         self.latency.quantile(q).map(|nanos| nanos as f64 / 1e9)
     }
 
     /// Takes a windowed snapshot: rates cover the interval since the last
     /// snapshot (or registry creation) and the window is reset.
-    pub fn take_snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn take_snapshot(&self) -> MetricsSnapshot {
         let mut started = self.window_started.lock();
         let window_secs = started.elapsed().as_secs_f64();
         *started = Instant::now();
@@ -306,8 +296,6 @@ mod tests {
     #[test]
     fn counters_accumulate_and_window_resets() {
         let m = MetricsRegistry::new(2);
-        assert_eq!(m.len(), 2);
-        assert!(!m.is_empty());
         m.record_arrivals(0, 2);
         m.record_arrivals(1, 1);
         m.record_completion(0, 1_000_000); // 1 ms

@@ -141,7 +141,7 @@ impl Tuple {
 
     /// Consumes the tuple, returning its field buffer, capacity included —
     /// the inverse of [`Tuple::new`].
-    pub fn into_fields(self) -> Vec<Value> {
+    pub(crate) fn into_fields(self) -> Vec<Value> {
         self.fields
     }
 }

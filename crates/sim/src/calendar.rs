@@ -49,8 +49,8 @@
 //! order. That total order is exactly the one the previous
 //! `BinaryHeap<Scheduled>` implementation produced, so simulator timelines
 //! are bit-identical across the swap — same-timestamp events still fire in
-//! FIFO scheduling order. [`CalendarQueue::push_with_seq`] and
-//! [`CalendarQueue::peek_key`] let a caller draw the sequence numbers from
+//! FIFO scheduling order. `CalendarQueue::push_with_seq` and
+//! `CalendarQueue::peek_key` let a caller draw the sequence numbers from
 //! a counter it shares with other event stores and merge on the same key,
 //! which is how the simulator's [`crate::event::EventQueue`] keeps its
 //! fixed-delay lanes in the same total order. Property tests
@@ -173,7 +173,7 @@ impl<E> CalendarQueue<E> {
     /// instant pop in ascending `seq`; the caller keeps sequence numbers
     /// unique and does not mix this with [`push`](Self::push), whose
     /// counter is the queue's own. O(1) amortized.
-    pub fn push_with_seq(&mut self, time: u64, seq: u64, event: E) {
+    pub(crate) fn push_with_seq(&mut self, time: u64, seq: u64, event: E) {
         let entry = Entry { time, seq, event };
         if self.is_empty() {
             // Re-anchor the (empty) band at the new event so the common
@@ -205,7 +205,7 @@ impl<E> CalendarQueue<E> {
     /// The `(time, seq)` key of the earliest pending event — the key it
     /// pops under. Amortized O(1); may advance internal cursors (never
     /// changes the pop order).
-    pub fn peek_key(&mut self) -> Option<(u64, u64)> {
+    pub(crate) fn peek_key(&mut self) -> Option<(u64, u64)> {
         if !self.position_at_min() {
             return None;
         }

@@ -23,7 +23,7 @@
 //! # Determinism
 //!
 //! The queue owns one sequence counter, shared by the calendar
-//! ([`CalendarQueue::push_with_seq`]) and the lanes, and
+//! (`CalendarQueue::push_with_seq`) and the lanes, and
 //! [`EventQueue::pop_due`] pops the least `(time, seq)` key among the
 //! calendar head and the lane heads. That is the total order a single
 //! binary heap over every event produces, so timelines are bit-identical to
@@ -107,11 +107,6 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// Creates an empty queue without lanes.
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
     /// Creates an empty queue with `lanes` fixed-delay lanes, numbered
     /// `0..lanes`.
     pub fn with_lanes(lanes: usize) -> Self {
@@ -213,7 +208,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.schedule(SimTime::from_nanos(30), Event::Resume);
         q.schedule(SimTime::from_nanos(10), Event::ExternalArrival { spout: 1 });
         q.schedule(
@@ -232,7 +227,7 @@ mod tests {
 
     #[test]
     fn equal_times_pop_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         let t = SimTime::from_nanos(5);
         for spout in 0..10 {
             q.schedule(t, Event::ExternalArrival { spout });

@@ -66,12 +66,7 @@ pub struct WindowJitter {
 
 impl WindowJitter {
     /// No delay: every message is delivered in the window it was sent.
-    pub const NONE: WindowJitter = WindowJitter { base: 0, jitter: 0 };
-
-    /// A fixed delay of `base` windows with no jitter.
-    pub const fn fixed(base: u64) -> Self {
-        WindowJitter { base, jitter: 0 }
-    }
+    pub(crate) const NONE: WindowJitter = WindowJitter { base: 0, jitter: 0 };
 
     /// Draws one delay in windows.
     fn sample(&self, rng: &mut StdRng) -> u64 {
@@ -141,7 +136,7 @@ pub struct Partition {
 
 impl Partition {
     /// Whether the partition is in force at `window`.
-    pub fn active(&self, window: u64) -> bool {
+    pub(crate) fn active(&self, window: u64) -> bool {
         (self.from_window..self.heal_window).contains(&window)
     }
 }
@@ -264,12 +259,12 @@ impl ControlChannel {
     }
 
     /// Every fault injected and rejection observed so far.
-    pub fn log(&self) -> &[FaultEvent] {
+    pub(crate) fn log(&self) -> &[FaultEvent] {
         &self.log
     }
 
     /// Whether a scheduled partition is in force right now.
-    pub fn is_partitioned(&self) -> bool {
+    pub(crate) fn is_partitioned(&self) -> bool {
         let w = self.window;
         self.partitions.iter().any(|p| p.active(w))
     }
@@ -406,12 +401,6 @@ impl<B: CspBackend> FaultyShard<B> {
         }
     }
 
-    /// Convenience: a perfect channel (still epoch-guarded) around
-    /// `inner`.
-    pub fn perfect(inner: B, seed: u64) -> Self {
-        FaultyShard::new(inner, ControlChannel::new(seed, LinkFaults::none()))
-    }
-
     /// Schedules a machine failure at the given fleet window (0-based):
     /// from that window on the shard stops reporting and never
     /// acknowledges a command again.
@@ -428,18 +417,14 @@ impl<B: CspBackend> FaultyShard<B> {
     }
 
     /// Whether the machine has failed.
-    pub fn is_crashed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_crashed(&self) -> bool {
         self.crashed
     }
 
     /// The wrapped backend (e.g. to inject workload drift).
     pub fn inner(&self) -> &B {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped backend.
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
     }
 
     /// The shard's channel (fault log, partition state).
@@ -647,7 +632,7 @@ mod tests {
     #[test]
     fn perfect_channel_is_passthrough() {
         let mut inner = Echo::new(4);
-        let mut faulty = FaultyShard::perfect(Echo::new(4), 7);
+        let mut faulty = FaultyShard::new(Echo::new(4), ControlChannel::new(7, LinkFaults::none()));
         for _ in 0..5 {
             let a = inner.advance(1.0);
             let b = faulty.advance(1.0);
@@ -661,7 +646,7 @@ mod tests {
 
     #[test]
     fn epoch_guard_rejects_duplicates_and_stale_commands() {
-        let mut s = FaultyShard::perfect(Echo::new(4), 7);
+        let mut s = FaultyShard::new(Echo::new(4), ControlChannel::new(7, LinkFaults::none()));
         s.apply(&plan(6, 2)).unwrap();
         // A replayed (same-epoch) command is refused, not double-applied…
         let err = s.apply(&plan(8, 2)).unwrap_err();
@@ -699,7 +684,7 @@ mod tests {
     #[test]
     fn delayed_command_applies_later_without_ack() {
         let faults = LinkFaults {
-            command_delay: WindowJitter::fixed(2),
+            command_delay: WindowJitter { base: 2, jitter: 0 },
             ..LinkFaults::none()
         };
         let mut s = FaultyShard::new(Echo::new(4), ControlChannel::new(3, faults));
@@ -735,7 +720,7 @@ mod tests {
     #[test]
     fn delayed_reports_arrive_later_in_order() {
         let faults = LinkFaults {
-            report_delay: WindowJitter::fixed(1),
+            report_delay: WindowJitter { base: 1, jitter: 0 },
             ..LinkFaults::none()
         };
         let mut s = FaultyShard::new(Echo::new(4), ControlChannel::new(3, faults));
@@ -769,7 +754,7 @@ mod tests {
 
     #[test]
     fn crash_silences_the_shard_forever() {
-        let mut s = FaultyShard::perfect(Echo::new(4), 3);
+        let mut s = FaultyShard::new(Echo::new(4), ControlChannel::new(3, LinkFaults::none()));
         s.crash_at(2);
         assert!(s.advance(1.0).external_rate.is_some());
         assert!(s.advance(1.0).external_rate.is_some());

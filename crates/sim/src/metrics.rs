@@ -25,20 +25,15 @@ impl OperatorWindow {
     /// Measured arrival rate `λ̂_i` over a window of `elapsed` seconds.
     ///
     /// Returns `None` for an empty window (no elapsed time).
-    pub fn arrival_rate(&self, elapsed: SimDuration) -> Option<f64> {
+    pub(crate) fn arrival_rate(&self, elapsed: SimDuration) -> Option<f64> {
         let secs = elapsed.as_secs_f64();
         (secs > 0.0).then(|| self.arrivals as f64 / secs)
     }
 
     /// Measured per-executor service rate `µ̂_i`: completions divided by
     /// executor busy time. `None` if no busy time was accumulated.
-    pub fn service_rate(&self) -> Option<f64> {
+    pub(crate) fn service_rate(&self) -> Option<f64> {
         (self.busy_time > 0.0).then(|| self.completions as f64 / self.busy_time)
-    }
-
-    /// Mean queueing delay of the tuples completed in this window.
-    pub fn mean_queue_wait(&self) -> Option<f64> {
-        (self.completions > 0).then(|| self.queue_wait / self.completions as f64)
     }
 }
 
@@ -61,7 +56,7 @@ pub struct MeasurementWindow {
 
 impl MeasurementWindow {
     /// Window length.
-    pub fn elapsed(&self) -> SimDuration {
+    pub(crate) fn elapsed(&self) -> SimDuration {
         self.end.duration_since(self.start)
     }
 
@@ -103,7 +98,6 @@ mod tests {
         let elapsed = SimDuration::from_secs(60);
         assert!((w.arrival_rate(elapsed).unwrap() - 10.0).abs() < 1e-9);
         assert!((w.service_rate().unwrap() - 10.0).abs() < 1e-9);
-        assert!((w.mean_queue_wait().unwrap() - 0.02).abs() < 1e-9);
     }
 
     #[test]
@@ -111,7 +105,6 @@ mod tests {
         let w = OperatorWindow::default();
         assert_eq!(w.arrival_rate(SimDuration::ZERO), None);
         assert_eq!(w.service_rate(), None);
-        assert_eq!(w.mean_queue_wait(), None);
     }
 
     #[test]
@@ -121,7 +114,7 @@ mod tests {
         sojourn.record(0.6);
         let w = MeasurementWindow {
             start: SimTime::ZERO,
-            end: SimTime::from_secs_f64(10.0),
+            end: SimTime::ZERO + SimDuration::from_secs(10),
             operators: vec![OperatorWindow::default()],
             external_arrivals: 130,
             sojourn,

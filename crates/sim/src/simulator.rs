@@ -13,7 +13,8 @@
 //!   *complete sojourn time* that DRS targets;
 //! * edges may impose network delays, which the DRS model deliberately does
 //!   not see (reproducing the underestimation of paper Figs. 7–8);
-//! * the allocation can be changed at runtime via [`Simulator::rebalance`],
+//! * the allocation can be changed at runtime (the `CspBackend::apply` of
+//!   [`crate::backend`]),
 //!   with a configurable pause cost emulating Storm's (or DRS's improved)
 //!   re-balancing mechanism.
 //!
@@ -438,7 +439,8 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `op` is out of range.
-    pub fn busy_executors(&self, op: OperatorId) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn busy_executors(&self, op: OperatorId) -> u32 {
         self.ops[op.index()].busy
     }
 
@@ -459,13 +461,13 @@ impl Simulator {
     }
 
     /// Whether a rebalance pause is currently in effect.
-    pub fn is_paused(&self) -> bool {
+    pub(crate) fn is_paused(&self) -> bool {
         self.paused_until.is_some_and(|t| t > self.now)
     }
 
     /// Runs the simulation until `deadline`, then sets the clock to exactly
     /// `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
+    pub(crate) fn run_until(&mut self, deadline: SimTime) {
         while let Some((time, event)) = self.events.pop_due(deadline) {
             self.now = time;
             self.handle(event);
@@ -528,7 +530,11 @@ impl Simulator {
     /// * [`SimError::AllocationLength`] / [`SimError::ZeroAllocation`] — bad
     ///   target allocation.
     /// * [`SimError::RebalanceInProgress`] — a previous pause has not ended.
-    pub fn rebalance(&mut self, allocation: Vec<u32>, pause: SimDuration) -> Result<(), SimError> {
+    pub(crate) fn rebalance(
+        &mut self,
+        allocation: Vec<u32>,
+        pause: SimDuration,
+    ) -> Result<(), SimError> {
         validate_allocation(&self.topology, &allocation)?;
         if self.is_paused() {
             return Err(SimError::RebalanceInProgress);

@@ -13,7 +13,7 @@
 //! ([`Draws`]). Per shard, in this order: a base rate in `[20, 80)`
 //! tuples/s; one service rate per operator, an offered load in `[0.5, 3)`;
 //! a start rate in `[0.7, 1.3)` of the base; then the shard's Program 6
-//! schedule for [`T_MAX`] at that rate, which it starts on; then each
+//! schedule for a 0.5 s target (`T_MAX`) at that rate, which it starts on; then each
 //! operator's per-executor resource units in `[0.5, 1.5)`. Names are
 //! `shard-` and the index, zero-padded to the fleet's width, so name order
 //! is index order. After the last shard the same stream drives the drift:
@@ -29,7 +29,7 @@ use drs_queueing::jackson::JacksonNetwork;
 use drs_topology::ResourceProfile;
 
 /// The latency target every generated shard is scheduled for, in seconds.
-pub const T_MAX: f64 = 0.5;
+pub(crate) const T_MAX: f64 = 0.5;
 
 /// xorshift64*: uniform draws in `[0, 1)`, no allocation.
 #[derive(Debug, Clone, Copy)]
@@ -42,7 +42,7 @@ impl Draws {
     }
 
     /// The next uniform draw in `[0, 1)`.
-    pub fn uniform(&mut self) -> f64 {
+    pub(crate) fn uniform(&mut self) -> f64 {
         self.0 ^= self.0 >> 12;
         self.0 ^= self.0 << 25;
         self.0 ^= self.0 >> 27;
@@ -97,7 +97,7 @@ impl SyntheticShard {
         JacksonNetwork::from_rates(self.rate, &operators).expect("positive rates")
     }
 
-    /// The shard's own Program 6 schedule for [`T_MAX`] at its current rate.
+    /// The shard's own Program 6 schedule for `T_MAX` at its current rate.
     ///
     /// # Panics
     ///
@@ -157,7 +157,7 @@ impl CspBackend for SyntheticShard {
     }
 }
 
-/// The seeded generator: yields `shards` shard specs (target [`T_MAX`],
+/// The seeded generator: yields `shards` shard specs (target `T_MAX`,
 /// placement metadata for a chain `0 → 1 → …` with gain 1), drawn in the
 /// order the module docs give, and keeps the totals a caller sizes its
 /// budget and machine pool from.

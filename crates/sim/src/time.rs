@@ -17,17 +17,11 @@ pub struct SimDuration(u64);
 
 impl SimTime {
     /// The simulation epoch (t = 0).
-    pub const ZERO: SimTime = SimTime(0);
+    pub(crate) const ZERO: SimTime = SimTime(0);
 
     /// Creates an instant from raw nanoseconds.
     pub fn from_nanos(nanos: u64) -> Self {
         SimTime(nanos)
-    }
-
-    /// Creates an instant from seconds, saturating on overflow and clamping
-    /// negatives to zero.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        SimTime(secs_to_nanos(secs))
     }
 
     /// Raw nanoseconds since simulation start.
@@ -36,25 +30,20 @@ impl SimTime {
     }
 
     /// Seconds since simulation start.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// The duration elapsed since `earlier`, saturating to zero if `earlier`
     /// is in the future.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 }
 
 impl SimDuration {
     /// The zero-length duration.
-    pub const ZERO: SimDuration = SimDuration(0);
-
-    /// Creates a duration from raw nanoseconds.
-    pub fn from_nanos(nanos: u64) -> Self {
-        SimDuration(nanos)
-    }
+    pub(crate) const ZERO: SimDuration = SimDuration(0);
 
     /// Creates a duration from seconds, saturating on overflow and clamping
     /// negatives to zero.
@@ -72,18 +61,13 @@ impl SimDuration {
         SimDuration(secs.saturating_mul(1_000_000_000))
     }
 
-    /// Raw nanoseconds.
-    pub fn as_nanos(self) -> u64 {
-        self.0
-    }
-
     /// The duration in seconds.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// The duration in milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 }
@@ -154,7 +138,7 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
-        let t = SimTime::from_secs_f64(1.5);
+        let t = SimTime::ZERO + SimDuration::from_secs_f64(1.5);
         assert_eq!(t.as_nanos(), 1_500_000_000);
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
 
@@ -165,19 +149,18 @@ mod tests {
 
     #[test]
     fn negative_and_nan_seconds_clamp_to_zero() {
-        assert_eq!(SimTime::from_secs_f64(-3.0), SimTime::ZERO);
-        assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_secs_f64(-3.0), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
     }
 
     #[test]
     fn huge_seconds_saturate() {
-        assert_eq!(SimTime::from_secs_f64(1e300).as_nanos(), u64::MAX);
+        assert_eq!(SimDuration::from_secs_f64(1e300), SimDuration(u64::MAX));
     }
 
     #[test]
     fn arithmetic_behaves() {
-        let t = SimTime::from_secs_f64(1.0);
+        let t = SimTime::from_nanos(1_000_000_000);
         let d = SimDuration::from_millis(500);
         let t2 = t + d;
         assert!((t2.as_secs_f64() - 1.5).abs() < 1e-12);
@@ -207,7 +190,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(SimTime::from_secs_f64(2.0).to_string(), "2.000s");
+        assert_eq!(SimTime::from_nanos(2_000_000_000).to_string(), "2.000s");
         assert_eq!(SimDuration::from_millis(13).to_string(), "13.000ms");
     }
 }

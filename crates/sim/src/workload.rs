@@ -105,7 +105,7 @@ impl CountDistribution {
     }
 
     /// Draws one emission count.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         match *self {
             CountDistribution::Fixed { count } => count,
             CountDistribution::MeanPreserving { mean } => {
@@ -116,17 +116,6 @@ impl CountDistribution {
             }
             CountDistribution::Poisson { mean } => sample_poisson(rng, mean),
             CountDistribution::Bernoulli { p } => u32::from(rng.gen::<f64>() < p),
-        }
-    }
-
-    /// The distribution mean.
-    pub fn mean(&self) -> f64 {
-        match *self {
-            CountDistribution::Fixed { count } => f64::from(count),
-            CountDistribution::MeanPreserving { mean } | CountDistribution::Poisson { mean } => {
-                mean
-            }
-            CountDistribution::Bernoulli { p } => p,
         }
     }
 }
@@ -173,23 +162,7 @@ pub enum OperatorBehavior {
     },
 }
 
-impl OperatorBehavior {
-    /// The mean external arrival rate for spouts, or the mean per-executor
-    /// service rate for bolts (both in tuples per second).
-    ///
-    /// Returns `f64::INFINITY` when the relevant mean time is zero.
-    pub fn mean_rate(&self) -> f64 {
-        let mean = match self {
-            OperatorBehavior::Spout { interarrival } => interarrival.mean(),
-            OperatorBehavior::Bolt { service } => service.mean(),
-        };
-        if mean == 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / mean
-        }
-    }
-}
+impl OperatorBehavior {}
 
 /// Behaviour of one edge: how many tuples it carries per processed tuple and
 /// how long each takes to cross the network.
@@ -246,7 +219,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(d.sample(&mut rng), 3);
         }
-        assert_eq!(d.mean(), 3.0);
     }
 
     #[test]
@@ -284,7 +256,6 @@ mod tests {
     fn bernoulli_matches_probability() {
         let d = CountDistribution::bernoulli(0.25).unwrap();
         assert!((empirical_mean(&d, 200_000) - 0.25).abs() < 0.01);
-        assert_eq!(d.mean(), 0.25);
     }
 
     #[test]
@@ -292,24 +263,6 @@ mod tests {
         assert!(CountDistribution::with_mean(-1.0).is_err());
         assert!(CountDistribution::poisson(f64::NAN).is_err());
         assert!(CountDistribution::bernoulli(1.5).is_err());
-    }
-
-    #[test]
-    fn operator_behavior_rates() {
-        let spout = OperatorBehavior::Spout {
-            interarrival: Distribution::exponential(320.0).unwrap(),
-        };
-        assert!((spout.mean_rate() - 320.0).abs() < 1e-9);
-
-        let bolt = OperatorBehavior::Bolt {
-            service: Distribution::deterministic(0.05).unwrap(),
-        };
-        assert!((bolt.mean_rate() - 20.0).abs() < 1e-9);
-
-        let instant = OperatorBehavior::Bolt {
-            service: Distribution::deterministic(0.0).unwrap(),
-        };
-        assert!(instant.mean_rate().is_infinite());
     }
 
     #[test]

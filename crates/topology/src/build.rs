@@ -1,6 +1,6 @@
 //! Builder and validation for operator topologies.
 
-use crate::spec::{EdgeSpec, Grouping, OperatorId, OperatorKind, OperatorSpec, ResourceProfile};
+use crate::spec::{EdgeSpec, OperatorId, OperatorKind, OperatorSpec};
 use crate::topology::Topology;
 use std::collections::HashSet;
 use std::fmt;
@@ -43,11 +43,6 @@ pub enum TopologyError {
         /// Destination operator name.
         to: String,
     },
-    /// A resource profile had a negative or non-finite component.
-    InvalidResourceProfile {
-        /// Name of the operator with the bad profile.
-        name: String,
-    },
 }
 
 impl fmt::Display for TopologyError {
@@ -72,12 +67,6 @@ impl fmt::Display for TopologyError {
             TopologyError::DuplicateEdge { from, to } => {
                 write!(f, "duplicate edge {from} -> {to}")
             }
-            TopologyError::InvalidResourceProfile { name } => {
-                write!(
-                    f,
-                    "resource profile of {name} must have finite, non-negative components"
-                )
-            }
         }
     }
 }
@@ -89,8 +78,6 @@ impl std::error::Error for TopologyError {}
 pub struct EdgeOptions {
     /// Expected tuples emitted per tuple processed at the source (default 1).
     pub gain: f64,
-    /// Routing rule among downstream executors (default shuffle).
-    pub grouping: Grouping,
     /// Mean one-way network delay in seconds (default 0).
     pub network_delay: f64,
 }
@@ -99,7 +86,6 @@ impl Default for EdgeOptions {
     fn default() -> Self {
         EdgeOptions {
             gain: 1.0,
-            grouping: Grouping::Shuffle,
             network_delay: 0.0,
         }
     }
@@ -156,43 +142,11 @@ impl TopologyBuilder {
             // ids can be captured fluently.
             self.name_collision = Some(name.clone());
         }
-        self.operators.push(OperatorSpec {
-            id,
-            name,
-            kind,
-            profile: ResourceProfile::default(),
-        });
+        self.operators.push(OperatorSpec { id, name, kind });
         id
     }
 
-    /// Sets the per-executor [`ResourceProfile`] of an operator (default: one
-    /// unit of CPU, memory and network each).
-    ///
-    /// # Errors
-    ///
-    /// * [`TopologyError::UnknownOperator`] — the id is out of range.
-    /// * [`TopologyError::InvalidResourceProfile`] — a component is negative
-    ///   or non-finite.
-    pub fn profile(
-        &mut self,
-        id: OperatorId,
-        profile: ResourceProfile,
-    ) -> Result<(), TopologyError> {
-        let op = self
-            .operators
-            .get_mut(id.0)
-            .ok_or(TopologyError::UnknownOperator { id })?;
-        if !profile.is_valid() {
-            return Err(TopologyError::InvalidResourceProfile {
-                name: op.name.clone(),
-            });
-        }
-        op.profile = profile;
-        Ok(())
-    }
-
-    /// Adds an edge with default options (gain 1, shuffle grouping, no
-    /// network delay).
+    /// Adds an edge with default options (gain 1, no network delay).
     ///
     /// # Errors
     ///
@@ -250,7 +204,6 @@ impl TopologyBuilder {
             from,
             to,
             gain: options.gain,
-            grouping: options.grouping,
             network_delay: options.network_delay,
         });
         Ok(())
@@ -399,36 +352,6 @@ mod tests {
             b.edge(s, x),
             Err(TopologyError::DuplicateEdge { .. })
         ));
-    }
-
-    #[test]
-    fn profiles_set_and_validated() {
-        let mut b = TopologyBuilder::new();
-        let s = b.spout("s");
-        let x = b.bolt("x");
-        b.edge(s, x).unwrap();
-        b.profile(
-            x,
-            ResourceProfile {
-                cpu: 4.0,
-                mem: 2.0,
-                net: 0.5,
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            b.profile(
-                x,
-                ResourceProfile {
-                    cpu: -1.0,
-                    ..Default::default()
-                }
-            ),
-            Err(TopologyError::InvalidResourceProfile { .. })
-        ));
-        let t = b.build().unwrap();
-        assert_eq!(t.operator(x).profile().cpu, 4.0);
-        assert_eq!(t.operator(s).profile(), ResourceProfile::default());
     }
 
     #[test]

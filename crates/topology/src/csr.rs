@@ -80,16 +80,6 @@ impl CsrOutEdges {
         }
     }
 
-    /// Number of operators the layout covers.
-    pub fn len(&self) -> usize {
-        self.start.len() - 1
-    }
-
-    /// Whether the layout covers no operators.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Out-degree of operator `op`.
     ///
     /// # Panics
@@ -118,18 +108,6 @@ impl CsrOutEdges {
     pub fn targets_of(&self, op: usize) -> &[u32] {
         &self.target[self.start[op] as usize..self.start[op + 1] as usize]
     }
-
-    /// `(edge_index, target)` pairs of `op`'s outgoing edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `op` is out of range.
-    pub fn out_edges(&self, op: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.edges_of(op)
-            .iter()
-            .copied()
-            .zip(self.targets_of(op).iter().copied())
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +119,6 @@ mod tests {
     fn compile_matches_downstream_queries() {
         let topo = crate::presets::diamond_with_loop();
         let csr = CsrOutEdges::compile(&topo);
-        assert_eq!(csr.len(), topo.len());
         for op in topo.operators() {
             let expected: Vec<u32> = topo
                 .downstream(op.id())
@@ -149,7 +126,8 @@ mod tests {
                 .collect();
             assert_eq!(csr.targets_of(op.id().index()), expected.as_slice());
             assert_eq!(csr.out_degree(op.id().index()), expected.len());
-            for (edge_idx, target) in csr.out_edges(op.id().index()) {
+            let op_edges = csr.edges_of(op.id().index());
+            for (&edge_idx, &target) in op_edges.iter().zip(csr.targets_of(op.id().index())) {
                 let e = &topo.edges()[edge_idx as usize];
                 assert_eq!(e.from(), op.id());
                 assert_eq!(e.to().index() as u32, target);

@@ -11,8 +11,13 @@
 //!   rates derived from the [`Topology::traffic_equations`];
 //! * the discrete-event simulator (`drs-sim`) and the threaded runtime
 //!   (`drs-runtime`), which execute the topology;
-//! * the applications (`drs-apps`), which instantiate the paper's VLD and
-//!   FPD topologies via [`presets`].
+//! * the applications (`drs-apps`), which build the paper's VLD and FPD
+//!   topologies (Figs. 4–5).
+//!
+//! Every consumer assumes shuffle grouping among an operator's executors
+//! (the model's load balance, §III-A), so a topology carries no grouping,
+//! and per-executor resource demand is a placement input
+//! (`drs_core::placement::OperatorLoad`), not part of the topology.
 //!
 //! # Example
 //!
@@ -37,6 +42,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod build;
@@ -47,5 +53,5 @@ mod topology;
 
 pub use build::{EdgeOptions, TopologyBuilder, TopologyError};
 pub use csr::CsrOutEdges;
-pub use spec::{EdgeSpec, Grouping, OperatorId, OperatorKind, OperatorSpec, ResourceProfile};
+pub use spec::{EdgeSpec, OperatorId, OperatorKind, OperatorSpec, ResourceProfile};
 pub use topology::Topology;

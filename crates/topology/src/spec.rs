@@ -42,38 +42,6 @@ impl fmt::Display for OperatorKind {
     }
 }
 
-/// How tuples emitted on an edge are distributed among the downstream
-/// operator's executors (Storm partitioning rules, paper App. C).
-///
-/// The DRS model assumes load balancing within an operator (§III-A), which
-/// all of these groupings provide for the *rates*; the distinction matters to
-/// the runtime/simulator when reproducing queue behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Grouping {
-    /// Round-robin / random executor choice; best load balance.
-    #[default]
-    Shuffle,
-    /// Hash partitioning on a tuple key; balanced in expectation.
-    Fields,
-    /// Every executor receives a copy (used for loop-back state-change
-    /// notifications in FPD). Multiplies effective downstream arrivals by
-    /// the executor count.
-    All,
-    /// The producer picks the destination executor explicitly.
-    Direct,
-}
-
-impl fmt::Display for Grouping {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Grouping::Shuffle => write!(f, "shuffle"),
-            Grouping::Fields => write!(f, "fields"),
-            Grouping::All => write!(f, "all"),
-            Grouping::Direct => write!(f, "direct"),
-        }
-    }
-}
-
 /// Per-executor resource demand vector, R-Storm style (PAPERS.md).
 ///
 /// Each executor of an operator consumes this much of a machine's CPU,
@@ -136,7 +104,6 @@ pub struct OperatorSpec {
     pub(crate) id: OperatorId,
     pub(crate) name: String,
     pub(crate) kind: OperatorKind,
-    pub(crate) profile: ResourceProfile,
 }
 
 impl OperatorSpec {
@@ -156,13 +123,8 @@ impl OperatorSpec {
     }
 
     /// Convenience: `kind() == OperatorKind::Spout`.
-    pub fn is_spout(&self) -> bool {
+    pub(crate) fn is_spout(&self) -> bool {
         self.kind == OperatorKind::Spout
-    }
-
-    /// Per-executor resource demand of this operator.
-    pub fn profile(&self) -> ResourceProfile {
-        self.profile
     }
 }
 
@@ -172,7 +134,6 @@ pub struct EdgeSpec {
     pub(crate) from: OperatorId,
     pub(crate) to: OperatorId,
     pub(crate) gain: f64,
-    pub(crate) grouping: Grouping,
     pub(crate) network_delay: f64,
 }
 
@@ -191,11 +152,6 @@ impl EdgeSpec {
     /// the source (selectivity < 1, fan-out > 1).
     pub fn gain(&self) -> f64 {
         self.gain
-    }
-
-    /// Executor-level routing rule.
-    pub fn grouping(&self) -> Grouping {
-        self.grouping
     }
 
     /// Mean one-way network delay in seconds experienced by tuples crossing
@@ -225,26 +181,15 @@ mod tests {
     }
 
     #[test]
-    fn grouping_default_is_shuffle() {
-        assert_eq!(Grouping::default(), Grouping::Shuffle);
-        assert_eq!(Grouping::Fields.to_string(), "fields");
-        assert_eq!(Grouping::All.to_string(), "all");
-        assert_eq!(Grouping::Direct.to_string(), "direct");
-        assert_eq!(Grouping::Shuffle.to_string(), "shuffle");
-    }
-
-    #[test]
     fn operator_spec_accessors() {
         let spec = OperatorSpec {
             id: OperatorId(0),
             name: "frames".into(),
             kind: OperatorKind::Spout,
-            profile: ResourceProfile::default(),
         };
         assert_eq!(spec.name(), "frames");
         assert!(spec.is_spout());
         assert_eq!(spec.id().index(), 0);
-        assert_eq!(spec.profile(), ResourceProfile::uniform(1.0));
     }
 
     #[test]
@@ -275,13 +220,11 @@ mod tests {
             from: OperatorId(0),
             to: OperatorId(1),
             gain: 30.0,
-            grouping: Grouping::Shuffle,
             network_delay: 0.002,
         };
         assert_eq!(edge.from().index(), 0);
         assert_eq!(edge.to().index(), 1);
         assert_eq!(edge.gain(), 30.0);
         assert_eq!(edge.network_delay(), 0.002);
-        assert_eq!(edge.grouping(), Grouping::Shuffle);
     }
 }

@@ -63,15 +63,6 @@ impl Topology {
         &self.edges
     }
 
-    /// The operator with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this topology.
-    pub fn operator(&self, id: OperatorId) -> &OperatorSpec {
-        &self.operators[id.index()]
-    }
-
     /// Looks up an operator by name.
     pub fn operator_by_name(&self, name: &str) -> Option<&OperatorSpec> {
         self.by_name.get(name).map(|&i| &self.operators[i])
@@ -110,11 +101,6 @@ impl Topology {
     /// Edges leaving `id`.
     pub fn downstream(&self, id: OperatorId) -> impl Iterator<Item = &EdgeSpec> {
         self.edges.iter().filter(move |e| e.from() == id)
-    }
-
-    /// Edges entering `id`.
-    pub fn upstream(&self, id: OperatorId) -> impl Iterator<Item = &EdgeSpec> {
-        self.edges.iter().filter(move |e| e.to() == id)
     }
 
     /// Whether the edge graph contains no directed cycle.
@@ -220,9 +206,6 @@ mod tests {
         assert_eq!(t.bolts().count(), 2);
         let s = t.operator_by_name("s").unwrap().id();
         assert_eq!(t.downstream(s).count(), 1);
-        assert_eq!(t.upstream(s).count(), 0);
-        let y = t.operator_by_name("y").unwrap().id();
-        assert_eq!(t.upstream(y).count(), 1);
         assert_eq!(t.names(), vec!["s", "x", "y"]);
     }
 
@@ -271,11 +254,5 @@ mod tests {
         let t = b.build().unwrap();
         assert!(!t.is_acyclic());
         assert!((t.loop_gain() - 0.4).abs() < 1e-6);
-    }
-
-    #[test]
-    fn operator_accessor_panics_on_foreign_id() {
-        let t = chain3();
-        let _ = t.operator(t.operators()[2].id()); // fine
     }
 }

@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | `drs-core` | [`core`] | the DRS scheduler: performance model (Eq. 1–3), Algorithm 1, Program 6, measurer, decision gate, negotiator, controller, and the backend-agnostic `DrsDriver` control plane |
 //! | `drs-queueing` | [`queueing`] | Erlang `M/M/k`, Jackson networks, traffic equations with loops, distributions |
-//! | `drs-topology` | [`topology`] | operator networks: spouts, bolts, gains, groupings, validation |
+//! | `drs-topology` | [`topology`] | operator networks: spouts, bolts, edge gains and delays, validation |
 //! | `drs-sim` | [`sim`] | deterministic discrete-event CSP-layer simulator with tuple-tree acking |
 //! | `drs-runtime` | [`runtime`] | threaded mini-Storm: executor threads, channels, live metrics, re-balancing |
 //! | `drs-apps` | [`apps`] | VLD, FPD (real maximal-frequent-pattern miner), synthetic chain workloads |
