@@ -18,11 +18,11 @@ use drs_apps::VldProfile;
 use drs_core::config::DrsConfig;
 use drs_core::controller::DrsController;
 use drs_core::driver::{DrsDriver, TimelinePoint};
-use drs_core::negotiator::{MachinePool, MachinePoolConfig};
+use drs_core::negotiator::{MachineBudget, MachineBudgetConfig};
 use drs_sim::Simulator;
 
 fn controller(initial: [u32; 3], machines: u32) -> DrsController {
-    let pool = MachinePool::new(MachinePoolConfig::default(), machines).expect("valid pool");
+    let pool = MachineBudget::new(MachineBudgetConfig::default(), machines).expect("valid pool");
     let mut drs = DrsController::new(DrsConfig::min_latency(22), initial.to_vec(), pool)
         .expect("valid controller");
     drs.set_active(false); // passive until the Fig. 9 enable point
@@ -123,11 +123,11 @@ fn pause_longer_than_window_is_surfaced_not_a_panic() {
     let profile = VldProfile::paper();
     let initial = [8u32, 12, 2];
     let window_secs = 20.0;
-    let pool_config = MachinePoolConfig {
+    let pool_config = MachineBudgetConfig {
         steady_pause: 3.0 * window_secs, // pause >> window
         ..Default::default()
     };
-    let pool = MachinePool::new(pool_config, 5).expect("valid pool");
+    let pool = MachineBudget::new(pool_config, 5).expect("valid pool");
     let mut cfg = DrsConfig::min_latency(22);
     cfg.cooldown_windows = 0; // retry immediately, mid-pause
     let drs = DrsController::new(cfg, initial.to_vec(), pool).expect("valid controller");

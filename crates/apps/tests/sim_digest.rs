@@ -17,7 +17,7 @@ use drs_apps::{FpdProfile, VldProfile};
 use drs_core::config::DrsConfig;
 use drs_core::controller::{ControlAction, DrsController};
 use drs_core::driver::{CspBackend, DrsDriver};
-use drs_core::negotiator::{MachinePool, MachinePoolConfig};
+use drs_core::negotiator::{MachineBudget, MachineBudgetConfig};
 use drs_core::placement::Placement;
 use drs_sim::{SimDuration, Simulator};
 
@@ -167,7 +167,7 @@ impl App {
 
 /// Runs one Fig. 9 timeline on `sim` and returns the driver.
 fn fig9_run(sim: Simulator, start: [u32; 3]) -> DrsDriver<Simulator> {
-    let pool = MachinePool::new(MachinePoolConfig::default(), 5).expect("valid pool");
+    let pool = MachineBudget::new(MachineBudgetConfig::default(), 5).expect("valid pool");
     let mut drs = DrsController::new(DrsConfig::min_latency(22), start.to_vec(), pool)
         .expect("valid controller");
     drs.set_active(false);

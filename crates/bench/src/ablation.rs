@@ -24,7 +24,7 @@ use drs_core::config::DrsConfig;
 use drs_core::controller::DrsController;
 use drs_core::decision::DecisionPolicy;
 use drs_core::driver::DrsDriver;
-use drs_core::negotiator::{MachinePool, MachinePoolConfig};
+use drs_core::negotiator::{MachineBudget, MachineBudgetConfig};
 use drs_core::scheduler::{assign_processors, assign_processors_exhaustive};
 use drs_queueing::distribution::Distribution;
 use drs_queueing::erlang::MmKQueue;
@@ -262,7 +262,7 @@ pub fn run_gate_value(windows: u64, window_secs: u64, seed: u64) -> Vec<GateValu
             let profile = VldProfile::paper();
             let initial = [9u32, 11, 2];
             let sim = profile.build_simulation(initial, seed);
-            let pool = MachinePool::new(MachinePoolConfig::default(), 5).unwrap();
+            let pool = MachineBudget::new(MachineBudgetConfig::default(), 5).unwrap();
             let mut cfg = DrsConfig::min_latency(22);
             cfg.policy = policy;
             cfg.cooldown_windows = 0; // expose the gate's own behaviour

@@ -12,7 +12,7 @@ use crate::report::{fmt_allocation, render_table};
 use drs_core::config::DrsConfig;
 use drs_core::controller::DrsController;
 use drs_core::driver::{DrsDriver, TimelinePoint};
-use drs_core::negotiator::{MachinePool, MachinePoolConfig};
+use drs_core::negotiator::{MachineBudget, MachineBudgetConfig};
 use drs_queueing::distribution::Distribution;
 use drs_runtime::operator::{Bolt, Collector, Spout, SpoutEmission};
 use drs_runtime::tuple::Tuple;
@@ -88,7 +88,7 @@ fn topology() -> (
 fn controller() -> DrsController {
     let mut config = DrsConfig::min_latency(K_MAX);
     config.warmup_windows = 1;
-    let pool = MachinePool::new(MachinePoolConfig::default(), 2).expect("valid pool");
+    let pool = MachineBudget::new(MachineBudgetConfig::default(), 2).expect("valid pool");
     let mut drs = DrsController::new(config, vec![1, 1], pool).expect("valid controller");
     drs.set_active(true);
     drs

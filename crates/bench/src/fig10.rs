@@ -19,7 +19,7 @@ use drs_apps::VldProfile;
 use drs_core::config::DrsConfig;
 use drs_core::controller::DrsController;
 use drs_core::driver::DrsDriver;
-use drs_core::negotiator::{MachinePool, MachinePoolConfig};
+use drs_core::negotiator::{MachineBudget, MachineBudgetConfig};
 
 /// Number of measurement windows (paper: 27 minutes).
 pub(crate) const WINDOWS: u64 = 27;
@@ -90,7 +90,7 @@ pub fn run_fig10(experiment: Experiment, seed: u64, window_secs: u64) -> Fig10Ru
     let (initial, machines) = experiment.initial();
     let profile = VldProfile::paper();
     let sim = profile.build_simulation(initial, seed);
-    let pool = MachinePool::new(MachinePoolConfig::default(), machines).expect("valid pool");
+    let pool = MachineBudget::new(MachineBudgetConfig::default(), machines).expect("valid pool");
     let mut config = DrsConfig::min_resources(experiment.t_max());
     // Machine changes pollute several minutes of sojourn measurements (the
     // pause is carried by every queued tuple); hold three windows after

@@ -12,7 +12,7 @@ use drs_apps::{FpdProfile, VldProfile};
 use drs_core::config::DrsConfig;
 use drs_core::controller::DrsController;
 use drs_core::driver::DrsDriver;
-use drs_core::negotiator::{MachinePool, MachinePoolConfig};
+use drs_core::negotiator::{MachineBudget, MachineBudgetConfig};
 use drs_sim::Simulator;
 
 /// Number of measurement windows in a Fig. 9 run (paper: 27 minutes).
@@ -47,7 +47,7 @@ fn build_driver(app: App, initial: [u32; 3], seed: u64, window_secs: u64) -> Drs
         App::Vld => VldProfile::paper().build_simulation(initial, seed),
         App::Fpd => FpdProfile::paper().build_simulation(initial, seed),
     };
-    let pool = MachinePool::new(MachinePoolConfig::default(), 5).expect("valid pool");
+    let pool = MachineBudget::new(MachineBudgetConfig::default(), 5).expect("valid pool");
     let mut drs = DrsController::new(DrsConfig::min_latency(22), initial.to_vec(), pool)
         .expect("valid controller");
     drs.set_active(false); // passive until ENABLE_AT

@@ -14,7 +14,7 @@ use drs_core::config::DrsConfig;
 use drs_core::controller::DrsController;
 use drs_core::driver::DrsDriver;
 use drs_core::measurer::Smoothing;
-use drs_core::negotiator::{MachinePool, MachinePoolConfig};
+use drs_core::negotiator::{MachineBudget, MachineBudgetConfig};
 use drs_queueing::distribution::Distribution;
 
 /// One window of the surge timeline.
@@ -78,7 +78,7 @@ pub fn run_surge(config: SurgeConfig, seed: u64) -> Vec<SurgePoint> {
         .id();
     let initial = [9u32, 10, 1];
     let sim = profile.build_simulation(initial, seed);
-    let pool = MachinePool::new(MachinePoolConfig::default(), 4).expect("valid pool");
+    let pool = MachineBudget::new(MachineBudgetConfig::default(), 4).expect("valid pool");
     let mut drs_config = DrsConfig::min_resources(config.t_max);
     drs_config.cooldown_windows = 2;
     drs_config.smoothing = Smoothing::Alpha { alpha: 0.7 };

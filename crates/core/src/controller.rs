@@ -30,7 +30,7 @@ use crate::config::{DrsConfig, OptimizationGoal};
 use crate::decision::{self, Decision, DecisionInputs};
 use crate::measurer::{Measurer, RawSample, SmoothedEstimates};
 use crate::model::PerformanceModel;
-use crate::negotiator::{MachinePool, NegotiationPlan};
+use crate::negotiator::{MachineBudget, NegotiationPlan};
 use crate::scheduler::{self, Allocation, ScheduleError};
 use std::fmt;
 
@@ -112,10 +112,10 @@ impl std::error::Error for ControllerError {}
 /// use drs_core::controller::DrsController;
 /// use drs_core::measurer::RawSample;
 /// use drs_core::model::OperatorRates;
-/// use drs_core::negotiator::{MachinePool, MachinePoolConfig};
+/// use drs_core::negotiator::{MachineBudget, MachineBudgetConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let pool = MachinePool::new(MachinePoolConfig::default(), 5)?;
+/// let pool = MachineBudget::new(MachineBudgetConfig::default(), 5)?;
 /// let mut drs = DrsController::new(
 ///     DrsConfig::min_latency(22),
 ///     vec![8, 12, 2],
@@ -144,7 +144,7 @@ impl std::error::Error for ControllerError {}
 pub struct DrsController {
     config: DrsConfig,
     measurer: Measurer,
-    pool: MachinePool,
+    pool: MachineBudget,
     current_allocation: Vec<u32>,
     active: bool,
     log: Vec<LogEntry>,
@@ -162,7 +162,7 @@ impl DrsController {
     pub fn new(
         config: DrsConfig,
         initial_allocation: Vec<u32>,
-        pool: MachinePool,
+        pool: MachineBudget,
     ) -> Result<Self, ControllerError> {
         config.validate().map_err(ControllerError::Config)?;
         if initial_allocation.is_empty() {
@@ -193,7 +193,7 @@ impl DrsController {
     }
 
     /// The machine pool state.
-    pub fn pool(&self) -> &MachinePool {
+    pub fn pool(&self) -> &MachineBudget {
         &self.pool
     }
 
@@ -356,7 +356,7 @@ impl DrsController {
 mod tests {
     use super::*;
     use crate::model::OperatorRates;
-    use crate::negotiator::MachinePoolConfig;
+    use crate::negotiator::MachineBudgetConfig;
 
     fn vld_sample(sojourn: f64) -> RawSample {
         RawSample {
@@ -379,8 +379,8 @@ mod tests {
         }
     }
 
-    fn pool(machines: u32) -> MachinePool {
-        MachinePool::new(MachinePoolConfig::default(), machines).unwrap()
+    fn pool(machines: u32) -> MachineBudget {
+        MachineBudget::new(MachineBudgetConfig::default(), machines).unwrap()
     }
 
     fn feed(drs: &mut DrsController, n: usize, sojourn: f64) -> Vec<ControlAction> {

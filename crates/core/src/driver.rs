@@ -68,7 +68,7 @@
 //! };
 //! use drs_core::config::DrsConfig;
 //! use drs_core::controller::DrsController;
-//! use drs_core::negotiator::{MachinePool, MachinePoolConfig};
+//! use drs_core::negotiator::{MachineBudget, MachineBudgetConfig};
 //!
 //! /// One operator at fixed measured rates; rebalances always succeed.
 //! struct StaticBackend {
@@ -112,7 +112,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let backend = StaticBackend { allocation: vec![2] };
-//! let pool = MachinePool::new(MachinePoolConfig::default(), 3)?;
+//! let pool = MachineBudget::new(MachineBudgetConfig::default(), 3)?;
 //! let drs = DrsController::new(DrsConfig::min_latency(8), vec![2], pool)?;
 //! let mut driver = DrsDriver::new(backend, drs, 60.0)?;
 //! driver.run_windows(5);
@@ -205,7 +205,7 @@ pub enum BackendError {
     /// window: the actuation **may or may not** be in force. Unlike a
     /// refusal, the driver must not assume the previous allocation still
     /// runs — it re-synchronises from the backend's believed state and
-    /// retries under capped backoff ([`ActuationRetry`]), relying on
+    /// retries under capped backoff (1, 2, 4, … up to 8 windows), relying on
     /// [`RebalancePlan::epoch`] for idempotence if the original command
     /// was merely delayed.
     Timeout(String),
@@ -224,64 +224,81 @@ impl fmt::Display for BackendError {
     }
 }
 
-/// Capped-backoff retry schedule for unacknowledged actuations, shared by
-/// [`DrsDriver`] and the fleet driver so the two loops keep identical
-/// failure semantics.
+impl std::error::Error for BackendError {}
+
+/// The actuation step of a control loop, shared by [`DrsDriver`] and the
+/// fleet driver so the two loops keep identical failure semantics: it
+/// owns the epoch stamped on each command and the capped backoff after
+/// an unacknowledged one.
 ///
 /// A [`BackendError::Timeout`] means a command went out but no ack came
 /// back — the actuation may or may not be in force. Retrying every window
-/// would spam a partitioned backend, so after a timeout the driver holds
+/// would spam a partitioned backend, so after a timeout the loop holds
 /// off for a geometrically growing number of windows (1, 2, 4, … capped at
 /// 8) before issuing the next command, and relies on
 /// [`RebalancePlan::epoch`] for idempotence when the original command was
 /// merely delayed. Any *acknowledged* outcome — success or an explicit
-/// refusal — proves the channel is alive and resets the backoff.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActuationRetry {
+/// refusal — proves the channel is alive and resets the backoff. Rolling
+/// back what the loop believed about a command that did not land stays
+/// with each loop.
+#[derive(Debug, Clone)]
+pub(crate) struct Actuator {
+    /// Epoch stamped on the last command sent (strictly increasing).
+    epoch: u64,
+    /// Windows the next timeout holds off: 1, 2, 4, … up to
+    /// `RETRY_BACKOFF_CAP`.
     backoff: u64,
+    /// First window a command may go out again.
     next_attempt: u64,
 }
 
-/// The cap, in windows, on [`ActuationRetry`]'s holdoff.
+/// The cap, in windows, on [`Actuator`]'s holdoff.
 const RETRY_BACKOFF_CAP: u64 = 8;
 
-impl ActuationRetry {
-    /// Whether an actuation may be attempted during window `window`.
-    pub(crate) fn ready(&self, window: u64) -> bool {
-        window >= self.next_attempt
-    }
-
-    /// Windows remaining before the next attempt is allowed.
-    pub(crate) fn holdoff(&self, window: u64) -> u64 {
-        self.next_attempt.saturating_sub(window)
-    }
-
-    /// Records an unacknowledged attempt during `window`: the next attempt
-    /// is pushed `backoff` windows out and the backoff doubles (capped).
-    pub(crate) fn on_timeout(&mut self, window: u64) {
-        self.next_attempt = window + self.backoff;
-        self.backoff = (self.backoff * 2).min(RETRY_BACKOFF_CAP);
-    }
-
-    /// Records an acknowledged outcome (success *or* explicit refusal):
-    /// the channel is alive, so the backoff resets.
-    pub(crate) fn on_ack(&mut self) {
-        self.backoff = 1;
-        self.next_attempt = 0;
-    }
-}
-
-impl Default for ActuationRetry {
-    /// A fresh schedule: at most 8 windows between attempts.
+impl Default for Actuator {
     fn default() -> Self {
-        ActuationRetry {
+        Actuator {
+            epoch: 0,
             backoff: 1,
             next_attempt: 0,
         }
     }
 }
 
-impl std::error::Error for BackendError {}
+impl Actuator {
+    /// Why no command may go out during `window`, while the actuator
+    /// backs off after a timeout; `None` when one may.
+    pub(crate) fn deferred(&self, window: u64) -> Option<String> {
+        (window < self.next_attempt).then(|| {
+            format!(
+                "actuation deferred: backoff after timeout (next attempt in {} windows)",
+                self.next_attempt - window
+            )
+        })
+    }
+
+    /// Sends `plan` to `backend` during `window` under a fresh epoch
+    /// (written into `plan.epoch`), and learns from the answer: a timeout
+    /// opens or doubles the backoff, any acknowledgement resets it.
+    pub(crate) fn send<B: CspBackend>(
+        &mut self,
+        backend: &mut B,
+        window: u64,
+        plan: &mut RebalancePlan,
+    ) -> Result<AppliedRebalance, BackendError> {
+        self.epoch += 1;
+        plan.epoch = self.epoch;
+        let outcome = backend.apply(plan);
+        if matches!(outcome, Err(BackendError::Timeout(_))) {
+            self.next_attempt = window + self.backoff;
+            self.backoff = (self.backoff * 2).min(RETRY_BACKOFF_CAP);
+        } else {
+            self.backoff = 1;
+            self.next_attempt = 0;
+        }
+        outcome
+    }
+}
 
 /// The narrow interface between DRS and a CSP layer (paper Fig. 2).
 ///
@@ -437,9 +454,7 @@ pub struct DrsDriver<B: CspBackend> {
     window_secs: f64,
     samples: SampleBuilder,
     timeline: Vec<TimelinePoint>,
-    /// Epoch stamped on the next issued command (strictly increasing).
-    epoch: u64,
-    retry: ActuationRetry,
+    actuator: Actuator,
 }
 
 impl<B: CspBackend> DrsDriver<B> {
@@ -479,15 +494,8 @@ impl<B: CspBackend> DrsDriver<B> {
             window_secs,
             samples: SampleBuilder::new(),
             timeline: Vec::new(),
-            epoch: 0,
-            retry: ActuationRetry::default(),
+            actuator: Actuator::default(),
         })
-    }
-
-    /// The retry schedule's state (for inspection in tests and reports).
-    #[cfg(test)]
-    pub(crate) fn actuation_retry(&self) -> &ActuationRetry {
-        &self.retry
     }
 
     /// The timeline recorded so far.
@@ -550,54 +558,38 @@ impl<B: CspBackend> DrsDriver<B> {
                     pause_secs: pause,
                     plan: machine_plan,
                 } => {
-                    if !self.retry.ready(window) {
-                        // Still backing off after an unacknowledged
-                        // command: withhold the actuation, roll the
-                        // controller back to reality, and try again once
-                        // the holdoff expires.
-                        backend_error = Some(format!(
-                            "actuation deferred: backoff after timeout \
-                             (next attempt in {} windows)",
-                            self.retry.holdoff(window)
-                        ));
-                        let actual = self.backend.current_allocation();
-                        self.drs.rebalance_rejected(machine_plan.as_ref(), actual);
-                    } else {
-                        self.epoch += 1;
-                        let plan = RebalancePlan {
-                            allocation,
-                            pause_secs: pause,
-                            epoch: self.epoch,
-                            placement: None,
-                        };
-                        match self.backend.apply(&plan) {
-                            Ok(applied) => {
-                                rebalanced = true;
-                                pause_secs = Some(applied.pause_secs);
-                                self.retry.on_ack();
-                                // A backend may legitimately adjust what it
-                                // puts in force (e.g. a capacity clamp);
-                                // keep the controller on what actually
-                                // runs.
-                                self.drs.sync_allocation(applied.allocation);
-                            }
-                            Err(e) => {
-                                // Unacked commands open the backoff; a
-                                // refusal is itself an ack and resets it.
-                                if matches!(e, BackendError::Timeout(_)) {
-                                    self.retry.on_timeout(window);
-                                } else {
-                                    self.retry.on_ack();
-                                }
-                                // Roll back the machine plan the controller
-                                // provisioned for this rebalance and resync
-                                // its view to the backend's (believed)
-                                // allocation so later windows reason about
-                                // reality.
-                                backend_error = Some(e.to_string());
-                                let actual = self.backend.current_allocation();
-                                self.drs.rebalance_rejected(machine_plan.as_ref(), actual);
-                            }
+                    // Withheld while backing off after an unacknowledged
+                    // command, else sent under a fresh epoch.
+                    let outcome = match self.actuator.deferred(window) {
+                        Some(deferral) => Err(deferral),
+                        None => {
+                            let mut plan = RebalancePlan {
+                                allocation,
+                                pause_secs: pause,
+                                epoch: 0,
+                                placement: None,
+                            };
+                            let sent = self.actuator.send(&mut self.backend, window, &mut plan);
+                            sent.map_err(|e| e.to_string())
+                        }
+                    };
+                    match outcome {
+                        Ok(applied) => {
+                            rebalanced = true;
+                            pause_secs = Some(applied.pause_secs);
+                            // A backend may legitimately adjust what it
+                            // puts in force (e.g. a capacity clamp); keep
+                            // the controller on what actually runs.
+                            self.drs.sync_allocation(applied.allocation);
+                        }
+                        Err(e) => {
+                            // Roll back the machine plan the controller
+                            // provisioned for this rebalance and resync its
+                            // view to the backend's (believed) allocation
+                            // so later windows reason about reality.
+                            backend_error = Some(e);
+                            let actual = self.backend.current_allocation();
+                            self.drs.rebalance_rejected(machine_plan.as_ref(), actual);
                         }
                     }
                 }
@@ -621,7 +613,7 @@ impl<B: CspBackend> DrsDriver<B> {
 mod tests {
     use super::*;
     use crate::config::DrsConfig;
-    use crate::negotiator::{MachinePool, MachinePoolConfig};
+    use crate::negotiator::{MachineBudget, MachineBudgetConfig};
 
     /// Scripted backend: replays a fixed sequence of samples; `apply`
     /// succeeds unless `fail_applies` has budget left.
@@ -719,7 +711,7 @@ mod tests {
     }
 
     fn driver(backend: Scripted) -> DrsDriver<Scripted> {
-        let pool = MachinePool::new(MachinePoolConfig::default(), 3).unwrap();
+        let pool = MachineBudget::new(MachineBudgetConfig::default(), 3).unwrap();
         let drs = DrsController::new(DrsConfig::min_latency(8), vec![2], pool).unwrap();
         DrsDriver::new(backend, drs, 60.0).unwrap()
     }
@@ -802,7 +794,7 @@ mod tests {
         // keep the phantom machine.
         let mut backend = Scripted::new(vec![overloaded_sample()], vec![2]);
         backend.fail_applies = 1;
-        let pool = MachinePool::new(MachinePoolConfig::default(), 1).unwrap();
+        let pool = MachineBudget::new(MachineBudgetConfig::default(), 1).unwrap();
         // Tight target: λ/µ = 4 and Tmax barely above the no-queue bound
         // force ~7 executors — beyond one 5-executor machine, so the plan
         // must add a machine.
@@ -859,7 +851,7 @@ mod tests {
         let backend = Clamping {
             inner: Scripted::new(vec![overloaded_sample()], vec![2]),
         };
-        let pool = MachinePool::new(MachinePoolConfig::default(), 3).unwrap();
+        let pool = MachineBudget::new(MachineBudgetConfig::default(), 3).unwrap();
         let drs = DrsController::new(DrsConfig::min_latency(8), vec![2], pool).unwrap();
         let mut d = DrsDriver::new(backend, drs, 60.0).unwrap();
         d.run_windows(4);
@@ -880,7 +872,7 @@ mod tests {
     #[test]
     fn mismatched_initial_allocations_rejected() {
         let backend = Scripted::new(vec![overloaded_sample()], vec![3]);
-        let pool = MachinePool::new(MachinePoolConfig::default(), 3).unwrap();
+        let pool = MachineBudget::new(MachineBudgetConfig::default(), 3).unwrap();
         let drs = DrsController::new(DrsConfig::min_latency(8), vec![2], pool).unwrap();
         assert_eq!(
             DrsDriver::new(backend, drs, 60.0).unwrap_err(),
@@ -894,7 +886,7 @@ mod tests {
     #[test]
     fn mismatched_operator_counts_rejected() {
         let backend = Scripted::new(vec![overloaded_sample()], vec![2, 3]);
-        let pool = MachinePool::new(MachinePoolConfig::default(), 3).unwrap();
+        let pool = MachineBudget::new(MachineBudgetConfig::default(), 3).unwrap();
         let drs = DrsController::new(DrsConfig::min_latency(8), vec![2], pool).unwrap();
         assert_eq!(
             DrsDriver::new(backend, drs, 60.0).unwrap_err(),
@@ -908,7 +900,7 @@ mod tests {
     #[test]
     fn invalid_window_rejected() {
         let backend = Scripted::new(vec![overloaded_sample()], vec![2]);
-        let pool = MachinePool::new(MachinePoolConfig::default(), 3).unwrap();
+        let pool = MachineBudget::new(MachineBudgetConfig::default(), 3).unwrap();
         let drs = DrsController::new(DrsConfig::min_latency(8), vec![2], pool).unwrap();
         assert_eq!(
             DrsDriver::new(backend, drs, 0.0).unwrap_err(),
@@ -970,7 +962,64 @@ mod tests {
             .as_deref()
             .is_some_and(|e| e.contains("deferred"))));
         assert!(d.timeline().iter().any(|p| p.rebalanced));
-        assert!(d.actuation_retry().ready(d.timeline().len() as u64));
+        assert_eq!(d.actuator.deferred(d.timeline().len() as u64), None);
+    }
+
+    #[test]
+    fn actuator_backoff_doubles_up_to_8_windows_and_any_ack_resets_it() {
+        let mut backend = Scripted::new(vec![overloaded_sample()], vec![2]);
+        let mut actuator = Actuator::default();
+        let send = |actuator: &mut Actuator, backend: &mut Scripted, window| {
+            let mut plan = RebalancePlan {
+                allocation: vec![3],
+                pause_secs: 0.0,
+                epoch: 0,
+                placement: None,
+            };
+            actuator.send(backend, window, &mut plan).map(|_| ())
+        };
+        let holdoff = |actuator: &Actuator, window| {
+            (window..)
+                .position(|w| actuator.deferred(w).is_none())
+                .unwrap() as u64
+        };
+        let lost = || Err(BackendError::Timeout("command lost".to_owned()));
+
+        // Consecutive timeouts hold the next attempt off 1, 2, 4, 8 and
+        // 8 windows, each announced in the deferral.
+        backend.timeout_applies = 5;
+        let mut window = 0;
+        for expected in [1, 2, 4, 8, 8] {
+            assert_eq!(send(&mut actuator, &mut backend, window), lost());
+            assert_eq!(holdoff(&actuator, window), expected);
+            let reason = actuator.deferred(window).unwrap();
+            assert!(
+                reason.ends_with(&format!("(next attempt in {expected} windows)")),
+                "{reason}"
+            );
+            window += expected;
+        }
+        // A refusal is an acknowledgement: the ladder starts over.
+        backend.fail_applies = 1;
+        assert!(send(&mut actuator, &mut backend, window).is_err());
+        assert_eq!(actuator.deferred(window), None);
+        backend.timeout_applies = 2;
+        assert_eq!(send(&mut actuator, &mut backend, window), lost());
+        assert_eq!(holdoff(&actuator, window), 1);
+        window += 1;
+        assert_eq!(send(&mut actuator, &mut backend, window), lost());
+        assert_eq!(holdoff(&actuator, window), 2);
+        window += 2;
+        // So is a success.
+        assert_eq!(send(&mut actuator, &mut backend, window), Ok(()));
+        assert_eq!(actuator.deferred(window), None);
+        backend.timeout_applies = 1;
+        assert_eq!(send(&mut actuator, &mut backend, window), lost());
+        assert_eq!(holdoff(&actuator, window), 1);
+
+        // Every send, refused and timed out alike, took a fresh epoch.
+        let epochs: Vec<u64> = backend.applied.iter().map(|p| p.epoch).collect();
+        assert_eq!(epochs, (1..=10).collect::<Vec<_>>());
     }
 
     #[test]

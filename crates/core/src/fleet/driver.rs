@@ -6,8 +6,8 @@ use super::shard::{self, ShardRow, ShardState};
 use super::{executor_total, slot_u32, FleetDriverConfig, FleetDriverError, FleetShardSpec};
 use super::{FleetWindow, ShardPoint, WINDOW_PHASES};
 use crate::decision::{self, DecisionView};
-use crate::driver::{BackendError, CspBackend, RebalancePlan};
-use crate::placement::{MachinePool as PlacementPool, Placement};
+use crate::driver::{CspBackend, RebalancePlan};
+use crate::placement::{MachinePool, Placement};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,7 +25,7 @@ pub struct FleetDriver<B: CspBackend> {
     /// with a clone next negotiates.
     pub(super) negotiator: Arc<FleetNegotiator>,
     config: FleetDriverConfig,
-    machine_pool: Option<PlacementPool>,
+    machine_pool: Option<MachinePool>,
     wasted_grants: u64,
     pub(super) scratch: FleetScratch,
     timeline: Vec<FleetWindow>,
@@ -35,14 +35,10 @@ pub struct FleetDriver<B: CspBackend> {
     /// The most recent window's record, maintained in place (no per-window
     /// allocation in steady state).
     last_window: FleetWindow,
-    /// Roster generation: bumped whenever a shard joins or leaves, i.e.
-    /// whenever shard indices and names can part ways. What is keyed by
-    /// shard index across windows (the placement slot map, the names in
-    /// `last_window`) is trusted while this stands still and re-derived by
-    /// name when it moved.
-    pub(super) roster: u64,
-    /// `roster` as of the names written into `last_window`.
-    recorded_roster: u64,
+    /// A shard joined or left since the last record: indices may have
+    /// shifted under the names in `last_window`, so the next window is
+    /// full and records every name afresh.
+    pub(super) churned: bool,
     /// [`FleetDriver::set_machine_pool`] ran since the last placement
     /// phase: the next one presents every shard.
     pool_changed: bool,
@@ -91,9 +87,8 @@ impl<B: CspBackend> FleetDriver<B> {
                 shards: Vec::new(),
                 error: None,
             },
-            // Ahead of both stamps: the first window derives everything.
-            roster: 1,
-            recorded_roster: 0,
+            // The first window records every name.
+            churned: true,
             pool_changed: false,
             phase_times: [Duration::ZERO; WINDOW_PHASES.len()],
         })
@@ -113,7 +108,7 @@ impl<B: CspBackend> FleetDriver<B> {
     pub fn add_shard(&mut self, spec: FleetShardSpec<B>) -> Result<usize, FleetDriverError> {
         let state = ShardState::new(&self.config, spec)?;
         self.shards.push(state);
-        self.roster += 1;
+        self.churned = true;
         Ok(self.shards.len() - 1)
     }
 
@@ -132,7 +127,7 @@ impl<B: CspBackend> FleetDriver<B> {
             "a fleet needs at least one shard; cannot remove the last one"
         );
         let state = self.shards.remove(i);
-        self.roster += 1;
+        self.churned = true;
         // The shard's packed demand leaves with it; later slots close up.
         if i < self.scratch.demand_idx.len() {
             if let Some(slot) = self.scratch.demand_idx.remove(i) {
@@ -174,17 +169,6 @@ impl<B: CspBackend> FleetDriver<B> {
         self.shards[i].dead
     }
 
-    /// Shard `i`'s capped-backoff retry state (see
-    /// [`crate::driver::ActuationRetry`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[cfg(test)]
-    pub(crate) fn actuation_retry(&self, i: usize) -> &crate::driver::ActuationRetry {
-        &self.shards[i].retry
-    }
-
     /// The negotiator (budget introspection).
     pub fn negotiator(&self) -> &FleetNegotiator {
         &self.negotiator
@@ -204,14 +188,14 @@ impl<B: CspBackend> FleetDriver<B> {
     /// in [`RebalancePlan::placement`], and a shard whose executor counts
     /// are unchanged but whose assignment moved receives it via
     /// [`CspBackend::apply_placement`].
-    pub fn set_machine_pool(&mut self, pool: PlacementPool) {
+    pub fn set_machine_pool(&mut self, pool: MachinePool) {
         self.machine_pool = Some(pool);
         self.pool_changed = true;
     }
 
     /// The shared machine pool, when one is installed.
     #[cfg(test)]
-    pub(crate) fn machine_pool(&self) -> Option<&PlacementPool> {
+    pub(crate) fn machine_pool(&self) -> Option<&MachinePool> {
         self.machine_pool.as_ref()
     }
 
@@ -325,8 +309,9 @@ impl<B: CspBackend> FleetDriver<B> {
     /// One fleet window over `order`, a permutation of the shard indices:
     /// the nine [`WINDOW_PHASES`] in order, each clocked under its name (see
     /// the [module docs](super#the-control-window)). A window is **full** —
-    /// every shard listed, every per-shard buffer re-sized — on a roster
-    /// change, the first negotiated window, or a new machine pool.
+    /// every shard listed, every per-shard buffer re-sized — after a shard
+    /// joined or left, on the first negotiated window, or on a new machine
+    /// pool.
     fn run_window(&mut self, order: impl Iterator<Item = usize>) -> &FleetWindow {
         let n = self.shards.len();
         let mut clock = PhaseClock::start();
@@ -337,9 +322,9 @@ impl<B: CspBackend> FleetDriver<B> {
         let window = self.completed_windows;
         let negotiating = window >= self.config.warmup_windows;
         let placing = negotiating && self.machine_pool.is_some();
-        let full = self.recorded_roster != self.roster
+        let full = self.churned
             || (negotiating && window == self.config.warmup_windows)
-            || (placing && (self.pool_changed || scratch.place_roster != self.roster));
+            || (placing && self.pool_changed);
         scratch.reset(n, full);
         self.last_window.shards.resize_with(n, || ShardPoint {
             name: String::new(),
@@ -369,7 +354,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 self.present_placements(&mut scratch, full);
                 self.pool_changed = false;
                 clock.lap(Phase::Present);
-                Self::replan_placements(&mut scratch, &mut fleet_error);
+                self.replan_placements(&mut scratch, &mut fleet_error);
                 clock.lap(Phase::Replan);
             }
             self.order_actuations(&mut scratch);
@@ -418,7 +403,6 @@ impl<B: CspBackend> FleetDriver<B> {
         for i in order {
             let row = ShardRow {
                 sample: &mut scratch.samples[i],
-                current: &mut scratch.current_allocs[i],
                 point: &mut self.last_window.shards[i],
                 demand: scratch.demand_idx[i].map(|slot| &mut scratch.demands[slot as usize]),
             };
@@ -498,10 +482,11 @@ impl<B: CspBackend> FleetDriver<B> {
             let Some(grant) = scratch.grant(&self.negotiator, i) else {
                 continue;
             };
-            if grant == scratch.current_allocs[i] {
+            let current = &self.shards[i].allocation;
+            if grant == current {
                 continue;
             }
-            if executor_total(grant) > executor_total(&scratch.current_allocs[i]) {
+            if executor_total(grant) > executor_total(current) {
                 scratch.growers.push(i);
             } else {
                 scratch.actuation_order.push(i);
@@ -526,15 +511,12 @@ impl<B: CspBackend> FleetDriver<B> {
                 .grant(&self.negotiator, i)
                 .expect("only shards with a grant are ordered");
             let target_total = executor_total(grant);
-            let current_total = executor_total(&scratch.current_allocs[i]);
+            let current_total = executor_total(&self.shards[i].allocation);
             // Channel in backoff after an unacknowledged actuation:
             // hold this window's command instead of spamming the
             // (evidently degraded) control channel.
-            if !self.shards[i].retry.ready(window) {
-                scratch.errors[i] = Some(format!(
-                    "actuation deferred: backoff after timeout (next attempt in {} windows)",
-                    self.shards[i].retry.holdoff(window)
-                ));
+            if let Some(deferral) = self.shards[i].actuator.deferred(window) {
+                scratch.errors[i] = Some(deferral);
                 continue;
             }
             // Per-shard cost/benefit gate (paper App. B-B), now a
@@ -545,9 +527,7 @@ impl<B: CspBackend> FleetDriver<B> {
             // starving and the freed capacity must actually flow.
             let urgent_shrink =
                 (contended || scratch.flags[i].urgent) && target_total < current_total;
-            let refused =
-                !urgent_shrink && self.gate_refuses(i, grant, &scratch.current_allocs[i], scratch);
-            if refused {
+            if !urgent_shrink && self.gate_refuses(i, grant, scratch) {
                 scratch.flags[i].gated = true;
                 self.wasted_grants += 1;
                 continue;
@@ -568,23 +548,16 @@ impl<B: CspBackend> FleetDriver<B> {
             // The grant leaves the negotiator's warm state by clone
             // exactly once, here — on a window that actually moves
             // this shard.
-            let allocation = grant.to_vec();
             let planned = scratch.planned_slots[i].take();
-            let placement = planned.map(|slot| scratch.place.placement(slot as usize).clone());
-            // Every command carries a fresh, strictly increasing
-            // epoch: a backend behind a delaying/duplicating channel
-            // rejects anything stale instead of double-applying it.
-            let shard = &mut self.shards[i];
-            shard.epoch += 1;
-            let plan = RebalancePlan {
-                allocation,
+            let mut plan = RebalancePlan {
+                allocation: grant.to_vec(),
                 pause_secs: self.config.pause_secs,
-                epoch: shard.epoch,
-                placement,
+                epoch: 0,
+                placement: planned.map(|slot| scratch.place.placement(slot as usize).clone()),
             };
-            match shard.backend.apply(&plan) {
+            let shard = &mut self.shards[i];
+            match shard.actuator.send(&mut shard.backend, window, &mut plan) {
                 Ok(applied) => {
-                    shard.retry.on_ack();
                     scratch.flags[i].rebalanced = true;
                     let applied_total = executor_total(&applied.allocation);
                     fleet_total = fleet_total - current_total + applied_total;
@@ -604,23 +577,12 @@ impl<B: CspBackend> FleetDriver<B> {
                     // otherwise a contended window would pair this
                     // round's demand/capped flags with last round's
                     // allocations.
-                    scratch.current_allocs[i] = applied.allocation;
+                    shard.allocation = applied.allocation;
                 }
-                Err(e) => {
-                    // A timeout means the command or its ack vanished:
-                    // back off before retrying. Any other error is an
-                    // acknowledgement (the channel works, the shard
-                    // refused), so the backoff resets. Either way the
-                    // backend is believed to keep its previous
-                    // allocation; the freed/claimed capacity is
-                    // re-offered next window.
-                    if matches!(e, BackendError::Timeout(_)) {
-                        shard.retry.on_timeout(window);
-                    } else {
-                        shard.retry.on_ack();
-                    }
-                    scratch.errors[i] = Some(e.to_string());
-                }
+                // The backend is believed to keep its previous
+                // allocation; the freed/claimed capacity is re-offered
+                // next window.
+                Err(e) => scratch.errors[i] = Some(e.to_string()),
             }
         }
     }
@@ -657,7 +619,7 @@ impl<B: CspBackend> FleetDriver<B> {
             // re-solve next window. (Not rebalanced this window, so
             // the cached allocation is still what the backend runs;
             // the shard is gated or errored, so it stays unsettled.)
-            if !p.allocation_matches(&scratch.current_allocs[i]) {
+            if !p.allocation_matches(&shard.allocation) {
                 continue;
             }
             match shard.backend.apply_placement(p) {
@@ -681,10 +643,9 @@ impl<B: CspBackend> FleetDriver<B> {
     /// unsettled (every shard, when `failed`: the negotiation did) open
     /// the next window's change list.
     fn record(&mut self, scratch: &mut FleetScratch, full: bool, failed: bool) {
-        // Names follow the roster: while nobody joined or left, every
-        // point already carries its shard's name.
-        let rename = self.recorded_roster != self.roster;
-        self.recorded_roster = self.roster;
+        // While nobody joined or left, every point already carries its
+        // shard's name.
+        let rename = std::mem::take(&mut self.churned);
         // Live executors only: dead shards' grants are reclaimed. Kept as
         // a running sum, corrected for the shards whose record changes.
         let mut total_granted = if full {
@@ -704,7 +665,7 @@ impl<B: CspBackend> FleetDriver<B> {
             }
             let revived_or_died = point.dead != shard.dead;
             point.dead = shard.dead;
-            point.allocation.clone_from(&scratch.current_allocs[i]);
+            point.allocation.clone_from(&shard.allocation);
             point.demand = scratch.demand_idx[i]
                 .map(|slot| executor_total(&scratch.demands[slot as usize].desired));
             let flags = std::mem::take(&mut scratch.flags[i]);
@@ -744,7 +705,7 @@ impl<B: CspBackend> FleetDriver<B> {
             if scratch.listed[i] {
                 continue;
             }
-            let current = &scratch.current_allocs[i];
+            let current = &shard.allocation;
             let grant = scratch.grant(&self.negotiator, i);
             assert!(
                 grant.is_none_or(|g| g == current),
@@ -761,7 +722,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 // A failed window (negotiation or placement) trusts no
                 // assignment.
                 negotiating && self.last_window.error.is_none(),
-                scratch.place_slots[i].map(|s| s as usize),
+                shard.place_slot.map(|s| s as usize),
                 &shard.placement_info,
             ) {
                 assert!(
@@ -804,16 +765,11 @@ impl<B: CspBackend> FleetDriver<B> {
     /// Whether shard `i`'s own cost/benefit gate (paper App. B-B) refuses
     /// `grant` given what it currently runs. `false` when the shard has no
     /// usable model this window.
-    fn gate_refuses(
-        &self,
-        i: usize,
-        grant: &[u32],
-        current: &[u32],
-        scratch: &FleetScratch,
-    ) -> bool {
+    fn gate_refuses(&self, i: usize, grant: &[u32], scratch: &FleetScratch) -> bool {
         let Some(slot) = scratch.demand_idx[i] else {
             return false;
         };
+        let current = &self.shards[i].allocation;
         let network = &scratch.demands[slot as usize].network;
         let sample = &scratch.samples[i];
         let verdict = decision::decide_view(
@@ -854,14 +810,15 @@ impl<B: CspBackend> FleetDriver<B> {
             };
             let grant = &negotiator.grants[slot as usize];
             scratch.flags[i].capped = grant.capped;
-            if grant.allocation == scratch.current_allocs[i] {
+            let current = &self.shards[i].allocation;
+            if grant.allocation == *current {
                 continue;
             }
-            let current_total = executor_total(&scratch.current_allocs[i]);
+            let current_total = executor_total(current);
             if contended && grant.total() < current_total {
                 continue; // contended shrinks actuate unconditionally
             }
-            if self.gate_refuses(i, &grant.allocation, &scratch.current_allocs[i], scratch) {
+            if self.gate_refuses(i, &grant.allocation, scratch) {
                 scratch.held.push(i);
                 held_desired += negotiator.slots[slot as usize].desired_total;
                 held_current += current_total;
@@ -899,7 +856,7 @@ impl<B: CspBackend> FleetDriver<B> {
     /// out the shards that left; any other presents only the change list
     /// and names a shard that died with
     /// [`crate::placement::FleetPlacementState::remove`].
-    fn present_placements(&self, scratch: &mut FleetScratch, full: bool) {
+    fn present_placements(&mut self, scratch: &mut FleetScratch, full: bool) {
         let Some(pool) = &self.machine_pool else {
             return;
         };
@@ -907,19 +864,14 @@ impl<B: CspBackend> FleetDriver<B> {
             scratch.place.begin_window();
         }
         scratch.place.sync_pool(pool);
-        // While the roster stood still a cached slot is its shard's; after
-        // churn (indices shifted) each one is re-validated by name.
-        let revalidate = scratch.place_roster != self.roster;
-        scratch.place_roster = self.roster;
         for &i in &scratch.visit {
-            let shard = &self.shards[i];
+            let shard = &mut self.shards[i];
             if shard.dead {
                 // Its usage is refunded and its slot freed (its executors
                 // are ghosts until the lease renews, and a revived shard is
                 // placed afresh): by the presence round's sweep on a full
-                // window — where an index may no longer name its slot —
-                // and by name otherwise.
-                if let Some(slot) = scratch.place_slots[i].take() {
+                // window, and by `remove` otherwise.
+                if let Some(slot) = shard.place_slot.take() {
                     if !full {
                         scratch.place.remove(slot as usize);
                     }
@@ -929,22 +881,18 @@ impl<B: CspBackend> FleetDriver<B> {
             let Some(info) = &shard.placement_info else {
                 continue;
             };
-            // Lookup/insert only without a (still valid) cached slot.
-            let place = &mut scratch.place;
-            let slot = match scratch.place_slots[i].map(|s| s as usize) {
-                Some(s) if !revalidate || place.slot_name(s) == shard.name => s,
-                _ => place
-                    .slot_of(&shard.name)
-                    .unwrap_or_else(|| place.insert(&shard.name)),
+            let slot = match shard.place_slot {
+                Some(slot) => slot as usize,
+                None => scratch.place.insert(&shard.name),
             };
-            scratch.place_slots[i] = Some(slot_u32(slot));
+            shard.place_slot = Some(slot_u32(slot));
             if scratch.place_owner.len() <= slot {
                 scratch.place_owner.resize(slot + 1, usize::MAX);
             }
             scratch.place_owner[slot] = i;
             let target = scratch
                 .grant(&self.negotiator, i)
-                .unwrap_or(&scratch.current_allocs[i]);
+                .unwrap_or(&shard.allocation);
             let sample = &scratch.samples[i];
             if !info.request_matches(
                 scratch.place.request(slot),
@@ -969,14 +917,14 @@ impl<B: CspBackend> FleetDriver<B> {
     /// re-solve inside `replan` keeps sequential repair anchored to what
     /// [`crate::placement::plan`] would produce. Every shard whose slot was
     /// re-solved joins the change list: a new assignment may be due.
-    fn replan_placements(scratch: &mut FleetScratch, fleet_error: &mut Option<String>) {
+    fn replan_placements(&self, scratch: &mut FleetScratch, fleet_error: &mut Option<String>) {
         match scratch.place.replan() {
             Ok(_) => {
                 let mut joined = false;
                 for idx in 0..scratch.place.resolved().len() {
                     let slot = scratch.place.resolved()[idx];
                     let i = scratch.place_owner[slot];
-                    debug_assert_eq!(scratch.place_slots[i], Some(slot_u32(slot)));
+                    debug_assert_eq!(self.shards[i].place_slot, Some(slot_u32(slot)));
                     scratch.planned_slots[i] = Some(slot_u32(slot));
                     joined |= !scratch.listed[i];
                     scratch.list(i);

@@ -58,7 +58,7 @@
 //!   actuate, and so every grant or assignment not yet in force), a death
 //!   or revival, or any shard of a window whose negotiation failed.
 //!
-//! A roster change, the first negotiated window and a new machine pool —
+//! A join or a leave, the first negotiated window and a new machine pool —
 //! the windows where every shard's inputs change — list every shard.
 //! [`FleetDriver::phase_times`] clocks each phase under its name; a warm-up
 //! window runs only the first and the last.
@@ -98,19 +98,19 @@
 //! 9. **`record`** the listed shards into [`FleetDriver::last_window`] in
 //!    place, and carry the ones left unsettled into the next window's list.
 //!
-//! What is keyed by shard index across windows — the placement slot map,
-//! the names in the window record — is trusted while the *roster* (the set
-//! of shards, bumped by [`FleetDriver::add_shard`] /
-//! [`FleetDriver::remove_shard`]) stands still, and re-derived by name on
-//! the first window after it moved.
+//! Only the window record is keyed by shard index across windows. After
+//! [`FleetDriver::add_shard`] or [`FleetDriver::remove_shard`] has shifted
+//! the indices under its names, the next window is full and records every
+//! name afresh.
 //!
 //! # Where a shard's state lives
 //!
 //! What lasts as long as the shard — backend, sample builder, measurer,
-//! epochs, lease, the placement in force — is one entry of the driver's
-//! shard list. What a window rewrites in place is one entry per shard in
-//! each of the window buffers: the report, the running allocation, the
-//! flags, and `u32` slots into the packed demands and the placement state.
+//! the actuation epoch and backoff, lease, the allocation and the placement
+//! in force, its slot in the warm placement state — is one entry of the
+//! driver's shard list, and leaves with it. What a window rewrites in place
+//! is one entry per shard in each of the window buffers: the report, the
+//! flags, and a `u32` slot into the packed demands.
 //! What only the shard being measured needs — its raw sample, its smoothed
 //! estimates — is one buffer the pass reuses for every shard. A fitted
 //! demand has two copies: the packed demand list, which the pass refits in
@@ -168,8 +168,8 @@
 //!
 //! * **Retried** — an actuation whose acknowledgement never arrives
 //!   ([`crate::driver::BackendError::Timeout`]) is retried with capped
-//!   exponential backoff ([`crate::driver::ActuationRetry`], capped at
-//!   8 windows); windows inside the
+//!   exponential backoff (1, 2, 4, … capped at 8 windows, by the same
+//!   actuation step as [`crate::driver::DrsDriver`]'s); windows inside the
 //!   backoff record an `actuation deferred` error instead of spamming
 //!   the channel. Any acknowledgement — success *or* refusal — proves
 //!   the channel alive and resets the backoff.
@@ -349,13 +349,12 @@ pub struct FleetDriverConfig {
     /// updated in place, so a steady-state window records itself without
     /// allocating — and `timeline()` stays empty.
     pub record_timeline: bool,
-    /// Relative dead-band on measured edge rates for placement-epoch
-    /// purposes: a shard's cached placement inputs count as *changed*
-    /// (bumping its placement epoch and re-solving its machine
-    /// assignment) only when an edge's new rate differs from the cached
-    /// one by more than this fraction of the cached rate. Absorbs
-    /// measurement wobble that would otherwise dirty every shard every
-    /// window; allocation or resource-profile changes always count.
+    /// Relative dead-band on measured edge rates for placement purposes:
+    /// a shard's cached placement inputs count as *changed* (re-solving
+    /// its machine assignment) only when an edge's new rate differs from
+    /// the cached one by more than this fraction of the cached rate.
+    /// Absorbs measurement wobble that would otherwise dirty every shard
+    /// every window; allocation or resource-profile changes always count.
     /// `0.0` disables the band (any rate movement re-places the shard).
     pub placement_rate_band: f64,
 }
@@ -442,8 +441,8 @@ impl ShardPlacementInfo {
     /// window's `sample`, up to the relative `rate_band` on edge rates:
     /// executor counts and resource profiles must match exactly, while an
     /// edge rate may drift within `rate_band` of the cached rate without
-    /// counting as a change. This is the placement-epoch predicate — a
-    /// `false` here is what dirties a shard's machine assignment.
+    /// counting as a change. A `false` here is what dirties a shard's
+    /// machine assignment.
     pub fn request_matches(
         &self,
         cached: &PlacementRequest,

@@ -101,10 +101,6 @@ pub(super) struct FleetScratch {
     /// The gate-aware re-offer was accepted: every ungated modeled shard
     /// resolves to its floored desire, not its (possibly capped) grant.
     pub(super) reoffered: bool,
-    /// The allocation in force per shard, cached once per window (buffers
-    /// reused), replaced by what a rebalance put in force, and kept across
-    /// windows, so the pass can tell which shards' allocations moved.
-    pub(super) current_allocs: Vec<Vec<u32>>,
     /// This window's change list: the shards every phase after the
     /// per-shard pass visits, in index order from the negotiation on.
     pub(super) visit: Vec<usize>,
@@ -125,18 +121,13 @@ pub(super) struct FleetScratch {
     /// carries it.
     pub(super) planned_slots: Vec<Option<u32>>,
     /// The warm-start placement cache (persists across windows): cached
-    /// requests, solved placements, residual pool capacity, per-shard
-    /// placement epochs. See [`placement::FleetPlacementState`].
+    /// requests, solved placements, residual pool capacity. Each placed
+    /// shard keeps its slot (`ShardState::place_slot`). See
+    /// [`placement::FleetPlacementState`].
     pub(super) place: placement::FleetPlacementState,
-    /// Shard index → warm-state slot, persisted across windows. Valid
-    /// while the roster stands still (`place_roster`); re-validated by
-    /// name after churn, which shifts shard indices.
-    pub(super) place_slots: Vec<Option<u32>>,
-    /// `place_slots` inverted: the shard each warm-state slot was last
+    /// The shards' slots inverted: the shard each warm-state slot was last
     /// presented for, to visit the shards `replan` re-solved.
     pub(super) place_owner: Vec<usize>,
-    /// `FleetDriver::roster` as of the last validation of `place_slots`.
-    pub(super) place_roster: u64,
 }
 
 impl FleetScratch {
@@ -168,14 +159,7 @@ impl FleetScratch {
         // took its entry with it.
         self.demand_idx.resize(n, None);
         self.flags.resize(n, ShardFlags::default());
-        self.current_allocs.resize_with(n, Vec::new);
         self.planned_slots.resize(n, None);
-        // `place`/`place_slots` persist across windows (the warm-start
-        // placement cache); see `place_roster`.
-        if self.place_slots.len() != n {
-            self.place_slots.clear();
-            self.place_slots.resize(n, None);
-        }
     }
 
     /// Adds shard `i` to this window's change list (once).

@@ -3,7 +3,7 @@
 use super::negotiator::ShardDemand;
 use super::{executor_total, FleetDriverConfig, FleetDriverError, FleetShardSpec};
 use super::{ShardPlacementInfo, ShardPoint};
-use crate::driver::{ActuationRetry, CspBackend, WindowSample};
+use crate::driver::{Actuator, CspBackend, WindowSample};
 use crate::measurer::{Measurer, RawSample, SampleBuilder, SmoothedEstimates};
 use crate::placement::Placement;
 use crate::scheduler::{self, ScheduleError};
@@ -17,16 +17,21 @@ pub(super) struct ShardState<B> {
     pub(super) backend: B,
     pub(super) samples: SampleBuilder,
     pub(super) measurer: Measurer,
-    /// Last actuation epoch issued to this shard's backend (strictly
-    /// increasing; stale/duplicate commands are rejected shard-side).
-    pub(super) epoch: u64,
-    /// Capped-backoff retry state for unacknowledged actuations.
-    pub(super) retry: ActuationRetry,
+    /// The epoch and backoff of the commands sent to this shard's backend.
+    pub(super) actuator: Actuator,
+    /// The allocation in force: read from the backend by each window's
+    /// pass (into the same buffer) and replaced by what a rebalance put in
+    /// force, so the pass can tell whether it moved.
+    pub(super) allocation: Vec<u32>,
     /// Liveness lease expired: no usable report for `lease_windows`
     /// consecutive windows.
     pub(super) dead: bool,
     /// Placement metadata (when the fleet shares a machine pool).
     pub(super) placement_info: Option<ShardPlacementInfo>,
+    /// The shard's slot in the warm placement state
+    /// (`FleetScratch::place`), from its first presentation until it dies
+    /// or leaves.
+    pub(super) place_slot: Option<u32>,
     /// The machine assignment currently in force on the backend.
     pub(super) placement: Option<Placement>,
     /// [`crate::placement::FleetPlacementState::solve_id`] of the solve that
@@ -69,10 +74,11 @@ impl<B: CspBackend> ShardState<B> {
             backend: spec.backend,
             samples: SampleBuilder::new(),
             measurer,
-            epoch: 0,
-            retry: ActuationRetry::default(),
+            actuator: Actuator::default(),
+            allocation: Vec::new(),
             dead: false,
             placement_info: spec.placement,
+            place_slot: None,
             placement: None,
             placement_id: 0,
             demand_epoch: u64::MAX,
@@ -99,8 +105,6 @@ pub(super) struct PassBuffers {
 pub(super) struct ShardRow<'a> {
     /// This window's measurement report (rewritten by the backend).
     pub(super) sample: &'a mut WindowSample,
-    /// The allocation in force, cached across windows.
-    pub(super) current: &'a mut Vec<u32>,
     /// The shard's record in the window.
     pub(super) point: &'a mut ShardPoint,
     /// The shard's packed demand slot, while it has a usable model.
@@ -133,7 +137,7 @@ pub(super) fn pass<B: CspBackend>(
     negotiating: bool,
     buffers: &mut PassBuffers,
 ) -> PassOutcome {
-    let (sample, current) = (row.sample, row.current);
+    let sample = row.sample;
     let mut out = PassOutcome::default();
     shard.backend.advance_into(config.window_secs, sample);
     // A placed shard's request follows its measured arrival rates:
@@ -158,11 +162,11 @@ pub(super) fn pass<B: CspBackend>(
     shard
         .backend
         .current_allocation_into(&mut buffers.alloc_buf);
-    let resized = buffers.alloc_buf != *current;
+    let resized = buffers.alloc_buf != shard.allocation;
     if resized {
-        current.clone_from(&buffers.alloc_buf);
+        shard.allocation.clone_from(&buffers.alloc_buf);
     }
-    let current_total = executor_total(current);
+    let current_total = executor_total(&shard.allocation);
     if resized || rates_moved || shard.dead != was_dead {
         out.listed = true;
     }

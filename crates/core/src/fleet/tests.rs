@@ -4,7 +4,7 @@ use super::*;
 use crate::driver::{
     AppliedRebalance, BackendError, CspBackend, OperatorSample, RebalancePlan, WindowSample,
 };
-use crate::placement::{MachinePool as PlacementPool, Placement};
+use crate::placement::{MachinePool, Placement};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -344,7 +344,10 @@ fn timeout_backs_off_then_retries_with_fresh_epochs() {
     assert_eq!(epochs.len(), 3, "two timeouts + one success: {epochs:?}");
     assert!(epochs.windows(2).all(|p| p[0] < p[1]), "{epochs:?}");
     // After the ack the backoff is fully reset.
-    assert!(f.actuation_retry(0).ready(f.timeline().len() as u64));
+    assert_eq!(
+        f.shards[0].actuator.deferred(f.timeline().len() as u64),
+        None
+    );
 }
 
 #[test]
@@ -496,12 +499,12 @@ fn churn_add_and_remove_shards_mid_run() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The roster stamp is only a shortcut: under joins, leaves (shard
+    /// Only churn needs a full window: under joins, leaves (shard
     /// indices shift), join-and-leave between two windows (they shift
-    /// while the count stands), deaths and revivals, a driver trusting
-    /// its stamps and advancing in a random order each window records
-    /// the same names, slots, placements, commands and timeline as one
-    /// that re-derives everything by name every window in index order.
+    /// while the count stands), deaths and revivals, a driver that runs
+    /// a full window only after churn and advances in a random order
+    /// each window records the same names, slots, placements, commands
+    /// and timeline as one that runs every window full, in index order.
     #[test]
     fn roster_stamp_equals_name_validation_under_churn(
         script in vec((0u8..10, 0usize..64, 1.0f64..60.0, 0u64..u64::MAX), 6..24),
@@ -521,7 +524,7 @@ proptest! {
             let specs = (0..4).map(|id| spec(id, 12.0 + 9.0 * id as f64)).collect();
             let mut f = FleetDriver::new(config, specs).unwrap();
             f.set_machine_pool(
-                PlacementPool::uniform(3, ResourceProfile::uniform(40.0)).unwrap(),
+                MachinePool::uniform(3, ResourceProfile::uniform(40.0)).unwrap(),
             );
             f
         };
@@ -549,8 +552,8 @@ proptest! {
                 }
             }
 
-            // Stale stamps: every name and slot is re-derived.
-            validating.roster += 1;
+            // Every window full: every name recorded, every shard presented.
+            validating.churned = true;
             validating.step();
             let n = stamped.shard_count();
             let mut order: Vec<usize> = (0..n).collect();
@@ -562,10 +565,10 @@ proptest! {
             stamped.step_with_order(&order);
 
             prop_assert_eq!(stamped.last_window(), validating.last_window());
-            prop_assert_eq!(&stamped.scratch.place_slots, &validating.scratch.place_slots);
             prop_assert_eq!(&stamped.scratch.demand_idx, &validating.scratch.demand_idx);
             for i in 0..n {
                 prop_assert_eq!(&stamped.last_window().shards[i].name, &stamped.shards[i].name);
+                prop_assert_eq!(stamped.shards[i].place_slot, validating.shards[i].place_slot);
                 prop_assert_eq!(stamped.shard_placement(i), validating.shard_placement(i));
                 let (a, b) = (stamped.backend(i), validating.backend(i));
                 prop_assert_eq!(&a.allocation, &b.allocation);
@@ -679,7 +682,7 @@ fn load_bearing_wobble_is_promoted_instead_of_stranded() {
 /// usage respects every machine's capacity vector.
 #[test]
 fn machine_pool_threads_placement_end_to_end() {
-    let pool = PlacementPool::uniform(2, ResourceProfile::uniform(16.0)).unwrap();
+    let pool = MachinePool::uniform(2, ResourceProfile::uniform(16.0)).unwrap();
     let profile = ResourceProfile::uniform(2.0);
     let info = ShardPlacementInfo {
         profiles: vec![profile],
@@ -736,7 +739,7 @@ fn machine_pool_threads_placement_end_to_end() {
 /// Two placement-enabled shards on a 2-machine pool, both already
 /// running their demanded allocation, settled for six windows.
 fn settled_placed_pair() -> FleetDriver<StaticShard> {
-    let pool = PlacementPool::uniform(2, ResourceProfile::uniform(16.0)).unwrap();
+    let pool = MachinePool::uniform(2, ResourceProfile::uniform(16.0)).unwrap();
     let info = ShardPlacementInfo {
         profiles: vec![ResourceProfile::uniform(2.0)],
         edges: vec![],
@@ -790,7 +793,7 @@ fn placement_only_moves_skip_unresolved_shards_on_the_solve_id() {
     let mut f = settled_placed_pair();
     let in_force_is_planned = |f: &FleetDriver<StaticShard>| {
         (0..2).all(|i| {
-            let slot = f.scratch.place_slots[i].expect("placed");
+            let slot = f.shards[i].place_slot.expect("placed");
             let id = f.scratch.place.solve_id(slot as usize);
             id != 0 && f.shards[i].placement_id == id
         })
@@ -843,7 +846,7 @@ fn revived_shard_is_placed_afresh() {
     f.run_windows(f.config().lease_windows + 1);
     assert!(f.shard_dead(1));
     assert_eq!(f.scratch.place.slot_of("b"), None);
-    assert_eq!(f.scratch.place_slots[1], None);
+    assert_eq!(f.shards[1].place_slot, None);
     assert!(placed_usage(&f) < both);
 
     // Revived, it must not be handed its tombstoned slot back: it is
@@ -852,7 +855,7 @@ fn revived_shard_is_placed_afresh() {
     f.run_windows(3);
     assert!(!f.shard_dead(1));
     let slot = f.scratch.place.slot_of("b").expect("a live slot again");
-    assert_eq!(f.scratch.place_slots[1], Some(slot_u32(slot)));
+    assert_eq!(f.shards[1].place_slot, Some(slot_u32(slot)));
     assert!(f
         .shard_placement(1)
         .is_some_and(|p| p.allocation_matches(&f.backend(1).allocation)));
@@ -861,7 +864,7 @@ fn revived_shard_is_placed_afresh() {
 
 #[test]
 fn placement_rate_band_absorbs_wobble_but_tracks_real_shifts() {
-    let pool = PlacementPool::uniform(2, ResourceProfile::uniform(16.0)).unwrap();
+    let pool = MachinePool::uniform(2, ResourceProfile::uniform(16.0)).unwrap();
     let info = ShardPlacementInfo {
         profiles: vec![ResourceProfile::uniform(2.0)],
         // A self-loop edge whose rate is the operator's measured
@@ -1002,7 +1005,7 @@ proptest! {
             config.window_secs = 1.0;
             let mut f = FleetDriver::new(config, specs).unwrap();
             f.set_machine_pool(
-                PlacementPool::uniform(3, ResourceProfile::uniform(60.0)).unwrap(),
+                MachinePool::uniform(3, ResourceProfile::uniform(60.0)).unwrap(),
             );
             f
         };
@@ -1019,8 +1022,8 @@ proptest! {
                     _ => {}
                 }
             }
-            // A stale roster stamp makes every window a full one.
-            every.roster += 1;
+            // A churned flag makes every window a full one.
+            every.churned = true;
             every.step();
             sparse.step();
             prop_assert_eq!(sparse.last_window(), every.last_window());

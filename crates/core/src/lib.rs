@@ -17,7 +17,7 @@
 //!    cheapest allocation meeting a latency target `Tmax`.
 //! 3. **Is a change worth it?** The [`decision`] gate weighs the predicted
 //!    improvement against the rebalance pause, and the
-//!    [`negotiator::MachinePool`] adds/removes machines when the resource
+//!    [`negotiator::MachineBudget`] adds/removes machines when the resource
 //!    goal calls for it.
 //! 4. **Where — on which machine — does each executor run?** The
 //!    [`placement`] module turns the count schedule into a machine
@@ -78,8 +78,8 @@ pub use config::{DrsConfig, OptimizationGoal};
 pub use controller::{ControlAction, DrsController, LogEntry};
 pub use decision::{Decision, DecisionPolicy};
 pub use driver::{
-    ActuationRetry, AppliedRebalance, BackendError, CspBackend, DriverError, DrsDriver,
-    OperatorSample, RebalancePlan, TimelinePoint, WindowSample,
+    AppliedRebalance, BackendError, CspBackend, DriverError, DrsDriver, OperatorSample,
+    RebalancePlan, TimelinePoint, WindowSample,
 };
 pub use fleet::{
     FleetDriver, FleetDriverConfig, FleetNegotiator, FleetShardSpec, FleetWindow, ShardDemand,
@@ -87,9 +87,6 @@ pub use fleet::{
 };
 pub use measurer::{Measurer, RawSample, SampleBuilder, SmoothedEstimates, Smoothing};
 pub use model::{ModelInputs, OperatorRates, PerformanceModel};
-pub use negotiator::{MachinePool, MachinePoolConfig, NegotiationPlan};
-// `placement::MachinePool` (capacity vectors) deliberately stays behind its
-// module path: the crate root already exports the count-based negotiator
-// pool under that name.
+pub use negotiator::{MachineBudget, MachineBudgetConfig, NegotiationPlan};
 pub use placement::{EdgeTraffic, OperatorLoad, Placement, PlacementError, PlacementRequest};
 pub use scheduler::{assign_processors, min_processors_for_target, Allocation, ScheduleError};

@@ -594,6 +594,17 @@ mod tests {
         assert_eq!(m.windows_seen(), 4);
     }
 
+    /// A fleet holds one measurer per shard, so a spare stream pair is
+    /// paid once per shard: the streams are one buffer of exactly the
+    /// operators.
+    #[test]
+    fn operator_streams_hold_exactly_their_operators() {
+        for n in [1, 2, 3, 7] {
+            let m = Measurer::new(n, Smoothing::Alpha { alpha: 0.5 }).unwrap();
+            assert_eq!(m.operators.capacity(), n);
+        }
+    }
+
     #[test]
     fn no_estimates_before_first_window() {
         let m = Measurer::new(2, Smoothing::Alpha { alpha: 0.5 }).unwrap();

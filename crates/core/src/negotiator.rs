@@ -11,9 +11,9 @@
 
 use std::fmt;
 
-/// Static description of the machine pool economics.
+/// Static description of the machine budget's economics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MachinePoolConfig {
+pub struct MachineBudgetConfig {
     /// Executors hosted per machine (the paper uses 5).
     pub executors_per_machine: u32,
     /// Machines that must always stay up (the paper keeps spouts + DRS on
@@ -32,9 +32,9 @@ pub struct MachinePoolConfig {
     pub steady_pause: f64,
 }
 
-impl Default for MachinePoolConfig {
+impl Default for MachineBudgetConfig {
     fn default() -> Self {
-        MachinePoolConfig {
+        MachineBudgetConfig {
             executors_per_machine: 5,
             min_machines: 1,
             max_machines: 64,
@@ -82,7 +82,7 @@ impl fmt::Display for NegotiatorError {
 
 impl std::error::Error for NegotiatorError {}
 
-/// A provisioning step computed by [`MachinePool::plan`].
+/// A provisioning step computed by [`MachineBudget::plan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NegotiationPlan {
     /// Machines to launch (0 when shrinking or steady).
@@ -97,16 +97,18 @@ pub struct NegotiationPlan {
     pub pause_secs: f64,
 }
 
-/// The machine pool: tracks active machines and plans provisioning.
+/// The count-based machine budget: tracks how many identical machines are
+/// active and plans provisioning. (Machines with capacity vectors, for
+/// placement, are [`crate::placement::MachinePool`].)
 ///
 /// # Examples
 ///
 /// ```
-/// use drs_core::negotiator::{MachinePool, MachinePoolConfig};
+/// use drs_core::negotiator::{MachineBudget, MachineBudgetConfig};
 ///
 /// // Paper setup: 5 executors per machine, 4 machines running (Kmax=17 with
 /// // 3 executors reserved elsewhere is modelled by the caller).
-/// let mut pool = MachinePool::new(MachinePoolConfig::default(), 4)?;
+/// let mut pool = MachineBudget::new(MachineBudgetConfig::default(), 4)?;
 /// assert_eq!(pool.executor_capacity(), 20);
 ///
 /// // Needing 22 executors forces a 5th machine and a costly pause.
@@ -118,19 +120,27 @@ pub struct NegotiationPlan {
 /// # Ok::<(), drs_core::negotiator::NegotiatorError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct MachinePool {
-    config: MachinePoolConfig,
+pub struct MachineBudget {
+    config: MachineBudgetConfig,
     active: u32,
 }
 
-impl MachinePool {
-    /// Creates a pool with `active` machines already running.
+/// The former name of [`MachineBudget`].
+#[deprecated(note = "renamed to `MachineBudget`")]
+pub type MachinePool = MachineBudget;
+
+/// The former name of [`MachineBudgetConfig`].
+#[deprecated(note = "renamed to `MachineBudgetConfig`")]
+pub type MachinePoolConfig = MachineBudgetConfig;
+
+impl MachineBudget {
+    /// Creates a budget with `active` machines already running.
     ///
     /// # Errors
     ///
     /// * [`NegotiatorError::InvalidConfig`] — zero executors per machine,
     ///   `min > max`, negative pauses, or `active` outside `[min, max]`.
-    pub fn new(config: MachinePoolConfig, active: u32) -> Result<Self, NegotiatorError> {
+    pub fn new(config: MachineBudgetConfig, active: u32) -> Result<Self, NegotiatorError> {
         if config.executors_per_machine == 0 {
             return Err(NegotiatorError::InvalidConfig {
                 reason: "executors_per_machine must be >= 1".to_owned(),
@@ -163,11 +173,11 @@ impl MachinePool {
                 ),
             });
         }
-        Ok(MachinePool { config, active })
+        Ok(MachineBudget { config, active })
     }
 
     /// The pool configuration.
-    pub fn config(&self) -> &MachinePoolConfig {
+    pub fn config(&self) -> &MachineBudgetConfig {
         &self.config
     }
 
@@ -199,7 +209,7 @@ impl MachinePool {
     /// # Errors
     ///
     /// * [`NegotiatorError::CapacityExceeded`] — `executors` above
-    ///   `MachinePool::max_executor_capacity`.
+    ///   `MachineBudget::max_executor_capacity`.
     pub fn plan(&self, executors: u32) -> Result<NegotiationPlan, NegotiatorError> {
         if executors > self.max_executor_capacity() {
             return Err(NegotiatorError::CapacityExceeded {
@@ -246,8 +256,8 @@ impl MachinePool {
 mod tests {
     use super::*;
 
-    fn pool(active: u32) -> MachinePool {
-        MachinePool::new(MachinePoolConfig::default(), active).unwrap()
+    fn pool(active: u32) -> MachineBudget {
+        MachineBudget::new(MachineBudgetConfig::default(), active).unwrap()
     }
 
     #[test]
@@ -312,26 +322,26 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        let cfg = MachinePoolConfig {
+        let cfg = MachineBudgetConfig {
             executors_per_machine: 0,
             ..Default::default()
         };
-        assert!(MachinePool::new(cfg, 1).is_err());
+        assert!(MachineBudget::new(cfg, 1).is_err());
 
-        let cfg = MachinePoolConfig {
+        let cfg = MachineBudgetConfig {
             min_machines: 10,
             max_machines: 2,
             ..Default::default()
         };
-        assert!(MachinePool::new(cfg, 1).is_err());
+        assert!(MachineBudget::new(cfg, 1).is_err());
 
-        let cfg = MachinePoolConfig {
+        let cfg = MachineBudgetConfig {
             grow_pause: -1.0,
             ..Default::default()
         };
-        assert!(MachinePool::new(cfg, 1).is_err());
+        assert!(MachineBudget::new(cfg, 1).is_err());
 
-        assert!(MachinePool::new(MachinePoolConfig::default(), 0).is_err());
-        assert!(MachinePool::new(MachinePoolConfig::default(), 1000).is_err());
+        assert!(MachineBudget::new(MachineBudgetConfig::default(), 0).is_err());
+        assert!(MachineBudget::new(MachineBudgetConfig::default(), 1000).is_err());
     }
 }

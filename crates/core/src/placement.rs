@@ -84,11 +84,11 @@
 //! [`FleetPlacementState`] persists across windows what [`plan`] rebuilds
 //! each call: every shard's cached [`PlacementRequest`] and solved
 //! [`Placement`], the usage each placement charges per machine, and the
-//! pool's **residual capacity**. Each shard carries a **placement epoch**
-//! that the owner bumps (via [`FleetPlacementState::touch`]) only when the
-//! shard's inputs actually changed — its allocation, its operator resource
-//! loads, or (rate-banded by the caller, to absorb measurement wobble) its
-//! edge traffic. The per-window protocol:
+//! pool's **residual capacity**. The owner marks a shard **dirty** (via
+//! [`FleetPlacementState::touch`]) only when the shard's inputs actually
+//! changed — its allocation, its operator resource loads, or (rate-banded
+//! by the caller, to absorb measurement wobble) its edge traffic. The
+//! per-window protocol:
 //!
 //! 1. [`sync_pool`](FleetPlacementState::sync_pool) — a capacity change
 //!    invalidates everything — after
@@ -1063,9 +1063,6 @@ pub enum ReplanOutcome {
 struct WarmEntry {
     name: String,
     live: bool,
-    /// Placement epoch: bumped by [`FleetPlacementState::touch`] exactly
-    /// when the shard's placement inputs actually changed.
-    epoch: u64,
     /// Window stamp of the last [`FleetPlacementState::mark_seen`].
     seen: u64,
     /// [`FleetPlacementState::remove`] was called: the next replan
@@ -1086,7 +1083,7 @@ struct WarmEntry {
     usage: Vec<(usize, ResourceProfile)>,
 }
 
-/// Warm-start fleet placement: the epoch-stamped, residual-capacity cache
+/// Warm-start fleet placement: the dirty-tracking, residual-capacity cache
 /// the fleet driver persists across windows so a settled window performs
 /// zero solver calls and a drifting one re-places only the shards that
 /// changed. See the [module docs](self) for the per-window protocol and
@@ -1208,16 +1205,6 @@ impl FleetPlacementState {
             .map(|pos| self.order[pos])
     }
 
-    /// The name of the shard at `slot` (for validating a cached slot
-    /// across churn without a lookup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    pub(crate) fn slot_name(&self, slot: usize) -> &str {
-        &self.entries[slot].name
-    }
-
     /// Inserts a shard named `name` (or returns its existing slot, which
     /// cancels a pending `remove`),
     /// recycling a tombstoned slot when one is free. A new shard starts
@@ -1246,7 +1233,6 @@ impl FleetPlacementState {
                 e.name.clear();
                 e.name.push_str(name);
                 e.live = true;
-                e.epoch = 0;
                 e.seen = 0;
                 e.leaving = false;
                 e.dirty = true;
@@ -1260,7 +1246,6 @@ impl FleetPlacementState {
                 self.entries.push(WarmEntry {
                     name: name.to_owned(),
                     live: true,
-                    epoch: 0,
                     seen: 0,
                     leaving: false,
                     dirty: true,
@@ -1319,9 +1304,9 @@ impl FleetPlacementState {
         &self.entries[slot].request
     }
 
-    /// Declares the shard at `slot` changed: bumps its placement epoch,
-    /// marks it dirty for the next [`replan`](FleetPlacementState::replan),
-    /// and hands back the cached request buffers to rewrite in place.
+    /// Declares the shard at `slot` changed: marks it dirty for the next
+    /// [`replan`](FleetPlacementState::replan), and hands back the cached
+    /// request buffers to rewrite in place.
     ///
     /// # Panics
     ///
@@ -1332,19 +1317,7 @@ impl FleetPlacementState {
             e.dirty = true;
             self.dirty.push(slot);
         }
-        e.epoch += 1;
         &mut e.request
-    }
-
-    /// The shard's placement epoch: bumped by
-    /// [`touch`](FleetPlacementState::touch) exactly when its placement
-    /// inputs actually changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    pub fn epoch(&self, slot: usize) -> u64 {
-        self.entries[slot].epoch
     }
 
     /// The solved assignment of the shard at `slot`, valid after the last
@@ -1929,15 +1902,15 @@ mod tests {
         assert_eq!(state.drift(), 0.0);
 
         // Second window, nothing changed: zero solver calls, placements
-        // and epochs stand.
+        // and the solves that produced them stand.
         let calls = state.solver_calls();
-        let epoch_a = state.epoch(state.slot_of("a").unwrap());
+        let solve_a = state.solve_id(state.slot_of("a").unwrap());
         assert_eq!(
             warm_window(&mut state, &pool, &shards).unwrap(),
             ReplanOutcome::Unchanged
         );
         assert_eq!(state.solver_calls(), calls);
-        assert_eq!(state.epoch(state.slot_of("a").unwrap()), epoch_a);
+        assert_eq!(state.solve_id(state.slot_of("a").unwrap()), solve_a);
         for (got, want) in warm_placements(&state, &shards).iter().zip(&reference) {
             assert_eq!(*got, want);
         }
@@ -1957,7 +1930,8 @@ mod tests {
         let mut state = FleetPlacementState::new();
         warm_window(&mut state, &pool, &shards).unwrap();
         let calls = state.solver_calls();
-        let epoch_b = state.epoch(state.slot_of("b").unwrap());
+        let solve_a = state.solve_id(state.slot_of("a").unwrap());
+        let solve_b = state.solve_id(state.slot_of("b").unwrap());
         let placement_a = state.placement(state.slot_of("a").unwrap()).clone();
 
         // Only b changes (one more executor on operator 1).
@@ -1967,7 +1941,9 @@ mod tests {
             ReplanOutcome::Repaired(1)
         );
         assert_eq!(state.solver_calls(), calls + 1, "only b re-solved");
-        assert_eq!(state.epoch(state.slot_of("b").unwrap()), epoch_b + 1);
+        // Touched only on a real change: b's solve moved, a's stands.
+        assert_ne!(state.solve_id(state.slot_of("b").unwrap()), solve_b);
+        assert_eq!(state.solve_id(state.slot_of("a").unwrap()), solve_a);
         assert_eq!(
             state.placement(state.slot_of("a").unwrap()),
             &placement_a,
@@ -1989,6 +1965,7 @@ mod tests {
         let mut state = FleetPlacementState::new();
         warm_window(&mut state, &pool, &[("a", ra.clone()), ("b", rb)]).unwrap();
         assert_eq!(state.len(), 2);
+        let slot_b = state.slot_of("b").unwrap();
 
         // b leaves the fleet: its usage must flow back to the residual.
         warm_window(&mut state, &pool, &[("a", ra)]).unwrap();
@@ -2007,7 +1984,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(state.slot_of("a").unwrap(), slot_a);
-        assert_eq!(state.slot_name(state.slot_of("z").unwrap()), "z");
+        assert_eq!(state.slot_of("z"), Some(slot_b), "z takes b's slot");
     }
 
     /// Outside a presence round nothing is swept; naming the leavers with

@@ -14,7 +14,7 @@ use drs::apps::VldProfile;
 use drs::core::config::DrsConfig;
 use drs::core::controller::DrsController;
 use drs::core::driver::DrsDriver;
-use drs::core::negotiator::{MachinePool, MachinePoolConfig};
+use drs::core::negotiator::{MachineBudget, MachineBudgetConfig};
 
 fn run(
     name: &str,
@@ -24,7 +24,7 @@ fn run(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let profile = VldProfile::paper();
     let sim = profile.build_simulation(initial, 99);
-    let pool = MachinePool::new(MachinePoolConfig::default(), machines)?;
+    let pool = MachineBudget::new(MachineBudgetConfig::default(), machines)?;
     let mut drs = DrsController::new(DrsConfig::min_resources(t_max), initial.to_vec(), pool)?;
     drs.set_active(false);
     let mut driver = DrsDriver::new(sim, drs, 60.0)?;

@@ -11,7 +11,7 @@ use drs::apps::vld::live::{AggregateBolt, ExtractBolt, FrameSpout, MatchBolt};
 use drs::core::config::DrsConfig;
 use drs::core::controller::DrsController;
 use drs::core::driver::DrsDriver;
-use drs::core::negotiator::{MachinePool, MachinePoolConfig};
+use drs::core::negotiator::{MachineBudget, MachineBudgetConfig};
 use drs::runtime::RuntimeBuilder;
 use drs::topology::{EdgeOptions, TopologyBuilder};
 use std::time::Duration;
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = DrsConfig::min_resources(0.25);
     config.warmup_windows = 1;
     config.cooldown_windows = 0;
-    let pool = MachinePool::new(MachinePoolConfig::default(), 2)?;
+    let pool = MachineBudget::new(MachineBudgetConfig::default(), 2)?;
     let drs = DrsController::new(config, vec![3, 3, 2], pool)?;
     let mut driver = DrsDriver::new(engine, drs, 1.5)?;
 

@@ -13,7 +13,7 @@ use drs::apps::VldProfile;
 use drs::core::config::DrsConfig;
 use drs::core::controller::DrsController;
 use drs::core::driver::DrsDriver;
-use drs::core::negotiator::{MachinePool, MachinePoolConfig};
+use drs::core::negotiator::{MachineBudget, MachineBudgetConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = VldProfile::paper();
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("VLD pipeline, initial allocation (8:12:2), Kmax = 22\n");
 
     let sim = profile.build_simulation(initial, 2015);
-    let pool = MachinePool::new(MachinePoolConfig::default(), 5)?;
+    let pool = MachineBudget::new(MachineBudgetConfig::default(), 5)?;
     let mut drs = DrsController::new(DrsConfig::min_latency(22), initial.to_vec(), pool)?;
     drs.set_active(false); // monitor only, like the paper's first phase
 

@@ -33,11 +33,11 @@
 //! use drs::core::config::DrsConfig;
 //! use drs::core::controller::DrsController;
 //! use drs::core::driver::DrsDriver;
-//! use drs::core::negotiator::{MachinePool, MachinePoolConfig};
+//! use drs::core::negotiator::{MachineBudget, MachineBudgetConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let sim = VldProfile::paper().build_simulation([8, 12, 2], 42);
-//! let pool = MachinePool::new(MachinePoolConfig::default(), 5)?;
+//! let pool = MachineBudget::new(MachineBudgetConfig::default(), 5)?;
 //! let drs = DrsController::new(DrsConfig::min_latency(22), vec![8, 12, 2], pool)?;
 //! let mut driver = DrsDriver::new(sim, drs, 60.0)?; // 60 s windows
 //! driver.run_windows(6);

@@ -7,12 +7,12 @@ use drs::core::controller::{ControlAction, DrsController};
 use drs::core::driver::DrsDriver;
 use drs::core::measurer::RawSample;
 use drs::core::model::OperatorRates;
-use drs::core::negotiator::{MachinePool, MachinePoolConfig};
+use drs::core::negotiator::{MachineBudget, MachineBudgetConfig};
 use drs::queueing::erlang::MmKQueue;
 use drs::sim::SimDuration;
 
-fn pool(machines: u32) -> MachinePool {
-    MachinePool::new(MachinePoolConfig::default(), machines).unwrap()
+fn pool(machines: u32) -> MachineBudget {
+    MachineBudget::new(MachineBudgetConfig::default(), machines).unwrap()
 }
 
 #[test]

@@ -5,7 +5,7 @@ use drs::core::config::DrsConfig;
 use drs::core::controller::DrsController;
 use drs::core::driver::{CspBackend, DrsDriver};
 use drs::core::model::{ModelInputs, OperatorRates, PerformanceModel};
-use drs::core::negotiator::{MachinePool, MachinePoolConfig};
+use drs::core::negotiator::{MachineBudget, MachineBudgetConfig};
 use drs::core::scheduler::assign_processors;
 use drs::queueing::erlang::MmKQueue;
 use drs::runtime::operator::{Bolt, Collector, Spout, SpoutEmission};
@@ -248,7 +248,7 @@ fn closed_loop_driver_autoscales_the_live_runtime() {
 
     let mut config = DrsConfig::min_latency(6);
     config.warmup_windows = 1;
-    let pool = MachinePool::new(MachinePoolConfig::default(), 2).unwrap();
+    let pool = MachineBudget::new(MachineBudgetConfig::default(), 2).unwrap();
     let drs = DrsController::new(config, vec![1, 1], pool).unwrap();
     let mut driver = DrsDriver::new(engine, drs, 0.4).unwrap();
     driver.run_windows(10);
