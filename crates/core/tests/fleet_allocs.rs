@@ -502,7 +502,7 @@ fn placement_memory_follows_the_executors_not_the_pool() {
 /// field that comes back inline or a buffer that splits in two shows.
 #[test]
 fn a_settled_shard_holds_few_small_blocks() {
-    const BYTES_PER_SHARD: f64 = 2_338.0;
+    const BYTES_PER_SHARD: f64 = 2_311.6;
     const BLOCKS_PER_SHARD: f64 = 23.0;
     let (few, many) = (
         settled_drifting_fleet(300, 4).1,

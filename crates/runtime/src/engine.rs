@@ -169,14 +169,12 @@ impl RuntimeBuilder {
     /// Default per-operator channel capacity (envelopes).
     pub(crate) const DEFAULT_CHANNEL_CAPACITY: usize = 64 * 1024;
 
-    /// Floor on the default worker *cap*. Bolts are allowed to block
+    /// Floor on the default worker count. Bolts are allowed to block
     /// (sleep-paced service is how the integration tests model real work),
-    /// and a pool capped purely at the CPU count would serialise blocking
+    /// and a pool sized purely at the CPU count would serialise blocking
     /// executors that the thread-per-executor engine ran concurrently; a
     /// modest oversubscription floor preserves that behaviour on small
-    /// hosts while still decoupling `k_i` from the thread count. The
-    /// adaptive pool only grows to the cap while runnable tasks outnumber
-    /// its live workers.
+    /// hosts while still decoupling `k_i` from the thread count.
     pub(crate) const DEFAULT_WORKER_CAP: usize = 8;
 
     /// Starts a builder for the given topology.
@@ -219,13 +217,12 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Pins the number of pool worker threads to exactly `workers`. By
-    /// default the pool is **adaptive** instead: it starts one worker and
-    /// grows on demand — a task wakeup that finds every live worker busy
-    /// spawns another — up to the host's available parallelism floored at
-    /// `Self::DEFAULT_WORKER_CAP` (see there for why the floor exists);
-    /// persistently idle workers retire back down to one. Executor weights
-    /// may exceed the worker count freely — that is the point of the pool.
+    /// Sets the number of pool worker threads to `workers`. The default
+    /// is the host's available parallelism floored at
+    /// `Self::DEFAULT_WORKER_CAP` (see there for why the floor exists).
+    /// Either way the engine starts that many workers and keeps them all
+    /// until shutdown. Executor weights may exceed the worker count
+    /// freely — that is the point of the pool.
     ///
     /// # Panics
     ///
@@ -303,19 +300,13 @@ impl RuntimeBuilder {
             .map(|(maker, &k)| OpSlot::new(maker, k))
             .collect();
 
-        // Fixed pool when `.workers(n)` was set (min == max == n);
-        // adaptive band otherwise.
-        let (min_workers, max_workers) = match self.workers {
-            Some(n) => (n, n),
-            None => {
-                let cap = std::thread::available_parallelism()
-                    .map(usize::from)
-                    .unwrap_or(1)
-                    .max(Self::DEFAULT_WORKER_CAP);
-                (1, cap)
-            }
-        };
-        let pool = WorkerPool::start(slots, path.clone(), min_workers, max_workers);
+        let workers = self.workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(usize::from)
+                .unwrap_or(1)
+                .max(Self::DEFAULT_WORKER_CAP)
+        });
+        let pool = WorkerPool::start(slots, path.clone(), workers);
 
         let mut engine = RuntimeEngine {
             topology: self.topology,
@@ -380,7 +371,8 @@ impl RuntimeEngine {
         &self.allocation
     }
 
-    /// Number of pool worker threads actually running executors.
+    /// Number of pool worker threads running executors: fixed when the
+    /// engine starts (see [`RuntimeBuilder::workers`]).
     pub fn workers(&self) -> usize {
         self.pool.workers()
     }
@@ -699,6 +691,18 @@ mod tests {
         fanout: usize,
         k: Vec<u32>,
     ) -> RuntimeEngine {
+        two_stage_builder(n_tuples, gap, busy, fanout, k)
+            .start()
+            .unwrap()
+    }
+
+    fn two_stage_builder(
+        n_tuples: u64,
+        gap: Duration,
+        busy: Duration,
+        fanout: usize,
+        k: Vec<u32>,
+    ) -> RuntimeBuilder {
         let mut b = TopologyBuilder::new();
         let src = b.spout("src");
         let work = b.bolt("work");
@@ -720,8 +724,6 @@ mod tests {
                 fanout: 0,
             })
             .allocation(k)
-            .start()
-            .unwrap()
     }
 
     #[test]
@@ -879,6 +881,39 @@ mod tests {
         assert_eq!(snap.sojourn.count(), 500);
         assert_eq!(snap.operators[1].completions, 500);
         assert_eq!(snap.operators[2].completions, 500);
+    }
+
+    #[test]
+    fn a_pool_keeps_its_workers_through_idleness() {
+        // The default count is the host's parallelism floored at 8; a
+        // pinned count is exactly what was asked. Neither changes under a
+        // burst nor through an idle stretch longer than 8 park quanta.
+        let default = std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1)
+            .max(RuntimeBuilder::DEFAULT_WORKER_CAP);
+        for (pinned, expected) in [(None, default), (Some(3), 3)] {
+            let builder = two_stage_builder(
+                400,
+                Duration::ZERO,
+                Duration::from_micros(200),
+                1,
+                vec![1, 4, 1],
+            );
+            let engine = match pinned {
+                Some(n) => builder.workers(n),
+                None => builder,
+            }
+            .start()
+            .unwrap();
+            assert_eq!(engine.workers(), expected, "right after start");
+            assert!(engine.wait_until_drained(Duration::from_secs(20)));
+            assert_eq!(engine.workers(), expected, "after a burst");
+            std::thread::sleep(Duration::from_millis(120));
+            assert_eq!(engine.workers(), expected, "after 120 ms idle");
+            let snap = engine.shutdown(Duration::from_secs(1));
+            assert_eq!(snap.sojourn.count(), 400);
+        }
     }
 
     #[test]

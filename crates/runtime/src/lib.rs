@@ -17,11 +17,11 @@
 //! The execution layer decouples the paper's control variable `k_i` (the
 //! executor count of operator `i`) from OS threads:
 //!
-//! * a pool of **workers** (pinned with `RuntimeBuilder::workers`; by
-//!   default adaptive, capped at the available parallelism with a small
-//!   oversubscription floor for blocking bolts) runs every bolt
-//!   execution. Workers own local task deques and steal from a shared
-//!   injector and from each other;
+//! * a fixed pool of **workers** (set with `RuntimeBuilder::workers`; by
+//!   default the available parallelism with a small oversubscription
+//!   floor for blocking bolts), started with the engine and kept until
+//!   shutdown, runs every bolt execution. Workers own local task deques
+//!   and steal from a shared injector and from each other;
 //! * a **logical executor** is a scheduling slot of one operator, backed
 //!   by a dedicated pooled `Bolt` instance (so user bolts keep
 //!   executor-local state without synchronisation, exactly as with one

@@ -1,10 +1,14 @@
 //! The work-stealing worker pool running every logical executor.
 //!
-//! OS threads ("workers") each own a local task deque and steal from a
-//! shared injector and from each other. Every task queue is a
-//! [`TaskQueue`]: the owner pushes and pops the back of its own (LIFO, for
-//! locality), while stealers and the injector hand out the front, so the
-//! oldest queued task migrates first. A *task* is either a slot drain
+//! The pool runs a fixed set of OS threads ("workers"):
+//! [`WorkerPool::start`] spawns them and [`WorkerPool::shutdown`] joins
+//! them. Each owns a local task deque and steals from a shared injector
+//! and from its siblings. Every task queue is a [`TaskQueue`]: the owner
+//! pushes and pops the back of its own (LIFO, for locality), while
+//! stealers and the injector hand out the front, so the oldest queued task
+//! migrates first. Worker `i`'s deque is entry `i` of the pool's fixed
+//! queue list, so a thief walks that list in worker order and takes no
+//! lock but the deque's own. A *task* is either a slot drain
 //! ([`Task::Drain`]: check a pooled [`Bolt`] instance out of the slot's
 //! [`OpSlot`], pull one batch of envelopes from the slot's input channel,
 //! execute them) or the resumption of a suspended send
@@ -61,15 +65,6 @@
 //! `loop_topology_completes_via_bounded_recursion` for the recursion-depth
 //! contract that keeps loops below capacity. Spout threads are not workers
 //! and keep hard blocking backpressure ([`Channel::send_abortable`]).
-//!
-//! # Adaptive workers
-//!
-//! The worker count floats between a configured minimum and maximum. A
-//! nudge that finds no parked worker spawns one (runnable tasks outnumber
-//! the live workers) until the cap; a worker that pulls nothing for
-//! [`IDLE_STRIKES`] consecutive park quanta deregisters its deque and
-//! exits (down to the minimum). `RuntimeBuilder::workers(n)` pins
-//! `min == max == n`, restoring a fixed-size pool.
 //!
 //! # Tuple storage
 //!
@@ -137,10 +132,10 @@ use crate::channel::Channel;
 use crate::executor::{AckRef, DataPath, Envelope, OpSlot};
 use crate::operator::{Bolt, VecCollector};
 use crate::tuple::{Tuple, Value};
-use parking_lot::{Mutex as PlMutex, RwLock};
+use parking_lot::Mutex as PlMutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -172,10 +167,6 @@ pub(crate) struct Suspended {
 /// A worker's local deque or the pool's injector (see the module docs).
 type TaskQueue = PlMutex<VecDeque<Task>>;
 
-/// The registry of live workers' local deques, keyed by worker id, for
-/// siblings to steal from.
-type StealerRegistry = RwLock<Vec<(u64, Arc<TaskQueue>)>>;
-
 /// One channel's wait list of suspended senders. `count` mirrors the list
 /// length but is published *before* the waiter's final full-check under
 /// the list lock, so a consumer that drained after that check always
@@ -201,10 +192,6 @@ pub(crate) const REFILL_BELOW: usize = RECV_BATCH / 2;
 /// Idle-worker park quantum: parked workers also wake on every nudge, so
 /// this only bounds the latency of rare lost wakeups.
 const PARK_TIMEOUT: Duration = Duration::from_millis(5);
-
-/// Consecutive empty park quanta after which a worker above the minimum
-/// retires (~40 ms of observed idleness).
-const IDLE_STRIKES: u32 = 8;
 
 /// Per-worker scratch buffers, reused across slices so the steady state
 /// allocates nothing: the emission collector (with its stash of recycled
@@ -285,17 +272,8 @@ pub(crate) struct PoolShared {
     /// Per-slot wait lists of suspended senders, same indexing as `slots`.
     waiters: Vec<WaitList>,
     injector: TaskQueue,
-    /// Dynamic stealer registry: `(worker id, stealer)`.
-    stealers: StealerRegistry,
-    /// Live worker count.
-    live: AtomicUsize,
-    /// Worker-count band (`min == max` pins a fixed pool).
-    min_workers: usize,
-    max_workers: usize,
-    next_worker: AtomicU64,
-    handles: PlMutex<Vec<JoinHandle<()>>>,
-    /// Back-reference for spawning workers from `&self` (nudge paths).
-    me: Weak<PoolShared>,
+    /// The workers' local deques: entry `i` belongs to worker `i`.
+    locals: Vec<TaskQueue>,
     idle: IdleGroup,
     shutdown: AtomicBool,
 }
@@ -303,7 +281,7 @@ pub(crate) struct PoolShared {
 impl std::fmt::Debug for PoolShared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolShared")
-            .field("workers", &self.live.load(Ordering::Relaxed))
+            .field("workers", &self.locals.len())
             .field("slots", &self.slots)
             .finish_non_exhaustive()
     }
@@ -453,50 +431,13 @@ impl PoolShared {
         }
     }
 
+    /// Wakes one parked worker, if any is parked.
     fn wake_one(&self) {
         let idle = &self.idle;
         if idle.waiting.load(Ordering::Acquire) > 0 {
             let _guard = idle.lock.lock().unwrap_or_else(PoisonError::into_inner);
             idle.cv.notify_one();
-            return;
         }
-        // No worker is parked: every live one is busy, so runnable tasks
-        // outnumber them — grow the pool (up to the cap).
-        if self.live.load(Ordering::Acquire) < self.max_workers {
-            self.spawn_worker();
-        }
-    }
-
-    /// Spawns one worker thread, registering its deque for siblings to
-    /// steal from; no-op at the cap or during shutdown.
-    fn spawn_worker(&self) {
-        if self.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let Some(shared) = self.me.upgrade() else {
-            return;
-        };
-        loop {
-            let n = self.live.load(Ordering::Acquire);
-            if n >= self.max_workers {
-                return;
-            }
-            if self
-                .live
-                .compare_exchange(n, n + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break;
-            }
-        }
-        let id = self.next_worker.fetch_add(1, Ordering::Relaxed);
-        let local = Arc::new(TaskQueue::default());
-        self.stealers.write().push((id, Arc::clone(&local)));
-        let handle = std::thread::Builder::new()
-            .name(format!("drs-worker-{id}"))
-            .spawn(move || worker_loop(shared, local, id))
-            .expect("spawn pool worker");
-        self.handles.lock().push(handle);
     }
 
     fn park(&self) {
@@ -759,29 +700,25 @@ enum SliceEnd {
     Suspended(Box<Suspended>),
 }
 
-/// The next task for worker `id`: the newest on its own deque, else the
-/// oldest on the injector, else the oldest on the first sibling
-/// deque in `peers` that has one. Each pop is its own statement: a worker
-/// never holds its own deque's lock while taking a sibling's.
-fn next_task(
-    local: &TaskQueue,
-    injector: &TaskQueue,
-    peers: &StealerRegistry,
-    id: u64,
-) -> Option<Task> {
-    let popped = local.lock().pop_back();
+/// The next task for worker `id`: the newest on its own deque
+/// (`locals[id]`), else the oldest on the injector, else the oldest on the
+/// first sibling deque in `locals` that has one. Each pop is its own
+/// statement: a worker never holds its own deque's lock while taking a
+/// sibling's.
+fn next_task(id: usize, injector: &TaskQueue, locals: &[TaskQueue]) -> Option<Task> {
+    let popped = locals[id].lock().pop_back();
     popped.or_else(|| injector.lock().pop_front()).or_else(|| {
-        let peers = peers.read();
-        peers
+        locals
             .iter()
-            .filter(|(pid, _)| *pid != id)
+            .enumerate()
+            .filter(|&(sibling, _)| sibling != id)
             .find_map(|(_, queue)| queue.lock().pop_front())
     })
 }
 
-fn worker_loop(shared: Arc<PoolShared>, local: Arc<TaskQueue>, id: u64) {
+fn worker_loop(shared: Arc<PoolShared>, id: usize) {
+    let local = &shared.locals[id];
     let mut scratch = WorkerScratch::default();
-    let mut strikes = 0u32;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             // Reconcile queued resume tasks so the tuple-tree ledger
@@ -792,47 +729,9 @@ fn worker_loop(shared: Arc<PoolShared>, local: Arc<TaskQueue>, id: u64) {
             }
             break;
         }
-        match next_task(&local, &shared.injector, &shared.stealers, id) {
-            Some(task) => {
-                strikes = 0;
-                shared.run_task(task, &local, &mut scratch);
-            }
-            None => {
-                shared.park();
-                strikes += 1;
-                if strikes < IDLE_STRIKES {
-                    continue;
-                }
-                // Persistently idle: retire down to the minimum.
-                let mut retired = false;
-                loop {
-                    let n = shared.live.load(Ordering::Acquire);
-                    if n <= shared.min_workers {
-                        break;
-                    }
-                    if shared
-                        .live
-                        .compare_exchange(n, n - 1, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        retired = true;
-                        break;
-                    }
-                }
-                if !retired {
-                    strikes = 0;
-                    continue;
-                }
-                shared.stealers.write().retain(|(pid, _)| *pid != id);
-                if shared.injector.lock().is_empty() {
-                    return; // our deque is empty (we only exit starved)
-                }
-                // A task raced our retirement: hand the slot back and keep
-                // working.
-                shared.live.fetch_add(1, Ordering::AcqRel);
-                shared.stealers.write().push((id, Arc::clone(&local)));
-                strikes = 0;
-            }
+        match next_task(id, &shared.injector, &shared.locals) {
+            Some(task) => shared.run_task(task, local, &mut scratch),
+            None => shared.park(),
         }
     }
 }
@@ -841,21 +740,15 @@ fn worker_loop(shared: Arc<PoolShared>, local: Arc<TaskQueue>, id: u64) {
 #[derive(Debug)]
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
     /// Builds the shared state (one channel per operator, each holding at
-    /// most `path.channel_capacity` envelopes) and launches `min_workers`
-    /// worker threads; nudges grow the pool up to `max_workers` on demand
-    /// (`min == max` pins a fixed pool).
-    pub(crate) fn start(
-        slots: Vec<OpSlot>,
-        path: DataPath,
-        min_workers: usize,
-        max_workers: usize,
-    ) -> Self {
-        assert!(min_workers > 0, "a pool needs at least one worker");
-        assert!(max_workers >= min_workers, "worker band must be ordered");
+    /// most `path.channel_capacity` envelopes) and launches `workers`
+    /// worker threads, which run until [`WorkerPool::shutdown`].
+    pub(crate) fn start(slots: Vec<OpSlot>, path: DataPath, workers: usize) -> Self {
+        assert!(workers > 0, "a pool needs at least one worker");
         let n_slots = slots.len();
         let mut spout_fed = vec![false; n_slots];
         for (source, slot) in slots.iter().enumerate() {
@@ -865,7 +758,7 @@ impl WorkerPool {
                 }
             }
         }
-        let shared = Arc::new_cyclic(|me| PoolShared {
+        let shared = Arc::new(PoolShared {
             slots,
             channels: (0..n_slots)
                 .map(|_| Channel::bounded(path.channel_capacity))
@@ -880,13 +773,7 @@ impl WorkerPool {
                 })
                 .collect(),
             injector: TaskQueue::default(),
-            stealers: RwLock::new(Vec::new()),
-            live: AtomicUsize::new(0),
-            min_workers,
-            max_workers,
-            next_worker: AtomicU64::new(0),
-            handles: PlMutex::new(Vec::new()),
-            me: me.clone(),
+            locals: (0..workers).map(|_| TaskQueue::default()).collect(),
             idle: IdleGroup {
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
@@ -894,10 +781,16 @@ impl WorkerPool {
             },
             shutdown: AtomicBool::new(false),
         });
-        for _ in 0..min_workers {
-            shared.spawn_worker();
-        }
-        WorkerPool { shared }
+        let handles = (0..workers)
+            .map(|id| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("drs-worker-{id}"))
+                    .spawn(move || worker_loop(shared, id))
+                    .expect("spawn pool worker")
+            })
+            .collect();
+        WorkerPool { shared, handles }
     }
 
     /// The shared pool state (for nudging and weight control).
@@ -905,9 +798,9 @@ impl WorkerPool {
         &self.shared
     }
 
-    /// Current number of live worker threads.
+    /// Number of worker threads, fixed from `start` on.
     pub(crate) fn workers(&self) -> usize {
-        self.shared.live.load(Ordering::Acquire)
+        self.shared.locals.len()
     }
 
     /// Stops and joins every worker, then reconciles every envelope still
@@ -916,19 +809,13 @@ impl WorkerPool {
     /// Idempotent.
     pub(crate) fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        loop {
-            {
-                let idle = &self.shared.idle;
-                let _guard = idle.lock.lock().unwrap_or_else(PoisonError::into_inner);
-                idle.cv.notify_all();
-            }
-            let handles: Vec<_> = self.shared.handles.lock().drain(..).collect();
-            if handles.is_empty() {
-                break;
-            }
-            for handle in handles {
-                let _ = handle.join();
-            }
+        {
+            let idle = &self.shared.idle;
+            let _guard = idle.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            idle.cv.notify_all();
+        }
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
         for wait in &self.shared.waiters {
             let drained: Vec<_> = { wait.list.lock().drain(..).collect() };
@@ -987,8 +874,8 @@ mod tests {
         )
     }
 
-    fn queue_of(slots: impl IntoIterator<Item = u32>) -> Arc<TaskQueue> {
-        Arc::new(PlMutex::new(slots.into_iter().map(Task::Drain).collect()))
+    fn queue_of(slots: impl IntoIterator<Item = u32>) -> TaskQueue {
+        PlMutex::new(slots.into_iter().map(Task::Drain).collect())
     }
 
     fn drain_slot(task: Option<Task>) -> Option<u32> {
@@ -1000,20 +887,18 @@ mod tests {
 
     #[test]
     fn own_newest_first_then_oldest_injected_then_oldest_stolen() {
-        let own = queue_of([1, 2, 3]);
         let injector = queue_of([10, 11]);
-        let sibling = queue_of([20, 21]);
-        let peers: StealerRegistry =
-            RwLock::new(vec![(0, Arc::clone(&own)), (1, Arc::clone(&sibling))]);
+        // Worker 1 owns the middle deque: it steals from worker 0's before
+        // worker 2's.
+        let locals = [queue_of([20, 21]), queue_of([1, 2, 3]), queue_of([30])];
         let order: Vec<u32> =
-            std::iter::from_fn(|| drain_slot(next_task(&own, &injector, &peers, 0))).collect();
-        assert_eq!(order, [3, 2, 1, 10, 11, 20, 21]);
+            std::iter::from_fn(|| drain_slot(next_task(1, &injector, &locals))).collect();
+        assert_eq!(order, [3, 2, 1, 10, 11, 20, 21, 30]);
 
         // Owner and thief meet in the middle of one deque: the owner takes
         // the newest, the thief the oldest, and neither sees a task twice.
-        own.lock().extend([1, 2, 3].map(Task::Drain));
-        let queues = [&own, &sibling];
-        let take = |id: usize| drain_slot(next_task(queues[id], &injector, &peers, id as u64));
+        locals[0].lock().extend([1, 2, 3].map(Task::Drain));
+        let take = |id: usize| drain_slot(next_task(id, &injector, &locals));
         assert_eq!(take(1), Some(1));
         assert_eq!(take(0), Some(3));
         assert_eq!(take(1), Some(2));
@@ -1023,22 +908,23 @@ mod tests {
     #[test]
     fn concurrent_thieves_and_owner_take_every_task_once() {
         const TASKS: u32 = 1_000;
-        let own = queue_of(0..TASKS);
         let injector = queue_of([]);
-        let peers: StealerRegistry = RwLock::new(vec![(0, Arc::clone(&own))]);
+        // Worker 0 owns every task; workers 1 to 4 start empty and steal.
+        let locals: Vec<TaskQueue> = std::iter::once(queue_of(0..TASKS))
+            .chain((1..=4).map(|_| queue_of([])))
+            .collect();
         let mut taken: Vec<u32> = std::thread::scope(|s| {
             let thieves: Vec<_> = (1..=4)
                 .map(|id| {
-                    let (injector, peers) = (&injector, &peers);
+                    let (injector, locals) = (&injector, &locals);
                     s.spawn(move || {
-                        let empty = TaskQueue::default();
-                        std::iter::from_fn(|| drain_slot(next_task(&empty, injector, peers, id)))
+                        std::iter::from_fn(|| drain_slot(next_task(id, injector, locals)))
                             .collect::<Vec<_>>()
                     })
                 })
                 .collect();
             let mut all: Vec<u32> =
-                std::iter::from_fn(|| drain_slot(next_task(&own, &injector, &peers, 0))).collect();
+                std::iter::from_fn(|| drain_slot(next_task(0, &injector, &locals))).collect();
             for thief in thieves {
                 all.extend(thief.join().unwrap());
             }
