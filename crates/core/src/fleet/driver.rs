@@ -2,7 +2,9 @@
 
 use super::negotiator::FleetNegotiator;
 use super::scratch::{FleetScratch, Phase, PhaseClock, ShardFlags};
-use super::shard::{self, ShardRow, ShardState};
+use super::segment::Segments;
+use super::shard::ShardState;
+use super::workers::Workers;
 use super::{executor_total, slot_u32, FleetDriverConfig, FleetDriverError, FleetShardSpec};
 use super::{FleetWindow, ShardPoint, WINDOW_PHASES};
 use crate::decision::{self, DecisionView};
@@ -15,10 +17,14 @@ use std::time::Duration;
 /// centrally each window by a [`FleetNegotiator`].
 ///
 /// See the [module docs](super) for the scheme, the degraded-channel
-/// contract, and a runnable example.
+/// contract, and a runnable example. A backend must be `Send + 'static`:
+/// the window's `pass` moves whole segments of shards to its worker
+/// threads (see [the control window](super#the-control-window)).
 #[derive(Debug, Clone)]
-pub struct FleetDriver<B: CspBackend> {
-    pub(super) shards: Vec<ShardState<B>>,
+pub struct FleetDriver<B: CspBackend + Send + 'static> {
+    pub(super) shards: Segments<B>,
+    /// The `pass` phase's worker threads.
+    pub(super) workers: Workers<B>,
     /// Shared copy-on-write: a clone of the driver clones the `Arc`, not
     /// the negotiator's warm state; [`Arc::make_mut`] at the negotiate site
     /// deep-clones lazily, only when a driver that still shares the state
@@ -46,7 +52,7 @@ pub struct FleetDriver<B: CspBackend> {
     phase_times: [Duration; WINDOW_PHASES.len()],
 }
 
-impl<B: CspBackend> FleetDriver<B> {
+impl<B: CspBackend + Send + 'static> FleetDriver<B> {
     /// Creates a fleet driver over `shards`.
     ///
     /// # Errors
@@ -72,7 +78,8 @@ impl<B: CspBackend> FleetDriver<B> {
             states.push(ShardState::new(&config, spec)?);
         }
         Ok(FleetDriver {
-            shards: states,
+            shards: Segments::new(states),
+            workers: Workers::default(),
             negotiator: Arc::new(FleetNegotiator::new(config.k_max)),
             config,
             machine_pool: None,
@@ -126,18 +133,10 @@ impl<B: CspBackend> FleetDriver<B> {
             self.shards.len() > 1,
             "a fleet needs at least one shard; cannot remove the last one"
         );
+        // The shard's packed demand leaves with it; later slots close up.
         let state = self.shards.remove(i);
         self.churned = true;
-        // The shard's packed demand leaves with it; later slots close up.
-        if i < self.scratch.demand_idx.len() {
-            if let Some(slot) = self.scratch.demand_idx.remove(i) {
-                self.scratch.demands.remove(slot as usize);
-                for later in self.scratch.demand_idx[i..].iter_mut().flatten() {
-                    *later -= 1;
-                }
-            }
-            self.scratch.index_demands();
-        }
+        self.shards.index_demands(&mut self.scratch.demand_shard);
         state.backend
     }
 
@@ -267,8 +266,7 @@ impl<B: CspBackend> FleetDriver<B> {
         &mut self.shards[i].backend
     }
 
-    /// Runs `windows` fleet windows (shards advanced in index order),
-    /// returning the new timeline entries.
+    /// Runs `windows` fleet windows, returning the new timeline entries.
     pub fn run_windows(&mut self, windows: u64) -> &[FleetWindow] {
         let first_new = self.timeline.len();
         for _ in 0..windows {
@@ -277,42 +275,17 @@ impl<B: CspBackend> FleetDriver<B> {
         &self.timeline[first_new..]
     }
 
-    /// Runs one fleet window, advancing shards in index order.
-    pub fn step(&mut self) -> &FleetWindow {
-        self.run_window(0..self.shards.len())
-    }
-
-    /// Runs one fleet window, advancing the shard backends in the given
-    /// order. Because every shard runs on its own isolated clock, the
-    /// interleaving must not affect any shard's measurements — the
-    /// determinism tests lock this in.
+    /// Runs one fleet window: the nine [`WINDOW_PHASES`] in order, each
+    /// clocked under its name (see the [module
+    /// docs](super#the-control-window)). A window is **full** — every shard
+    /// listed, every per-shard buffer re-sized — after a shard joined or
+    /// left, on the first negotiated window, or on a new machine pool.
     ///
     /// # Panics
     ///
-    /// Panics if `order` is not a permutation of `0..shard_count()`.
-    pub fn step_with_order(&mut self, order: &[usize]) -> &FleetWindow {
-        let n = self.shards.len();
-        assert_eq!(order.len(), n, "order must cover every shard exactly once");
-        let seen = &mut self.scratch.seen;
-        seen.clear();
-        seen.resize(n, false);
-        for &i in order {
-            assert!(
-                i < n && !seen[i],
-                "order must be a permutation of 0..{n}, got {order:?}"
-            );
-            seen[i] = true;
-        }
-        self.run_window(order.iter().copied())
-    }
-
-    /// One fleet window over `order`, a permutation of the shard indices:
-    /// the nine [`WINDOW_PHASES`] in order, each clocked under its name (see
-    /// the [module docs](super#the-control-window)). A window is **full** —
-    /// every shard listed, every per-shard buffer re-sized — after a shard
-    /// joined or left, on the first negotiated window, or on a new machine
-    /// pool.
-    fn run_window(&mut self, order: impl Iterator<Item = usize>) -> &FleetWindow {
+    /// Re-raises, on the caller's thread, a panic of a backend called on
+    /// a pass worker. A window that panicked leaves the driver unusable.
+    pub fn step(&mut self) -> &FleetWindow {
         let n = self.shards.len();
         let mut clock = PhaseClock::start();
         // The scratch buffers live on the driver so the loop allocates
@@ -341,7 +314,7 @@ impl<B: CspBackend> FleetDriver<B> {
 
         let mut fleet_error = None;
         let mut contended = false;
-        let (live_total, reserved) = self.pass(&mut scratch, order, negotiating);
+        let (live_total, reserved) = self.pass(&mut scratch, negotiating);
         clock.lap(Phase::Pass);
         if negotiating {
             let budget = self.negotiate(&mut scratch, reserved, &mut fleet_error);
@@ -388,40 +361,21 @@ impl<B: CspBackend> FleetDriver<B> {
         }
     }
 
-    /// The `pass` phase: [`shard::pass`] over every shard, in the caller's
-    /// `order`, each on its own row of the window buffers. Returns the
-    /// executors in force on live shards (a dead shard's are ghosts) and,
-    /// of those, the ones on shards without a usable model: they are
-    /// reserved out of the budget before the modeled shards negotiate.
-    fn pass(
-        &mut self,
-        scratch: &mut FleetScratch,
-        order: impl Iterator<Item = usize>,
-        negotiating: bool,
-    ) -> (u64, u64) {
-        let (mut live_total, mut reserved) = (0u64, 0u64);
-        for i in order {
-            let row = ShardRow {
-                sample: &mut scratch.samples[i],
-                point: &mut self.last_window.shards[i],
-                demand: scratch.demand_idx[i].map(|slot| &mut scratch.demands[slot as usize]),
-            };
-            let shard = &mut self.shards[i];
-            let out = shard::pass(shard, row, &self.config, negotiating, &mut scratch.pass);
-            if out.listed {
-                scratch.list(i);
-            }
-            live_total += out.live;
-            reserved += out.reserved;
-            if let Some(demand) = out.remodel {
-                scratch.remodeled.push((i, demand));
-            }
-        }
-        (live_total, reserved)
+    /// The `pass` phase: [`super::shard::pass`] over every shard, segment
+    /// by segment on the pass threads, then the segments' findings merged
+    /// in segment order. Returns the executors in force on live shards (a
+    /// dead shard's are ghosts) and, of those, the ones on shards without a
+    /// usable model: they are reserved out of the budget before the
+    /// modeled shards negotiate.
+    fn pass(&mut self, scratch: &mut FleetScratch, negotiating: bool) -> (u64, u64) {
+        let segments = &mut self.shards.segments;
+        self.workers
+            .pass(segments, &self.config, negotiating, &mut scratch.pass);
+        self.shards.merge(scratch, &mut self.last_window.shards)
     }
 
-    /// The `negotiate` phase: re-pack the demands, then arbitrate the
-    /// budget left after the `reserved` executors once — warm-started, so
+    /// The `negotiate` phase: arbitrate the budget left after the
+    /// `reserved` executors once — warm-started, so
     /// per-window cost is O(changed slots + executor moves), with zero heap
     /// allocations when nothing changed. Returns that budget; a failed
     /// negotiation leaves its message in `fleet_error`.
@@ -431,15 +385,6 @@ impl<B: CspBackend> FleetDriver<B> {
         reserved: u64,
         fleet_error: &mut Option<String>,
     ) -> u32 {
-        // Keep the packed demands in shard index order. Every shard from
-        // the first re-packed one on has a new slot, so its negotiated
-        // state is re-derived: each is visited.
-        if let Some(first) = scratch.remodeled.iter().map(|&(i, _)| i).min() {
-            scratch.repack_demands();
-            for i in first..self.shards.len() {
-                scratch.list(i);
-            }
-        }
         // Shards without a usable model keep their current allocation;
         // their executors are reserved out of the budget before the others
         // negotiate. Dead shards reserve nothing — lease expiry is
@@ -447,12 +392,13 @@ impl<B: CspBackend> FleetDriver<B> {
         // re-offered.
         let budget = u32::try_from(u64::from(self.config.k_max).saturating_sub(reserved))
             .expect("reserved budget is clamped below k_max, which fits in u32");
-        if !scratch.demands.is_empty() {
+        let demands = self.shards.demands();
+        if demands.len() > 0 {
             // `make_mut` only clones when a clone of the driver still
             // shares the warm state; a driver that never branched mutates
             // in place with no per-window cost.
             let negotiator = Arc::make_mut(&mut self.negotiator);
-            let outcome = negotiator.negotiate_within_incremental(budget, &scratch.demands);
+            let outcome = negotiator.negotiate_within_incremental(budget, demands);
             // What the call changed is listed even when it failed: a
             // desire it re-derived first is not reported again.
             for &slot in &negotiator.changed {
@@ -474,12 +420,11 @@ impl<B: CspBackend> FleetDriver<B> {
 
     /// The `order` phase: the listed shards whose grant differs from what
     /// they run, shrinks first — the movers that do not grow in index
-    /// order, then the growers in index order. Distinct from the caller's
-    /// `order` (the measurement interleaving).
+    /// order, then the growers in index order.
     fn order_actuations(&self, scratch: &mut FleetScratch) {
         for idx in 0..scratch.visit.len() {
             let i = scratch.visit[idx];
-            let Some(grant) = scratch.grant(&self.negotiator, i) else {
+            let Some(grant) = scratch.grant(&self.negotiator, i, self.shards.slot(i)) else {
                 continue;
             };
             let current = &self.shards[i].allocation;
@@ -508,7 +453,7 @@ impl<B: CspBackend> FleetDriver<B> {
         for slot in 0..scratch.actuation_order.len() {
             let i = scratch.actuation_order[slot];
             let grant = scratch
-                .grant(&self.negotiator, i)
+                .grant(&self.negotiator, i, self.shards.slot(i))
                 .expect("only shards with a grant are ordered");
             let target_total = executor_total(grant);
             let current_total = executor_total(&self.shards[i].allocation);
@@ -527,7 +472,7 @@ impl<B: CspBackend> FleetDriver<B> {
             // starving and the freed capacity must actually flow.
             let urgent_shrink =
                 (contended || scratch.flags[i].urgent) && target_total < current_total;
-            if !urgent_shrink && self.gate_refuses(i, grant, scratch) {
+            if !urgent_shrink && self.gate_refuses(i, grant) {
                 scratch.flags[i].gated = true;
                 self.wasted_grants += 1;
                 continue;
@@ -666,8 +611,7 @@ impl<B: CspBackend> FleetDriver<B> {
             let revived_or_died = point.dead != shard.dead;
             point.dead = shard.dead;
             point.allocation.clone_from(&shard.allocation);
-            point.demand = scratch.demand_idx[i]
-                .map(|slot| executor_total(&scratch.demands[slot as usize].desired));
+            point.demand = self.shards.demand(i).map(|d| executor_total(&d.desired));
             let flags = std::mem::take(&mut scratch.flags[i]);
             point.capped = flags.capped;
             point.rebalanced = flags.rebalanced;
@@ -706,7 +650,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 continue;
             }
             let current = &shard.allocation;
-            let grant = scratch.grant(&self.negotiator, i);
+            let grant = scratch.grant(&self.negotiator, i, self.shards.slot(i));
             assert!(
                 grant.is_none_or(|g| g == current),
                 "window {}: skipped shard {i} runs {current:?}, granted {grant:?}",
@@ -729,7 +673,7 @@ impl<B: CspBackend> FleetDriver<B> {
                     info.request_matches(
                         scratch.place.request(slot),
                         grant.unwrap_or(current),
-                        &scratch.samples[i],
+                        self.shards.sample(i),
                         self.config.placement_rate_band,
                     ),
                     "window {}: skipped shard {i}'s placement request is stale",
@@ -743,9 +687,8 @@ impl<B: CspBackend> FleetDriver<B> {
                 );
             }
             let point = &self.last_window.shards[i];
-            let sample = &scratch.samples[i];
-            let demand = scratch.demand_idx[i]
-                .map(|slot| executor_total(&scratch.demands[slot as usize].desired));
+            let sample = self.shards.sample(i);
+            let demand = self.shards.demand(i).map(|d| executor_total(&d.desired));
             assert!(
                 point.name == shard.name
                     && point.dead == shard.dead
@@ -765,13 +708,13 @@ impl<B: CspBackend> FleetDriver<B> {
     /// Whether shard `i`'s own cost/benefit gate (paper App. B-B) refuses
     /// `grant` given what it currently runs. `false` when the shard has no
     /// usable model this window.
-    fn gate_refuses(&self, i: usize, grant: &[u32], scratch: &FleetScratch) -> bool {
-        let Some(slot) = scratch.demand_idx[i] else {
+    fn gate_refuses(&self, i: usize, grant: &[u32]) -> bool {
+        let Some(demand) = self.shards.demand(i) else {
             return false;
         };
         let current = &self.shards[i].allocation;
-        let network = &scratch.demands[slot as usize].network;
-        let sample = &scratch.samples[i];
+        let network = &demand.network;
+        let sample = self.shards.sample(i);
         let verdict = decision::decide_view(
             &self.config.decision,
             &DecisionView {
@@ -805,7 +748,7 @@ impl<B: CspBackend> FleetDriver<B> {
         let (mut held_desired, mut held_current) = (0u64, 0u64);
         for idx in 0..scratch.visit.len() {
             let i = scratch.visit[idx];
-            let Some(slot) = scratch.demand_idx[i] else {
+            let Some(slot) = self.shards.slot(i) else {
                 continue;
             };
             let grant = &negotiator.grants[slot as usize];
@@ -818,7 +761,7 @@ impl<B: CspBackend> FleetDriver<B> {
             if contended && grant.total() < current_total {
                 continue; // contended shrinks actuate unconditionally
             }
-            if self.gate_refuses(i, &grant.allocation, scratch) {
+            if self.gate_refuses(i, &grant.allocation) {
                 scratch.held.push(i);
                 held_desired += negotiator.slots[slot as usize].desired_total;
                 held_current += current_total;
@@ -865,7 +808,8 @@ impl<B: CspBackend> FleetDriver<B> {
         }
         scratch.place.sync_pool(pool);
         for &i in &scratch.visit {
-            let shard = &mut self.shards[i];
+            let demand_slot = self.shards.slot(i);
+            let (shard, sample) = self.shards.with_sample_mut(i);
             if shard.dead {
                 // Its usage is refunded and its slot freed (its executors
                 // are ghosts until the lease renews, and a revived shard is
@@ -891,9 +835,8 @@ impl<B: CspBackend> FleetDriver<B> {
             }
             scratch.place_owner[slot] = i;
             let target = scratch
-                .grant(&self.negotiator, i)
+                .grant(&self.negotiator, i, demand_slot)
                 .unwrap_or(&shard.allocation);
-            let sample = &scratch.samples[i];
             if !info.request_matches(
                 scratch.place.request(slot),
                 target,

@@ -63,26 +63,27 @@
 //! [`FleetDriver::phase_times`] clocks each phase under its name; a warm-up
 //! window runs only the first and the last.
 //!
-//! 1. **`pass`**, one per shard, in the caller's order: advance the backend
-//!    a window, feed the sample to the measurer, judge the liveness lease,
-//!    cache the running allocation, write the measured fields of the
-//!    shard's record, and — past warm-up, when the smoothed estimates moved
-//!    — refit the shard's demand *in place*: estimates into one reused
-//!    buffer (`crate::measurer::Measurer::write_estimates`), rates into
-//!    the cached network
-//!    ([`drs_queueing::jackson::JacksonNetwork::set_rates`]), Program 6
-//!    into the cached `desired` vector
+//! 1. **`pass`**, one per shard, segment by segment on several threads
+//!    (next section): advance the backend a window, feed the sample to the
+//!    measurer, judge the liveness lease, cache the running allocation, and
+//!    — past warm-up, when the smoothed estimates moved — refit the shard's
+//!    demand *in place*: estimates into one reused buffer
+//!    (`crate::measurer::Measurer::write_estimates`), rates into the cached
+//!    network ([`drs_queueing::jackson::JacksonNetwork::set_rates`]),
+//!    Program 6 into the cached `desired` vector
 //!    (`crate::scheduler::min_processors_for_target_into`). The pass
 //!    reads and writes only its own shard's state and row of the window
 //!    buffers, so it runs on one shard while its buffers are in cache; a
-//!    refit whose answer stands allocates nothing.
-//! 2. **`negotiate`**: re-pack the demand list — only on a window where
-//!    some shard gained or lost its model (the first negotiated one,
-//!    deaths, revivals, joins); demands move, none is cloned, and every
-//!    shard whose demand slot moved joins the change list. Then negotiate
-//!    once, warm-started (next section): it walks the demand slice, but
-//!    reports only the slots whose published grant or floored desire it
-//!    changed.
+//!    refit whose answer stands allocates nothing. A segment in which some
+//!    shard gained or lost its model (the first negotiated window, deaths,
+//!    revivals, joins) then re-packs its demands: they move, none is
+//!    cloned. Last, the caller's thread merges what the segments found,
+//!    in segment order: the shards they listed, the measured fields of
+//!    every shard's record, and — after a re-pack — every shard from the
+//!    first one whose demand slot moved.
+//! 2. **`negotiate`** once, warm-started (see below): it walks the demand
+//!    list, but reports only the slots whose published grant or floored
+//!    desire it changed.
 //! 3. **`gate`**: the gate-aware pass consults the gate of the listed
 //!    shards whose grant differs from what they run.
 //! 4. **`present`**, when a shared machine pool is installed: compare the
@@ -98,6 +99,34 @@
 //! 9. **`record`** the listed shards into [`FleetDriver::last_window`] in
 //!    place, and carry the ones left unsettled into the next window's list.
 //!
+//! # Segments and threads
+//!
+//! The driver keeps its shards in contiguous segments of
+//! [`SEGMENT_SHARDS`] (every segment but the last is full), and a segment
+//! owns its shards' lasting state and their row of the window: the
+//! measurement report, the fields of the record that move every window,
+//! and the packed demands of its modeled shards. The fleet's demand list
+//! is the segments' packed demands in segment order, which is the list of
+//! every modeled shard in index order.
+//!
+//! The `pass` runs on `available_parallelism()` threads, at most one per
+//! segment: the caller's and persistent workers. The workers start on the
+//! first window with more than one segment, park between windows, and are
+//! joined when the driver is dropped; a clone of the driver starts workers
+//! of its own, and shares none. Each window moves a worker's segments to
+//! it by value over a bounded channel (segment `k` goes to thread
+//! `k mod threads`, the caller's being thread 0) and back the same way, so
+//! the split needs no lock on any shard, spawns nothing and allocates
+//! nothing. It is why a backend must be `Send + 'static`. A backend that
+//! panics on a worker panics the caller's `step` once every segment is
+//! back.
+//!
+//! The thread count changes only speed. A shard's pass depends on nothing
+//! but the shard, so each segment's findings are what one thread would have
+//! found, and they merge in segment order: the change list, the demand list
+//! and its re-pack, every record, and every later phase — all on the
+//! caller's thread — are bit for bit what a single thread computes.
+//!
 //! Only the window record is keyed by shard index across windows. After
 //! [`FleetDriver::add_shard`] or [`FleetDriver::remove_shard`] has shifted
 //! the indices under its names, the next window is full and records every
@@ -107,15 +136,17 @@
 //!
 //! What lasts as long as the shard — backend, sample builder, measurer,
 //! the actuation epoch and backoff, lease, the allocation and the placement
-//! in force, its slot in the warm placement state — is one entry of the
-//! driver's shard list, and leaves with it. What a window rewrites in place
-//! is one entry per shard in each of the window buffers: the report, the
-//! flags, and a `u32` slot into the packed demands.
+//! in force, its slot in the warm placement state — is one entry of its
+//! segment, and leaves with it. What a window rewrites in place is one
+//! entry per shard in each of the window buffers: in the shard's segment
+//! the report, its measured fields and a `u32` slot into the segment's
+//! packed demands; on the driver the flags, errors and planned placements.
 //! What only the shard being measured needs — its raw sample, its smoothed
-//! estimates — is one buffer the pass reuses for every shard. A fitted
-//! demand has two copies: the packed demand list, which the pass refits in
-//! place and the negotiator is handed, and the negotiator's per-slot cache,
-//! which it diffs the list against bit for bit. That slot keeps the floor
+//! estimates — is one buffer per pass thread, reused for every shard. A
+//! fitted demand has two copies: the packed demand in its segment, which
+//! the pass refits in place and the negotiator is handed, and the
+//! negotiator's per-slot cache, which it diffs the list against bit for
+//! bit. That slot keeps the floor
 //! and the floored desire in one buffer, and builds its walk (boxed) only
 //! once the budget is contended.
 //!
@@ -281,7 +312,9 @@
 mod driver;
 mod negotiator;
 mod scratch;
+mod segment;
 mod shard;
+mod workers;
 
 pub use driver::FleetDriver;
 pub use negotiator::{FleetError, FleetNegotiator, ShardDemand, ShardGrant};
@@ -292,6 +325,12 @@ use crate::measurer::Smoothing;
 use crate::placement::{EdgeTraffic, OperatorLoad, PlacementRequest};
 use drs_topology::ResourceProfile;
 use std::fmt;
+
+/// Shards per storage segment of a [`FleetDriver`]: a segment is what one
+/// thread of the window's `pass` measures at a time (see [the control
+/// window](self#the-control-window)). The crate's own unit tests use 4, so
+/// that their small fleets straddle segment boundaries.
+pub const SEGMENT_SHARDS: usize = if cfg!(test) { 4 } else { 1024 };
 
 /// Total executors in an allocation (`u64` so fleet-wide sums cannot
 /// overflow).

@@ -535,7 +535,8 @@ impl FleetNegotiator {
     /// proptests pin it — but in `O(changed shards + executor moves)` by
     /// reusing the previous window's state, and without a single heap
     /// allocation when nothing changed. Results are published through
-    /// [`FleetNegotiator::grants`].
+    /// [`FleetNegotiator::grants`]. `demands` is any exact-size walk over
+    /// the demand list — a slice, or the driver's segments in order.
     ///
     /// Per window it
     ///
@@ -565,33 +566,39 @@ impl FleetNegotiator {
     /// The same errors, in the same precedence, as
     /// [`FleetNegotiator::negotiate_within`]. A failed call leaves the
     /// cache consistent: the next successful call converges as usual.
-    pub fn negotiate_within_incremental(
+    pub fn negotiate_within_incremental<'a, D>(
         &mut self,
         budget: u32,
-        demands: &[ShardDemand],
-    ) -> Result<(), FleetError> {
-        debug_assert!(u32::try_from(demands.len()).is_ok());
+        demands: D,
+    ) -> Result<(), FleetError>
+    where
+        D: IntoIterator<Item = &'a ShardDemand>,
+        D::IntoIter: ExactSizeIterator,
+    {
+        let demands = demands.into_iter();
+        let n = demands.len();
+        debug_assert!(u32::try_from(n).is_ok());
         self.changed.clear();
         // Slots beyond the end of the demand slice retire (fleet shrank or
         // re-packed); their heap entries die by the slot-index bound check.
-        if self.slots.len() > demands.len() {
-            self.off_desire.retain(|&i| (i as usize) < demands.len());
+        if self.slots.len() > n {
+            self.off_desire.retain(|&i| (i as usize) < n);
         }
-        if let Some(retired) = self.grants.get(demands.len()..) {
+        if let Some(retired) = self.grants.get(n..) {
             self.capped_count -= retired.iter().filter(|g| g.capped).count();
         }
-        while self.slots.len() > demands.len() {
+        while self.slots.len() > n {
             let slot = self.slots.pop().expect("len checked above");
             self.sum_floor -= slot.floor_total;
             self.sum_desired -= slot.desired_total;
             self.sum_taken -= slot.taken_total;
             self.total_ops -= slot.demand.network.len();
         }
-        self.grants.truncate(demands.len());
+        self.grants.truncate(n);
 
         // Diff pass, in slot order (so the first invalid changed slot
         // reports the same `DemandLength` a from-scratch validation would).
-        for (i, d) in demands.iter().enumerate() {
+        for (i, d) in demands.enumerate() {
             let changed = match self.slots.get(i) {
                 Some(slot) => !demand_bits_equal(&slot.demand, d),
                 None => true,
@@ -651,13 +658,13 @@ impl FleetNegotiator {
             self.total_ops += d.network.len();
             self.mark_touched(i);
         }
-        if self.grants.len() < demands.len() {
-            self.grants.resize_with(demands.len(), || ShardGrant {
+        if self.grants.len() < n {
+            self.grants.resize_with(n, || ShardGrant {
                 allocation: Vec::new(),
                 capped: false,
             });
         }
-        debug_assert_eq!(self.slots.len(), demands.len());
+        debug_assert_eq!(self.slots.len(), n);
 
         // Uncontended: every shard gets exactly its floored desire.
         if self.sum_desired <= u64::from(budget) {

@@ -1,8 +1,8 @@
 //! One shard's loop: its lasting state, and the per-shard pass that measures it and refits it.
 
 use super::negotiator::ShardDemand;
+use super::ShardPlacementInfo;
 use super::{executor_total, FleetDriverConfig, FleetDriverError, FleetShardSpec};
-use super::{ShardPlacementInfo, ShardPoint};
 use crate::driver::{Actuator, CspBackend, WindowSample};
 use crate::measurer::{Measurer, RawSample, SampleBuilder, SmoothedEstimates};
 use crate::placement::Placement;
@@ -105,8 +105,6 @@ pub(super) struct PassBuffers {
 pub(super) struct ShardRow<'a> {
     /// This window's measurement report (rewritten by the backend).
     pub(super) sample: &'a mut WindowSample,
-    /// The shard's record in the window.
-    pub(super) point: &'a mut ShardPoint,
     /// The shard's packed demand slot, while it has a usable model.
     pub(super) demand: Option<&'a mut ShardDemand>,
 }
@@ -129,7 +127,8 @@ pub(super) struct PassOutcome {
 
 /// The window's `pass` phase over one shard (see the [module
 /// docs](super#the-control-window)). It reads and writes only the shard,
-/// its row of the window buffers and `buffers`.
+/// its row of the window buffers and `buffers`, so segments of shards
+/// pass on any thread.
 pub(super) fn pass<B: CspBackend>(
     shard: &mut ShardState<B>,
     row: ShardRow<'_>,
@@ -153,10 +152,6 @@ pub(super) fn pass<B: CspBackend>(
     }
     let was_dead = shard.dead;
     shard.dead = config.lease_windows > 0 && shard.samples.missed_windows() >= config.lease_windows;
-    // The measured fields are the only ones of the record that
-    // move on a shard the window does not visit.
-    row.point.mean_sojourn_ms = sample.mean_sojourn.map(|s| s * 1e3);
-    row.point.completed = sample.completed;
     // The running allocation, cached once for the window (every
     // later phase reads it instead of re-asking the backend).
     shard

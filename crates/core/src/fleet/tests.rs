@@ -297,19 +297,6 @@ fn construction_errors() {
 }
 
 #[test]
-#[should_panic(expected = "permutation")]
-fn bad_interleaving_order_panics() {
-    let mut f = fleet(
-        12,
-        vec![
-            ("a", 0.5, StaticShard::new(10.0, 10.0, 2)),
-            ("b", 0.5, StaticShard::new(10.0, 10.0, 2)),
-        ],
-    );
-    f.step_with_order(&[0, 0]);
-}
-
-#[test]
 fn timeout_backs_off_then_retries_with_fresh_epochs() {
     // The shard needs to grow but its first two commands vanish.
     let mut shard = StaticShard::new(60.0, 10.0, 4);
@@ -411,16 +398,20 @@ fn dead_shard_budget_is_reclaimed_within_lease_windows() {
     );
 }
 
+/// Over a fleet that spans two segments, so the clones pass on threads.
 #[test]
 fn checkpoint_restore_continue_is_bit_identical() {
     let build = || {
-        fleet(
-            12,
-            vec![
-                ("hot", 0.11, StaticShard::new(60.0, 10.0, 7)),
-                ("cold", 0.11, StaticShard::new(30.0, 10.0, 4)),
-            ],
-        )
+        let mut shards = vec![
+            ("hot", 0.11, StaticShard::new(60.0, 10.0, 7)),
+            ("cold", 0.11, StaticShard::new(30.0, 10.0, 4)),
+        ];
+        let names = ["w0", "w1", "w2", "w3"];
+        shards.extend((0..SEGMENT_SHARDS).map(|i| {
+            let rate = 15.0 + 4.0 * i as f64;
+            (names[i], 0.11, StaticShard::new(rate, 10.0, 3))
+        }));
+        fleet(24, shards)
     };
     // Uninterrupted run.
     let mut straight = build();
@@ -431,6 +422,8 @@ fn checkpoint_restore_continue_is_bit_identical() {
     prefix.run_windows(5);
     let ckpt = prefix.clone();
     assert_eq!(ckpt.completed_windows(), 5);
+    // A clone starts pass workers of its own, once it steps.
+    assert_eq!(ckpt.workers.threads(), 0);
     // The checkpoint shares the negotiator's warm state copy-on-write:
     // no deep clone until one of the branches actually negotiates.
     assert!(
@@ -449,6 +442,7 @@ fn checkpoint_restore_continue_is_bit_identical() {
         !Arc::ptr_eq(&prefix.negotiator, &branch_a.negotiator),
         "diverging branches must have unshared after negotiating"
     );
+    assert_eq!(branch_a.workers.threads(), prefix.workers.threads());
 
     assert_eq!(straight.timeline(), prefix.timeline());
     assert_eq!(straight.timeline(), branch_a.timeline());
@@ -500,14 +494,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Only churn needs a full window: under joins, leaves (shard
-    /// indices shift), join-and-leave between two windows (they shift
-    /// while the count stands), deaths and revivals, a driver that runs
-    /// a full window only after churn and advances in a random order
-    /// each window records the same names, slots, placements, commands
-    /// and timeline as one that runs every window full, in index order.
+    /// indices shift, across segment boundaries too), join-and-leave
+    /// between two windows (they shift while the count stands), deaths and
+    /// revivals, a driver that runs a full window only after churn records
+    /// the same names, slots, placements, commands and timeline as one
+    /// that runs every window full. The fleet starts one segment full, so
+    /// its first join opens a second segment.
     #[test]
     fn roster_stamp_equals_name_validation_under_churn(
-        script in vec((0u8..10, 0usize..64, 1.0f64..60.0, 0u64..u64::MAX), 6..24),
+        script in vec((0u8..10, 0usize..64, 1.0f64..60.0), 6..24),
     ) {
         let info = ShardPlacementInfo {
             profiles: vec![ResourceProfile::uniform(1.0)],
@@ -521,7 +516,7 @@ proptest! {
             let mut config = FleetDriverConfig::new(48);
             config.warmup_windows = 1;
             config.window_secs = 1.0;
-            let specs = (0..4).map(|id| spec(id, 12.0 + 9.0 * id as f64)).collect();
+            let specs = (0..SEGMENT_SHARDS).map(|id| spec(id, 12.0 + 9.0 * id as f64)).collect();
             let mut f = FleetDriver::new(config, specs).unwrap();
             f.set_machine_pool(
                 MachinePool::uniform(3, ResourceProfile::uniform(40.0)).unwrap(),
@@ -529,7 +524,7 @@ proptest! {
             f
         };
         let (mut stamped, mut validating) = (build(), build());
-        for (next_id, &(action, pick, rate, seed)) in (4..).zip(&script) {
+        for (next_id, &(action, pick, rate)) in (SEGMENT_SHARDS..).zip(&script) {
             for f in [&mut stamped, &mut validating] {
                 let n = f.shard_count();
                 match action {
@@ -555,18 +550,12 @@ proptest! {
             // Every window full: every name recorded, every shard presented.
             validating.churned = true;
             validating.step();
-            let n = stamped.shard_count();
-            let mut order: Vec<usize> = (0..n).collect();
-            let mut state = seed | 1;
-            for i in (1..n).rev() {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                order.swap(i, (state >> 33) as usize % (i + 1));
-            }
-            stamped.step_with_order(&order);
+            stamped.step();
 
             prop_assert_eq!(stamped.last_window(), validating.last_window());
-            prop_assert_eq!(&stamped.scratch.demand_idx, &validating.scratch.demand_idx);
+            let n = stamped.shard_count();
             for i in 0..n {
+                prop_assert_eq!(stamped.shards.slot(i), validating.shards.slot(i));
                 prop_assert_eq!(&stamped.last_window().shards[i].name, &stamped.shards[i].name);
                 prop_assert_eq!(stamped.shards[i].place_slot, validating.shards[i].place_slot);
                 prop_assert_eq!(stamped.shard_placement(i), validating.shard_placement(i));
@@ -963,18 +952,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Visiting only the change list is exact: under rate shifts,
-    /// refused applies, deaths and revivals, on budgets from contended
-    /// to roomy (and below the floors, where negotiation fails), a
-    /// driver that walks the change list records the same windows,
-    /// grants, commands and placements as one forced to visit every
-    /// shard every window.
+    /// refused applies, deaths and revivals, joins and leaves at random
+    /// indices, on fleets that straddle segment boundaries and on budgets
+    /// from contended to roomy (and below the floors, where negotiation
+    /// fails), a driver that walks the change list records the same
+    /// windows, grants, commands and placements as one forced to visit
+    /// every shard every window.
     #[test]
     fn change_list_equals_visiting_every_shard(
         // Per shard: λ and the µ of each operator, from small sets so
         // that neighbouring shards often hold equal grants.
-        shards in vec((0usize..3, 0usize..2, 0usize..2), 2..=6),
+        shards in vec((0usize..3, 0usize..2, 0usize..2), 2..=2 * SEGMENT_SHARDS + 1),
         headroom in 0.6f64..1.3,
-        script in vec((0u8..6, 0usize..64, 5.0f64..60.0), 6..=30),
+        script in vec((0u8..8, 0usize..64, 5.0f64..60.0), 6..=30),
     ) {
         let shards: Vec<(f64, f64, f64)> = shards
             .iter()
@@ -984,20 +974,17 @@ proptest! {
             profiles: vec![ResourceProfile::uniform(1.0), ResourceProfile::uniform(2.0)],
             edges: vec![(0, 1, 1.0)],
         };
+        let spec = |id: usize, demand: &mut f64| {
+            let (rate, mu0, mu1) = shards[id % shards.len()];
+            let k = |mu: f64| (rate / mu).ceil() as u32 + 1;
+            let allocation = vec![k(mu0), k(mu1)];
+            *demand += f64::from(allocation[0] + allocation[1]);
+            let shard = StaticShard::chain(rate, vec![mu0, mu1], allocation);
+            FleetShardSpec::new(format!("s{id}"), 0.3, shard).with_placement(info.clone())
+        };
         let mut demand = 0.0;
         let specs = |demand: &mut f64| -> Vec<FleetShardSpec<StaticShard>> {
-            shards
-                .iter()
-                .enumerate()
-                .map(|(id, &(rate, mu0, mu1))| {
-                    let k = |mu: f64| (rate / mu).ceil() as u32 + 1;
-                    let allocation = vec![k(mu0), k(mu1)];
-                    *demand += f64::from(allocation[0] + allocation[1]);
-                    let shard = StaticShard::chain(rate, vec![mu0, mu1], allocation);
-                    FleetShardSpec::new(format!("s{id}"), 0.3, shard)
-                        .with_placement(info.clone())
-                })
-                .collect()
+            (0..shards.len()).map(|id| spec(id, demand)).collect()
         };
         let build = |specs: Vec<FleetShardSpec<StaticShard>>, k_max: u32| {
             let mut config = FleetDriverConfig::new(k_max);
@@ -1012,13 +999,22 @@ proptest! {
         let first = specs(&mut demand);
         let k_max = (demand * headroom) as u32;
         let (mut sparse, mut every) = (build(first, k_max), build(specs(&mut 0.0), k_max));
-        for &(action, pick, rate) in &script {
+        for (next_id, &(action, pick, rate)) in (shards.len()..).zip(&script) {
             for f in [&mut sparse, &mut every] {
-                let shard = f.backend_mut(pick % shards.len());
+                let n = f.shard_count();
                 match action {
-                    0..=2 => shard.rate = rate,
-                    3 => shard.silent = !shard.silent,
-                    4 => shard.fail_applies = 1,
+                    0..=2 => f.backend_mut(pick % n).rate = rate,
+                    3 => {
+                        let shard = f.backend_mut(pick % n);
+                        shard.silent = !shard.silent;
+                    }
+                    4 => f.backend_mut(pick % n).fail_applies = 1,
+                    5 => {
+                        f.add_shard(spec(next_id, &mut 0.0)).unwrap();
+                    }
+                    6 if n > 1 => {
+                        f.remove_shard(pick % n);
+                    }
                     _ => {}
                 }
             }
@@ -1028,7 +1024,7 @@ proptest! {
             sparse.step();
             prop_assert_eq!(sparse.last_window(), every.last_window());
             prop_assert_eq!(sparse.negotiator().grants(), every.negotiator().grants());
-            for i in 0..shards.len() {
+            for i in 0..sparse.shard_count() {
                 prop_assert_eq!(sparse.shard_placement(i), every.shard_placement(i));
                 prop_assert_eq!(&sparse.backend(i).allocation, &every.backend(i).allocation);
             }

@@ -15,7 +15,8 @@
 //! window's allocations are bounded by the shards it rebalances or
 //! re-places.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; the test
+//! A counting `#[global_allocator]` wraps the system allocator and counts
+//! on every thread, pass workers included; the test
 //! warms the fleet past the smoothing fixpoint, then asserts the counter
 //! does not advance across further windows. The allocator also keeps the
 //! live heap bytes, so a test can pin what a fleet *holds*: placement
@@ -26,11 +27,13 @@
 //! expected to meet for large fleets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use drs_core::fleet::{
-    FleetDriver, FleetDriverConfig, FleetShardSpec, ShardPlacementInfo, WINDOW_PHASES,
+    FleetDriver, FleetDriverConfig, FleetShardSpec, ShardPlacementInfo, SEGMENT_SHARDS,
+    WINDOW_PHASES,
 };
 use drs_core::placement::{
     EdgeTraffic, FleetPlacementState, MachinePool, OperatorLoad, PlacementRequest, ReplanOutcome,
@@ -45,42 +48,50 @@ use drs_topology::ResourceProfile;
 /// "no memory"), and separately tracks the bytes live on the heap.
 struct CountingAlloc;
 
-// Counters and trap are per thread: libtest runs the tests of this binary on
-// parallel threads, and a process-wide counter would charge one test with
-// the other's warm-up allocations. `const`-initialised `Cell`s need no lazy
-// initialisation and no destructor, so touching them never allocates.
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    /// Requested bytes allocated minus bytes freed by this thread (a block
-    /// freed by another thread than its allocator skews both; the fleet
-    /// tests run on one thread).
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    /// Blocks allocated minus blocks freed by this thread, alike.
-    static LIVE_BLOCKS: Cell<i64> = const { Cell::new(0) };
-    /// Failure diagnostics: while non-zero, each counted allocation prints a
-    /// backtrace of its call site (and decrements the budget), so a
-    /// regression names the allocating line instead of just a count.
-    static TRAP: Cell<u64> = const { Cell::new(0) };
+// Counters and trap are process-wide, so they see the allocations of a
+// fleet's pass workers as well as the caller's. The tests of this binary
+// therefore run one at a time (`serial`): libtest's parallel threads would
+// charge one test with another's allocations.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Requested bytes allocated minus bytes freed.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+/// Blocks allocated minus blocks freed.
+static LIVE_BLOCKS: AtomicI64 = AtomicI64::new(0);
+/// Failure diagnostics: while non-zero, each counted allocation prints a
+/// backtrace of its call site (and decrements the budget), so a
+/// regression names the allocating line instead of just a count.
+static TRAP: AtomicU64 = AtomicU64::new(0);
+
+/// Held by every test of this binary for its whole run.
+fn serial() -> MutexGuard<'static, ()> {
+    static TESTS: Mutex<()> = Mutex::new(());
+    TESTS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn count_and_trace() {
-    ALLOCS.with(|a| a.set(a.get() + 1));
+    ALLOCS.fetch_add(1, Relaxed);
     // The trap is disarmed while the backtrace is captured and printed:
     // both allocate, and a nested print would re-lock the output sink this
     // thread already holds.
-    let n = TRAP.replace(0);
+    let n = TRAP.swap(0, Relaxed);
     if n > 0 {
         eprintln!(
-            "ALLOC SITE:\n{}",
+            "ALLOC SITE ({:?}):\n{}",
+            std::thread::current().name(),
             std::backtrace::Backtrace::force_capture()
         );
-        TRAP.set(n - 1);
+        TRAP.store(n - 1, Relaxed);
     }
 }
 
 fn track_live(bytes: i64, blocks: i64) {
-    LIVE.with(|live| live.set(live.get() + bytes));
-    LIVE_BLOCKS.with(|live| live.set(live.get() + blocks));
+    LIVE.fetch_add(bytes, Relaxed);
+    LIVE_BLOCKS.fetch_add(blocks, Relaxed);
+}
+
+/// Heap allocations so far, on every thread.
+fn allocs() -> u64 {
+    ALLOCS.load(Relaxed)
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -107,7 +118,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 /// The live heap, as `(bytes, blocks)`.
 fn live_heap() -> (i64, i64) {
-    (LIVE.get(), LIVE_BLOCKS.get())
+    (LIVE.load(Relaxed), LIVE_BLOCKS.load(Relaxed))
 }
 
 #[global_allocator]
@@ -124,11 +135,14 @@ fn desired_k(rate: f64, mu: f64, t_max: f64) -> u32 {
         .into_vec()[0]
 }
 
+/// `copies` of a three-shard constant-load fleet under a budget of `k_max`
+/// per copy.
 fn steady_fleet_with(
     k_max: u32,
     placement: Option<ShardPlacementInfo>,
+    copies: usize,
 ) -> FleetDriver<SyntheticShard> {
-    let mut config = FleetDriverConfig::new(k_max);
+    let mut config = FleetDriverConfig::new(k_max * copies as u32);
     config.warmup_windows = 2;
     config.window_secs = 1.0;
     // No timeline: steady-state windows must not even record themselves.
@@ -144,15 +158,15 @@ fn steady_fleet_with(
             None => spec,
         }
     };
-    FleetDriver::new(
-        config,
-        vec![shard("a", 40.0), shard("b", 25.0), shard("c", 55.0)],
-    )
-    .expect("fleet construction")
+    let specs = (0..copies).flat_map(|copy| {
+        [("a", 40.0), ("b", 25.0), ("c", 55.0)]
+            .map(|(name, rate)| shard(&format!("{name}{copy}"), rate))
+    });
+    FleetDriver::new(config, specs.collect()).expect("fleet construction")
 }
 
 fn steady_fleet(k_max: u32) -> FleetDriver<SyntheticShard> {
-    steady_fleet_with(k_max, None)
+    steady_fleet_with(k_max, None, 1)
 }
 
 /// The same steady fleet with a shared machine pool and per-shard
@@ -166,7 +180,7 @@ fn steady_placed_fleet(k_max: u32) -> FleetDriver<SyntheticShard> {
         profiles: vec![ResourceProfile::uniform(0.5)],
         edges: vec![(0, 0, 1.0)],
     };
-    let mut fleet = steady_fleet_with(k_max, Some(info));
+    let mut fleet = steady_fleet_with(k_max, Some(info), 1);
     fleet.set_machine_pool(
         MachinePool::uniform(4, ResourceProfile::uniform(64.0)).expect("valid pool"),
     );
@@ -180,11 +194,11 @@ fn assert_steady_windows_allocation_free(mut fleet: FleetDriver<SyntheticShard>,
     fleet.run_windows(120);
     let settled = fleet.completed_windows();
 
-    let before = ALLOCS.get();
-    TRAP.set(12);
+    let before = allocs();
+    TRAP.store(12, Relaxed);
     fleet.run_windows(10);
-    TRAP.set(0);
-    let after = ALLOCS.get();
+    TRAP.store(0, Relaxed);
+    let after = allocs();
 
     assert_eq!(fleet.completed_windows(), settled + 10);
     assert_eq!(
@@ -198,6 +212,7 @@ fn assert_steady_windows_allocation_free(mut fleet: FleetDriver<SyntheticShard>,
 
 #[test]
 fn steady_state_windows_allocate_nothing() {
+    let _serial = serial();
     // Uncontended: the budget fits every desired allocation.
     assert_steady_windows_allocation_free(steady_fleet(40), "uncontended");
     // Contended: desired totals exceed the budget, so the warm negotiator
@@ -207,6 +222,7 @@ fn steady_state_windows_allocate_nothing() {
 
 #[test]
 fn steady_placement_windows_allocate_nothing() {
+    let _serial = serial();
     // Placement-enabled: the warm placement state compares every shard's
     // request against its cache each window (including the rate-banded
     // edge comparison) and replans nothing — still zero allocations.
@@ -220,12 +236,27 @@ fn steady_placement_windows_allocate_nothing() {
     assert!((0..fleet.shard_count()).all(|i| fleet.shard_placement(i).is_some()));
 }
 
+/// A settled fleet of three segments allocates nothing per window either:
+/// not the handoff of the segments to the pass workers and back, not a
+/// worker's pass over its segments, not the merge of what they found. (On a
+/// host with one core the caller's thread measures every segment.)
+#[test]
+fn settled_segmented_windows_allocate_nothing() {
+    let _serial = serial();
+    let fleet = steady_fleet_with(40, None, SEGMENT_SHARDS);
+    assert!(fleet.shard_count() >= 3 * SEGMENT_SHARDS);
+    assert_steady_windows_allocation_free(fleet, "three segments, uncontended");
+    let fleet = steady_fleet_with(14, None, SEGMENT_SHARDS);
+    assert_steady_windows_allocation_free(fleet, "three segments, contended");
+}
+
 /// A shard whose model can never be fitted — λ/µ = 50 needs 51 executors
 /// for stability, more than `Kmax = 40` — keeps its fit error on the record
 /// every window while its estimates stand still. Replaying that standing
 /// error must not allocate either.
 #[test]
 fn standing_fit_error_windows_allocate_nothing() {
+    let _serial = serial();
     let mut config = FleetDriverConfig::new(40);
     config.warmup_windows = 2;
     config.window_secs = 1.0;
@@ -246,11 +277,11 @@ fn standing_fit_error_windows_allocate_nothing() {
     let error = fleet.last_window().shards[1].error.clone();
     assert!(error.is_some(), "the overloaded shard's fit must fail");
 
-    let before = ALLOCS.get();
-    TRAP.set(12);
+    let before = allocs();
+    TRAP.store(12, Relaxed);
     fleet.run_windows(10);
-    TRAP.set(0);
-    let after = ALLOCS.get();
+    TRAP.store(0, Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -268,15 +299,16 @@ fn replan_counted(state: &mut FleetPlacementState, pool: &MachinePool) -> (Repla
     for slot in 0..state.len() {
         state.mark_seen(slot);
     }
-    let before = ALLOCS.get();
-    TRAP.set(12);
+    let before = allocs();
+    TRAP.store(12, Relaxed);
     let outcome = state.replan().expect("the pool holds every shard");
-    TRAP.set(0);
-    (outcome, ALLOCS.get() - before)
+    TRAP.store(0, Relaxed);
+    (outcome, allocs() - before)
 }
 
 #[test]
 fn placement_repair_windows_allocate_nothing() {
+    let _serial = serial();
     let pool = MachinePool::uniform(4, ResourceProfile::uniform(64.0)).expect("valid pool");
     let chain = |ks: [u32; 2]| PlacementRequest {
         operators: ks
@@ -356,6 +388,7 @@ fn placement_repair_windows_allocate_nothing() {
 /// rebalances or re-places.
 #[test]
 fn drifting_windows_allocate_only_for_the_shards_they_move() {
+    let _serial = serial();
     const SHARDS: usize = 3_000;
     /// Allocations a moved shard may cost: its grant and machine assignment
     /// cloned into the command, the backend's acknowledgement, the
@@ -382,9 +415,9 @@ fn drifting_windows_allocate_only_for_the_shards_they_move() {
                       redraw: &dyn Fn(&mut SyntheticShard, f64)| {
         draws.redraw(SHARDS, |i, u| redraw(fleet.backend_mut(i), u));
         let solved = fleet.placement_solver_calls();
-        let before = ALLOCS.get();
+        let before = allocs();
         fleet.step();
-        let allocs = ALLOCS.get() - before;
+        let allocs = allocs() - before;
         let last = fleet.last_window();
         assert!(last.error.is_none() && last.shards.iter().all(|s| s.error.is_none()));
         let rebalanced = last.shards.iter().filter(|s| s.rebalanced).count() as u64;
@@ -469,16 +502,17 @@ fn settled_drifting_fleet(
 /// into an actuation command is one allocation.
 #[test]
 fn placement_memory_follows_the_executors_not_the_pool() {
+    let _serial = serial();
     const SHARDS: usize = 3_000;
     const FEW: usize = 300;
     let settled_heap = |shards: usize, machines: usize| -> i64 {
         let (fleet, (heap, _)) = settled_drifting_fleet(shards, machines);
-        let allocs = ALLOCS.get();
+        let before = allocs();
         for i in 0..shards {
             std::hint::black_box(fleet.shard_placement(i).expect("placed").clone());
         }
         assert_eq!(
-            ALLOCS.get() - allocs,
+            allocs() - before,
             shards as u64,
             "{machines} machines: one allocation per placement cloned"
         );
@@ -502,6 +536,7 @@ fn placement_memory_follows_the_executors_not_the_pool() {
 /// field that comes back inline or a buffer that splits in two shows.
 #[test]
 fn a_settled_shard_holds_few_small_blocks() {
+    let _serial = serial();
     const BYTES_PER_SHARD: f64 = 2_311.6;
     const BLOCKS_PER_SHARD: f64 = 23.0;
     let (few, many) = (
@@ -569,6 +604,7 @@ fn drift(fleet: &mut FleetDriver<SyntheticShard>, generator: &mut SyntheticFleet
 #[test]
 #[ignore = "a timing report, not a check"]
 fn fleet_window_phase_times() {
+    let _serial = serial();
     const SETTLE: usize = 11;
     const WINDOWS: usize = 300;
 
@@ -596,7 +632,10 @@ fn fleet_window_phase_times() {
         (v[v.len() / 2], mean)
     };
     let shards = fleet.shard_count();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let segments = shards.div_ceil(SEGMENT_SHARDS);
     println!("{shards} shards, 64 machines, {WINDOWS} windows: ms per window");
+    println!("  available_parallelism {threads}, {segments} segments of {SEGMENT_SHARDS}");
     println!("  {:<10} {:>7} {:>7}", "phase", "median", "mean");
     for (name, times) in WINDOW_PHASES.iter().zip(&mut phases) {
         let (median, mean) = summary(times);
@@ -617,6 +656,7 @@ fn fleet_window_phase_times() {
 #[test]
 #[ignore = "a memory report, not a check"]
 fn fleet_window_heap_by_stage() {
+    let _serial = serial();
     let start = live_heap();
     let mut last = start;
     let mut stages = Vec::new();

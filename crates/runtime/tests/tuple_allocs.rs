@@ -18,7 +18,7 @@ use drs_runtime::RuntimeBuilder;
 use drs_topology::TopologyBuilder;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,29 +27,41 @@ struct CountingAlloc;
 thread_local! {
     // `const`-initialised, no destructor: reading it never allocates.
     static IS_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// This worker's bit in a stage's `ran_on` mask (`u32::MAX`: none yet).
+    static WORKER_BIT: Cell<u32> = const { Cell::new(u32::MAX) };
 }
 
 /// Allocations and reallocations made on worker threads (frees are not
 /// counted: the claim is "no new memory").
 static WORKER_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Those of at least [`BATCH_BYTES`]: the size of a batch `Vec` a full
+/// stash splits off for the depot (half of 1 024 tuples' storage).
+static WORKER_BATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// The smallest batch `Vec`: 512 `Arc` shells.
+const BATCH_BYTES: usize = 512 * std::mem::size_of::<usize>();
+/// Worker bits handed out so far.
+static WORKER_BITS: AtomicU32 = AtomicU32::new(0);
 
-fn count() {
+fn count(bytes: usize) {
     if IS_WORKER.with(Cell::get) {
         WORKER_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if bytes >= BATCH_BYTES {
+            WORKER_BATCH_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -80,16 +92,24 @@ impl Spout for FloodSpout {
 }
 
 /// Emits `fanout` tuples of `width` integer fields, each built in the
-/// collector's buffer, and counts the hop.
+/// collector's buffer, counts the hop, and marks the worker it ran on.
 struct Stage {
     fanout: i64,
     width: usize,
     hops: Arc<AtomicU64>,
+    ran_on: Arc<AtomicU64>,
 }
 
 impl Bolt for Stage {
     fn execute(&mut self, tuple: &Tuple, collector: &mut dyn Collector) {
         IS_WORKER.with(|w| w.set(true));
+        let bit = WORKER_BIT.with(|bit| {
+            if bit.get() == u32::MAX {
+                bit.set(WORKER_BITS.fetch_add(1, Ordering::Relaxed) % 64);
+            }
+            bit.get()
+        });
+        self.ran_on.fetch_or(1 << bit, Ordering::Relaxed);
         let id = tuple.field(0).and_then(Value::as_int).expect("an id field");
         for copy in 0..self.fanout {
             let mut fields = collector.fields();
@@ -121,12 +141,16 @@ fn worker_allocs_per_hop(workers: usize) -> f64 {
 
     let stop = Arc::new(AtomicBool::new(false));
     let hops = Arc::new(AtomicU64::new(0));
-    let stage = |fanout: i64, width: usize| {
+    // Per stage, the workers that ran it in the measured hops.
+    let ran_on: [Arc<AtomicU64>; 3] = Default::default();
+    let stage = |fanout: i64, width: usize, ran_on: &Arc<AtomicU64>| {
         let hops = Arc::clone(&hops);
+        let ran_on = Arc::clone(ran_on);
         move || Stage {
             fanout,
             width,
             hops: Arc::clone(&hops),
+            ran_on: Arc::clone(&ran_on),
         }
     };
     let engine = RuntimeBuilder::new(topo)
@@ -137,10 +161,10 @@ fn worker_allocs_per_hop(workers: usize) -> f64 {
                 stop: Arc::clone(&stop),
             }),
         )
-        .bolt(split, stage(4, 9))
-        .bolt(map, stage(1, 2))
+        .bolt(split, stage(4, 9, &ran_on[0]))
+        .bolt(map, stage(1, 2, &ran_on[1]))
         // The sink's emission goes nowhere: its buffer is recycled too.
-        .bolt(sink, stage(1, 2))
+        .bolt(sink, stage(1, 2, &ran_on[2]))
         .allocation(vec![1, 2, 2, 1])
         .channel_capacity(128)
         .workers(workers)
@@ -155,15 +179,24 @@ fn worker_allocs_per_hop(workers: usize) -> f64 {
         }
     };
     let read = || {
+        let suspended: u64 = engine.suspensions().iter().flatten().sum();
         (
             hops.load(Ordering::Relaxed),
             WORKER_ALLOCS.load(Ordering::Relaxed),
+            WORKER_BATCH_ALLOCS.load(Ordering::Relaxed),
+            suspended,
         )
     };
     wait_for(WARM_UP_HOPS);
-    let (hops_before, allocs_before) = read();
+    for mask in &ran_on {
+        mask.store(0, Ordering::Relaxed);
+    }
+    let (hops_before, allocs_before, batches_before, suspended_before) = read();
     wait_for(hops_before + MEASURED_HOPS);
-    let (hops_after, allocs_after) = read();
+    let (hops_after, allocs_after, batches_after, suspended_after) = read();
+    let shared = ran_on
+        .iter()
+        .all(|mask| mask.load(Ordering::Relaxed).count_ones() as usize == workers);
     stop.store(true, Ordering::Release);
     assert!(engine.wait_until_drained(Duration::from_secs(30)));
     assert_eq!(engine.open_trees(), 0);
@@ -171,8 +204,18 @@ fn worker_allocs_per_hop(workers: usize) -> f64 {
 
     let (measured, allocs) = (hops_after - hops_before, allocs_after - allocs_before);
     let per_hop = allocs as f64 / measured as f64;
+    // Which case ran, and what the allocations were: task suspensions (each
+    // parks a record) and batch `Vec`s split off for the depot.
+    let case = if shared {
+        "every worker ran every stage"
+    } else {
+        "the workers split the stages and trade storage through the depot"
+    };
     println!(
-        "{workers} worker(s): {allocs} allocations over {measured} hops = {per_hop:.4} per hop"
+        "{workers} worker(s), {case}: {allocs} allocations over {measured} hops = {per_hop:.4} \
+         per hop; {} suspensions, {} batch-sized blocks",
+        suspended_after - suspended_before,
+        batches_after - batches_before,
     );
     per_hop
 }
