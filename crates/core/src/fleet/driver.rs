@@ -6,7 +6,7 @@ use super::segment::Segments;
 use super::shard::ShardState;
 use super::workers::Workers;
 use super::{executor_total, slot_u32, FleetDriverConfig, FleetDriverError, FleetShardSpec};
-use super::{FleetWindow, ShardPoint, WINDOW_PHASES};
+use super::{FleetWindow, ShardPoint, SEGMENT_SHARDS, WINDOW_PHASES};
 use crate::decision::{self, DecisionView};
 use crate::driver::{CspBackend, RebalancePlan};
 use crate::placement::{MachinePool, Placement};
@@ -362,16 +362,22 @@ impl<B: CspBackend + Send + 'static> FleetDriver<B> {
     }
 
     /// The `pass` phase: [`super::shard::pass`] over every shard, segment
-    /// by segment on the pass threads, then the segments' findings merged
+    /// by segment on the pass threads, each segment's measured record
+    /// fields written as it comes home, then the segments' findings merged
     /// in segment order. Returns the executors in force on live shards (a
     /// dead shard's are ghosts) and, of those, the ones on shards without a
     /// usable model: they are reserved out of the budget before the
     /// modeled shards negotiate.
     fn pass(&mut self, scratch: &mut FleetScratch, negotiating: bool) -> (u64, u64) {
-        let segments = &mut self.shards.segments;
-        self.workers
-            .pass(segments, &self.config, negotiating, &mut scratch.pass);
-        self.shards.merge(scratch, &mut self.last_window.shards)
+        let points = &mut self.last_window.shards;
+        self.workers.pass(
+            &mut self.shards.segments,
+            &self.config,
+            negotiating,
+            &mut scratch.pass,
+            |k, segment| segment.record_measured(&mut points[k * SEGMENT_SHARDS..]),
+        );
+        self.shards.merge(scratch)
     }
 
     /// The `negotiate` phase: arbitrate the budget left after the

@@ -77,9 +77,10 @@
 //!    refit whose answer stands allocates nothing. A segment in which some
 //!    shard gained or lost its model (the first negotiated window, deaths,
 //!    revivals, joins) then re-packs its demands: they move, none is
-//!    cloned. Last, the caller's thread merges what the segments found,
-//!    in segment order: the shards they listed, the measured fields of
-//!    every shard's record, and — after a re-pack — every shard from the
+//!    cloned. As each segment comes home, the caller's thread writes the
+//!    fields of its shards' records that move every window off their
+//!    reports. Last, it merges what the segments found, in segment order:
+//!    the shards they listed and — after a re-pack — every shard from the
 //!    first one whose demand slot moved.
 //! 2. **`negotiate`** once, warm-started (see below): it walks the demand
 //!    list, but reports only the slots whose published grant or floored
@@ -104,28 +105,29 @@
 //! The driver keeps its shards in contiguous segments of
 //! [`SEGMENT_SHARDS`] (every segment but the last is full), and a segment
 //! owns its shards' lasting state and their row of the window: the
-//! measurement report, the fields of the record that move every window,
-//! and the packed demands of its modeled shards. The fleet's demand list
-//! is the segments' packed demands in segment order, which is the list of
-//! every modeled shard in index order.
+//! measurement report and the packed demands of its modeled shards. The
+//! fleet's demand list is the segments' packed demands in segment order,
+//! which is the list of every modeled shard in index order.
 //!
 //! The `pass` runs on `available_parallelism()` threads, at most one per
 //! segment: the caller's and persistent workers. The workers start on the
 //! first window with more than one segment, park between windows, and are
 //! joined when the driver is dropped; a clone of the driver starts workers
-//! of its own, and shares none. Each window moves a worker's segments to
-//! it by value over a bounded channel (segment `k` goes to thread
-//! `k mod threads`, the caller's being thread 0) and back the same way, so
-//! the split needs no lock on any shard, spawns nothing and allocates
-//! nothing. It is why a backend must be `Send + 'static`. A backend that
-//! panics on a worker panics the caller's `step` once every segment is
-//! back.
+//! of its own, and shares none. Each window the caller's thread measures
+//! segments from the front while the workers take segments from the back,
+//! until the two ends meet, so a thread that runs slower measures fewer. A
+//! segment goes to whichever worker is idle by value, over a bounded
+//! channel, and comes back the same way to its place: the split needs no
+//! lock on any shard, spawns nothing and allocates nothing. It is why a
+//! backend must be `Send + 'static`. A backend that panics on a worker
+//! panics the caller's `step` once every segment is back.
 //!
 //! The thread count changes only speed. A shard's pass depends on nothing
 //! but the shard, so each segment's findings are what one thread would have
-//! found, and they merge in segment order: the change list, the demand list
-//! and its re-pack, every record, and every later phase — all on the
-//! caller's thread — are bit for bit what a single thread computes.
+//! found, whichever thread measured it, and they merge in segment order:
+//! the change list, the demand list and its re-pack, every record, and
+//! every later phase — all on the caller's thread — are bit for bit what a
+//! single thread computes.
 //!
 //! Only the window record is keyed by shard index across windows. After
 //! [`FleetDriver::add_shard`] or [`FleetDriver::remove_shard`] has shifted
@@ -139,8 +141,8 @@
 //! in force, its slot in the warm placement state — is one entry of its
 //! segment, and leaves with it. What a window rewrites in place is one
 //! entry per shard in each of the window buffers: in the shard's segment
-//! the report, its measured fields and a `u32` slot into the segment's
-//! packed demands; on the driver the flags, errors and planned placements.
+//! the report and a `u32` slot into the segment's packed demands; on the
+//! driver the flags, errors and planned placements.
 //! What only the shard being measured needs — its raw sample, its smoothed
 //! estimates — is one buffer per pass thread, reused for every shard. A
 //! fitted demand has two copies: the packed demand in its segment, which

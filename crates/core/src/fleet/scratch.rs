@@ -62,7 +62,7 @@ pub(super) struct ShardFlags {
 /// allocates nothing per shard in steady state. A window resets the flags,
 /// errors and planned slots of the shards it visited on its way out, so the
 /// next one starts clean without sweeping the fleet; only a full window
-/// (see `FleetDriver::run_window`) re-sizes everything. The shards' own
+/// (see `FleetDriver::step`) re-sizes everything. The shards' own
 /// rows — samples and packed demands — live in their segments.
 #[derive(Debug, Clone, Default)]
 pub(super) struct FleetScratch {

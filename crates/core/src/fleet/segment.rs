@@ -19,9 +19,6 @@ pub(super) struct Segment<B> {
     /// This window's measurement report per shard (buffers reused; every
     /// entry is overwritten by `advance_into` before it is read).
     pub(super) samples: Vec<WindowSample>,
-    /// The measured fields of each shard's record, copied out of its
-    /// sample by the pass: the merge reads these rows, not the samples.
-    measured: Vec<Measured>,
     /// Index into `demands` per shard (`None`: no usable model). Slots
     /// ascend with the shard index.
     pub(super) demand_idx: Vec<Option<u32>>,
@@ -46,13 +43,6 @@ pub(super) struct Segment<B> {
     reserved: u64,
 }
 
-/// A shard's record fields that move on every window, visited or not.
-#[derive(Debug, Clone, Copy, Default)]
-struct Measured {
-    mean_sojourn_ms: Option<f64>,
-    completed: u64,
-}
-
 impl<B> Default for Segment<B> {
     fn default() -> Self {
         Segment::with_capacity(0)
@@ -64,7 +54,6 @@ impl<B> Segment<B> {
         Segment {
             shards: Vec::with_capacity(shards),
             samples: Vec::with_capacity(shards),
-            measured: Vec::with_capacity(shards),
             demand_idx: Vec::with_capacity(shards),
             demands: Vec::new(),
             base: 0,
@@ -79,18 +68,26 @@ impl<B> Segment<B> {
     fn push(&mut self, shard: ShardState<B>, demand: Option<ShardDemand>) {
         self.shards.push(shard);
         self.samples.push(WindowSample::default());
-        self.measured.push(Measured::default());
         self.demand_idx.push(demand.map(|demand| {
             self.demands.push(demand);
             slot_u32(self.demands.len() - 1)
         }));
     }
 
+    /// Writes the fields of each shard's record that move every window,
+    /// visited or not, off its report: `points` starts at the segment's
+    /// first shard.
+    pub(super) fn record_measured(&self, points: &mut [ShardPoint]) {
+        for (point, sample) in points.iter_mut().zip(&self.samples) {
+            point.mean_sojourn_ms = sample.mean_sojourn.map(|s| s * 1e3);
+            point.completed = sample.completed;
+        }
+    }
+
     /// Takes shard `local` out, with its demand; later slots close up.
     fn remove(&mut self, local: usize) -> (ShardState<B>, Option<ShardDemand>) {
         let shard = self.shards.remove(local);
         self.samples.remove(local);
-        self.measured.remove(local);
         let demand = self.demand_idx.remove(local).map(|slot| {
             for later in self.demand_idx[local..].iter_mut().flatten() {
                 *later -= 1;
@@ -123,11 +120,6 @@ impl<B: CspBackend> Segment<B> {
                 demand: self.demand_idx[local].map(|slot| &mut self.demands[slot as usize]),
             };
             let out = shard::pass(shard, row, config, negotiating, buffers);
-            let sample = &self.samples[local];
-            self.measured[local] = Measured {
-                mean_sojourn_ms: sample.mean_sojourn.map(|s| s * 1e3),
-                completed: sample.completed,
-            };
             if out.listed {
                 self.listed.push(slot_u32(local));
             }
@@ -291,16 +283,12 @@ impl<B> Segments<B> {
     }
 
     /// Merges what the segments' passes found, in segment order: sets each
-    /// segment's base slot, lists each segment's listed shards, writes
-    /// every shard's measured fields into its record in `points`, and
+    /// segment's base slot, lists each segment's listed shards, and
     /// re-indexes the demand list after a re-pack — then lists every shard
-    /// from the first one whose demand slot moved. Returns the executors in force on live shards and, of
-    /// those, the ones without a usable model.
-    pub(super) fn merge(
-        &mut self,
-        scratch: &mut FleetScratch,
-        points: &mut [ShardPoint],
-    ) -> (u64, u64) {
+    /// from the first one whose demand slot moved. Returns the executors
+    /// in force on live shards and, of those, the ones without a usable
+    /// model.
+    pub(super) fn merge(&mut self, scratch: &mut FleetScratch) -> (u64, u64) {
         let (mut live, mut reserved, mut base) = (0, 0, 0);
         let mut repacked = None;
         for (k, segment) in self.segments.iter_mut().enumerate() {
@@ -313,12 +301,6 @@ impl<B> Segments<B> {
             live += segment.live;
             reserved += segment.reserved;
             repacked = repacked.or(segment.repacked_from.map(|local| first + local as usize));
-            // The measured fields are the only ones of the record that
-            // move on a shard the window does not visit.
-            for (point, measured) in points[first..].iter_mut().zip(&segment.measured) {
-                point.mean_sojourn_ms = measured.mean_sojourn_ms;
-                point.completed = measured.completed;
-            }
         }
         // Every shard from the first re-packed one on has a new slot, so
         // its negotiated state is re-derived: each is visited.

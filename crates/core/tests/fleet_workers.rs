@@ -13,11 +13,13 @@ use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One operator at fixed rates. A shard with a `fuse` panics in the window
-/// it counts down to.
+/// it counts down to, naming the thread it panics on; a `slow` one takes
+/// 100 ms to measure.
 #[derive(Debug, Clone)]
 struct FixedShard {
     allocation: Vec<u32>,
     fuse: Option<u32>,
+    slow: bool,
 }
 
 impl CspBackend for FixedShard {
@@ -39,8 +41,11 @@ impl CspBackend for FixedShard {
         if let Some(fuse) = &mut self.fuse {
             *fuse -= 1;
             if *fuse == 0 {
-                panic!("the shard's backend failed");
+                panic!("backend failed on {:?}", std::thread::current().name());
             }
+        }
+        if self.slow {
+            std::thread::sleep(Duration::from_millis(100));
         }
         out.external_rate = Some(20.0);
         out.operators.clear();
@@ -61,9 +66,13 @@ impl CspBackend for FixedShard {
     }
 }
 
-/// Two segments of shards; shard `fused`, if any, panics in window 3.
+/// Segments of the fleet the tests drive.
+const SEGMENTS: usize = 3;
+
+/// `SEGMENTS` segments of shards; shard `fused`, if any, panics in window 3,
+/// and the first shard is slow when one is.
 fn fleet(fused: Option<usize>) -> FleetDriver<FixedShard> {
-    let shards = 2 * SEGMENT_SHARDS;
+    let shards = SEGMENTS * SEGMENT_SHARDS;
     let mut config = FleetDriverConfig::new(4 * shards as u32);
     config.window_secs = 1.0;
     config.warmup_windows = 1;
@@ -73,6 +82,7 @@ fn fleet(fused: Option<usize>) -> FleetDriver<FixedShard> {
             let shard = FixedShard {
                 allocation: vec![3],
                 fuse: (fused == Some(i)).then_some(3),
+                slow: fused.is_some() && i == 0,
             };
             FleetShardSpec::new(format!("s{i}"), 0.5, shard)
         })
@@ -105,34 +115,36 @@ fn settled_threads(want: usize) -> usize {
     }
 }
 
-/// The workers a two-segment fleet starts.
+/// The workers the fleet starts.
 fn workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(2)) - 1
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(SEGMENTS)) - 1
 }
 
 #[test]
 fn a_backend_panic_on_a_worker_panics_the_callers_step() {
     let _serial = serial();
-    // Shard `SEGMENT_SHARDS` is the first of the second segment: the pass
-    // hands it to a worker (on a host with one core, the caller measures
-    // it, and the panic is the caller's own).
+    // The fused shard is the first of the last segment, which the pass
+    // hands to a worker first; the caller's thread, measuring the slow
+    // first shard meanwhile, cannot take it back. (On a host with one core,
+    // the caller measures it, and the panic is the caller's own.)
     let (sent, outcome) = mpsc::channel();
     std::thread::spawn(move || {
-        let mut fleet = fleet(Some(SEGMENT_SHARDS));
+        let mut fleet = fleet(Some((SEGMENTS - 1) * SEGMENT_SHARDS));
         fleet.run_windows(2);
         let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             fleet.step();
         }));
         let message = stepped
             .err()
-            .and_then(|payload| payload.downcast_ref::<&str>().map(|m| m.to_string()));
+            .and_then(|payload| payload.downcast_ref::<String>().cloned());
         drop(fleet);
         sent.send(message).expect("the test waits for the outcome");
     });
     let message = outcome
         .recv_timeout(Duration::from_secs(120))
         .expect("the step returns (panicking) instead of hanging");
-    assert_eq!(message.as_deref(), Some("the shard's backend failed"));
+    let thread = (workers() > 0).then_some("fleet-pass");
+    assert_eq!(message, Some(format!("backend failed on {thread:?}")));
 }
 
 #[test]
@@ -159,3 +171,11 @@ fn dropping_a_driver_or_a_clone_joins_its_workers() {
     drop(fleet);
     assert_eq!(settled_threads(before), before);
 }
+
+// A driver is `Sync` whenever its backend is: what its workers hand back
+// waits in a channel the driver reaches only through `&mut self`. Checked
+// when this file compiles.
+const _: () = {
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<FleetDriver<FixedShard>>();
+};
