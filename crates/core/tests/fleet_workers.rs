@@ -13,13 +13,13 @@ use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One operator at fixed rates. A shard with a `fuse` panics in the window
-/// it counts down to, naming the thread it panics on; a `slow` one takes
-/// 100 ms to measure.
+/// it counts down to, naming the thread it panics on; one with a `stall`
+/// takes a second to measure the window it counts down to.
 #[derive(Debug, Clone)]
 struct FixedShard {
     allocation: Vec<u32>,
     fuse: Option<u32>,
-    slow: bool,
+    stall: Option<u32>,
 }
 
 impl CspBackend for FixedShard {
@@ -44,8 +44,11 @@ impl CspBackend for FixedShard {
                 panic!("backend failed on {:?}", std::thread::current().name());
             }
         }
-        if self.slow {
-            std::thread::sleep(Duration::from_millis(100));
+        if let Some(stall) = &mut self.stall {
+            *stall -= 1;
+            if *stall == 0 {
+                std::thread::sleep(Duration::from_secs(1));
+            }
         }
         out.external_rate = Some(20.0);
         out.operators.clear();
@@ -70,7 +73,7 @@ impl CspBackend for FixedShard {
 const SEGMENTS: usize = 3;
 
 /// `SEGMENTS` segments of shards; shard `fused`, if any, panics in window 3,
-/// and the first shard is slow when one is.
+/// and then the first shard stalls in that window.
 fn fleet(fused: Option<usize>) -> FleetDriver<FixedShard> {
     let shards = SEGMENTS * SEGMENT_SHARDS;
     let mut config = FleetDriverConfig::new(4 * shards as u32);
@@ -82,7 +85,7 @@ fn fleet(fused: Option<usize>) -> FleetDriver<FixedShard> {
             let shard = FixedShard {
                 allocation: vec![3],
                 fuse: (fused == Some(i)).then_some(3),
-                slow: fused.is_some() && i == 0,
+                stall: (fused.is_some() && i == 0).then_some(3),
             };
             FleetShardSpec::new(format!("s{i}"), 0.5, shard)
         })
@@ -124,9 +127,9 @@ fn workers() -> usize {
 fn a_backend_panic_on_a_worker_panics_the_callers_step() {
     let _serial = serial();
     // The fused shard is the first of the last segment, which the pass
-    // hands to a worker first; the caller's thread, measuring the slow
-    // first shard meanwhile, cannot take it back. (On a host with one core,
-    // the caller measures it, and the panic is the caller's own.)
+    // hands to a worker first; the caller's thread, stalled on the first
+    // shard meanwhile, cannot take it back. (On a host with one core, the
+    // caller measures it, and the panic is the caller's own.)
     let (sent, outcome) = mpsc::channel();
     std::thread::spawn(move || {
         let mut fleet = fleet(Some((SEGMENTS - 1) * SEGMENT_SHARDS));
