@@ -168,29 +168,20 @@ impl Bolt for DetectorBolt {
     }
 }
 
-/// Reporter bolt: counts the MFP updates it delivers (the paper's reporter
-/// writes them to HDFS; ours counts and optionally keeps the latest).
+/// Reporter bolt: the sink of the MFP updates (the paper's reporter writes
+/// them to HDFS; ours drops them).
 #[derive(Debug, Default)]
-pub struct ReporterBolt {
-    delivered: u64,
-}
+pub struct ReporterBolt;
 
 impl ReporterBolt {
     /// Creates a reporter.
     pub fn new() -> Self {
-        ReporterBolt::default()
-    }
-
-    /// Number of updates delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
+        ReporterBolt
     }
 }
 
 impl Bolt for ReporterBolt {
-    fn execute(&mut self, _tuple: &Tuple, _collector: &mut dyn Collector) {
-        self.delivered += 1;
-    }
+    fn execute(&mut self, _tuple: &Tuple, _collector: &mut dyn Collector) {}
 }
 
 #[cfg(test)]
@@ -267,13 +258,12 @@ mod tests {
     }
 
     #[test]
-    fn reporter_counts_updates() {
+    fn reporter_emits_nothing() {
         let mut rep = ReporterBolt::new();
         let mut out = VecCollector::new();
         for _ in 0..4 {
             rep.execute(&Tuple::of(1i64), &mut out);
         }
-        assert_eq!(rep.delivered(), 4);
         assert!(out.tuples().is_empty());
     }
 }

@@ -187,9 +187,6 @@ pub struct SlidingWindowMiner {
     frequent: HashSet<Itemset>,
     /// Current maximal frequent itemsets.
     maximal: HashSet<Itemset>,
-    /// Total candidate (subset) updates processed — the workload measure
-    /// that drives the pattern-generator operator's cost.
-    candidate_updates: u64,
 }
 
 impl SlidingWindowMiner {
@@ -213,7 +210,6 @@ impl SlidingWindowMiner {
             counts: HashMap::new(),
             frequent: HashSet::new(),
             maximal: HashSet::new(),
-            candidate_updates: 0,
         }
     }
 
@@ -225,11 +221,6 @@ impl SlidingWindowMiner {
     /// Number of distinct candidate itemsets currently counted.
     pub fn candidate_count(&self) -> usize {
         self.counts.len()
-    }
-
-    /// Cumulative subset-count updates performed (workload proxy).
-    pub fn candidate_updates(&self) -> u64 {
-        self.candidate_updates
     }
 
     /// Occurrence count of an itemset in the current window.
@@ -288,7 +279,6 @@ impl SlidingWindowMiner {
     /// refreshes frequent/maximal state for the affected itemsets.
     fn apply(&mut self, transaction: &Itemset, delta: i32) -> Vec<StateChange> {
         let subsets = transaction.non_empty_subsets();
-        self.candidate_updates += subsets.len() as u64;
 
         // Update counts and collect frequency flips.
         let mut flipped: Vec<(Itemset, bool)> = Vec::new(); // (itemset, now_frequent)
@@ -521,7 +511,6 @@ mod tests {
         m.insert(set(&[1, 2, 3, 4, 5, 6, 7, 8]));
         // Only the first 3 items survive: 2^3 - 1 = 7 candidates.
         assert_eq!(m.candidate_count(), 7);
-        assert_eq!(m.candidate_updates(), 7);
     }
 
     #[test]

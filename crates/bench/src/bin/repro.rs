@@ -6,69 +6,18 @@
 //! repro [fig6|fig7|fig8|fig9|fig10|table2|ablation|surge|all] [--quick] [--seed N]
 //! repro drive [--backend sim|runtime|both] [--quick]
 //! repro fleet [--smoke] [--seed N] [--faults smoke|lossy|laggy|partition|churn|crash-storm]
-//! repro fleet --scale 1k|10k|100k|1m [--smoke] [--seed N]
-//! repro fleet --scale 1k|10k|100k --place [--smoke] [--seed N]
 //! repro place [--smoke] [--seed N]
 //! ```
 //!
 //! `--quick` shortens simulated durations (useful in CI); default runs use
 //! the paper's horizons (10-minute measurements, 27-minute timelines).
 
+#![forbid(unsafe_code)]
+
 use drs_bench::sweep::{run_sweep, App};
-use drs_bench::{
-    ablation, drive, faults, fig10, fig8, fig9, fleet, fleet_scale, place, place_scale, surge,
-    table2,
-};
-use std::alloc::{GlobalAlloc, Layout, System};
+use drs_bench::{ablation, drive, faults, fig10, fig8, fig9, fleet, place, surge, table2};
 use std::env;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// System-allocator wrapper counting every allocation and reallocation and
-/// the bytes live on the heap, so the scale benches can report
-/// steady-state allocations per window and what a fleet holds (the
-/// `drs-bench` library is `forbid(unsafe_code)`, so the allocator lives
-/// here and is handed to the library as probes).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Requested bytes allocated minus bytes freed, process-wide.
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // Wrapping arithmetic: a shrink adds the two's complement.
-        let delta = (new_size as u64).wrapping_sub(layout.size() as u64);
-        LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-fn live_bytes() -> u64 {
-    LIVE_BYTES.load(Ordering::Relaxed)
-}
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -77,15 +26,9 @@ struct Options {
     seed: u64,
     backend: String,
     faults: Option<String>,
-    scale: Option<String>,
-    place: bool,
 }
 
 fn main() -> ExitCode {
-    drs_bench::set_heap_probes(drs_bench::HeapProbes {
-        allocs: alloc_count,
-        live_bytes,
-    });
     let mut target: Option<String> = None;
     let mut options = Options {
         quick: false,
@@ -93,8 +36,6 @@ fn main() -> ExitCode {
         seed: 2015, // the paper's year, for determinism
         backend: String::from("both"),
         faults: None,
-        scale: None,
-        place: false,
     };
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -124,14 +65,6 @@ fn main() -> ExitCode {
                 };
                 options.faults = Some(v);
             }
-            "--place" => options.place = true,
-            "--scale" => {
-                let Some(v) = args.next() else {
-                    eprintln!("--scale requires a fleet size: 1k|10k|100k|1m");
-                    return ExitCode::FAILURE;
-                };
-                options.scale = Some(v);
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: repro [fig6|fig7|fig8|fig9|fig10|table2|ablation|surge|all] [--quick] [--seed N]"
@@ -140,8 +73,6 @@ fn main() -> ExitCode {
                 println!(
                     "       repro fleet [--smoke] [--seed N] [--faults smoke|lossy|laggy|partition|churn|crash-storm]"
                 );
-                println!("       repro fleet --scale 1k|10k|100k|1m [--smoke] [--seed N]");
-                println!("       repro fleet --scale 1k|10k|100k --place [--smoke] [--seed N]");
                 println!("       repro place [--smoke] [--seed N]");
                 return ExitCode::SUCCESS;
             }
@@ -213,34 +144,6 @@ fn run_drive(options: &Options) -> ExitCode {
 }
 
 fn run_fleet(options: &Options) -> ExitCode {
-    if options.place && options.scale.is_none() {
-        eprintln!("--place requires --scale 1k|10k|100k");
-        return ExitCode::FAILURE;
-    }
-    if let Some(scale) = options.scale.as_deref() {
-        if options.faults.is_some() {
-            eprintln!("--scale and --faults are mutually exclusive");
-            return ExitCode::FAILURE;
-        }
-        let smoke = options.smoke || options.quick;
-        if options.place {
-            let Some(config) = place_scale::PlaceScaleConfig::named(scale, smoke, options.seed)
-            else {
-                eprintln!("unknown placement scale {scale}; use 1k|10k|100k");
-                return ExitCode::FAILURE;
-            };
-            let run = place_scale::run_place_scale(&config);
-            print!("{}", place_scale::render_place_scale(&config, &run));
-            return ExitCode::SUCCESS;
-        }
-        let Some(config) = fleet_scale::FleetScaleConfig::named(scale, smoke, options.seed) else {
-            eprintln!("unknown scale {scale}; use 1k|10k|100k|1m");
-            return ExitCode::FAILURE;
-        };
-        let run = fleet_scale::run_fleet_scale(&config);
-        print!("{}", fleet_scale::render_fleet_scale(&config, &run));
-        return ExitCode::SUCCESS;
-    }
     let scenario = match options.faults.as_deref() {
         None => None,
         Some(name) => match faults::FaultScenario::parse(name) {

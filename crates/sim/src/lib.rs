@@ -70,11 +70,11 @@
 //!
 //! # Synthetic fleets
 //!
-//! Fleet-scale tests and smokes need thousands of shards whose measurements
-//! are the model's own numbers, not a simulator per shard: the
-//! [`synthetic`] module holds one seeded generator of analytic M/M/k chain
-//! shards and the rate drift that moves them, shared by the fleet window's
-//! digests and allocation pins and the `repro fleet --scale` smokes.
+//! Fleet-scale tests need thousands of shards whose measurements are the
+//! model's own numbers, not a simulator per shard: the [`synthetic`] module
+//! holds one seeded generator of analytic M/M/k chain shards and the rate
+//! drift that moves them, shared by the fleet window's digests, allocation
+//! pins and phase reports.
 //!
 //! See [`SimulationBuilder`] for the entry point and the `drs-apps` crate for
 //! fully calibrated workloads (video logo detection, frequent pattern

@@ -127,7 +127,6 @@ pub struct SimulationBuilder {
     edge_behaviors: Vec<Option<EdgeBehavior>>,
     allocation: Option<Vec<u32>>,
     seed: u64,
-    cross_delay: SimDuration,
 }
 
 impl SimulationBuilder {
@@ -141,7 +140,6 @@ impl SimulationBuilder {
             edge_behaviors: vec![None; n_edges],
             allocation: None,
             seed: 0,
-            cross_delay: SimDuration::ZERO,
         }
     }
 
@@ -189,16 +187,6 @@ impl SimulationBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the extra network delay charged to every tuple that travels
-    /// between two different (simulated) machines. Defaults to zero. Edges
-    /// only start crossing machines once a machine placement is installed
-    /// via [`Simulator::set_edge_cross_probabilities`].
-    #[must_use]
-    pub fn cross_machine_delay(mut self, delay: SimDuration) -> Self {
-        self.cross_delay = delay;
         self
     }
 
@@ -305,7 +293,7 @@ impl SimulationBuilder {
             paused_until: None,
             pending_allocation: None,
             edge_cross_prob: vec![0.0; n_edges],
-            cross_delay: self.cross_delay,
+            cross_delay: SimDuration::ZERO,
             cross_tuples: 0,
             edge_tuples: 0,
             window_start: SimTime::ZERO,
@@ -629,7 +617,10 @@ impl Simulator {
         Ok(())
     }
 
-    /// Sets the extra delay charged to tuples that cross machines.
+    /// Sets the extra network delay charged to every tuple that travels
+    /// between two different (simulated) machines. Defaults to zero. Edges
+    /// only start crossing machines once a machine placement is installed
+    /// via [`Simulator::set_edge_cross_probabilities`].
     pub fn set_cross_machine_delay(&mut self, delay: SimDuration) {
         self.cross_delay = delay;
     }

@@ -1,6 +1,5 @@
-//! A seeded synthetic fleet: analytic shards for driving `FleetDriver` (or
-//! its negotiator and placement state alone) at 10³–10⁶ shards without a
-//! simulator behind each one.
+//! A seeded synthetic fleet: analytic shards for driving `FleetDriver` at
+//! tens of thousands of shards without a simulator behind each one.
 //!
 //! A [`SyntheticShard`] is an n-operator chain that "measures" exactly the
 //! model DRS assumes: every operator sees the shard's arrival rate, serves

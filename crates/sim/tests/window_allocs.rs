@@ -147,10 +147,10 @@ fn simulator(laws: Laws) -> Simulator {
             },
         )
         .allocation(vec![1, 4, 5])
-        .cross_machine_delay(SimDuration::from_millis(2))
         .seed(11)
         .build()
         .unwrap();
+    sim.set_cross_machine_delay(SimDuration::from_millis(2));
     if laws == Laws::Random {
         sim.set_edge_cross_probabilities(vec![0.5, 0.5, 0.0])
             .unwrap();
